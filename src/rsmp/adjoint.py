@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .control import RelaxedControl
-from .errors import DomainError, ShapeMismatch, SingularRegression
+from .errors import DomainError, NonFiniteCoefficient, ShapeMismatch, SingularRegression
 from .forward import PathEnsemble, step_weights
 from .problem import (
     Problem,
@@ -295,6 +295,8 @@ def adjoint_pairing(
                 c_diff = averaged_jump(p, grid, t, x, p.jump.marks[j], dw)
                 term += lam[j] * np.einsum("qi,qi->q", adjoint.phi[:, k, j], c_diff)
         total += dt * float(term.mean())
+    if not np.isfinite(total):
+        raise NonFiniteCoefficient("adjoint pairing evaluated to a non-finite value")
     return total
 
 

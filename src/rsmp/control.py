@@ -111,8 +111,13 @@ class CellPartition:
         return int(np.prod(self.cells_per_dim))
 
     def assign(self, signal: np.ndarray) -> np.ndarray:
-        """Flat cell index for each row of signal (..., p)."""
+        """Flat cell index for each row of signal (..., p).
+
+        Raises DomainError on a NaN/Inf signal, which has no cell.
+        """
         s = np.asarray(signal, dtype=float)
+        if not np.all(np.isfinite(s)):
+            raise DomainError("feedback signal must be finite to assign a cell")
         if s.ndim == 1:
             s = s[:, None] if len(self.cells_per_dim) == 1 else s[None, :]
         lo = self.bounds[:, 0]

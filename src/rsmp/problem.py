@@ -11,6 +11,17 @@ Spatial gradients follow the convention grad[..., i, j] = d f_i / d x_j;
 the diffusion derivative sigma_x has shape (..., n, m, n) with the last
 axis the differentiation direction.  Missing gradients fall back to central
 finite differences.  Callables must be pure functions of their arguments.
+
+Relaxed controls only ever see a coefficient through its values at the K
+atoms of a control grid.  `atom_values` is the single place that evaluates a
+coefficient on a grid: it calls the callable once per atom and stacks the
+results with the atom axis leading, shape (K, M, ...), checking the whole
+tensor for NaN/Inf once.  Everything linear in the weights is a contraction
+of that tensor over its leading axis: `contract_atoms` pairs it with a
+weight vector (K,) or per-path weights (M, K), which is what the
+`averaged_*` functions return, and the Hamiltonian field contracts it with
+the adjoint processes to get all K per-atom Hamiltonians from one
+evaluation per atom.
 """
 
 from __future__ import annotations
@@ -50,7 +61,7 @@ class GaussianInitial:
 class JumpSpec:
     """Finite-activity jump component: atomic jump measure plus kernel.
 
-    marks: (J, n) nonzero jump sites; intensities: (J,) rates per unit time;
+    marks: (J, n) nonzero jump sites; intensities: (J,) positive rates per unit time;
     C(t, x, v, xi) -> (..., n) is the jump coefficient and C_x its spatial
     gradient (..., n, n).
     """
@@ -67,8 +78,9 @@ class JumpSpec:
         object.__setattr__(self, "intensities", lam)
         if marks.shape[0] != lam.size:
             raise ShapeMismatch("one intensity per mark")
-        if np.any(lam < 0) or not np.isfinite(lam.sum()):
-            raise DomainError("intensities must be nonnegative and finite in total")
+        # solve_bsde divides by lam * dt, so a zero-rate mark is an input error
+        if np.any(lam <= 0) or not np.isfinite(lam.sum()):
+            raise DomainError("intensities must be positive and finite in total")
         if np.any(np.all(marks == 0.0, axis=1)):
             raise DomainError("jump marks must be nonzero vectors")
         marks.setflags(write=False)
@@ -192,53 +204,65 @@ def _finite_or_raise(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def _averaged(f, grid_points: np.ndarray, t, x, w, extra=()):
-    """sum_i w[..., i] * f(t, x, xi_i), broadcasting w over the batch."""
+def atom_values(f, grid, t, x, extra=(), what: str = "coefficient") -> np.ndarray:
+    """f(t, x, *extra, xi_i) at every atom xi_i of the grid, stacked with the
+    atom axis leading: shape (K, M, ...).  Raises NonFiniteCoefficient if any
+    value is NaN/Inf."""
+    points = grid.points
+    first = np.asarray(f(t, x, *extra, points[0]), dtype=float)
+    out = np.empty((points.shape[0],) + first.shape)
+    out[0] = first
+    for i in range(1, points.shape[0]):
+        out[i] = f(t, x, *extra, points[i])
+    return _finite_or_raise(out, what)
+
+
+def contract_atoms(vals: np.ndarray, w) -> np.ndarray:
+    """sum_i w[..., i] * vals[i] for atom-leading vals (K, M, ...) and weights
+    w of shape (K,) or per path (M, K)."""
     w = np.asarray(w, dtype=float)
-    out = None
-    for i in range(grid_points.shape[0]):
-        val = np.asarray(f(t, x, *extra, grid_points[i]), dtype=float)
-        if w.ndim == 1:
-            term = w[i] * val
-        else:
-            wi = w[..., i]
-            term = wi.reshape(wi.shape + (1,) * (val.ndim - wi.ndim)) * val
-        out = term if out is None else out + term
-    return out
+    if w.ndim == 1:
+        return np.einsum("k,k...->...", w, vals)
+    return np.einsum("qk,kq...->q...", w, vals)
+
+
+def _averaged(f, grid, t, x, w, what: str, extra=()):
+    """Relaxed average sum_i w[..., i] f(t, x, *extra, xi_i); linear in w."""
+    return contract_atoms(atom_values(f, grid, t, x, extra, what), w)
 
 
 def averaged_drift(p: Problem, grid, t, x, w):
     """Relaxed-averaged drift sum_i w_i b(t, x, xi_i); linear in w."""
-    return _finite_or_raise(_averaged(p.b, grid.points, t, x, w), "drift")
+    return _averaged(p.b, grid, t, x, w, "drift")
 
 
 def averaged_diffusion(p: Problem, grid, t, x, w):
-    return _finite_or_raise(_averaged(p.sigma, grid.points, t, x, w), "diffusion")
+    return _averaged(p.sigma, grid, t, x, w, "diffusion")
 
 
 def averaged_running_cost(p: Problem, grid, t, x, w):
-    return _finite_or_raise(_averaged(p.ell, grid.points, t, x, w), "running cost")
+    return _averaged(p.ell, grid, t, x, w, "running cost")
 
 
 def averaged_jump(p: Problem, grid, t, x, v, w):
     """Relaxed-averaged jump coefficient at a single mark v."""
-    return _finite_or_raise(_averaged(p.jump.C, grid.points, t, x, w, extra=(v,)), "jump coefficient")
+    return _averaged(p.jump.C, grid, t, x, w, "jump coefficient", extra=(v,))
 
 
 def averaged_drift_x(p: Problem, grid, t, x, w):
-    return _finite_or_raise(_averaged(p.b_x, grid.points, t, x, w), "drift gradient")
+    return _averaged(p.b_x, grid, t, x, w, "drift gradient")
 
 
 def averaged_diffusion_x(p: Problem, grid, t, x, w):
-    return _finite_or_raise(_averaged(p.sigma_x, grid.points, t, x, w), "diffusion gradient")
+    return _averaged(p.sigma_x, grid, t, x, w, "diffusion gradient")
 
 
 def averaged_running_cost_x(p: Problem, grid, t, x, w):
-    return _finite_or_raise(_averaged(p.ell_x, grid.points, t, x, w), "running cost gradient")
+    return _averaged(p.ell_x, grid, t, x, w, "running cost gradient")
 
 
 def averaged_jump_x(p: Problem, grid, t, x, v, w):
-    return _finite_or_raise(_averaged(p.jump.C_x, grid.points, t, x, w, extra=(v,)), "jump gradient")
+    return _averaged(p.jump.C_x, grid, t, x, w, "jump gradient", extra=(v,))
 
 
 @dataclass

@@ -30,43 +30,50 @@ from .control import (
 )
 from .errors import DomainError, ShapeMismatch
 from .forward import PathEnsemble, pathwise_cost, sample_noise, simulate
-from .problem import (
-    Problem,
-    averaged_diffusion,
-    averaged_drift,
-    averaged_jump,
-    averaged_running_cost,
-)
+from .problem import Problem, atom_values, contract_atoms
 
 INFO_FULL = "full"
 INFO_PARTIAL = "partial"
 
 
+def _per_path(arr, M: int) -> np.ndarray:
+    """A (M, a, b) array as given, or one shared (a, b) array broadcast to it."""
+    arr = np.asarray(arr, dtype=float)
+    return np.broadcast_to(arr, (M,) + arr.shape) if arr.ndim == 2 else arr
+
+
+def _atom_hamiltonians(p: Problem, grid: ControlGrid, t, x, psi, Q, phi_row) -> np.ndarray:
+    """Pathwise Hamiltonian at every grid atom, shape (K, M): drift pairing
+    + diffusion trace pairing + running cost + jump pairing.
+
+    Each coefficient is evaluated once per atom; the pairings contract the
+    atom-leading tensors with psi (M, n), Q (M, n, m) and, for jump problems,
+    phi_row (M, J, n).
+    """
+    x = np.atleast_2d(x)
+    M = x.shape[0]
+    psi = np.atleast_2d(psi)
+    val = np.einsum("kqi,qi->kq", atom_values(p.b, grid, t, x, what="drift"), psi)
+    val += np.einsum("kqab,qab->kq", atom_values(p.sigma, grid, t, x, what="diffusion"), _per_path(Q, M))
+    val += atom_values(p.ell, grid, t, x, what="running cost")
+    if p.jump is not None:
+        if phi_row is None:
+            raise ShapeMismatch("jump problems need the jump intensity row of the adjoint")
+        phi_row = _per_path(phi_row, M)
+        for j in range(p.jump.J):
+            cj = atom_values(p.jump.C, grid, t, x, extra=(p.jump.marks[j],), what="jump coefficient")
+            val += p.jump.intensities[j] * np.einsum("kqi,qi->kq", cj, phi_row[:, j])
+    return val
+
+
 def hamiltonian(p: Problem, grid: ControlGrid, t, x, psi, Q, phi_row, w) -> np.ndarray:
-    """Relaxed-averaged Hamiltonian: drift pairing + diffusion trace pairing
-    + jump pairing + running cost, averaged against the weight vector w.
+    """Relaxed-averaged Hamiltonian: the per-atom Hamiltonians of
+    `_atom_hamiltonians` averaged against the weight vector w.
 
     phi_row has shape (..., J, n) and is ignored for problems without jumps.
     Linear in w; batched over a leading path axis.
     """
-    x = np.atleast_2d(x)
-    psi = np.atleast_2d(psi)
-    val = np.einsum("qi,qi->q", averaged_drift(p, grid, t, x, w), psi)
-    Qb = np.asarray(Q, dtype=float)
-    if Qb.ndim == 2:
-        Qb = np.broadcast_to(Qb, (x.shape[0],) + Qb.shape)
-    val += np.einsum("qab,qab->q", Qb, averaged_diffusion(p, grid, t, x, w))
-    val += averaged_running_cost(p, grid, t, x, w)
-    if p.jump is not None:
-        if phi_row is None:
-            raise ShapeMismatch("jump problems need the jump intensity row of the adjoint")
-        phi_row = np.asarray(phi_row, dtype=float)
-        if phi_row.ndim == 2:
-            phi_row = np.broadcast_to(phi_row, (x.shape[0],) + phi_row.shape)
-        for j in range(p.jump.J):
-            cj = averaged_jump(p, grid, t, x, p.jump.marks[j], w)
-            val += p.jump.intensities[j] * np.einsum("qi,qi->q", phi_row[:, j], cj)
-    return val
+    return contract_atoms(_atom_hamiltonians(p, grid, t, x, psi, Q, phi_row), w)
 
 
 @dataclass(frozen=True)
@@ -109,7 +116,6 @@ def hamiltonian_field(
     base: PathEnsemble,
     adjoint: AdjointEnsemble,
     info_mode: str = INFO_FULL,
-    basis_spec: BasisSpec | None = None,
 ) -> HamiltonianField:
     """Evaluate the Hamiltonian at every grid atom along the ensemble and
     condition it on the feedback cells of the control in force.
@@ -118,8 +124,7 @@ def hamiltonian_field(
     cells for open-loop controls, state cells for state feedback); partial
     mode requires an observation-feedback control and conditions on its
     observation cells, broadcasting the cell averages back to the paths.
-    Conditioning uses piecewise-constant cell averages, so basis_spec is
-    accepted for interface parity but not consulted.
+    Conditioning uses piecewise-constant cell averages.
     """
     u0 = base.control_used
     if not isinstance(u0, RelaxedControl):
@@ -138,22 +143,17 @@ def hamiltonian_field(
     cell_values = np.zeros((N, C, K))
     occupancy = np.zeros((N, C), dtype=np.int64)
     cell_index = np.zeros((M, N), dtype=np.int64)
-    one_hot = np.eye(K)
     for k in range(N):
-        t = k * dt
-        x = base.states[:, k]
-        psi = adjoint.psi_cont[:, k]
-        Qk = adjoint.Q[:, k]
+        x, psi, Qk = base.states[:, k], adjoint.psi_cont[:, k], adjoint.Q[:, k]
         phik = adjoint.phi[:, k] if adjoint.phi is not None else None
-        for i in range(K):
-            values[:, k, i] = hamiltonian(p, grid, t, x, psi, Qk, phik, one_hot[i])
+        atoms = _atom_hamiltonians(p, grid, k * dt, x, psi, Qk, phik)  # (K, M)
+        values[:, k, :] = atoms.T
         sig = base.feedback_signal(k, u0.feedback_mode)
         cells = np.zeros(M, dtype=np.int64) if sig is None else u0.feedback.assign(sig)
         cell_index[:, k] = cells
         counts = np.bincount(cells, minlength=C)
         occupancy[k] = counts
-        sums = np.zeros((C, K))
-        np.add.at(sums, cells, values[:, k, :])
+        sums = np.stack([np.bincount(cells, weights=row, minlength=C) for row in atoms], axis=1)
         nonzero = counts > 0
         cell_values[k, nonzero] = sums[nonzero] / counts[nonzero, None]
         _nearest_nonempty(cell_values[k], counts, centers)

@@ -81,6 +81,8 @@ def simulate_variational(
         norms = np.abs(y_next).max(axis=1)
         if np.any(norms > BLOWUP_GUARD):
             raise BlowUp(k, float(norms.max()))
+        if not np.all(np.isfinite(y_next)):
+            raise NonFiniteCoefficient(f"non-finite variational state at step {k}")
         y[:, k + 1] = y_next
     y.setflags(write=False)
     return VariationEnsemble(y, u, u0, base)
@@ -99,6 +101,8 @@ def response_functional(p: Problem, base: PathEnsemble, u0: RelaxedControl, var:
         total += dt * float(np.mean(np.einsum("qi,qi->q", lx, var.y[:, k])))
     phix = np.asarray(p.phi_x(base.states[:, N]), dtype=float)
     total += float(np.mean(np.einsum("qi,qi->q", phix, var.y[:, N])))
+    if not np.isfinite(total):
+        raise NonFiniteCoefficient("response functional evaluated to a non-finite value")
     return total
 
 

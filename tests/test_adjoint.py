@@ -1,8 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import rsmp
-from rsmp import ControlGrid, GaussianInitial, Problem, RelaxedControl, Semimartingale, ShapeMismatch
+from rsmp import (
+    ControlGrid,
+    GaussianInitial,
+    NonFiniteCoefficient,
+    Problem,
+    RelaxedControl,
+    Semimartingale,
+    ShapeMismatch,
+)
 from rsmp.adjoint import BasisSpec
 
 
@@ -266,6 +276,19 @@ class TestDualityGap:
         adj = rsmp.solve_bsde(p, base, u)
         var = rsmp.simulate_variational(p, base, u, u)
         assert rsmp.duality_gap(p, base, u, u, adj, var) == 0.0
+
+    def test_non_finite_adjoint_pairing_raises(self):
+        p = rsmp.make_benchmark("lq1d")
+        grid = rsmp.benchmark_grid("lq1d")
+        u = rsmp.constant_control(grid, 8)
+        base = rsmp.simulate(p, u, rsmp.sample_noise(p, 300, 8, seed=14))
+        adj = rsmp.solve_bsde(p, base, u)
+        psi_cont = adj.psi_cont.copy()
+        psi_cont[0, 4] = np.nan
+        bad = dataclasses.replace(adj, psi_cont=psi_cont)
+        u1 = rsmp.constant_control(grid, 8, np.eye(grid.K)[0])
+        with pytest.raises(NonFiniteCoefficient):
+            rsmp.adjoint_pairing(p, base, u, u1, bad)
 
     @pytest.mark.parametrize("name", ["lq1d", "lq2d", "jump-lq"])
     def test_small_gap_on_benchmarks(self, name):

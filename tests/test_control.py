@@ -265,6 +265,12 @@ class TestCellPartition:
         pts = np.array([[0.1, 0.1], [0.9, 0.1], [0.1, 0.9], [5.0, 5.0]])
         assert part.assign(pts).tolist() == [0, 2, 1, 3]
 
+    def test_non_finite_signal_rejected(self):
+        part = CellPartition([[0.0, 1.0]], (4,))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                part.assign(np.array([[0.5], [bad]]))
+
     def test_centers_shape(self):
         part = CellPartition([[0.0, 1.0]], (4,))
         assert part.centers().shape == (4, 1)

@@ -3,7 +3,7 @@ import pytest
 
 import rsmp
 from rsmp import ControlGrid, DomainError, JumpSpec, NonFiniteCoefficient, Problem
-from rsmp.problem import fd_gradient
+from rsmp.problem import atom_values, fd_gradient
 
 
 def linear_problem(A, B):
@@ -92,6 +92,27 @@ class TestAveraged:
         with pytest.raises(NonFiniteCoefficient):
             rsmp.averaged_drift(p, self.grid, 0.0, np.array([[1.0]]), np.array([1.0, 0.0]))
 
+    def test_atom_values_stack_atoms_leading(self):
+        x = np.array([[2.0], [3.0], [-1.0]])
+        vals = atom_values(self.p.b, self.grid, 0.0, x)
+        assert vals.shape == (2, 3, 1)
+        assert np.array_equal(vals[1], x + 1.0)
+
+    def test_contraction_matches_loop_over_atoms(self):
+        p = rsmp.make_benchmark("lq2d")
+        grid = rsmp.benchmark_grid("lq2d", 5)
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((30, 2))
+        w_path = rng.uniform(0.01, 1, (30, grid.K))
+        w_path /= w_path.sum(axis=1, keepdims=True)
+        for w in (w_path[0], w_path):
+            got = rsmp.averaged_drift(p, grid, 0.2, x, w)
+            terms = [w[..., i].reshape(w.shape[:-1] + (1,)) * p.b(0.2, x, grid.points[i]) for i in range(grid.K)]
+            ref = sum(terms[1:], terms[0])
+            scale = sum(np.abs(t) for t in terms)
+            assert got.shape == ref.shape == (30, 2)
+            assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * scale)
+
 
 class TestFiniteDifferenceGradients:
     def test_second_order_convergence_on_cubic(self):
@@ -176,6 +197,11 @@ class TestJumpSpec:
     def test_negative_intensity_rejected(self):
         with pytest.raises(DomainError):
             JumpSpec(np.array([[1.0]]), np.array([-1.0]), C=lambda t, x, v, xi: v)
+
+    def test_zero_intensity_rejected(self):
+        # the backward sweep divides by lam * dt
+        with pytest.raises(DomainError):
+            JumpSpec(np.array([[1.0], [-1.0]]), np.array([2.0, 0.0]), C=lambda t, x, v, xi: v)
 
     def test_problem_requires_horizon(self):
         base = linear_problem([[0.1]], [[1.0]])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,67 @@ class TestHamiltonianField:
         direct = rsmp.hamiltonian(p, grid, k * base.dt, base.states[:, k],
                                   adj.psi_cont[:, k], adj.Q[:, k], None, np.array([1.0]))
         assert np.allclose(fld.values[:, k, 0], direct, atol=1e-14)
+
+    @staticmethod
+    def seeded_field_inputs(name, mode):
+        p = rsmp.make_benchmark(name)
+        grid = rsmp.benchmark_grid(name, 5)
+        N = 6
+        if mode == rsmp.OPEN_LOOP:
+            part, C = None, 1
+        else:
+            part = rsmp.benchmark_partition(name, mode, cells=4)
+            C = part.n_cells
+        rng = np.random.default_rng(20)
+        w = rng.uniform(0.1, 1.0, (N, C, grid.K))
+        w /= w.sum(axis=-1, keepdims=True)
+        u = RelaxedControl(grid, w, mode, part)
+        base = rsmp.simulate(p, u, rsmp.sample_noise(p, 300, N, seed=21))
+        return p, grid, base, rsmp.solve_bsde(p, base, u)
+
+    @pytest.mark.parametrize("name,mode", [("lq1d", rsmp.STATE_FEEDBACK), ("jump-lq", rsmp.OPEN_LOOP)])
+    def test_field_values_equal_one_hot_hamiltonian(self, name, mode):
+        p, grid, base, adj = self.seeded_field_inputs(name, mode)
+        fld = rsmp.hamiltonian_field(p, base, adj, rsmp.INFO_FULL)
+        one_hot = np.eye(grid.K)
+        for k in range(base.n_steps):
+            phik = adj.phi[:, k] if adj.phi is not None else None
+            for i in range(grid.K):
+                direct = rsmp.hamiltonian(p, grid, k * base.dt, base.states[:, k],
+                                          adj.psi_cont[:, k], adj.Q[:, k], phik, one_hot[i])
+                assert np.array_equal(fld.values[:, k, i], direct)
+
+    @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
+    def test_field_evaluates_each_coefficient_once_per_atom_and_step(self, name):
+        p, grid, base, adj = self.seeded_field_inputs(name, rsmp.STATE_FEEDBACK)
+        calls = {}
+
+        def counted(key, f):
+            def wrapper(*args):
+                calls[key] = calls.get(key, 0) + 1
+                return f(*args)
+            return wrapper
+
+        changes = {key: counted(key, getattr(p, key)) for key in ("b", "sigma", "ell")}
+        if p.jump is not None:
+            changes["jump"] = dataclasses.replace(p.jump, C=counted("C", p.jump.C))
+        fld = rsmp.hamiltonian_field(dataclasses.replace(p, **changes), base, adj, rsmp.INFO_FULL)
+        expected = {key: grid.K * base.n_steps for key in ("b", "sigma", "ell")}
+        if p.jump is not None:
+            expected["C"] = grid.K * p.jump.J * base.n_steps
+        assert calls == expected
+        assert fld.values.shape == (base.M, base.n_steps, grid.K)
+
+    def test_nan_at_one_atom_raises(self):
+        p, grid, base, adj = self.seeded_field_inputs("lq1d", rsmp.STATE_FEEDBACK)
+        bad_atom = grid.points[3]
+
+        def ell(t, x, xi):
+            out = p.ell(t, x, xi)
+            return np.full_like(out, np.nan) if np.array_equal(xi, bad_atom) else out
+
+        with pytest.raises(rsmp.NonFiniteCoefficient):
+            rsmp.hamiltonian_field(dataclasses.replace(p, ell=ell), base, adj, rsmp.INFO_FULL)
 
     def test_lq_argmin_tracks_riccati_feedback_sign(self):
         p = rsmp.make_benchmark("lq1d")

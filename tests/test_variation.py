@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import rsmp
-from rsmp import ControlGrid, Problem, RelaxedControl, ShapeMismatch
+from rsmp import ControlGrid, NonFiniteCoefficient, Problem, RelaxedControl, ShapeMismatch
 from rsmp.forward import pathwise_cost, step_weights
 from rsmp.problem import averaged_running_cost, averaged_running_cost_x
+from rsmp.variation import response_functional
 
 
 def drift_only_problem():
@@ -98,6 +101,34 @@ class TestSimulateVariational:
         base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 50, 8, seed=10))
         with pytest.raises(ShapeMismatch):
             rsmp.simulate_variational(p, base, u0, u1)
+
+
+class TestNonFiniteGuards:
+    def setup_method(self):
+        self.p = rsmp.make_benchmark("lq1d")
+        grid = rsmp.benchmark_grid("lq1d")
+        self.u0, self.u1 = random_controls(grid, 8, 30)
+        self.base = rsmp.simulate(self.p, self.u0, rsmp.sample_noise(self.p, 200, 8, seed=31))
+
+    def test_nan_terminal_gradient_raises(self):
+        def phi_x(x):
+            return np.full(np.shape(x), np.nan)
+
+        p = dataclasses.replace(self.p, phi_x=phi_x)
+        var = rsmp.simulate_variational(p, self.base, self.u1, self.u0)
+        with pytest.raises(NonFiniteCoefficient):
+            response_functional(p, self.base, self.u0, var)
+        with pytest.raises(NonFiniteCoefficient):
+            rsmp.gateaux(p, self.base, var, self.u1, self.u0)
+
+    def test_nan_noise_raises_in_variational_sweep(self):
+        # NaN fails the blow-up comparison, so only the finiteness check sees it
+        noise = self.base.noise
+        dW = noise.dW.copy()
+        dW[3, 2] = np.nan
+        base = dataclasses.replace(self.base, noise=dataclasses.replace(noise, dW=dW))
+        with pytest.raises(NonFiniteCoefficient):
+            rsmp.simulate_variational(self.p, base, self.u1, self.u0)
 
 
 class TestGateaux:
