@@ -28,7 +28,7 @@ from .control import (
     refine_steps,
 )
 from .errors import BlowUp, DomainError, NonFiniteCoefficient, RsmpError, SingularRegression, UnknownBenchmark
-from .forward import cost, pathwise_cost, paths_to_csv, sample_noise, simulate
+from .forward import STREAM_VERSION, cost, pathwise_cost, paths_to_csv, sample_noise, simulate
 from .smp import (
     INFO_FULL,
     INFO_PARTIAL,
@@ -67,8 +67,14 @@ class RunConfig:
     cells: int = 8
     control: str | None = None
     refinement: int = 16
+    stream_version: int = STREAM_VERSION
 
     def __post_init__(self):
+        if self.stream_version != STREAM_VERSION:
+            raise DomainError(
+                f"config uses noise stream version {self.stream_version}, this build draws version "
+                f"{STREAM_VERSION}; its artifacts cannot be replayed"
+            )
         if min(self.M, self.N, self.K, self.cells, self.refinement) < 1:
             raise DomainError("counts must be positive")
         if self.seed is None:
@@ -84,7 +90,17 @@ class RunConfig:
 
     @staticmethod
     def from_json(text: str) -> "RunConfig":
-        return RunConfig(**json.loads(text))
+        return RunConfig(**_config_doc(text))
+
+
+def _config_doc(text: str) -> dict:
+    """Fields of a config JSON text.  A config without stream_version predates
+    the key and was drawn with the per-path layout, version 1."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise DomainError("config must be a JSON object")
+    doc.setdefault("stream_version", 1)
+    return doc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -122,7 +138,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     base: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            base = json.loads(fh.read())
+            base = _config_doc(fh.read())
     base["command"] = args.command
     for key in ("bench", "M", "N", "K", "seed", "threads", "info", "tol", "max_iters", "out", "mode", "cells", "control", "refinement"):
         val = getattr(args, key, None)
@@ -143,8 +159,12 @@ def _default_mode(config: RunConfig) -> str:
 
 def _initial_control(config: RunConfig, problem) -> RelaxedControl:
     if config.control:
-        with open(config.control, encoding="utf-8") as fh:
-            return RelaxedControl.from_json(fh.read())
+        try:
+            with open(config.control, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise DomainError(f"cannot read control file: {exc}") from None
+        return RelaxedControl.from_json(text)
     grid = bench.benchmark_grid(config.bench, config.K)
     mode = _default_mode(config)
     if mode == OPEN_LOOP:

@@ -95,6 +95,7 @@ def paths_to_binary(paths, fileobj) -> None:
         "m": noise.m,
         "dt": noise.dt,
         "seed": noise.seed,
+        "stream_version": noise.stream_version,
     }
     arrays = {"states": paths.states, "dW": noise.dW}
     if noise.jump_counts is not None:

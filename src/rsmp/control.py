@@ -233,13 +233,11 @@ class RelaxedControl:
 
     @staticmethod
     def from_json(text: str) -> "RelaxedControl":
-        doc = json.loads(text)
-        grid = ControlGrid(np.array(doc["grid"]["points"]), np.array(doc["grid"]["box"]))
-        fb = doc.get("feedback")
-        part = None
-        if fb is not None:
-            part = CellPartition(np.array(fb["bounds"]), tuple(fb["cells_per_dim"]))
-        return RelaxedControl(grid, np.array(doc["weights"]), doc["mode"], part)
+        def build(doc):
+            grid = ControlGrid(np.array(doc["grid"]["points"]), np.array(doc["grid"]["box"]))
+            return RelaxedControl(grid, np.array(doc["weights"]), doc["mode"], _partition_from_doc(doc))
+
+        return _from_json(text, build)
 
 
 @dataclass(frozen=True)
@@ -316,12 +314,29 @@ class RegularControl:
 
     @staticmethod
     def from_json(text: str) -> "RegularControl":
-        doc = json.loads(text)
-        fb = doc.get("feedback")
-        part = None
-        if fb is not None:
-            part = CellPartition(np.array(fb["bounds"]), tuple(fb["cells_per_dim"]))
-        return RegularControl(np.array(doc["values"]), np.array(doc["box"]), doc["mode"], part)
+        def build(doc):
+            return RegularControl(np.array(doc["values"]), np.array(doc["box"]), doc["mode"], _partition_from_doc(doc))
+
+        return _from_json(text, build)
+
+
+def _partition_from_doc(doc: dict) -> CellPartition | None:
+    fb = doc.get("feedback")
+    if fb is None:
+        return None
+    return CellPartition(np.array(fb["bounds"]), tuple(fb["cells_per_dim"]))
+
+
+def _from_json(text: str, build):
+    """`build(doc)` on the parsed control JSON; text that is not JSON, or a
+    document missing a key or holding a value of the wrong type, raises
+    DomainError instead of a parser exception."""
+    try:
+        return build(json.loads(text))
+    except KeyError as exc:
+        raise DomainError(f"control JSON lacks key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed control JSON: {exc}") from None
 
 
 def constant_control(grid: ControlGrid, time_steps: int, weights=None) -> RelaxedControl:

@@ -1,8 +1,13 @@
 """Forward simulation of controlled (jump-)diffusions on a fixed time grid.
 
 All randomness is pre-drawn into a NoiseEnsemble from counter-based Philox
-substreams, one per path, so a simulation is a pure function of (problem,
-control, noise) and is bit-identical for any worker count.  Jumps use a
+substreams (Salmon et al., SC'11).  Paths are split into fixed blocks of
+_BLOCK paths; each block draws each noise kind (initial normals, Brownian
+increments, jump counts) from its own substream, whose counter encodes
+(block index, kind), in one vectorized path-major call.  Path i's noise is
+therefore a function of (seed, i) alone: an ensemble of M1 paths is the row
+prefix of one of M2 > M1 paths, and a simulation is a pure function of
+(problem, control, noise), bit-identical for any worker count.  Jumps use a
 finite atomic jump measure; each step applies the event counts minus their
 compensator at the left endpoint.
 """
@@ -11,7 +16,7 @@ from __future__ import annotations
 
 import io
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -29,6 +34,11 @@ from .problem import (
 
 BLOWUP_GUARD = 1e9
 _BLOCK = 8192  # fixed path block size; keeps results independent of worker count
+# Version of the noise stream layout: bump it whenever any draw changes, so a
+# replayed configuration cannot silently get different bytes.  Version 1 drew
+# one Philox substream per path; version 2 one per (path block, noise kind).
+STREAM_VERSION = 2
+_KIND_INITIAL, _KIND_BROWNIAN, _KIND_JUMPS = range(3)
 
 
 @dataclass(frozen=True)
@@ -38,8 +48,10 @@ class NoiseEnsemble:
     dW has shape (M, N, m) with variance dt per component; jump_counts has
     shape (M, N, J) (None without jumps); initial_normals holds the standard
     normal draws used by a stochastic initial state (None when deterministic).
-    Path i draws from the Philox substream with counter offset i, so streams
-    are independent across paths and reproducible from (seed, i) alone.
+    Paths fall into fixed blocks of _BLOCK; block b draws each noise kind from
+    its own Philox substream with counter (b, kind), path-major, so path i's
+    draws depend on (seed, i) alone and a smaller ensemble of the same seed is
+    a row prefix of a larger one.  stream_version names this layout.
     """
 
     M: int
@@ -50,7 +62,15 @@ class NoiseEnsemble:
     dW: np.ndarray
     jump_counts: np.ndarray | None
     initial_normals: np.ndarray | None
-    stream_ids: np.ndarray
+    stream_version: int = STREAM_VERSION
+
+    @property
+    def stream_ids(self) -> None:
+        """Always None; paths carry no stream ids since the blocked layout.
+
+        Kept only because perfbench's noise-bytes counter still reads it;
+        remove both together with the next benchmark change."""
+        return None
 
     def coarsen(self, factor: int) -> "NoiseEnsemble":
         """Aggregate to a grid coarser by `factor`: increments and counts sum
@@ -63,41 +83,46 @@ class NoiseEnsemble:
         if self.jump_counts is not None:
             J = self.jump_counts.shape[2]
             counts = self.jump_counts.reshape(self.M, Nc, factor, J).sum(axis=2)
-        return NoiseEnsemble(
-            self.M, Nc, self.m, self.dt * factor, self.seed, dW, counts, self.initial_normals, self.stream_ids
-        )
+        return replace(self, N=Nc, dt=self.dt * factor, dW=dW, jump_counts=counts)
+
+
+def _substream(seed: int, block: int, kind: int) -> Generator:
+    """Philox generator for one (path block, noise kind); the low 128 counter
+    bits are left for the draws themselves."""
+    return Generator(Philox(key=seed, counter=((kind << 64) | block) << 128))
 
 
 def sample_noise(p: Problem, M: int, N: int, seed: int) -> NoiseEnsemble:
     """Draw the full noise ensemble for M paths on an N-step grid.
 
-    Per-path draw order is fixed: initial-state normals (if stochastic), then
-    Brownian increments, then Poisson event counts per mark, so the same seed
-    always reproduces the same ensemble bit for bit.
+    Each block of _BLOCK paths fills its rows of every array with one
+    vectorized call per noise kind (initial-state normals if stochastic,
+    Brownian increments, Poisson event counts per mark), each from its own
+    substream, so the same seed always reproduces the same ensemble bit for
+    bit and the draws do not depend on the order in which blocks are drawn.
     """
     if M < 1 or N < 1:
         raise DomainError("M and N must be positive")
+    if not 0 <= seed < 2**128:
+        raise DomainError("seed must lie in [0, 2**128), the Philox key range")
     dt = p.T / N
-    gaussian_x0 = isinstance(p.x0, GaussianInitial)
-    dW = np.empty((M, N, p.m))
-    z0 = np.empty((M, p.n)) if gaussian_x0 else None
-    counts = None
-    lam_dt = None
-    if p.jump is not None:
-        lam_dt = np.broadcast_to(p.jump.intensities * dt, (N, p.jump.J))
-        counts = np.empty((M, N, p.jump.J), dtype=np.int64)
     sqrt_dt = np.sqrt(dt)
-    for i in range(M):
-        gen = Generator(Philox(key=seed, counter=i << 128))
-        if gaussian_x0:
-            z0[i] = gen.standard_normal(p.n)
-        dW[i] = sqrt_dt * gen.standard_normal((N, p.m))
+    dW = np.empty((M, N, p.m))
+    z0 = np.empty((M, p.n)) if isinstance(p.x0, GaussianInitial) else None
+    counts = np.empty((M, N, p.jump.J), dtype=np.int64) if p.jump is not None else None
+    for b, s in enumerate(range(0, M, _BLOCK)):
+        e = min(s + _BLOCK, M)
+        if z0 is not None:
+            _substream(seed, b, _KIND_INITIAL).standard_normal((e - s, p.n), out=z0[s:e])
+        block_dW = dW[s:e]
+        _substream(seed, b, _KIND_BROWNIAN).standard_normal((e - s, N, p.m), out=block_dW)
+        block_dW *= sqrt_dt
         if counts is not None:
-            counts[i] = gen.poisson(lam_dt)
+            counts[s:e] = _substream(seed, b, _KIND_JUMPS).poisson(p.jump.intensities * dt, (e - s, N, p.jump.J))
     for arr in (dW, counts, z0):
         if arr is not None:
             arr.setflags(write=False)
-    return NoiseEnsemble(M, N, p.m, dt, seed, dW, counts, z0, np.arange(M, dtype=np.int64))
+    return NoiseEnsemble(M, N, p.m, dt, seed, dW, counts, z0)
 
 
 @dataclass(frozen=True)

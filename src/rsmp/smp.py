@@ -261,6 +261,12 @@ class OptimizeParams:
     threads: int = 1
     line_search_floor: int = 10  # smallest step is 2**-floor
 
+    def __post_init__(self):
+        # the line search compares cost differences against their standard
+        # error, which needs at least two paths
+        if self.M < 2:
+            raise DomainError("optimize needs at least 2 paths (M >= 2)")
+
 
 def optimize(p: Problem, u_init: RelaxedControl, params: OptimizeParams) -> OptimizationResult:
     """Conditional-gradient descent on the relaxed control set.

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from rsmp import DomainError, OptimizeParams
 from rsmp.cli import EXIT_CONFIG, EXIT_OK, RunConfig, main
+from rsmp.forward import STREAM_VERSION
 
 
 def read(path):
@@ -71,6 +73,45 @@ class TestSimulate:
         ca.pop("out"), cb.pop("out")
         assert ca == cb
 
+    @pytest.mark.parametrize("stale", ["version-1", "missing"])
+    def test_config_from_another_stream_version_is_config_error(self, tmp_path, stale):
+        out = tmp_path / "run"
+        names = ("config.json", "paths.csv", "paths.bin")
+        assert main(["simulate", "--bench", "lq1d", "--M", "50", "--N", "4", "--seed", "6",
+                     "--format", "csv,bin", "--out", str(out)]) == EXIT_OK
+        snapshot = {name: read(out / name) for name in names}
+        doc = json.loads(snapshot["config.json"])
+        assert doc["stream_version"] == STREAM_VERSION
+        # the emitted config replays byte for byte
+        assert main(["simulate", "--config", str(out / "config.json")]) == EXIT_OK
+        for name in names:
+            assert read(out / name) == snapshot[name]
+        # a config without the key predates it and was drawn as version 1
+        if stale == "version-1":
+            doc["stream_version"] = 1
+        else:
+            del doc["stream_version"]
+        doc["out"] = str(tmp_path / "stale")
+        (tmp_path / "stale.json").write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(tmp_path / "stale.json")]) == EXIT_CONFIG
+        assert not (tmp_path / "stale").exists()
+
+    @pytest.mark.parametrize("text", ['{"mode": "open_loop", "weights": [[[1.0]]]}', "not json"])
+    def test_malformed_control_file_is_config_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["simulate", "--bench", "lq1d", "--M", "10", "--N", "4", "--seed", "1",
+                     "--control", str(bad)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_negative_seed_is_config_error(self):
+        assert main(["simulate", "--bench", "lq1d", "--M", "10", "--N", "4", "--seed", "-1"]) == EXIT_CONFIG
+
+    def test_unreadable_control_file_is_config_error(self, tmp_path):
+        assert main(["simulate", "--bench", "lq1d", "--M", "10", "--N", "4", "--seed", "1",
+                     "--control", str(tmp_path / "absent.json")]) == EXIT_CONFIG
+
     def test_csv_is_lf_terminated(self, tmp_path):
         out = tmp_path / "run"
         main(["simulate", "--bench", "lq1d", "--M", "10", "--N", "4", "--seed", "1",
@@ -111,6 +152,12 @@ class TestOptimizeAndCertify:
         doc = json.loads(read(chat / "chatter.json"))
         excesses = [row["excess"] for row in doc["ladder"]]
         assert excesses == sorted(excesses, reverse=True)
+
+    def test_optimize_rejects_single_path(self):
+        # one path has no standard error, so no line-search step could ever be accepted
+        with pytest.raises(DomainError):
+            OptimizeParams(M=1, N=4)
+        assert main(["optimize", "--bench", "lq1d", "--M", "1", "--N", "4", "--seed", "1"]) == EXIT_CONFIG
 
     def test_adjoint_duality_artifact(self, tmp_path):
         out = tmp_path / "adj"

@@ -248,6 +248,25 @@ class TestSerialization:
         again = RegularControl.from_json(u.to_json())
         assert np.array_equal(again.values, u.values)
 
+    @pytest.mark.parametrize("cls, drop", [(RelaxedControl, "grid"), (RelaxedControl, "weights"),
+                                           (RegularControl, "values"), (RegularControl, "mode")])
+    def test_missing_key_is_domain_error(self, cls, drop):
+        g = grid3()
+        if cls is RelaxedControl:
+            u = rsmp.constant_control(g, 4)
+        else:
+            u = RegularControl(np.array([[[0.5]], [[-1.0]]]), g.box)
+        doc = json.loads(u.to_json())
+        del doc[drop]
+        with pytest.raises(DomainError, match=drop):
+            cls.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("cls", [RelaxedControl, RegularControl])
+    @pytest.mark.parametrize("text", ["not json", "", "[1, 2]", '{"grid": 3, "values": 3}'])
+    def test_malformed_text_is_domain_error(self, cls, text):
+        with pytest.raises(DomainError):
+            cls.from_json(text)
+
 
 class TestRefineSteps:
     def test_weights_repeat(self):

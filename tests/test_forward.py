@@ -1,12 +1,13 @@
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
 import rsmp
-from rsmp import BlowUp, ControlGrid, JumpSpec, Problem, ShapeMismatch
+from rsmp import BlowUp, ControlGrid, GaussianInitial, JumpSpec, Problem, ShapeMismatch
 from rsmp.container import TAG_PATHS, paths_to_binary, read_section
-from rsmp.forward import pathwise_cost
+from rsmp.forward import _BLOCK, STREAM_VERSION, pathwise_cost
 
 
 def scalar_problem(b=None, sigma=None, ell=None, phi=None, x0=0.0, jump=None, T=1.0):
@@ -35,6 +36,23 @@ def scalar_problem(b=None, sigma=None, ell=None, phi=None, x0=0.0, jump=None, T=
 
 def unit_grid():
     return ControlGrid([[0.0]], [[-1.0, 1.0]])
+
+
+def gaussian_jump_problem():
+    """Two-dimensional problem drawing all three noise kinds: a Gaussian
+    initial state, two Brownian components and two jump marks."""
+    jump = JumpSpec(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([2.0, 0.5]),
+                    C=lambda t, x, v, xi: np.broadcast_to(v, np.shape(x)))
+    return Problem(
+        n=2, m=2, d=1, T=1.0, x0=GaussianInitial([0.0, 1.0], [[1.0, 0.2], [0.2, 0.5]]),
+        b=lambda t, x, xi: np.zeros(np.shape(x)),
+        sigma=lambda t, x, xi: np.zeros(np.shape(x)[:-1] + (2, 2)),
+        ell=lambda t, x, xi: np.zeros(np.shape(x)[:-1]), phi=lambda x: np.zeros(np.shape(x)[:-1]),
+        control_box=[[-1.0, 1.0]], jump=jump,
+    )
+
+
+NOISE_KINDS = ("dW", "jump_counts", "initial_normals")
 
 
 class TestSampleNoise:
@@ -87,6 +105,56 @@ class TestSampleNoise:
         assert coarse.N == 2
         assert np.allclose(coarse.dW[:, 0, 0], fine.dW[:, :4, 0].sum(axis=1), atol=0)
         assert coarse.dt == pytest.approx(4 * fine.dt)
+
+
+class TestNoiseLayout:
+    """Blocks of _BLOCK paths draw each noise kind from their own substream,
+    path-major; these guard the layout beyond what moment tests can see."""
+
+    @pytest.mark.parametrize("make", [lambda: rsmp.make_benchmark("jump-lq"), gaussian_jump_problem],
+                             ids=["jump-lq", "gaussian-x0"])
+    @pytest.mark.parametrize("M", [100, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_smaller_ensemble_is_row_prefix(self, make, M):
+        p = make()
+        small = rsmp.sample_noise(p, M, 6, seed=4)
+        large = rsmp.sample_noise(p, 3 * _BLOCK + 5, 6, seed=4)
+        for kind in NOISE_KINDS:
+            a, b = getattr(small, kind), getattr(large, kind)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert np.array_equal(a, b[:M]), kind
+
+    def test_all_kinds_bit_identical_on_rerun(self):
+        p = gaussian_jump_problem()
+        a = rsmp.sample_noise(p, _BLOCK + 7, 4, seed=12)
+        b = rsmp.sample_noise(p, _BLOCK + 7, 4, seed=12)
+        for kind in NOISE_KINDS:
+            assert np.array_equal(getattr(a, kind), getattr(b, kind)), kind
+        assert a.stream_version == STREAM_VERSION
+
+    def test_blocks_and_kinds_draw_distinct_streams(self):
+        p = gaussian_jump_problem()
+        noise = rsmp.sample_noise(p, 2 * _BLOCK, 4, seed=3)
+        # each block draws its own substream, not a copy of block 0's
+        assert not np.array_equal(noise.dW[0], noise.dW[_BLOCK])
+        for kind in NOISE_KINDS:
+            arr = getattr(noise, kind)
+            assert not np.array_equal(arr[:_BLOCK], arr[_BLOCK:]), kind
+        # initial normals are not the head of the Brownian stream
+        head = (noise.dW[0] / np.sqrt(noise.dt)).ravel()
+        assert not np.allclose(noise.initial_normals[:2].ravel(), head[:4])
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_key_range_is_domain_error(self, seed):
+        with pytest.raises(rsmp.DomainError):
+            rsmp.sample_noise(scalar_problem(), 4, 2, seed=seed)
+
+    def test_pinned_stream_digest(self):
+        # any change of draws must come with a new STREAM_VERSION (and a new digest)
+        noise = rsmp.sample_noise(rsmp.make_benchmark("jump-lq"), _BLOCK + 3, 4, seed=1)
+        digest = hashlib.sha256(noise.dW.astype("<f8").tobytes() + noise.jump_counts.astype("<i8").tobytes())
+        assert STREAM_VERSION == 2
+        assert digest.hexdigest() == "5efd120109d21bb25133b47e44bd096e487ce57cf5601873c132e119c9277f66"
 
 
 class TestSimulate:
@@ -243,6 +311,7 @@ class TestExports:
         tag, meta, arrays = read_section(buf)
         assert tag == TAG_PATHS
         assert meta["M"] == 5 and meta["N"] == 4
+        assert meta["stream_version"] == STREAM_VERSION
         assert np.array_equal(arrays["states"], paths.states)
         assert np.array_equal(arrays["dW"], paths.noise.dW)
         assert np.array_equal(arrays["jump_counts"], paths.noise.jump_counts)
