@@ -81,35 +81,38 @@ class StepDiagnostics:
     psi_second_moment: float = 0.0
 
 
-def _regress(X: np.ndarray, Y: np.ndarray, step: int) -> tuple[np.ndarray, StepDiagnostics]:
-    """Least-squares fit of every column of Y onto the design X.
+def _design(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, bool]:
+    """Least-squares design on the regressors X: the standardized design Z,
+    its normal matrix G, G's condition number and whether a ridge was added.
 
     Columns are standardized for conditioning (the fit is invariant to that
     reparametrization); degenerate columns are dropped, and a trace-scaled
     ridge is added when the normal matrix condition number exceeds the limit.
-    Returns fitted values of Y's shape.
     """
-    M = X.shape[0]
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
     keep = sd > DEGENERATE_STD * (1.0 + np.abs(mu))
-    Z = np.ones((M, 1 + int(keep.sum())))
+    Z = np.ones((X.shape[0], 1 + int(keep.sum())))
     Z[:, 1:] = (X[:, keep] - mu[keep]) / sd[keep]
     G = Z.T @ Z
-    c = Z.T @ Y
     cond = float(np.linalg.cond(G))
     ridge = not np.isfinite(cond) or cond > COND_LIMIT
     if ridge:
         G = G + (RIDGE_SCALE * np.trace(G) / G.shape[0]) * np.eye(G.shape[0])
+    return Z, G, cond, ridge
+
+
+def _fit(Z: np.ndarray, G: np.ndarray, Y: np.ndarray, step: int) -> tuple[np.ndarray, float]:
+    """Fitted values (Y's shape) of every column of Y on the design Z with
+    normal matrix G, and the orthogonality max |Z^T (Y - fitted)| / M."""
     try:
-        beta = np.linalg.solve(G, c)
+        beta = np.linalg.solve(G, Z.T @ Y)
     except np.linalg.LinAlgError as exc:
         raise SingularRegression(step, str(exc)) from exc
     if not np.all(np.isfinite(beta)):
         raise SingularRegression(step, "non-finite regression coefficients")
     fitted = Z @ beta
-    ortho = float(np.abs(Z.T @ (Y - fitted)).max() / M)
-    return fitted, StepDiagnostics(step, cond, ridge, ortho)
+    return fitted, float(np.abs(Z.T @ (Y - fitted)).max() / Z.shape[0])
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,6 @@ class AdjointEnsemble:
     psi_cont: np.ndarray  # (M, N, n)
     Q: np.ndarray  # (M, N, n, m)
     phi: np.ndarray | None  # (M, N, J, n)
-    basis_spec: BasisSpec
     conditioning: list
 
 
@@ -143,8 +145,11 @@ def solve_bsde(
       psi_k    <- fit of psi_next + [b_x^T psi_next + V_Q + l_x
                                       + sum_j lam_j C_x^T phi_kj] dt,
 
-    all conditioned on the step-k state through the polynomial basis.  One
-    normal-matrix factorization per step serves every target.
+    all conditioned on the step-k state through the polynomial basis.  Each
+    step builds one design (normal matrix, condition number, ridge decision)
+    and solves it for two target blocks: Q_k, phi_k and the continuation
+    value first, then psi_k, whose target needs them.  A NaN/Inf terminal
+    cost gradient raises NonFiniteCoefficient.
     """
     basis = basis_spec or BasisSpec()
     if not isinstance(base.control_used, RelaxedControl) or not np.array_equal(
@@ -165,12 +170,14 @@ def solve_bsde(
     diagnostics = []
 
     psi[:, N] = np.asarray(p.phi_x(base.states[:, N]), dtype=float)
+    if not np.all(np.isfinite(psi[:, N])):
+        raise NonFiniteCoefficient("terminal cost gradient produced NaN/Inf")
     for k in range(N - 1, -1, -1):
         t = k * dt
         x = base.states[:, k]
         w0 = step_weights(base, u0, k)
         psi_next = psi[:, k + 1]
-        X = basis.features(x)
+        Z, G, cond, ridge = _design(basis.features(x))
 
         targets = [psi_next, (psi_next[:, :, None] * noise.dW[:, k][:, None, :] / dt).reshape(M, n * m)]
         if J:
@@ -178,7 +185,7 @@ def solve_bsde(
             tj = psi_next[:, None, :] * (dq / (lam * dt))[:, :, None]  # (M, J, n)
             targets.append(tj.reshape(M, J * n))
         stacked = np.concatenate(targets, axis=1)
-        fitted, diag = _regress(X, stacked, k)
+        fitted, ortho = _fit(Z, G, stacked, k)
         cont = fitted[:, :n]
         Qk = fitted[:, n : n + n * m].reshape(M, n, m)
         if J:
@@ -194,18 +201,17 @@ def solve_bsde(
             for j in range(J):
                 cx = averaged_jump_x(p, grid, t, x, p.jump.marks[j], w0)
                 drift += lam[j] * np.einsum("qij,qi->qj", cx, phik[:, j])
-        fitted_psi, diag_psi = _regress(X, psi_next + drift * dt, k)
+        fitted_psi, ortho_psi = _fit(Z, G, psi_next + drift * dt, k)
         psi[:, k] = fitted_psi
         psi_cont[:, k] = cont
         Q[:, k] = Qk
-        diag.orthogonality = max(diag.orthogonality, diag_psi.orthogonality)
-        diag.psi_second_moment = float(np.mean(np.sum(fitted_psi**2, axis=1)))
-        diagnostics.append(diag)
+        moment = float(np.mean(np.sum(fitted_psi**2, axis=1)))
+        diagnostics.append(StepDiagnostics(k, cond, ridge, max(ortho, ortho_psi), moment))
 
     diagnostics.reverse()
     for arr in (psi, psi_cont, Q) + ((phi,) if J else ()):
         arr.setflags(write=False)
-    return AdjointEnsemble(psi, psi_cont, Q, phi, basis, diagnostics)
+    return AdjointEnsemble(psi, psi_cont, Q, phi, diagnostics)
 
 
 def v_q(p: Problem, grid, Q_k: np.ndarray, t: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:

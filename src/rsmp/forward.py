@@ -10,6 +10,9 @@ prefix of one of M2 > M1 paths, and a simulation is a pure function of
 (problem, control, noise), bit-identical for any worker count.  Jumps use a
 finite atomic jump measure; each step applies the event counts minus their
 compensator at the left endpoint.
+`simulate` is the only walk over a control: it records the running cost
+from the weights or values it resolves, and `pathwise_cost` adds the
+terminal cost to that record.
 """
 
 from __future__ import annotations
@@ -127,12 +130,15 @@ def sample_noise(p: Problem, M: int, N: int, seed: int) -> NoiseEnsemble:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Simulated states on the time grid plus the noise that drove them."""
+    """Simulated states on the time grid plus the noise that drove them, and
+    the left-endpoint quadrature of `problem`'s running cost under
+    `control_used` along each path, recorded by `simulate` (read-only)."""
 
     states: np.ndarray  # (M, N+1, n)
     noise: NoiseEnsemble
     control_used: object
     problem: Problem
+    running_cost: np.ndarray  # (M,)
 
     @property
     def M(self) -> int:
@@ -155,12 +161,15 @@ class PathEnsemble:
 
     def feedback_signal(self, k: int, mode: str):
         """Signal that resolves feedback cells at step k, or None for open loop."""
-        if mode == OPEN_LOOP:
-            return None
-        x = self.states[:, k]
-        if mode == OBSERVATION_FEEDBACK:
-            return self.problem.observation(x)
-        return x
+        return _feedback_signal(self.problem, mode, self.states[:, k])
+
+
+def _feedback_signal(p: Problem, mode: str, x: np.ndarray):
+    """Signal that resolves feedback cells at states x: None for open loop,
+    the observation for observation feedback, the state itself otherwise."""
+    if mode == OPEN_LOOP:
+        return None
+    return p.observation(x) if mode == OBSERVATION_FEEDBACK else x
 
 
 def step_weights(paths: PathEnsemble, u: RelaxedControl, k: int) -> np.ndarray:
@@ -174,19 +183,13 @@ def step_weights(paths: PathEnsemble, u: RelaxedControl, k: int) -> np.ndarray:
 def _control_values(p: Problem, u, k: int, N: int, t: float, x: np.ndarray) -> np.ndarray:
     """Point control values for a RegularControl or a plain policy callable."""
     if isinstance(u, RegularControl):
-        if u.feedback_mode == OPEN_LOOP:
-            sig = None
-        elif u.feedback_mode == OBSERVATION_FEEDBACK:
-            sig = p.observation(x)
-        else:
-            sig = x
-        vals = u.values_at(k, N, sig)
+        vals = u.values_at(k, N, _feedback_signal(p, u.feedback_mode, x))
     else:
         vals = np.asarray(u(t, x), dtype=float)
     return np.broadcast_to(vals, (x.shape[0], p.d))
 
 
-def _simulate_block(p: Problem, u, noise: NoiseEnsemble, grid, sl: slice, out: np.ndarray):
+def _simulate_block(p: Problem, u, noise: NoiseEnsemble, grid, sl: slice, out: np.ndarray, running: np.ndarray):
     N, dt = noise.N, noise.dt
     x = out[sl, 0]
     relaxed = isinstance(u, RelaxedControl)
@@ -194,18 +197,15 @@ def _simulate_block(p: Problem, u, noise: NoiseEnsemble, grid, sl: slice, out: n
     for k in range(N):
         t = k * dt
         if relaxed:
-            if u.feedback_mode == OPEN_LOOP:
-                w = u.weights[k, 0]
-            elif u.feedback_mode == OBSERVATION_FEEDBACK:
-                w = u.weights_at(k, p.observation(x))
-            else:
-                w = u.weights_at(k, x)
+            w = u.weights_at(k, _feedback_signal(p, u.feedback_mode, x))
             drift = averaged_drift(p, grid, t, x, w)
             diff = averaged_diffusion(p, grid, t, x, w)
+            running[sl] += averaged_running_cost(p, grid, t, x, w) * dt
         else:
             xi = _control_values(p, u, k, N, t, x)
             drift = np.asarray(p.b(t, x, xi), dtype=float)
             diff = np.asarray(p.sigma(t, x, xi), dtype=float)
+            running[sl] += np.asarray(p.ell(t, x, xi), dtype=float) * dt
         x_next = x + drift * dt + np.einsum("qnm,qm->qn", diff, noise.dW[sl, k])
         if p.jump is not None:
             for j in range(p.jump.J):
@@ -231,8 +231,9 @@ def simulate(p: Problem, u, noise: NoiseEnsemble, threads: int = 1) -> PathEnsem
 
     Feedback weights at step k are resolved from the state (or observation)
     at step k; jump events apply at the left endpoint of their step together
-    with the intensity compensator.  Paths are advanced in fixed-size blocks
-    so the result does not depend on the worker count.
+    with the intensity compensator; the running cost at the same weights or
+    values accumulates into running_cost.  Paths are advanced in fixed-size
+    blocks so the result does not depend on the worker count.
     """
     if noise.m != p.m:
         raise ShapeMismatch("noise Brownian dimension does not match the problem")
@@ -243,44 +244,40 @@ def simulate(p: Problem, u, noise: NoiseEnsemble, threads: int = 1) -> PathEnsem
         raise ShapeMismatch("control and noise disagree on step count")
     states = np.empty((noise.M, noise.N + 1, p.n))
     states[:, 0] = p.initial_states(noise.M, noise.initial_normals)
+    running = np.zeros(noise.M)
     blocks = [slice(s, min(s + _BLOCK, noise.M)) for s in range(0, noise.M, _BLOCK)]
     if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(_simulate_block, p, u, noise, grid, sl, states) for sl in blocks]
+            futs = [pool.submit(_simulate_block, p, u, noise, grid, sl, states, running) for sl in blocks]
             for f in futs:
                 f.result()
     else:
         for sl in blocks:
-            _simulate_block(p, u, noise, grid, sl, states)
+            _simulate_block(p, u, noise, grid, sl, states, running)
     states.setflags(write=False)
-    return PathEnsemble(states, noise, u, p)
+    running.setflags(write=False)
+    return PathEnsemble(states, noise, u, p, running)
 
 
 def pathwise_cost(p: Problem, paths: PathEnsemble) -> np.ndarray:
     """Per-path cost: left-endpoint quadrature of the running cost plus the
-    terminal cost, under the control recorded in the ensemble."""
-    u = paths.control_used
-    N, dt = paths.n_steps, paths.dt
-    total = np.zeros(paths.M)
-    relaxed = isinstance(u, RelaxedControl)
-    for k in range(N):
-        t = k * dt
-        x = paths.states[:, k]
-        if relaxed:
-            w = step_weights(paths, u, k)
-            total += averaged_running_cost(p, u.grid, t, x, w) * dt
-        else:
-            xi = _control_values(p, u, k, N, t, x)
-            total += np.asarray(p.ell(t, x, xi), dtype=float) * dt
-    total += np.asarray(p.phi(paths.states[:, N]), dtype=float)
+    terminal cost, under the control recorded in the ensemble.
+
+    The running cost is the one `simulate` recorded for paths.problem, so p
+    must be that same problem object; another raises ShapeMismatch.  A
+    NaN/Inf cost on any path raises NonFiniteCoefficient.
+    """
+    if p is not paths.problem:
+        raise ShapeMismatch("the ensemble was simulated under another problem")
+    total = paths.running_cost + np.asarray(p.phi(paths.states[:, -1]), dtype=float)
+    if not np.all(np.isfinite(total)):
+        raise NonFiniteCoefficient("cost evaluation produced NaN/Inf")
     return total
 
 
 def cost(p: Problem, paths: PathEnsemble) -> tuple[float, float]:
     """Monte Carlo cost estimate and its standard error."""
     c = pathwise_cost(p, paths)
-    if not np.all(np.isfinite(c)):
-        raise NonFiniteCoefficient("cost evaluation produced NaN/Inf")
     return float(c.mean()), float(c.std(ddof=1) / np.sqrt(len(c))) if len(c) > 1 else 0.0
 
 

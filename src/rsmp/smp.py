@@ -34,6 +34,7 @@ from .problem import Problem, atom_values, contract_atoms
 
 INFO_FULL = "full"
 INFO_PARTIAL = "partial"
+LINE_SEARCH_FLOOR = 10  # smallest line-search step is 2**-LINE_SEARCH_FLOOR
 
 
 def _per_path(arr, M: int) -> np.ndarray:
@@ -259,13 +260,14 @@ class OptimizeParams:
     info_mode: str = INFO_FULL
     basis: BasisSpec = field(default_factory=BasisSpec)
     threads: int = 1
-    line_search_floor: int = 10  # smallest step is 2**-floor
 
     def __post_init__(self):
         # the line search compares cost differences against their standard
         # error, which needs at least two paths
         if self.M < 2:
             raise DomainError("optimize needs at least 2 paths (M >= 2)")
+        if self.max_iters < 0:
+            raise DomainError("max_iters must be nonnegative")
 
 
 def optimize(p: Problem, u_init: RelaxedControl, params: OptimizeParams) -> OptimizationResult:
@@ -287,7 +289,7 @@ def optimize(p: Problem, u_init: RelaxedControl, params: OptimizeParams) -> Opti
     status = "max_iters"
     paths = simulate(p, u, noise, threads=params.threads)
     costs = pathwise_cost(p, paths)
-    for _ in range(params.max_iters):
+    for it in range(params.max_iters + 1):
         J = float(costs.mean())
         se = float(costs.std(ddof=1) / np.sqrt(len(costs)))
         adj = solve_bsde(p, paths, u, params.basis)
@@ -295,12 +297,14 @@ def optimize(p: Problem, u_init: RelaxedControl, params: OptimizeParams) -> Opti
         gap, _ = smp_gap(fld, u)
         rec = IterateRecord(u, J, se, gap)
         iterates.append(rec)
+        if it == params.max_iters:  # only records the state the last step reached
+            break
         if gap <= params.tol:
             status = "converged"
             break
         candidate = pointwise_argmin(fld)
         accepted = None
-        for halving in range(params.line_search_floor + 1):
+        for halving in range(LINE_SEARCH_FLOOR + 1):
             eps = 0.5**halving
             trial = mix(u, candidate, eps)
             trial_paths = simulate(p, trial, noise, threads=params.threads)
@@ -315,14 +319,6 @@ def optimize(p: Problem, u_init: RelaxedControl, params: OptimizeParams) -> Opti
             break
         rec.step_size = accepted[0]
         u, paths, costs = accepted[1], accepted[2], accepted[3]
-    else:
-        # record the state reached by the last accepted step
-        J = float(costs.mean())
-        se = float(costs.std(ddof=1) / np.sqrt(len(costs)))
-        adj = solve_bsde(p, paths, u, params.basis)
-        fld = hamiltonian_field(p, paths, adj, params.info_mode)
-        gap, _ = smp_gap(fld, u)
-        iterates.append(IterateRecord(u, J, se, gap))
     return OptimizationResult(iterates, status, u)
 
 

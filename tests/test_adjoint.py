@@ -143,6 +143,34 @@ class TestSolveBsde:
             ref2 += float((target**2).sum())
         assert np.sqrt(err2 / ref2) <= 0.05
 
+    def test_nan_terminal_gradient_raises(self):
+        base = rsmp.make_benchmark("lq1d")
+        p = dataclasses.replace(base, phi_x=lambda x: np.full(np.shape(x), np.nan))
+        grid = rsmp.benchmark_grid("lq1d")
+        u = rsmp.constant_control(grid, 16)
+        paths = rsmp.simulate(p, u, rsmp.sample_noise(p, 500, 16, seed=9))
+        with pytest.raises(NonFiniteCoefficient):
+            rsmp.solve_bsde(p, paths, u)
+
+    @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
+    def test_one_design_per_step(self, name, monkeypatch):
+        # both fits of a step share one normal matrix, so its condition
+        # number is computed once per step
+        calls = []
+        cond = np.linalg.cond
+
+        def counted(G, *args):
+            calls.append(G.shape)
+            return cond(G, *args)
+
+        p = rsmp.make_benchmark(name)
+        N = 6
+        u = rsmp.constant_control(rsmp.benchmark_grid(name), N)
+        base = rsmp.simulate(p, u, rsmp.sample_noise(p, 400, N, seed=10))
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        rsmp.solve_bsde(p, base, u)
+        assert len(calls) == N
+
 
 class TestVQ:
     def test_zero_diffusion_derivative(self):

@@ -159,6 +159,11 @@ class TestOptimizeAndCertify:
             OptimizeParams(M=1, N=4)
         assert main(["optimize", "--bench", "lq1d", "--M", "1", "--N", "4", "--seed", "1"]) == EXIT_CONFIG
 
+    def test_optimize_rejects_negative_iteration_cap(self):
+        with pytest.raises(DomainError):
+            OptimizeParams(M=50, N=4, max_iters=-1)
+        assert main(["optimize", "--bench", "lq1d", "--M", "50", "--N", "4", "--max-iters", "-1"]) == EXIT_CONFIG
+
     def test_adjoint_duality_artifact(self, tmp_path):
         out = tmp_path / "adj"
         assert main(["adjoint", "--bench", "lq1d", "--M", "3000", "--N", "16", "--seed", "13",

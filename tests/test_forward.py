@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 
 import rsmp
-from rsmp import BlowUp, ControlGrid, GaussianInitial, JumpSpec, Problem, ShapeMismatch
+from rsmp import BlowUp, ControlGrid, GaussianInitial, JumpSpec, NonFiniteCoefficient, Problem, ShapeMismatch
 from rsmp.container import TAG_PATHS, paths_to_binary, read_section
-from rsmp.forward import _BLOCK, STREAM_VERSION, pathwise_cost
+from rsmp.forward import _BLOCK, STREAM_VERSION, pathwise_cost, step_weights
+from rsmp.problem import averaged_running_cost
 
 
 def scalar_problem(b=None, sigma=None, ell=None, phi=None, x0=0.0, jump=None, T=1.0):
@@ -211,6 +213,7 @@ class TestSimulate:
         a = rsmp.simulate(p, u, noise, threads=1)
         b = rsmp.simulate(p, u, noise, threads=4)
         assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.running_cost, b.running_cost)
 
     def test_bit_identical_rerun(self):
         p = rsmp.make_benchmark("lq1d")
@@ -287,6 +290,120 @@ class TestCost:
         u = rsmp.constant_control(unit_grid(), 32)
         est, se = rsmp.cost(p, rsmp.simulate(p, u, rsmp.sample_noise(p, 20_000, 32, seed=3)))
         assert abs(est - p.T) <= 4 * se
+
+
+def rewalked_cost(p, paths):
+    """Reference cost that walks the ensemble a second time: left-endpoint
+    running cost at the control resolved on the recorded states, plus the
+    terminal cost."""
+    u = paths.control_used
+    N, dt = paths.n_steps, paths.dt
+    total = np.zeros(paths.M)
+    for k in range(N):
+        t, x = k * dt, paths.states[:, k]
+        if isinstance(u, rsmp.RelaxedControl):
+            total += averaged_running_cost(p, u.grid, t, x, step_weights(paths, u, k)) * dt
+            continue
+        if isinstance(u, rsmp.RegularControl):
+            xi = u.values_at(k, N, paths.feedback_signal(k, u.feedback_mode))
+        else:
+            xi = np.asarray(u(t, x), dtype=float)
+        total += np.asarray(p.ell(t, x, np.broadcast_to(xi, (paths.M, p.d))), dtype=float) * dt
+    total += np.asarray(p.phi(paths.states[:, N]), dtype=float)
+    return total
+
+
+def relaxed_control(name, mode, N, seed=0):
+    """Random interior relaxed control on a benchmark's grid, with 4 cells
+    per feedback dimension."""
+    grid = rsmp.benchmark_grid(name)
+    part = None if mode == rsmp.OPEN_LOOP else rsmp.benchmark_partition(name, mode, cells=4)
+    C = 1 if part is None else part.n_cells
+    w = np.random.default_rng(seed).dirichlet(np.ones(grid.K), size=(N, C))
+    return rsmp.RelaxedControl(grid, w, mode, part)
+
+
+class TestRecordedRunningCost:
+    M = _BLOCK + 37  # two path blocks, the second one short
+
+    @pytest.mark.parametrize("name, mode", [
+        ("lq1d", rsmp.OPEN_LOOP),
+        ("lq1d", rsmp.STATE_FEEDBACK),
+        ("lq1d", rsmp.OBSERVATION_FEEDBACK),
+        ("jump-lq", rsmp.OPEN_LOOP),
+        ("jump-lq", rsmp.STATE_FEEDBACK),
+        ("jump-lq", rsmp.OBSERVATION_FEEDBACK),
+    ])
+    def test_relaxed_equals_rewalked_cost(self, name, mode):
+        p = rsmp.make_benchmark(name)
+        u = relaxed_control(name, mode, 8)
+        paths = rsmp.simulate(p, u, rsmp.sample_noise(p, self.M, 8, seed=3))
+        assert np.array_equal(pathwise_cost(p, paths), rewalked_cost(p, paths))
+
+    def test_realized_regular_equals_rewalked_cost(self):
+        p = rsmp.make_benchmark("lq1d")
+        regular = rsmp.realize_regular(relaxed_control("lq1d", rsmp.STATE_FEEDBACK, 4), 3)
+        paths = rsmp.simulate(p, regular, rsmp.sample_noise(p, self.M, 12, seed=4))
+        assert np.array_equal(pathwise_cost(p, paths), rewalked_cost(p, paths))
+
+    def test_riccati_policy_equals_rewalked_cost(self):
+        p = rsmp.make_benchmark("lq1d")
+        ric = rsmp.lq_riccati_oracle(rsmp.benchmark_lq_spec("lq1d"), 64)
+        paths = rsmp.simulate(p, ric.feedback, rsmp.sample_noise(p, self.M, 8, seed=5))
+        assert np.array_equal(pathwise_cost(p, paths), rewalked_cost(p, paths))
+
+    def test_cost_evaluates_no_running_cost(self):
+        base = rsmp.make_benchmark("lq1d")
+        calls = []
+
+        def ell(t, x, xi):
+            calls.append(t)
+            return base.ell(t, x, xi)
+
+        p = dataclasses.replace(base, ell=ell)
+        paths = rsmp.simulate(p, relaxed_control("lq1d", rsmp.STATE_FEEDBACK, 8), rsmp.sample_noise(p, 300, 8, seed=6))
+        calls.clear()
+        pathwise_cost(p, paths)
+        assert calls == []
+
+    def test_other_problem_is_shape_mismatch(self):
+        p = rsmp.make_benchmark("lq1d")
+        paths = rsmp.simulate(p, relaxed_control("lq1d", rsmp.OPEN_LOOP, 4), rsmp.sample_noise(p, 50, 4, seed=7))
+        with pytest.raises(ShapeMismatch):
+            pathwise_cost(dataclasses.replace(p), paths)
+
+    def test_running_cost_is_read_only(self):
+        p = rsmp.make_benchmark("lq1d")
+        paths = rsmp.simulate(p, relaxed_control("lq1d", rsmp.OPEN_LOOP, 4), rsmp.sample_noise(p, 50, 4, seed=8))
+        with pytest.raises(ValueError):
+            paths.running_cost[0] = 0.0
+
+
+class TestNonFiniteCost:
+    def test_nan_terminal_cost_fails_optimize(self):
+        # phi is NaN on the paths that end above 1.1; the optimizer used to
+        # return "stalled" with cost nan
+        base = rsmp.make_benchmark("lq1d")
+
+        def phi(x):
+            return np.where(np.asarray(x)[..., 0] > 1.1, np.nan, base.phi(x))
+
+        p = dataclasses.replace(base, phi=phi)
+        grid = rsmp.benchmark_grid("lq1d", 5)
+        with pytest.raises(NonFiniteCoefficient):
+            rsmp.optimize(p, rsmp.constant_control(grid, 16), rsmp.OptimizeParams(M=2000, N=16, seed=1))
+
+    def test_nan_running_cost_under_regular_control(self):
+        base = rsmp.make_benchmark("lq1d")
+
+        def ell(t, x, xi):
+            return np.where(np.asarray(x)[..., 0] > 0.5, np.nan, base.ell(t, x, xi))
+
+        p = dataclasses.replace(base, ell=ell)
+        regular = rsmp.realize_regular(relaxed_control("lq1d", rsmp.OPEN_LOOP, 4), 2)
+        paths = rsmp.simulate(p, regular, rsmp.sample_noise(p, 2000, 8, seed=2))
+        with pytest.raises(NonFiniteCoefficient):
+            pathwise_cost(p, paths)
 
 
 class TestExports:

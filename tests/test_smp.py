@@ -297,6 +297,16 @@ class TestOptimize:
         assert len(res.iterates) == 1
         assert res.final_control is u
 
+    def test_max_iters_records_the_last_accepted_state(self):
+        p = rsmp.make_benchmark("lq1d")
+        u = rsmp.constant_control(rsmp.benchmark_grid("lq1d"), 8)
+        res = rsmp.optimize(p, u, rsmp.OptimizeParams(M=1000, N=8, max_iters=1, tol=0.0, seed=12))
+        assert res.status == "max_iters"
+        assert len(res.iterates) == 2
+        assert res.iterates[0].step_size is not None
+        assert res.iterates[-1].step_size is None
+        assert res.iterates[-1].control is res.final_control
+
     def test_cost_sequence_contract(self):
         p = rsmp.make_benchmark("lq1d")
         grid = rsmp.benchmark_grid("lq1d")
