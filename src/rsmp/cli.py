@@ -81,6 +81,8 @@ class RunConfig:
             raise DomainError("a seed is mandatory; wall-clock seeding is not supported")
         if self.info not in (INFO_FULL, INFO_PARTIAL):
             raise DomainError(f"info must be full or partial, got {self.info!r}")
+        if not np.isfinite(self.tol) or self.tol < 0:
+            raise DomainError(f"tol must be finite and nonnegative, got {self.tol!r}")
         for fmt in self.formats:
             if fmt not in ("csv", "json", "bin"):
                 raise DomainError(f"unknown format {fmt!r}")

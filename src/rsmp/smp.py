@@ -1,13 +1,13 @@
 """Hamiltonian evaluation, pointwise minimization, and the descent loop.
 
 The pathwise Hamiltonian pairs the adjoint triple with the coefficients at
-each control atom.  Aggregating it onto feedback cells gives the conditional
-(per-cell) Hamiltonian whose per-cell minimizer is the linear-minimization
-oracle of a conditional-gradient loop over the convex set of relaxed
-controls: candidates are one-hot (extreme-point) controls, iterates move by
-convex mixing under a halving line search on common random numbers, and the
-nonnegative Hamiltonian excess of the current control certifies optimality
-when it vanishes.
+each control atom.  Its averages over feedback cells, an (N, C, K) tensor,
+are the conditional Hamiltonian whose per-cell minimizer is the
+linear-minimization oracle of a conditional-gradient loop over the convex
+set of relaxed controls: candidates are one-hot (extreme-point) controls,
+iterates move by convex mixing under a halving line search on common random
+numbers, and the nonnegative Hamiltonian excess of the current control
+certifies optimality when it vanishes.
 """
 
 from __future__ import annotations
@@ -79,18 +79,17 @@ def hamiltonian(p: Problem, grid: ControlGrid, t, x, psi, Q, phi_row, w) -> np.n
 
 @dataclass(frozen=True)
 class HamiltonianField:
-    """Hamiltonian integrand sampled at every control atom.
+    """Hamiltonian conditioned on the feedback cells of a control.
 
-    values[q, k, i] is the pathwise Hamiltonian at atom i; cell_values[k, c, i]
-    is its occupancy-weighted average over the paths in feedback cell c (the
-    piecewise-constant conditional expectation estimate).  In partial mode the
-    pathwise values are the broadcast cell averages, so they are constant
-    within an observation cell by construction.
+    cell_values[k, c, i] averages the pathwise Hamiltonian at atom i over the
+    occupancy[k, c] paths in feedback cell c at step k (an empty cell takes
+    the values of its nearest occupied cell).  Pathwise values are not kept;
+    `hamiltonian` with one-hot weights gives them.  Partial info_mode only
+    checks that the control uses observation feedback, whose cells full mode
+    conditions on too, so both modes give the same cell values.
     """
 
-    values: np.ndarray  # (M, N, K)
     cell_values: np.ndarray  # (N, C, K)
-    cell_index: np.ndarray  # (M, N)
     occupancy: np.ndarray  # (N, C)
     info_mode: str
     grid: ControlGrid
@@ -119,13 +118,12 @@ def hamiltonian_field(
     info_mode: str = INFO_FULL,
 ) -> HamiltonianField:
     """Evaluate the Hamiltonian at every grid atom along the ensemble and
-    condition it on the feedback cells of the control in force.
+    average it over the feedback cells of the control in force.
 
-    Full mode conditions on the control's own information (trivial per-step
-    cells for open-loop controls, state cells for state feedback); partial
-    mode requires an observation-feedback control and conditions on its
-    observation cells, broadcasting the cell averages back to the paths.
-    Conditioning uses piecewise-constant cell averages.
+    Cells are the control's own information: one cell per step for open-loop
+    controls, state or observation cells for feedback; partial mode requires
+    observation feedback.  Each step's (K, M) atom Hamiltonians are binned
+    and dropped, so the field's size does not depend on the path count.
     """
     u0 = base.control_used
     if not isinstance(u0, RelaxedControl):
@@ -140,31 +138,23 @@ def hamiltonian_field(
     C = u0.n_cells
     centers = u0.feedback.centers() if u0.feedback is not None else None
 
-    values = np.empty((M, N, K))
     cell_values = np.zeros((N, C, K))
     occupancy = np.zeros((N, C), dtype=np.int64)
-    cell_index = np.zeros((M, N), dtype=np.int64)
     for k in range(N):
         x, psi, Qk = base.states[:, k], adjoint.psi_cont[:, k], adjoint.Q[:, k]
         phik = adjoint.phi[:, k] if adjoint.phi is not None else None
         atoms = _atom_hamiltonians(p, grid, k * dt, x, psi, Qk, phik)  # (K, M)
-        values[:, k, :] = atoms.T
         sig = base.feedback_signal(k, u0.feedback_mode)
         cells = np.zeros(M, dtype=np.int64) if sig is None else u0.feedback.assign(sig)
-        cell_index[:, k] = cells
         counts = np.bincount(cells, minlength=C)
         occupancy[k] = counts
         sums = np.stack([np.bincount(cells, weights=row, minlength=C) for row in atoms], axis=1)
         nonzero = counts > 0
         cell_values[k, nonzero] = sums[nonzero] / counts[nonzero, None]
         _nearest_nonempty(cell_values[k], counts, centers)
-        if info_mode == INFO_PARTIAL:
-            values[:, k, :] = cell_values[k, cells]
-    for arr in (values, cell_values, occupancy, cell_index):
+    for arr in (cell_values, occupancy):
         arr.setflags(write=False)
-    return HamiltonianField(
-        values, cell_values, cell_index, occupancy, info_mode, grid, u0.feedback_mode, u0.feedback, dt
-    )
+    return HamiltonianField(cell_values, occupancy, info_mode, grid, u0.feedback_mode, u0.feedback, dt)
 
 
 def pointwise_argmin(field: HamiltonianField) -> RelaxedControl:
@@ -268,6 +258,8 @@ class OptimizeParams:
             raise DomainError("optimize needs at least 2 paths (M >= 2)")
         if self.max_iters < 0:
             raise DomainError("max_iters must be nonnegative")
+        if not np.isfinite(self.tol) or self.tol < 0:
+            raise DomainError(f"tol must be finite and nonnegative, got {self.tol!r}")
 
 
 def optimize(p: Problem, u_init: RelaxedControl, params: OptimizeParams) -> OptimizationResult:
@@ -292,15 +284,15 @@ def optimize(p: Problem, u_init: RelaxedControl, params: OptimizeParams) -> Opti
     for it in range(params.max_iters + 1):
         J = float(costs.mean())
         se = float(costs.std(ddof=1) / np.sqrt(len(costs)))
-        adj = solve_bsde(p, paths, u, params.basis)
-        fld = hamiltonian_field(p, paths, adj, params.info_mode)
+        # the adjoint is dropped as soon as the field is binned from it
+        fld = hamiltonian_field(p, paths, solve_bsde(p, paths, u, params.basis), params.info_mode)
         gap, _ = smp_gap(fld, u)
         rec = IterateRecord(u, J, se, gap)
         iterates.append(rec)
-        if it == params.max_iters:  # only records the state the last step reached
-            break
         if gap <= params.tol:
             status = "converged"
+            break
+        if it == params.max_iters:  # only records the state the last step reached
             break
         candidate = pointwise_argmin(fld)
         accepted = None

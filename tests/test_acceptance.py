@@ -17,6 +17,8 @@ from rsmp.cli import main as cli_main
 from rsmp.forward import pathwise_cost
 from rsmp.variation import response_functional
 
+pytestmark = pytest.mark.acceptance
+
 GATEAUX_INSTANCES = ("lq1d", "jump-lq")
 
 
@@ -37,11 +39,9 @@ def _make_field(cell_values, grid):
     from rsmp.smp import HamiltonianField
 
     cell_values = np.asarray(cell_values, dtype=float)
-    N, C, K = cell_values.shape
+    N, C, _ = cell_values.shape
     return HamiltonianField(
-        values=np.broadcast_to(cell_values[None, :, 0, :], (1, N, K)).copy(),
         cell_values=cell_values,
-        cell_index=np.zeros((1, N), dtype=np.int64),
         occupancy=np.ones((N, C), dtype=np.int64),
         info_mode=rsmp.INFO_FULL,
         grid=grid,

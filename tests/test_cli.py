@@ -164,6 +164,13 @@ class TestOptimizeAndCertify:
             OptimizeParams(M=50, N=4, max_iters=-1)
         assert main(["optimize", "--bench", "lq1d", "--M", "50", "--N", "4", "--max-iters", "-1"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["optimize", "certify"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-0.001"])
+    def test_bad_tolerance_is_config_error(self, command, tol):
+        with pytest.raises(DomainError):
+            RunConfig(command=command, tol=float(tol))
+        assert main([command, "--bench", "lq1d", "--M", "50", "--N", "4", "--seed", "1", "--tol", tol]) == EXIT_CONFIG
+
     def test_adjoint_duality_artifact(self, tmp_path):
         out = tmp_path / "adj"
         assert main(["adjoint", "--bench", "lq1d", "--M", "3000", "--N", "16", "--seed", "13",

@@ -1,0 +1,62 @@
+"""Memory bounds of the descent loop, measured with tracemalloc.
+
+numpy reports its array buffers to tracemalloc, so the traced peak of a call
+is deterministic for fixed sizes.  Sizes: lq1d, M=4000 paths, N=32 steps,
+K=9 atoms, 16 state cells.  A field keeps only its (N, C, K) cell tensor and
+optimize holds one adjoint at a time, so both scale with M·N, not M·N·K.
+"""
+
+import dataclasses
+import gc
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import rsmp
+from rsmp import RelaxedControl
+
+M, N, K, CELLS = 4000, 32, 9, 16
+
+
+def traced(fn):
+    """fn's result, the bytes it left allocated and its peak allocation."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = fn()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, retained, peak
+
+
+@pytest.fixture(scope="module")
+def lq1d():
+    p = rsmp.make_benchmark("lq1d")
+    grid = rsmp.benchmark_grid("lq1d", K)
+    part = rsmp.benchmark_partition("lq1d", rsmp.STATE_FEEDBACK, cells=CELLS)
+    u = RelaxedControl(grid, np.full((N, part.n_cells, K), 1.0 / K), rsmp.STATE_FEEDBACK, part)
+    return p, u
+
+
+def test_optimize_peak_is_a_few_path_tensors(lq1d):
+    p, u = lq1d
+    params = rsmp.OptimizeParams(M=M, N=N, max_iters=3, tol=0.0, seed=3)
+    res, _, peak = traced(lambda: rsmp.optimize(p, u, params))
+    assert len(res.iterates) >= 2  # at least one accepted step, so a second adjoint was solved
+    assert peak <= 10 * M * (N + 1) * 8
+
+
+def test_field_keeps_only_its_cell_tensor(lq1d):
+    p, u = lq1d
+    base = rsmp.simulate(p, u, rsmp.sample_noise(p, M, N, seed=4))
+    adj = rsmp.solve_bsde(p, base, u)
+    fld, retained, peak = traced(lambda: rsmp.hamiltonian_field(p, base, adj, rsmp.INFO_FULL))
+    for f in dataclasses.fields(fld):
+        value = getattr(fld, f.name)
+        if isinstance(value, np.ndarray):
+            assert M not in value.shape, f.name
+    assert fld.cell_values.shape == (N, CELLS, K)
+    assert retained - fld.cell_values.nbytes - fld.occupancy.nbytes < M * 8
+    assert peak <= 3 * M * N * 8

@@ -61,9 +61,7 @@ def test_smp_gap_is_nonnegative_and_zero_at_the_argmin(seed, K, N, C, scale):
     cell_values = scale * rng.standard_normal((N, C, K))
     occupancy = rng.integers(0, 5, size=(N, C))
     field = HamiltonianField(
-        values=np.zeros((1, N, K)),
         cell_values=cell_values,
-        cell_index=np.zeros((1, N), dtype=np.int64),
         occupancy=occupancy,
         info_mode=rsmp.INFO_FULL,
         grid=grid,

@@ -14,12 +14,9 @@ def toy_field(cell_values, dt=1.0, grid=None, feedback_mode=rsmp.OPEN_LOOP, feed
     N, C, K = cell_values.shape
     if grid is None:
         grid = ControlGrid(np.arange(K, dtype=float)[:, None], [[0.0, float(K)]])
-    M = max(C, 1)
     occupancy = occupancy if occupancy is not None else np.ones((N, C), dtype=np.int64)
     return HamiltonianField(
-        values=np.broadcast_to(cell_values[None, :, 0, :], (M, N, K)).copy(),
         cell_values=cell_values,
-        cell_index=np.zeros((M, N), dtype=np.int64),
         occupancy=occupancy,
         info_mode=rsmp.INFO_FULL,
         grid=grid,
@@ -175,10 +172,14 @@ class TestHamiltonianField:
         base = rsmp.simulate(p, u, rsmp.sample_noise(p, 500, N, seed=5))
         adj = rsmp.solve_bsde(p, base, u)
         fld = rsmp.hamiltonian_field(p, base, adj, rsmp.INFO_PARTIAL)
-        for k in range(N):
-            assert np.allclose(fld.values[:, k, :], fld.values[0, k, :][None, :], atol=0)
         full = rsmp.hamiltonian_field(p, base, adj, rsmp.INFO_FULL)
-        assert np.allclose(fld.cell_values[:, 0, :], full.values.mean(axis=0), atol=1e-12)
+        assert np.array_equal(fld.cell_values, full.cell_values)
+        one_hot = np.eye(grid.K)
+        for k in range(N):
+            for i in range(grid.K):
+                direct = rsmp.hamiltonian(p, grid, k * base.dt, base.states[:, k],
+                                          adj.psi_cont[:, k], adj.Q[:, k], None, one_hot[i])
+                assert abs(fld.cell_values[k, 0, i] - direct.mean()) <= 1e-12
 
     def test_single_atom_field_is_pathwise_hamiltonian(self):
         p = rsmp.make_benchmark("lq1d")
@@ -187,11 +188,13 @@ class TestHamiltonianField:
         base = rsmp.simulate(p, u, rsmp.sample_noise(p, 200, 6, seed=6))
         adj = rsmp.solve_bsde(p, base, u)
         fld = rsmp.hamiltonian_field(p, base, adj, rsmp.INFO_FULL)
-        assert fld.values.shape == (200, 6, 1)
+        assert fld.cell_values.shape == (6, 1, 1)
+        assert np.array_equal(fld.occupancy, np.full((6, 1), 200))
         k = 3
         direct = rsmp.hamiltonian(p, grid, k * base.dt, base.states[:, k],
                                   adj.psi_cont[:, k], adj.Q[:, k], None, np.array([1.0]))
-        assert np.allclose(fld.values[:, k, 0], direct, atol=1e-14)
+        cells = np.zeros(200, dtype=np.int64)
+        assert np.array_equal(np.bincount(cells, weights=direct, minlength=1) / 200, fld.cell_values[k, :, 0])
 
     @staticmethod
     def seeded_field_inputs(name, mode):
@@ -210,17 +213,32 @@ class TestHamiltonianField:
         base = rsmp.simulate(p, u, rsmp.sample_noise(p, 300, N, seed=21))
         return p, grid, base, rsmp.solve_bsde(p, base, u)
 
-    @pytest.mark.parametrize("name,mode", [("lq1d", rsmp.STATE_FEEDBACK), ("jump-lq", rsmp.OPEN_LOOP)])
+    @pytest.mark.parametrize(
+        "name,mode",
+        [("lq1d", rsmp.STATE_FEEDBACK), ("jump-lq", rsmp.OPEN_LOOP), ("lq2d", rsmp.OBSERVATION_FEEDBACK)],
+    )
     def test_field_values_equal_one_hot_hamiltonian(self, name, mode):
         p, grid, base, adj = self.seeded_field_inputs(name, mode)
         fld = rsmp.hamiltonian_field(p, base, adj, rsmp.INFO_FULL)
+        u = base.control_used
+        C = u.n_cells
         one_hot = np.eye(grid.K)
         for k in range(base.n_steps):
             phik = adj.phi[:, k] if adj.phi is not None else None
+            sig = base.feedback_signal(k, mode)
+            cells = np.zeros(base.M, dtype=np.int64) if sig is None else u.feedback.assign(sig)
+            counts = np.bincount(cells, minlength=C)
+            assert np.array_equal(fld.occupancy[k], counts)
+            occupied = counts > 0
             for i in range(grid.K):
                 direct = rsmp.hamiltonian(p, grid, k * base.dt, base.states[:, k],
                                           adj.psi_cont[:, k], adj.Q[:, k], phik, one_hot[i])
-                assert np.array_equal(fld.values[:, k, i], direct)
+                means = np.bincount(cells, weights=direct, minlength=C)[occupied] / counts[occupied]
+                assert np.array_equal(means, fld.cell_values[k, occupied, i])
+        if mode == rsmp.OBSERVATION_FEEDBACK:
+            partial = rsmp.hamiltonian_field(p, base, adj, rsmp.INFO_PARTIAL)
+            assert np.array_equal(partial.cell_values, fld.cell_values)
+            assert np.array_equal(partial.occupancy, fld.occupancy)
 
     @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
     def test_field_evaluates_each_coefficient_once_per_atom_and_step(self, name):
@@ -241,7 +259,7 @@ class TestHamiltonianField:
         if p.jump is not None:
             expected["C"] = grid.K * p.jump.J * base.n_steps
         assert calls == expected
-        assert fld.values.shape == (base.M, base.n_steps, grid.K)
+        assert fld.cell_values.shape == (base.n_steps, base.control_used.n_cells, grid.K)
 
     def test_nan_at_one_atom_raises(self):
         p, grid, base, adj = self.seeded_field_inputs("lq1d", rsmp.STATE_FEEDBACK)
@@ -306,6 +324,21 @@ class TestOptimize:
         assert res.iterates[0].step_size is not None
         assert res.iterates[-1].step_size is None
         assert res.iterates[-1].control is res.final_control
+
+    def test_last_allowed_evaluation_can_converge(self):
+        # the evaluation after the last allowed step is tested against tol too
+        p = rsmp.make_benchmark("lq1d")
+        u = rsmp.constant_control(rsmp.benchmark_grid("lq1d"), 8)
+        res = rsmp.optimize(p, u, rsmp.OptimizeParams(M=1000, N=8, max_iters=2, tol=0.0, seed=12))
+        assert res.status == "converged"
+        assert len(res.iterates) == 3
+        assert res.iterates[-1].smp_gap == 0.0
+        assert res.iterates[-1].step_size is None
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(DomainError):
+            rsmp.OptimizeParams(M=50, N=4, tol=tol)
 
     def test_cost_sequence_contract(self):
         p = rsmp.make_benchmark("lq1d")
