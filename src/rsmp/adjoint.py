@@ -11,6 +11,14 @@ Regressed (fitted) values are propagated backward, so every stored process is
 a function of the Markov state at its own step.  The terminal adjoint state
 is set exactly from the terminal cost gradient.
 
+While it holds a step's adjoint values the sweep also forms the pathwise
+Hamiltonian at every control atom and sums it, with and without the running
+cost, over the feedback cells of the control: small (N, C, K) tensors that
+every derivative at that control is a contraction of.  The Hamiltonian
+field (and with it the optimality gap) and the duality pairing with any
+direction read those sums; none of them evaluates a coefficient or walks
+the paths again.
+
 The same module hosts the inner product on drift/diffusion/jump intensity
 triples and the duality check pairing the adjoint triple against a control
 perturbation, which must reproduce the variational cost derivative.
@@ -25,14 +33,12 @@ import numpy as np
 
 from .control import RelaxedControl
 from .errors import DomainError, NonFiniteCoefficient, ShapeMismatch, SingularRegression
-from .forward import PathEnsemble, step_weights
+from .forward import PathEnsemble, step_cells
 from .problem import (
     Problem,
-    averaged_diffusion,
+    atom_hamiltonians,
     averaged_diffusion_x,
-    averaged_drift,
     averaged_drift_x,
-    averaged_jump,
     averaged_jump_x,
     averaged_running_cost_x,
 )
@@ -41,6 +47,7 @@ from .variation import VariationEnsemble, response_functional
 COND_LIMIT = 1e12
 RIDGE_SCALE = 1e-8
 DEGENERATE_STD = 1e-12
+SUM_BLOCKS = 64  # path blocks per cell in the pairing sums
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,6 @@ class StepDiagnostics:
     cond: float
     ridge: bool
     orthogonality: float
-    psi_second_moment: float = 0.0
 
 
 def _design(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, bool]:
@@ -115,14 +121,37 @@ def _fit(Z: np.ndarray, G: np.ndarray, Y: np.ndarray, step: int) -> tuple[np.nda
     return fitted, float(np.abs(Z.T @ (Y - fitted)).max() / Z.shape[0])
 
 
+def _cell_sums(cells: np.ndarray, C: int, atoms: np.ndarray) -> np.ndarray:
+    """Per-cell sums (C, K) of atom-leading values atoms (K, M) over the
+    paths in each cell, each bin adding its paths one by one in path order
+    (the binning the Hamiltonian field's cell values are defined by)."""
+    return np.stack([np.bincount(cells, weights=row, minlength=C) for row in atoms], axis=1)
+
+
+def _blocked_cell_sums(cells: np.ndarray, C: int, atoms: np.ndarray, path_blocks: np.ndarray) -> np.ndarray:
+    """The per-cell sums of `_cell_sums`, each added within the SUM_BLOCKS
+    blocks of consecutive paths (path_blocks gives each path's block) and
+    then block by block: a pairing of a direction with them cancels, so its
+    rounding must not grow with the path count."""
+    return _cell_sums(cells * SUM_BLOCKS + path_blocks, C * SUM_BLOCKS, atoms).reshape(C, SUM_BLOCKS, -1).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class AdjointEnsemble:
-    """Adjoint state, diffusion intensity, and jump intensity per path and step.
+    """Adjoint state, diffusion intensity, and jump intensity per path and
+    step, and the cell sums of the Hamiltonian they define.
 
     psi[:, N] equals the terminal cost gradient exactly.  psi_cont[:, k] is
     the conditional mean of psi[:, k+1] given the step-k state; it is the
-    value the duality pairing and the Hamiltonian integrate against on
-    (t_k, t_{k+1}], and differs from psi[:, k] by the drift increment.
+    value the Hamiltonian integrates against on (t_k, t_{k+1}], and differs
+    from psi[:, k] by the drift increment.
+
+    hamiltonian_sums[k, c, i] sums the pathwise Hamiltonian at atom i (the
+    pairing of psi_cont, Q and phi with the coefficients, plus the running
+    cost) over the occupancy[k, c] paths in feedback cell c of the control
+    the adjoint was solved under; pairing_sums[k, c, i] sums the same
+    Hamiltonian without the running cost, in path blocks.  The adjoint pairing
+    with a direction u is dt / M * <pairing_sums, w_u - w_u0>.
     """
 
     psi: np.ndarray  # (M, N+1, n)
@@ -130,6 +159,59 @@ class AdjointEnsemble:
     Q: np.ndarray  # (M, N, n, m)
     phi: np.ndarray | None  # (M, N, J, n)
     conditioning: list
+    hamiltonian_sums: np.ndarray  # (N, C, K)
+    pairing_sums: np.ndarray  # (N, C, K)
+    occupancy: np.ndarray  # (N, C)
+
+
+def _regress_step(
+    p: Problem, basis: BasisSpec, base: PathEnsemble, u0: RelaxedControl, k: int,
+    psi: np.ndarray, psi_cont: np.ndarray, Q: np.ndarray, phi: np.ndarray | None,
+) -> tuple[np.ndarray, StepDiagnostics]:
+    """One backward regression step of solve_bsde: fills psi_cont[:, k],
+    Q[:, k], phi[:, k] and psi[:, k] from psi[:, k+1], and returns u0's
+    feedback cells at step k with the step's diagnostics.  Its per-path
+    temporaries are freed on return, before the step's Hamiltonians are formed.
+    """
+    noise = base.noise
+    M, dt = base.M, base.dt
+    n, m = p.n, p.m
+    J = p.jump.J if p.jump is not None else 0
+    lam = p.jump.intensities if p.jump is not None else None
+    grid = u0.grid
+    t = k * dt
+    x = base.states[:, k]
+    cells, w0 = step_cells(base, u0, k)
+    psi_next = psi[:, k + 1]
+    Z, G, cond, ridge = _design(basis.features(x))
+
+    targets = [psi_next, (psi_next[:, :, None] * noise.dW[:, k][:, None, :] / dt).reshape(M, n * m)]
+    if J:
+        dq = noise.jump_counts[:, k] - lam * dt  # (M, J)
+        tj = psi_next[:, None, :] * (dq / (lam * dt))[:, :, None]  # (M, J, n)
+        targets.append(tj.reshape(M, J * n))
+    stacked = np.concatenate(targets, axis=1)
+    fitted, ortho = _fit(Z, G, stacked, k)
+    cont = fitted[:, :n]
+    Qk = fitted[:, n : n + n * m].reshape(M, n, m)
+    if J:
+        phik = fitted[:, n + n * m :].reshape(M, J, n)
+        phi[:, k] = phik
+
+    bx = averaged_drift_x(p, grid, t, x, w0)  # (M, n, n)
+    sx = averaged_diffusion_x(p, grid, t, x, w0)  # (M, n, m, n)
+    drift = np.einsum("qij,qi->qj", bx, psi_next)
+    drift += np.einsum("qab,qabl->ql", Qk, sx)
+    drift += averaged_running_cost_x(p, grid, t, x, w0)
+    if J:
+        for j in range(J):
+            cx = averaged_jump_x(p, grid, t, x, p.jump.marks[j], w0)
+            drift += lam[j] * np.einsum("qij,qi->qj", cx, phik[:, j])
+    fitted_psi, ortho_psi = _fit(Z, G, psi_next + drift * dt, k)
+    psi[:, k] = fitted_psi
+    psi_cont[:, k] = cont
+    Q[:, k] = Qk
+    return cells, StepDiagnostics(k, cond, ridge, max(ortho, ortho_psi))
 
 
 def solve_bsde(
@@ -148,70 +230,48 @@ def solve_bsde(
     all conditioned on the step-k state through the polynomial basis.  Each
     step builds one design (normal matrix, condition number, ridge decision)
     and solves it for two target blocks: Q_k, phi_k and the continuation
-    value first, then psi_k, whose target needs them.  A NaN/Inf terminal
-    cost gradient raises NonFiniteCoefficient.
+    value first, then psi_k, whose target needs them.  With psi_cont, Q_k and
+    phi_k in hand the step evaluates b, sigma, l and C once per atom, forms
+    the (K, M) atom Hamiltonians and sums them, with and without the running
+    cost, over u0's feedback cells.  A NaN/Inf terminal cost gradient or
+    coefficient raises NonFiniteCoefficient.
     """
     basis = basis_spec or BasisSpec()
-    if not isinstance(base.control_used, RelaxedControl) or not np.array_equal(
-        base.control_used.weights, u0.weights
-    ):
+    if not u0.equals(base.control_used):
         raise ShapeMismatch("base ensemble was not simulated under u0")
-    noise = base.noise
     M, N, dt = base.M, base.n_steps, base.dt
     n, m = p.n, p.m
     J = p.jump.J if p.jump is not None else 0
-    lam = p.jump.intensities if p.jump is not None else None
-    grid = u0.grid
+    C, K = u0.n_cells, u0.grid.K
 
     psi = np.empty((M, N + 1, n))
     psi_cont = np.empty((M, N, n))
     Q = np.empty((M, N, n, m))
     phi = np.empty((M, N, J, n)) if J else None
+    hamiltonian_sums = np.empty((N, C, K))
+    pairing_sums = np.empty((N, C, K))
+    occupancy = np.empty((N, C), dtype=np.int64)
+    path_blocks = np.arange(M) * SUM_BLOCKS // M
     diagnostics = []
 
     psi[:, N] = np.asarray(p.phi_x(base.states[:, N]), dtype=float)
     if not np.all(np.isfinite(psi[:, N])):
         raise NonFiniteCoefficient("terminal cost gradient produced NaN/Inf")
     for k in range(N - 1, -1, -1):
-        t = k * dt
-        x = base.states[:, k]
-        w0 = step_weights(base, u0, k)
-        psi_next = psi[:, k + 1]
-        Z, G, cond, ridge = _design(basis.features(x))
-
-        targets = [psi_next, (psi_next[:, :, None] * noise.dW[:, k][:, None, :] / dt).reshape(M, n * m)]
-        if J:
-            dq = noise.jump_counts[:, k] - lam * dt  # (M, J)
-            tj = psi_next[:, None, :] * (dq / (lam * dt))[:, :, None]  # (M, J, n)
-            targets.append(tj.reshape(M, J * n))
-        stacked = np.concatenate(targets, axis=1)
-        fitted, ortho = _fit(Z, G, stacked, k)
-        cont = fitted[:, :n]
-        Qk = fitted[:, n : n + n * m].reshape(M, n, m)
-        if J:
-            phik = fitted[:, n + n * m :].reshape(M, J, n)
-            phi[:, k] = phik
-
-        bx = averaged_drift_x(p, grid, t, x, w0)  # (M, n, n)
-        sx = averaged_diffusion_x(p, grid, t, x, w0)  # (M, n, m, n)
-        drift = np.einsum("qij,qi->qj", bx, psi_next)
-        drift += np.einsum("qab,qabl->ql", Qk, sx)
-        drift += averaged_running_cost_x(p, grid, t, x, w0)
-        if J:
-            for j in range(J):
-                cx = averaged_jump_x(p, grid, t, x, p.jump.marks[j], w0)
-                drift += lam[j] * np.einsum("qij,qi->qj", cx, phik[:, j])
-        fitted_psi, ortho_psi = _fit(Z, G, psi_next + drift * dt, k)
-        psi[:, k] = fitted_psi
-        psi_cont[:, k] = cont
-        Q[:, k] = Qk
-        moment = float(np.mean(np.sum(fitted_psi**2, axis=1)))
-        diagnostics.append(StepDiagnostics(k, cond, ridge, max(ortho, ortho_psi), moment))
+        cells, diag = _regress_step(p, basis, base, u0, k, psi, psi_cont, Q, phi)
+        diagnostics.append(diag)
+        ham, pairing = atom_hamiltonians(
+            p, u0.grid, k * dt, base.states[:, k], psi_cont[:, k], Q[:, k], phi[:, k] if J else None
+        )
+        occupancy[k] = np.bincount(cells, minlength=C)
+        hamiltonian_sums[k] = _cell_sums(cells, C, ham)
+        pairing_sums[k] = _blocked_cell_sums(cells, C, pairing, path_blocks)
 
     diagnostics.reverse()
-    for arr in (psi, psi_cont, Q) + ((phi,) if J else ()):
+    arrays = (psi, psi_cont, Q, hamiltonian_sums, pairing_sums, occupancy) + ((phi,) if J else ())
+    for arr in arrays:
         arr.setflags(write=False)
-    return AdjointEnsemble(psi, psi_cont, Q, phi, diagnostics)
+    return AdjointEnsemble(psi, psi_cont, Q, phi, diagnostics, hamiltonian_sums, pairing_sums, occupancy)
 
 
 def v_q(p: Problem, grid, Q_k: np.ndarray, t: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -283,24 +343,17 @@ def adjoint_pairing(
 ) -> float:
     """Pairing of the adjoint triple with the direction u - u0: the drift,
     diffusion-trace, and jump pairings of the coefficient differences,
-    quadratured over the grid and averaged over paths."""
-    N, dt = base.n_steps, base.dt
-    grid = u0.grid
-    lam = p.jump.intensities if p.jump is not None else None
-    total = 0.0
-    for k in range(N):
-        t = k * dt
-        x = base.states[:, k]
-        dw = step_weights(base, u, k) - step_weights(base, u0, k)
-        b_diff = averaged_drift(p, grid, t, x, dw)
-        s_diff = averaged_diffusion(p, grid, t, x, dw)
-        term = np.einsum("qi,qi->q", adjoint.psi_cont[:, k], b_diff)
-        term += np.einsum("qab,qab->q", adjoint.Q[:, k], s_diff)
-        if p.jump is not None:
-            for j in range(p.jump.J):
-                c_diff = averaged_jump(p, grid, t, x, p.jump.marks[j], dw)
-                term += lam[j] * np.einsum("qi,qi->q", adjoint.phi[:, k, j], c_diff)
-        total += dt * float(term.mean())
+    quadratured over the grid and averaged over paths.
+
+    The pairing is linear in the weights and the weights are constant on a
+    feedback cell, so it is the contraction dt / M * <pairing_sums, w_u - w_u0>
+    of the cell sums solve_bsde formed under u0; u must share u0's structure.
+    """
+    if not u.same_structure(u0):
+        raise ShapeMismatch("direction controls must share grid, steps, mode and partition")
+    if adjoint.pairing_sums.shape != u0.weights.shape:
+        raise ShapeMismatch("the adjoint was binned on other cells than u0's")
+    total = float(base.dt * np.einsum("kci,kci->", adjoint.pairing_sums, u.weights - u0.weights) / base.M)
     if not np.isfinite(total):
         raise NonFiniteCoefficient("adjoint pairing evaluated to a non-finite value")
     return total

@@ -129,6 +129,15 @@ class CellPartition:
             flat = flat * c + raw[..., dim]
         return flat
 
+    def matches(self, other: "CellPartition | None") -> bool:
+        """True when other bins signals into the same cells: equal bounds and
+        equal cell counts per coordinate."""
+        return (
+            other is not None
+            and self.cells_per_dim == other.cells_per_dim
+            and np.array_equal(self.bounds, other.bounds)
+        )
+
     def centers(self) -> np.ndarray:
         """Cell center coordinates, shape (n_cells, p)."""
         axes = []
@@ -210,10 +219,22 @@ class RelaxedControl:
         return self.weights[k, cells]
 
     def same_structure(self, other: "RelaxedControl") -> bool:
+        """True when other resolves the same cells on the same atoms: equal
+        feedback mode, weight shape, grid points and feedback partition."""
         return (
             self.feedback_mode == other.feedback_mode
             and self.weights.shape == other.weights.shape
             and np.array_equal(self.grid.points, other.grid.points)
+            and (self.feedback is None or self.feedback.matches(other.feedback))
+        )
+
+    def equals(self, other) -> bool:
+        """True when other is a relaxed control with the same structure and
+        the same weights, so it resolves the same weights on any paths."""
+        return other is self or (
+            isinstance(other, RelaxedControl)
+            and self.same_structure(other)
+            and np.array_equal(self.weights, other.weights)
         )
 
     def to_json(self) -> str:
@@ -378,7 +399,7 @@ def mix(a: RelaxedControl, b: RelaxedControl, eps: float) -> RelaxedControl:
     if not (0.0 <= eps <= 1.0):
         raise DomainError(f"mixing weight {eps} outside [0, 1]")
     if not a.same_structure(b):
-        raise ShapeMismatch("controls must share grid, step count, and feedback mode")
+        raise ShapeMismatch("controls must share grid, step count, feedback mode and partition")
     w = (1.0 - eps) * a.weights + eps * b.weights
     return RelaxedControl(a.grid, w, a.feedback_mode, a.feedback)
 

@@ -172,12 +172,34 @@ def _feedback_signal(p: Problem, mode: str, x: np.ndarray):
     return p.observation(x) if mode == OBSERVATION_FEEDBACK else x
 
 
-def step_weights(paths: PathEnsemble, u: RelaxedControl, k: int) -> np.ndarray:
-    """Per-path weight vectors of u at step k, resolved on the ensemble."""
+def step_cells(paths: PathEnsemble, u: RelaxedControl, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Feedback cell (M,) of every path of the ensemble at step k under u
+    (all 0 for open loop), and the per-path weight vectors (M, K) there."""
     signal = paths.feedback_signal(k, u.feedback_mode)
     if signal is None:
-        return np.broadcast_to(u.weights[k, 0], (paths.M, u.grid.K))
-    return u.weights_at(k, signal)
+        return np.zeros(paths.M, dtype=np.int64), np.broadcast_to(u.weights[k, 0], (paths.M, u.grid.K))
+    cells = u.feedback.assign(signal)
+    return cells, u.weights[k, cells]
+
+
+def step_weights(paths: PathEnsemble, u: RelaxedControl, k: int) -> np.ndarray:
+    """Per-path weight vectors of u at step k, resolved on the ensemble."""
+    return step_cells(paths, u, k)[1]
+
+
+def guard_step(x: np.ndarray, k: int, what: str) -> None:
+    """Check the states x reached by step k with one NaN-propagating max |x|.
+
+    A NaN anywhere raises NonFiniteCoefficient, also when other entries
+    exceed the guard: a NaN state has no norm to report.  Otherwise an entry
+    above BLOWUP_GUARD, Inf included, raises BlowUp with the largest |x|.
+    """
+    peak = float(np.abs(x).max())
+    if peak <= BLOWUP_GUARD:
+        return
+    if np.isnan(peak):
+        raise NonFiniteCoefficient(f"non-finite {what} at step {k}")
+    raise BlowUp(k, peak)
 
 
 def _control_values(p: Problem, u, k: int, N: int, t: float, x: np.ndarray) -> np.ndarray:
@@ -216,11 +238,7 @@ def _simulate_block(p: Problem, u, noise: NoiseEnsemble, grid, sl: slice, out: n
                     cj = np.asarray(p.jump.C(t, x, v, xi), dtype=float)
                 factor = noise.jump_counts[sl, k, j] - lam[j] * dt
                 x_next = x_next + factor[:, None] * cj
-        norms = np.abs(x_next).max(axis=1)
-        if np.any(norms > BLOWUP_GUARD):
-            raise BlowUp(k, float(norms.max()))
-        if not np.all(np.isfinite(x_next)):
-            raise NonFiniteCoefficient(f"non-finite state at step {k}")
+        guard_step(x_next, k, "state")
         out[sl, k + 1] = x_next
         x = out[sl, k + 1]
 

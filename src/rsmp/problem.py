@@ -19,7 +19,7 @@ results with the atom axis leading, shape (K, M, ...), checking the whole
 tensor for NaN/Inf once.  Everything linear in the weights is a contraction
 of that tensor over its leading axis: `contract_atoms` pairs it with a
 weight vector (K,) or per-path weights (M, K), which is what the
-`averaged_*` functions return, and the Hamiltonian field contracts it with
+`averaged_*` functions return, and `atom_hamiltonians` contracts it with
 the adjoint processes to get all K per-atom Hamiltonians from one
 evaluation per atom.
 """
@@ -224,6 +224,43 @@ def contract_atoms(vals: np.ndarray, w) -> np.ndarray:
     if w.ndim == 1:
         return np.einsum("k,k...->...", w, vals)
     return np.einsum("qk,kq...->q...", w, vals)
+
+
+def _per_path(arr, M: int) -> np.ndarray:
+    """A (M, a, b) array as given, or one shared (a, b) array broadcast to it."""
+    arr = np.asarray(arr, dtype=float)
+    return np.broadcast_to(arr, (M,) + arr.shape) if arr.ndim == 2 else arr
+
+
+def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row) -> tuple[np.ndarray, np.ndarray]:
+    """Pathwise Hamiltonian at every grid atom, shape (K, M): drift pairing
+    + diffusion trace pairing + running cost + jump pairing; and the same
+    sum without the running cost, the adjoint pairing with each atom's
+    coefficients, shape (K, M).
+
+    Each coefficient is evaluated once per atom; the pairings contract the
+    atom-leading tensors with psi (M, n), Q (M, n, m) and, for jump problems,
+    phi_row (M, J, n).
+    """
+    x = np.atleast_2d(x)
+    M = x.shape[0]
+    psi = np.atleast_2d(psi)
+    val = np.einsum("kqi,qi->kq", atom_values(p.b, grid, t, x, what="drift"), psi)
+    val += np.einsum("kqab,qab->kq", atom_values(p.sigma, grid, t, x, what="diffusion"), _per_path(Q, M))
+    pairing = val.copy()
+    val += atom_values(p.ell, grid, t, x, what="running cost")
+    if p.jump is not None:
+        if phi_row is None:
+            raise ShapeMismatch("jump problems need the jump intensity row of the adjoint")
+        phi_row = _per_path(phi_row, M)
+        for j in range(p.jump.J):
+            cj = atom_values(p.jump.C, grid, t, x, extra=(p.jump.marks[j],), what="jump coefficient")
+            term = np.einsum("kqi,qi->kq", cj, phi_row[:, j])
+            del cj  # free the atom tensor before the sums
+            term *= p.jump.intensities[j]
+            val += term
+            pairing += term
+    return val, pairing
 
 
 def _averaged(f, grid, t, x, w, what: str, extra=()):

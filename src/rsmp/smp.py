@@ -7,7 +7,9 @@ linear-minimization oracle of a conditional-gradient loop over the convex
 set of relaxed controls: candidates are one-hot (extreme-point) controls,
 iterates move by convex mixing under a halving line search on common random
 numbers, and the nonnegative Hamiltonian excess of the current control
-certifies optimality when it vanishes.
+certifies optimality when it vanishes.  The backward sweep (`solve_bsde`)
+already sums the atom Hamiltonians over the cells, so the field is those
+sums divided by the cell occupancy; it evaluates no coefficient.
 """
 
 from __future__ import annotations
@@ -30,51 +32,21 @@ from .control import (
 )
 from .errors import DomainError, ShapeMismatch
 from .forward import PathEnsemble, pathwise_cost, sample_noise, simulate
-from .problem import Problem, atom_values, contract_atoms
+from .problem import Problem, atom_hamiltonians, contract_atoms
 
 INFO_FULL = "full"
 INFO_PARTIAL = "partial"
 LINE_SEARCH_FLOOR = 10  # smallest line-search step is 2**-LINE_SEARCH_FLOOR
 
 
-def _per_path(arr, M: int) -> np.ndarray:
-    """A (M, a, b) array as given, or one shared (a, b) array broadcast to it."""
-    arr = np.asarray(arr, dtype=float)
-    return np.broadcast_to(arr, (M,) + arr.shape) if arr.ndim == 2 else arr
-
-
-def _atom_hamiltonians(p: Problem, grid: ControlGrid, t, x, psi, Q, phi_row) -> np.ndarray:
-    """Pathwise Hamiltonian at every grid atom, shape (K, M): drift pairing
-    + diffusion trace pairing + running cost + jump pairing.
-
-    Each coefficient is evaluated once per atom; the pairings contract the
-    atom-leading tensors with psi (M, n), Q (M, n, m) and, for jump problems,
-    phi_row (M, J, n).
-    """
-    x = np.atleast_2d(x)
-    M = x.shape[0]
-    psi = np.atleast_2d(psi)
-    val = np.einsum("kqi,qi->kq", atom_values(p.b, grid, t, x, what="drift"), psi)
-    val += np.einsum("kqab,qab->kq", atom_values(p.sigma, grid, t, x, what="diffusion"), _per_path(Q, M))
-    val += atom_values(p.ell, grid, t, x, what="running cost")
-    if p.jump is not None:
-        if phi_row is None:
-            raise ShapeMismatch("jump problems need the jump intensity row of the adjoint")
-        phi_row = _per_path(phi_row, M)
-        for j in range(p.jump.J):
-            cj = atom_values(p.jump.C, grid, t, x, extra=(p.jump.marks[j],), what="jump coefficient")
-            val += p.jump.intensities[j] * np.einsum("kqi,qi->kq", cj, phi_row[:, j])
-    return val
-
-
 def hamiltonian(p: Problem, grid: ControlGrid, t, x, psi, Q, phi_row, w) -> np.ndarray:
     """Relaxed-averaged Hamiltonian: the per-atom Hamiltonians of
-    `_atom_hamiltonians` averaged against the weight vector w.
+    `atom_hamiltonians` averaged against the weight vector w.
 
     phi_row has shape (..., J, n) and is ignored for problems without jumps.
     Linear in w; batched over a leading path axis.
     """
-    return contract_atoms(_atom_hamiltonians(p, grid, t, x, psi, Q, phi_row), w)
+    return contract_atoms(atom_hamiltonians(p, grid, t, x, psi, Q, phi_row)[0], w)
 
 
 @dataclass(frozen=True)
@@ -83,10 +55,12 @@ class HamiltonianField:
 
     cell_values[k, c, i] averages the pathwise Hamiltonian at atom i over the
     occupancy[k, c] paths in feedback cell c at step k (an empty cell takes
-    the values of its nearest occupied cell).  Pathwise values are not kept;
-    `hamiltonian` with one-hot weights gives them.  Partial info_mode only
-    checks that the control uses observation feedback, whose cells full mode
-    conditions on too, so both modes give the same cell values.
+    the values of its nearest occupied cell): the adjoint's
+    hamiltonian_sums divided by its occupancy, which the field shares.
+    Pathwise values are not kept; `hamiltonian` with one-hot weights gives
+    them.  Partial info_mode only checks that the control uses observation
+    feedback, whose cells full mode conditions on too, so both modes give
+    the same cell values.
     """
 
     cell_values: np.ndarray  # (N, C, K)
@@ -117,13 +91,15 @@ def hamiltonian_field(
     adjoint: AdjointEnsemble,
     info_mode: str = INFO_FULL,
 ) -> HamiltonianField:
-    """Evaluate the Hamiltonian at every grid atom along the ensemble and
-    average it over the feedback cells of the control in force.
+    """Average the Hamiltonian at every grid atom over the feedback cells of
+    the control in force.
 
     Cells are the control's own information: one cell per step for open-loop
     controls, state or observation cells for feedback; partial mode requires
-    observation feedback.  Each step's (K, M) atom Hamiltonians are binned
-    and dropped, so the field's size does not depend on the path count.
+    observation feedback.  solve_bsde already binned the atom Hamiltonians
+    on these cells, so the field divides its sums by the occupancy and fills
+    empty cells; it makes no coefficient call (p is not evaluated) and does
+    not walk the paths.
     """
     u0 = base.control_used
     if not isinstance(u0, RelaxedControl):
@@ -132,29 +108,18 @@ def hamiltonian_field(
         raise DomainError("partial information needs an observation-feedback control")
     if info_mode not in (INFO_FULL, INFO_PARTIAL):
         raise DomainError(f"unknown info mode {info_mode!r}")
-    M, N, dt = base.M, base.n_steps, base.dt
-    grid = u0.grid
-    K = grid.K
-    C = u0.n_cells
+    sums, occupancy = adjoint.hamiltonian_sums, adjoint.occupancy
+    if sums.shape != u0.weights.shape:
+        raise ShapeMismatch("the adjoint was binned on other cells than the ensemble's control")
     centers = u0.feedback.centers() if u0.feedback is not None else None
 
-    cell_values = np.zeros((N, C, K))
-    occupancy = np.zeros((N, C), dtype=np.int64)
-    for k in range(N):
-        x, psi, Qk = base.states[:, k], adjoint.psi_cont[:, k], adjoint.Q[:, k]
-        phik = adjoint.phi[:, k] if adjoint.phi is not None else None
-        atoms = _atom_hamiltonians(p, grid, k * dt, x, psi, Qk, phik)  # (K, M)
-        sig = base.feedback_signal(k, u0.feedback_mode)
-        cells = np.zeros(M, dtype=np.int64) if sig is None else u0.feedback.assign(sig)
-        counts = np.bincount(cells, minlength=C)
-        occupancy[k] = counts
-        sums = np.stack([np.bincount(cells, weights=row, minlength=C) for row in atoms], axis=1)
+    cell_values = np.zeros(sums.shape)
+    for k, counts in enumerate(occupancy):
         nonzero = counts > 0
-        cell_values[k, nonzero] = sums[nonzero] / counts[nonzero, None]
+        cell_values[k, nonzero] = sums[k, nonzero] / counts[nonzero, None]
         _nearest_nonempty(cell_values[k], counts, centers)
-    for arr in (cell_values, occupancy):
-        arr.setflags(write=False)
-    return HamiltonianField(cell_values, occupancy, info_mode, grid, u0.feedback_mode, u0.feedback, dt)
+    cell_values.setflags(write=False)
+    return HamiltonianField(cell_values, occupancy, info_mode, u0.grid, u0.feedback_mode, u0.feedback, base.dt)
 
 
 def pointwise_argmin(field: HamiltonianField) -> RelaxedControl:
@@ -186,10 +151,7 @@ def smp_gap(field: HamiltonianField, u0: RelaxedControl) -> tuple[float, np.ndar
         w = u0.weights
         if w.shape != (N, C, K):
             raise ShapeMismatch("control weights do not match the field cells")
-        if u0.feedback is not None and not (
-            np.array_equal(u0.feedback.bounds, field.feedback.bounds)
-            and u0.feedback.cells_per_dim == field.feedback.cells_per_dim
-        ):
+        if u0.feedback is not None and not u0.feedback.matches(field.feedback):
             raise ShapeMismatch("control and field bin their feedback differently")
     elif u0.feedback_mode == OPEN_LOOP:
         w = np.broadcast_to(u0.weights, (N, C, K))

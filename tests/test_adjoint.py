@@ -311,9 +311,10 @@ class TestDualityGap:
         u = rsmp.constant_control(grid, 8)
         base = rsmp.simulate(p, u, rsmp.sample_noise(p, 300, 8, seed=14))
         adj = rsmp.solve_bsde(p, base, u)
-        psi_cont = adj.psi_cont.copy()
-        psi_cont[0, 4] = np.nan
-        bad = dataclasses.replace(adj, psi_cont=psi_cont)
+        # the pairing reads only the cell sums solve_bsde formed
+        sums = adj.pairing_sums.copy()
+        sums[4, 0, 2] = np.nan
+        bad = dataclasses.replace(adj, pairing_sums=sums)
         u1 = rsmp.constant_control(grid, 8, np.eye(grid.K)[0])
         with pytest.raises(NonFiniteCoefficient):
             rsmp.adjoint_pairing(p, base, u, u1, bad)
@@ -337,3 +338,117 @@ class TestDualityGap:
         L = response_functional(p, base, u0, var)
         gap = rsmp.duality_gap(p, base, u0, u1, adj, var)
         assert gap <= 5e-3 * (abs(L) + 1e-6)
+
+
+COEFFICIENTS = ("b", "sigma", "ell", "phi", "b_x", "sigma_x", "ell_x", "phi_x")
+
+
+def counting_problem(p):
+    """p with every coefficient callable counting its calls into a dict."""
+    calls = {}
+
+    def counted(key, f):
+        def wrapper(*args):
+            calls[key] = calls.get(key, 0) + 1
+            return f(*args)
+        return wrapper
+
+    changes = {key: counted(key, getattr(p, key)) for key in COEFFICIENTS}
+    if p.jump is not None:
+        changes["jump"] = dataclasses.replace(p.jump, C=counted("C", p.jump.C), C_x=counted("C_x", p.jump.C_x))
+    return dataclasses.replace(p, **changes), calls
+
+
+def seeded_controls(name, mode, N, count, seed):
+    grid = rsmp.benchmark_grid(name, 5)
+    part = None if mode == rsmp.OPEN_LOOP else rsmp.benchmark_partition(name, mode, cells=4)
+    C = 1 if part is None else part.n_cells
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        w = rng.uniform(0.1, 1.0, (N, C, grid.K))
+        w /= w.sum(axis=-1, keepdims=True)
+        out.append(RelaxedControl(grid, w, mode, part))
+    return out
+
+
+def walked_pairing(p, base, u0, u, adj):
+    """The pairing as a per-step walk: the coefficient differences at every
+    path's own weights, paired with the adjoint triple and averaged."""
+    from rsmp.forward import step_weights
+    from rsmp.problem import averaged_diffusion, averaged_drift, averaged_jump
+
+    grid, dt = u0.grid, base.dt
+    total = 0.0
+    for k in range(base.n_steps):
+        x = base.states[:, k]
+        dw = step_weights(base, u, k) - step_weights(base, u0, k)
+        term = np.einsum("qi,qi->q", adj.psi_cont[:, k], averaged_drift(p, grid, k * dt, x, dw))
+        term += np.einsum("qab,qab->q", adj.Q[:, k], averaged_diffusion(p, grid, k * dt, x, dw))
+        if p.jump is not None:
+            for j in range(p.jump.J):
+                c_diff = averaged_jump(p, grid, k * dt, x, p.jump.marks[j], dw)
+                term += p.jump.intensities[j] * np.einsum("qi,qi->q", adj.phi[:, k, j], c_diff)
+        total += dt * float(term.mean())
+    return total
+
+
+MODES = (rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK)
+
+
+class TestPairingContraction:
+    @pytest.mark.parametrize("name", ["lq1d", "lq2d", "jump-lq"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_pairing_matches_per_step_walk(self, name, mode):
+        p = rsmp.make_benchmark(name)
+        N = 8
+        u0, *directions = seeded_controls(name, mode, N, 4, seed=50)
+        base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 3000, N, seed=51))
+        adj = rsmp.solve_bsde(p, base, u0)
+        for u in directions:
+            walked = walked_pairing(p, base, u0, u, adj)
+            got = rsmp.adjoint_pairing(p, base, u0, u, adj)
+            assert abs(got - walked) <= 1e-12 * abs(walked)
+
+    @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
+    def test_derivative_reads_evaluate_no_coefficient(self, name):
+        # the backward and variational sweeps evaluate every coefficient the
+        # derivatives need; reading them costs one terminal gradient at most
+        p = rsmp.make_benchmark(name)
+        N = 6
+        u0, u = seeded_controls(name, rsmp.STATE_FEEDBACK, N, 2, seed=52)
+        base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 400, N, seed=53))
+        adj = rsmp.solve_bsde(p, base, u0)
+        var = rsmp.simulate_variational(p, base, u, u0)
+        counted, calls = counting_problem(p)
+        rsmp.adjoint_pairing(counted, base, u0, u, adj)
+        rsmp.hamiltonian_field(counted, base, adj, rsmp.INFO_FULL)
+        assert calls == {}
+        rsmp.response_functional(counted, base, u0, var)
+        assert calls == {"phi_x": 1}
+        calls.clear()
+        rsmp.gateaux(counted, base, var, u, u0)
+        assert calls == {"phi_x": 1}
+
+    def test_direction_on_other_partition_rejected(self):
+        p = rsmp.make_benchmark("lq1d")
+        N = 4
+        (u0,) = seeded_controls("lq1d", rsmp.STATE_FEEDBACK, N, 1, seed=54)
+        wide = rsmp.CellPartition(u0.feedback.bounds * 3.0, u0.feedback.cells_per_dim)
+        u = RelaxedControl(u0.grid, u0.weights[::-1], rsmp.STATE_FEEDBACK, wide)
+        base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 200, N, seed=55))
+        adj = rsmp.solve_bsde(p, base, u0)
+        with pytest.raises(ShapeMismatch):
+            rsmp.adjoint_pairing(p, base, u0, u, adj)
+
+    def test_sums_are_read_only_cell_tensors(self):
+        p = rsmp.make_benchmark("jump-lq")
+        N = 5
+        (u0,) = seeded_controls("jump-lq", rsmp.STATE_FEEDBACK, N, 1, seed=56)
+        base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 300, N, seed=57))
+        adj = rsmp.solve_bsde(p, base, u0)
+        shape = u0.weights.shape
+        assert adj.hamiltonian_sums.shape == shape and adj.pairing_sums.shape == shape
+        assert np.array_equal(adj.occupancy.sum(axis=1), np.full(N, base.M))
+        for arr in (adj.hamiltonian_sums, adj.pairing_sums, adj.occupancy):
+            assert not arr.flags.writeable

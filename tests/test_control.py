@@ -120,6 +120,26 @@ class TestMix:
         with pytest.raises(ShapeMismatch):
             mix(a, b, 0.5)
 
+    def test_partition_mismatch(self):
+        # two lq1d state-feedback controls, 4 cells each, binned on [-1, 1]
+        # and on [-3, 3]: same shapes, different cells
+        p = rsmp.make_benchmark("lq1d")
+        grid = rsmp.benchmark_grid("lq1d")
+        N, K = 6, grid.K
+        w = np.full((N, 4, K), 1.0 / K)
+        a = RelaxedControl(grid, w, rsmp.STATE_FEEDBACK, CellPartition([[-1.0, 1.0]], (4,)))
+        b = RelaxedControl(grid, w, rsmp.STATE_FEEDBACK, CellPartition([[-3.0, 3.0]], (4,)))
+        assert not a.same_structure(b) and not b.same_structure(a)
+        assert a.same_structure(RelaxedControl(grid, w, rsmp.STATE_FEEDBACK, CellPartition([[-1.0, 1.0]], (4,))))
+        with pytest.raises(ShapeMismatch):
+            mix(a, b, 0.5)
+        base = rsmp.simulate(p, a, rsmp.sample_noise(p, 200, N, seed=5))
+        with pytest.raises(ShapeMismatch):
+            rsmp.simulate_variational(p, base, b, a)
+        adj = rsmp.solve_bsde(p, base, a)
+        with pytest.raises(ShapeMismatch):
+            rsmp.adjoint_pairing(p, base, a, b, adj)
+
     def test_mix_is_exact_convex_combination(self):
         g = grid3()
         rng = np.random.default_rng(4)

@@ -8,7 +8,7 @@ import pytest
 import rsmp
 from rsmp import BlowUp, ControlGrid, GaussianInitial, JumpSpec, NonFiniteCoefficient, Problem, ShapeMismatch
 from rsmp.container import TAG_PATHS, paths_to_binary, read_section
-from rsmp.forward import _BLOCK, STREAM_VERSION, pathwise_cost, step_weights
+from rsmp.forward import _BLOCK, BLOWUP_GUARD, STREAM_VERSION, guard_step, pathwise_cost, step_weights
 from rsmp.problem import averaged_running_cost
 
 
@@ -221,6 +221,56 @@ class TestSimulate:
         a = rsmp.simulate(p, u, rsmp.sample_noise(p, 200, 8, seed=13))
         b = rsmp.simulate(p, u, rsmp.sample_noise(p, 200, 8, seed=13))
         assert np.array_equal(a.states, b.states)
+
+
+class TestStepGuard:
+    """One max |x| per step decides both guards; a NaN wins over a blow-up."""
+
+    def test_within_guard_passes(self):
+        guard_step(np.array([[BLOWUP_GUARD], [-BLOWUP_GUARD]]), 3, "state")
+
+    def test_nan_only_is_non_finite(self):
+        with pytest.raises(NonFiniteCoefficient, match="state at step 3"):
+            guard_step(np.array([[0.5], [np.nan]]), 3, "state")
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_inf_only_is_blow_up(self, bad):
+        with pytest.raises(BlowUp) as exc:
+            guard_step(np.array([[0.5, bad]]), 2, "state")
+        assert exc.value.step == 2 and exc.value.max_norm == np.inf
+
+    def test_finite_over_guard_reports_largest(self):
+        with pytest.raises(BlowUp) as exc:
+            guard_step(np.array([[2e9, 0.0], [0.0, -3e9]]), 1, "state")
+        assert exc.value.max_norm == 3e9
+
+    def test_nan_and_over_guard_in_one_step_is_non_finite(self):
+        with pytest.raises(NonFiniteCoefficient):
+            guard_step(np.array([[3e9], [np.nan], [np.inf]]), 0, "state")
+
+    def test_sweep_with_nan_and_over_guard_paths_is_non_finite(self):
+        def b(t, x, xi):
+            out = np.zeros(np.shape(x))
+            out[0], out[1] = np.nan, 1e12
+            return out
+
+        p = scalar_problem(b=b)
+        with pytest.raises(NonFiniteCoefficient, match="non-finite state at step 0"):
+            rsmp.simulate(p, lambda t, x: np.zeros(1), rsmp.sample_noise(p, 4, 3, seed=1))
+
+    def test_variational_sweep_blow_up(self):
+        # the base control averages the drift to zero, the direction does not
+        def b(t, x, xi):
+            return np.broadcast_to(1e12 * np.asarray(xi, dtype=float), np.shape(x))
+
+        p = scalar_problem(b=b)
+        grid = ControlGrid([[-1.0], [1.0]], [[-1.0, 1.0]])
+        u0 = rsmp.constant_control(grid, 4)
+        u1 = rsmp.constant_control(grid, 4, [1.0, 0.0])
+        base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 5, 4, seed=2))
+        with pytest.raises(BlowUp) as exc:
+            rsmp.simulate_variational(p, base, u1, u0)
+        assert exc.value.step == 0
 
 
 class TestCommonRandomNumbers:

@@ -242,7 +242,9 @@ class TestHamiltonianField:
 
     @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
     def test_field_evaluates_each_coefficient_once_per_atom_and_step(self, name):
-        p, grid, base, adj = self.seeded_field_inputs(name, rsmp.STATE_FEEDBACK)
+        # the backward sweep evaluates b, sigma, ell and C once per atom and
+        # step for the field; the field itself evaluates nothing
+        p, grid, base, _ = self.seeded_field_inputs(name, rsmp.STATE_FEEDBACK)
         calls = {}
 
         def counted(key, f):
@@ -254,15 +256,20 @@ class TestHamiltonianField:
         changes = {key: counted(key, getattr(p, key)) for key in ("b", "sigma", "ell")}
         if p.jump is not None:
             changes["jump"] = dataclasses.replace(p.jump, C=counted("C", p.jump.C))
-        fld = rsmp.hamiltonian_field(dataclasses.replace(p, **changes), base, adj, rsmp.INFO_FULL)
+        wrapped = dataclasses.replace(p, **changes)
+        adj = rsmp.solve_bsde(wrapped, base, base.control_used)
         expected = {key: grid.K * base.n_steps for key in ("b", "sigma", "ell")}
         if p.jump is not None:
             expected["C"] = grid.K * p.jump.J * base.n_steps
         assert calls == expected
+        calls.clear()
+        fld = rsmp.hamiltonian_field(wrapped, base, adj, rsmp.INFO_FULL)
+        assert calls == {}
         assert fld.cell_values.shape == (base.n_steps, base.control_used.n_cells, grid.K)
 
     def test_nan_at_one_atom_raises(self):
-        p, grid, base, adj = self.seeded_field_inputs("lq1d", rsmp.STATE_FEEDBACK)
+        # the field's coefficients are evaluated in the backward sweep
+        p, grid, base, _ = self.seeded_field_inputs("lq1d", rsmp.STATE_FEEDBACK)
         bad_atom = grid.points[3]
 
         def ell(t, x, xi):
@@ -270,7 +277,7 @@ class TestHamiltonianField:
             return np.full_like(out, np.nan) if np.array_equal(xi, bad_atom) else out
 
         with pytest.raises(rsmp.NonFiniteCoefficient):
-            rsmp.hamiltonian_field(dataclasses.replace(p, ell=ell), base, adj, rsmp.INFO_FULL)
+            rsmp.solve_bsde(dataclasses.replace(p, ell=ell), base, base.control_used)
 
     def test_lq_argmin_tracks_riccati_feedback_sign(self):
         p = rsmp.make_benchmark("lq1d")

@@ -231,3 +231,65 @@ class TestGateaux:
             per_path += np.einsum("qi,qi->q", p.phi_x(base.states[:, N]), var.y[:, N])
             se = per_path.std(ddof=1) / np.sqrt(M)
             assert per_path.mean() >= -3 * se
+
+
+def walked_derivative(p, base, u0, u, var):
+    """Response functional and Gateaux derivative as left-endpoint walks
+    over the base paths, in step order."""
+    N, dt, grid = base.n_steps, base.dt, u0.grid
+    response = 0.0
+    for k in range(N):
+        lx = averaged_running_cost_x(p, grid, k * dt, base.states[:, k], step_weights(base, u0, k))
+        response += dt * float(np.mean(np.einsum("qi,qi->q", lx, var.y[:, k])))
+    phix = np.asarray(p.phi_x(base.states[:, N]), dtype=float)
+    response += float(np.mean(np.einsum("qi,qi->q", phix, var.y[:, N])))
+    derivative = response
+    for k in range(N):
+        dw = step_weights(base, u, k) - step_weights(base, u0, k)
+        derivative += dt * float(np.mean(averaged_running_cost(p, grid, k * dt, base.states[:, k], dw)))
+    return response, derivative
+
+
+class TestRecordedDerivative:
+    @pytest.mark.parametrize("name", ["lq1d", "lq2d", "jump-lq"])
+    @pytest.mark.parametrize("mode", [rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK])
+    def test_read_equals_walk_bit_for_bit(self, name, mode):
+        p = rsmp.make_benchmark(name)
+        grid = rsmp.benchmark_grid(name, 5)
+        part = None if mode == rsmp.OPEN_LOOP else rsmp.benchmark_partition(name, mode, cells=4)
+        C = 1 if part is None else part.n_cells
+        N = 8
+        w = np.random.default_rng(60).dirichlet(np.ones(grid.K), size=(2, N, C))
+        u0, u1 = (RelaxedControl(grid, wi, mode, part) for wi in w)
+        base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 1500, N, seed=61))
+        var = rsmp.simulate_variational(p, base, u1, u0)
+        response, derivative = walked_derivative(p, base, u0, u1, var)
+        assert response_functional(p, base, u0, var) == response
+        assert rsmp.gateaux(p, base, var, u1, u0) == derivative
+
+    def test_record_is_read_only(self):
+        p = rsmp.make_benchmark("lq1d")
+        u0, u1 = random_controls(rsmp.benchmark_grid("lq1d"), 6, 62)
+        base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 100, 6, seed=63))
+        var = rsmp.simulate_variational(p, base, u1, u0)
+        assert var.response_terms.shape == var.direct_terms.shape == (6,)
+        assert not var.response_terms.flags.writeable and not var.direct_terms.flags.writeable
+
+    def test_record_of_another_direction_rejected(self):
+        p = rsmp.make_benchmark("lq1d")
+        u0, u1, u2 = random_controls(rsmp.benchmark_grid("lq1d"), 6, 64, count=3)
+        base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 100, 6, seed=65))
+        var = rsmp.simulate_variational(p, base, u1, u0)
+        with pytest.raises(ShapeMismatch):
+            rsmp.gateaux(p, base, var, u2, u0)
+
+    def test_record_of_another_base_rejected(self):
+        p = rsmp.make_benchmark("lq1d")
+        u0, u1 = random_controls(rsmp.benchmark_grid("lq1d"), 6, 66)
+        base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 100, 6, seed=67))
+        other = rsmp.simulate(p, u0, rsmp.sample_noise(p, 100, 6, seed=68))
+        var = rsmp.simulate_variational(p, base, u1, u0)
+        with pytest.raises(ShapeMismatch):
+            response_functional(p, other, u0, var)
+        with pytest.raises(ShapeMismatch):
+            response_functional(p, base, u1, var)
