@@ -87,8 +87,6 @@ from .problem import (
     validate_assumptions,
 )
 from .smp import (
-    INFO_FULL,
-    INFO_PARTIAL,
     HamiltonianField,
     IterateRecord,
     OptimizationResult,

@@ -14,10 +14,12 @@ is set exactly from the terminal cost gradient.
 While it holds a step's adjoint values the sweep also forms the pathwise
 Hamiltonian at every control atom and sums it, with and without the running
 cost, over the feedback cells of the control: small (N, C, K) tensors that
-every derivative at that control is a contraction of.  The Hamiltonian
-field (and with it the optimality gap) and the duality pairing with any
-direction read those sums; none of them evaluates a coefficient or walks
-the paths again.
+every derivative at that control is a contraction of.  The adjoint keeps
+the ensemble it was solved on, and through it the control, so the
+Hamiltonian field (and with it the optimality gap) is built from the
+adjoint alone, and the duality pairing with a direction checks that it is
+given the adjoint's own ensemble and control.  Neither evaluates a
+coefficient or walks the paths again.
 
 The same module hosts the inner product on drift/diffusion/jump intensity
 triples and the duality check pairing the adjoint triple against a control
@@ -152,6 +154,9 @@ class AdjointEnsemble:
     the adjoint was solved under; pairing_sums[k, c, i] sums the same
     Hamiltonian without the running cost, in path blocks.  The adjoint pairing
     with a direction u is dt / M * <pairing_sums, w_u - w_u0>.
+
+    base is the ensemble the adjoint was solved on; its control_used is the
+    relaxed control u0 on whose cells the sums are binned.
     """
 
     psi: np.ndarray  # (M, N+1, n)
@@ -162,6 +167,7 @@ class AdjointEnsemble:
     hamiltonian_sums: np.ndarray  # (N, C, K)
     pairing_sums: np.ndarray  # (N, C, K)
     occupancy: np.ndarray  # (N, C)
+    base: PathEnsemble
 
 
 def _regress_step(
@@ -271,7 +277,7 @@ def solve_bsde(
     arrays = (psi, psi_cont, Q, hamiltonian_sums, pairing_sums, occupancy) + ((phi,) if J else ())
     for arr in arrays:
         arr.setflags(write=False)
-    return AdjointEnsemble(psi, psi_cont, Q, phi, diagnostics, hamiltonian_sums, pairing_sums, occupancy)
+    return AdjointEnsemble(psi, psi_cont, Q, phi, diagnostics, hamiltonian_sums, pairing_sums, occupancy, base)
 
 
 def v_q(p: Problem, grid, Q_k: np.ndarray, t: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -347,12 +353,14 @@ def adjoint_pairing(
 
     The pairing is linear in the weights and the weights are constant on a
     feedback cell, so it is the contraction dt / M * <pairing_sums, w_u - w_u0>
-    of the cell sums solve_bsde formed under u0; u must share u0's structure.
+    of the cell sums solve_bsde formed under u0.  The adjoint must be solved on
+    base, base simulated under u0, and u must share u0's structure; p is not
+    evaluated.
     """
+    if adjoint.base is not base or not u0.equals(base.control_used):
+        raise ShapeMismatch("the adjoint was not solved on this ensemble under u0")
     if not u.same_structure(u0):
         raise ShapeMismatch("direction controls must share grid, steps, mode and partition")
-    if adjoint.pairing_sums.shape != u0.weights.shape:
-        raise ShapeMismatch("the adjoint was binned on other cells than u0's")
     total = float(base.dt * np.einsum("kci,kci->", adjoint.pairing_sums, u.weights - u0.weights) / base.M)
     if not np.isfinite(total):
         raise NonFiniteCoefficient("adjoint pairing evaluated to a non-finite value")

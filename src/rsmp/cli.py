@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -29,15 +29,7 @@ from .control import (
 )
 from .errors import BlowUp, DomainError, NonFiniteCoefficient, RsmpError, SingularRegression, UnknownBenchmark
 from .forward import STREAM_VERSION, cost, pathwise_cost, paths_to_csv, sample_noise, simulate
-from .smp import (
-    INFO_FULL,
-    INFO_PARTIAL,
-    OptimizeParams,
-    hamiltonian_field,
-    optimize,
-    realize_regular,
-    smp_gap,
-)
+from .smp import OptimizeParams, hamiltonian_field, optimize, realize_regular, smp_gap
 from .variation import gateaux, response_functional, simulate_variational
 
 EXIT_OK = 0
@@ -58,7 +50,6 @@ class RunConfig:
     K: int = 9
     seed: int = 0
     threads: int = 1
-    info: str = INFO_FULL
     tol: float = 1e-3
     max_iters: int = 25
     out: str | None = None
@@ -75,14 +66,26 @@ class RunConfig:
                 f"config uses noise stream version {self.stream_version}, this build draws version "
                 f"{STREAM_VERSION}; its artifacts cannot be replayed"
             )
-        if min(self.M, self.N, self.K, self.cells, self.refinement) < 1:
-            raise DomainError("counts must be positive")
         if self.seed is None:
             raise DomainError("a seed is mandatory; wall-clock seeding is not supported")
-        if self.info not in (INFO_FULL, INFO_PARTIAL):
-            raise DomainError(f"info must be full or partial, got {self.info!r}")
+        for name in ("M", "N", "K", "cells", "refinement", "threads", "seed", "max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+        if min(self.M, self.N, self.K, self.cells, self.refinement) < 1:
+            raise DomainError("counts must be positive")
+        for name, optional in (("bench", False), ("out", True), ("control", True)):
+            value = getattr(self, name)
+            if not isinstance(value, str) and not (optional and value is None):
+                raise DomainError(f"{name} must be a string, got {value!r}")
+        if self.mode not in (None, *MODE_ALIASES):
+            raise DomainError(f"mode must be one of {list(MODE_ALIASES)}, got {self.mode!r}")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, (int, float)):
+            raise DomainError(f"tol must be a number, got {self.tol!r}")
         if not np.isfinite(self.tol) or self.tol < 0:
             raise DomainError(f"tol must be finite and nonnegative, got {self.tol!r}")
+        if not isinstance(self.formats, list):
+            raise DomainError(f"formats must be a list, got {self.formats!r}")
         for fmt in self.formats:
             if fmt not in ("csv", "json", "bin"):
                 raise DomainError(f"unknown format {fmt!r}")
@@ -97,10 +100,14 @@ class RunConfig:
 
 def _config_doc(text: str) -> dict:
     """Fields of a config JSON text.  A config without stream_version predates
-    the key and was drawn with the per-path layout, version 1."""
+    the key and was drawn with the per-path layout, version 1.  A key that is
+    not a RunConfig field (such as the removed info) is rejected."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise DomainError("config must be a JSON object")
+    unknown = sorted(set(doc) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise DomainError(f"unknown config key(s) {unknown}")
     doc.setdefault("stream_version", 1)
     return doc
 
@@ -124,7 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--K", type=int, help="control grid size")
         sp.add_argument("--seed", type=int, help="master seed (mandatory, no wall-clock)")
         sp.add_argument("--threads", type=int, help="worker cap (default from RSMP_THREADS)")
-        sp.add_argument("--info", choices=[INFO_FULL, INFO_PARTIAL], help="information structure")
         sp.add_argument("--tol", type=float, help="optimizer gap tolerance")
         sp.add_argument("--max-iters", dest="max_iters", type=int, help="optimizer iteration cap")
         sp.add_argument("--out", help="output directory for artifacts")
@@ -142,7 +148,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         with open(args.config, encoding="utf-8") as fh:
             base = _config_doc(fh.read())
     base["command"] = args.command
-    for key in ("bench", "M", "N", "K", "seed", "threads", "info", "tol", "max_iters", "out", "mode", "cells", "control", "refinement"):
+    for key in ("bench", "M", "N", "K", "seed", "threads", "tol", "max_iters", "out", "mode", "cells", "control", "refinement"):
         val = getattr(args, key, None)
         if val is not None:
             base[key] = val
@@ -154,9 +160,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _default_mode(config: RunConfig) -> str:
-    if config.mode is not None:
-        return MODE_ALIASES[config.mode]
-    return OBSERVATION_FEEDBACK if config.info == INFO_PARTIAL else STATE_FEEDBACK
+    return MODE_ALIASES[config.mode] if config.mode is not None else STATE_FEEDBACK
 
 
 def _initial_control(config: RunConfig, problem) -> RelaxedControl:
@@ -270,7 +274,6 @@ def _cmd_optimize(config: RunConfig) -> int:
         max_iters=config.max_iters,
         tol=config.tol,
         seed=config.seed,
-        info_mode=config.info,
         threads=config.threads,
     )
     result = optimize(p, u, params)
@@ -288,7 +291,7 @@ def _cmd_certify(config: RunConfig) -> int:
     noise = sample_noise(p, config.M, config.N, config.seed)
     paths = simulate(p, u, noise, threads=config.threads)
     adj = solve_bsde(p, paths, u)
-    fld = hamiltonian_field(p, paths, adj, config.info)
+    fld = hamiltonian_field(adj)
     gap, per_step = smp_gap(fld, u)
     passed = gap <= config.tol
     print(f"smp_gap {gap!r} tol {config.tol!r} passed {passed}")

@@ -8,34 +8,30 @@ set of relaxed controls: candidates are one-hot (extreme-point) controls,
 iterates move by convex mixing under a halving line search on common random
 numbers, and the nonnegative Hamiltonian excess of the current control
 certifies optimality when it vanishes.  The backward sweep (`solve_bsde`)
-already sums the atom Hamiltonians over the cells, so the field is those
-sums divided by the cell occupancy; it evaluates no coefficient.
+already sums the atom Hamiltonians over the cells of the control it was
+solved under, so the field is built from the adjoint alone: those sums
+divided by the cell occupancy, on that control's cells.  It evaluates no
+coefficient.
+
+The information the Hamiltonian is conditioned on is the control's own:
+one cell per step for an open-loop control, state or observation cells for
+feedback.  Partial information is an observation-feedback control.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .adjoint import AdjointEnsemble, BasisSpec, solve_bsde
-from .control import (
-    OBSERVATION_FEEDBACK,
-    OPEN_LOOP,
-    CellPartition,
-    ControlGrid,
-    RegularControl,
-    RelaxedControl,
-    mix,
-)
+from .control import ControlGrid, RegularControl, RelaxedControl, mix
 from .errors import DomainError, ShapeMismatch
-from .forward import PathEnsemble, pathwise_cost, sample_noise, simulate
+from .forward import pathwise_cost, sample_noise, simulate
 from .problem import Problem, atom_hamiltonians, contract_atoms
 
-INFO_FULL = "full"
-INFO_PARTIAL = "partial"
 LINE_SEARCH_FLOOR = 10  # smallest line-search step is 2**-LINE_SEARCH_FLOOR
 
 
@@ -54,21 +50,17 @@ class HamiltonianField:
     """Hamiltonian conditioned on the feedback cells of a control.
 
     cell_values[k, c, i] averages the pathwise Hamiltonian at atom i over the
-    occupancy[k, c] paths in feedback cell c at step k (an empty cell takes
-    the values of its nearest occupied cell): the adjoint's
+    occupancy[k, c] paths in feedback cell c of control at step k (an empty
+    cell takes the values of its nearest occupied cell): the adjoint's
     hamiltonian_sums divided by its occupancy, which the field shares.
-    Pathwise values are not kept; `hamiltonian` with one-hot weights gives
-    them.  Partial info_mode only checks that the control uses observation
-    feedback, whose cells full mode conditions on too, so both modes give
-    the same cell values.
+    control is the relaxed control the adjoint was solved under; its grid and
+    feedback structure are the field's.  Pathwise values are not kept;
+    `hamiltonian` with one-hot weights gives them.
     """
 
     cell_values: np.ndarray  # (N, C, K)
     occupancy: np.ndarray  # (N, C)
-    info_mode: str
-    grid: ControlGrid
-    feedback_mode: str
-    feedback: CellPartition | None
+    control: RelaxedControl
     dt: float
 
 
@@ -85,32 +77,18 @@ def _nearest_nonempty(cell_values_k, counts_k, centers):
         cell_values_k[c] = cell_values_k[occupied[int(np.argmin(d))]]
 
 
-def hamiltonian_field(
-    p: Problem,
-    base: PathEnsemble,
-    adjoint: AdjointEnsemble,
-    info_mode: str = INFO_FULL,
-) -> HamiltonianField:
+def hamiltonian_field(adjoint: AdjointEnsemble) -> HamiltonianField:
     """Average the Hamiltonian at every grid atom over the feedback cells of
-    the control in force.
+    the control the adjoint was solved under.
 
     Cells are the control's own information: one cell per step for open-loop
-    controls, state or observation cells for feedback; partial mode requires
-    observation feedback.  solve_bsde already binned the atom Hamiltonians
-    on these cells, so the field divides its sums by the occupancy and fills
-    empty cells; it makes no coefficient call (p is not evaluated) and does
-    not walk the paths.
+    controls, state or observation cells for feedback.  solve_bsde already
+    binned the atom Hamiltonians on these cells, so the field divides its
+    sums by the occupancy and fills empty cells; it makes no coefficient
+    call and does not walk the paths.
     """
-    u0 = base.control_used
-    if not isinstance(u0, RelaxedControl):
-        raise ShapeMismatch("the ensemble must be driven by a relaxed control")
-    if info_mode == INFO_PARTIAL and u0.feedback_mode != OBSERVATION_FEEDBACK:
-        raise DomainError("partial information needs an observation-feedback control")
-    if info_mode not in (INFO_FULL, INFO_PARTIAL):
-        raise DomainError(f"unknown info mode {info_mode!r}")
+    u0 = adjoint.base.control_used
     sums, occupancy = adjoint.hamiltonian_sums, adjoint.occupancy
-    if sums.shape != u0.weights.shape:
-        raise ShapeMismatch("the adjoint was binned on other cells than the ensemble's control")
     centers = u0.feedback.centers() if u0.feedback is not None else None
 
     cell_values = np.zeros(sums.shape)
@@ -119,7 +97,7 @@ def hamiltonian_field(
         cell_values[k, nonzero] = sums[k, nonzero] / counts[nonzero, None]
         _nearest_nonempty(cell_values[k], counts, centers)
     cell_values.setflags(write=False)
-    return HamiltonianField(cell_values, occupancy, info_mode, u0.grid, u0.feedback_mode, u0.feedback, base.dt)
+    return HamiltonianField(cell_values, occupancy, u0, adjoint.base.dt)
 
 
 def pointwise_argmin(field: HamiltonianField) -> RelaxedControl:
@@ -130,10 +108,10 @@ def pointwise_argmin(field: HamiltonianField) -> RelaxedControl:
     """
     idx = np.argmin(field.cell_values, axis=2)  # (N, C)
     N, C = idx.shape
-    w = np.zeros((N, C, field.grid.K))
+    w = np.zeros(field.cell_values.shape)
     k_ix, c_ix = np.meshgrid(np.arange(N), np.arange(C), indexing="ij")
     w[k_ix, c_ix, idx] = 1.0
-    return RelaxedControl(field.grid, w, field.feedback_mode, field.feedback)
+    return replace(field.control, weights=w)
 
 
 def smp_gap(field: HamiltonianField, u0: RelaxedControl) -> tuple[float, np.ndarray]:
@@ -142,22 +120,12 @@ def smp_gap(field: HamiltonianField, u0: RelaxedControl) -> tuple[float, np.ndar
     Per (step, cell): the cell Hamiltonian paired with u0's weights minus the
     cell minimum, weighted by cell occupancy; summed over cells and steps with
     the time step.  Nonnegative by construction; zero exactly at the
-    pointwise argmin of the field.
+    pointwise argmin of the field.  u0 must share the structure of the
+    field's control (grid, steps, feedback mode and partition).
     """
-    N, C, K = field.cell_values.shape
-    if not np.array_equal(u0.grid.points, field.grid.points):
-        raise ShapeMismatch("control and field use different grids")
-    if u0.feedback_mode == field.feedback_mode:
-        w = u0.weights
-        if w.shape != (N, C, K):
-            raise ShapeMismatch("control weights do not match the field cells")
-        if u0.feedback is not None and not u0.feedback.matches(field.feedback):
-            raise ShapeMismatch("control and field bin their feedback differently")
-    elif u0.feedback_mode == OPEN_LOOP:
-        w = np.broadcast_to(u0.weights, (N, C, K))
-    else:
-        raise ShapeMismatch("control feedback structure does not match the field")
-    paired = np.einsum("kci,kci->kc", field.cell_values, w)
+    if not u0.same_structure(field.control):
+        raise ShapeMismatch("control and field resolve different cells")
+    paired = np.einsum("kci,kci->kc", field.cell_values, u0.weights)
     excess = paired - field.cell_values.min(axis=2)
     weight = field.occupancy / np.maximum(field.occupancy.sum(axis=1, keepdims=True), 1)
     per_step = np.einsum("kc,kc->k", excess, weight)
@@ -209,7 +177,6 @@ class OptimizeParams:
     max_iters: int = 50
     tol: float = 1e-3
     seed: int = 0
-    info_mode: str = INFO_FULL
     basis: BasisSpec = field(default_factory=BasisSpec)
     threads: int = 1
 
@@ -247,7 +214,7 @@ def optimize(p: Problem, u_init: RelaxedControl, params: OptimizeParams) -> Opti
         J = float(costs.mean())
         se = float(costs.std(ddof=1) / np.sqrt(len(costs)))
         # the adjoint is dropped as soon as the field is binned from it
-        fld = hamiltonian_field(p, paths, solve_bsde(p, paths, u, params.basis), params.info_mode)
+        fld = hamiltonian_field(solve_bsde(p, paths, u, params.basis))
         gap, _ = smp_gap(fld, u)
         rec = IterateRecord(u, J, se, gap)
         iterates.append(rec)

@@ -43,10 +43,7 @@ def _make_field(cell_values, grid):
     return HamiltonianField(
         cell_values=cell_values,
         occupancy=np.ones((N, C), dtype=np.int64),
-        info_mode=rsmp.INFO_FULL,
-        grid=grid,
-        feedback_mode=rsmp.OPEN_LOOP,
-        feedback=None,
+        control=RelaxedControl(grid, np.full(cell_values.shape, 1.0 / grid.K)),
         dt=0.25,
     )
 
@@ -364,8 +361,7 @@ def test_criterion_9_partial_information(lq_full_run, riccati):
     u0 = RelaxedControl(grid, np.full((N, 2, grid.K), 1.0 / grid.K),
                         rsmp.OBSERVATION_FEEDBACK, part)
     params = rsmp.OptimizeParams(M=20_000, N=N, max_iters=40,
-                                 tol=1e-3 * riccati.optimal_cost, seed=42,
-                                 info_mode=rsmp.INFO_PARTIAL)
+                                 tol=1e-3 * riccati.optimal_cost, seed=42)
     res = rsmp.optimize(p, u0, params)
     final = res.iterates[-1]
     gap_ok = final.smp_gap <= 1e-3 * abs(final.cost)

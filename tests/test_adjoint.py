@@ -422,7 +422,7 @@ class TestPairingContraction:
         var = rsmp.simulate_variational(p, base, u, u0)
         counted, calls = counting_problem(p)
         rsmp.adjoint_pairing(counted, base, u0, u, adj)
-        rsmp.hamiltonian_field(counted, base, adj, rsmp.INFO_FULL)
+        rsmp.hamiltonian_field(adj)
         assert calls == {}
         rsmp.response_functional(counted, base, u0, var)
         assert calls == {"phi_x": 1}
@@ -440,6 +440,24 @@ class TestPairingContraction:
         adj = rsmp.solve_bsde(p, base, u0)
         with pytest.raises(ShapeMismatch):
             rsmp.adjoint_pairing(p, base, u0, u, adj)
+
+    def test_adjoint_of_another_base_rejected(self):
+        # an adjoint solved on u0's ensemble paired along an ensemble simulated
+        # under u1 (or along its own ensemble but named under u1) is refused
+        p = rsmp.make_benchmark("lq1d")
+        grid = rsmp.benchmark_grid("lq1d", 5)
+        N = 4
+        u0 = rsmp.constant_control(grid, N)
+        u1 = rsmp.constant_control(grid, N, np.eye(grid.K)[0])
+        noise = rsmp.sample_noise(p, 200, N, seed=60)
+        base_u0, base_u1 = rsmp.simulate(p, u0, noise), rsmp.simulate(p, u1, noise)
+        adj_u0 = rsmp.solve_bsde(p, base_u0, u0)
+        assert adj_u0.base is base_u0
+        with pytest.raises(ShapeMismatch):
+            rsmp.adjoint_pairing(p, base_u1, u1, u0, adj_u0)
+        with pytest.raises(ShapeMismatch):
+            rsmp.adjoint_pairing(p, base_u0, u1, u0, adj_u0)
+        assert np.isfinite(rsmp.adjoint_pairing(p, base_u0, u0, u1, adj_u0))
 
     def test_sums_are_read_only_cell_tensors(self):
         p = rsmp.make_benchmark("jump-lq")

@@ -27,6 +27,29 @@ class TestConfig:
         with pytest.raises(Exception):
             RunConfig(command="simulate", M=0)
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("mode", "bogus"), ("M", 50.5), ("N", 4.0), ("K", 2.5), ("out", 5), ("seed", 1.5),
+         ("M", True), ("max_iters", "3"), ("control", 5), ("bench", 7), ("tol", "0.1"), ("formats", 5)],
+    )
+    def test_mistyped_config_value_is_config_error(self, tmp_path, capsys, key, value):
+        doc = {"command": "simulate", "bench": "lq1d", "M": 50, "N": 4, "K": 3, "seed": 1, key: value}
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(tmp_path / "c.json")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        with pytest.raises(DomainError):
+            RunConfig(**doc)
+
+    def test_unknown_config_key_is_named(self, tmp_path, capsys):
+        # configs written while the CLI had an info setting carry that key
+        doc = {"command": "simulate", "bench": "lq1d", "M": 50, "N": 4, "seed": 1, "info": "full"}
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(tmp_path / "c.json")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: unknown config key(s) ['info']\n"
+        with pytest.raises(DomainError, match=r"unknown config key\(s\) \['info'\]"):
+            RunConfig.from_json(json.dumps(doc))
+
 
 class TestDescribe:
     def test_prints_constants(self, capsys):

@@ -52,7 +52,7 @@ def test_field_keeps_only_its_cell_tensor(lq1d):
     p, u = lq1d
     base = rsmp.simulate(p, u, rsmp.sample_noise(p, M, N, seed=4))
     adj = rsmp.solve_bsde(p, base, u)
-    fld, retained, peak = traced(lambda: rsmp.hamiltonian_field(p, base, adj, rsmp.INFO_FULL))
+    fld, retained, peak = traced(lambda: rsmp.hamiltonian_field(adj))
     for f in dataclasses.fields(fld):
         value = getattr(fld, f.name)
         if isinstance(value, np.ndarray):

@@ -63,10 +63,7 @@ def test_smp_gap_is_nonnegative_and_zero_at_the_argmin(seed, K, N, C, scale):
     field = HamiltonianField(
         cell_values=cell_values,
         occupancy=occupancy,
-        info_mode=rsmp.INFO_FULL,
-        grid=grid,
-        feedback_mode=u0.feedback_mode,
-        feedback=u0.feedback,
+        control=u0,
         dt=0.1,
     )
     gap, per_step = rsmp.smp_gap(field, u0)

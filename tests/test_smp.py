@@ -18,10 +18,7 @@ def toy_field(cell_values, dt=1.0, grid=None, feedback_mode=rsmp.OPEN_LOOP, feed
     return HamiltonianField(
         cell_values=cell_values,
         occupancy=occupancy,
-        info_mode=rsmp.INFO_FULL,
-        grid=grid,
-        feedback_mode=feedback_mode,
-        feedback=feedback,
+        control=RelaxedControl(grid, np.full((N, C, K), 1.0 / K), feedback_mode, feedback),
         dt=dt,
     )
 
@@ -133,7 +130,7 @@ class TestSmpGap:
 
     def test_single_step_arithmetic(self):
         field = toy_field([[[0.0, 1.0]]], dt=1.0)
-        grid = field.grid
+        grid = field.control.grid
         u = RelaxedControl(grid, np.array([[[0.0, 1.0]]]))
         gap, _ = rsmp.smp_gap(field, u)
         assert gap == pytest.approx(1.0, abs=0)
@@ -144,7 +141,7 @@ class TestSmpGap:
             field = toy_field(rng.standard_normal((4, 1, 3)))
             w = rng.uniform(0.01, 1.0, (4, 1, 3))
             w /= w.sum(axis=-1, keepdims=True)
-            gap, per_step = rsmp.smp_gap(field, RelaxedControl(field.grid, w))
+            gap, per_step = rsmp.smp_gap(field, RelaxedControl(field.control.grid, w))
             assert gap >= 0.0
             assert np.all(per_step >= 0.0)
 
@@ -160,6 +157,13 @@ class TestSmpGap:
         with _pytest.raises(rsmp.ShapeMismatch):
             rsmp.smp_gap(field, u)
 
+    def test_open_loop_control_on_feedback_field_rejected(self):
+        grid = ControlGrid([[0.0], [1.0]], [[0.0, 1.0]])
+        part = CellPartition([[-1.0, 1.0]], (2,))
+        field = toy_field(np.zeros((3, 2, 2)), grid=grid, feedback_mode=rsmp.STATE_FEEDBACK, feedback=part)
+        with pytest.raises(rsmp.ShapeMismatch):
+            rsmp.smp_gap(field, RelaxedControl(grid, np.full((3, 1, 2), 0.5)))
+
 
 class TestHamiltonianField:
     def test_single_cell_partial_equals_path_average(self):
@@ -171,9 +175,7 @@ class TestHamiltonianField:
         u = RelaxedControl(grid, w, rsmp.OBSERVATION_FEEDBACK, part)
         base = rsmp.simulate(p, u, rsmp.sample_noise(p, 500, N, seed=5))
         adj = rsmp.solve_bsde(p, base, u)
-        fld = rsmp.hamiltonian_field(p, base, adj, rsmp.INFO_PARTIAL)
-        full = rsmp.hamiltonian_field(p, base, adj, rsmp.INFO_FULL)
-        assert np.array_equal(fld.cell_values, full.cell_values)
+        fld = rsmp.hamiltonian_field(adj)
         one_hot = np.eye(grid.K)
         for k in range(N):
             for i in range(grid.K):
@@ -181,13 +183,25 @@ class TestHamiltonianField:
                                           adj.psi_cont[:, k], adj.Q[:, k], None, one_hot[i])
                 assert abs(fld.cell_values[k, 0, i] - direct.mean()) <= 1e-12
 
+    def test_field_control_is_the_adjoint_control(self):
+        p = rsmp.make_benchmark("lq1d")
+        part = rsmp.benchmark_partition("lq1d", rsmp.STATE_FEEDBACK, cells=4)
+        grid = rsmp.benchmark_grid("lq1d", 5)
+        u = RelaxedControl(grid, np.full((4, part.n_cells, grid.K), 1.0 / grid.K), rsmp.STATE_FEEDBACK, part)
+        base = rsmp.simulate(p, u, rsmp.sample_noise(p, 200, 4, seed=7))
+        fld = rsmp.hamiltonian_field(rsmp.solve_bsde(p, base, u))
+        assert fld.control is base.control_used
+        assert fld.dt == base.dt
+        cand = rsmp.pointwise_argmin(fld)
+        assert cand.same_structure(u) and cand.feedback is part
+
     def test_single_atom_field_is_pathwise_hamiltonian(self):
         p = rsmp.make_benchmark("lq1d")
         grid = ControlGrid([[0.2]], p.control_box)
         u = rsmp.constant_control(grid, 6)
         base = rsmp.simulate(p, u, rsmp.sample_noise(p, 200, 6, seed=6))
         adj = rsmp.solve_bsde(p, base, u)
-        fld = rsmp.hamiltonian_field(p, base, adj, rsmp.INFO_FULL)
+        fld = rsmp.hamiltonian_field(adj)
         assert fld.cell_values.shape == (6, 1, 1)
         assert np.array_equal(fld.occupancy, np.full((6, 1), 200))
         k = 3
@@ -219,7 +233,7 @@ class TestHamiltonianField:
     )
     def test_field_values_equal_one_hot_hamiltonian(self, name, mode):
         p, grid, base, adj = self.seeded_field_inputs(name, mode)
-        fld = rsmp.hamiltonian_field(p, base, adj, rsmp.INFO_FULL)
+        fld = rsmp.hamiltonian_field(adj)
         u = base.control_used
         C = u.n_cells
         one_hot = np.eye(grid.K)
@@ -235,10 +249,6 @@ class TestHamiltonianField:
                                           adj.psi_cont[:, k], adj.Q[:, k], phik, one_hot[i])
                 means = np.bincount(cells, weights=direct, minlength=C)[occupied] / counts[occupied]
                 assert np.array_equal(means, fld.cell_values[k, occupied, i])
-        if mode == rsmp.OBSERVATION_FEEDBACK:
-            partial = rsmp.hamiltonian_field(p, base, adj, rsmp.INFO_PARTIAL)
-            assert np.array_equal(partial.cell_values, fld.cell_values)
-            assert np.array_equal(partial.occupancy, fld.occupancy)
 
     @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
     def test_field_evaluates_each_coefficient_once_per_atom_and_step(self, name):
@@ -263,7 +273,7 @@ class TestHamiltonianField:
             expected["C"] = grid.K * p.jump.J * base.n_steps
         assert calls == expected
         calls.clear()
-        fld = rsmp.hamiltonian_field(wrapped, base, adj, rsmp.INFO_FULL)
+        fld = rsmp.hamiltonian_field(adj)
         assert calls == {}
         assert fld.cell_values.shape == (base.n_steps, base.control_used.n_cells, grid.K)
 
@@ -294,7 +304,7 @@ class TestHamiltonianField:
         u = res.final_control
         base = rsmp.simulate(p, u, rsmp.sample_noise(p, M, N, seed=8))
         adj = rsmp.solve_bsde(p, base, u)
-        fld = rsmp.hamiltonian_field(p, base, adj, rsmp.INFO_FULL)
+        fld = rsmp.hamiltonian_field(adj)
         cand = rsmp.pointwise_argmin(fld)
         atoms = grid.points[:, 0]
         centers = part.centers()[:, 0]
