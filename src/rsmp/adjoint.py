@@ -9,7 +9,9 @@ by cross-sectional polynomial regression over the path ensemble:
 
 Regressed (fitted) values are propagated backward, so every stored process is
 a function of the Markov state at its own step.  The terminal adjoint state
-is set exactly from the terminal cost gradient.
+is set exactly from the terminal cost gradient.  The processes keep their
+(M, steps, ...) shapes but are stored step-major, like the states and noise
+they are regressed on, so each step's slice [:, k] is one contiguous run.
 
 While it holds a step's adjoint values the sweep also forms the pathwise
 Hamiltonian at every control atom and sums it, with and without the running
@@ -35,7 +37,7 @@ import numpy as np
 
 from .control import RelaxedControl
 from .errors import DomainError, NonFiniteCoefficient, ShapeMismatch, SingularRegression
-from .forward import PathEnsemble, step_cells
+from .forward import PathEnsemble, _step_major, step_cells
 from .problem import (
     Problem,
     atom_hamiltonians,
@@ -159,10 +161,10 @@ class AdjointEnsemble:
     relaxed control u0 on whose cells the sums are binned.
     """
 
-    psi: np.ndarray  # (M, N+1, n)
-    psi_cont: np.ndarray  # (M, N, n)
-    Q: np.ndarray  # (M, N, n, m)
-    phi: np.ndarray | None  # (M, N, J, n)
+    psi: np.ndarray  # (M, N+1, n), step-major
+    psi_cont: np.ndarray  # (M, N, n), step-major
+    Q: np.ndarray  # (M, N, n, m), step-major
+    phi: np.ndarray | None  # (M, N, J, n), step-major
     conditioning: list
     hamiltonian_sums: np.ndarray  # (N, C, K)
     pairing_sums: np.ndarray  # (N, C, K)
@@ -250,10 +252,10 @@ def solve_bsde(
     J = p.jump.J if p.jump is not None else 0
     C, K = u0.n_cells, u0.grid.K
 
-    psi = np.empty((M, N + 1, n))
-    psi_cont = np.empty((M, N, n))
-    Q = np.empty((M, N, n, m))
-    phi = np.empty((M, N, J, n)) if J else None
+    psi = _step_major(M, N + 1, (n,))
+    psi_cont = _step_major(M, N, (n,))
+    Q = _step_major(M, N, (n, m))
+    phi = _step_major(M, N, (J, n)) if J else None
     hamiltonian_sums = np.empty((N, C, K))
     pairing_sums = np.empty((N, C, K))
     occupancy = np.empty((N, C), dtype=np.int64)

@@ -74,6 +74,8 @@ class RunConfig:
                 raise DomainError(f"{name} must be an integer, got {value!r}")
         if min(self.M, self.N, self.K, self.cells, self.refinement) < 1:
             raise DomainError("counts must be positive")
+        if self.threads < 1:
+            raise DomainError(f"threads must be a positive worker cap, got {self.threads!r}")
         for name, optional in (("bench", False), ("out", True), ("control", True)):
             value = getattr(self, name)
             if not isinstance(value, str) and not (optional and value is None):

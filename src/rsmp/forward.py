@@ -4,12 +4,17 @@ All randomness is pre-drawn into a NoiseEnsemble from counter-based Philox
 substreams (Salmon et al., SC'11).  Paths are split into fixed blocks of
 _BLOCK paths; each block draws each noise kind (initial normals, Brownian
 increments, jump counts) from its own substream, whose counter encodes
-(block index, kind), in one vectorized path-major call.  Path i's noise is
+(block index, kind), path-major.  Path i's noise is
 therefore a function of (seed, i) alone: an ensemble of M1 paths is the row
 prefix of one of M2 > M1 paths, and a simulation is a pure function of
 (problem, control, noise), bit-identical for any worker count.  Jumps use a
 finite atomic jump measure; each step applies the event counts minus their
 compensator at the left endpoint.
+Every per-step array (noise, states, and the variational and adjoint
+sweeps' outputs) keeps its public shape (M, steps, ...) but is stored
+step-major, so the slice arr[:, k] that a sweep reads or writes at step k is
+one contiguous run; `np.ascontiguousarray(arr)` gives the path-major C
+layout with the same values.
 `simulate` is the only walk over a control: it records the running cost
 from the weights or values it resolves, and `pathwise_cost` adds the
 terminal cost to that record.
@@ -37,11 +42,33 @@ from .problem import (
 
 BLOWUP_GUARD = 1e9
 _BLOCK = 8192  # fixed path block size; keeps results independent of worker count
+# Brownian draws go through one 128 KB buffer, a few rows of a block at a
+# time, so storing them step-major adds no block-sized temporary to the noise.
+_DRAW_FLOATS = 16384
 # Version of the noise stream layout: bump it whenever any draw changes, so a
 # replayed configuration cannot silently get different bytes.  Version 1 drew
 # one Philox substream per path; version 2 one per (path block, noise kind).
 STREAM_VERSION = 2
 _KIND_INITIAL, _KIND_BROWNIAN, _KIND_JUMPS = range(3)
+
+
+def _step_major(M: int, steps: int, tail: tuple = (), dtype=float) -> np.ndarray:
+    """Uninitialized (M, steps, *tail) array stored step-major, so that
+    arr[:, k] is one contiguous (M, *tail) run."""
+    return np.empty((steps, M, *tail), dtype=dtype).swapaxes(0, 1)
+
+
+def _sum_steps(arr: np.ndarray, factor: int) -> np.ndarray:
+    """Sums over runs of `factor` consecutive steps of an (M, N, ...) array,
+    stored step-major.  Each block of paths is summed on a path-major copy,
+    so every sum is added in the order of the C-layout reshape-sum, bit for
+    bit (numpy adds pairwise along a contiguous axis, in sequence otherwise)."""
+    M, N, *tail = arr.shape
+    out = _step_major(M, N // factor, tuple(tail), arr.dtype)
+    for s in range(0, M, _BLOCK):
+        block = np.ascontiguousarray(arr[s : s + _BLOCK])
+        out[s : s + _BLOCK] = block.reshape(len(block), N // factor, factor, *tail).sum(axis=2)
+    return out
 
 
 @dataclass(frozen=True)
@@ -54,7 +81,10 @@ class NoiseEnsemble:
     Paths fall into fixed blocks of _BLOCK; block b draws each noise kind from
     its own Philox substream with counter (b, kind), path-major, so path i's
     draws depend on (seed, i) alone and a smaller ensemble of the same seed is
-    a row prefix of a larger one.  stream_version names this layout.
+    a row prefix of a larger one.  stream_version names this draw order.
+    dW and jump_counts are stored step-major (dW[:, k] is contiguous); the
+    storage order is not part of the stream, and a path-major copy such as
+    `np.ascontiguousarray(dW)` drives every sweep to the same bits.
     """
 
     M: int
@@ -77,16 +107,13 @@ class NoiseEnsemble:
 
     def coarsen(self, factor: int) -> "NoiseEnsemble":
         """Aggregate to a grid coarser by `factor`: increments and counts sum
-        over consecutive fine steps, so the same driving paths are reused."""
+        over consecutive fine steps, so the same driving paths are reused.
+        The result is stored step-major, like the noise it coarsens."""
         if self.N % factor != 0:
             raise DomainError("factor must divide the step count")
-        Nc = self.N // factor
-        dW = self.dW.reshape(self.M, Nc, factor, self.m).sum(axis=2)
-        counts = None
-        if self.jump_counts is not None:
-            J = self.jump_counts.shape[2]
-            counts = self.jump_counts.reshape(self.M, Nc, factor, J).sum(axis=2)
-        return replace(self, N=Nc, dt=self.dt * factor, dW=dW, jump_counts=counts)
+        dW = _sum_steps(self.dW, factor)
+        counts = None if self.jump_counts is None else _sum_steps(self.jump_counts, factor)
+        return replace(self, N=self.N // factor, dt=self.dt * factor, dW=dW, jump_counts=counts)
 
 
 def _substream(seed: int, block: int, kind: int) -> Generator:
@@ -98,11 +125,14 @@ def _substream(seed: int, block: int, kind: int) -> Generator:
 def sample_noise(p: Problem, M: int, N: int, seed: int) -> NoiseEnsemble:
     """Draw the full noise ensemble for M paths on an N-step grid.
 
-    Each block of _BLOCK paths fills its rows of every array with one
-    vectorized call per noise kind (initial-state normals if stochastic,
-    Brownian increments, Poisson event counts per mark), each from its own
-    substream, so the same seed always reproduces the same ensemble bit for
-    bit and the draws do not depend on the order in which blocks are drawn.
+    Each block of _BLOCK paths draws every noise kind (initial-state normals
+    if stochastic, Brownian increments, Poisson event counts per mark)
+    path-major from its own substream, so the same seed always reproduces the
+    same ensemble bit for bit and the draws do not depend on the order in
+    which blocks are drawn.  A block's increments are drawn a few rows at a
+    time into one small reused buffer and copied, scaled, into the
+    step-major dW; successive draws continue the block's substream, so the
+    values are those of one call for the whole block.
     """
     if M < 1 or N < 1:
         raise DomainError("M and N must be positive")
@@ -110,16 +140,21 @@ def sample_noise(p: Problem, M: int, N: int, seed: int) -> NoiseEnsemble:
         raise DomainError("seed must lie in [0, 2**128), the Philox key range")
     dt = p.T / N
     sqrt_dt = np.sqrt(dt)
-    dW = np.empty((M, N, p.m))
+    dW = _step_major(M, N, (p.m,))
     z0 = np.empty((M, p.n)) if isinstance(p.x0, GaussianInitial) else None
-    counts = np.empty((M, N, p.jump.J), dtype=np.int64) if p.jump is not None else None
+    counts = _step_major(M, N, (p.jump.J,), np.int64) if p.jump is not None else None
+    rows = max(1, _DRAW_FLOATS // (N * p.m))
+    draws = np.empty((min(M, _BLOCK, rows), N, p.m))  # Philox fills only a C-contiguous out=
     for b, s in enumerate(range(0, M, _BLOCK)):
         e = min(s + _BLOCK, M)
         if z0 is not None:
             _substream(seed, b, _KIND_INITIAL).standard_normal((e - s, p.n), out=z0[s:e])
-        block_dW = dW[s:e]
-        _substream(seed, b, _KIND_BROWNIAN).standard_normal((e - s, N, p.m), out=block_dW)
-        block_dW *= sqrt_dt
+        brownian = _substream(seed, b, _KIND_BROWNIAN)
+        for r in range(s, e, rows):
+            chunk = draws[: min(rows, e - r)]
+            brownian.standard_normal(chunk.shape, out=chunk)
+            chunk *= sqrt_dt
+            dW[r : r + len(chunk)] = chunk
         if counts is not None:
             counts[s:e] = _substream(seed, b, _KIND_JUMPS).poisson(p.jump.intensities * dt, (e - s, N, p.jump.J))
     for arr in (dW, counts, z0):
@@ -134,7 +169,7 @@ class PathEnsemble:
     the left-endpoint quadrature of `problem`'s running cost under
     `control_used` along each path, recorded by `simulate` (read-only)."""
 
-    states: np.ndarray  # (M, N+1, n)
+    states: np.ndarray  # (M, N+1, n), step-major
     noise: NoiseEnsemble
     control_used: object
     problem: Problem
@@ -251,8 +286,11 @@ def simulate(p: Problem, u, noise: NoiseEnsemble, threads: int = 1) -> PathEnsem
     at step k; jump events apply at the left endpoint of their step together
     with the intensity compensator; the running cost at the same weights or
     values accumulates into running_cost.  Paths are advanced in fixed-size
-    blocks so the result does not depend on the worker count.
+    blocks so the result does not depend on the worker count `threads`, which
+    must be at least 1 (DomainError otherwise).
     """
+    if threads < 1:
+        raise DomainError(f"threads must be a positive worker cap, got {threads!r}")
     if noise.m != p.m:
         raise ShapeMismatch("noise Brownian dimension does not match the problem")
     if p.jump is not None and (noise.jump_counts is None or noise.jump_counts.shape[2] != p.jump.J):
@@ -260,7 +298,7 @@ def simulate(p: Problem, u, noise: NoiseEnsemble, threads: int = 1) -> PathEnsem
     grid = u.grid if isinstance(u, RelaxedControl) else None
     if isinstance(u, RelaxedControl) and u.time_steps != noise.N:
         raise ShapeMismatch("control and noise disagree on step count")
-    states = np.empty((noise.M, noise.N + 1, p.n))
+    states = _step_major(noise.M, noise.N + 1, (p.n,))
     states[:, 0] = p.initial_states(noise.M, noise.initial_normals)
     running = np.zeros(noise.M)
     blocks = [slice(s, min(s + _BLOCK, noise.M)) for s in range(0, noise.M, _BLOCK)]

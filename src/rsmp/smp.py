@@ -187,6 +187,8 @@ class OptimizeParams:
             raise DomainError("optimize needs at least 2 paths (M >= 2)")
         if self.max_iters < 0:
             raise DomainError("max_iters must be nonnegative")
+        if self.threads < 1:
+            raise DomainError(f"threads must be a positive worker cap, got {self.threads!r}")
         if not np.isfinite(self.tol) or self.tol < 0:
             raise DomainError(f"tol must be finite and nonnegative, got {self.tol!r}")
 

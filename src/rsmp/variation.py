@@ -8,7 +8,8 @@ machinery.  The sweep records both parts of that derivative per step while it
 holds the step's states and weights (the running-cost gradient paired with
 y_k, and the running cost of the weight difference), so `response_functional`
 and `gateaux` read the record and evaluate no coefficient beyond the one
-terminal gradient.
+terminal gradient.  The variational states are stored step-major, like the
+base states and noise, so each step reads and writes contiguous [:, k] slices.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .control import RelaxedControl
 from .errors import NonFiniteCoefficient, ShapeMismatch
-from .forward import PathEnsemble, guard_step, step_weights
+from .forward import PathEnsemble, _step_major, guard_step, step_weights
 from .problem import (
     Problem,
     averaged_diffusion,
@@ -40,7 +41,7 @@ class VariationEnsemble:
     response_terms[k] = dt * mean(l_x(w0) . y_k) and
     direct_terms[k] = dt * mean(l(w - w0))."""
 
-    y: np.ndarray  # (M, N+1, n)
+    y: np.ndarray  # (M, N+1, n), step-major
     u: RelaxedControl
     u0: RelaxedControl
     base: PathEnsemble
@@ -68,7 +69,8 @@ def simulate_variational(
     M, N, dt = base.M, base.n_steps, base.dt
     grid = u0.grid
     lam = p.jump.intensities if p.jump is not None else None
-    y = np.zeros((M, N + 1, p.n))
+    y = _step_major(M, N + 1, (p.n,))
+    y[:, 0] = 0.0
     response_terms = np.empty(N)
     direct_terms = np.empty(N)
     for k in range(N):

@@ -211,3 +211,26 @@ class TestThreadsEnv:
                      "--out", str(out)]) == EXIT_OK
         doc = json.loads(read(out / "config.json"))
         assert doc["threads"] == 2
+
+    @pytest.mark.parametrize("route", ["flag", "config", "env"])
+    def test_nonpositive_worker_cap_is_config_error(self, tmp_path, monkeypatch, capsys, route):
+        monkeypatch.delenv("RSMP_THREADS", raising=False)
+        out = tmp_path / "t"
+        argv = ["simulate", "--bench", "lq1d", "--M", "50", "--N", "4", "--seed", "1", "--out", str(out)]
+        if route == "flag":
+            argv += ["--threads", "0"]
+        elif route == "config":
+            (tmp_path / "c.json").write_text(json.dumps({"command": "simulate", "threads": 0, "stream_version": 2}))
+            argv += ["--config", str(tmp_path / "c.json")]
+        else:
+            monkeypatch.setenv("RSMP_THREADS", "-3")
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: threads must be a positive worker cap")
+        assert not out.exists()  # no config.json records the bad cap
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_nonpositive_worker_cap_is_domain_error(self, threads):
+        with pytest.raises(DomainError):
+            RunConfig(command="simulate", threads=threads)
+        with pytest.raises(DomainError):
+            OptimizeParams(M=50, N=4, threads=threads)

@@ -215,6 +215,13 @@ class TestSimulate:
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.running_cost, b.running_cost)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_nonpositive_worker_cap_is_domain_error(self, threads):
+        p = rsmp.make_benchmark("lq1d")
+        u = rsmp.constant_control(rsmp.benchmark_grid("lq1d"), 4)
+        with pytest.raises(rsmp.DomainError):
+            rsmp.simulate(p, u, rsmp.sample_noise(p, 10, 4, seed=1), threads=threads)
+
     def test_bit_identical_rerun(self):
         p = rsmp.make_benchmark("lq1d")
         u = rsmp.constant_control(rsmp.benchmark_grid("lq1d"), 8)

@@ -4,6 +4,8 @@ numpy reports its array buffers to tracemalloc, so the traced peak of a call
 is deterministic for fixed sizes.  Sizes: lq1d, M=4000 paths, N=32 steps,
 K=9 atoms, 16 state cells.  A field keeps only its (N, C, K) cell tensor and
 optimize holds one adjoint at a time, so both scale with M·N, not M·N·K.
+The noise is drawn through one small reused buffer into its step-major
+arrays, so it never holds a second full noise tensor.
 """
 
 import dataclasses
@@ -15,6 +17,7 @@ import pytest
 
 import rsmp
 from rsmp import RelaxedControl
+from rsmp.forward import _BLOCK, _DRAW_FLOATS
 
 M, N, K, CELLS = 4000, 32, 9, 16
 
@@ -60,3 +63,16 @@ def test_field_keeps_only_its_cell_tensor(lq1d):
     assert fld.cell_values.shape == (N, CELLS, K)
     assert retained - fld.cell_values.nbytes - fld.occupancy.nbytes < M * 8
     assert peak <= 3 * M * N * 8
+
+
+@pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
+def test_sample_noise_peak_is_its_outputs_plus_draw_buffers(name):
+    p = rsmp.make_benchmark(name)
+    paths = 2 * _BLOCK + 100  # three blocks, the last one short
+    noise, retained, peak = traced(lambda: rsmp.sample_noise(p, paths, N, seed=5))
+    outputs = sum(a.nbytes for a in (noise.dW, noise.jump_counts, noise.initial_normals) if a is not None)
+    # the reused Brownian draw buffer, and one block of jump counts: the
+    # array Generator.poisson returns (it has no out=)
+    buffers = 8 * _DRAW_FLOATS + (_BLOCK * N * p.jump.J * 8 if p.jump is not None else 0)
+    assert retained <= outputs + 64 * 1024
+    assert peak <= outputs + buffers + 64 * 1024
