@@ -38,14 +38,7 @@ import numpy as np
 from .control import RelaxedControl
 from .errors import DomainError, NonFiniteCoefficient, ShapeMismatch, SingularRegression
 from .forward import PathEnsemble, _step_major, step_cells
-from .problem import (
-    Problem,
-    atom_hamiltonians,
-    averaged_diffusion_x,
-    averaged_drift_x,
-    averaged_jump_x,
-    averaged_running_cost_x,
-)
+from .problem import Problem, atom_hamiltonians, averaged_diffusion_x, averaged_linearization
 from .variation import VariationEnsemble, response_functional
 
 COND_LIMIT = 1e12
@@ -186,8 +179,6 @@ def _regress_step(
     n, m = p.n, p.m
     J = p.jump.J if p.jump is not None else 0
     lam = p.jump.intensities if p.jump is not None else None
-    grid = u0.grid
-    t = k * dt
     x = base.states[:, k]
     cells, w0 = step_cells(base, u0, k)
     psi_next = psi[:, k + 1]
@@ -206,15 +197,12 @@ def _regress_step(
         phik = fitted[:, n + n * m :].reshape(M, J, n)
         phi[:, k] = phik
 
-    bx = averaged_drift_x(p, grid, t, x, w0)  # (M, n, n)
-    sx = averaged_diffusion_x(p, grid, t, x, w0)  # (M, n, m, n)
+    bx, sx, lx, cxs = averaged_linearization(p, u0.grid, k * dt, x, w0)
     drift = np.einsum("qij,qi->qj", bx, psi_next)
     drift += np.einsum("qab,qabl->ql", Qk, sx)
-    drift += averaged_running_cost_x(p, grid, t, x, w0)
-    if J:
-        for j in range(J):
-            cx = averaged_jump_x(p, grid, t, x, p.jump.marks[j], w0)
-            drift += lam[j] * np.einsum("qij,qi->qj", cx, phik[:, j])
+    drift += lx
+    for j, cx in enumerate(cxs):
+        drift += lam[j] * np.einsum("qij,qi->qj", cx, phik[:, j])
     fitted_psi, ortho_psi = _fit(Z, G, psi_next + drift * dt, k)
     psi[:, k] = fitted_psi
     psi_cont[:, k] = cont

@@ -49,7 +49,6 @@ class RunConfig:
     N: int = 32
     K: int = 9
     seed: int = 0
-    threads: int = 1
     tol: float = 1e-3
     max_iters: int = 25
     out: str | None = None
@@ -68,14 +67,12 @@ class RunConfig:
             )
         if self.seed is None:
             raise DomainError("a seed is mandatory; wall-clock seeding is not supported")
-        for name in ("M", "N", "K", "cells", "refinement", "threads", "seed", "max_iters"):
+        for name in ("M", "N", "K", "cells", "refinement", "seed", "max_iters"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
         if min(self.M, self.N, self.K, self.cells, self.refinement) < 1:
             raise DomainError("counts must be positive")
-        if self.threads < 1:
-            raise DomainError(f"threads must be a positive worker cap, got {self.threads!r}")
         for name, optional in (("bench", False), ("out", True), ("control", True)):
             value = getattr(self, name)
             if not isinstance(value, str) and not (optional and value is None):
@@ -103,7 +100,7 @@ class RunConfig:
 def _config_doc(text: str) -> dict:
     """Fields of a config JSON text.  A config without stream_version predates
     the key and was drawn with the per-path layout, version 1.  A key that is
-    not a RunConfig field (such as the removed info) is rejected."""
+    not a RunConfig field (such as the removed info or threads) is rejected."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise DomainError("config must be a JSON object")
@@ -132,7 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--N", type=int, help="time steps")
         sp.add_argument("--K", type=int, help="control grid size")
         sp.add_argument("--seed", type=int, help="master seed (mandatory, no wall-clock)")
-        sp.add_argument("--threads", type=int, help="worker cap (default from RSMP_THREADS)")
         sp.add_argument("--tol", type=float, help="optimizer gap tolerance")
         sp.add_argument("--max-iters", dest="max_iters", type=int, help="optimizer iteration cap")
         sp.add_argument("--out", help="output directory for artifacts")
@@ -150,14 +146,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         with open(args.config, encoding="utf-8") as fh:
             base = _config_doc(fh.read())
     base["command"] = args.command
-    for key in ("bench", "M", "N", "K", "seed", "threads", "tol", "max_iters", "out", "mode", "cells", "control", "refinement"):
+    for key in ("bench", "M", "N", "K", "seed", "tol", "max_iters", "out", "mode", "cells", "control", "refinement"):
         val = getattr(args, key, None)
         if val is not None:
             base[key] = val
     if getattr(args, "formats", None):
         base["formats"] = [f.strip() for f in args.formats.split(",") if f.strip()]
-    if "threads" not in base or base["threads"] is None:
-        base["threads"] = int(os.environ.get("RSMP_THREADS", "1"))
     return RunConfig(**base)
 
 
@@ -215,7 +209,7 @@ def _cmd_simulate(config: RunConfig) -> int:
     p = bench.make_benchmark(config.bench)
     u = _initial_control(config, p)
     noise = sample_noise(p, config.M, config.N, config.seed)
-    paths = simulate(p, u, noise, threads=config.threads)
+    paths = simulate(p, u, noise)
     estimate, std_error = cost(p, paths)
     print(f"cost {estimate!r} std_error {std_error!r}")
     _write_config(config)
@@ -238,7 +232,7 @@ def _cmd_adjoint(config: RunConfig) -> int:
     p = bench.make_benchmark(config.bench)
     u = _initial_control(config, p)
     noise = sample_noise(p, config.M, config.N, config.seed)
-    paths = simulate(p, u, noise, threads=config.threads)
+    paths = simulate(p, u, noise)
     adj = solve_bsde(p, paths, u)
     probe = _probe_direction(u, config.seed)
     var = simulate_variational(p, paths, probe, u)
@@ -270,14 +264,7 @@ def _cmd_adjoint(config: RunConfig) -> int:
 def _cmd_optimize(config: RunConfig) -> int:
     p = bench.make_benchmark(config.bench)
     u = _initial_control(config, p)
-    params = OptimizeParams(
-        M=config.M,
-        N=config.N,
-        max_iters=config.max_iters,
-        tol=config.tol,
-        seed=config.seed,
-        threads=config.threads,
-    )
+    params = OptimizeParams(M=config.M, N=config.N, max_iters=config.max_iters, tol=config.tol, seed=config.seed)
     result = optimize(p, u, params)
     last = result.iterates[-1]
     print(f"status {result.status} cost {last.cost!r} smp_gap {last.smp_gap!r}")
@@ -291,7 +278,7 @@ def _cmd_certify(config: RunConfig) -> int:
     p = bench.make_benchmark(config.bench)
     u = _initial_control(config, p)
     noise = sample_noise(p, config.M, config.N, config.seed)
-    paths = simulate(p, u, noise, threads=config.threads)
+    paths = simulate(p, u, noise)
     adj = solve_bsde(p, paths, u)
     fld = hamiltonian_field(adj)
     gap, per_step = smp_gap(fld, u)
@@ -314,12 +301,12 @@ def _cmd_chatter(config: RunConfig) -> int:
     u = _initial_control(config, p)
     refinement = config.refinement
     noise = sample_noise(p, config.M, config.N * refinement, config.seed)
-    relaxed_costs = pathwise_cost(p, simulate(p, refine_steps(u, refinement), noise, threads=config.threads))
+    relaxed_costs = pathwise_cost(p, simulate(p, refine_steps(u, refinement), noise))
     ladder = []
     R = 2
     while R <= refinement:
         regular = realize_regular(u, R)
-        costs = pathwise_cost(p, simulate(p, regular, noise, threads=config.threads))
+        costs = pathwise_cost(p, simulate(p, regular, noise))
         ladder.append({"R": R, "cost": float(costs.mean()), "excess": float(costs.mean() - relaxed_costs.mean())})
         R *= 2
     print(f"relaxed cost {float(relaxed_costs.mean())!r} ladder {[row['excess'] for row in ladder]}")

@@ -7,9 +7,12 @@ increments, jump counts) from its own substream, whose counter encodes
 (block index, kind), path-major.  Path i's noise is
 therefore a function of (seed, i) alone: an ensemble of M1 paths is the row
 prefix of one of M2 > M1 paths, and a simulation is a pure function of
-(problem, control, noise), bit-identical for any worker count.  Jumps use a
-finite atomic jump measure; each step applies the event counts minus their
-compensator at the left endpoint.
+(problem, control, noise).  `simulate` advances the same blocks one after
+another, which keeps each step's temporaries cache-sized; no result ever
+depended on the worker cap.  Jumps use a finite atomic jump measure;
+each step applies the event counts minus their compensator at the left
+endpoint.  The forward and variational sweeps share one Euler step,
+`euler_step`.
 Every per-step array (noise, states, and the variational and adjoint
 sweeps' outputs) keeps its public shape (M, steps, ...) but is stored
 step-major, so the slice arr[:, k] that a sweep reads or writes at step k is
@@ -23,7 +26,6 @@ terminal cost to that record.
 from __future__ import annotations
 
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,19 +33,17 @@ from numpy.random import Generator, Philox
 
 from .control import OBSERVATION_FEEDBACK, OPEN_LOOP, RegularControl, RelaxedControl
 from .errors import BlowUp, DomainError, NonFiniteCoefficient, ShapeMismatch
-from .problem import (
-    GaussianInitial,
-    Problem,
-    averaged_diffusion,
-    averaged_drift,
-    averaged_jump,
-    averaged_running_cost,
-)
+from .problem import GaussianInitial, Problem, averaged_coefficients, point_coefficients
 
 BLOWUP_GUARD = 1e9
-_BLOCK = 8192  # fixed path block size; keeps results independent of worker count
-# Brownian draws go through one 128 KB buffer, a few rows of a block at a
-# time, so storing them step-major adds no block-sized temporary to the noise.
+# Fixed path block size of the noise streams and of `simulate`, which steps
+# the blocks serially so that each step's temporaries stay cache-sized (one
+# sweep over the whole ensemble gives the same bits, more memory and no
+# speed-up).
+_BLOCK = 8192
+# Brownian increments and jump counts are drawn a few rows of a block at a
+# time, together at most 128 KB, so storing them step-major adds no
+# block-sized temporary to the noise.
 _DRAW_FLOATS = 16384
 # Version of the noise stream layout: bump it whenever any draw changes, so a
 # replayed configuration cannot silently get different bytes.  Version 1 drew
@@ -108,12 +108,20 @@ class NoiseEnsemble:
     def coarsen(self, factor: int) -> "NoiseEnsemble":
         """Aggregate to a grid coarser by `factor`: increments and counts sum
         over consecutive fine steps, so the same driving paths are reused.
-        The result is stored step-major, like the noise it coarsens."""
+        The result is stored step-major and read-only, like the noise it
+        coarsens."""
         if self.N % factor != 0:
             raise DomainError("factor must divide the step count")
         dW = _sum_steps(self.dW, factor)
         counts = None if self.jump_counts is None else _sum_steps(self.jump_counts, factor)
+        _freeze(dW, counts)
         return replace(self, N=self.N // factor, dt=self.dt * factor, dW=dW, jump_counts=counts)
+
+
+def _freeze(*arrays) -> None:
+    for arr in arrays:
+        if arr is not None:
+            arr.setflags(write=False)
 
 
 def _substream(seed: int, block: int, kind: int) -> Generator:
@@ -131,8 +139,9 @@ def sample_noise(p: Problem, M: int, N: int, seed: int) -> NoiseEnsemble:
     same ensemble bit for bit and the draws do not depend on the order in
     which blocks are drawn.  A block's increments are drawn a few rows at a
     time into one small reused buffer and copied, scaled, into the
-    step-major dW; successive draws continue the block's substream, so the
-    values are those of one call for the whole block.
+    step-major dW, and its counts the same rows at a time; successive draws
+    continue each of the block's substreams, so the values are those of one
+    call for the whole block.
     """
     if M < 1 or N < 1:
         raise DomainError("M and N must be positive")
@@ -142,24 +151,24 @@ def sample_noise(p: Problem, M: int, N: int, seed: int) -> NoiseEnsemble:
     sqrt_dt = np.sqrt(dt)
     dW = _step_major(M, N, (p.m,))
     z0 = np.empty((M, p.n)) if isinstance(p.x0, GaussianInitial) else None
-    counts = _step_major(M, N, (p.jump.J,), np.int64) if p.jump is not None else None
-    rows = max(1, _DRAW_FLOATS // (N * p.m))
+    J = p.jump.J if p.jump is not None else 0
+    counts = _step_major(M, N, (J,), np.int64) if J else None
+    rows = max(1, _DRAW_FLOATS // (N * (p.m + J)))
     draws = np.empty((min(M, _BLOCK, rows), N, p.m))  # Philox fills only a C-contiguous out=
     for b, s in enumerate(range(0, M, _BLOCK)):
         e = min(s + _BLOCK, M)
         if z0 is not None:
             _substream(seed, b, _KIND_INITIAL).standard_normal((e - s, p.n), out=z0[s:e])
         brownian = _substream(seed, b, _KIND_BROWNIAN)
+        jumps = _substream(seed, b, _KIND_JUMPS) if J else None
         for r in range(s, e, rows):
             chunk = draws[: min(rows, e - r)]
             brownian.standard_normal(chunk.shape, out=chunk)
             chunk *= sqrt_dt
             dW[r : r + len(chunk)] = chunk
-        if counts is not None:
-            counts[s:e] = _substream(seed, b, _KIND_JUMPS).poisson(p.jump.intensities * dt, (e - s, N, p.jump.J))
-    for arr in (dW, counts, z0):
-        if arr is not None:
-            arr.setflags(write=False)
+            if J:  # Generator.poisson has no out=; its (rows, N, J) result is the only temporary
+                counts[r : r + len(chunk)] = jumps.poisson(p.jump.intensities * dt, (len(chunk), N, J))
+    _freeze(dW, counts, z0)
     return NoiseEnsemble(M, N, p.m, dt, seed, dW, counts, z0)
 
 
@@ -246,35 +255,30 @@ def _control_values(p: Problem, u, k: int, N: int, t: float, x: np.ndarray) -> n
     return np.broadcast_to(vals, (x.shape[0], p.d))
 
 
-def _simulate_block(p: Problem, u, noise: NoiseEnsemble, grid, sl: slice, out: np.ndarray, running: np.ndarray):
+def euler_step(p: Problem, noise: NoiseEnsemble, rows: slice, k: int, x, drift, diff, jumps, what: str) -> np.ndarray:
+    """x + drift dt + diff dW_k + sum_j C_j (counts_kj - lam_j dt) on the
+    paths `rows`, marks added in order, checked by `guard_step`."""
+    dt = noise.dt
+    x_next = x + drift * dt + np.einsum("qnm,qm->qn", diff, noise.dW[rows, k])
+    for j, cj in enumerate(jumps):
+        factor = noise.jump_counts[rows, k, j] - p.jump.intensities[j] * dt
+        x_next = x_next + factor[:, None] * cj
+    guard_step(x_next, k, what)
+    return x_next
+
+
+def _simulate_block(p: Problem, u, noise: NoiseEnsemble, sl: slice, out: np.ndarray, running: np.ndarray):
     N, dt = noise.N, noise.dt
     x = out[sl, 0]
-    relaxed = isinstance(u, RelaxedControl)
-    lam = p.jump.intensities if p.jump is not None else None
     for k in range(N):
         t = k * dt
-        if relaxed:
+        if isinstance(u, RelaxedControl):
             w = u.weights_at(k, _feedback_signal(p, u.feedback_mode, x))
-            drift = averaged_drift(p, grid, t, x, w)
-            diff = averaged_diffusion(p, grid, t, x, w)
-            running[sl] += averaged_running_cost(p, grid, t, x, w) * dt
+            drift, diff, ell, jumps = averaged_coefficients(p, u.grid, t, x, w)
         else:
-            xi = _control_values(p, u, k, N, t, x)
-            drift = np.asarray(p.b(t, x, xi), dtype=float)
-            diff = np.asarray(p.sigma(t, x, xi), dtype=float)
-            running[sl] += np.asarray(p.ell(t, x, xi), dtype=float) * dt
-        x_next = x + drift * dt + np.einsum("qnm,qm->qn", diff, noise.dW[sl, k])
-        if p.jump is not None:
-            for j in range(p.jump.J):
-                v = p.jump.marks[j]
-                if relaxed:
-                    cj = averaged_jump(p, grid, t, x, v, w)
-                else:
-                    cj = np.asarray(p.jump.C(t, x, v, xi), dtype=float)
-                factor = noise.jump_counts[sl, k, j] - lam[j] * dt
-                x_next = x_next + factor[:, None] * cj
-        guard_step(x_next, k, "state")
-        out[sl, k + 1] = x_next
+            drift, diff, ell, jumps = point_coefficients(p, t, x, _control_values(p, u, k, N, t, x))
+        running[sl] += ell * dt
+        out[sl, k + 1] = euler_step(p, noise, sl, k, x, drift, diff, jumps, "state")
         x = out[sl, k + 1]
 
 
@@ -285,9 +289,10 @@ def simulate(p: Problem, u, noise: NoiseEnsemble, threads: int = 1) -> PathEnsem
     Feedback weights at step k are resolved from the state (or observation)
     at step k; jump events apply at the left endpoint of their step together
     with the intensity compensator; the running cost at the same weights or
-    values accumulates into running_cost.  Paths are advanced in fixed-size
-    blocks so the result does not depend on the worker count `threads`, which
-    must be at least 1 (DomainError otherwise).
+    values accumulates into running_cost.  Paths are advanced serially in
+    fixed-size blocks.  `threads` is a worker cap that serial execution
+    always meets and that never changed a result; it must be at least 1
+    (DomainError otherwise).
     """
     if threads < 1:
         raise DomainError(f"threads must be a positive worker cap, got {threads!r}")
@@ -295,21 +300,13 @@ def simulate(p: Problem, u, noise: NoiseEnsemble, threads: int = 1) -> PathEnsem
         raise ShapeMismatch("noise Brownian dimension does not match the problem")
     if p.jump is not None and (noise.jump_counts is None or noise.jump_counts.shape[2] != p.jump.J):
         raise ShapeMismatch("noise ensemble lacks jump draws for this problem")
-    grid = u.grid if isinstance(u, RelaxedControl) else None
     if isinstance(u, RelaxedControl) and u.time_steps != noise.N:
         raise ShapeMismatch("control and noise disagree on step count")
     states = _step_major(noise.M, noise.N + 1, (p.n,))
     states[:, 0] = p.initial_states(noise.M, noise.initial_normals)
     running = np.zeros(noise.M)
-    blocks = [slice(s, min(s + _BLOCK, noise.M)) for s in range(0, noise.M, _BLOCK)]
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(_simulate_block, p, u, noise, grid, sl, states, running) for sl in blocks]
-            for f in futs:
-                f.result()
-    else:
-        for sl in blocks:
-            _simulate_block(p, u, noise, grid, sl, states, running)
+    for s in range(0, noise.M, _BLOCK):
+        _simulate_block(p, u, noise, slice(s, s + _BLOCK), states, running)
     states.setflags(write=False)
     running.setflags(write=False)
     return PathEnsemble(states, noise, u, p, running)

@@ -21,7 +21,9 @@ of that tensor over its leading axis: `contract_atoms` pairs it with a
 weight vector (K,) or per-path weights (M, K), which is what the
 `averaged_*` functions return, and `atom_hamiltonians` contracts it with
 the adjoint processes to get all K per-atom Hamiltonians from one
-evaluation per atom.
+evaluation per atom.  Every sweep reads a step's coefficients through
+`averaged_coefficients` (or its point-control twin `point_coefficients`)
+and their state Jacobians through `averaged_linearization`.
 """
 
 from __future__ import annotations
@@ -300,6 +302,42 @@ def averaged_running_cost_x(p: Problem, grid, t, x, w):
 
 def averaged_jump_x(p: Problem, grid, t, x, v, w):
     return _averaged(p.jump.C_x, grid, t, x, w, "jump gradient", extra=(v,))
+
+
+def _marks(p: Problem):
+    return () if p.jump is None else p.jump.marks
+
+
+def averaged_coefficients(p: Problem, grid, t, x, w) -> tuple:
+    """One Euler step's coefficients under weights w: drift, diffusion,
+    running cost and the list of jump coefficients, one per mark in order."""
+    return (
+        averaged_drift(p, grid, t, x, w),
+        averaged_diffusion(p, grid, t, x, w),
+        averaged_running_cost(p, grid, t, x, w),
+        [averaged_jump(p, grid, t, x, v, w) for v in _marks(p)],
+    )
+
+
+def point_coefficients(p: Problem, t, x, xi) -> tuple:
+    """The coefficients of `averaged_coefficients` at point control values xi."""
+    return (
+        np.asarray(p.b(t, x, xi), dtype=float),
+        np.asarray(p.sigma(t, x, xi), dtype=float),
+        np.asarray(p.ell(t, x, xi), dtype=float),
+        [np.asarray(p.jump.C(t, x, v, xi), dtype=float) for v in _marks(p)],
+    )
+
+
+def averaged_linearization(p: Problem, grid, t, x, w) -> tuple:
+    """The state Jacobians under weights w: b_x (M, n, n), sigma_x (M, n, m, n),
+    l_x (M, n) and the list of C_x (M, n, n), one per mark in order."""
+    return (
+        averaged_drift_x(p, grid, t, x, w),
+        averaged_diffusion_x(p, grid, t, x, w),
+        averaged_running_cost_x(p, grid, t, x, w),
+        [averaged_jump_x(p, grid, t, x, v, w) for v in _marks(p)],
+    )
 
 
 @dataclass

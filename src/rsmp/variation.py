@@ -20,18 +20,8 @@ import numpy as np
 
 from .control import RelaxedControl
 from .errors import NonFiniteCoefficient, ShapeMismatch
-from .forward import PathEnsemble, _step_major, guard_step, step_weights
-from .problem import (
-    Problem,
-    averaged_diffusion,
-    averaged_diffusion_x,
-    averaged_drift,
-    averaged_drift_x,
-    averaged_jump,
-    averaged_jump_x,
-    averaged_running_cost,
-    averaged_running_cost_x,
-)
+from .forward import PathEnsemble, _step_major, euler_step, step_weights
+from .problem import Problem, averaged_coefficients, averaged_linearization
 
 
 @dataclass(frozen=True)
@@ -65,10 +55,8 @@ def simulate_variational(
         raise ShapeMismatch("base ensemble was not simulated under u0")
     if u.time_steps != base.n_steps:
         raise ShapeMismatch("controls and base ensemble disagree on step count")
-    noise = base.noise
     M, N, dt = base.M, base.n_steps, base.dt
     grid = u0.grid
-    lam = p.jump.intensities if p.jump is not None else None
     y = _step_major(M, N + 1, (p.n,))
     y[:, 0] = 0.0
     response_terms = np.empty(N)
@@ -79,23 +67,14 @@ def simulate_variational(
         yk = y[:, k]
         w0 = step_weights(base, u0, k)
         dw = step_weights(base, u, k) - w0
-        lx = averaged_running_cost_x(p, grid, t, x, w0)
+        bx, sx, lx, cxs = averaged_linearization(p, grid, t, x, w0)
+        b_dw, s_dw, l_dw, c_dws = averaged_coefficients(p, grid, t, x, dw)
         response_terms[k] = dt * float(np.mean(np.einsum("qi,qi->q", lx, yk)))
-        direct_terms[k] = dt * float(np.mean(averaged_running_cost(p, grid, t, x, dw)))
-        bx = averaged_drift_x(p, grid, t, x, w0)
-        sx = averaged_diffusion_x(p, grid, t, x, w0)
-        drift = np.einsum("qij,qj->qi", bx, yk) + averaged_drift(p, grid, t, x, dw)
-        diff = np.einsum("qabl,ql->qab", sx, yk) + averaged_diffusion(p, grid, t, x, dw)
-        y_next = yk + drift * dt + np.einsum("qnm,qm->qn", diff, noise.dW[:, k])
-        if p.jump is not None:
-            for j in range(p.jump.J):
-                v = p.jump.marks[j]
-                cx = averaged_jump_x(p, grid, t, x, v, w0)
-                term = np.einsum("qij,qj->qi", cx, yk) + averaged_jump(p, grid, t, x, v, dw)
-                factor = noise.jump_counts[:, k, j] - lam[j] * dt
-                y_next = y_next + factor[:, None] * term
-        guard_step(y_next, k, "variational state")
-        y[:, k + 1] = y_next
+        direct_terms[k] = dt * float(np.mean(l_dw))
+        drift = np.einsum("qij,qj->qi", bx, yk) + b_dw
+        diff = np.einsum("qabl,ql->qab", sx, yk) + s_dw
+        jumps = [np.einsum("qij,qj->qi", cx, yk) + c_dw for cx, c_dw in zip(cxs, c_dws)]
+        y[:, k + 1] = euler_step(p, base.noise, slice(None), k, yk, drift, diff, jumps, "variational state")
     for arr in (y, response_terms, direct_terms):
         arr.setflags(write=False)
     return VariationEnsemble(y, u, u0, base, response_terms, direct_terms)

@@ -372,6 +372,54 @@ def seeded_controls(name, mode, N, count, seed):
     return out
 
 
+class TestStepCoefficientCalls:
+    """Per step, a sweep evaluates each coefficient it needs once per atom of
+    the control grid, or once under a point control."""
+
+    N = 4
+
+    @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
+    def test_relaxed_simulate(self, name):
+        p = rsmp.make_benchmark(name)
+        (u,) = seeded_controls(name, rsmp.STATE_FEEDBACK, self.N, 1, seed=70)
+        counted, calls = counting_problem(p)
+        rsmp.simulate(counted, u, rsmp.sample_noise(p, 300, self.N, seed=71))
+        per_step = {"b": u.grid.K, "sigma": u.grid.K, "ell": u.grid.K}
+        if p.jump is not None:
+            per_step["C"] = u.grid.K * p.jump.J
+        assert calls == {key: count * self.N for key, count in per_step.items()}
+
+    @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
+    @pytest.mark.parametrize("kind", ["regular", "policy"])
+    def test_regular_simulate(self, name, kind):
+        p = rsmp.make_benchmark(name)
+        if kind == "regular":
+            (u,) = seeded_controls(name, rsmp.STATE_FEEDBACK, self.N, 1, seed=72)
+            control, steps = rsmp.realize_regular(u, 2), 2 * self.N
+        else:
+            control, steps = rsmp.lq_riccati_oracle(rsmp.benchmark_lq_spec(name), 64).feedback, self.N
+        counted, calls = counting_problem(p)
+        rsmp.simulate(counted, control, rsmp.sample_noise(p, 300, steps, seed=73))
+        per_step = {"b": 1, "sigma": 1, "ell": 1}
+        if p.jump is not None:
+            per_step["C"] = p.jump.J
+        assert calls == {key: count * steps for key, count in per_step.items()}
+
+    def test_jump_variational_sweep(self):
+        # l_x, b_x, sigma_x and C_x under u0; l, b, sigma and C under u - u0
+        p = rsmp.make_benchmark("jump-lq")
+        grid = rsmp.benchmark_grid("jump-lq", 9)
+        u0 = rsmp.constant_control(grid, self.N)
+        u = rsmp.constant_control(grid, self.N, np.eye(grid.K)[0])
+        base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 300, self.N, seed=74))
+        counted, calls = counting_problem(p)
+        rsmp.simulate_variational(counted, base, u, u0)
+        per_step = {key: 9 for key in ("b", "sigma", "ell", "b_x", "sigma_x", "ell_x")}
+        per_step.update(C=18, C_x=18)
+        assert sum(per_step.values()) == 90
+        assert calls == {key: count * self.N for key, count in per_step.items()}
+
+
 def walked_pairing(p, base, u0, u, adj):
     """The pairing as a per-step walk: the coefficient differences at every
     path's own weights, paired with the adjoint triple and averaged."""

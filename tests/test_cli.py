@@ -204,33 +204,37 @@ class TestOptimizeAndCertify:
 
 
 class TestThreadsEnv:
-    def test_rsmp_threads_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RSMP_THREADS", "2")
-        out = tmp_path / "t"
-        assert main(["simulate", "--bench", "lq1d", "--M", "50", "--N", "4", "--seed", "2",
-                     "--out", str(out)]) == EXIT_OK
-        doc = json.loads(read(out / "config.json"))
-        assert doc["threads"] == 2
+    """The worker cap is no CLI setting: blocks run serially and no result
+    ever depended on it.  OptimizeParams still validates its cap."""
 
-    @pytest.mark.parametrize("route", ["flag", "config", "env"])
-    def test_nonpositive_worker_cap_is_config_error(self, tmp_path, monkeypatch, capsys, route):
-        monkeypatch.delenv("RSMP_THREADS", raising=False)
+    def test_threads_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--bench", "lq1d", "--M", "50", "--N", "4", "--seed", "1", "--threads", "2"])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "--threads" in capsys.readouterr().err
+
+    def test_threads_config_key_is_named(self, tmp_path, capsys):
+        # configs written while the CLI had a worker cap carry that key
+        doc = {"command": "simulate", "bench": "lq1d", "M": 50, "N": 4, "seed": 1, "threads": 1,
+               "stream_version": STREAM_VERSION, "out": str(tmp_path / "t")}
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(tmp_path / "c.json")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: unknown config key(s) ['threads']\n"
+        assert not (tmp_path / "t").exists()
+
+    def test_rsmp_threads_is_ignored(self, tmp_path, monkeypatch):
         out = tmp_path / "t"
-        argv = ["simulate", "--bench", "lq1d", "--M", "50", "--N", "4", "--seed", "1", "--out", str(out)]
-        if route == "flag":
-            argv += ["--threads", "0"]
-        elif route == "config":
-            (tmp_path / "c.json").write_text(json.dumps({"command": "simulate", "threads": 0, "stream_version": 2}))
-            argv += ["--config", str(tmp_path / "c.json")]
-        else:
-            monkeypatch.setenv("RSMP_THREADS", "-3")
-        assert main(argv) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: threads must be a positive worker cap")
-        assert not out.exists()  # no config.json records the bad cap
+        argv = ["simulate", "--bench", "lq1d", "--M", "50", "--N", "4", "--seed", "2", "--out", str(out)]
+        monkeypatch.delenv("RSMP_THREADS", raising=False)
+        assert main(argv) == EXIT_OK
+        snapshot = read(out / "config.json")
+        assert "threads" not in json.loads(snapshot)
+        for value in ("2", "-3"):
+            monkeypatch.setenv("RSMP_THREADS", value)
+            assert main(argv) == EXIT_OK
+            assert read(out / "config.json") == snapshot
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_nonpositive_worker_cap_is_domain_error(self, threads):
-        with pytest.raises(DomainError):
-            RunConfig(command="simulate", threads=threads)
         with pytest.raises(DomainError):
             OptimizeParams(M=50, N=4, threads=threads)

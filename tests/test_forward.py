@@ -108,6 +108,14 @@ class TestSampleNoise:
         assert np.allclose(coarse.dW[:, 0, 0], fine.dW[:, :4, 0].sum(axis=1), atol=0)
         assert coarse.dt == pytest.approx(4 * fine.dt)
 
+    def test_coarsened_noise_is_read_only(self):
+        # like the noise it sums, so no caller can change the driving paths in place
+        coarse = rsmp.sample_noise(rsmp.make_benchmark("jump-lq"), 100, 8, 1).coarsen(2)
+        for arr in (coarse.dW, coarse.jump_counts):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
+
 
 class TestNoiseLayout:
     """Blocks of _BLOCK paths draw each noise kind from their own substream,

@@ -4,8 +4,9 @@ numpy reports its array buffers to tracemalloc, so the traced peak of a call
 is deterministic for fixed sizes.  Sizes: lq1d, M=4000 paths, N=32 steps,
 K=9 atoms, 16 state cells.  A field keeps only its (N, C, K) cell tensor and
 optimize holds one adjoint at a time, so both scale with M·N, not M·N·K.
-The noise is drawn through one small reused buffer into its step-major
-arrays, so it never holds a second full noise tensor.
+The noise is drawn a few rows at a time, through one small reused buffer
+and small jump-count draws, into its step-major arrays, so it never holds
+a second full noise tensor or a block-sized temporary.
 """
 
 import dataclasses
@@ -71,8 +72,8 @@ def test_sample_noise_peak_is_its_outputs_plus_draw_buffers(name):
     paths = 2 * _BLOCK + 100  # three blocks, the last one short
     noise, retained, peak = traced(lambda: rsmp.sample_noise(p, paths, N, seed=5))
     outputs = sum(a.nbytes for a in (noise.dW, noise.jump_counts, noise.initial_normals) if a is not None)
-    # the reused Brownian draw buffer, and one block of jump counts: the
-    # array Generator.poisson returns (it has no out=)
-    buffers = 8 * _DRAW_FLOATS + (_BLOCK * N * p.jump.J * 8 if p.jump is not None else 0)
+    # the reused Brownian draw buffer and the few rows of jump counts drawn
+    # with it (Generator.poisson has no out=) share one _DRAW_FLOATS budget
+    buffers = 8 * _DRAW_FLOATS
     assert retained <= outputs + 64 * 1024
     assert peak <= outputs + buffers + 64 * 1024
