@@ -139,7 +139,7 @@ def lq_riccati_oracle(spec: LQSpec, n_ode: int) -> RiccatiSolution:
     return RiccatiSolution(ts, P, init_cost + float(noise_cost), gain)
 
 
-def lq_problem(spec: LQSpec, control_box, observe=None, obs_dim=None, jump: JumpSpec | None = None) -> Problem:
+def lq_problem(spec: LQSpec, control_box, observe=None, jump: JumpSpec | None = None) -> Problem:
     """Wrap an LQSpec as a generic control problem with exact gradients."""
     A, B, S0, Rx, Ru, G = spec.A, spec.B, spec.Sigma0, spec.R_x, spec.R_u, spec.G
     n, m = spec.n, spec.m
@@ -189,7 +189,6 @@ def lq_problem(spec: LQSpec, control_box, observe=None, obs_dim=None, jump: Jump
         phi_x=phi_x,
         jump=jump,
         observe=observe,
-        obs_dim=obs_dim,
     )
 
 
@@ -245,13 +244,11 @@ def _sign_observation(x):
 def make_benchmark(name: str) -> Problem:
     """Construct a named benchmark problem with documented constants."""
     if name == "lq1d":
-        return lq_problem(LQ1D, control_box=[[-2.0, 2.0]], observe=_sign_observation, obs_dim=1)
+        return lq_problem(LQ1D, control_box=[[-2.0, 2.0]], observe=_sign_observation)
     if name == "lq2d":
         return lq_problem(LQ2D, control_box=[[-3.0, 3.0]])
     if name == "jump-lq":
-        return lq_problem(
-            LQ1D, control_box=[[-2.0, 2.0]], observe=_sign_observation, obs_dim=1, jump=_jump_lq_spec()
-        )
+        return lq_problem(LQ1D, control_box=[[-2.0, 2.0]], observe=_sign_observation, jump=_jump_lq_spec())
     if name == "nonconvex-mix":
         sig = NONCONVEX_SIGMA
 
@@ -322,15 +319,17 @@ def benchmark_grid(name: str, K: int = 9) -> ControlGrid:
 
 
 def benchmark_partition(name: str, mode: str, cells: int = 8) -> CellPartition | None:
-    """Default feedback binning: state box for state feedback, the observation
-    range for observation feedback, nothing for open loop."""
+    """Default feedback binning, `cells` per coordinate of the signal: the
+    state box [-2, 2]^n for state feedback, [-1, 1] per coordinate of the
+    observation for observation feedback, nothing for open loop."""
     if mode == OPEN_LOOP:
         return None
+    p = make_benchmark(name)
     if mode == OBSERVATION_FEEDBACK:
-        return CellPartition([[-1.0, 1.0]], (cells,))
+        dim = p.observation(np.zeros((1, p.n))).shape[1]
+        return CellPartition([[-1.0, 1.0]] * dim, (cells,) * dim)
     if mode == STATE_FEEDBACK:
-        n = make_benchmark(name).n
-        return CellPartition([[-2.0, 2.0]] * n, (cells,) * n)
+        return CellPartition([[-2.0, 2.0]] * p.n, (cells,) * p.n)
     raise DomainError(f"unknown feedback mode {mode!r}")
 
 

@@ -19,14 +19,7 @@ import numpy as np
 from . import bench
 from .adjoint import adjoint_pairing, duality_gap, solve_bsde
 from .container import adjoint_to_binary, paths_to_binary
-from .control import (
-    OBSERVATION_FEEDBACK,
-    OPEN_LOOP,
-    STATE_FEEDBACK,
-    RelaxedControl,
-    constant_control,
-    refine_steps,
-)
+from .control import OBSERVATION_FEEDBACK, OPEN_LOOP, STATE_FEEDBACK, RelaxedControl, refine_steps
 from .errors import BlowUp, DomainError, NonFiniteCoefficient, RsmpError, SingularRegression, UnknownBenchmark
 from .forward import STREAM_VERSION, cost, pathwise_cost, paths_to_csv, sample_noise, simulate
 from .smp import OptimizeParams, hamiltonian_field, optimize, realize_regular, smp_gap
@@ -155,10 +148,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**base)
 
 
-def _default_mode(config: RunConfig) -> str:
-    return MODE_ALIASES[config.mode] if config.mode is not None else STATE_FEEDBACK
-
-
 def _initial_control(config: RunConfig, problem) -> RelaxedControl:
     if config.control:
         try:
@@ -168,12 +157,10 @@ def _initial_control(config: RunConfig, problem) -> RelaxedControl:
             raise DomainError(f"cannot read control file: {exc}") from None
         return RelaxedControl.from_json(text)
     grid = bench.benchmark_grid(config.bench, config.K)
-    mode = _default_mode(config)
-    if mode == OPEN_LOOP:
-        return constant_control(grid, config.N)
+    mode = MODE_ALIASES.get(config.mode, STATE_FEEDBACK)
     part = bench.benchmark_partition(config.bench, mode, config.cells)
-    w = np.full((config.N, part.n_cells, grid.K), 1.0 / grid.K)
-    return RelaxedControl(grid, w, mode, part)
+    cells = 1 if part is None else part.n_cells
+    return RelaxedControl(grid, np.full((config.N, cells, grid.K), 1.0 / grid.K), mode, part)
 
 
 def _write(config: RunConfig, name: str, text: str) -> str | None:

@@ -4,6 +4,11 @@ A relaxed control assigns, per time step and feedback cell, a probability
 vector over a fixed set of control atoms.  Regular (point-valued) controls
 embed as one-hot weight vectors; convex mixing and the duality pairing
 against test functions operate directly on the weight arrays.
+
+Both kinds share one information structure, checked and resolved here:
+the mode is one of FEEDBACK_MODES; open loop has one cell and no partition,
+state or observation feedback a CellPartition of the signal, with its cells
+on the cell axis, whose dimension must equal the signal's width.
 """
 
 from __future__ import annotations
@@ -113,13 +118,17 @@ class CellPartition:
     def assign(self, signal: np.ndarray) -> np.ndarray:
         """Flat cell index for each row of signal (..., p).
 
-        Raises DomainError on a NaN/Inf signal, which has no cell.
+        Raises DomainError on a NaN/Inf signal, which has no cell, and
+        ShapeMismatch when the signal's width is not p.
         """
         s = np.asarray(signal, dtype=float)
         if not np.all(np.isfinite(s)):
             raise DomainError("feedback signal must be finite to assign a cell")
+        p = len(self.cells_per_dim)
         if s.ndim == 1:
-            s = s[:, None] if len(self.cells_per_dim) == 1 else s[None, :]
+            s = s[:, None] if p == 1 else s[None, :]
+        if s.shape[-1:] != (p,):
+            raise ShapeMismatch(f"signal of shape {s.shape} does not fit a partition of dimension {p}")
         lo = self.bounds[:, 0]
         width = (self.bounds[:, 1] - lo) / np.asarray(self.cells_per_dim)
         raw = np.floor((s - lo) / width).astype(int)
@@ -146,6 +155,46 @@ class CellPartition:
             axes.append(lo + w * (np.arange(c) + 0.5))
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _check_information(mode: str, feedback, cells: int) -> None:
+    """A known feedback mode; for open loop no partition and one cell on the
+    cell axis, for feedback a CellPartition with `cells` cells."""
+    if mode not in FEEDBACK_MODES:
+        raise DomainError(f"unknown feedback mode {mode!r}")
+    if mode == OPEN_LOOP and (feedback is not None or cells != 1):
+        raise ShapeMismatch("open-loop controls take one cell and no cell partition")
+    if mode != OPEN_LOOP and not (isinstance(feedback, CellPartition) and cells == feedback.n_cells):
+        raise ShapeMismatch("feedback controls need a cell partition matching their cell axis")
+
+
+def _resolve(table: np.ndarray, feedback: CellPartition | None, signal):
+    """Cell of each row of signal (Q, p) and the row of one step's (C, ...)
+    table it uses.  Open loop (no partition): without a signal, no cells and
+    table[0]; with one, cell 0 and table[0] broadcast to (Q, ...).  Feedback
+    needs a signal (MissingPaths otherwise) and reads table[assigned cells].
+    """
+    if feedback is None:
+        if signal is None:
+            return None, table[0]
+        return np.zeros(len(signal), dtype=np.int64), np.broadcast_to(table[0], (len(signal),) + table.shape[1:])
+    if signal is None:
+        raise MissingPaths("feedback control needs a signal to resolve cells")
+    cells = feedback.assign(signal)
+    return cells, table[cells]
+
+
+def _partition_doc(feedback: CellPartition | None) -> dict | None:
+    if feedback is None:
+        return None
+    return {"bounds": feedback.bounds.tolist(), "cells_per_dim": list(feedback.cells_per_dim)}
+
+
+def _partition_from_doc(doc: dict) -> CellPartition | None:
+    fb = doc.get("feedback")
+    if fb is None:
+        return None
+    return CellPartition(np.array(fb["bounds"]), tuple(fb["cells_per_dim"]))
 
 
 def _check_weights(weights: np.ndarray, tol: float = SIMPLEX_TOL):
@@ -178,20 +227,9 @@ class RelaxedControl:
         if w.ndim == 2:
             w = w[:, None, :]
         object.__setattr__(self, "weights", w)
-        if self.feedback_mode not in FEEDBACK_MODES:
-            raise DomainError(f"unknown feedback mode {self.feedback_mode!r}")
         if w.ndim != 3 or w.shape[2] != self.grid.K:
             raise ShapeMismatch("weights must have shape (N, C, K)")
-        if self.feedback_mode == OPEN_LOOP:
-            if self.feedback is not None:
-                raise ShapeMismatch("open-loop controls take no cell partition")
-            if w.shape[1] != 1:
-                raise ShapeMismatch("open-loop weights must have a single cell")
-        else:
-            if self.feedback is None:
-                raise ShapeMismatch("feedback controls need a cell partition")
-            if w.shape[1] != self.feedback.n_cells:
-                raise ShapeMismatch("weights cell axis must match the partition")
+        _check_information(self.feedback_mode, self.feedback, w.shape[1])
         _check_weights(w)
         w.setflags(write=False)
 
@@ -207,16 +245,10 @@ class RelaxedControl:
         """Per-path weight vectors at step k, shape (Q, K).
 
         signal carries the feedback variable (state or observation) with
-        shape (Q, p); it is ignored for open-loop controls.
+        shape (Q, p); an open-loop control reads only its length, and
+        without it returns its single (K,) weight vector.
         """
-        if self.feedback_mode == OPEN_LOOP:
-            if signal is None:
-                return self.weights[k, 0]
-            return np.broadcast_to(self.weights[k, 0], (len(signal), self.grid.K))
-        if signal is None:
-            raise MissingPaths("feedback control needs a signal to resolve cells")
-        cells = self.feedback.assign(signal)
-        return self.weights[k, cells]
+        return _resolve(self.weights[k], self.feedback, signal)[1]
 
     def same_structure(self, other: "RelaxedControl") -> bool:
         """True when other resolves the same cells on the same atoms: equal
@@ -242,14 +274,8 @@ class RelaxedControl:
             "grid": {"points": self.grid.points.tolist(), "box": self.grid.box.tolist()},
             "mode": self.feedback_mode,
             "weights": self.weights.tolist(),
+            "feedback": _partition_doc(self.feedback),
         }
-        if self.feedback is not None:
-            doc["feedback"] = {
-                "bounds": self.feedback.bounds.tolist(),
-                "cells_per_dim": list(self.feedback.cells_per_dim),
-            }
-        else:
-            doc["feedback"] = None
         return json.dumps(doc, sort_keys=True)
 
     @staticmethod
@@ -267,7 +293,8 @@ class RegularControl:
     slot s and feedback cell c.
 
     The S slots partition [0, T] uniformly; S may exceed the simulation step
-    count (rapid switching within a step).
+    count (rapid switching within a step).  The box has shape (d, 2), and the
+    feedback mode, partition and cell axis are checked as for RelaxedControl.
     """
 
     values: np.ndarray
@@ -284,13 +311,11 @@ class RegularControl:
         object.__setattr__(self, "box", box)
         if v.ndim != 3:
             raise ShapeMismatch("values must have shape (S, C, d)")
+        if box.shape != (v.shape[2], 2):
+            raise ShapeMismatch(f"box must have shape ({v.shape[2]}, 2)")
+        _check_information(self.feedback_mode, self.feedback, v.shape[1])
         if np.any(v < box[:, 0] - SNAP_TOL) or np.any(v > box[:, 1] + SNAP_TOL):
             raise DomainError("control values must lie inside the box")
-        if self.feedback_mode == OPEN_LOOP:
-            if v.shape[1] != 1 or self.feedback is not None:
-                raise ShapeMismatch("open-loop values must have a single cell")
-        elif self.feedback is None or v.shape[1] != self.feedback.n_cells:
-            raise ShapeMismatch("values cell axis must match the partition")
         v.setflags(write=False)
         box.setflags(write=False)
 
@@ -309,27 +334,14 @@ class RegularControl:
         rapid switching; on a coarser grid each step samples the slot at its
         left endpoint.
         """
-        s = (k * self.slots) // n_steps
-        if self.feedback_mode == OPEN_LOOP:
-            if signal is None:
-                return self.values[s, 0]
-            return np.broadcast_to(self.values[s, 0], (len(signal), self.d))
-        if signal is None:
-            raise MissingPaths("feedback control needs a signal to resolve cells")
-        cells = self.feedback.assign(signal)
-        return self.values[s, cells]
+        return _resolve(self.values[(k * self.slots) // n_steps], self.feedback, signal)[1]
 
     def to_json(self) -> str:
         doc = {
             "values": self.values.tolist(),
             "box": self.box.tolist(),
             "mode": self.feedback_mode,
-            "feedback": None
-            if self.feedback is None
-            else {
-                "bounds": self.feedback.bounds.tolist(),
-                "cells_per_dim": list(self.feedback.cells_per_dim),
-            },
+            "feedback": _partition_doc(self.feedback),
         }
         return json.dumps(doc, sort_keys=True)
 
@@ -339,13 +351,6 @@ class RegularControl:
             return RegularControl(np.array(doc["values"]), np.array(doc["box"]), doc["mode"], _partition_from_doc(doc))
 
         return _from_json(text, build)
-
-
-def _partition_from_doc(doc: dict) -> CellPartition | None:
-    fb = doc.get("feedback")
-    if fb is None:
-        return None
-    return CellPartition(np.array(fb["bounds"]), tuple(fb["cells_per_dim"]))
 
 
 def _from_json(text: str, build):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .control import OBSERVATION_FEEDBACK, OPEN_LOOP, RegularControl, RelaxedControl
+from .control import OBSERVATION_FEEDBACK, OPEN_LOOP, RegularControl, RelaxedControl, _resolve
 from .errors import BlowUp, DomainError, NonFiniteCoefficient, ShapeMismatch
 from .problem import GaussianInitial, Problem, averaged_coefficients, point_coefficients
 
@@ -200,9 +200,6 @@ class PathEnsemble:
     def horizon(self) -> float:
         return self.noise.dt * self.n_steps
 
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.n_steps + 1)
-
     def feedback_signal(self, k: int, mode: str):
         """Signal that resolves feedback cells at step k, or None for open loop."""
         return _feedback_signal(self.problem, mode, self.states[:, k])
@@ -218,12 +215,10 @@ def _feedback_signal(p: Problem, mode: str, x: np.ndarray):
 
 def step_cells(paths: PathEnsemble, u: RelaxedControl, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Feedback cell (M,) of every path of the ensemble at step k under u
-    (all 0 for open loop), and the per-path weight vectors (M, K) there."""
+    (all 0 for open loop, which reads only the path count off the states),
+    and the per-path weight vectors (M, K) there."""
     signal = paths.feedback_signal(k, u.feedback_mode)
-    if signal is None:
-        return np.zeros(paths.M, dtype=np.int64), np.broadcast_to(u.weights[k, 0], (paths.M, u.grid.K))
-    cells = u.feedback.assign(signal)
-    return cells, u.weights[k, cells]
+    return _resolve(u.weights[k], u.feedback, paths.states[:, k] if signal is None else signal)
 
 
 def step_weights(paths: PathEnsemble, u: RelaxedControl, k: int) -> np.ndarray:
@@ -247,12 +242,16 @@ def guard_step(x: np.ndarray, k: int, what: str) -> None:
 
 
 def _control_values(p: Problem, u, k: int, N: int, t: float, x: np.ndarray) -> np.ndarray:
-    """Point control values for a RegularControl or a plain policy callable."""
+    """Point control values (M, d) for a RegularControl or a plain policy
+    callable (ShapeMismatch if they do not broadcast to that shape)."""
     if isinstance(u, RegularControl):
         vals = u.values_at(k, N, _feedback_signal(p, u.feedback_mode, x))
     else:
         vals = np.asarray(u(t, x), dtype=float)
-    return np.broadcast_to(vals, (x.shape[0], p.d))
+    try:
+        return np.broadcast_to(vals, (x.shape[0], p.d))
+    except ValueError:
+        raise ShapeMismatch(f"control values of shape {vals.shape} for {x.shape[0]} paths and d = {p.d}") from None
 
 
 def euler_step(p: Problem, noise: NoiseEnsemble, rows: slice, k: int, x, drift, diff, jumps, what: str) -> np.ndarray:
@@ -292,7 +291,8 @@ def simulate(p: Problem, u, noise: NoiseEnsemble, threads: int = 1) -> PathEnsem
     values accumulates into running_cost.  Paths are advanced serially in
     fixed-size blocks.  `threads` is a worker cap that serial execution
     always meets and that never changed a result; it must be at least 1
-    (DomainError otherwise).
+    (DomainError otherwise).  A control of another dimension than p.d
+    raises ShapeMismatch.
     """
     if threads < 1:
         raise DomainError(f"threads must be a positive worker cap, got {threads!r}")
@@ -302,6 +302,9 @@ def simulate(p: Problem, u, noise: NoiseEnsemble, threads: int = 1) -> PathEnsem
         raise ShapeMismatch("noise ensemble lacks jump draws for this problem")
     if isinstance(u, RelaxedControl) and u.time_steps != noise.N:
         raise ShapeMismatch("control and noise disagree on step count")
+    d = u.grid.d if isinstance(u, RelaxedControl) else u.d if isinstance(u, RegularControl) else p.d
+    if d != p.d:
+        raise ShapeMismatch(f"control of dimension {d} for a problem with d = {p.d}")
     states = _step_major(noise.M, noise.N + 1, (p.n,))
     states[:, 0] = p.initial_states(noise.M, noise.initial_normals)
     running = np.zeros(noise.M)

@@ -156,7 +156,6 @@ class Problem:
     phi_x: object | None = None
     jump: JumpSpec | None = None
     observe: object | None = None
-    obs_dim: int | None = None
 
     def __post_init__(self):
         if self.T <= 0:

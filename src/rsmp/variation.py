@@ -20,7 +20,7 @@ import numpy as np
 
 from .control import RelaxedControl
 from .errors import NonFiniteCoefficient, ShapeMismatch
-from .forward import PathEnsemble, _step_major, euler_step, step_weights
+from .forward import PathEnsemble, _step_major, euler_step, step_cells
 from .problem import Problem, averaged_coefficients, averaged_linearization
 
 
@@ -47,7 +47,8 @@ def simulate_variational(
     Reuses the base ensemble's Brownian increments and jump events exactly;
     the recursion is linear in y and in the weight difference, so scaling the
     direction scales the output.  u and u0 must share their structure
-    (`RelaxedControl.same_structure`), and the base must be simulated under u0.
+    (`RelaxedControl.same_structure`), and the base must be simulated under u0;
+    each step resolves u0's cells once and reads both controls' weights there.
     """
     if not u.same_structure(u0):
         raise ShapeMismatch("direction controls must share grid, steps, mode and partition")
@@ -65,8 +66,8 @@ def simulate_variational(
         t = k * dt
         x = base.states[:, k]
         yk = y[:, k]
-        w0 = step_weights(base, u0, k)
-        dw = step_weights(base, u, k) - w0
+        cells, w0 = step_cells(base, u0, k)
+        dw = (u.weights[k] - u0.weights[k])[cells]
         bx, sx, lx, cxs = averaged_linearization(p, grid, t, x, w0)
         b_dw, s_dw, l_dw, c_dws = averaged_coefficients(p, grid, t, x, dw)
         response_terms[k] = dt * float(np.mean(np.einsum("qi,qi->q", lx, yk)))

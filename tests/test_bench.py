@@ -72,6 +72,13 @@ class TestMakeBenchmark:
         assert p.jump.J == 2
         assert p.jump.total_intensity > 0
 
+    @pytest.mark.parametrize("name, dim", [("lq1d", 1), ("lq2d", 2), ("jump-lq", 1), ("nonconvex-mix", 1)])
+    def test_observation_partition_has_the_observation_width(self, name, dim):
+        # lq2d observes its whole state
+        part = rsmp.benchmark_partition(name, rsmp.OBSERVATION_FEEDBACK, cells=3)
+        assert part.cells_per_dim == (3,) * dim
+        assert np.array_equal(part.bounds, [[-1.0, 1.0]] * dim)
+
     def test_unknown_name_raises(self):
         with pytest.raises(UnknownBenchmark):
             rsmp.make_benchmark("not-a-benchmark")

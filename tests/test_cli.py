@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from rsmp import DomainError, OptimizeParams
+from rsmp import ControlGrid, DomainError, OptimizeParams, constant_control
 from rsmp.cli import EXIT_CONFIG, EXIT_OK, RunConfig, main
 from rsmp.forward import STREAM_VERSION
 
@@ -127,6 +127,15 @@ class TestSimulate:
                      "--control", str(bad)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_control_of_another_dimension_is_config_error(self, tmp_path, capsys):
+        grid = ControlGrid([[0.0, 0.0], [0.5, 0.5]], [[-1.0, 1.0], [-1.0, 1.0]])
+        bad = tmp_path / "two_d.json"
+        bad.write_text(constant_control(grid, 4).to_json())
+        assert main(["simulate", "--bench", "lq1d", "--M", "10", "--N", "4", "--seed", "1",
+                     "--control", str(bad)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_negative_seed_is_config_error(self):
         assert main(["simulate", "--bench", "lq1d", "--M", "10", "--N", "4", "--seed", "-1"]) == EXIT_CONFIG

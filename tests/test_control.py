@@ -310,7 +310,64 @@ class TestCellPartition:
             with pytest.raises(DomainError):
                 part.assign(np.array([[0.5], [bad]]))
 
+    @pytest.mark.parametrize("dim, signal", [
+        (1, np.array([[0.1, 0.9], [0.9, 0.1]])),
+        (1, np.zeros((4, 1, 2))),
+        (2, np.zeros((4, 1))),
+        (2, np.zeros(3)),
+    ])
+    def test_signal_of_another_width_is_shape_mismatch(self, dim, signal):
+        part = CellPartition([[0.0, 1.0]] * dim, (2,) * dim)
+        with pytest.raises(ShapeMismatch):
+            part.assign(signal)
+
     def test_centers_shape(self):
         part = CellPartition([[0.0, 1.0]], (4,))
         assert part.centers().shape == (4, 1)
         assert np.allclose(part.centers()[:, 0], [0.125, 0.375, 0.625, 0.875])
+
+
+class TestInformationStructure:
+    """Relaxed and regular controls share one check of the feedback mode,
+    the partition and the cell axis."""
+
+    def regular(self, mode=rsmp.OPEN_LOOP, part=None, cells=1, box=((-1.0, 1.0),)):
+        return RegularControl(np.zeros((3, cells, 1)), np.array(box), mode, part)
+
+    def test_regular_unknown_mode_is_domain_error(self):
+        part = CellPartition([[-1.0, 1.0]], (2,))
+        with pytest.raises(DomainError, match="bogus"):
+            self.regular("bogus", part, cells=2)
+
+    def test_regular_unknown_mode_from_json_is_domain_error(self):
+        doc = json.loads(self.regular().to_json())
+        doc["mode"] = "bogus"
+        with pytest.raises(DomainError, match="bogus"):
+            RegularControl.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("box", [[[-1.0, 1.0], [-1.0, 1.0]], [[-1.0, 0.0, 1.0]], [-1.0]])
+    def test_regular_box_not_d_by_2_is_shape_mismatch(self, box):
+        with pytest.raises(ShapeMismatch):
+            self.regular(box=box)
+
+    @pytest.mark.parametrize("cls", [RelaxedControl, RegularControl])
+    @pytest.mark.parametrize("mode, part, cells", [
+        (rsmp.OPEN_LOOP, None, 2),
+        (rsmp.OPEN_LOOP, CellPartition([[-1.0, 1.0]], (2,)), 2),
+        (rsmp.STATE_FEEDBACK, None, 1),
+        (rsmp.STATE_FEEDBACK, CellPartition([[-1.0, 1.0]], (2,)), 3),
+        (rsmp.OBSERVATION_FEEDBACK, [[-1.0, 1.0]], 1),
+    ])
+    def test_both_kinds_reject_the_same_structures(self, cls, mode, part, cells):
+        with pytest.raises(ShapeMismatch):
+            if cls is RelaxedControl:
+                RelaxedControl(grid3(), np.full((3, cells, 3), 1.0 / 3), mode, part)
+            else:
+                self.regular(mode, part, cells)
+
+    def test_partition_json_is_shared(self):
+        part = CellPartition([[-2.0, 2.0]], (4,))
+        relaxed = RelaxedControl(grid3(), np.full((2, 4, 3), 1.0 / 3), rsmp.STATE_FEEDBACK, part)
+        regular = rsmp.realize_regular(relaxed, 2)
+        assert json.loads(relaxed.to_json())["feedback"] == json.loads(regular.to_json())["feedback"]
+        assert RegularControl.from_json(regular.to_json()).feedback.matches(part)

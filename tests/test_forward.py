@@ -213,6 +213,21 @@ class TestSimulate:
         with pytest.raises(ShapeMismatch):
             rsmp.simulate(p, u, rsmp.sample_noise(p, 5, 4, seed=1))
 
+    @pytest.mark.parametrize("kind", ["relaxed", "regular", "policy"])
+    def test_control_of_another_dimension_is_shape_mismatch(self, kind):
+        # two-dimensional controls on the scalar lq1d
+        p = rsmp.make_benchmark("lq1d")
+        box = [[-1.0, 1.0], [-1.0, 1.0]]
+        if kind == "relaxed":
+            u = rsmp.constant_control(ControlGrid([[0.0, 0.0], [0.5, 0.5]], box), 4)
+        elif kind == "regular":
+            u = rsmp.RegularControl(np.zeros((4, 1, 2)), box)
+        else:
+            def u(t, x):
+                return np.zeros((len(x), 2))
+        with pytest.raises(ShapeMismatch):
+            rsmp.simulate(p, u, rsmp.sample_noise(p, 5, 4, seed=1))
+
     def test_bit_identical_across_threads(self):
         p = rsmp.make_benchmark("lq1d")
         grid = rsmp.benchmark_grid("lq1d")
