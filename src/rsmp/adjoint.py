@@ -227,7 +227,7 @@ def solve_bsde(
     step builds one design (normal matrix, condition number, ridge decision)
     and solves it for two target blocks: Q_k, phi_k and the continuation
     value first, then psi_k, whose target needs them.  With psi_cont, Q_k and
-    phi_k in hand the step evaluates b, sigma, l and C once per atom, forms
+    phi_k in hand the step evaluates b, sigma, l and C once for all atoms, forms
     the (K, M) atom Hamiltonians and sums them, with and without the running
     cost, over u0's feedback cells.  A NaN/Inf terminal cost gradient or
     coefficient raises NonFiniteCoefficient.

@@ -36,6 +36,13 @@ SIMPLEX_TOL = 1e-12
 SNAP_TOL = 1e-9
 
 
+def _require_finite(what: str, *arrays) -> None:
+    """DomainError unless every entry of every array is finite: a NaN passes
+    every comparison a bound or simplex check makes."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise DomainError(f"{what} must be finite")
+
+
 @dataclass(frozen=True)
 class ControlGrid:
     """Finite set of K control atoms inside a bounding box of the control set.
@@ -55,6 +62,7 @@ class ControlGrid:
             raise ShapeMismatch("grid needs at least one point of shape (K, d)")
         if box.shape != (pts.shape[1], 2):
             raise ShapeMismatch(f"box must have shape ({pts.shape[1]}, 2)")
+        _require_finite("grid points and box", pts, box)
         if np.any(pts < box[:, 0] - SNAP_TOL) or np.any(pts > box[:, 1] + SNAP_TOL):
             raise DomainError("grid points must lie inside the bounding box")
         for i in range(pts.shape[0]):
@@ -100,6 +108,7 @@ class CellPartition:
 
     def __post_init__(self):
         b = np.atleast_2d(np.asarray(self.bounds, dtype=float))
+        _require_finite("partition bounds and cell counts", b, np.atleast_1d(self.cells_per_dim))
         cpd = tuple(int(c) for c in np.atleast_1d(self.cells_per_dim))
         object.__setattr__(self, "bounds", b)
         object.__setattr__(self, "cells_per_dim", cpd)
@@ -198,6 +207,7 @@ def _partition_from_doc(doc: dict) -> CellPartition | None:
 
 
 def _check_weights(weights: np.ndarray, tol: float = SIMPLEX_TOL):
+    _require_finite("weights", weights)
     if np.any(weights < -tol):
         bad = np.unravel_index(int(np.argmin(weights)), weights.shape)
         raise DomainError(f"negative weight {weights[bad]:.3e} at {bad}")
@@ -314,6 +324,7 @@ class RegularControl:
         if box.shape != (v.shape[2], 2):
             raise ShapeMismatch(f"box must have shape ({v.shape[2]}, 2)")
         _check_information(self.feedback_mode, self.feedback, v.shape[1])
+        _require_finite("control values and box", v, box)
         if np.any(v < box[:, 0] - SNAP_TOL) or np.any(v > box[:, 1] + SNAP_TOL):
             raise DomainError("control values must lie inside the box")
         v.setflags(write=False)

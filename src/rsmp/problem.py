@@ -1,29 +1,32 @@
 """Control problem definition: dynamics, costs, jumps, information structure.
 
-Coefficient callables are vectorized over a leading path axis:
+Coefficient callables are vectorized numpy functions whose state and control
+arguments broadcast over their leading axes:
 
-    b(t, x, xi)     -> (..., n)      x: (..., n), xi: (d,) or (..., d)
+    b(t, x, xi)     -> (..., n)      x: (..., n), xi: (..., d)
     sigma(t, x, xi) -> (..., n, m)
     ell(t, x, xi)   -> (...,)
     phi(x)          -> (...,)
 
-Spatial gradients follow the convention grad[..., i, j] = d f_i / d x_j;
-the diffusion derivative sigma_x has shape (..., n, m, n) with the last
-axis the differentiation direction.  Missing gradients fall back to central
-finite differences.  Callables must be pure functions of their arguments.
+so a call with x (1, M, n) and xi (K, 1, d) returns all K atoms on all M
+paths at once.  Spatial gradients follow the convention grad[..., i, j] =
+d f_i / d x_j; the diffusion derivative sigma_x has shape (..., n, m, n)
+with the last axis the differentiation direction.  Missing gradients fall
+back to central finite differences.  Callables must be pure functions of
+their arguments.
 
 Relaxed controls only ever see a coefficient through its values at the K
 atoms of a control grid.  `atom_values` is the single place that evaluates a
-coefficient on a grid: it calls the callable once per atom and stacks the
-results with the atom axis leading, shape (K, M, ...), checking the whole
-tensor for NaN/Inf once.  Everything linear in the weights is a contraction
-of that tensor over its leading axis: `contract_atoms` pairs it with a
-weight vector (K,) or per-path weights (M, K), which is what the
-`averaged_*` functions return, and `atom_hamiltonians` contracts it with
-the adjoint processes to get all K per-atom Hamiltonians from one
-evaluation per atom.  Every sweep reads a step's coefficients through
-`averaged_coefficients` (or its point-control twin `point_coefficients`)
-and their state Jacobians through `averaged_linearization`.
+coefficient on a grid: one broadcast call with the atom axis leading,
+returned as a contiguous (K, M, ...) tensor and checked for NaN/Inf once.
+Everything linear in the weights is a contraction of that tensor over its
+leading axis: `contract_atoms` pairs it with a weight vector (K,) or
+per-path weights (M, K), which is what the `averaged_*` functions return,
+and `atom_hamiltonians` contracts it with the adjoint processes to get all
+K per-atom Hamiltonians from one evaluation.  Every sweep reads a step's
+coefficients through `averaged_coefficients` (or its point-control twin
+`point_coefficients`) and their state Jacobians through
+`averaged_linearization`.
 """
 
 from __future__ import annotations
@@ -99,15 +102,15 @@ class JumpSpec:
 
 def _fd_scale(x: np.ndarray, step: float) -> np.ndarray:
     # h = step * (1 + |x|), per sample
-    return step * (1.0 + np.linalg.norm(np.atleast_2d(x), axis=-1))
+    return step * (1.0 + np.linalg.norm(x, axis=-1))
 
 
 def fd_gradient(f, argpos: int = 1, step: float = FD_STEP):
     """Central-difference gradient of f in its state argument.
 
     Works for any coefficient whose state argument sits at position argpos
-    in the call; returns a callable with one extra trailing axis (the
-    differentiation direction).
+    in the call, with any number of leading axes on it; returns a callable
+    with one extra trailing axis (the differentiation direction).
     """
 
     def grad(*args):
@@ -120,11 +123,11 @@ def fd_gradient(f, argpos: int = 1, step: float = FD_STEP):
         for j in range(n):
             e = np.zeros(n)
             e[j] = 1.0
-            up = args[:argpos] + (x + h[:, None] * e,) + args[argpos + 1 :]
-            dn = args[:argpos] + (x - h[:, None] * e,) + args[argpos + 1 :]
+            up = args[:argpos] + (x + h[..., None] * e,) + args[argpos + 1 :]
+            dn = args[:argpos] + (x - h[..., None] * e,) + args[argpos + 1 :]
             fu = np.asarray(f(*up), dtype=float)
             fl = np.asarray(f(*dn), dtype=float)
-            denom = (2.0 * h).reshape((x.shape[0],) + (1,) * (fu.ndim - 1))
+            denom = (2.0 * h).reshape(h.shape + (1,) * (fu.ndim - h.ndim))
             cols.append((fu - fl) / denom)
         out = np.stack(cols, axis=-1)
         return out[0] if squeeze else out
@@ -199,23 +202,31 @@ class Problem:
         return obs
 
 
-def _finite_or_raise(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteCoefficient(f"{what} produced NaN/Inf")
-    return arr
-
-
 def atom_values(f, grid, t, x, extra=(), what: str = "coefficient") -> np.ndarray:
-    """f(t, x, *extra, xi_i) at every atom xi_i of the grid, stacked with the
-    atom axis leading: shape (K, M, ...).  Raises NonFiniteCoefficient if any
-    value is NaN/Inf."""
-    points = grid.points
-    first = np.asarray(f(t, x, *extra, points[0]), dtype=float)
-    out = np.empty((points.shape[0],) + first.shape)
-    out[0] = first
-    for i in range(1, points.shape[0]):
-        out[i] = f(t, x, *extra, points[i])
-    return _finite_or_raise(out, what)
+    """f(t, x, *extra, xi_i) at every atom xi_i of the grid, with the atom
+    axis leading: shape (K, M, ...) for states x (M, n).
+
+    One call evaluates all atoms: x gains a leading axis and the grid points
+    (K, d) broadcast against it, so f must broadcast x (..., n) and xi
+    (..., d) over their leading axes.  The result is copied to a contiguous
+    (K, M, ...) tensor, also when f returns a broadcast constant.  A call or
+    result that does not broadcast raises ShapeMismatch; a NaN/Inf value
+    raises NonFiniteCoefficient.
+    """
+    x = np.asarray(x, dtype=float)
+    K = grid.K
+    xi = grid.points.reshape((K,) + (1,) * (x.ndim - 1) + (grid.d,))
+    try:
+        raw = np.asarray(f(t, x[None], *extra, xi), dtype=float)
+        out = np.broadcast_to(raw, (K,) + x.shape[:-1] + raw.shape[x.ndim :])
+    except ValueError as exc:
+        raise ShapeMismatch(
+            f"{what} does not broadcast over the {K} grid atoms: callables must broadcast "
+            f"x (..., n) and xi (..., d) over their leading axes ({exc})"
+        ) from exc
+    if not np.all(np.isfinite(raw)):
+        raise NonFiniteCoefficient(f"{what} produced NaN/Inf")
+    return np.ascontiguousarray(out)
 
 
 def contract_atoms(vals: np.ndarray, w) -> np.ndarray:
@@ -239,9 +250,9 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row) -> tuple[np.ndarr
     sum without the running cost, the adjoint pairing with each atom's
     coefficients, shape (K, M).
 
-    Each coefficient is evaluated once per atom; the pairings contract the
-    atom-leading tensors with psi (M, n), Q (M, n, m) and, for jump problems,
-    phi_row (M, J, n).
+    Each coefficient is evaluated once for all atoms; the pairings contract
+    the atom-leading tensors with psi (M, n), Q (M, n, m) and, for jump
+    problems, phi_row (M, J, n).
     """
     x = np.atleast_2d(x)
     M = x.shape[0]

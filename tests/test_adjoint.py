@@ -373,8 +373,9 @@ def seeded_controls(name, mode, N, count, seed):
 
 
 class TestStepCoefficientCalls:
-    """Per step, a sweep evaluates each coefficient it needs once per atom of
-    the control grid, or once under a point control."""
+    """Per step, a sweep evaluates each coefficient it needs once, for all
+    atoms of the control grid or under a point control, and each jump
+    coefficient once per mark."""
 
     N = 4
 
@@ -384,9 +385,9 @@ class TestStepCoefficientCalls:
         (u,) = seeded_controls(name, rsmp.STATE_FEEDBACK, self.N, 1, seed=70)
         counted, calls = counting_problem(p)
         rsmp.simulate(counted, u, rsmp.sample_noise(p, 300, self.N, seed=71))
-        per_step = {"b": u.grid.K, "sigma": u.grid.K, "ell": u.grid.K}
+        per_step = {"b": 1, "sigma": 1, "ell": 1}
         if p.jump is not None:
-            per_step["C"] = u.grid.K * p.jump.J
+            per_step["C"] = p.jump.J
         assert calls == {key: count * self.N for key, count in per_step.items()}
 
     @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
@@ -414,9 +415,9 @@ class TestStepCoefficientCalls:
         base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 300, self.N, seed=74))
         counted, calls = counting_problem(p)
         rsmp.simulate_variational(counted, base, u, u0)
-        per_step = {key: 9 for key in ("b", "sigma", "ell", "b_x", "sigma_x", "ell_x")}
-        per_step.update(C=18, C_x=18)
-        assert sum(per_step.values()) == 90
+        per_step = {key: 1 for key in ("b", "sigma", "ell", "b_x", "sigma_x", "ell_x")}
+        per_step.update(C=2, C_x=2)
+        assert sum(per_step.values()) == 10
         assert calls == {key: count * self.N for key, count in per_step.items()}
 
 

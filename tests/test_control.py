@@ -39,6 +39,16 @@ class TestControlGrid:
         with pytest.raises(DomainError):
             ControlGrid([[2.0]], [[-1.0, 1.0]])
 
+    @pytest.mark.parametrize("points, box", [
+        ([[np.nan], [0.0]], [[-1.0, 1.0]]),
+        ([[np.inf], [0.0]], [[-1.0, np.inf]]),
+        ([[0.5], [0.0]], [[np.nan, 1.0]]),
+        ([[0.5], [0.0]], [[-np.inf, 1.0]]),
+    ])
+    def test_non_finite_points_or_box_rejected(self, points, box):
+        with pytest.raises(DomainError, match="finite"):
+            ControlGrid(points, box)
+
     def test_snap_off_grid(self):
         with pytest.raises(ValueOffGrid):
             grid3().snap(np.array([[0.3]]))
@@ -281,6 +291,31 @@ class TestSerialization:
         with pytest.raises(DomainError, match=drop):
             cls.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_regular_values_or_box_rejected(self, bad):
+        box = np.array([[-1.0, 1.0]])
+        with pytest.raises(DomainError, match="finite"):
+            RegularControl(np.array([[[bad]], [[0.5]]]), box)
+        with pytest.raises(DomainError, match="finite"):
+            RegularControl(np.array([[[0.5]]]), np.array([[bad, 1.0]]))
+        doc = json.loads(RegularControl(np.array([[[0.5]]]), box).to_json())
+        doc["values"][0][0][0] = bad
+        with pytest.raises(DomainError, match="finite"):
+            RegularControl.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_relaxed_json_rejected(self, bad):
+        # a NaN weight passes both simplex comparisons
+        doc = json.loads(rsmp.constant_control(grid3(), 2).to_json())
+        for path in (("grid", "points", 0, 0), ("grid", "box", 0, 1), ("weights", 1, 0, 2)):
+            edited = json.loads(json.dumps(doc))
+            node = edited
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = bad
+            with pytest.raises(DomainError, match="finite"):
+                RelaxedControl.from_json(json.dumps(edited))
+
     @pytest.mark.parametrize("cls", [RelaxedControl, RegularControl])
     @pytest.mark.parametrize("text", ["not json", "", "[1, 2]", '{"grid": 3, "values": 3}'])
     def test_malformed_text_is_domain_error(self, cls, text):
@@ -320,6 +355,17 @@ class TestCellPartition:
         part = CellPartition([[0.0, 1.0]] * dim, (2,) * dim)
         with pytest.raises(ShapeMismatch):
             part.assign(signal)
+
+    @pytest.mark.parametrize("bounds, cells", [
+        ([[np.nan, 1.0]], (4,)),
+        ([[-1.0, np.inf]], (4,)),
+        ([[-np.inf, 1.0]], (4,)),
+        ([[-1.0, 1.0]], (np.inf,)),
+    ])
+    def test_non_finite_bounds_or_cells_rejected(self, bounds, cells):
+        # NaN passes lo < hi and would bin every signal into cell 0
+        with pytest.raises(DomainError, match="finite"):
+            CellPartition(bounds, cells)
 
     def test_centers_shape(self):
         part = CellPartition([[0.0, 1.0]], (4,))

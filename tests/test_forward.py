@@ -291,7 +291,7 @@ class TestStepGuard:
     def test_variational_sweep_blow_up(self):
         # the base control averages the drift to zero, the direction does not
         def b(t, x, xi):
-            return np.broadcast_to(1e12 * np.asarray(xi, dtype=float), np.shape(x))
+            return np.broadcast_to(1e12 * xi, np.broadcast_shapes(np.shape(xi), np.shape(x)))
 
         p = scalar_problem(b=b)
         grid = ControlGrid([[-1.0], [1.0]], [[-1.0, 1.0]])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rsmp
-from rsmp import ControlGrid, DomainError, JumpSpec, NonFiniteCoefficient, Problem
+from rsmp import ControlGrid, DomainError, JumpSpec, NonFiniteCoefficient, Problem, ShapeMismatch
 from rsmp.problem import atom_values, fd_gradient
 
 
@@ -57,7 +57,7 @@ class TestAveraged:
         g = ControlGrid([[-1.0], [1.0]], [[-1.0, 1.0]])
 
         def b(t, x, xi):
-            return np.broadcast_to(np.asarray(xi, dtype=float), np.shape(x))
+            return np.broadcast_to(xi, np.broadcast_shapes(np.shape(xi), np.shape(x)))
 
         p = Problem(n=1, m=1, d=1, T=1.0, x0=np.array([0.0]), b=b, sigma=self.p.sigma,
                     ell=self.p.ell, phi=self.p.phi, control_box=[[-1.0, 1.0]])
@@ -114,6 +114,66 @@ class TestAveraged:
             assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * scale)
 
 
+def atom_coefficients(p):
+    """(name, callable, extra) for every coefficient and gradient that
+    `atom_values` evaluates on a grid: C and C_x once per mark."""
+    out = [(key, getattr(p, key), ()) for key in ("b", "sigma", "ell", "b_x", "sigma_x", "ell_x")]
+    if p.jump is not None:
+        for v in p.jump.marks:
+            out += [("C", p.jump.C, (v,)), ("C_x", p.jump.C_x, (v,))]
+    return out
+
+
+class TestBroadcastContract:
+    """`atom_values` makes one broadcast call; its result is the K per-atom
+    calls stacked, bit for bit."""
+
+    @pytest.mark.parametrize("name", rsmp.BENCHMARK_NAMES)
+    def test_one_call_equals_stacked_point_calls(self, name):
+        p = rsmp.make_benchmark(name)
+        grid = rsmp.benchmark_grid(name, 5)
+        x = np.random.default_rng(31).standard_normal((40, p.n))
+        for key, f, extra in atom_coefficients(p):
+            got = atom_values(f, grid, 0.3, x, extra, what=key)
+            ref = np.stack([np.asarray(f(0.3, x, *extra, xi), dtype=float) for xi in grid.points])
+            assert got.flags.c_contiguous, key
+            assert got.shape == ref.shape and np.array_equal(got, ref), key
+
+    def test_one_call_for_all_atoms(self):
+        p = rsmp.make_benchmark("jump-lq")
+        grid = rsmp.benchmark_grid("jump-lq", 9)
+        calls = []
+
+        def counted(t, x, v, xi):
+            calls.append((np.shape(x), np.shape(xi)))
+            return p.jump.C(t, x, v, xi)
+
+        vals = atom_values(counted, grid, 0.0, np.zeros((7, 1)), (p.jump.marks[0],))
+        assert vals.shape == (9, 7, 1)
+        assert calls == [((1, 7, 1), (9, 1, 1))]
+
+    def test_per_atom_callable_is_shape_mismatch(self):
+        # the pre-broadcast idiom: xi of one atom stretched to the shape of x
+        def b(t, x, xi):
+            return np.broadcast_to(xi, np.shape(x))
+
+        grid = ControlGrid([[-1.0], [0.0], [1.0]], [[-1.0, 1.0]])
+        with pytest.raises(ShapeMismatch, match="drift does not broadcast over the 3 grid atoms") as exc:
+            atom_values(b, grid, 0.0, np.zeros((4, 1)), what="drift")
+        assert "x (..., n) and xi (..., d)" in str(exc.value)
+        assert isinstance(exc.value.__cause__, ValueError)
+
+    def test_wrong_result_shape_is_shape_mismatch(self):
+        # flattened to one path axis: (K * M, n) instead of (K, M, n)
+        def b(t, x, xi):
+            return (np.asarray(x) + xi).reshape(-1, 1)
+
+        grid = ControlGrid([[-1.0], [1.0]], [[-1.0, 1.0]])
+        with pytest.raises(ShapeMismatch, match="drift does not broadcast") as exc:
+            atom_values(b, grid, 0.0, np.zeros((4, 1)), what="drift")
+        assert isinstance(exc.value.__cause__, ValueError)
+
+
 class TestFiniteDifferenceGradients:
     def test_second_order_convergence_on_cubic(self):
         # halving the step should shrink the error on a cubic by about 4x
@@ -134,6 +194,20 @@ class TestFiniteDifferenceGradients:
         x = np.array([[0.7, -0.2]])
         got = p.b_x(0.0, x, np.array([0.1]))
         assert np.allclose(got[0], [[0.4, 0.1], [0.0, -0.3]], atol=1e-8)
+
+    def test_any_leading_axes_match_per_atom_calls(self):
+        # lq1d with b_x, sigma_x and ell_x left to finite differences: one
+        # call on (K, M, n) states is the K per-atom calls stacked
+        lq = rsmp.make_benchmark("lq1d")
+        p = Problem(n=1, m=1, d=1, T=1.0, x0=lq.x0, b=lq.b, sigma=lq.sigma, ell=lq.ell, phi=lq.phi,
+                    control_box=lq.control_box)
+        grid = rsmp.benchmark_grid("lq1d", 9)
+        x = np.random.default_rng(32).standard_normal((25, 1))
+        xs = np.broadcast_to(x, (grid.K,) + x.shape)
+        for grad in (p.b_x, p.sigma_x, p.ell_x):
+            ref = np.stack([grad(0.1, x, xi) for xi in grid.points])
+            assert np.array_equal(grad(0.1, xs, grid.points[:, None]), ref)
+            assert np.array_equal(atom_values(grad, grid, 0.1, x), ref)
 
 
 class TestValidateAssumptions:

@@ -1,7 +1,14 @@
 """Property tests for the invariants the acceptance suite spot-checks:
 mixing linearity and simplex closure, the sign and zero of the SMP gap, and
-the chattering apportionment bound.  Derandomized, so every run draws the
-same examples."""
+the chattering apportionment bound; and for the CLI's refusal of a control
+file holding a non-finite number.  Derandomized, so every run draws the same
+examples."""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,6 +16,7 @@ from hypothesis import strategies as st
 
 import rsmp
 from rsmp import CellPartition, ControlGrid, RelaxedControl
+from rsmp.cli import EXIT_CONFIG, main
 from rsmp.smp import HamiltonianField, _largest_remainder
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -81,3 +89,44 @@ def test_apportionment_sums_to_R_within_one_slot(seed, K, R):
     assert counts.sum() == R
     assert np.all(counts >= 0)
     assert np.all(np.abs(counts / R - w) < 1.0 / R)
+
+
+CONTROL_COMMANDS = ("simulate", "adjoint", "optimize", "certify", "chatter")
+
+
+def numeric_leaves(node, path=()):
+    """Key paths of every number in a parsed JSON document."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from numeric_leaves(node[key], path + (key,))
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from numeric_leaves(item, path + (i,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+@PROPERTY
+@given(feedback=st.booleans(), bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())
+def test_non_finite_control_file_exits_2_from_every_command(feedback, bad, data):
+    grid = rsmp.benchmark_grid("lq1d", 3)
+    part = rsmp.benchmark_partition("lq1d", rsmp.STATE_FEEDBACK, cells=2) if feedback else None
+    mode = rsmp.STATE_FEEDBACK if feedback else rsmp.OPEN_LOOP
+    cells = 1 if part is None else part.n_cells
+    doc = json.loads(RelaxedControl(grid, np.full((4, cells, 3), 1.0 / 3), mode, part).to_json())
+    path = data.draw(st.sampled_from(list(numeric_leaves(doc))))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        control = os.path.join(tmp, "control.json")
+        with open(control, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc))
+        for command in CONTROL_COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--bench", "lq1d", "--M", "20", "--N", "4", "--seed", "1",
+                             "--control", control])
+            assert code == EXIT_CONFIG, (command, path)
+            assert err.getvalue().startswith("error: ") and "must be finite" in err.getvalue()

@@ -251,9 +251,10 @@ class TestHamiltonianField:
                 assert np.array_equal(means, fld.cell_values[k, occupied, i])
 
     @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
-    def test_field_evaluates_each_coefficient_once_per_atom_and_step(self, name):
-        # the backward sweep evaluates b, sigma, ell and C once per atom and
-        # step for the field; the field itself evaluates nothing
+    def test_field_evaluates_each_coefficient_once_per_step(self, name):
+        # the backward sweep evaluates b, sigma and ell once per step, and C
+        # once per mark and step, for all atoms at once; the field itself
+        # evaluates nothing
         p, grid, base, _ = self.seeded_field_inputs(name, rsmp.STATE_FEEDBACK)
         calls = {}
 
@@ -268,9 +269,9 @@ class TestHamiltonianField:
             changes["jump"] = dataclasses.replace(p.jump, C=counted("C", p.jump.C))
         wrapped = dataclasses.replace(p, **changes)
         adj = rsmp.solve_bsde(wrapped, base, base.control_used)
-        expected = {key: grid.K * base.n_steps for key in ("b", "sigma", "ell")}
+        expected = {key: base.n_steps for key in ("b", "sigma", "ell")}
         if p.jump is not None:
-            expected["C"] = grid.K * p.jump.J * base.n_steps
+            expected["C"] = p.jump.J * base.n_steps
         assert calls == expected
         calls.clear()
         fld = rsmp.hamiltonian_field(adj)
@@ -283,8 +284,8 @@ class TestHamiltonianField:
         bad_atom = grid.points[3]
 
         def ell(t, x, xi):
-            out = p.ell(t, x, xi)
-            return np.full_like(out, np.nan) if np.array_equal(xi, bad_atom) else out
+            # xi holds the atoms on its leading axis; poison atom 3 only
+            return np.where(np.all(xi == bad_atom, axis=-1), np.nan, p.ell(t, x, xi))
 
         with pytest.raises(rsmp.NonFiniteCoefficient):
             rsmp.solve_bsde(dataclasses.replace(p, ell=ell), base, base.control_used)

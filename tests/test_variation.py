@@ -13,7 +13,7 @@ from rsmp.variation import response_functional
 def drift_only_problem():
     # dx = xi dt: state-independent drift equals the mean control
     def b(t, x, xi):
-        return np.broadcast_to(np.asarray(xi, dtype=float), np.shape(x))
+        return np.broadcast_to(xi, np.broadcast_shapes(np.shape(xi), np.shape(x)))
 
     def b_x(t, x, xi):
         return np.zeros(np.shape(x)[:-1] + (1, 1))
