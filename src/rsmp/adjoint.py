@@ -36,7 +36,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .control import RelaxedControl
-from .errors import DomainError, NonFiniteCoefficient, ShapeMismatch, SingularRegression
+from .errors import DomainError, NonFiniteCoefficient, ShapeMismatch, SingularRegression, require_count
 from .forward import PathEnsemble, _step_major, step_cells
 from .problem import Problem, atom_hamiltonians, averaged_diffusion_x, averaged_linearization
 from .variation import VariationEnsemble, response_functional
@@ -52,6 +52,9 @@ class BasisSpec:
     """Polynomial regression basis: all state monomials of total degree <= degree."""
 
     degree: int = 2
+
+    def __post_init__(self):
+        require_count(self.degree, "basis degree", low=0)
 
     def exponents(self, n: int) -> list:
         exps = [(0,) * n]
@@ -306,8 +309,8 @@ class Semimartingale:
             self.phi.shape[:2] != self.v.shape[:2] or self.phi.shape[3] != self.v.shape[2]
         ):
             raise ShapeMismatch("jump intensity dimensions do not match")
-        if self.dt <= 0:
-            raise DomainError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise DomainError(f"dt must be finite and positive, got {self.dt!r}")
         for arr in (self.v, self.Sigma, self.phi):
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise DomainError("semimartingale intensities must be finite")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import CellPartition, ControlGrid, OBSERVATION_FEEDBACK, OPEN_LOOP, RelaxedControl, STATE_FEEDBACK
-from .errors import DomainError, NonPSD, ShapeMismatch, UnknownBenchmark
+from .errors import DomainError, NonPSD, ShapeMismatch, UnknownBenchmark, frozen_field, require_count
 from .forward import NoiseEnsemble, pathwise_cost, simulate
 from .problem import GaussianInitial, JumpSpec, Problem
 
@@ -38,7 +38,11 @@ class LQSpec:
 
     def __post_init__(self):
         for name in ("A", "B", "Sigma0", "R_x", "R_u", "G"):
-            object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
+            frozen_field(self, name, 2)
+        if not 0 < self.T < np.inf:
+            raise DomainError(f"horizon T must be finite and positive, got {self.T!r}")
+        if not isinstance(self.x0, GaussianInitial):
+            frozen_field(self, "x0", 1)
         n = self.A.shape[0]
         if self.A.shape != (n, n) or self.B.shape[0] != n or self.Sigma0.shape[0] != n:
             raise ShapeMismatch("LQ matrices disagree on the state dimension")
@@ -101,9 +105,7 @@ def lq_riccati_oracle(spec: LQSpec, n_ode: int) -> RiccatiSolution:
     beyond tolerance.  The noise contribution integrates tr(Sigma0^T P
     Sigma0) with composite Simpson on the same grid.
     """
-    if n_ode < 2:
-        raise DomainError("need at least two ODE steps")
-    if n_ode % 2 == 1:
+    if require_count(n_ode, "n_ode (ODE steps)", low=2) % 2 == 1:
         n_ode += 1  # Simpson needs an even interval count
     A, B, Rx, Ru, G = spec.A, spec.B, spec.R_x, spec.R_u, spec.G
     Ru_inv = np.linalg.inv(Ru)
@@ -133,8 +135,7 @@ def lq_riccati_oracle(spec: LQSpec, n_ode: int) -> RiccatiSolution:
     if isinstance(spec.x0, GaussianInitial):
         init_cost = float(spec.x0.mean @ P[0] @ spec.x0.mean + np.trace(P[0] @ spec.x0.cov))
     else:
-        x0 = np.atleast_1d(np.asarray(spec.x0, dtype=float))
-        init_cost = float(x0 @ P[0] @ x0)
+        init_cost = float(spec.x0 @ P[0] @ spec.x0)
     gain = np.einsum("de,ne,jnb->jdb", Ru_inv, B, P)
     return RiccatiSolution(ts, P, init_cost + float(noise_cost), gain)
 

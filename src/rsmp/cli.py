@@ -20,7 +20,8 @@ from . import bench
 from .adjoint import adjoint_pairing, duality_gap, solve_bsde
 from .container import adjoint_to_binary, paths_to_binary
 from .control import OBSERVATION_FEEDBACK, OPEN_LOOP, STATE_FEEDBACK, RelaxedControl, refine_steps
-from .errors import BlowUp, DomainError, NonFiniteCoefficient, RsmpError, SingularRegression, UnknownBenchmark
+from .errors import BlowUp, DomainError, NonFiniteCoefficient, RsmpError, SingularRegression
+from .errors import UnknownBenchmark, require_count
 from .forward import STREAM_VERSION, cost, pathwise_cost, paths_to_csv, sample_noise, simulate
 from .smp import OptimizeParams, hamiltonian_field, optimize, realize_regular, smp_gap
 from .variation import gateaux, response_functional, simulate_variational
@@ -60,12 +61,8 @@ class RunConfig:
             )
         if self.seed is None:
             raise DomainError("a seed is mandatory; wall-clock seeding is not supported")
-        for name in ("M", "N", "K", "cells", "refinement", "seed", "max_iters"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-        if min(self.M, self.N, self.K, self.cells, self.refinement) < 1:
-            raise DomainError("counts must be positive")
+        for name, low in (("M", 1), ("N", 1), ("K", 1), ("cells", 1), ("refinement", 1), ("seed", 0), ("max_iters", 0)):
+            require_count(getattr(self, name), name, low)
         for name, optional in (("bench", False), ("out", True), ("control", True)):
             value = getattr(self, name)
             if not isinstance(value, str) and not (optional and value is None):

@@ -18,13 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    MissingPaths,
-    NonFiniteCoefficient,
-    ShapeMismatch,
-    ValueOffGrid,
-)
+from .errors import DomainError, MissingPaths, NonFiniteCoefficient, ShapeMismatch, ValueOffGrid
+from .errors import frozen_field, require_count
 
 OPEN_LOOP = "open_loop"
 STATE_FEEDBACK = "state_feedback"
@@ -34,13 +29,6 @@ FEEDBACK_MODES = (OPEN_LOOP, STATE_FEEDBACK, OBSERVATION_FEEDBACK)
 
 SIMPLEX_TOL = 1e-12
 SNAP_TOL = 1e-9
-
-
-def _require_finite(what: str, *arrays) -> None:
-    """DomainError unless every entry of every array is finite: a NaN passes
-    every comparison a bound or simplex check makes."""
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise DomainError(f"{what} must be finite")
 
 
 @dataclass(frozen=True)
@@ -54,23 +42,18 @@ class ControlGrid:
     box: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        box = np.atleast_2d(np.asarray(self.box, dtype=float))
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "box", box)
+        pts = frozen_field(self, "points", 2, "grid points")
+        box = frozen_field(self, "box", 2, "grid box")
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ShapeMismatch("grid needs at least one point of shape (K, d)")
         if box.shape != (pts.shape[1], 2):
             raise ShapeMismatch(f"box must have shape ({pts.shape[1]}, 2)")
-        _require_finite("grid points and box", pts, box)
         if np.any(pts < box[:, 0] - SNAP_TOL) or np.any(pts > box[:, 1] + SNAP_TOL):
             raise DomainError("grid points must lie inside the bounding box")
         for i in range(pts.shape[0]):
             for j in range(i + 1, pts.shape[0]):
                 if np.array_equal(pts[i], pts[j]):
                     raise DomainError(f"grid points {i} and {j} coincide")
-        pts.setflags(write=False)
-        box.setflags(write=False)
 
     @property
     def K(self) -> int:
@@ -107,18 +90,13 @@ class CellPartition:
     cells_per_dim: tuple
 
     def __post_init__(self):
-        b = np.atleast_2d(np.asarray(self.bounds, dtype=float))
-        _require_finite("partition bounds and cell counts", b, np.atleast_1d(self.cells_per_dim))
-        cpd = tuple(int(c) for c in np.atleast_1d(self.cells_per_dim))
-        object.__setattr__(self, "bounds", b)
+        b = frozen_field(self, "bounds", 2, "partition bounds")
+        cpd = tuple(require_count(c, "cells per dimension") for c in np.atleast_1d(self.cells_per_dim))
         object.__setattr__(self, "cells_per_dim", cpd)
         if b.shape != (len(cpd), 2):
             raise ShapeMismatch("bounds must have shape (p, 2) matching cells_per_dim")
-        if any(c < 1 for c in cpd):
-            raise DomainError("need at least one cell per dimension")
         if np.any(b[:, 1] <= b[:, 0]):
             raise DomainError("each bound must satisfy lo < hi")
-        b.setflags(write=False)
 
     @property
     def n_cells(self) -> int:
@@ -206,17 +184,6 @@ def _partition_from_doc(doc: dict) -> CellPartition | None:
     return CellPartition(np.array(fb["bounds"]), tuple(fb["cells_per_dim"]))
 
 
-def _check_weights(weights: np.ndarray, tol: float = SIMPLEX_TOL):
-    _require_finite("weights", weights)
-    if np.any(weights < -tol):
-        bad = np.unravel_index(int(np.argmin(weights)), weights.shape)
-        raise DomainError(f"negative weight {weights[bad]:.3e} at {bad}")
-    sums = weights.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > tol):
-        bad = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
-        raise DomainError(f"weights at {bad} sum to {sums[bad]!r}")
-
-
 @dataclass(frozen=True)
 class RelaxedControl:
     """Adapted measure-valued control: weights[k, c, i] is the mass on grid
@@ -233,15 +200,17 @@ class RelaxedControl:
     feedback: CellPartition | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim == 2:
+        w = frozen_field(self, "weights", 0)
+        if w.ndim == 2:  # an open-loop (N, K) array gains its cell axis
             w = w[:, None, :]
-        object.__setattr__(self, "weights", w)
+            object.__setattr__(self, "weights", w)
         if w.ndim != 3 or w.shape[2] != self.grid.K:
             raise ShapeMismatch("weights must have shape (N, C, K)")
         _check_information(self.feedback_mode, self.feedback, w.shape[1])
-        _check_weights(w)
-        w.setflags(write=False)
+        report = validate(w)
+        if not report.ok:
+            v = report.violations[0]
+            raise DomainError(f"{v.kind} weights at step {v.step}, cell {v.cell}: off the simplex by {v.magnitude:.3e}")
 
     @property
     def time_steps(self) -> int:
@@ -313,22 +282,18 @@ class RegularControl:
     feedback: CellPartition | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim == 2:
+        v = frozen_field(self, "values", 0, "control values")
+        if v.ndim == 2:  # an open-loop (S, d) array gains its cell axis
             v = v[:, None, :]
-        box = np.atleast_2d(np.asarray(self.box, dtype=float))
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "box", box)
+            object.__setattr__(self, "values", v)
+        box = frozen_field(self, "box", 2, "control box")
         if v.ndim != 3:
             raise ShapeMismatch("values must have shape (S, C, d)")
         if box.shape != (v.shape[2], 2):
             raise ShapeMismatch(f"box must have shape ({v.shape[2]}, 2)")
         _check_information(self.feedback_mode, self.feedback, v.shape[1])
-        _require_finite("control values and box", v, box)
         if np.any(v < box[:, 0] - SNAP_TOL) or np.any(v > box[:, 1] + SNAP_TOL):
             raise DomainError("control values must lie inside the box")
-        v.setflags(write=False)
-        box.setflags(write=False)
 
     @property
     def slots(self) -> int:
@@ -391,9 +356,7 @@ def constant_control(grid: ControlGrid, time_steps: int, weights=None) -> Relaxe
 def refine_steps(u: RelaxedControl, factor: int) -> RelaxedControl:
     """The same control on a time grid `factor` times finer: each step's
     weights repeat over the sub-steps (the control is piecewise constant)."""
-    if factor < 1:
-        raise DomainError("refinement factor must be at least 1")
-    w = np.repeat(u.weights, factor, axis=0)
+    w = np.repeat(u.weights, require_count(factor, "refinement factor"), axis=0)
     return RelaxedControl(u.grid, w, u.feedback_mode, u.feedback)
 
 
@@ -473,25 +436,24 @@ class ControlReport:
 
 
 def validate(u, tol: float = SIMPLEX_TOL) -> ControlReport:
-    """Report every (step, cell) whose weight vector leaves the simplex.
+    """Report every (step, cell) whose weight vector leaves the simplex, in
+    step, cell order: a row holding NaN or Inf is "non-finite" (magnitude:
+    how many entries), otherwise "negative" (by its most negative entry)
+    and "normalization" (by how far its sum is from 1) beyond tol.
 
     Accepts a RelaxedControl or a bare weight array of shape (N, C, K) or
-    (N, K); the constructor enforces validity, so raw arrays are the usual
-    subject (hand-assembled weights, edited files).
+    (N, K); the constructor raises on the first violation, so raw arrays are
+    the usual subject (hand-assembled weights, edited files).
     """
     w = u.weights if isinstance(u, RelaxedControl) else np.asarray(u, dtype=float)
-    if w.ndim == 1:
-        w = w[None, None, :]
-    elif w.ndim == 2:
-        w = w[:, None, :]
-    report = ControlReport()
-    for k in range(w.shape[0]):
-        for c in range(w.shape[1]):
-            row = w[k, c]
-            neg = row.min()
-            if neg < -tol:
-                report.violations.append(WeightViolation(k, c, "negative", float(-neg)))
-            gap = abs(row.sum() - 1.0)
-            if gap > tol:
-                report.violations.append(WeightViolation(k, c, "normalization", float(gap)))
-    return report
+    if w.ndim < 3:
+        w = w.reshape(-1, 1, w.shape[-1])
+    entry_ok = np.isfinite(w)
+    w = np.where(entry_ok, w, 0.0)
+    magnitude = np.stack([np.sum(~entry_ok, axis=-1), -w.min(axis=-1), np.abs(w.sum(axis=-1) - 1.0)], axis=-1)
+    bad = magnitude > tol
+    bad[..., 1:] &= np.all(entry_ok, axis=-1)[..., None]
+    kinds = ("non-finite", "negative", "normalization")
+    return ControlReport(
+        [WeightViolation(int(k), int(c), kinds[j], float(magnitude[k, c, j])) for k, c, j in np.argwhere(bad)]
+    )

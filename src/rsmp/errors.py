@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the input checks of its records."""
+
+import numpy as np
 
 
 class RsmpError(Exception):
@@ -48,3 +50,34 @@ class NonPSD(RsmpError):
 
 class UnknownBenchmark(RsmpError):
     """Benchmark name not in the registry."""
+
+
+def frozen_field(record, name: str, ndmin: int, what: str | None = None) -> np.ndarray:
+    """Replace the field `name` of a (frozen) dataclass record with a
+    read-only float copy of at least ndmin axes, and return it.
+
+    The copy leaves the caller's array writable.  A NaN or Inf entry raises
+    DomainError("<what> must be finite"): a NaN passes every comparison a
+    bound or simplex check makes.
+    """
+    arr = np.array(getattr(record, name), dtype=float, ndmin=ndmin)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{what or name} must be finite")
+    arr.setflags(write=False)
+    object.__setattr__(record, name, arr)
+    return arr
+
+
+def require_count(value, what: str, low: int = 1) -> int:
+    """value as an int; DomainError unless it is an integer of at least low.
+
+    A bool or a float (an integral one such as 2.0 included) is no count; a
+    NaN or Inf is reported as not finite.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if isinstance(value, (float, np.floating)) and not np.isfinite(value):
+            raise DomainError(f"{what} must be finite, got {value!r}")
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        raise DomainError(f"{what} must be at least {low}, got {value!r}")
+    return int(value)

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .control import OBSERVATION_FEEDBACK, OPEN_LOOP, RegularControl, RelaxedControl, _resolve
-from .errors import BlowUp, DomainError, NonFiniteCoefficient, ShapeMismatch
+from .errors import BlowUp, DomainError, NonFiniteCoefficient, ShapeMismatch, require_count
 from .problem import GaussianInitial, Problem, averaged_coefficients, point_coefficients
 
 BLOWUP_GUARD = 1e9
@@ -110,7 +110,7 @@ class NoiseEnsemble:
         over consecutive fine steps, so the same driving paths are reused.
         The result is stored step-major and read-only, like the noise it
         coarsens."""
-        if self.N % factor != 0:
+        if self.N % require_count(factor, "coarsening factor") != 0:
             raise DomainError("factor must divide the step count")
         dW = _sum_steps(self.dW, factor)
         counts = None if self.jump_counts is None else _sum_steps(self.jump_counts, factor)
@@ -143,9 +143,8 @@ def sample_noise(p: Problem, M: int, N: int, seed: int) -> NoiseEnsemble:
     continue each of the block's substreams, so the values are those of one
     call for the whole block.
     """
-    if M < 1 or N < 1:
-        raise DomainError("M and N must be positive")
-    if not 0 <= seed < 2**128:
+    M, N = require_count(M, "M"), require_count(N, "N")
+    if require_count(seed, "seed", low=0) >= 2**128:
         raise DomainError("seed must lie in [0, 2**128), the Philox key range")
     dt = p.T / N
     sqrt_dt = np.sqrt(dt)
@@ -294,8 +293,7 @@ def simulate(p: Problem, u, noise: NoiseEnsemble, threads: int = 1) -> PathEnsem
     (DomainError otherwise).  A control of another dimension than p.d
     raises ShapeMismatch.
     """
-    if threads < 1:
-        raise DomainError(f"threads must be a positive worker cap, got {threads!r}")
+    require_count(threads, "threads (a worker cap)")
     if noise.m != p.m:
         raise ShapeMismatch("noise Brownian dimension does not match the problem")
     if p.jump is not None and (noise.jump_counts is None or noise.jump_counts.shape[2] != p.jump.J):

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import DomainError, NonFiniteCoefficient, ShapeMismatch
+from .errors import DomainError, NonFiniteCoefficient, ShapeMismatch, frozen_field, require_count
 
 FD_STEP = 1e-5
 
@@ -49,12 +49,10 @@ class GaussianInitial:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        mean = frozen_field(self, "mean", 1, "initial mean")
+        cov = frozen_field(self, "cov", 2, "initial covariance")
         if cov.shape != (mean.size, mean.size):
             raise ShapeMismatch("covariance must be (n, n)")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "_chol", np.linalg.cholesky(cov + 0.0))
 
     def sample(self, z: np.ndarray) -> np.ndarray:
@@ -77,10 +75,8 @@ class JumpSpec:
     C_x: object | None = None
 
     def __post_init__(self):
-        marks = np.atleast_2d(np.asarray(self.marks, dtype=float))
-        lam = np.atleast_1d(np.asarray(self.intensities, dtype=float))
-        object.__setattr__(self, "marks", marks)
-        object.__setattr__(self, "intensities", lam)
+        marks = frozen_field(self, "marks", 2, "jump marks")
+        lam = frozen_field(self, "intensities", 1, "jump intensities")
         if marks.shape[0] != lam.size:
             raise ShapeMismatch("one intensity per mark")
         # solve_bsde divides by lam * dt, so a zero-rate mark is an input error
@@ -88,8 +84,6 @@ class JumpSpec:
             raise DomainError("intensities must be positive and finite in total")
         if np.any(np.all(marks == 0.0, axis=1)):
             raise DomainError("jump marks must be nonzero vectors")
-        marks.setflags(write=False)
-        lam.setflags(write=False)
 
     @property
     def J(self) -> int:
@@ -161,15 +155,15 @@ class Problem:
     observe: object | None = None
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise DomainError("horizon must be positive")
-        if min(self.n, self.m, self.d) < 1:
-            raise DomainError("dimensions must be positive")
-        box = np.atleast_2d(np.asarray(self.control_box, dtype=float))
-        if box.shape != (self.d, 2):
+        if not 0 < self.T < np.inf:
+            raise DomainError(f"horizon T must be finite and positive, got {self.T!r}")
+        for name in ("n", "m", "d"):
+            require_count(getattr(self, name), name)
+        x0 = self.x0.mean if isinstance(self.x0, GaussianInitial) else frozen_field(self, "x0", 1)
+        if x0.shape != (self.n,):
+            raise ShapeMismatch(f"x0 must have shape ({self.n},), got {x0.shape}")
+        if frozen_field(self, "control_box", 2).shape != (self.d, 2):
             raise ShapeMismatch("control_box must have shape (d, 2)")
-        object.__setattr__(self, "control_box", box)
-        box.setflags(write=False)
         if self.jump is not None and self.jump.marks.shape[1] != self.n:
             raise ShapeMismatch("jump marks must live in the state space")
         if self.jump is not None and self.jump.C is None:
@@ -190,8 +184,7 @@ class Problem:
             if z is None:
                 raise DomainError("stochastic initial state needs normal draws")
             return self.x0.sample(z)
-        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        return np.tile(x0, (M, 1))
+        return np.tile(self.x0, (M, 1))
 
     def observation(self, x: np.ndarray) -> np.ndarray:
         if self.observe is None:
@@ -318,36 +311,54 @@ def _marks(p: Problem):
     return () if p.jump is None else p.jump.marks
 
 
+def _check_step(p: Problem, x, step: tuple, gradients: bool = False) -> tuple:
+    """The step tuple (b, sigma, l, [C per mark]) unchanged, after checking
+    each value against x's leading axes and its trailing shape: (n,), (n, m),
+    () and (n,), or for the gradients (n, n), (n, m, n), (n,) and (n, n).  A
+    wrong shape raises ShapeMismatch naming the value and both shapes."""
+    n, m = p.n, p.m
+    tails = ((n, n), (n, m, n), (n,), (n, n)) if gradients else ((n,), (n, m), (), (n,))
+    *fixed, per_mark = step
+    for i, val in enumerate(fixed + per_mark):
+        i = min(i, 3)  # every jump value is checked as the fourth entry
+        if val.shape != np.shape(x)[:-1] + tails[i]:
+            name = ("drift", "diffusion", "running cost", "jump coefficient")[i] + (" gradient" if gradients else "")
+            raise ShapeMismatch(f"{name} has shape {val.shape}, expected {np.shape(x)[:-1] + tails[i]}")
+    return step
+
+
 def averaged_coefficients(p: Problem, grid, t, x, w) -> tuple:
-    """One Euler step's coefficients under weights w: drift, diffusion,
-    running cost and the list of jump coefficients, one per mark in order."""
-    return (
+    """One Euler step's coefficients under weights w: drift (M, n), diffusion
+    (M, n, m), running cost (M,) and the list of jump coefficients (M, n),
+    one per mark in order (ShapeMismatch for another trailing shape)."""
+    return _check_step(p, x, (
         averaged_drift(p, grid, t, x, w),
         averaged_diffusion(p, grid, t, x, w),
         averaged_running_cost(p, grid, t, x, w),
         [averaged_jump(p, grid, t, x, v, w) for v in _marks(p)],
-    )
+    ))
 
 
 def point_coefficients(p: Problem, t, x, xi) -> tuple:
     """The coefficients of `averaged_coefficients` at point control values xi."""
-    return (
+    return _check_step(p, x, (
         np.asarray(p.b(t, x, xi), dtype=float),
         np.asarray(p.sigma(t, x, xi), dtype=float),
         np.asarray(p.ell(t, x, xi), dtype=float),
         [np.asarray(p.jump.C(t, x, v, xi), dtype=float) for v in _marks(p)],
-    )
+    ))
 
 
 def averaged_linearization(p: Problem, grid, t, x, w) -> tuple:
     """The state Jacobians under weights w: b_x (M, n, n), sigma_x (M, n, m, n),
-    l_x (M, n) and the list of C_x (M, n, n), one per mark in order."""
-    return (
+    l_x (M, n) and the list of C_x (M, n, n), one per mark in order
+    (ShapeMismatch for another trailing shape)."""
+    return _check_step(p, x, (
         averaged_drift_x(p, grid, t, x, w),
         averaged_diffusion_x(p, grid, t, x, w),
         averaged_running_cost_x(p, grid, t, x, w),
         [averaged_jump_x(p, grid, t, x, v, w) for v in _marks(p)],
-    )
+    ), gradients=True)
 
 
 @dataclass
@@ -380,8 +391,7 @@ def validate_assumptions(p: Problem, samples: int = 200, seed: int = 0, scale: f
     user-supplied gradients against central finite differences, and flags any
     non-finite evaluation.  Report-only: constants are evidence, not proof.
     """
-    if samples < 1:
-        raise DomainError("need at least one sample")
+    samples = require_count(samples, "samples")
     rng = Generator(Philox(key=seed))
     rep = AssumptionReport()
     ts = rng.uniform(0.0, p.T, samples)

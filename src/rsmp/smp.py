@@ -28,7 +28,7 @@ from numpy.random import Generator, Philox
 
 from .adjoint import AdjointEnsemble, BasisSpec, solve_bsde
 from .control import ControlGrid, RegularControl, RelaxedControl, mix
-from .errors import DomainError, ShapeMismatch
+from .errors import DomainError, ShapeMismatch, require_count
 from .forward import pathwise_cost, sample_noise, simulate
 from .problem import Problem, atom_hamiltonians, contract_atoms
 
@@ -65,13 +65,12 @@ class HamiltonianField:
 
 
 def _nearest_nonempty(cell_values_k, counts_k, centers):
-    """Fill empty cells with the values of the nearest occupied cell."""
+    """Fill empty cells with the values of the nearest occupied cell.  An
+    open-loop control (centers None) has one cell holding every path."""
     empty = np.flatnonzero(counts_k == 0)
     if empty.size == 0:
         return
     occupied = np.flatnonzero(counts_k > 0)
-    if centers is None:  # single cell, cannot be empty
-        return
     for c in empty:
         d = np.linalg.norm(centers[occupied] - centers[c], axis=1)
         cell_values_k[c] = cell_values_k[occupied[int(np.argmin(d))]]
@@ -183,12 +182,8 @@ class OptimizeParams:
     def __post_init__(self):
         # the line search compares cost differences against their standard
         # error, which needs at least two paths
-        if self.M < 2:
-            raise DomainError("optimize needs at least 2 paths (M >= 2)")
-        if self.max_iters < 0:
-            raise DomainError("max_iters must be nonnegative")
-        if self.threads < 1:
-            raise DomainError(f"threads must be a positive worker cap, got {self.threads!r}")
+        for name, low in (("M", 2), ("N", 1), ("max_iters", 0), ("seed", 0), ("threads", 1)):
+            require_count(getattr(self, name), name, low)
         if not np.isfinite(self.tol) or self.tol < 0:
             raise DomainError(f"tol must be finite and nonnegative, got {self.tol!r}")
 
@@ -281,8 +276,7 @@ def realize_regular(u_relaxed: RelaxedControl, refinement: int, seed: int | None
     Passing a seed instead shuffles the slot order per (step, cell)
     reproducibly without changing the apportionment.
     """
-    if refinement < 1:
-        raise DomainError("refinement must be at least 1")
+    refinement = require_count(refinement, "refinement")
     N, C, K = u_relaxed.weights.shape
     d = u_relaxed.grid.d
     values = np.empty((N * refinement, C, d))
