@@ -4,7 +4,7 @@ The backward sweep estimates, per time step, three conditional expectations
 by cross-sectional polynomial regression over the path ensemble:
 
     Q_k      from the Brownian-increment covariation of the next adjoint state,
-    phi_kj   from the compensated-event covariation (jump problems),
+    phi_kj   from the compensated-event covariation (J = 0 columns for a diffusion),
     psi_k    from propagating the next adjoint state plus its drift.
 
 Regressed (fitted) values are propagated backward, so every stored process is
@@ -160,7 +160,7 @@ class AdjointEnsemble:
     psi: np.ndarray  # (M, N+1, n), step-major
     psi_cont: np.ndarray  # (M, N, n), step-major
     Q: np.ndarray  # (M, N, n, m), step-major
-    phi: np.ndarray | None  # (M, N, J, n), step-major
+    phi: np.ndarray  # (M, N, J, n), step-major; J = 0 for a diffusion
     conditioning: list
     hamiltonian_sums: np.ndarray  # (N, C, K)
     pairing_sums: np.ndarray  # (N, C, K)
@@ -170,7 +170,7 @@ class AdjointEnsemble:
 
 def _regress_step(
     p: Problem, basis: BasisSpec, base: PathEnsemble, u0: RelaxedControl, k: int,
-    psi: np.ndarray, psi_cont: np.ndarray, Q: np.ndarray, phi: np.ndarray | None,
+    psi: np.ndarray, psi_cont: np.ndarray, Q: np.ndarray, phi: np.ndarray,
 ) -> tuple[np.ndarray, StepDiagnostics]:
     """One backward regression step of solve_bsde: fills psi_cont[:, k],
     Q[:, k], phi[:, k] and psi[:, k] from psi[:, k+1], and returns u0's
@@ -180,25 +180,19 @@ def _regress_step(
     noise = base.noise
     M, dt = base.M, base.dt
     n, m = p.n, p.m
-    J = p.jump.J if p.jump is not None else 0
-    lam = p.jump.intensities if p.jump is not None else None
+    J, lam = p.jump.J, p.jump.intensities
     x = base.states[:, k]
     cells, w0 = step_cells(base, u0, k)
     psi_next = psi[:, k + 1]
     Z, G, cond, ridge = _design(basis.features(x))
 
-    targets = [psi_next, (psi_next[:, :, None] * noise.dW[:, k][:, None, :] / dt).reshape(M, n * m)]
-    if J:
-        dq = noise.jump_counts[:, k] - lam * dt  # (M, J)
-        tj = psi_next[:, None, :] * (dq / (lam * dt))[:, :, None]  # (M, J, n)
-        targets.append(tj.reshape(M, J * n))
-    stacked = np.concatenate(targets, axis=1)
-    fitted, ortho = _fit(Z, G, stacked, k)
+    tq = psi_next[:, :, None] * noise.dW[:, k][:, None, :] / dt  # (M, n, m)
+    dq = noise.jump_counts[:, k] - lam * dt  # (M, J)
+    tj = psi_next[:, None, :] * (dq / (lam * dt))[:, :, None]  # (M, J, n)
+    fitted, ortho = _fit(Z, G, np.concatenate([psi_next, tq.reshape(M, n * m), tj.reshape(M, J * n)], axis=1), k)
     cont = fitted[:, :n]
     Qk = fitted[:, n : n + n * m].reshape(M, n, m)
-    if J:
-        phik = fitted[:, n + n * m :].reshape(M, J, n)
-        phi[:, k] = phik
+    phik = fitted[:, n + n * m :].reshape(M, J, n)
 
     bx, sx, lx, cxs = averaged_linearization(p, u0.grid, k * dt, x, w0)
     drift = np.einsum("qij,qi->qj", bx, psi_next)
@@ -210,6 +204,7 @@ def _regress_step(
     psi[:, k] = fitted_psi
     psi_cont[:, k] = cont
     Q[:, k] = Qk
+    phi[:, k] = phik
     return cells, StepDiagnostics(k, cond, ridge, max(ortho, ortho_psi))
 
 
@@ -240,13 +235,12 @@ def solve_bsde(
         raise ShapeMismatch("base ensemble was not simulated under u0")
     M, N, dt = base.M, base.n_steps, base.dt
     n, m = p.n, p.m
-    J = p.jump.J if p.jump is not None else 0
     C, K = u0.n_cells, u0.grid.K
 
     psi = _step_major(M, N + 1, (n,))
     psi_cont = _step_major(M, N, (n,))
     Q = _step_major(M, N, (n, m))
-    phi = _step_major(M, N, (J, n)) if J else None
+    phi = _step_major(M, N, (p.jump.J, n))
     hamiltonian_sums = np.empty((N, C, K))
     pairing_sums = np.empty((N, C, K))
     occupancy = np.empty((N, C), dtype=np.int64)
@@ -260,15 +254,14 @@ def solve_bsde(
         cells, diag = _regress_step(p, basis, base, u0, k, psi, psi_cont, Q, phi)
         diagnostics.append(diag)
         ham, pairing = atom_hamiltonians(
-            p, u0.grid, k * dt, base.states[:, k], psi_cont[:, k], Q[:, k], phi[:, k] if J else None
+            p, u0.grid, k * dt, base.states[:, k], psi_cont[:, k], Q[:, k], phi[:, k]
         )
         occupancy[k] = np.bincount(cells, minlength=C)
         hamiltonian_sums[k] = _cell_sums(cells, C, ham)
         pairing_sums[k] = _blocked_cell_sums(cells, C, pairing, path_blocks)
 
     diagnostics.reverse()
-    arrays = (psi, psi_cont, Q, hamiltonian_sums, pairing_sums, occupancy) + ((phi,) if J else ())
-    for arr in arrays:
+    for arr in (psi, psi_cont, Q, phi, hamiltonian_sums, pairing_sums, occupancy):
         arr.setflags(write=False)
     return AdjointEnsemble(psi, psi_cont, Q, phi, diagnostics, hamiltonian_sums, pairing_sums, occupancy, base)
 

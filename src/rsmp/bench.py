@@ -348,7 +348,7 @@ def describe(name: str) -> dict:
         "control_box": p.control_box.tolist(),
         "jumps": None,
     }
-    if p.jump is not None:
+    if p.jump.J:
         doc["jumps"] = {
             "marks": p.jump.marks.tolist(),
             "intensities": p.jump.intensities.tolist(),

@@ -145,7 +145,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**base)
 
 
-def _initial_control(config: RunConfig, problem) -> RelaxedControl:
+def _initial_control(config: RunConfig) -> RelaxedControl:
     if config.control:
         try:
             with open(config.control, encoding="utf-8") as fh:
@@ -191,7 +191,7 @@ def _cmd_describe(config: RunConfig) -> int:
 
 def _cmd_simulate(config: RunConfig) -> int:
     p = bench.make_benchmark(config.bench)
-    u = _initial_control(config, p)
+    u = _initial_control(config)
     noise = sample_noise(p, config.M, config.N, config.seed)
     paths = simulate(p, u, noise)
     estimate, std_error = cost(p, paths)
@@ -214,7 +214,7 @@ def _probe_direction(u: RelaxedControl, seed: int) -> RelaxedControl:
 
 def _cmd_adjoint(config: RunConfig) -> int:
     p = bench.make_benchmark(config.bench)
-    u = _initial_control(config, p)
+    u = _initial_control(config)
     noise = sample_noise(p, config.M, config.N, config.seed)
     paths = simulate(p, u, noise)
     adj = solve_bsde(p, paths, u)
@@ -247,7 +247,7 @@ def _cmd_adjoint(config: RunConfig) -> int:
 
 def _cmd_optimize(config: RunConfig) -> int:
     p = bench.make_benchmark(config.bench)
-    u = _initial_control(config, p)
+    u = _initial_control(config)
     params = OptimizeParams(M=config.M, N=config.N, max_iters=config.max_iters, tol=config.tol, seed=config.seed)
     result = optimize(p, u, params)
     last = result.iterates[-1]
@@ -260,7 +260,7 @@ def _cmd_optimize(config: RunConfig) -> int:
 
 def _cmd_certify(config: RunConfig) -> int:
     p = bench.make_benchmark(config.bench)
-    u = _initial_control(config, p)
+    u = _initial_control(config)
     noise = sample_noise(p, config.M, config.N, config.seed)
     paths = simulate(p, u, noise)
     adj = solve_bsde(p, paths, u)
@@ -282,7 +282,7 @@ def _cmd_certify(config: RunConfig) -> int:
 
 def _cmd_chatter(config: RunConfig) -> int:
     p = bench.make_benchmark(config.bench)
-    u = _initial_control(config, p)
+    u = _initial_control(config)
     refinement = config.refinement
     noise = sample_noise(p, config.M, config.N * refinement, config.seed)
     relaxed_costs = pathwise_cost(p, simulate(p, refine_steps(u, refinement), noise))

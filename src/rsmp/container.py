@@ -98,7 +98,7 @@ def paths_to_binary(paths, fileobj) -> None:
         "stream_version": noise.stream_version,
     }
     arrays = {"states": paths.states, "dW": noise.dW}
-    if noise.jump_counts is not None:
+    if noise.jump_counts.shape[2]:  # J = 0: a diffusion's file has no jump_counts array
         arrays["jump_counts"] = noise.jump_counts
     write_section(fileobj, TAG_PATHS, meta, arrays)
 
@@ -108,7 +108,7 @@ def adjoint_to_binary(adj, fileobj) -> None:
     M, Np1, n = adj.psi.shape
     meta = {"M": M, "N": Np1 - 1, "n": n, "m": adj.Q.shape[3]}
     arrays = {"psi": adj.psi, "psi_cont": adj.psi_cont, "Q": adj.Q}
-    if adj.phi is not None:
+    if adj.phi.shape[2]:  # J = 0: no phi array and no J entry
         arrays["phi"] = adj.phi
         meta["J"] = adj.phi.shape[2]
     write_section(fileobj, TAG_ADJOINT, meta, arrays)

@@ -401,6 +401,8 @@ def pair(phi, u: RelaxedControl, paths=None, horizon: float | None = None) -> fl
         raise MissingPaths("feedback control cannot be paired without paths")
     elif horizon is None:
         raise DomainError("open-loop pairing needs an explicit horizon")
+    elif not 0 < horizon < np.inf:
+        raise DomainError(f"horizon must be finite and positive, got {horizon!r}")
     else:
         T = float(horizon)
     dt = T / N

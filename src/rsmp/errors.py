@@ -81,3 +81,11 @@ def require_count(value, what: str, low: int = 1) -> int:
     if value < low:
         raise DomainError(f"{what} must be at least {low}, got {value!r}")
     return int(value)
+
+
+def require_seed(value, what: str = "seed") -> int:
+    """value as an int Philox key; DomainError unless an integer in [0, 2**128)."""
+    seed = require_count(value, what, low=0)
+    if seed >= 2**128:
+        raise DomainError(f"{what} must lie in [0, 2**128), the Philox key range, got {value!r}")
+    return seed

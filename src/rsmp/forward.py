@@ -32,7 +32,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .control import OBSERVATION_FEEDBACK, OPEN_LOOP, RegularControl, RelaxedControl, _resolve
-from .errors import BlowUp, DomainError, NonFiniteCoefficient, ShapeMismatch, require_count
+from .errors import BlowUp, DomainError, NonFiniteCoefficient, ShapeMismatch, require_count, require_seed
 from .problem import GaussianInitial, Problem, averaged_coefficients, point_coefficients
 
 BLOWUP_GUARD = 1e9
@@ -75,9 +75,9 @@ def _sum_steps(arr: np.ndarray, factor: int) -> np.ndarray:
 class NoiseEnsemble:
     """Pre-drawn driving noise: Brownian increments, jump counts, initial draws.
 
-    dW has shape (M, N, m) with variance dt per component; jump_counts has
-    shape (M, N, J) (None without jumps); initial_normals holds the standard
-    normal draws used by a stochastic initial state (None when deterministic).
+    dW has shape (M, N, m) with variance dt per component; jump_counts holds
+    the int64 (M, N, J) event counts per mark (J = 0 for a diffusion);
+    initial_normals the normal draws of a stochastic initial state (or None).
     Paths fall into fixed blocks of _BLOCK; block b draws each noise kind from
     its own Philox substream with counter (b, kind), path-major, so path i's
     draws depend on (seed, i) alone and a smaller ensemble of the same seed is
@@ -93,7 +93,7 @@ class NoiseEnsemble:
     dt: float
     seed: int
     dW: np.ndarray
-    jump_counts: np.ndarray | None
+    jump_counts: np.ndarray
     initial_normals: np.ndarray | None
     stream_version: int = STREAM_VERSION
 
@@ -113,7 +113,7 @@ class NoiseEnsemble:
         if self.N % require_count(factor, "coarsening factor") != 0:
             raise DomainError("factor must divide the step count")
         dW = _sum_steps(self.dW, factor)
-        counts = None if self.jump_counts is None else _sum_steps(self.jump_counts, factor)
+        counts = _sum_steps(self.jump_counts, factor)
         _freeze(dW, counts)
         return replace(self, N=self.N // factor, dt=self.dt * factor, dW=dW, jump_counts=counts)
 
@@ -143,15 +143,13 @@ def sample_noise(p: Problem, M: int, N: int, seed: int) -> NoiseEnsemble:
     continue each of the block's substreams, so the values are those of one
     call for the whole block.
     """
-    M, N = require_count(M, "M"), require_count(N, "N")
-    if require_count(seed, "seed", low=0) >= 2**128:
-        raise DomainError("seed must lie in [0, 2**128), the Philox key range")
+    M, N, seed = require_count(M, "M"), require_count(N, "N"), require_seed(seed)
     dt = p.T / N
     sqrt_dt = np.sqrt(dt)
     dW = _step_major(M, N, (p.m,))
     z0 = np.empty((M, p.n)) if isinstance(p.x0, GaussianInitial) else None
-    J = p.jump.J if p.jump is not None else 0
-    counts = _step_major(M, N, (J,), np.int64) if J else None
+    J = p.jump.J
+    counts = _step_major(M, N, (J,), np.int64)
     rows = max(1, _DRAW_FLOATS // (N * (p.m + J)))
     draws = np.empty((min(M, _BLOCK, rows), N, p.m))  # Philox fills only a C-contiguous out=
     for b, s in enumerate(range(0, M, _BLOCK)):
@@ -159,14 +157,14 @@ def sample_noise(p: Problem, M: int, N: int, seed: int) -> NoiseEnsemble:
         if z0 is not None:
             _substream(seed, b, _KIND_INITIAL).standard_normal((e - s, p.n), out=z0[s:e])
         brownian = _substream(seed, b, _KIND_BROWNIAN)
-        jumps = _substream(seed, b, _KIND_JUMPS) if J else None
+        jumps = _substream(seed, b, _KIND_JUMPS)
         for r in range(s, e, rows):
             chunk = draws[: min(rows, e - r)]
             brownian.standard_normal(chunk.shape, out=chunk)
             chunk *= sqrt_dt
             dW[r : r + len(chunk)] = chunk
-            if J:  # Generator.poisson has no out=; its (rows, N, J) result is the only temporary
-                counts[r : r + len(chunk)] = jumps.poisson(p.jump.intensities * dt, (len(chunk), N, J))
+            # Generator.poisson has no out=; its (rows, N, J) result is the only temporary
+            counts[r : r + len(chunk)] = jumps.poisson(p.jump.intensities * dt, (len(chunk), N, J))
     _freeze(dW, counts, z0)
     return NoiseEnsemble(M, N, p.m, dt, seed, dW, counts, z0)
 
@@ -296,8 +294,8 @@ def simulate(p: Problem, u, noise: NoiseEnsemble, threads: int = 1) -> PathEnsem
     require_count(threads, "threads (a worker cap)")
     if noise.m != p.m:
         raise ShapeMismatch("noise Brownian dimension does not match the problem")
-    if p.jump is not None and (noise.jump_counts is None or noise.jump_counts.shape[2] != p.jump.J):
-        raise ShapeMismatch("noise ensemble lacks jump draws for this problem")
+    if noise.jump_counts.shape[2] != p.jump.J:
+        raise ShapeMismatch(f"noise has jump counts for {noise.jump_counts.shape[2]} marks, the problem {p.jump.J}")
     if isinstance(u, RelaxedControl) and u.time_steps != noise.N:
         raise ShapeMismatch("control and noise disagree on step count")
     d = u.grid.d if isinstance(u, RelaxedControl) else u.d if isinstance(u, RegularControl) else p.d

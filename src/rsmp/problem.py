@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import DomainError, NonFiniteCoefficient, ShapeMismatch, frozen_field, require_count
+from .errors import DomainError, NonFiniteCoefficient, ShapeMismatch, frozen_field, require_count, require_seed
 
 FD_STEP = 1e-5
 
@@ -58,40 +58,6 @@ class GaussianInitial:
     def sample(self, z: np.ndarray) -> np.ndarray:
         """Map standard normal draws (..., n) to initial states."""
         return self.mean + z @ self._chol.T
-
-
-@dataclass(frozen=True)
-class JumpSpec:
-    """Finite-activity jump component: atomic jump measure plus kernel.
-
-    marks: (J, n) nonzero jump sites; intensities: (J,) positive rates per unit time;
-    C(t, x, v, xi) -> (..., n) is the jump coefficient and C_x its spatial
-    gradient (..., n, n).
-    """
-
-    marks: np.ndarray
-    intensities: np.ndarray
-    C: object
-    C_x: object | None = None
-
-    def __post_init__(self):
-        marks = frozen_field(self, "marks", 2, "jump marks")
-        lam = frozen_field(self, "intensities", 1, "jump intensities")
-        if marks.shape[0] != lam.size:
-            raise ShapeMismatch("one intensity per mark")
-        # solve_bsde divides by lam * dt, so a zero-rate mark is an input error
-        if np.any(lam <= 0) or not np.isfinite(lam.sum()):
-            raise DomainError("intensities must be positive and finite in total")
-        if np.any(np.all(marks == 0.0, axis=1)):
-            raise DomainError("jump marks must be nonzero vectors")
-
-    @property
-    def J(self) -> int:
-        return self.marks.shape[0]
-
-    @property
-    def total_intensity(self) -> float:
-        return float(self.intensities.sum())
 
 
 def _fd_scale(x: np.ndarray, step: float) -> np.ndarray:
@@ -130,9 +96,49 @@ def fd_gradient(f, argpos: int = 1, step: float = FD_STEP):
 
 
 @dataclass(frozen=True)
+class JumpSpec:
+    """Finite-activity jump component: atomic jump measure plus kernel.
+
+    marks: (J, n) nonzero jump sites; intensities: (J,) positive rates per unit time;
+    C(t, x, v, xi) -> (..., n) is the jump coefficient and C_x its spatial
+    gradient (..., n, n), central differences of C when not given.  A
+    diffusion has J = 0 marks, and only then may C be None.
+    """
+
+    marks: np.ndarray
+    intensities: np.ndarray
+    C: object
+    C_x: object | None = None
+
+    def __post_init__(self):
+        marks = frozen_field(self, "marks", 2, "jump marks")
+        lam = frozen_field(self, "intensities", 1, "jump intensities")
+        if marks.shape[0] != lam.size:
+            raise ShapeMismatch("one intensity per mark")
+        # solve_bsde divides by lam * dt, so a zero-rate mark is an input error
+        if np.any(lam <= 0) or not np.isfinite(lam.sum()):
+            raise DomainError("intensities must be positive and finite in total")
+        if np.any(np.all(marks == 0.0, axis=1)):
+            raise DomainError("jump marks must be nonzero vectors")
+        if self.J and self.C is None:
+            raise DomainError("jump problems need the jump coefficient C")
+        if self.C_x is None:
+            object.__setattr__(self, "C_x", fd_gradient(self.C))
+
+    @property
+    def J(self) -> int:
+        return self.marks.shape[0]
+
+    @property
+    def total_intensity(self) -> float:
+        return float(self.intensities.sum())
+
+
+@dataclass(frozen=True)
 class Problem:
     """Coefficient bundle for a controlled (jump-)diffusion and its cost.
 
+    jump is a JumpSpec; jump=None builds a diffusion, the spec without marks.
     observe, when present, maps states to the signal generating the partial
     information structure; feedback cells bin that signal.
     """
@@ -164,10 +170,10 @@ class Problem:
             raise ShapeMismatch(f"x0 must have shape ({self.n},), got {x0.shape}")
         if frozen_field(self, "control_box", 2).shape != (self.d, 2):
             raise ShapeMismatch("control_box must have shape (d, 2)")
-        if self.jump is not None and self.jump.marks.shape[1] != self.n:
+        if self.jump is None:  # a diffusion: the jump measure without atoms
+            object.__setattr__(self, "jump", JumpSpec(np.zeros((0, self.n)), np.zeros(0), None))
+        if self.jump.marks.shape[1] != self.n:
             raise ShapeMismatch("jump marks must live in the state space")
-        if self.jump is not None and self.jump.C is None:
-            raise DomainError("jump problems need the jump coefficient C")
         if self.b_x is None:
             object.__setattr__(self, "b_x", fd_gradient(self.b))
         if self.sigma_x is None:
@@ -176,8 +182,6 @@ class Problem:
             object.__setattr__(self, "ell_x", fd_gradient(self.ell))
         if self.phi_x is None:
             object.__setattr__(self, "phi_x", fd_gradient(self.phi, argpos=0))
-        if self.jump is not None and self.jump.C_x is None:
-            object.__setattr__(self, "jump", JumpSpec(self.jump.marks, self.jump.intensities, self.jump.C, fd_gradient(self.jump.C)))
 
     def initial_states(self, M: int, z: np.ndarray | None = None) -> np.ndarray:
         if isinstance(self.x0, GaussianInitial):
@@ -244,8 +248,8 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row) -> tuple[np.ndarr
     coefficients, shape (K, M).
 
     Each coefficient is evaluated once for all atoms; the pairings contract
-    the atom-leading tensors with psi (M, n), Q (M, n, m) and, for jump
-    problems, phi_row (M, J, n).
+    the atom-leading tensors with psi (M, n), Q (M, n, m) and phi_row
+    (M, J, n), which may be None for a diffusion (J = 0).
     """
     x = np.atleast_2d(x)
     M = x.shape[0]
@@ -254,17 +258,15 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row) -> tuple[np.ndarr
     val += np.einsum("kqab,qab->kq", atom_values(p.sigma, grid, t, x, what="diffusion"), _per_path(Q, M))
     pairing = val.copy()
     val += atom_values(p.ell, grid, t, x, what="running cost")
-    if p.jump is not None:
-        if phi_row is None:
-            raise ShapeMismatch("jump problems need the jump intensity row of the adjoint")
-        phi_row = _per_path(phi_row, M)
-        for j in range(p.jump.J):
-            cj = atom_values(p.jump.C, grid, t, x, extra=(p.jump.marks[j],), what="jump coefficient")
-            term = np.einsum("kqi,qi->kq", cj, phi_row[:, j])
-            del cj  # free the atom tensor before the sums
-            term *= p.jump.intensities[j]
-            val += term
-            pairing += term
+    if p.jump.J and phi_row is None:
+        raise ShapeMismatch("jump problems need the jump intensity row of the adjoint")
+    for j in range(p.jump.J):
+        cj = atom_values(p.jump.C, grid, t, x, extra=(p.jump.marks[j],), what="jump coefficient")
+        term = np.einsum("kqi,qi->kq", cj, _per_path(phi_row, M)[:, j])
+        del cj  # free the atom tensor before the sums
+        term *= p.jump.intensities[j]
+        val += term
+        pairing += term
     return val, pairing
 
 
@@ -307,10 +309,6 @@ def averaged_jump_x(p: Problem, grid, t, x, v, w):
     return _averaged(p.jump.C_x, grid, t, x, w, "jump gradient", extra=(v,))
 
 
-def _marks(p: Problem):
-    return () if p.jump is None else p.jump.marks
-
-
 def _check_step(p: Problem, x, step: tuple, gradients: bool = False) -> tuple:
     """The step tuple (b, sigma, l, [C per mark]) unchanged, after checking
     each value against x's leading axes and its trailing shape: (n,), (n, m),
@@ -335,7 +333,7 @@ def averaged_coefficients(p: Problem, grid, t, x, w) -> tuple:
         averaged_drift(p, grid, t, x, w),
         averaged_diffusion(p, grid, t, x, w),
         averaged_running_cost(p, grid, t, x, w),
-        [averaged_jump(p, grid, t, x, v, w) for v in _marks(p)],
+        [averaged_jump(p, grid, t, x, v, w) for v in p.jump.marks],
     ))
 
 
@@ -345,7 +343,7 @@ def point_coefficients(p: Problem, t, x, xi) -> tuple:
         np.asarray(p.b(t, x, xi), dtype=float),
         np.asarray(p.sigma(t, x, xi), dtype=float),
         np.asarray(p.ell(t, x, xi), dtype=float),
-        [np.asarray(p.jump.C(t, x, v, xi), dtype=float) for v in _marks(p)],
+        [np.asarray(p.jump.C(t, x, v, xi), dtype=float) for v in p.jump.marks],
     ))
 
 
@@ -357,7 +355,7 @@ def averaged_linearization(p: Problem, grid, t, x, w) -> tuple:
         averaged_drift_x(p, grid, t, x, w),
         averaged_diffusion_x(p, grid, t, x, w),
         averaged_running_cost_x(p, grid, t, x, w),
-        [averaged_jump_x(p, grid, t, x, v, w) for v in _marks(p)],
+        [averaged_jump_x(p, grid, t, x, v, w) for v in p.jump.marks],
     ), gradients=True)
 
 
@@ -392,7 +390,9 @@ def validate_assumptions(p: Problem, samples: int = 200, seed: int = 0, scale: f
     non-finite evaluation.  Report-only: constants are evidence, not proof.
     """
     samples = require_count(samples, "samples")
-    rng = Generator(Philox(key=seed))
+    if not 0 < scale < np.inf:
+        raise DomainError(f"scale must be finite and positive, got {scale!r}")
+    rng = Generator(Philox(key=require_seed(seed)))
     rep = AssumptionReport()
     ts = rng.uniform(0.0, p.T, samples)
     xs = scale * rng.standard_normal((samples, p.n))
@@ -432,7 +432,7 @@ def validate_assumptions(p: Problem, samples: int = 200, seed: int = 0, scale: f
         phi_val = check("phi", p.phi(np.atleast_2d(x)))
         rep.growth_ell = bump(rep.growth_ell, np.abs(ell_val) / (1.0 + np.dot(x, x)))
         rep.growth_phi = bump(rep.growth_phi, np.abs(phi_val).max() / (1.0 + np.dot(x, x)))
-        if p.jump is not None:
+        if p.jump.J:
             lam = p.jump.intensities
             cx = np.stack([check("C", p.jump.C(t, x, v, xi)) for v in p.jump.marks])
             cy = np.stack([check("C", p.jump.C(t, y, v, xi)) for v in p.jump.marks])

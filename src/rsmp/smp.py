@@ -21,14 +21,14 @@ feedback.  Partial information is an observation-feedback control.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .adjoint import AdjointEnsemble, BasisSpec, solve_bsde
+from .adjoint import AdjointEnsemble, solve_bsde
 from .control import ControlGrid, RegularControl, RelaxedControl, mix
-from .errors import DomainError, ShapeMismatch, require_count
+from .errors import DomainError, ShapeMismatch, require_count, require_seed
 from .forward import pathwise_cost, sample_noise, simulate
 from .problem import Problem, atom_hamiltonians, contract_atoms
 
@@ -39,7 +39,7 @@ def hamiltonian(p: Problem, grid: ControlGrid, t, x, psi, Q, phi_row, w) -> np.n
     """Relaxed-averaged Hamiltonian: the per-atom Hamiltonians of
     `atom_hamiltonians` averaged against the weight vector w.
 
-    phi_row has shape (..., J, n) and is ignored for problems without jumps.
+    phi_row has shape (..., J, n); a diffusion's (J = 0) may be None.
     Linear in w; batched over a leading path axis.
     """
     return contract_atoms(atom_hamiltonians(p, grid, t, x, psi, Q, phi_row)[0], w)
@@ -176,7 +176,6 @@ class OptimizeParams:
     max_iters: int = 50
     tol: float = 1e-3
     seed: int = 0
-    basis: BasisSpec = field(default_factory=BasisSpec)
     threads: int = 1
 
     def __post_init__(self):
@@ -211,7 +210,7 @@ def optimize(p: Problem, u_init: RelaxedControl, params: OptimizeParams) -> Opti
         J = float(costs.mean())
         se = float(costs.std(ddof=1) / np.sqrt(len(costs)))
         # the adjoint is dropped as soon as the field is binned from it
-        fld = hamiltonian_field(solve_bsde(p, paths, u, params.basis))
+        fld = hamiltonian_field(solve_bsde(p, paths, u))
         gap, _ = smp_gap(fld, u)
         rec = IterateRecord(u, J, se, gap)
         iterates.append(rec)
@@ -280,7 +279,7 @@ def realize_regular(u_relaxed: RelaxedControl, refinement: int, seed: int | None
     N, C, K = u_relaxed.weights.shape
     d = u_relaxed.grid.d
     values = np.empty((N * refinement, C, d))
-    rng = Generator(Philox(key=seed)) if seed is not None else None
+    rng = Generator(Philox(key=require_seed(seed))) if seed is not None else None
     for k in range(N):
         for c in range(C):
             w = u_relaxed.weights[k, c]

@@ -386,7 +386,7 @@ class TestStepCoefficientCalls:
         counted, calls = counting_problem(p)
         rsmp.simulate(counted, u, rsmp.sample_noise(p, 300, self.N, seed=71))
         per_step = {"b": 1, "sigma": 1, "ell": 1}
-        if p.jump is not None:
+        if p.jump.J:
             per_step["C"] = p.jump.J
         assert calls == {key: count * self.N for key, count in per_step.items()}
 
@@ -402,7 +402,7 @@ class TestStepCoefficientCalls:
         counted, calls = counting_problem(p)
         rsmp.simulate(counted, control, rsmp.sample_noise(p, 300, steps, seed=73))
         per_step = {"b": 1, "sigma": 1, "ell": 1}
-        if p.jump is not None:
+        if p.jump.J:
             per_step["C"] = p.jump.J
         assert calls == {key: count * steps for key, count in per_step.items()}
 

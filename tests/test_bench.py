@@ -59,7 +59,7 @@ class TestMakeBenchmark:
         p = rsmp.make_benchmark("lq1d")
         assert (p.n, p.m, p.d) == (1, 1, 1)
         assert p.T == 1.0
-        assert p.jump is None
+        assert p.jump.J == 0
 
     def test_nonconvex_grid_has_two_atoms(self):
         grid = rsmp.benchmark_grid("nonconvex-mix")

@@ -48,6 +48,10 @@ def jump_c(t, x, v, xi):
     return np.broadcast_to(v, np.shape(x))
 
 
+def pair_fn(t, xi):
+    return t + xi[0]
+
+
 def semimartingale(dt):
     return Semimartingale(np.zeros((2, 3, 1)), np.zeros((2, 3, 1, 1)), dt)
 
@@ -93,6 +97,29 @@ REFUSED = [
     ("negative optimize seed", lambda: OptimizeParams(M=10, N=4, seed=-1), DomainError, "at least 0"),
     ("fractional worker cap of optimize", lambda: OptimizeParams(M=10, N=4, threads=2.0), DomainError, "integer"),
     ("NaN config count", lambda: RunConfig(command="simulate", cells=NAN), DomainError, "must be finite"),
+    ("NaN pairing horizon", lambda: rsmp.pair(pair_fn, open_control(), horizon=NAN), DomainError, "must be finite"),
+    ("Inf pairing horizon", lambda: rsmp.pair(pair_fn, open_control(), horizon=np.inf), DomainError,
+     "must be finite"),
+    ("zero pairing horizon", lambda: rsmp.pair(pair_fn, open_control(), horizon=0.0), DomainError, "positive"),
+    ("negative pairing horizon", lambda: rsmp.pair(pair_fn, open_control(), horizon=-1.0), DomainError, "positive"),
+    ("fractional noise seed", lambda: rsmp.sample_noise(lq1d(), 4, 4, 1.5), DomainError, "integer"),
+    ("boolean noise seed", lambda: rsmp.sample_noise(lq1d(), 4, 4, True), DomainError, "integer"),
+    ("negative noise seed", lambda: rsmp.sample_noise(lq1d(), 4, 4, -1), DomainError, "at least 0"),
+    ("noise seed past the key range", lambda: rsmp.sample_noise(lq1d(), 4, 4, 2**128), DomainError, "Philox key"),
+    ("fractional assumption seed", lambda: rsmp.validate_assumptions(lq1d(), 5, seed=1.5), DomainError, "integer"),
+    ("boolean assumption seed", lambda: rsmp.validate_assumptions(lq1d(), 5, seed=True), DomainError, "integer"),
+    ("negative assumption seed", lambda: rsmp.validate_assumptions(lq1d(), 5, seed=-1), DomainError, "at least 0"),
+    ("assumption seed past the key range", lambda: rsmp.validate_assumptions(lq1d(), 5, seed=2**128), DomainError,
+     "Philox key"),
+    ("NaN assumption scale", lambda: rsmp.validate_assumptions(lq1d(), 5, scale=NAN), DomainError, "must be finite"),
+    ("zero assumption scale", lambda: rsmp.validate_assumptions(lq1d(), 5, scale=0.0), DomainError, "positive"),
+    ("fractional realization seed", lambda: rsmp.realize_regular(open_control(), 2, seed=1.5), DomainError,
+     "integer"),
+    ("boolean realization seed", lambda: rsmp.realize_regular(open_control(), 2, seed=True), DomainError, "integer"),
+    ("negative realization seed", lambda: rsmp.realize_regular(open_control(), 2, seed=-1), DomainError,
+     "at least 0"),
+    ("realization seed past the key range", lambda: rsmp.realize_regular(open_control(), 2, seed=2**128),
+     DomainError, "Philox key"),
 ]
 
 

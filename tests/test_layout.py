@@ -82,7 +82,7 @@ def test_path_major_noise_gives_identical_sweeps(pipeline, tmp_path):
     noise = dataclasses.replace(
         base.noise,
         dW=np.ascontiguousarray(base.noise.dW),
-        jump_counts=None if counts is None else np.ascontiguousarray(base.noise.jump_counts),
+        jump_counts=np.ascontiguousarray(base.noise.jump_counts),
     )
     assert noise.dW.flags.c_contiguous and np.array_equal(noise.dW, arrays["dW"])
     if counts is not None:

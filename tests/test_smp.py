@@ -265,12 +265,12 @@ class TestHamiltonianField:
             return wrapper
 
         changes = {key: counted(key, getattr(p, key)) for key in ("b", "sigma", "ell")}
-        if p.jump is not None:
+        if p.jump.J:
             changes["jump"] = dataclasses.replace(p.jump, C=counted("C", p.jump.C))
         wrapped = dataclasses.replace(p, **changes)
         adj = rsmp.solve_bsde(wrapped, base, base.control_used)
         expected = {key: base.n_steps for key in ("b", "sigma", "ell")}
-        if p.jump is not None:
+        if p.jump.J:
             expected["C"] = p.jump.J * base.n_steps
         assert calls == expected
         calls.clear()
