@@ -37,6 +37,7 @@ import numpy as np
 
 from .control import RelaxedControl
 from .errors import DomainError, NonFiniteCoefficient, ShapeMismatch, SingularRegression, require_count
+from .errors import require_positive
 from .forward import PathEnsemble, _step_major, step_cells
 from .problem import Problem, atom_hamiltonians, averaged_diffusion_x, averaged_linearization
 from .variation import VariationEnsemble, response_functional
@@ -228,11 +229,11 @@ def solve_bsde(
     phi_k in hand the step evaluates b, sigma, l and C once for all atoms, forms
     the (K, M) atom Hamiltonians and sums them, with and without the running
     cost, over u0's feedback cells.  A NaN/Inf terminal cost gradient or
-    coefficient raises NonFiniteCoefficient.
+    coefficient raises NonFiniteCoefficient, and a base not simulated under
+    p and u0 ShapeMismatch (`PathEnsemble.require`).
     """
     basis = basis_spec or BasisSpec()
-    if not u0.equals(base.control_used):
-        raise ShapeMismatch("base ensemble was not simulated under u0")
+    base.require(p, u0)
     M, N, dt = base.M, base.n_steps, base.dt
     n, m = p.n, p.m
     C, K = u0.n_cells, u0.grid.K
@@ -302,8 +303,7 @@ class Semimartingale:
             self.phi.shape[:2] != self.v.shape[:2] or self.phi.shape[3] != self.v.shape[2]
         ):
             raise ShapeMismatch("jump intensity dimensions do not match")
-        if not 0 < self.dt < np.inf:
-            raise DomainError(f"dt must be finite and positive, got {self.dt!r}")
+        require_positive(self.dt, "dt")
         for arr in (self.v, self.Sigma, self.phi):
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise DomainError("semimartingale intensities must be finite")
@@ -339,11 +339,12 @@ def adjoint_pairing(
 
     The pairing is linear in the weights and the weights are constant on a
     feedback cell, so it is the contraction dt / M * <pairing_sums, w_u - w_u0>
-    of the cell sums solve_bsde formed under u0.  The adjoint must be solved on
-    base, base simulated under u0, and u must share u0's structure; p is not
-    evaluated.
+    of the cell sums solve_bsde formed under u0.  ShapeMismatch unless base is
+    the adjoint's, simulated under p and u0 (`PathEnsemble.require`), and u
+    shares u0's structure; no coefficient of p is evaluated.
     """
-    if adjoint.base is not base or not u0.equals(base.control_used):
+    base.require(p, u0)
+    if adjoint.base is not base:
         raise ShapeMismatch("the adjoint was not solved on this ensemble under u0")
     if not u.same_structure(u0):
         raise ShapeMismatch("direction controls must share grid, steps, mode and partition")
@@ -353,19 +354,15 @@ def adjoint_pairing(
     return total
 
 
-def duality_gap(
-    p: Problem,
-    base: PathEnsemble,
-    u0: RelaxedControl,
-    u: RelaxedControl,
-    adjoint: AdjointEnsemble,
-    var: VariationEnsemble,
-) -> float:
+def duality_gap(adjoint: AdjointEnsemble, var: VariationEnsemble) -> float:
     """Absolute mismatch between the variational functional and the adjoint
-    pairing for the same direction.  Both sides estimate the state-response
+    pairing for var's direction.  Both sides estimate the state-response
     part of the cost derivative by independent routes, so a small gap is the
     working certificate that the adjoint triple represents that derivative.
+    Both are taken at their one base's problem and control (ShapeMismatch
+    when the bases differ).
     """
-    lhs = response_functional(p, base, u0, var)
-    rhs = adjoint_pairing(p, base, u0, u, adjoint)
-    return abs(lhs - rhs)
+    if adjoint.base is not var.base:
+        raise ShapeMismatch("the adjoint and the variational ensemble were taken along different bases")
+    p, base, u0 = var.base.problem, var.base, var.base.control_used
+    return abs(response_functional(p, base, u0, var) - adjoint_pairing(p, base, u0, var.u, adjoint))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import CellPartition, ControlGrid, OBSERVATION_FEEDBACK, OPEN_LOOP, RelaxedControl, STATE_FEEDBACK
-from .errors import DomainError, NonPSD, ShapeMismatch, UnknownBenchmark, frozen_field, require_count
+from .errors import DomainError, NonPSD, ShapeMismatch, UnknownBenchmark, frozen_field, require_count, require_positive
 from .forward import NoiseEnsemble, pathwise_cost, simulate
 from .problem import GaussianInitial, JumpSpec, Problem
 
@@ -39,8 +39,7 @@ class LQSpec:
     def __post_init__(self):
         for name in ("A", "B", "Sigma0", "R_x", "R_u", "G"):
             frozen_field(self, name, 2)
-        if not 0 < self.T < np.inf:
-            raise DomainError(f"horizon T must be finite and positive, got {self.T!r}")
+        require_positive(self.T, "horizon T")
         if not isinstance(self.x0, GaussianInitial):
             frozen_field(self, "x0", 1)
         n = self.A.shape[0]
@@ -318,7 +317,7 @@ def benchmark_grid(name: str, K: int = 9) -> ControlGrid:
         lo, hi = LQ1D_FEEDBACK_RANGE
     else:
         lo, hi = p.control_box[0]
-    return ControlGrid(np.linspace(lo, hi, K)[:, None], p.control_box)
+    return ControlGrid(np.linspace(lo, hi, require_count(K, "K"))[:, None], p.control_box)
 
 
 def benchmark_partition(name: str, mode: str, cells: int = 8) -> CellPartition | None:
@@ -401,6 +400,7 @@ def nonconvex_weight_oracle(N: int = 8, resolution: float = 0.1, sigma: float = 
     grid reduces to a shortest path over the reachable mean lattice; the
     optimum returned is exactly the optimum of exhaustive enumeration.
     """
+    N, resolution = require_count(N, "N"), require_positive(resolution, "resolution")
     dt = T / N
     levels = np.round(np.arange(0.0, 1.0 + resolution / 2, resolution), 10)
     drift = 2.0 * levels - 1.0  # mean velocity per weight level
@@ -409,15 +409,14 @@ def nonconvex_weight_oracle(N: int = 8, resolution: float = 0.1, sigma: float = 
     span = int(round(1.0 / resolution)) * N
     offsets = np.arange(-span, span + 1)
     means = offsets * unit
-    INF = np.inf
-    cost_to_come = np.full(means.size, INF)
+    cost_to_come = np.full(means.size, np.inf)
     start = span  # mean 0
     cost_to_come[start] = 0.0
     parent = np.full((N, means.size), -1, dtype=int)
     choice = np.full((N, means.size), -1, dtype=int)
     steps = [int(round(v * dt / unit)) for v in drift]
     for k in range(N):
-        nxt = np.full(means.size, INF)
+        nxt = np.full(means.size, np.inf)
         for s in np.flatnonzero(np.isfinite(cost_to_come)):
             stage = cost_to_come[s] + (means[s] ** 2) * dt
             for a, off in enumerate(steps):

@@ -21,7 +21,7 @@ from .adjoint import adjoint_pairing, duality_gap, solve_bsde
 from .container import adjoint_to_binary, paths_to_binary
 from .control import OBSERVATION_FEEDBACK, OPEN_LOOP, STATE_FEEDBACK, RelaxedControl, refine_steps
 from .errors import BlowUp, DomainError, NonFiniteCoefficient, RsmpError, SingularRegression
-from .errors import UnknownBenchmark, require_count
+from .errors import UnknownBenchmark, require_count, require_tolerance
 from .forward import STREAM_VERSION, cost, pathwise_cost, paths_to_csv, sample_noise, simulate
 from .smp import OptimizeParams, hamiltonian_field, optimize, realize_regular, smp_gap
 from .variation import gateaux, response_functional, simulate_variational
@@ -69,10 +69,7 @@ class RunConfig:
                 raise DomainError(f"{name} must be a string, got {value!r}")
         if self.mode not in (None, *MODE_ALIASES):
             raise DomainError(f"mode must be one of {list(MODE_ALIASES)}, got {self.mode!r}")
-        if isinstance(self.tol, bool) or not isinstance(self.tol, (int, float)):
-            raise DomainError(f"tol must be a number, got {self.tol!r}")
-        if not np.isfinite(self.tol) or self.tol < 0:
-            raise DomainError(f"tol must be finite and nonnegative, got {self.tol!r}")
+        require_tolerance(self.tol, "tol")
         if not isinstance(self.formats, list):
             raise DomainError(f"formats must be a list, got {self.formats!r}")
         for fmt in self.formats:
@@ -222,7 +219,7 @@ def _cmd_adjoint(config: RunConfig) -> int:
     var = simulate_variational(p, paths, probe, u)
     response = response_functional(p, paths, u, var)
     pairing = adjoint_pairing(p, paths, u, probe, adj)
-    gap = duality_gap(p, paths, u, probe, adj, var)
+    gap = duality_gap(adj, var)
     rel = gap / (abs(response) + 1e-6)
     print(f"duality_gap {gap!r} relative {rel!r}")
     _write_config(config)

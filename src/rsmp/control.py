@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, MissingPaths, NonFiniteCoefficient, ShapeMismatch, ValueOffGrid
-from .errors import frozen_field, require_count
+from .errors import frozen_field, require_count, require_positive, require_tolerance
 
 OPEN_LOOP = "open_loop"
 STATE_FEEDBACK = "state_feedback"
@@ -68,6 +68,7 @@ class ControlGrid:
 
         Raises ValueOffGrid if a value is farther than tol from every point.
         """
+        tol = require_tolerance(tol, "snap tolerance")
         v = np.asarray(values, dtype=float).reshape(-1, self.d)
         dist = np.linalg.norm(v[:, None, :] - self.points[None, :, :], axis=2)
         idx = np.argmin(dist, axis=1)
@@ -289,6 +290,7 @@ class RegularControl:
         box = frozen_field(self, "box", 2, "control box")
         if v.ndim != 3:
             raise ShapeMismatch("values must have shape (S, C, d)")
+        require_count(v.shape[0], "time slots")
         if box.shape != (v.shape[2], 2):
             raise ShapeMismatch(f"box must have shape ({v.shape[2]}, 2)")
         _check_information(self.feedback_mode, self.feedback, v.shape[1])
@@ -350,7 +352,7 @@ def constant_control(grid: ControlGrid, time_steps: int, weights=None) -> Relaxe
         w = np.full(grid.K, 1.0 / grid.K)
     else:
         w = np.asarray(weights, dtype=float)
-    return RelaxedControl(grid, np.tile(w, (time_steps, 1, 1)))
+    return RelaxedControl(grid, np.tile(w, (require_count(time_steps, "time steps"), 1, 1)))
 
 
 def refine_steps(u: RelaxedControl, factor: int) -> RelaxedControl:
@@ -375,7 +377,7 @@ def dirac_embed(u: RegularControl, grid: ControlGrid) -> RelaxedControl:
 
 def mix(a: RelaxedControl, b: RelaxedControl, eps: float) -> RelaxedControl:
     """Convex combination (1 - eps) * a + eps * b, cellwise on the weights."""
-    if not (0.0 <= eps <= 1.0):
+    if require_tolerance(eps, "mixing weight") > 1.0:
         raise DomainError(f"mixing weight {eps} outside [0, 1]")
     if not a.same_structure(b):
         raise ShapeMismatch("controls must share grid, step count, feedback mode and partition")
@@ -401,10 +403,8 @@ def pair(phi, u: RelaxedControl, paths=None, horizon: float | None = None) -> fl
         raise MissingPaths("feedback control cannot be paired without paths")
     elif horizon is None:
         raise DomainError("open-loop pairing needs an explicit horizon")
-    elif not 0 < horizon < np.inf:
-        raise DomainError(f"horizon must be finite and positive, got {horizon!r}")
     else:
-        T = float(horizon)
+        T = require_positive(horizon, "horizon")
     dt = T / N
     phi_grid = np.array(
         [[float(phi(k * dt, u.grid.points[i])) for i in range(u.grid.K)] for k in range(N)]
@@ -447,6 +447,7 @@ def validate(u, tol: float = SIMPLEX_TOL) -> ControlReport:
     (N, K); the constructor raises on the first violation, so raw arrays are
     the usual subject (hand-assembled weights, edited files).
     """
+    tol = require_tolerance(tol, "simplex tolerance")
     w = u.weights if isinstance(u, RelaxedControl) else np.asarray(u, dtype=float)
     if w.ndim < 3:
         w = w.reshape(-1, 1, w.shape[-1])

@@ -89,3 +89,20 @@ def require_seed(value, what: str = "seed") -> int:
     if seed >= 2**128:
         raise DomainError(f"{what} must lie in [0, 2**128), the Philox key range, got {value!r}")
     return seed
+
+
+def require_positive(value, what: str, strict: bool = True) -> float:
+    """value as a float; DomainError unless it is a finite real number above
+    0, or at least 0 when not strict.  A bool, a str or None is no number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise DomainError(f"{what} must be a real number, got {value!r}")
+    if not -np.inf < value < np.inf:  # NaN fails both comparisons
+        raise DomainError(f"{what} must be finite, got {value!r}")
+    if value < 0 or (strict and value == 0):
+        raise DomainError(f"{what} must be {'positive' if strict else 'nonnegative'}, got {value!r}")
+    return float(value)
+
+
+def require_tolerance(value, what: str) -> float:
+    """value as a float; DomainError unless a finite, nonnegative real number."""
+    return require_positive(value, what, strict=False)

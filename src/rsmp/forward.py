@@ -197,6 +197,14 @@ class PathEnsemble:
     def horizon(self) -> float:
         return self.noise.dt * self.n_steps
 
+    def require(self, p: Problem, u0: RelaxedControl | None = None) -> None:
+        """ShapeMismatch unless simulated under the problem object p (identity:
+        callables have no value equality) and, if given, a control equal to u0."""
+        if p is not self.problem:
+            raise ShapeMismatch("the ensemble was simulated under another problem")
+        if u0 is not None and not u0.equals(self.control_used):
+            raise ShapeMismatch("base ensemble was not simulated under u0")
+
     def feedback_signal(self, k: int, mode: str):
         """Signal that resolves feedback cells at step k, or None for open loop."""
         return _feedback_signal(self.problem, mode, self.states[:, k])
@@ -316,11 +324,10 @@ def pathwise_cost(p: Problem, paths: PathEnsemble) -> np.ndarray:
     terminal cost, under the control recorded in the ensemble.
 
     The running cost is the one `simulate` recorded for paths.problem, so p
-    must be that same problem object; another raises ShapeMismatch.  A
-    NaN/Inf cost on any path raises NonFiniteCoefficient.
+    must be that same problem object (`PathEnsemble.require`); another raises
+    ShapeMismatch.  A NaN/Inf cost on any path raises NonFiniteCoefficient.
     """
-    if p is not paths.problem:
-        raise ShapeMismatch("the ensemble was simulated under another problem")
+    paths.require(p)
     total = paths.running_cost + np.asarray(p.phi(paths.states[:, -1]), dtype=float)
     if not np.all(np.isfinite(total)):
         raise NonFiniteCoefficient("cost evaluation produced NaN/Inf")

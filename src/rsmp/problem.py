@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import DomainError, NonFiniteCoefficient, ShapeMismatch, frozen_field, require_count, require_seed
+from .errors import DomainError, NonFiniteCoefficient, ShapeMismatch, frozen_field, require_count, require_positive
+from .errors import require_seed
 
 FD_STEP = 1e-5
 
@@ -72,6 +73,7 @@ def fd_gradient(f, argpos: int = 1, step: float = FD_STEP):
     in the call, with any number of leading axes on it; returns a callable
     with one extra trailing axis (the differentiation direction).
     """
+    step = require_positive(step, "finite-difference step")
 
     def grad(*args):
         x_in = np.asarray(args[argpos], dtype=float)
@@ -161,8 +163,7 @@ class Problem:
     observe: object | None = None
 
     def __post_init__(self):
-        if not 0 < self.T < np.inf:
-            raise DomainError(f"horizon T must be finite and positive, got {self.T!r}")
+        require_positive(self.T, "horizon T")
         for name in ("n", "m", "d"):
             require_count(getattr(self, name), name)
         x0 = self.x0.mean if isinstance(self.x0, GaussianInitial) else frozen_field(self, "x0", 1)
@@ -174,14 +175,9 @@ class Problem:
             object.__setattr__(self, "jump", JumpSpec(np.zeros((0, self.n)), np.zeros(0), None))
         if self.jump.marks.shape[1] != self.n:
             raise ShapeMismatch("jump marks must live in the state space")
-        if self.b_x is None:
-            object.__setattr__(self, "b_x", fd_gradient(self.b))
-        if self.sigma_x is None:
-            object.__setattr__(self, "sigma_x", fd_gradient(self.sigma))
-        if self.ell_x is None:
-            object.__setattr__(self, "ell_x", fd_gradient(self.ell))
-        if self.phi_x is None:
-            object.__setattr__(self, "phi_x", fd_gradient(self.phi, argpos=0))
+        for name, argpos in (("b", 1), ("sigma", 1), ("ell", 1), ("phi", 0)):
+            if getattr(self, name + "_x") is None:
+                object.__setattr__(self, name + "_x", fd_gradient(getattr(self, name), argpos))
 
     def initial_states(self, M: int, z: np.ndarray | None = None) -> np.ndarray:
         if isinstance(self.x0, GaussianInitial):
@@ -390,8 +386,7 @@ def validate_assumptions(p: Problem, samples: int = 200, seed: int = 0, scale: f
     non-finite evaluation.  Report-only: constants are evidence, not proof.
     """
     samples = require_count(samples, "samples")
-    if not 0 < scale < np.inf:
-        raise DomainError(f"scale must be finite and positive, got {scale!r}")
+    scale = require_positive(scale, "scale")
     rng = Generator(Philox(key=require_seed(seed)))
     rep = AssumptionReport()
     ts = rng.uniform(0.0, p.T, samples)

@@ -28,7 +28,7 @@ from numpy.random import Generator, Philox
 
 from .adjoint import AdjointEnsemble, solve_bsde
 from .control import ControlGrid, RegularControl, RelaxedControl, mix
-from .errors import DomainError, ShapeMismatch, require_count, require_seed
+from .errors import ShapeMismatch, require_count, require_seed, require_tolerance
 from .forward import pathwise_cost, sample_noise, simulate
 from .problem import Problem, atom_hamiltonians, contract_atoms
 
@@ -67,11 +67,8 @@ class HamiltonianField:
 def _nearest_nonempty(cell_values_k, counts_k, centers):
     """Fill empty cells with the values of the nearest occupied cell.  An
     open-loop control (centers None) has one cell holding every path."""
-    empty = np.flatnonzero(counts_k == 0)
-    if empty.size == 0:
-        return
     occupied = np.flatnonzero(counts_k > 0)
-    for c in empty:
+    for c in np.flatnonzero(counts_k == 0):
         d = np.linalg.norm(centers[occupied] - centers[c], axis=1)
         cell_values_k[c] = cell_values_k[occupied[int(np.argmin(d))]]
 
@@ -183,8 +180,7 @@ class OptimizeParams:
         # error, which needs at least two paths
         for name, low in (("M", 2), ("N", 1), ("max_iters", 0), ("seed", 0), ("threads", 1)):
             require_count(getattr(self, name), name, low)
-        if not np.isfinite(self.tol) or self.tol < 0:
-            raise DomainError(f"tol must be finite and nonnegative, got {self.tol!r}")
+        require_tolerance(self.tol, "tol")
 
 
 def optimize(p: Problem, u_init: RelaxedControl, params: OptimizeParams) -> OptimizationResult:

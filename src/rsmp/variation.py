@@ -26,14 +26,13 @@ from .problem import Problem, averaged_coefficients, averaged_linearization
 
 @dataclass(frozen=True)
 class VariationEnsemble:
-    """Pathwise derivative states y with y[:, 0] = 0, and the left-endpoint
-    quadrature terms of the cost derivative recorded per step k:
+    """Pathwise derivative states y with y[:, 0] = 0 for u - base.control_used,
+    and the left-endpoint quadrature terms of the cost derivative per step k:
     response_terms[k] = dt * mean(l_x(w0) . y_k) and
     direct_terms[k] = dt * mean(l(w - w0))."""
 
     y: np.ndarray  # (M, N+1, n), step-major
     u: RelaxedControl
-    u0: RelaxedControl
     base: PathEnsemble
     response_terms: np.ndarray  # (N,)
     direct_terms: np.ndarray  # (N,)
@@ -46,16 +45,13 @@ def simulate_variational(
 
     Reuses the base ensemble's Brownian increments and jump events exactly;
     the recursion is linear in y and in the weight difference, so scaling the
-    direction scales the output.  u and u0 must share their structure
-    (`RelaxedControl.same_structure`), and the base must be simulated under u0;
+    direction scales the output.  The base must be simulated under p and u0
+    (`PathEnsemble.require`) and u share u0's structure, else ShapeMismatch;
     each step resolves u0's cells once and reads both controls' weights there.
     """
     if not u.same_structure(u0):
         raise ShapeMismatch("direction controls must share grid, steps, mode and partition")
-    if not u0.equals(base.control_used):
-        raise ShapeMismatch("base ensemble was not simulated under u0")
-    if u.time_steps != base.n_steps:
-        raise ShapeMismatch("controls and base ensemble disagree on step count")
+    base.require(p, u0)
     M, N, dt = base.M, base.n_steps, base.dt
     grid = u0.grid
     y = _step_major(M, N + 1, (p.n,))
@@ -78,7 +74,7 @@ def simulate_variational(
         y[:, k + 1] = euler_step(p, base.noise, slice(None), k, yk, drift, diff, jumps, "variational state")
     for arr in (y, response_terms, direct_terms):
         arr.setflags(write=False)
-    return VariationEnsemble(y, u, u0, base, response_terms, direct_terms)
+    return VariationEnsemble(y, u, base, response_terms, direct_terms)
 
 
 def _left_sum(total: float, terms: np.ndarray) -> float:
@@ -88,22 +84,17 @@ def _left_sum(total: float, terms: np.ndarray) -> float:
     return total
 
 
-def _check_record(base: PathEnsemble, u0: RelaxedControl, var: VariationEnsemble) -> None:
-    """ShapeMismatch unless var's record was taken along base around u0."""
-    if var.base is not base:
-        raise ShapeMismatch("the variational ensemble was integrated along another base ensemble")
-    if not var.u0.equals(u0):
-        raise ShapeMismatch("the variational ensemble was integrated around another control")
-
-
 def response_functional(p: Problem, base: PathEnsemble, u0: RelaxedControl, var: VariationEnsemble) -> float:
     """State-response part of the cost derivative: running-cost and terminal
     gradients along the base paths paired with the variational states.
 
     The running-cost part is the sum of var.response_terms in step order;
-    only the terminal gradient phi_x is evaluated here.
+    only the terminal gradient phi_x is evaluated here.  ShapeMismatch unless
+    base is var's own, simulated under p and u0 (`PathEnsemble.require`).
     """
-    _check_record(base, u0, var)
+    base.require(p, u0)
+    if var.base is not base:
+        raise ShapeMismatch("the variational ensemble was integrated along another base ensemble")
     N = base.n_steps
     phix = np.asarray(p.phi_x(base.states[:, N]), dtype=float)
     total = _left_sum(0.0, var.response_terms)
@@ -119,7 +110,7 @@ def gateaux(p: Problem, base: PathEnsemble, var: VariationEnsemble, u: RelaxedCo
     Sum of the state-response functional and the direct term (running cost
     averaged against the signed weight difference), both as left-endpoint
     quadratures on the base paths, read from the terms the variational sweep
-    recorded for this direction.
+    recorded for this direction u, with `response_functional`'s checks.
     """
     if not var.u.equals(u):
         raise ShapeMismatch("the variational ensemble was integrated for another direction")

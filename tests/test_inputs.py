@@ -5,8 +5,10 @@ error; NaN or Inf inputs say "must be finite"."""
 
 import contextlib
 import dataclasses
+import functools
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,6 +56,24 @@ def pair_fn(t, xi):
 
 def semimartingale(dt):
     return Semimartingale(np.zeros((2, 3, 1)), np.zeros((2, 3, 1, 1)), dt)
+
+
+@functools.lru_cache(maxsize=None)
+def along(seed=1):
+    """Records on lq1d along one base: the uniform control u0, the direction
+    e_0, the base (M=500, N=8), its adjoint and the variational ensemble."""
+    p = lq1d()
+    grid = rsmp.benchmark_grid("lq1d")
+    u0, u = rsmp.constant_control(grid, 8), rsmp.constant_control(grid, 8, np.eye(grid.K)[0])
+    base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 500, 8, seed))
+    return SimpleNamespace(u0=u0, u=u, base=base, adjoint=rsmp.solve_bsde(p, base, u0),
+                           var=rsmp.simulate_variational(p, base, u, u0))
+
+
+def five_ell():
+    """A copy of the base's problem whose running cost is 5 times lq1d's."""
+    p = along().base.problem
+    return dataclasses.replace(p, ell=lambda t, x, xi: 5 * p.ell(t, x, xi))
 
 
 # (id, call, error, substring of the message)
@@ -120,6 +140,51 @@ REFUSED = [
      "at least 0"),
     ("realization seed past the key range", lambda: rsmp.realize_regular(open_control(), 2, seed=2**128),
      DomainError, "Philox key"),
+    ("pathwise cost under a 5x running-cost copy", lambda: rsmp.pathwise_cost(five_ell(), along().base),
+     ShapeMismatch, "another problem"),
+    ("adjoint under a 5x running-cost copy", lambda: rsmp.solve_bsde(five_ell(), along().base, along().u0),
+     ShapeMismatch, "another problem"),
+    ("variational sweep under a 5x running-cost copy",
+     lambda: rsmp.simulate_variational(five_ell(), along().base, along().u, along().u0), ShapeMismatch,
+     "another problem"),
+    ("response functional under a 5x running-cost copy",
+     lambda: rsmp.response_functional(five_ell(), along().base, along().u0, along().var), ShapeMismatch,
+     "another problem"),
+    ("gateaux under a 5x running-cost copy",
+     lambda: rsmp.gateaux(five_ell(), along().base, along().var, along().u, along().u0), ShapeMismatch,
+     "another problem"),
+    ("adjoint pairing under a 5x running-cost copy",
+     lambda: rsmp.adjoint_pairing(five_ell(), along().base, along().u0, along().u, along().adjoint), ShapeMismatch,
+     "another problem"),
+    ("duality gap of records along different bases", lambda: rsmp.duality_gap(along(2).adjoint, along().var),
+     ShapeMismatch, "different bases"),
+    ("string optimize tol", lambda: OptimizeParams(M=10, N=4, tol="0.1"), DomainError, "real number"),
+    ("missing optimize tol", lambda: OptimizeParams(M=10, N=4, tol=None), DomainError, "real number"),
+    ("boolean optimize tol", lambda: OptimizeParams(M=10, N=4, tol=True), DomainError, "real number"),
+    ("NaN optimize tol", lambda: OptimizeParams(M=10, N=4, tol=NAN), DomainError, "must be finite"),
+    ("negative optimize tol", lambda: OptimizeParams(M=10, N=4, tol=-0.1), DomainError, "nonnegative"),
+    ("string config tol", lambda: RunConfig(command="optimize", tol="0.1"), DomainError, "real number"),
+    ("boolean config tol", lambda: RunConfig(command="optimize", tol=True), DomainError, "real number"),
+    ("NaN config tol", lambda: RunConfig(command="optimize", tol=NAN), DomainError, "must be finite"),
+    ("NaN simplex tolerance", lambda: rsmp.validate(np.full((2, 3), 1 / 3), tol=NAN), DomainError, "must be finite"),
+    ("string simplex tolerance", lambda: rsmp.validate(np.full((2, 3), 1 / 3), tol="1"), DomainError,
+     "real number"),
+    ("NaN snap tolerance", lambda: rsmp.benchmark_grid("lq1d", 3).snap([[0.0]], tol=NAN), DomainError,
+     "must be finite"),
+    ("fractional constant-control steps", lambda: rsmp.constant_control(rsmp.benchmark_grid("lq1d", 3), 2.5),
+     DomainError, "integer"),
+    ("fractional benchmark grid size", lambda: rsmp.benchmark_grid("lq1d", 2.5), DomainError, "integer"),
+    ("zero oracle steps", lambda: rsmp.nonconvex_weight_oracle(N=0), DomainError, "at least 1"),
+    ("fractional oracle steps", lambda: rsmp.nonconvex_weight_oracle(N=2.5), DomainError, "integer"),
+    ("zero oracle resolution", lambda: rsmp.nonconvex_weight_oracle(resolution=0.0), DomainError, "positive"),
+    ("NaN oracle resolution", lambda: rsmp.nonconvex_weight_oracle(resolution=NAN), DomainError, "must be finite"),
+    ("string mixing weight", lambda: rsmp.mix(open_control(), open_control(), "0.5"), DomainError, "real number"),
+    ("string pairing horizon", lambda: rsmp.pair(pair_fn, open_control(), horizon="1"), DomainError, "real number"),
+    ("regular control without slots", lambda: RegularControl(np.zeros((0, 1)), [[-1.0, 1.0]]), DomainError,
+     "at least 1"),
+    ("zero finite-difference step", lambda: rsmp.fd_gradient(np.sin, step=0.0), DomainError, "positive"),
+    ("string horizon", lambda: problem(T="1"), DomainError, "real number"),
+    ("string LQ horizon", lambda: LQSpec(**{**LQ1D, "T": "1"}), DomainError, "real number"),
 ]
 
 

@@ -268,6 +268,8 @@ class TestHamiltonianField:
         if p.jump.J:
             changes["jump"] = dataclasses.replace(p.jump, C=counted("C", p.jump.C))
         wrapped = dataclasses.replace(p, **changes)
+        base = rsmp.simulate(wrapped, base.control_used, base.noise)
+        calls.clear()
         adj = rsmp.solve_bsde(wrapped, base, base.control_used)
         expected = {key: base.n_steps for key in ("b", "sigma", "ell")}
         if p.jump.J:
@@ -282,13 +284,18 @@ class TestHamiltonianField:
         # the field's coefficients are evaluated in the backward sweep
         p, grid, base, _ = self.seeded_field_inputs("lq1d", rsmp.STATE_FEEDBACK)
         bad_atom = grid.points[3]
+        armed = []
 
         def ell(t, x, xi):
-            # xi holds the atoms on its leading axis; poison atom 3 only
-            return np.where(np.all(xi == bad_atom, axis=-1), np.nan, p.ell(t, x, xi))
+            # xi holds the atoms on its leading axis; once armed, poison atom 3 only
+            value = p.ell(t, x, xi)
+            return np.where(np.all(xi == bad_atom, axis=-1), np.nan, value) if armed else value
 
+        poisoned = dataclasses.replace(p, ell=ell)
+        base = rsmp.simulate(poisoned, base.control_used, base.noise)
+        armed.append(True)
         with pytest.raises(rsmp.NonFiniteCoefficient):
-            rsmp.solve_bsde(dataclasses.replace(p, ell=ell), base, base.control_used)
+            rsmp.solve_bsde(poisoned, base, base.control_used)
 
     def test_lq_argmin_tracks_riccati_feedback_sign(self):
         p = rsmp.make_benchmark("lq1d")

@@ -13,9 +13,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "rsmp"
 
 # (module, function, parameter) -> why it stays unread
-ALLOWED = {
-    ("adjoint", "adjoint_pairing", "p"): "perfbench/workloads.py calls it positionally, and benchmark files are frozen",
-}
+ALLOWED = {}
 
 
 def _params(fn: ast.FunctionDef, is_method: bool) -> list:

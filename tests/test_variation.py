@@ -130,11 +130,12 @@ class TestNonFiniteGuards:
             return np.full(np.shape(x), np.nan)
 
         p = dataclasses.replace(self.p, phi_x=phi_x)
-        var = rsmp.simulate_variational(p, self.base, self.u1, self.u0)
+        base = rsmp.simulate(p, self.u0, self.base.noise)
+        var = rsmp.simulate_variational(p, base, self.u1, self.u0)
         with pytest.raises(NonFiniteCoefficient):
-            response_functional(p, self.base, self.u0, var)
+            response_functional(p, base, self.u0, var)
         with pytest.raises(NonFiniteCoefficient):
-            rsmp.gateaux(p, self.base, var, self.u1, self.u0)
+            rsmp.gateaux(p, base, var, self.u1, self.u0)
 
     def test_nan_noise_raises_in_variational_sweep(self):
         # NaN fails the blow-up comparison, so only the finiteness check sees it
