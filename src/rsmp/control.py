@@ -207,6 +207,7 @@ class RelaxedControl:
             object.__setattr__(self, "weights", w)
         if w.ndim != 3 or w.shape[2] != self.grid.K:
             raise ShapeMismatch("weights must have shape (N, C, K)")
+        require_count(w.shape[0], "control time steps")
         _check_information(self.feedback_mode, self.feedback, w.shape[1])
         report = validate(w)
         if not report.ok:

@@ -96,7 +96,8 @@ def require_positive(value, what: str, strict: bool = True) -> float:
     0, or at least 0 when not strict.  A bool, a str or None is no number."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise DomainError(f"{what} must be a real number, got {value!r}")
-    if not -np.inf < value < np.inf:  # NaN fails both comparisons
+    # NaN fails both comparisons; an int beyond the float range would overflow float()
+    if not -np.inf < value < np.inf or isinstance(value, int) and abs(value) > float(np.finfo(float).max):
         raise DomainError(f"{what} must be finite, got {value!r}")
     if value < 0 or (strict and value == 0):
         raise DomainError(f"{what} must be {'positive' if strict else 'nonnegative'}, got {value!r}")

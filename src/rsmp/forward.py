@@ -219,15 +219,16 @@ def _feedback_signal(p: Problem, mode: str, x: np.ndarray):
 
 
 def step_cells(paths: PathEnsemble, u: RelaxedControl, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Feedback cell (M,) of every path of the ensemble at step k under u
-    (all 0 for open loop, which reads only the path count off the states),
-    and the per-path weight vectors (M, K) there."""
-    signal = paths.feedback_signal(k, u.feedback_mode)
-    return _resolve(u.weights[k], u.feedback, paths.states[:, k] if signal is None else signal)
+    """Feedback cell (M,) of every path of the ensemble at step k under u,
+    and u's weights there by the rule of `RelaxedControl.weights_at`: for
+    open loop all cells 0 and the single weight row (K,), otherwise the
+    per-path weight vectors (M, K)."""
+    cells, w = _resolve(u.weights[k], u.feedback, paths.feedback_signal(k, u.feedback_mode))
+    return (np.zeros(paths.M, dtype=np.int64) if cells is None else cells), w
 
 
 def step_weights(paths: PathEnsemble, u: RelaxedControl, k: int) -> np.ndarray:
-    """Per-path weight vectors of u at step k, resolved on the ensemble."""
+    """u's weights at step k on the ensemble: (K,) for open loop, else (M, K)."""
     return step_cells(paths, u, k)[1]
 
 

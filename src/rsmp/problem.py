@@ -18,14 +18,15 @@ their arguments.
 Relaxed controls only ever see a coefficient through its values at the K
 atoms of a control grid.  `atom_values` is the single place that evaluates a
 coefficient on a grid: one broadcast call with the atom axis leading,
-returned as a contiguous (K, M, ...) tensor and checked for NaN/Inf once.
+returned as a contiguous (K, M, ...) tensor and checked for NaN/Inf.
 Everything linear in the weights is a contraction of that tensor over its
-leading axis: `contract_atoms` pairs it with a weight vector (K,) or
-per-path weights (M, K), which is what the `averaged_*` functions return,
-and `atom_hamiltonians` contracts it with the adjoint processes to get all
-K per-atom Hamiltonians from one evaluation.  Every sweep reads a step's
-coefficients through `averaged_coefficients` (or its point-control twin
-`point_coefficients`) and their state Jacobians through
+leading axis: `contract_atoms` pairs it with one weight row (K,), as open
+loop resolves, or per-path weights (M, K) into the `averaged_*` values,
+which are checked once contracted (0 * Inf and Inf - Inf are NaN, so any
+NaN/Inf atom shows), and `atom_hamiltonians` contracts it with the adjoint
+processes to get all K per-atom Hamiltonians from one evaluation.  Every
+sweep reads a step's coefficients through `averaged_coefficients` (or its
+point-control twin `point_coefficients`) and their state Jacobians through
 `averaged_linearization`.
 """
 
@@ -195,31 +196,41 @@ class Problem:
         return obs
 
 
+def _atom_tensor(f, grid, t, x, extra, what: str) -> np.ndarray:
+    """`atom_values` without its NaN/Inf check."""
+    x = np.asarray(x, dtype=float)
+    K = grid.K
+    xi = grid.points.reshape((K,) + (1,) * (x.ndim - 1) + (grid.d,))
+    try:
+        raw = np.asarray(f(t, x[None], *extra, xi), dtype=float)
+        shape = (K,) + x.shape[:-1] + raw.shape[x.ndim :]
+        return np.ascontiguousarray(raw if raw.shape == shape else np.broadcast_to(raw, shape))
+    except ValueError as exc:
+        raise ShapeMismatch(
+            f"{what} does not broadcast over the {K} grid atoms: callables must broadcast "
+            f"x (..., n) and xi (..., d) over their leading axes ({exc})"
+        ) from exc
+
+
+def _require_finite(vals: np.ndarray, what: str) -> np.ndarray:
+    """vals, unless it holds a NaN/Inf (NonFiniteCoefficient naming what)."""
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteCoefficient(f"{what} produced NaN/Inf")
+    return vals
+
+
 def atom_values(f, grid, t, x, extra=(), what: str = "coefficient") -> np.ndarray:
     """f(t, x, *extra, xi_i) at every atom xi_i of the grid, with the atom
     axis leading: shape (K, M, ...) for states x (M, n).
 
     One call evaluates all atoms: x gains a leading axis and the grid points
     (K, d) broadcast against it, so f must broadcast x (..., n) and xi
-    (..., d) over their leading axes.  The result is copied to a contiguous
-    (K, M, ...) tensor, also when f returns a broadcast constant.  A call or
-    result that does not broadcast raises ShapeMismatch; a NaN/Inf value
-    raises NonFiniteCoefficient.
+    (..., d) over their leading axes.  A contiguous (K, M, ...) result is
+    returned as it is; any other (a broadcast constant, say) is copied to
+    one.  A call or result that does not broadcast raises ShapeMismatch; a
+    NaN/Inf value raises NonFiniteCoefficient.
     """
-    x = np.asarray(x, dtype=float)
-    K = grid.K
-    xi = grid.points.reshape((K,) + (1,) * (x.ndim - 1) + (grid.d,))
-    try:
-        raw = np.asarray(f(t, x[None], *extra, xi), dtype=float)
-        out = np.broadcast_to(raw, (K,) + x.shape[:-1] + raw.shape[x.ndim :])
-    except ValueError as exc:
-        raise ShapeMismatch(
-            f"{what} does not broadcast over the {K} grid atoms: callables must broadcast "
-            f"x (..., n) and xi (..., d) over their leading axes ({exc})"
-        ) from exc
-    if not np.all(np.isfinite(raw)):
-        raise NonFiniteCoefficient(f"{what} produced NaN/Inf")
-    return np.ascontiguousarray(out)
+    return _require_finite(_atom_tensor(f, grid, t, x, extra, what), what)
 
 
 def contract_atoms(vals: np.ndarray, w) -> np.ndarray:
@@ -268,7 +279,7 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row) -> tuple[np.ndarr
 
 def _averaged(f, grid, t, x, w, what: str, extra=()):
     """Relaxed average sum_i w[..., i] f(t, x, *extra, xi_i); linear in w."""
-    return contract_atoms(atom_values(f, grid, t, x, extra, what), w)
+    return _require_finite(contract_atoms(_atom_tensor(f, grid, t, x, extra, what), w), what)
 
 
 def averaged_drift(p: Problem, grid, t, x, w):

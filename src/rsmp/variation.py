@@ -63,7 +63,7 @@ def simulate_variational(
         x = base.states[:, k]
         yk = y[:, k]
         cells, w0 = step_cells(base, u0, k)
-        dw = (u.weights[k] - u0.weights[k])[cells]
+        dw = (u.weights[k] - u0.weights[k])[cells if w0.ndim == 2 else 0]
         bx, sx, lx, cxs = averaged_linearization(p, grid, t, x, w0)
         b_dw, s_dw, l_dw, c_dws = averaged_coefficients(p, grid, t, x, dw)
         response_terms[k] = dt * float(np.mean(np.einsum("qi,qi->q", lx, yk)))

@@ -8,7 +8,8 @@ import pytest
 import rsmp
 from rsmp import BlowUp, ControlGrid, GaussianInitial, JumpSpec, NonFiniteCoefficient, Problem, ShapeMismatch
 from rsmp.container import TAG_PATHS, paths_to_binary, read_section
-from rsmp.forward import _BLOCK, BLOWUP_GUARD, STREAM_VERSION, guard_step, pathwise_cost, step_weights
+from rsmp.forward import _BLOCK, BLOWUP_GUARD, STREAM_VERSION, guard_step, pathwise_cost, step_cells
+from rsmp.forward import step_weights
 from rsmp.problem import averaged_running_cost
 
 
@@ -401,6 +402,22 @@ def relaxed_control(name, mode, N, seed=0):
     C = 1 if part is None else part.n_cells
     w = np.random.default_rng(seed).dirichlet(np.ones(grid.K), size=(N, C))
     return rsmp.RelaxedControl(grid, w, mode, part)
+
+
+@pytest.mark.parametrize("mode", [rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK])
+def test_step_cells_resolve_open_loop_to_one_row(mode):
+    # the rule of weights_at: open loop reads its single (K,) row on cell 0
+    p = rsmp.make_benchmark("lq1d")
+    u = relaxed_control("lq1d", mode, 4)
+    paths = rsmp.simulate(p, u, rsmp.sample_noise(p, 50, 4, seed=3))
+    for k in range(4):
+        cells, w = step_cells(paths, u, k)
+        assert cells.shape == (50,) and cells.dtype == np.int64
+        if mode == rsmp.OPEN_LOOP:
+            assert not cells.any() and np.array_equal(w, u.weights[k, 0])
+        else:
+            assert np.array_equal(w, u.weights_at(k, paths.feedback_signal(k, mode)))
+            assert np.array_equal(w, u.weights[k][cells])
 
 
 class TestRecordedRunningCost:

@@ -185,6 +185,12 @@ REFUSED = [
     ("zero finite-difference step", lambda: rsmp.fd_gradient(np.sin, step=0.0), DomainError, "positive"),
     ("string horizon", lambda: problem(T="1"), DomainError, "real number"),
     ("string LQ horizon", lambda: LQSpec(**{**LQ1D, "T": "1"}), DomainError, "real number"),
+    ("relaxed control without time steps",
+     lambda: RelaxedControl(rsmp.benchmark_grid("lq1d", 3), np.zeros((0, 1, 3))), DomainError, "at least 1"),
+    ("optimize tol beyond the float range", lambda: OptimizeParams(M=10, N=4, tol=10**400), DomainError,
+     "must be finite"),
+    ("horizon beyond the float range", lambda: problem(T=10**400), DomainError, "must be finite"),
+    ("negative horizon beyond the float range", lambda: problem(T=-(10**400)), DomainError, "must be finite"),
 ]
 
 

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import rsmp
 from rsmp import ControlGrid, DomainError, JumpSpec, NonFiniteCoefficient, Problem, ShapeMismatch
-from rsmp.problem import atom_values, fd_gradient
+from rsmp.problem import atom_values, averaged_coefficients, averaged_linearization, contract_atoms, fd_gradient
 
 
 def linear_problem(A, B):
@@ -172,6 +174,101 @@ class TestBroadcastContract:
         with pytest.raises(ShapeMismatch, match="drift does not broadcast") as exc:
             atom_values(b, grid, 0.0, np.zeros((4, 1)), what="drift")
         assert isinstance(exc.value.__cause__, ValueError)
+
+    def test_full_result_is_returned_without_a_copy(self):
+        p = rsmp.make_benchmark("lq1d")
+        grid = rsmp.benchmark_grid("lq1d", 5)
+        x = np.random.default_rng(33).standard_normal((6, 1))
+        results = []
+
+        def b(t, x, xi):
+            results.append(p.b(t, x, xi))
+            return results[-1]
+
+        vals = atom_values(b, grid, 0.0, x)
+        assert vals.shape == (5, 6, 1) and vals.flags.c_contiguous
+        assert np.shares_memory(vals, results[0])
+
+    def test_broadcast_result_is_copied_to_the_full_shape(self):
+        # lq1d's diffusion is constant: one (1, M, 1, 1) view for all atoms
+        p = rsmp.make_benchmark("lq1d")
+        grid = rsmp.benchmark_grid("lq1d", 5)
+        results = []
+
+        def sigma(t, x, xi):
+            results.append(p.sigma(t, x, xi))
+            return results[-1]
+
+        vals = atom_values(sigma, grid, 0.0, np.zeros((6, 1)))
+        assert results[0].shape == (1, 6, 1, 1)
+        assert vals.shape == (5, 6, 1, 1) and vals.flags.c_contiguous
+        assert not np.shares_memory(vals, results[0])
+        assert np.array_equal(vals, np.broadcast_to(results[0], vals.shape))
+
+
+class TestContraction:
+    """One weight row contracts to the same bits as its (M, K) broadcast, so
+    an open-loop control resolves to its row; and a NaN or Inf at any atom
+    reaches the contracted value, which is all the averages check."""
+
+    @pytest.mark.parametrize("tail", [(), (2,), (2, 3), (2, 2), (2, 3, 2)])
+    def test_row_matches_its_broadcast_bit_for_bit(self, tail):
+        K, M = 9, 2000
+        rng = np.random.default_rng(34)
+        vals = rng.standard_normal((K, M) + tail) * 10.0 ** rng.integers(-6, 6, (K, M) + tail)
+        for row in (rng.dirichlet(np.ones(K)), rng.dirichlet(np.ones(K)) - rng.dirichlet(np.ones(K))):
+            got = contract_atoms(vals, row)
+            ref = contract_atoms(vals, np.broadcast_to(row, (M, K)))
+            assert got.shape == (M,) + tail
+            assert got.tobytes() == ref.tobytes()
+
+    # (coefficient, its name in the error, whether it is a state gradient)
+    COEFFICIENTS = [
+        ("b", "drift", False),
+        ("sigma", "diffusion", False),
+        ("ell", "running cost", False),
+        ("C", "jump coefficient", False),
+        ("b_x", "drift gradient", True),
+        ("sigma_x", "diffusion gradient", True),
+        ("ell_x", "running cost gradient", True),
+        ("C_x", "jump gradient", True),
+    ]
+    # (case, {atom: value added there}, weight row on the 5 atoms)
+    CASES = [
+        ("NaN at a zero-weight atom", {2: np.nan}, [0.25, 0.25, 0.0, 0.25, 0.25]),
+        ("+Inf at a negative weight", {0: np.inf}, [-1.0, 1.0, 0.0, 0.0, 0.0]),
+        ("+Inf and -Inf at two atoms", {1: np.inf, 3: -np.inf}, [0.2] * 5),
+    ]
+
+    @staticmethod
+    def poisoned(f, grid, at):
+        """f plus the value at[i] at each atom i named in at, 0 elsewhere."""
+        def g(*args):
+            out = np.asarray(f(*args), dtype=float)
+            xi = np.asarray(args[-1])
+            add = np.zeros(np.shape(xi)[:-1])
+            for i, value in at.items():
+                add = np.where(np.all(xi == grid.points[i], axis=-1), value, add)
+            return out + add.reshape(add.shape + (1,) * (out.ndim - add.ndim))
+        return g
+
+    @pytest.mark.parametrize("case, at, row", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("key, what, gradient", COEFFICIENTS, ids=[c[0] for c in COEFFICIENTS])
+    def test_non_finite_atom_reaches_the_average(self, key, what, gradient, case, at, row):
+        p = rsmp.make_benchmark("jump-lq")
+        grid = rsmp.benchmark_grid("jump-lq", 5)
+        if key.startswith("C"):
+            jump = p.jump
+            f = self.poisoned(getattr(jump, key), grid, at)
+            p = dataclasses.replace(p, jump=dataclasses.replace(jump, **{key: f}))
+        else:
+            p = dataclasses.replace(p, **{key: self.poisoned(getattr(p, key), grid, at)})
+        x = np.random.default_rng(35).standard_normal((7, 1))
+        average = averaged_linearization if gradient else averaged_coefficients
+        row = np.array(row)
+        for w in (row, np.tile(row, (7, 1))):
+            with pytest.raises(NonFiniteCoefficient, match=f"^{what} produced NaN/Inf$"):
+                average(p, grid, 0.3, x, w)
 
 
 class TestFiniteDifferenceGradients:
