@@ -9,13 +9,9 @@ chattering realization of relaxed optima by rapidly switching point controls.
 from .adjoint import (
     AdjointEnsemble,
     BasisSpec,
-    Semimartingale,
     adjoint_pairing,
     duality_gap,
-    sm_inner,
-    sm_norm,
     solve_bsde,
-    v_q,
 )
 from .bench import (
     BENCHMARK_NAMES,

@@ -22,10 +22,6 @@ Hamiltonian field (and with it the optimality gap) is built from the
 adjoint alone, and the duality pairing with a direction checks that it is
 given the adjoint's own ensemble and control.  Neither evaluates a
 coefficient or walks the paths again.
-
-The same module hosts the inner product on drift/diffusion/jump intensity
-triples and the duality check pairing the adjoint triple against a control
-perturbation, which must reproduce the variational cost derivative.
 """
 
 from __future__ import annotations
@@ -36,10 +32,9 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .control import RelaxedControl
-from .errors import DomainError, NonFiniteCoefficient, ShapeMismatch, SingularRegression, require_count
-from .errors import require_positive
+from .errors import NonFiniteCoefficient, ShapeMismatch, SingularRegression, require_count
 from .forward import PathEnsemble, _step_major, step_cells
-from .problem import Problem, atom_hamiltonians, averaged_diffusion_x, averaged_linearization
+from .problem import Problem, atom_hamiltonians, averaged_linearization
 from .variation import VariationEnsemble, response_functional
 
 COND_LIMIT = 1e12
@@ -68,8 +63,11 @@ class BasisSpec:
         return exps
 
     def features(self, x: np.ndarray) -> np.ndarray:
-        """Design matrix (M, P) of monomials in the state components."""
-        x = np.atleast_2d(x)
+        """Design matrix (M, P) of monomials in the components of M states x
+        (M, n); ShapeMismatch for an x that is not 2-D."""
+        x = np.asarray(x)
+        if x.ndim != 2:
+            raise ShapeMismatch(f"states must be (M, n), got shape {x.shape}")
         cols = []
         for alpha in self.exponents(x.shape[1]):
             col = np.ones(x.shape[0])
@@ -265,69 +263,6 @@ def solve_bsde(
     for arr in (psi, psi_cont, Q, phi, hamiltonian_sums, pairing_sums, occupancy):
         arr.setflags(write=False)
     return AdjointEnsemble(psi, psi_cont, Q, phi, diagnostics, hamiltonian_sums, pairing_sums, occupancy, base)
-
-
-def v_q(p: Problem, grid, Q_k: np.ndarray, t: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Vector V with components V_l = tr(Q_k^T sigma_x(t, x, w; e_l)).
-
-    Bilinear in (Q_k, sigma_x); batched over paths when x is (M, n).
-    """
-    sx = averaged_diffusion_x(p, grid, t, x, w)
-    Qk = np.asarray(Q_k, dtype=float)
-    if sx.ndim == 3:  # single sample
-        return np.einsum("ab,abl->l", Qk, sx)
-    if Qk.ndim == 2:
-        Qk = np.broadcast_to(Qk, sx.shape[:1] + Qk.shape)
-    return np.einsum("qab,qabl->ql", Qk, sx)
-
-
-@dataclass(frozen=True)
-class Semimartingale:
-    """Drift/diffusion/jump intensity triple of a square-integrable
-    semimartingale started at zero, sampled per path and step."""
-
-    v: np.ndarray  # (M, N, n)
-    Sigma: np.ndarray  # (M, N, n, m)
-    dt: float
-    phi: np.ndarray | None = None  # (M, N, J, n)
-    intensities: np.ndarray | None = None  # (J,)
-
-    def __post_init__(self):
-        if self.v.ndim != 3 or self.Sigma.ndim != 4:
-            raise ShapeMismatch("intensities must be (M, N, n) and (M, N, n, m)")
-        if self.v.shape[:2] != self.Sigma.shape[:2] or self.v.shape[2] != self.Sigma.shape[2]:
-            raise ShapeMismatch("drift and diffusion intensities disagree on dimensions")
-        if (self.phi is None) != (self.intensities is None):
-            raise ShapeMismatch("jump intensity needs both phi and the jump rates")
-        if self.phi is not None and (
-            self.phi.shape[:2] != self.v.shape[:2] or self.phi.shape[3] != self.v.shape[2]
-        ):
-            raise ShapeMismatch("jump intensity dimensions do not match")
-        require_positive(self.dt, "dt")
-        for arr in (self.v, self.Sigma, self.phi):
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise DomainError("semimartingale intensities must be finite")
-
-
-def sm_inner(a: Semimartingale, b: Semimartingale) -> float:
-    """Inner product of two semimartingales through their intensity triples:
-    time-quadrature Monte Carlo of the drift pairing, the diffusion trace
-    pairing, and (when present) the jump pairing weighted by the jump rates.
-    """
-    if a.v.shape != b.v.shape or a.Sigma.shape != b.Sigma.shape or a.dt != b.dt:
-        raise ShapeMismatch("semimartingales live on different grids")
-    if (a.phi is None) != (b.phi is None):
-        raise ShapeMismatch("one operand has a jump intensity, the other does not")
-    total = np.einsum("qki,qki->qk", a.v, b.v) + np.einsum("qkab,qkab->qk", a.Sigma, b.Sigma)
-    if a.phi is not None:
-        if not np.array_equal(a.intensities, b.intensities):
-            raise ShapeMismatch("jump rates differ")
-        total = total + np.einsum("j,qkji,qkji->qk", a.intensities, a.phi, b.phi)
-    return float(a.dt * total.sum(axis=1).mean())
-
-
-def sm_norm(a: Semimartingale) -> float:
-    return float(np.sqrt(max(sm_inner(a, a), 0.0)))
 
 
 def adjoint_pairing(

@@ -52,33 +52,46 @@ def write_section(fileobj, tag: bytes, meta: dict, arrays: dict) -> None:
             fileobj.close()
 
 
+def _read(fileobj, size: int) -> bytes:
+    """The next size bytes of fileobj; DomainError when the file ends first."""
+    data = fileobj.read(size)
+    if len(data) != size:
+        raise DomainError(f"truncated container file: needed {size} more bytes, found {len(data)}")
+    return data
+
+
+def _unpack(fileobj, fmt: str) -> tuple:
+    return struct.unpack(fmt, _read(fileobj, struct.calcsize(fmt)))
+
+
 def read_section(fileobj):
+    """(tag, meta, arrays) of one section; DomainError for a file that is not
+    a container, has another version or is cut short."""
     close = False
     if isinstance(fileobj, (str, bytes)):
         fileobj = open(fileobj, "rb")
         close = True
     try:
-        if fileobj.read(4) != MAGIC:
+        if _read(fileobj, 4) != MAGIC:
             raise DomainError("not a container file (bad magic)")
-        (version,) = struct.unpack("<I", fileobj.read(4))
+        (version,) = _unpack(fileobj, "<I")
         if version != VERSION:
             raise DomainError(f"unsupported container version {version}")
-        tag = fileobj.read(4)
-        n_meta, n_arrays = struct.unpack("<II", fileobj.read(8))
+        tag = _read(fileobj, 4)
+        n_meta, n_arrays = _unpack(fileobj, "<II")
         meta = {}
         for _ in range(n_meta):
-            (klen,) = struct.unpack("<H", fileobj.read(2))
-            key = fileobj.read(klen).decode("utf-8")
-            (meta[key],) = struct.unpack("<d", fileobj.read(8))
+            (klen,) = _unpack(fileobj, "<H")
+            key = _read(fileobj, klen).decode("utf-8")
+            (meta[key],) = _unpack(fileobj, "<d")
         arrays = {}
         for _ in range(n_arrays):
-            (nlen,) = struct.unpack("<H", fileobj.read(2))
-            name = fileobj.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fileobj.read(1))
-            shape = struct.unpack(f"<{ndim}Q", fileobj.read(8 * ndim))
+            (nlen,) = _unpack(fileobj, "<H")
+            name = _read(fileobj, nlen).decode("utf-8")
+            (ndim,) = _unpack(fileobj, "<B")
+            shape = _unpack(fileobj, f"<{ndim}Q")
             count = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(fileobj.read(8 * count), dtype="<f8").reshape(shape)
-            arrays[name] = data.copy()
+            arrays[name] = np.frombuffer(_read(fileobj, 8 * count), dtype="<f8").reshape(shape).copy()
         return tag, meta, arrays
     finally:
         if close:

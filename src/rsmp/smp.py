@@ -30,7 +30,7 @@ from .adjoint import AdjointEnsemble, solve_bsde
 from .control import ControlGrid, RegularControl, RelaxedControl, mix
 from .errors import ShapeMismatch, require_count, require_seed, require_tolerance
 from .forward import pathwise_cost, sample_noise, simulate
-from .problem import Problem, atom_hamiltonians, contract_atoms
+from .problem import Problem, _per_path, atom_hamiltonians, contract_atoms
 
 LINE_SEARCH_FLOOR = 10  # smallest line-search step is 2**-LINE_SEARCH_FLOOR
 
@@ -39,9 +39,25 @@ def hamiltonian(p: Problem, grid: ControlGrid, t, x, psi, Q, phi_row, w) -> np.n
     """Relaxed-averaged Hamiltonian: the per-atom Hamiltonians of
     `atom_hamiltonians` averaged against the weight vector w.
 
-    phi_row has shape (..., J, n); a diffusion's (J = 0) may be None.
-    Linear in w; batched over a leading path axis.
+    Batched over the M paths of x (M, n): psi is (M, n), Q (M, n, m) and
+    phi_row (M, J, n), where Q and phi_row may also be one (n, m) or (J, n)
+    array shared by every path and a diffusion's phi_row (J = 0) may be None;
+    w is one weight row (K,) or one per path (M, K).  Any other shape raises
+    ShapeMismatch.  Linear in w.
     """
+    x = np.atleast_2d(x)
+    M, n, K = x.shape[0], p.n, grid.K
+    given = {
+        "x": (x, [(M, n)]),
+        "psi": (np.atleast_2d(psi), [(M, n)]),
+        "Q": (_per_path(Q, M), [(M, n, p.m)]),
+        "w": (np.asarray(w), [(K,), (M, K)]),
+    }
+    if phi_row is not None:
+        given["phi_row"] = (_per_path(phi_row, M), [(M, p.jump.J, n)])
+    for name, (arr, shapes) in given.items():
+        if arr.shape not in shapes:
+            raise ShapeMismatch(f"{name} has shape {arr.shape}, expected {' or '.join(map(str, shapes))}")
     return contract_atoms(atom_hamiltonians(p, grid, t, x, psi, Q, phi_row)[0], w)
 
 

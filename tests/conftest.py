@@ -1,4 +1,12 @@
-"""Shared pytest hooks: surface the acceptance criterion verdicts."""
+"""Shared pytest hooks and fixtures: surface the acceptance criterion verdicts,
+and a problem whose diffusion depends on the state."""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import rsmp
 
 criterion_lines = []
 
@@ -8,3 +16,47 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in criterion_lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def sigma_x_case():
+    """A jump diffusion with sigma_x != 0, unlike every benchmark: n = m = 2,
+    d = 1, b = A x + B xi, sigma = S0 + T.x + xi C1 (so sigma_x = T, a fixed
+    random (2, 2, 2) tensor), two marks v with C = 0.3 x * v, running cost
+    (|x|^2 + xi^2) / 2 and terminal cost x^T G x / 2, every gradient exact;
+    on a 3-atom grid with a random open-loop control u0 of N = 6 steps."""
+    rng = np.random.default_rng(0)
+    n, N = 2, 6
+    A, B = 0.3 * rng.standard_normal((n, n)), rng.standard_normal((n, 1))
+    S0, C1 = 0.5 * np.eye(n) + 0.05 * rng.standard_normal((n, n)), 0.3 * rng.standard_normal((n, n))
+    T = 0.25 * rng.standard_normal((n, n, n))
+    G = np.array([[1.0, 0.3], [0.3, 0.8]])
+
+    def lead(x, xi):
+        return np.broadcast_shapes(np.shape(x)[:-1], np.shape(xi)[:-1])
+
+    def b(t, x, xi):
+        return x @ A.T + xi @ B.T
+
+    def sigma(t, x, xi):
+        return S0 + np.einsum("abl,...l->...ab", T, x) + xi[..., None] * C1
+
+    def ell(t, x, xi):
+        return 0.5 * (np.sum(x**2, axis=-1) + xi[..., 0] ** 2)
+
+    def jump_c(t, x, v, xi):
+        return 0.3 * x * v
+
+    p = rsmp.Problem(
+        n=n, m=n, d=1, T=1.0, x0=rsmp.GaussianInitial([0.5, -0.3], 0.2 * np.eye(n)), b=b, sigma=sigma, ell=ell,
+        phi=lambda x: 0.5 * np.einsum("...i,ij,...j->...", x, G, x), control_box=[[-1.0, 1.0]],
+        b_x=lambda t, x, xi: np.broadcast_to(A, lead(x, xi) + (n, n)),
+        sigma_x=lambda t, x, xi: np.broadcast_to(T, lead(x, xi) + T.shape),
+        ell_x=lambda t, x, xi: np.broadcast_to(x, lead(x, xi) + (n,)),
+        phi_x=lambda x: x @ G,
+        jump=rsmp.JumpSpec([[0.5, -0.4], [-0.3, 0.6]], [1.0, 2.0], jump_c,
+                           lambda t, x, v, xi: np.broadcast_to(0.3 * np.diag(v), lead(x, xi) + (n, n))),
+    )
+    grid = rsmp.ControlGrid([[-1.0], [0.0], [1.0]], [[-1.0, 1.0]])
+    u0 = rsmp.RelaxedControl(grid, rng.dirichlet(np.ones(grid.K), (N, 1)))
+    return SimpleNamespace(p=p, grid=grid, u0=u0)

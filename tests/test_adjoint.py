@@ -10,7 +10,6 @@ from rsmp import (
     NonFiniteCoefficient,
     Problem,
     RelaxedControl,
-    Semimartingale,
     ShapeMismatch,
 )
 from rsmp.adjoint import BasisSpec
@@ -171,128 +170,26 @@ class TestSolveBsde:
         rsmp.solve_bsde(p, base, u)
         assert len(calls) == N
 
+    def test_interpolating_drift_is_the_hamiltonian_state_gradient(self, sigma_x_case):
+        # with M = 3 paths the degree-1 basis (P = 3) interpolates, so per path
+        # and step (psi_k - psi_{k+1}) / dt is the backward drift
+        # b_x^T psi + V_Q + l_x + sum_j lam_j C_x^T phi_j exactly: the state
+        # gradient of the Hamiltonian at (psi_{k+1}, Q_k, phi_k), with V_Q =
+        # tr(Q^T sigma_x) nonzero here
+        p, grid, u0 = sigma_x_case.p, sigma_x_case.grid, sigma_x_case.u0
+        base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 3, u0.time_steps, seed=2))
+        adj = rsmp.solve_bsde(p, base, u0, BasisSpec(degree=1))
+        assert not any(d.ridge for d in adj.conditioning)
+        dt, h = base.dt, 1e-6
+        for k in range(base.n_steps):
+            x = base.states[:, k]
 
-class TestVQ:
-    def test_zero_diffusion_derivative(self):
-        p = rsmp.make_benchmark("lq1d")
-        grid = rsmp.benchmark_grid("lq1d")
-        out = rsmp.v_q(p, grid, np.ones((1, 1)), 0.0, np.array([[1.0]]), np.array([1.0] + [0.0] * (grid.K - 1)))
-        assert np.array_equal(out, np.zeros((1, 1)))
+            def ham(y):
+                return rsmp.hamiltonian(p, grid, k * dt, y, adj.psi[:, k + 1], adj.Q[:, k], adj.phi[:, k],
+                                        u0.weights[k, 0])
 
-    def test_scalar_multiplicative_noise(self):
-        # sigma = beta * x gives V = beta * Q in one dimension
-        beta = 0.7
-
-        def sigma(t, x, xi):
-            return beta * np.asarray(x)[..., None]
-
-        def sigma_x(t, x, xi):
-            return np.full(np.shape(x)[:-1] + (1, 1, 1), beta)
-
-        def b(t, x, xi):
-            return np.zeros(np.shape(x))
-
-        def zero_s(t, x, xi):
-            return np.zeros(np.shape(x)[:-1])
-
-        def zero_phi(x):
-            return np.zeros(np.shape(x)[:-1])
-
-        p = Problem(n=1, m=1, d=1, T=1.0, x0=np.array([1.0]), b=b, sigma=sigma, ell=zero_s,
-                    phi=zero_phi, control_box=[[-1.0, 1.0]], sigma_x=sigma_x)
-        grid = unit_grid()
-        Q = np.array([[2.5]])
-        out = rsmp.v_q(p, grid, Q, 0.0, np.array([[3.0]]), np.array([1.0]))
-        assert out[0, 0] == pytest.approx(beta * 2.5, abs=1e-14)
-
-    def test_trace_identity_random(self):
-        rng = np.random.default_rng(9)
-        n, m = 3, 2
-        T_tensor = rng.standard_normal((n, m, n))
-
-        def sigma(t, x, xi):
-            base = np.einsum("abl,...l->...ab", T_tensor, np.asarray(x))
-            return base
-
-        def sigma_x(t, x, xi):
-            return np.broadcast_to(T_tensor, np.shape(x)[:-1] + T_tensor.shape)
-
-        def b(t, x, xi):
-            return np.zeros(np.shape(x))
-
-        def zl(t, x, xi):
-            return np.zeros(np.shape(x)[:-1])
-
-        def zp(x):
-            return np.zeros(np.shape(x)[:-1])
-
-        p = Problem(n=n, m=m, d=1, T=1.0, x0=np.zeros(n), b=b, sigma=sigma, ell=zl, phi=zp,
-                    control_box=[[-1.0, 1.0]], sigma_x=sigma_x)
-        grid = unit_grid()
-        Q = rng.standard_normal((n, m))
-        x = rng.standard_normal((1, n))
-        V = rsmp.v_q(p, grid, Q, 0.0, x, np.array([1.0]))[0]
-        for _ in range(20):
-            y = rng.standard_normal(n)
-            direct = float(np.einsum("ab,ab->", Q, np.einsum("abl,l->ab", T_tensor, y)))
-            assert abs(float(V @ y) - direct) <= 1e-12
-
-
-class TestSemimartingaleInner:
-    def rand_sm(self, rng, M=6, N=5, n=2, m=3, dt=0.2, jumps=False):
-        phi = rng.standard_normal((M, N, 2, n)) if jumps else None
-        lam = np.array([0.5, 1.5]) if jumps else None
-        return Semimartingale(rng.standard_normal((M, N, n)), rng.standard_normal((M, N, n, m)), dt, phi, lam)
-
-    def test_norm_positive_and_zero_only_at_zero(self):
-        rng = np.random.default_rng(10)
-        a = self.rand_sm(rng)
-        assert rsmp.sm_inner(a, a) > 0
-        zero = Semimartingale(np.zeros_like(a.v), np.zeros_like(a.Sigma), a.dt)
-        assert rsmp.sm_inner(zero, zero) == 0.0
-
-    def test_orthogonal_supports(self):
-        rng = np.random.default_rng(11)
-        M, N, n, m = 4, 6, 2, 2
-        v1 = rng.standard_normal((M, N, n))
-        v2 = rng.standard_normal((M, N, n))
-        v1[:, : N // 2] = 0.0
-        v2[:, N // 2 :] = 0.0
-        s1 = np.zeros((M, N, n, m))
-        s2 = np.zeros((M, N, n, m))
-        a = Semimartingale(v1, s1, 0.1)
-        b = Semimartingale(v2, s2, 0.1)
-        assert rsmp.sm_inner(a, b) == 0.0
-
-    def test_unit_drift_gives_horizon(self):
-        M, N = 7, 10
-        dt = 0.3
-        a = Semimartingale(np.ones((M, N, 1)), np.zeros((M, N, 1, 1)), dt)
-        assert rsmp.sm_inner(a, a) == pytest.approx(N * dt, abs=1e-12)
-
-    def test_symmetry_bilinearity_cauchy_schwarz(self):
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            a = self.rand_sm(rng, jumps=True)
-            b = self.rand_sm(rng, jumps=True)
-            ab = rsmp.sm_inner(a, b)
-            assert abs(ab - rsmp.sm_inner(b, a)) <= 1e-12
-            assert ab * ab <= rsmp.sm_inner(a, a) * rsmp.sm_inner(b, b) * (1 + 1e-12)
-        # bilinearity in the first argument
-        a1 = self.rand_sm(rng)
-        a2 = self.rand_sm(rng)
-        b = self.rand_sm(rng)
-        combo = Semimartingale(2.0 * a1.v + 3.0 * a2.v, 2.0 * a1.Sigma + 3.0 * a2.Sigma, a1.dt)
-        lhs = rsmp.sm_inner(combo, b)
-        rhs = 2.0 * rsmp.sm_inner(a1, b) + 3.0 * rsmp.sm_inner(a2, b)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-
-    def test_shape_mismatch(self):
-        rng = np.random.default_rng(13)
-        a = self.rand_sm(rng)
-        b = self.rand_sm(rng, N=7)
-        with pytest.raises(ShapeMismatch):
-            rsmp.sm_inner(a, b)
+            fd = np.stack([(ham(x + h * e) - ham(x - h * e)) / (2 * h) for e in np.eye(p.n)], axis=1)
+            assert np.abs((adj.psi[:, k] - adj.psi[:, k + 1]) / dt - fd).max() <= 1e-6
 
 
 class TestDualityGap:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import rsmp
-from rsmp import BlowUp, ControlGrid, GaussianInitial, JumpSpec, NonFiniteCoefficient, Problem, ShapeMismatch
+from rsmp import BlowUp, ControlGrid, DomainError, GaussianInitial, JumpSpec, NonFiniteCoefficient, Problem
+from rsmp import ShapeMismatch
 from rsmp.container import TAG_PATHS, paths_to_binary, read_section
 from rsmp.forward import _BLOCK, BLOWUP_GUARD, STREAM_VERSION, guard_step, pathwise_cost, step_cells
 from rsmp.forward import step_weights
@@ -529,3 +530,14 @@ class TestExports:
         assert np.array_equal(arrays["states"], paths.states)
         assert np.array_equal(arrays["dW"], paths.noise.dW)
         assert np.array_equal(arrays["jump_counts"], paths.noise.jump_counts)
+
+    def test_truncated_binary_is_a_domain_error(self):
+        # a file cut anywhere, inside the header, a key, a shape or the data
+        p = rsmp.make_benchmark("jump-lq")
+        u = rsmp.constant_control(rsmp.benchmark_grid("jump-lq"), 4)
+        buf = io.BytesIO()
+        paths_to_binary(rsmp.simulate(p, u, rsmp.sample_noise(p, 5, 4, seed=9)), buf)
+        data = buf.getvalue()
+        for cut in range(len(data)):
+            with pytest.raises(DomainError, match="truncated container file"):
+                read_section(io.BytesIO(data[:cut]))

@@ -25,7 +25,6 @@ from rsmp import (
     OptimizeParams,
     RegularControl,
     RelaxedControl,
-    Semimartingale,
     ShapeMismatch,
 )
 from rsmp.cli import EXIT_CONFIG, RunConfig, main
@@ -54,8 +53,12 @@ def pair_fn(t, xi):
     return t + xi[0]
 
 
-def semimartingale(dt):
-    return Semimartingale(np.zeros((2, 3, 1)), np.zeros((2, 3, 1, 1)), dt)
+def lq_hamiltonian(x=(4, 1), psi=(4, 1), Q=(4, 1, 1), w=5, name="lq1d", phi_row=None):
+    """rsmp.hamiltonian at t = 0 on a benchmark's 5-atom grid with arrays of ones
+    of the given shapes (n = m = 1, M = 4 on lq1d) and uniform weights."""
+    p, grid = rsmp.make_benchmark(name), rsmp.benchmark_grid(name, 5)
+    phi_row = None if phi_row is None else np.ones(phi_row)
+    return rsmp.hamiltonian(p, grid, 0.0, np.ones(x), np.ones(psi), np.ones(Q), phi_row, np.full(w, 1.0 / 5))
 
 
 @functools.lru_cache(maxsize=None)
@@ -89,8 +92,6 @@ REFUSED = [
     ("NaN jump intensity", lambda: JumpSpec([[1.0]], [NAN], jump_c), DomainError, "must be finite"),
     ("NaN LQ matrix", lambda: LQSpec(**{**LQ1D, "A": [[NAN]]}), DomainError, "must be finite"),
     ("NaN LQ horizon", lambda: LQSpec(**{**LQ1D, "T": NAN}), DomainError, "must be finite"),
-    ("NaN semimartingale dt", lambda: semimartingale(NAN), DomainError, "must be finite"),
-    ("Inf semimartingale dt", lambda: semimartingale(np.inf), DomainError, "must be finite"),
     ("NaN horizon", lambda: problem(T=NAN), DomainError, "must be finite"),
     ("Inf horizon", lambda: problem(T=np.inf), DomainError, "must be finite"),
     ("NaN x0", lambda: problem(x0=np.array([NAN])), DomainError, "must be finite"),
@@ -106,6 +107,18 @@ REFUSED = [
     ("fractional realization refinement", lambda: rsmp.realize_regular(open_control(), 2.5), DomainError,
      "integer"),
     ("negative basis degree", lambda: BasisSpec(-1), DomainError, "at least 0"),
+    ("basis features of 1-D states", lambda: BasisSpec(2).features(np.array([1.0, 2.0, 3.0])), ShapeMismatch,
+     r"states must be \(M, n\), got shape \(3,\)"),
+    ("hamiltonian Q with two rows", lambda: lq_hamiltonian(Q=(4, 2, 1)), ShapeMismatch,
+     r"Q has shape \(4, 2, 1\), expected \(4, 1, 1\)"),
+    ("hamiltonian Q with three columns", lambda: lq_hamiltonian(Q=(4, 1, 3)), ShapeMismatch, "Q has shape"),
+    ("hamiltonian Q without a column axis", lambda: lq_hamiltonian(Q=(4, 1)), ShapeMismatch, "Q has shape"),
+    ("hamiltonian weights of another length", lambda: lq_hamiltonian(w=6), ShapeMismatch,
+     r"w has shape \(6,\), expected \(5,\) or \(4, 5\)"),
+    ("hamiltonian psi of another path count", lambda: lq_hamiltonian(psi=(3, 1)), ShapeMismatch, "psi has shape"),
+    ("hamiltonian states of another dimension", lambda: lq_hamiltonian(x=(4, 2)), ShapeMismatch, "x has shape"),
+    ("hamiltonian jump row of another mark count", lambda: lq_hamiltonian(name="jump-lq", phi_row=(4, 1, 1)),
+     ShapeMismatch, r"phi_row has shape \(4, 1, 1\), expected \(4, 2, 1\)"),
     ("fractional worker cap", lambda: rsmp.simulate(lq1d(), open_control(), rsmp.sample_noise(lq1d(), 4, 4, 1), 1.5),
      DomainError, "integer"),
     ("one ODE step", lambda: rsmp.lq_riccati_oracle(rsmp.benchmark_lq_spec("lq1d"), 1), DomainError, "at least 2"),

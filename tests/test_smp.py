@@ -43,36 +43,6 @@ class TestHamiltonian:
         got = rsmp.hamiltonian(p, grid, 0.0, x, np.zeros((1, 1)), np.zeros((1, 1, 1)), None, np.array([0.5, 0.5]))
         assert got[0] == pytest.approx(0.25, abs=1e-14)
 
-    def test_state_gradient_matches_adjoint_drift(self):
-        # the backward drift assembly must equal the state gradient of the
-        # Hamiltonian itself (finite differences as the cross-check)
-        p = rsmp.make_benchmark("jump-lq")
-        grid = rsmp.benchmark_grid("jump-lq", 5)
-        rng = np.random.default_rng(40)
-        t = 0.4
-        x = rng.standard_normal((6, 1))
-        psi = rng.standard_normal((6, 1))
-        Q = rng.standard_normal((6, 1, 1))
-        phi_row = rng.standard_normal((6, 2, 1))
-        w = rng.uniform(0.1, 1.0, grid.K)
-        w /= w.sum()
-        from rsmp.problem import (
-            averaged_drift_x,
-            averaged_jump_x,
-            averaged_running_cost_x,
-        )
-
-        drift = np.einsum("qij,qi->qj", averaged_drift_x(p, grid, t, x, w), psi)
-        drift += rsmp.v_q(p, grid, Q, t, x, w)
-        drift += averaged_running_cost_x(p, grid, t, x, w)
-        for j in range(p.jump.J):
-            cx = averaged_jump_x(p, grid, t, x, p.jump.marks[j], w)
-            drift += p.jump.intensities[j] * np.einsum("qij,qi->qj", cx, phi_row[:, j])
-        h = 1e-6
-        fd = (rsmp.hamiltonian(p, grid, t, x + h, psi, Q, phi_row, w)
-              - rsmp.hamiltonian(p, grid, t, x - h, psi, Q, phi_row, w)) / (2 * h)
-        assert np.abs(drift[:, 0] - fd).max() <= 1e-6
-
     def test_affine_in_measure(self):
         p = rsmp.make_benchmark("lq1d")
         grid = rsmp.benchmark_grid("lq1d")

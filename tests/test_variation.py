@@ -147,6 +147,16 @@ class TestNonFiniteGuards:
             rsmp.simulate_variational(self.p, base, self.u1, self.u0)
 
 
+@pytest.fixture
+def case(request):
+    """(name, problem, grid) of a benchmark by its name, or of the sigma_x case."""
+    name = request.param
+    if name == "sigma-x":
+        sigma_x_case = request.getfixturevalue("sigma_x_case")
+        return name, sigma_x_case.p, sigma_x_case.grid
+    return name, rsmp.make_benchmark(name), rsmp.benchmark_grid(name, 5 if name != "nonconvex-mix" else 2)
+
+
 class TestGateaux:
     def test_zero_direction_zero_derivative(self):
         p = rsmp.make_benchmark("lq1d")
@@ -191,10 +201,9 @@ class TestGateaux:
               - pathwise_cost(p, rsmp.simulate(p, dn, noise)).mean()) / (2 * eps)
         assert abs(got - fd) / (abs(fd) + 1e-8) <= 1e-3
 
-    @pytest.mark.parametrize("name", ["lq1d", "lq2d", "nonconvex-mix", "jump-lq"])
-    def test_matches_finite_difference_all_benchmarks(self, name):
-        p = rsmp.make_benchmark(name)
-        grid = rsmp.benchmark_grid(name, 5 if name != "nonconvex-mix" else 2)
+    @pytest.mark.parametrize("case", ["lq1d", "lq2d", "nonconvex-mix", "jump-lq", "sigma-x"], indirect=True)
+    def test_matches_finite_difference_all_benchmarks(self, case):
+        name, p, grid = case
         N, M = 16, 2000
         rng = np.random.default_rng(hash(name) % 2**31)
         noise = rsmp.sample_noise(p, M, N, seed=23)
