@@ -64,7 +64,6 @@ from .forward import (
     paths_to_csv_string,
     sample_noise,
     simulate,
-    step_weights,
 )
 from .problem import (
     AssumptionReport,

@@ -7,11 +7,12 @@ increments, jump counts) from its own substream, whose counter encodes
 (block index, kind), path-major.  Path i's noise is
 therefore a function of (seed, i) alone: an ensemble of M1 paths is the row
 prefix of one of M2 > M1 paths, and a simulation is a pure function of
-(problem, control, noise).  `simulate` advances the same blocks one after
-another, which keeps each step's temporaries cache-sized; no result ever
-depended on the worker cap.  Jumps use a finite atomic jump measure;
-each step applies the event counts minus their compensator at the left
-endpoint.  The forward and variational sweeps share one Euler step,
+(problem, control, noise).  `simulate` steps all M paths at once, like the
+variational and adjoint sweeps; each path's row depends on its own noise
+alone, so the bits do not depend on how many paths share a step, and no
+result ever depended on the worker cap.  Jumps use a finite atomic jump
+measure; each step applies the event counts minus their compensator at the
+left endpoint.  The forward and variational sweeps share one Euler step,
 `euler_step`.
 Every per-step array (noise, states, and the variational and adjoint
 sweeps' outputs) keeps its public shape (M, steps, ...) but is stored
@@ -36,10 +37,8 @@ from .errors import BlowUp, DomainError, NonFiniteCoefficient, ShapeMismatch, re
 from .problem import GaussianInitial, Problem, averaged_coefficients, point_coefficients
 
 BLOWUP_GUARD = 1e9
-# Fixed path block size of the noise streams and of `simulate`, which steps
-# the blocks serially so that each step's temporaries stay cache-sized (one
-# sweep over the whole ensemble gives the same bits, more memory and no
-# speed-up).
+# Fixed path block of the noise streams (stream version 2): each block draws
+# from its own substreams, so changing it changes every draw.
 _BLOCK = 8192
 # Brownian increments and jump counts are drawn a few rows of a block at a
 # time, together at most 128 KB, so storing them step-major adds no
@@ -227,11 +226,6 @@ def step_cells(paths: PathEnsemble, u: RelaxedControl, k: int) -> tuple[np.ndarr
     return (np.zeros(paths.M, dtype=np.int64) if cells is None else cells), w
 
 
-def step_weights(paths: PathEnsemble, u: RelaxedControl, k: int) -> np.ndarray:
-    """u's weights at step k on the ensemble: (K,) for open loop, else (M, K)."""
-    return step_cells(paths, u, k)[1]
-
-
 def guard_step(x: np.ndarray, k: int, what: str) -> None:
     """Check the states x reached by step k with one NaN-propagating max |x|.
 
@@ -260,31 +254,16 @@ def _control_values(p: Problem, u, k: int, N: int, t: float, x: np.ndarray) -> n
         raise ShapeMismatch(f"control values of shape {vals.shape} for {x.shape[0]} paths and d = {p.d}") from None
 
 
-def euler_step(p: Problem, noise: NoiseEnsemble, rows: slice, k: int, x, drift, diff, jumps, what: str) -> np.ndarray:
-    """x + drift dt + diff dW_k + sum_j C_j (counts_kj - lam_j dt) on the
-    paths `rows`, marks added in order, checked by `guard_step`."""
+def euler_step(p: Problem, noise: NoiseEnsemble, k: int, x, drift, diff, jumps, what: str) -> np.ndarray:
+    """x + drift dt + diff dW_k + sum_j C_j (counts_kj - lam_j dt) on every
+    path, marks added in order, checked by `guard_step`."""
     dt = noise.dt
-    x_next = x + drift * dt + np.einsum("qnm,qm->qn", diff, noise.dW[rows, k])
+    x_next = x + drift * dt + np.einsum("qnm,qm->qn", diff, noise.dW[:, k])
     for j, cj in enumerate(jumps):
-        factor = noise.jump_counts[rows, k, j] - p.jump.intensities[j] * dt
+        factor = noise.jump_counts[:, k, j] - p.jump.intensities[j] * dt
         x_next = x_next + factor[:, None] * cj
     guard_step(x_next, k, what)
     return x_next
-
-
-def _simulate_block(p: Problem, u, noise: NoiseEnsemble, sl: slice, out: np.ndarray, running: np.ndarray):
-    N, dt = noise.N, noise.dt
-    x = out[sl, 0]
-    for k in range(N):
-        t = k * dt
-        if isinstance(u, RelaxedControl):
-            w = u.weights_at(k, _feedback_signal(p, u.feedback_mode, x))
-            drift, diff, ell, jumps = averaged_coefficients(p, u.grid, t, x, w)
-        else:
-            drift, diff, ell, jumps = point_coefficients(p, t, x, _control_values(p, u, k, N, t, x))
-        running[sl] += ell * dt
-        out[sl, k + 1] = euler_step(p, noise, sl, k, x, drift, diff, jumps, "state")
-        x = out[sl, k + 1]
 
 
 def simulate(p: Problem, u, noise: NoiseEnsemble, threads: int = 1) -> PathEnsemble:
@@ -294,11 +273,11 @@ def simulate(p: Problem, u, noise: NoiseEnsemble, threads: int = 1) -> PathEnsem
     Feedback weights at step k are resolved from the state (or observation)
     at step k; jump events apply at the left endpoint of their step together
     with the intensity compensator; the running cost at the same weights or
-    values accumulates into running_cost.  Paths are advanced serially in
-    fixed-size blocks.  `threads` is a worker cap that serial execution
-    always meets and that never changed a result; it must be at least 1
-    (DomainError otherwise).  A control of another dimension than p.d
-    raises ShapeMismatch.
+    values accumulates into running_cost.  Each step advances all paths at
+    once.  `threads` is a worker cap that serial execution always meets and
+    that never changed a result; it must be at least 1 (DomainError
+    otherwise).  A control of another dimension than p.d raises
+    ShapeMismatch.
     """
     require_count(threads, "threads (a worker cap)")
     if noise.m != p.m:
@@ -310,11 +289,19 @@ def simulate(p: Problem, u, noise: NoiseEnsemble, threads: int = 1) -> PathEnsem
     d = u.grid.d if isinstance(u, RelaxedControl) else u.d if isinstance(u, RegularControl) else p.d
     if d != p.d:
         raise ShapeMismatch(f"control of dimension {d} for a problem with d = {p.d}")
-    states = _step_major(noise.M, noise.N + 1, (p.n,))
+    N, dt = noise.N, noise.dt
+    states = _step_major(noise.M, N + 1, (p.n,))
     states[:, 0] = p.initial_states(noise.M, noise.initial_normals)
     running = np.zeros(noise.M)
-    for s in range(0, noise.M, _BLOCK):
-        _simulate_block(p, u, noise, slice(s, s + _BLOCK), states, running)
+    for k in range(N):
+        t, x = k * dt, states[:, k]
+        if isinstance(u, RelaxedControl):
+            w = u.weights_at(k, _feedback_signal(p, u.feedback_mode, x))
+            drift, diff, ell, jumps = averaged_coefficients(p, u.grid, t, x, w)
+        else:
+            drift, diff, ell, jumps = point_coefficients(p, t, x, _control_values(p, u, k, N, t, x))
+        running += ell * dt
+        states[:, k + 1] = euler_step(p, noise, k, x, drift, diff, jumps, "state")
     states.setflags(write=False)
     running.setflags(write=False)
     return PathEnsemble(states, noise, u, p, running)

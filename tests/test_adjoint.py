@@ -13,6 +13,7 @@ from rsmp import (
     ShapeMismatch,
 )
 from rsmp.adjoint import BasisSpec
+from rsmp.forward import _BLOCK
 
 
 def linear_terminal_problem(a=0.6, c=0.0, drift_slope=0.0, noise=0.4):
@@ -272,20 +273,23 @@ def seeded_controls(name, mode, N, count, seed):
 class TestStepCoefficientCalls:
     """Per step, a sweep evaluates each coefficient it needs once, for all
     atoms of the control grid or under a point control, and each jump
-    coefficient once per mark."""
+    coefficient once per mark, however many paths share the step."""
 
     N = 4
+    PATHS = (300, _BLOCK + 1)
 
     @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
     def test_relaxed_simulate(self, name):
         p = rsmp.make_benchmark(name)
         (u,) = seeded_controls(name, rsmp.STATE_FEEDBACK, self.N, 1, seed=70)
         counted, calls = counting_problem(p)
-        rsmp.simulate(counted, u, rsmp.sample_noise(p, 300, self.N, seed=71))
         per_step = {"b": 1, "sigma": 1, "ell": 1}
         if p.jump.J:
             per_step["C"] = p.jump.J
-        assert calls == {key: count * self.N for key, count in per_step.items()}
+        for M in self.PATHS:
+            calls.clear()
+            rsmp.simulate(counted, u, rsmp.sample_noise(p, M, self.N, seed=71))
+            assert calls == {key: count * self.N for key, count in per_step.items()}, M
 
     @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
     @pytest.mark.parametrize("kind", ["regular", "policy"])
@@ -297,11 +301,13 @@ class TestStepCoefficientCalls:
         else:
             control, steps = rsmp.lq_riccati_oracle(rsmp.benchmark_lq_spec(name), 64).feedback, self.N
         counted, calls = counting_problem(p)
-        rsmp.simulate(counted, control, rsmp.sample_noise(p, 300, steps, seed=73))
         per_step = {"b": 1, "sigma": 1, "ell": 1}
         if p.jump.J:
             per_step["C"] = p.jump.J
-        assert calls == {key: count * steps for key, count in per_step.items()}
+        for M in self.PATHS:
+            calls.clear()
+            rsmp.simulate(counted, control, rsmp.sample_noise(p, M, steps, seed=73))
+            assert calls == {key: count * steps for key, count in per_step.items()}, M
 
     def test_jump_variational_sweep(self):
         # l_x, b_x, sigma_x and C_x under u0; l, b, sigma and C under u - u0
@@ -322,14 +328,14 @@ class TestStepCoefficientCalls:
 def walked_pairing(p, base, u0, u, adj):
     """The pairing as a per-step walk: the coefficient differences at every
     path's own weights, paired with the adjoint triple and averaged."""
-    from rsmp.forward import step_weights
+    from rsmp.forward import step_cells
     from rsmp.problem import averaged_diffusion, averaged_drift, averaged_jump
 
     grid, dt = u0.grid, base.dt
     total = 0.0
     for k in range(base.n_steps):
         x = base.states[:, k]
-        dw = step_weights(base, u, k) - step_weights(base, u0, k)
+        dw = step_cells(base, u, k)[1] - step_cells(base, u0, k)[1]
         term = np.einsum("qi,qi->q", adj.psi_cont[:, k], averaged_drift(p, grid, k * dt, x, dw))
         term += np.einsum("qab,qab->q", adj.Q[:, k], averaged_diffusion(p, grid, k * dt, x, dw))
         if p.jump is not None:

@@ -213,8 +213,8 @@ class TestOptimizeAndCertify:
 
 
 class TestThreadsEnv:
-    """The worker cap is no CLI setting: blocks run serially and no result
-    ever depended on it.  OptimizeParams still validates its cap."""
+    """The worker cap is no CLI setting: `simulate` runs serially and no
+    result ever depended on it.  OptimizeParams still validates its cap."""
 
     def test_threads_flag_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

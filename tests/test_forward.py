@@ -10,7 +10,6 @@ from rsmp import BlowUp, ControlGrid, DomainError, GaussianInitial, JumpSpec, No
 from rsmp import ShapeMismatch
 from rsmp.container import TAG_PATHS, paths_to_binary, read_section
 from rsmp.forward import _BLOCK, BLOWUP_GUARD, STREAM_VERSION, guard_step, pathwise_cost, step_cells
-from rsmp.forward import step_weights
 from rsmp.problem import averaged_running_cost
 
 
@@ -209,6 +208,25 @@ class TestSimulate:
             rsmp.simulate(p, u, rsmp.sample_noise(p, 5, 4, seed=1))
         assert exc.value.step == 0
 
+    def test_blow_up_reports_the_ensemble_first_step(self):
+        # on seed 3 a path of the second noise block crosses the guard at
+        # step 5, a step before any path of the first block does
+        p = Problem(
+            n=1, m=1, d=1, T=1.0, x0=GaussianInitial(np.zeros(1), np.eye(1)),
+            b=lambda t, x, xi: x**3,
+            sigma=lambda t, x, xi: np.full(np.shape(x)[:-1] + (1, 1), 0.1),
+            ell=lambda t, x, xi: np.zeros(np.shape(x)[:-1]), phi=lambda x: np.zeros(np.shape(x)[:-1]),
+            control_box=[[-1.0, 1.0]],
+        )
+        u = rsmp.constant_control(unit_grid(), 64)
+        noise = rsmp.sample_noise(p, 2 * _BLOCK, 64, seed=3)
+        with pytest.raises(BlowUp) as exc:
+            rsmp.simulate(p, u, noise)
+        assert exc.value.step == 5
+        with pytest.raises(BlowUp) as first_block:
+            rsmp.simulate(p, u, rsmp.sample_noise(p, _BLOCK, 64, seed=3))
+        assert first_block.value.step == 6
+
     def test_step_count_mismatch(self):
         p = scalar_problem()
         u = rsmp.constant_control(unit_grid(), 8)
@@ -384,7 +402,7 @@ def rewalked_cost(p, paths):
     for k in range(N):
         t, x = k * dt, paths.states[:, k]
         if isinstance(u, rsmp.RelaxedControl):
-            total += averaged_running_cost(p, u.grid, t, x, step_weights(paths, u, k)) * dt
+            total += averaged_running_cost(p, u.grid, t, x, step_cells(paths, u, k)[1]) * dt
             continue
         if isinstance(u, rsmp.RegularControl):
             xi = u.values_at(k, N, paths.feedback_signal(k, u.feedback_mode))
@@ -421,8 +439,27 @@ def test_step_cells_resolve_open_loop_to_one_row(mode):
             assert np.array_equal(w, u.weights[k][cells])
 
 
+@pytest.mark.parametrize("kind", ["relaxed", "regular", "policy"])
+def test_simulation_of_fewer_paths_is_row_prefix(kind):
+    """Each path's row depends on its own noise alone, so how many paths
+    share a step never shows in the bits."""
+    if kind == "policy":
+        p = rsmp.make_benchmark("lq1d")
+        u, N = rsmp.lq_riccati_oracle(rsmp.benchmark_lq_spec("lq1d"), 64).feedback, 8
+    else:
+        p = rsmp.make_benchmark("jump-lq")
+        u, N = relaxed_control("jump-lq", rsmp.STATE_FEEDBACK, 4), 4
+        if kind == "regular":
+            u, N = rsmp.realize_regular(u, 2), 8
+    large = rsmp.simulate(p, u, rsmp.sample_noise(p, 2 * _BLOCK + 5, N, seed=6))
+    for M in (100, _BLOCK + 1):
+        small = rsmp.simulate(p, u, rsmp.sample_noise(p, M, N, seed=6))
+        assert np.array_equal(small.states, large.states[:M])
+        assert np.array_equal(small.running_cost, large.running_cost[:M])
+
+
 class TestRecordedRunningCost:
-    M = _BLOCK + 37  # two path blocks, the second one short
+    M = _BLOCK + 37  # two noise blocks, the second one short
 
     @pytest.mark.parametrize("name, mode", [
         ("lq1d", rsmp.OPEN_LOOP),

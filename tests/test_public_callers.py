@@ -22,7 +22,6 @@ ALLOWED = {
     ("control", "constant_control"): "the simplest relaxed control to build by hand",
     ("control", "dirac_embed"): "embeds a point-valued control as a one-hot relaxed control",
     ("control", "pair"): "the pairing of a test function with a relaxed control that defines its topology",
-    ("forward", "step_weights"): "a control's weights at one step on an ensemble, as the sweeps resolve them",
     ("forward", "paths_to_csv_string"): "the CSV writer's text, for a caller that keeps it in memory",
     ("problem", "validate_assumptions"): "the one check of the standing Lipschitz and growth assumptions",
 }
