@@ -98,17 +98,15 @@ def _config_doc(text: str) -> dict:
     return doc
 
 
+def _format_list(text: str) -> list | None:
+    """The --format list; an empty flag overrides nothing."""
+    return [f.strip() for f in text.split(",") if f.strip()] if text else None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rsmp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("simulate", "simulate paths and evaluate the cost"),
-        ("adjoint", "solve the adjoint backward and report the duality gap"),
-        ("optimize", "run the conditional-gradient loop"),
-        ("certify", "evaluate the minimum-principle gap at a given control"),
-        ("chatter", "realize a relaxed control by rapid switching and compare costs"),
-        ("describe", "print the benchmark constants"),
-    ):
+    for name, (_, helptext) in _COMMANDS.items():
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--config", help="JSON config file; explicit flags override its entries")
         sp.add_argument("--bench", help="benchmark name")
@@ -119,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, help="optimizer gap tolerance")
         sp.add_argument("--max-iters", dest="max_iters", type=int, help="optimizer iteration cap")
         sp.add_argument("--out", help="output directory for artifacts")
-        sp.add_argument("--format", dest="formats", help="comma-separated list from csv,json,bin")
+        sp.add_argument("--format", dest="formats", type=_format_list, help="comma-separated list from csv,json,bin")
         sp.add_argument("--mode", choices=list(MODE_ALIASES), help="control feedback mode")
         sp.add_argument("--cells", type=int, help="feedback cells per dimension")
         sp.add_argument("--control", help="JSON file with a relaxed control")
@@ -132,13 +130,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             base = _config_doc(fh.read())
-    base["command"] = args.command
-    for key in ("bench", "M", "N", "K", "seed", "tol", "max_iters", "out", "mode", "cells", "control", "refinement"):
-        val = getattr(args, key, None)
-        if val is not None:
-            base[key] = val
-    if getattr(args, "formats", None):
-        base["formats"] = [f.strip() for f in args.formats.split(",") if f.strip()]
+    base.update((key, val) for key, val in vars(args).items() if key != "config" and val is not None)
     return RunConfig(**base)
 
 
@@ -157,18 +149,20 @@ def _initial_control(config: RunConfig) -> RelaxedControl:
     return RelaxedControl(grid, np.full((config.N, cells, grid.K), 1.0 / grid.K), mode, part)
 
 
-def _write(config: RunConfig, name: str, text: str) -> str | None:
-    if config.out is None:
+def _out_path(config: RunConfig, name: str, fmt: str | None = None) -> str | None:
+    """Path of the artifact name in --out, which is created; None without
+    --out, or when fmt is given and is not among the requested formats."""
+    if config.out is None or (fmt is not None and fmt not in config.formats):
         return None
     os.makedirs(config.out, exist_ok=True)
-    path = os.path.join(config.out, name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    return path
+    return os.path.join(config.out, name)
 
 
-def _write_config(config: RunConfig) -> None:
-    _write(config, "config.json", config.to_json() + "\n")
+def _write(config: RunConfig, name: str, text: str) -> None:
+    path = _out_path(config, name)
+    if path is not None:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def _json_artifact(config: RunConfig, payload: dict) -> str:
@@ -177,29 +171,26 @@ def _json_artifact(config: RunConfig, payload: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _cmd_describe(config: RunConfig) -> int:
-    doc = bench.describe(config.bench)
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    print(text)
-    _write_config(config)
-    _write(config, "bench.json", _json_artifact(config, {"benchmark": doc}))
-    return EXIT_OK
-
-
-def _cmd_simulate(config: RunConfig) -> int:
+def _simulated(config: RunConfig) -> tuple:
+    """The benchmark, the initial control and the paths it drives."""
     p = bench.make_benchmark(config.bench)
     u = _initial_control(config)
-    noise = sample_noise(p, config.M, config.N, config.seed)
-    paths = simulate(p, u, noise)
+    return p, u, simulate(p, u, sample_noise(p, config.M, config.N, config.seed))
+
+
+def _cmd_describe(config: RunConfig) -> tuple:
+    doc = bench.describe(config.bench)
+    return json.dumps(doc, sort_keys=True, indent=2), "bench.json", {"benchmark": doc}
+
+
+def _cmd_simulate(config: RunConfig) -> tuple:
+    p, u, paths = _simulated(config)
     estimate, std_error = cost(p, paths)
-    print(f"cost {estimate!r} std_error {std_error!r}")
-    _write_config(config)
-    _write(config, "cost.json", _json_artifact(config, {"cost": estimate, "std_error": std_error}))
-    if "csv" in config.formats and config.out:
-        paths_to_csv(paths, os.path.join(config.out, "paths.csv"))
-    if "bin" in config.formats and config.out:
-        paths_to_binary(paths, os.path.join(config.out, "paths.bin"))
-    return EXIT_OK
+    for fmt, write in (("csv", paths_to_csv), ("bin", paths_to_binary)):
+        path = _out_path(config, f"paths.{fmt}", fmt)
+        if path is not None:
+            write(paths, path)
+    return f"cost {estimate!r} std_error {std_error!r}", "cost.json", {"cost": estimate, "std_error": std_error}
 
 
 def _probe_direction(u: RelaxedControl, seed: int) -> RelaxedControl:
@@ -209,11 +200,8 @@ def _probe_direction(u: RelaxedControl, seed: int) -> RelaxedControl:
     return RelaxedControl(u.grid, w, u.feedback_mode, u.feedback)
 
 
-def _cmd_adjoint(config: RunConfig) -> int:
-    p = bench.make_benchmark(config.bench)
-    u = _initial_control(config)
-    noise = sample_noise(p, config.M, config.N, config.seed)
-    paths = simulate(p, u, noise)
+def _cmd_adjoint(config: RunConfig) -> tuple:
+    p, u, paths = _simulated(config)
     adj = solve_bsde(p, paths, u)
     probe = _probe_direction(u, config.seed)
     var = simulate_variational(p, paths, probe, u)
@@ -221,96 +209,73 @@ def _cmd_adjoint(config: RunConfig) -> int:
     pairing = adjoint_pairing(p, paths, u, probe, adj)
     gap = duality_gap(adj, var)
     rel = gap / (abs(response) + 1e-6)
-    print(f"duality_gap {gap!r} relative {rel!r}")
-    _write_config(config)
-    _write(
-        config,
-        "duality.json",
-        _json_artifact(
-            config,
-            {
-                "duality_gap": gap,
-                "relative_gap": rel,
-                "response_functional": response,
-                "pairing": pairing,
-                "gateaux": gateaux(p, paths, var, probe, u),
-            },
-        ),
-    )
-    if "bin" in config.formats and config.out:
-        adjoint_to_binary(adj, os.path.join(config.out, "adjoint.bin"))
-    return EXIT_OK
+    path = _out_path(config, "adjoint.bin", "bin")
+    if path is not None:
+        adjoint_to_binary(adj, path)
+    payload = {
+        "duality_gap": gap,
+        "relative_gap": rel,
+        "response_functional": response,
+        "pairing": pairing,
+        "gateaux": gateaux(p, paths, var, probe, u),
+    }
+    return f"duality_gap {gap!r} relative {rel!r}", "duality.json", payload
 
 
-def _cmd_optimize(config: RunConfig) -> int:
+def _cmd_optimize(config: RunConfig) -> tuple:
     p = bench.make_benchmark(config.bench)
     u = _initial_control(config)
     params = OptimizeParams(M=config.M, N=config.N, max_iters=config.max_iters, tol=config.tol, seed=config.seed)
     result = optimize(p, u, params)
     last = result.iterates[-1]
-    print(f"status {result.status} cost {last.cost!r} smp_gap {last.smp_gap!r}")
-    _write_config(config)
-    _write(config, "iterates.json", _json_artifact(config, json.loads(result.to_json())))
     _write(config, "final_control.json", result.final_control.to_json() + "\n")
-    return EXIT_OK
+    summary = f"status {result.status} cost {last.cost!r} smp_gap {last.smp_gap!r}"
+    return summary, "iterates.json", json.loads(result.to_json())
 
 
-def _cmd_certify(config: RunConfig) -> int:
-    p = bench.make_benchmark(config.bench)
-    u = _initial_control(config)
-    noise = sample_noise(p, config.M, config.N, config.seed)
-    paths = simulate(p, u, noise)
+def _cmd_certify(config: RunConfig) -> tuple:
+    p, u, paths = _simulated(config)
     adj = solve_bsde(p, paths, u)
     fld = hamiltonian_field(adj)
     gap, per_step = smp_gap(fld, u)
     passed = gap <= config.tol
-    print(f"smp_gap {gap!r} tol {config.tol!r} passed {passed}")
-    _write_config(config)
-    _write(
-        config,
-        "certify.json",
-        _json_artifact(
-            config,
-            {"smp_gap": gap, "per_step": per_step.tolist(), "tol": config.tol, "passed": bool(passed)},
-        ),
-    )
-    return EXIT_OK
+    payload = {"smp_gap": gap, "per_step": per_step.tolist(), "tol": config.tol, "passed": bool(passed)}
+    return f"smp_gap {gap!r} tol {config.tol!r} passed {passed}", "certify.json", payload
 
 
-def _cmd_chatter(config: RunConfig) -> int:
+def _cmd_chatter(config: RunConfig) -> tuple:
     p = bench.make_benchmark(config.bench)
     u = _initial_control(config)
     refinement = config.refinement
     noise = sample_noise(p, config.M, config.N * refinement, config.seed)
-    relaxed_costs = pathwise_cost(p, simulate(p, refine_steps(u, refinement), noise))
+    relaxed = float(pathwise_cost(p, simulate(p, refine_steps(u, refinement), noise)).mean())
     ladder = []
     R = 2
     while R <= refinement:
         regular = realize_regular(u, R)
         costs = pathwise_cost(p, simulate(p, regular, noise))
-        ladder.append({"R": R, "cost": float(costs.mean()), "excess": float(costs.mean() - relaxed_costs.mean())})
+        ladder.append({"R": R, "cost": float(costs.mean()), "excess": float(costs.mean() - relaxed)})
         R *= 2
-    print(f"relaxed cost {float(relaxed_costs.mean())!r} ladder {[row['excess'] for row in ladder]}")
-    _write_config(config)
-    _write(
-        config,
-        "chatter.json",
-        _json_artifact(config, {"relaxed_cost": float(relaxed_costs.mean()), "ladder": ladder}),
-    )
-    return EXIT_OK
+    summary = f"relaxed cost {relaxed!r} ladder {[row['excess'] for row in ladder]}"
+    return summary, "chatter.json", {"relaxed_cost": relaxed, "ladder": ladder}
 
 
+# name: (command, help text), in the order of `rsmp --help`
 _COMMANDS = {
-    "describe": _cmd_describe,
-    "simulate": _cmd_simulate,
-    "adjoint": _cmd_adjoint,
-    "optimize": _cmd_optimize,
-    "certify": _cmd_certify,
-    "chatter": _cmd_chatter,
+    "simulate": (_cmd_simulate, "simulate paths and evaluate the cost"),
+    "adjoint": (_cmd_adjoint, "solve the adjoint backward and report the duality gap"),
+    "optimize": (_cmd_optimize, "run the conditional-gradient loop"),
+    "certify": (_cmd_certify, "evaluate the minimum-principle gap at a given control"),
+    "chatter": (_cmd_chatter, "realize a relaxed control by rapid switching and compare costs"),
+    "describe": (_cmd_describe, "print the benchmark constants"),
 }
 
 
 def main(argv=None) -> int:
+    """Run one command.  A command returns its summary line, the name of its
+    JSON artifact and that artifact's payload, and writes only its extra
+    files; main writes config.json and the artifact, prints the summary once
+    every file is written, and maps each failure to its exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -319,7 +284,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _COMMANDS[config.command](config)
+        summary, name, payload = _COMMANDS[config.command][0](config)
+        _write(config, "config.json", config.to_json() + "\n")
+        _write(config, name, _json_artifact(config, payload))
     except (BlowUp, SingularRegression, NonFiniteCoefficient) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -329,6 +296,11 @@ def main(argv=None) -> int:
     except RsmpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    print(summary)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

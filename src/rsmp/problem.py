@@ -18,16 +18,17 @@ their arguments.
 Relaxed controls only ever see a coefficient through its values at the K
 atoms of a control grid.  `atom_values` is the single place that evaluates a
 coefficient on a grid: one broadcast call with the atom axis leading,
-returned as a contiguous (K, M, ...) tensor and checked for NaN/Inf.
-Everything linear in the weights is a contraction of that tensor over its
-leading axis: `contract_atoms` pairs it with one weight row (K,), as open
-loop resolves, or per-path weights (M, K) into the `averaged_*` values,
-which are checked once contracted (0 * Inf and Inf - Inf are NaN, so any
-NaN/Inf atom shows), and `atom_hamiltonians` contracts it with the adjoint
-processes to get all K per-atom Hamiltonians from one evaluation.  Every
-sweep reads a step's coefficients through `averaged_coefficients` (or its
-point-control twin `point_coefficients`) and their state Jacobians through
-`averaged_linearization`.
+returned as a contiguous (K, M, ...) tensor, unchecked.  Everything linear
+in the weights is a contraction of that tensor over its leading axis:
+`contract_atoms` pairs it with one weight row (K,), as open loop resolves,
+or per-path weights (M, K) into the `averaged_*` values, and
+`atom_hamiltonians` contracts it with the adjoint processes to get all K
+per-atom Hamiltonians from one evaluation.  One check rule covers both: each
+contracted value is checked for NaN/Inf, never the atoms (0 * Inf and
+Inf - Inf are NaN, so any NaN/Inf atom shows, and so does a contraction
+that overflows).  Every sweep reads a step's coefficients through
+`averaged_coefficients` (or its point-control twin `point_coefficients`) and
+their state Jacobians through `averaged_linearization`.
 """
 
 from __future__ import annotations
@@ -196,22 +197,6 @@ class Problem:
         return obs
 
 
-def _atom_tensor(f, grid, t, x, extra, what: str) -> np.ndarray:
-    """`atom_values` without its NaN/Inf check."""
-    x = np.asarray(x, dtype=float)
-    K = grid.K
-    xi = grid.points.reshape((K,) + (1,) * (x.ndim - 1) + (grid.d,))
-    try:
-        raw = np.asarray(f(t, x[None], *extra, xi), dtype=float)
-        shape = (K,) + x.shape[:-1] + raw.shape[x.ndim :]
-        return np.ascontiguousarray(raw if raw.shape == shape else np.broadcast_to(raw, shape))
-    except ValueError as exc:
-        raise ShapeMismatch(
-            f"{what} does not broadcast over the {K} grid atoms: callables must broadcast "
-            f"x (..., n) and xi (..., d) over their leading axes ({exc})"
-        ) from exc
-
-
 def _require_finite(vals: np.ndarray, what: str) -> np.ndarray:
     """vals, unless it holds a NaN/Inf (NonFiniteCoefficient naming what)."""
     if not np.all(np.isfinite(vals)):
@@ -227,10 +212,22 @@ def atom_values(f, grid, t, x, extra=(), what: str = "coefficient") -> np.ndarra
     (K, d) broadcast against it, so f must broadcast x (..., n) and xi
     (..., d) over their leading axes.  A contiguous (K, M, ...) result is
     returned as it is; any other (a broadcast constant, say) is copied to
-    one.  A call or result that does not broadcast raises ShapeMismatch; a
-    NaN/Inf value raises NonFiniteCoefficient.
+    one.  A call or result that does not broadcast raises ShapeMismatch
+    naming what.  The values are not checked for NaN/Inf: every caller
+    checks what it contracts them to.
     """
-    return _require_finite(_atom_tensor(f, grid, t, x, extra, what), what)
+    x = np.asarray(x, dtype=float)
+    K = grid.K
+    xi = grid.points.reshape((K,) + (1,) * (x.ndim - 1) + (grid.d,))
+    try:
+        raw = np.asarray(f(t, x[None], *extra, xi), dtype=float)
+        shape = (K,) + x.shape[:-1] + raw.shape[x.ndim :]
+        return np.ascontiguousarray(raw if raw.shape == shape else np.broadcast_to(raw, shape))
+    except ValueError as exc:
+        raise ShapeMismatch(
+            f"{what} does not broadcast over the {K} grid atoms: callables must broadcast "
+            f"x (..., n) and xi (..., d) over their leading axes ({exc})"
+        ) from exc
 
 
 def contract_atoms(vals: np.ndarray, w) -> np.ndarray:
@@ -256,15 +253,21 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row) -> tuple[np.ndarr
 
     Each coefficient is evaluated once for all atoms; the pairings contract
     the atom-leading tensors with psi (M, n), Q (M, n, m) and phi_row
-    (M, J, n), which may be None for a diffusion (J = 0).
+    (M, J, n), which may be None for a diffusion (J = 0).  Each contracted
+    (K, M) term (drift, diffusion, running cost, the jump term of each mark)
+    is checked for NaN/Inf, as the averages check theirs: a NaN/Inf atom
+    value, or a pairing that overflows, raises NonFiniteCoefficient naming
+    the coefficient.
     """
     x = np.atleast_2d(x)
     M = x.shape[0]
     psi = np.atleast_2d(psi)
-    val = np.einsum("kqi,qi->kq", atom_values(p.b, grid, t, x, what="drift"), psi)
-    val += np.einsum("kqab,qab->kq", atom_values(p.sigma, grid, t, x, what="diffusion"), _per_path(Q, M))
+    val = _require_finite(np.einsum("kqi,qi->kq", atom_values(p.b, grid, t, x, what="drift"), psi), "drift")
+    val += _require_finite(
+        np.einsum("kqab,qab->kq", atom_values(p.sigma, grid, t, x, what="diffusion"), _per_path(Q, M)), "diffusion"
+    )
     pairing = val.copy()
-    val += atom_values(p.ell, grid, t, x, what="running cost")
+    val += _require_finite(atom_values(p.ell, grid, t, x, what="running cost"), "running cost")
     if p.jump.J and phi_row is None:
         raise ShapeMismatch("jump problems need the jump intensity row of the adjoint")
     for j in range(p.jump.J):
@@ -272,14 +275,14 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row) -> tuple[np.ndarr
         term = np.einsum("kqi,qi->kq", cj, _per_path(phi_row, M)[:, j])
         del cj  # free the atom tensor before the sums
         term *= p.jump.intensities[j]
-        val += term
+        val += _require_finite(term, "jump coefficient")
         pairing += term
     return val, pairing
 
 
 def _averaged(f, grid, t, x, w, what: str, extra=()):
     """Relaxed average sum_i w[..., i] f(t, x, *extra, xi_i); linear in w."""
-    return _require_finite(contract_atoms(_atom_tensor(f, grid, t, x, extra, what), w), what)
+    return _require_finite(contract_atoms(atom_values(f, grid, t, x, extra, what), w), what)
 
 
 def averaged_drift(p: Problem, grid, t, x, w):

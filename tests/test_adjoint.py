@@ -152,6 +152,24 @@ class TestSolveBsde:
         with pytest.raises(NonFiniteCoefficient):
             rsmp.solve_bsde(p, paths, u)
 
+    def test_overflowing_drift_pairing_raises(self):
+        # b + 1e308 at a zero-weight atom is finite and leaves the forward
+        # sweep unchanged, but its pairing with psi = 20 x overflows; unchecked,
+        # the Hamiltonian sums were Inf and smp_gap NaN
+        base = rsmp.make_benchmark("lq1d")
+        grid = rsmp.benchmark_grid("lq1d", 5)
+        bad_atom = grid.points[2]
+
+        def b(t, x, xi):
+            return base.b(t, x, xi) + np.where(np.all(xi == bad_atom, axis=-1), 1e308, 0.0)[..., None]
+
+        p = dataclasses.replace(base, b=b, phi=lambda x: 10.0 * np.asarray(x)[..., 0] ** 2,
+                                phi_x=lambda x: 20.0 * np.asarray(x))
+        u = rsmp.constant_control(grid, 8, [0.25, 0.25, 0.0, 0.25, 0.25])
+        paths = rsmp.simulate(p, u, rsmp.sample_noise(p, 500, 8, seed=3))
+        with pytest.raises(NonFiniteCoefficient, match="^drift produced NaN/Inf$"):
+            rsmp.solve_bsde(p, paths, u)
+
     @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
     def test_one_design_per_step(self, name, monkeypatch):
         # both fits of a step share one normal matrix, so its condition

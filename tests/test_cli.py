@@ -1,10 +1,11 @@
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
 from rsmp import ControlGrid, DomainError, OptimizeParams, constant_control
-from rsmp.cli import EXIT_CONFIG, EXIT_OK, RunConfig, main
+from rsmp.cli import _COMMANDS, EXIT_CONFIG, EXIT_OK, RunConfig, _build_parser, main
 from rsmp.forward import STREAM_VERSION
 
 
@@ -49,6 +50,31 @@ class TestConfig:
         assert capsys.readouterr().err == "config error: unknown config key(s) ['info']\n"
         with pytest.raises(DomainError, match=r"unknown config key\(s\) \['info'\]"):
             RunConfig.from_json(json.dumps(doc))
+
+
+class TestFlagParity:
+    """Flag overrides are read from the parsed arguments as they stand, so
+    the parser's flags and the RunConfig fields must be the same names."""
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_flags_are_the_config_fields(self, command):
+        dests = set(vars(_build_parser().parse_args([command]))) - {"config"}
+        assert dests == {f.name for f in fields(RunConfig)} - {"stream_version"}
+
+
+class TestOutputError:
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_out_under_a_regular_file_is_output_error(self, tmp_path, capsys, command):
+        # the result line is printed only once every artifact is written
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        assert main([command, "--bench", "lq1d", "--M", "50", "--N", "4", "--seed", "1", "--max-iters", "1",
+                     "--R", "2", "--format", "csv,json,bin", "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("output error: ") and captured.err.count("\n") == 1
+        assert str(out) in captured.err
 
 
 class TestDescribe:

@@ -5,7 +5,7 @@ import pytest
 
 import rsmp
 from rsmp import ControlGrid, DomainError, JumpSpec, NonFiniteCoefficient, Problem, ShapeMismatch
-from rsmp.problem import atom_values, averaged_coefficients, averaged_linearization, contract_atoms, fd_gradient
+from rsmp.problem import atom_hamiltonians, atom_values, averaged_coefficients, averaged_linearization, contract_atoms, fd_gradient
 
 
 def linear_problem(A, B):
@@ -209,7 +209,8 @@ class TestBroadcastContract:
 class TestContraction:
     """One weight row contracts to the same bits as its (M, K) broadcast, so
     an open-loop control resolves to its row; and a NaN or Inf at any atom
-    reaches the contracted value, which is all the averages check."""
+    reaches the contracted value, which is all the averages and the atom
+    Hamiltonians check."""
 
     @pytest.mark.parametrize("tail", [(), (2,), (2, 3), (2, 2), (2, 3, 2)])
     def test_row_matches_its_broadcast_bit_for_bit(self, tail):
@@ -269,6 +270,31 @@ class TestContraction:
         for w in (row, np.tile(row, (7, 1))):
             with pytest.raises(NonFiniteCoefficient, match=f"^{what} produced NaN/Inf$"):
                 average(p, grid, 0.3, x, w)
+
+    # (coefficient, its name in the error, value added at atom 2); the finite
+    # values overflow once paired with the adjoint row of 1e10
+    HAMILTONIAN_TERMS = [
+        ("b", "drift", 1e300),
+        ("sigma", "diffusion", 1e300),
+        ("ell", "running cost", np.inf),
+        ("C", "jump coefficient", 1e300),
+    ]
+
+    @pytest.mark.parametrize("key, what, value", HAMILTONIAN_TERMS, ids=[c[0] for c in HAMILTONIAN_TERMS])
+    def test_non_finite_term_reaches_the_atom_hamiltonians(self, key, what, value):
+        # each contracted (K, M) term is checked, not the atom values
+        p = rsmp.make_benchmark("jump-lq")
+        grid = rsmp.benchmark_grid("jump-lq", 5)
+        at = {2: value}
+        if key == "C":
+            p = dataclasses.replace(p, jump=dataclasses.replace(p.jump, C=self.poisoned(p.jump.C, grid, at)))
+        else:
+            p = dataclasses.replace(p, **{key: self.poisoned(getattr(p, key), grid, at)})
+        M, J = 7, p.jump.J
+        x = np.random.default_rng(36).standard_normal((M, 1))
+        psi, Q, phi_row = np.full((M, 1), 1e10), np.full((M, 1, 1), 1e10), np.full((M, J, 1), 1e10)
+        with pytest.raises(NonFiniteCoefficient, match=f"^{what} produced NaN/Inf$"):
+            atom_hamiltonians(p, grid, 0.3, x, psi, Q, phi_row)
 
 
 class TestFiniteDifferenceGradients:
