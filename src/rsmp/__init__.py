@@ -70,14 +70,6 @@ from .problem import (
     GaussianInitial,
     JumpSpec,
     Problem,
-    averaged_diffusion,
-    averaged_diffusion_x,
-    averaged_drift,
-    averaged_drift_x,
-    averaged_jump,
-    averaged_jump_x,
-    averaged_running_cost,
-    averaged_running_cost_x,
     fd_gradient,
     validate_assumptions,
 )

@@ -32,9 +32,9 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .control import RelaxedControl
-from .errors import NonFiniteCoefficient, ShapeMismatch, SingularRegression, require_count
+from .errors import ShapeMismatch, SingularRegression, require_count, require_finite
 from .forward import PathEnsemble, _step_major, step_cells
-from .problem import Problem, atom_hamiltonians, averaged_linearization
+from .problem import Problem, atom_hamiltonians, averaged_linearization, terminal_gradient
 from .variation import VariationEnsemble, response_functional
 
 COND_LIMIT = 1e12
@@ -226,9 +226,9 @@ def solve_bsde(
     value first, then psi_k, whose target needs them.  With psi_cont, Q_k and
     phi_k in hand the step evaluates b, sigma, l and C once for all atoms, forms
     the (K, M) atom Hamiltonians and sums them, with and without the running
-    cost, over u0's feedback cells.  A NaN/Inf terminal cost gradient or
-    coefficient raises NonFiniteCoefficient, and a base not simulated under
-    p and u0 ShapeMismatch (`PathEnsemble.require`).
+    cost, over u0's feedback cells.  A NaN/Inf terminal cost gradient,
+    coefficient term or cell sum raises NonFiniteCoefficient, and a value of
+    another shape or a base not simulated under p and u0 ShapeMismatch.
     """
     basis = basis_spec or BasisSpec()
     base.require(p, u0)
@@ -246,9 +246,7 @@ def solve_bsde(
     path_blocks = np.arange(M) * SUM_BLOCKS // M
     diagnostics = []
 
-    psi[:, N] = np.asarray(p.phi_x(base.states[:, N]), dtype=float)
-    if not np.all(np.isfinite(psi[:, N])):
-        raise NonFiniteCoefficient("terminal cost gradient produced NaN/Inf")
+    psi[:, N] = require_finite(terminal_gradient(p, base.states[:, N]), "terminal cost gradient")
     for k in range(N - 1, -1, -1):
         cells, diag = _regress_step(p, basis, base, u0, k, psi, psi_cont, Q, phi)
         diagnostics.append(diag)
@@ -257,7 +255,10 @@ def solve_bsde(
         )
         occupancy[k] = np.bincount(cells, minlength=C)
         hamiltonian_sums[k] = _cell_sums(cells, C, ham)
-        pairing_sums[k] = _blocked_cell_sums(cells, C, pairing, path_blocks)
+        with np.errstate(over="ignore"):  # an overflowing sum is Inf, checked below
+            pairing_sums[k] = _blocked_cell_sums(cells, C, pairing, path_blocks)
+    require_finite(hamiltonian_sums, "Hamiltonian")
+    require_finite(pairing_sums, "adjoint pairing")
 
     diagnostics.reverse()
     for arr in (psi, psi_cont, Q, phi, hamiltonian_sums, pairing_sums, occupancy):
@@ -284,9 +285,7 @@ def adjoint_pairing(
     if not u.same_structure(u0):
         raise ShapeMismatch("direction controls must share grid, steps, mode and partition")
     total = float(base.dt * np.einsum("kci,kci->", adjoint.pairing_sums, u.weights - u0.weights) / base.M)
-    if not np.isfinite(total):
-        raise NonFiniteCoefficient("adjoint pairing evaluated to a non-finite value")
-    return total
+    return require_finite(total, "adjoint pairing")
 
 
 def duality_gap(adjoint: AdjointEnsemble, var: VariationEnsemble) -> float:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, MissingPaths, NonFiniteCoefficient, ShapeMismatch, ValueOffGrid
-from .errors import frozen_field, require_count, require_positive, require_tolerance
+from .errors import DomainError, MissingPaths, ShapeMismatch, ValueOffGrid
+from .errors import frozen_field, require_count, require_finite, require_positive, require_tolerance
 
 OPEN_LOOP = "open_loop"
 STATE_FEEDBACK = "state_feedback"
@@ -407,11 +407,9 @@ def pair(phi, u: RelaxedControl, paths=None, horizon: float | None = None) -> fl
     else:
         T = require_positive(horizon, "horizon")
     dt = T / N
-    phi_grid = np.array(
-        [[float(phi(k * dt, u.grid.points[i])) for i in range(u.grid.K)] for k in range(N)]
+    phi_grid = require_finite(
+        np.array([[float(phi(k * dt, u.grid.points[i])) for i in range(u.grid.K)] for k in range(N)]), "test function"
     )
-    if not np.all(np.isfinite(phi_grid)):
-        raise NonFiniteCoefficient("test function evaluated to a non-finite value")
     if u.feedback_mode == OPEN_LOOP:
         return float(dt * np.sum(phi_grid * u.weights[:, 0, :]))
     total = 0.0

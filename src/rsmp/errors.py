@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the input checks of its records."""
+"""Exception hierarchy shared across the package, and the input checks of its records and of user callables' values."""
 
 import numpy as np
 
@@ -102,6 +102,13 @@ def require_positive(value, what: str, strict: bool = True) -> float:
     if value < 0 or (strict and value == 0):
         raise DomainError(f"{what} must be {'positive' if strict else 'nonnegative'}, got {value!r}")
     return float(value)
+
+
+def require_finite(vals, what: str):
+    """vals as given; NonFiniteCoefficient("<what> produced NaN/Inf") if it holds a NaN or Inf."""
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteCoefficient(f"{what} produced NaN/Inf")
+    return vals
 
 
 def require_tolerance(value, what: str) -> float:

@@ -33,8 +33,9 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .control import OBSERVATION_FEEDBACK, OPEN_LOOP, RegularControl, RelaxedControl, _resolve
-from .errors import BlowUp, DomainError, NonFiniteCoefficient, ShapeMismatch, require_count, require_seed
-from .problem import GaussianInitial, Problem, averaged_coefficients, point_coefficients
+from .errors import BlowUp, DomainError, NonFiniteCoefficient, ShapeMismatch, require_count, require_finite
+from .errors import require_seed
+from .problem import GaussianInitial, Problem, averaged_coefficients, point_coefficients, terminal_cost
 
 BLOWUP_GUARD = 1e9
 # Fixed path block of the noise streams (stream version 2): each block draws
@@ -312,14 +313,11 @@ def pathwise_cost(p: Problem, paths: PathEnsemble) -> np.ndarray:
     terminal cost, under the control recorded in the ensemble.
 
     The running cost is the one `simulate` recorded for paths.problem, so p
-    must be that same problem object (`PathEnsemble.require`); another raises
-    ShapeMismatch.  A NaN/Inf cost on any path raises NonFiniteCoefficient.
+    must be that same problem object (`PathEnsemble.require`) and phi give
+    shape (M,), else ShapeMismatch; a NaN/Inf cost raises NonFiniteCoefficient.
     """
     paths.require(p)
-    total = paths.running_cost + np.asarray(p.phi(paths.states[:, -1]), dtype=float)
-    if not np.all(np.isfinite(total)):
-        raise NonFiniteCoefficient("cost evaluation produced NaN/Inf")
-    return total
+    return require_finite(paths.running_cost + terminal_cost(p, paths.states[:, -1]), "cost evaluation")
 
 
 def cost(p: Problem, paths: PathEnsemble) -> tuple[float, float]:

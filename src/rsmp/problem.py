@@ -18,17 +18,19 @@ their arguments.
 Relaxed controls only ever see a coefficient through its values at the K
 atoms of a control grid.  `atom_values` is the single place that evaluates a
 coefficient on a grid: one broadcast call with the atom axis leading,
-returned as a contiguous (K, M, ...) tensor, unchecked.  Everything linear
-in the weights is a contraction of that tensor over its leading axis:
-`contract_atoms` pairs it with one weight row (K,), as open loop resolves,
-or per-path weights (M, K) into the `averaged_*` values, and
+returned as a contiguous (K, M, ...) tensor, its values unchecked.
+Everything linear in the weights is a contraction of that tensor over its
+leading axis: `contract_atoms` pairs it with one weight row (K,), as open
+loop resolves, or per-path weights (M, K) into the `averaged_*` values, and
 `atom_hamiltonians` contracts it with the adjoint processes to get all K
 per-atom Hamiltonians from one evaluation.  One check rule covers both: each
-contracted value is checked for NaN/Inf, never the atoms (0 * Inf and
-Inf - Inf are NaN, so any NaN/Inf atom shows, and so does a contraction
+contracted value passes `errors.require_finite`, never the atoms (0 * Inf
+and Inf - Inf are NaN, so any NaN/Inf atom shows, and so does a contraction
 that overflows).  Every sweep reads a step's coefficients through
-`averaged_coefficients` (or its point-control twin `point_coefficients`) and
-their state Jacobians through `averaged_linearization`.
+`averaged_coefficients` (or its point-control twin `point_coefficients`),
+their state Jacobians through `averaged_linearization` and phi, phi_x through
+`terminal_cost`, `terminal_gradient`; no other module calls a coefficient,
+and a value of another per-path shape than documented raises ShapeMismatch.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import DomainError, NonFiniteCoefficient, ShapeMismatch, frozen_field, require_count, require_positive
+from .errors import DomainError, ShapeMismatch, frozen_field, require_count, require_finite, require_positive
 from .errors import require_seed
 
 FD_STEP = 1e-5
@@ -197,24 +199,25 @@ class Problem:
         return obs
 
 
-def _require_finite(vals: np.ndarray, what: str) -> np.ndarray:
-    """vals, unless it holds a NaN/Inf (NonFiniteCoefficient naming what)."""
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteCoefficient(f"{what} produced NaN/Inf")
+def _require_shape(vals, shape: tuple, what: str) -> np.ndarray:
+    """vals as a float array, or ShapeMismatch("<what> has shape ..., expected ...") unless it has shape."""
+    vals = np.asarray(vals, dtype=float)
+    if vals.shape != shape:
+        raise ShapeMismatch(f"{what} has shape {vals.shape}, expected {shape}")
     return vals
 
 
-def atom_values(f, grid, t, x, extra=(), what: str = "coefficient") -> np.ndarray:
+def atom_values(f, grid, t, x, tail: tuple, extra=(), what: str = "coefficient") -> np.ndarray:
     """f(t, x, *extra, xi_i) at every atom xi_i of the grid, with the atom
-    axis leading: shape (K, M, ...) for states x (M, n).
+    axis leading: shape (K, M, *tail) for states x (M, n).
 
     One call evaluates all atoms: x gains a leading axis and the grid points
     (K, d) broadcast against it, so f must broadcast x (..., n) and xi
     (..., d) over their leading axes.  A contiguous (K, M, ...) result is
     returned as it is; any other (a broadcast constant, say) is copied to
-    one.  A call or result that does not broadcast raises ShapeMismatch
-    naming what.  The values are not checked for NaN/Inf: every caller
-    checks what it contracts them to.
+    one.  A call or result that does not broadcast, or a per-path trailing
+    shape other than tail, raises ShapeMismatch naming what.  The values are
+    not checked for NaN/Inf: every caller checks what it contracts them to.
     """
     x = np.asarray(x, dtype=float)
     K = grid.K
@@ -222,12 +225,14 @@ def atom_values(f, grid, t, x, extra=(), what: str = "coefficient") -> np.ndarra
     try:
         raw = np.asarray(f(t, x[None], *extra, xi), dtype=float)
         shape = (K,) + x.shape[:-1] + raw.shape[x.ndim :]
-        return np.ascontiguousarray(raw if raw.shape == shape else np.broadcast_to(raw, shape))
+        vals = raw if raw.shape == shape else np.broadcast_to(raw, shape)
     except ValueError as exc:
         raise ShapeMismatch(
             f"{what} does not broadcast over the {K} grid atoms: callables must broadcast "
             f"x (..., n) and xi (..., d) over their leading axes ({exc})"
         ) from exc
+    _require_shape(vals[0], x.shape[:-1] + tail, what)  # the per-path shape, as a sweep sees it
+    return np.ascontiguousarray(vals)
 
 
 def contract_atoms(vals: np.ndarray, w) -> np.ndarray:
@@ -251,122 +256,119 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row) -> tuple[np.ndarr
     sum without the running cost, the adjoint pairing with each atom's
     coefficients, shape (K, M).
 
-    Each coefficient is evaluated once for all atoms; the pairings contract
-    the atom-leading tensors with psi (M, n), Q (M, n, m) and phi_row
-    (M, J, n), which may be None for a diffusion (J = 0).  Each contracted
-    (K, M) term (drift, diffusion, running cost, the jump term of each mark)
-    is checked for NaN/Inf, as the averages check theirs: a NaN/Inf atom
+    Each coefficient is evaluated once for all atoms by `atom_values`; the
+    pairings contract the atom-leading tensors with psi (M, n), Q (M, n, m)
+    and phi_row (M, J, n), which may be None for a diffusion (J = 0).  Each
+    contracted (K, M) term (drift, diffusion, running cost, the jump term of
+    each mark) passes `require_finite`, as the averages do: a NaN/Inf atom
     value, or a pairing that overflows, raises NonFiniteCoefficient naming
-    the coefficient.
+    the coefficient.  The two sums may overflow to Inf, without a numpy
+    warning: each caller checks what it reduces them to.
     """
     x = np.atleast_2d(x)
-    M = x.shape[0]
-    psi = np.atleast_2d(psi)
-    val = _require_finite(np.einsum("kqi,qi->kq", atom_values(p.b, grid, t, x, what="drift"), psi), "drift")
-    val += _require_finite(
-        np.einsum("kqab,qab->kq", atom_values(p.sigma, grid, t, x, what="diffusion"), _per_path(Q, M)), "diffusion"
-    )
-    pairing = val.copy()
-    val += _require_finite(atom_values(p.ell, grid, t, x, what="running cost"), "running cost")
-    if p.jump.J and phi_row is None:
-        raise ShapeMismatch("jump problems need the jump intensity row of the adjoint")
-    for j in range(p.jump.J):
-        cj = atom_values(p.jump.C, grid, t, x, extra=(p.jump.marks[j],), what="jump coefficient")
-        term = np.einsum("kqi,qi->kq", cj, _per_path(phi_row, M)[:, j])
-        del cj  # free the atom tensor before the sums
-        term *= p.jump.intensities[j]
-        val += _require_finite(term, "jump coefficient")
-        pairing += term
+    M, n = x.shape[0], p.n
+    psi, Q = np.atleast_2d(psi), _per_path(Q, M)
+    with np.errstate(over="ignore"):
+        val = require_finite(np.einsum("kqi,qi->kq", atom_values(p.b, grid, t, x, (n,), what="drift"), psi), "drift")
+        val += require_finite(
+            np.einsum("kqab,qab->kq", atom_values(p.sigma, grid, t, x, (n, p.m), what="diffusion"), Q), "diffusion"
+        )
+        pairing = val.copy()
+        val += require_finite(atom_values(p.ell, grid, t, x, (), what="running cost"), "running cost")
+        if p.jump.J and phi_row is None:
+            raise ShapeMismatch("jump problems need the jump intensity row of the adjoint")
+        for j in range(p.jump.J):
+            cj = atom_values(p.jump.C, grid, t, x, (n,), (p.jump.marks[j],), "jump coefficient")
+            term = np.einsum("kqi,qi->kq", cj, _per_path(phi_row, M)[:, j])
+            del cj  # free the atom tensor before the sums
+            term *= p.jump.intensities[j]
+            val += require_finite(term, "jump coefficient")
+            pairing += term
     return val, pairing
 
 
-def _averaged(f, grid, t, x, w, what: str, extra=()):
+def _averaged(f, grid, t, x, w, tail: tuple, what: str, extra=()):
     """Relaxed average sum_i w[..., i] f(t, x, *extra, xi_i); linear in w."""
-    return _require_finite(contract_atoms(atom_values(f, grid, t, x, extra, what), w), what)
+    return require_finite(contract_atoms(atom_values(f, grid, t, x, tail, extra, what), w), what)
 
 
 def averaged_drift(p: Problem, grid, t, x, w):
     """Relaxed-averaged drift sum_i w_i b(t, x, xi_i); linear in w."""
-    return _averaged(p.b, grid, t, x, w, "drift")
+    return _averaged(p.b, grid, t, x, w, (p.n,), "drift")
 
 
 def averaged_diffusion(p: Problem, grid, t, x, w):
-    return _averaged(p.sigma, grid, t, x, w, "diffusion")
+    return _averaged(p.sigma, grid, t, x, w, (p.n, p.m), "diffusion")
 
 
 def averaged_running_cost(p: Problem, grid, t, x, w):
-    return _averaged(p.ell, grid, t, x, w, "running cost")
+    return _averaged(p.ell, grid, t, x, w, (), "running cost")
 
 
 def averaged_jump(p: Problem, grid, t, x, v, w):
     """Relaxed-averaged jump coefficient at a single mark v."""
-    return _averaged(p.jump.C, grid, t, x, w, "jump coefficient", extra=(v,))
+    return _averaged(p.jump.C, grid, t, x, w, (p.n,), "jump coefficient", extra=(v,))
 
 
 def averaged_drift_x(p: Problem, grid, t, x, w):
-    return _averaged(p.b_x, grid, t, x, w, "drift gradient")
+    return _averaged(p.b_x, grid, t, x, w, (p.n, p.n), "drift gradient")
 
 
 def averaged_diffusion_x(p: Problem, grid, t, x, w):
-    return _averaged(p.sigma_x, grid, t, x, w, "diffusion gradient")
+    return _averaged(p.sigma_x, grid, t, x, w, (p.n, p.m, p.n), "diffusion gradient")
 
 
 def averaged_running_cost_x(p: Problem, grid, t, x, w):
-    return _averaged(p.ell_x, grid, t, x, w, "running cost gradient")
+    return _averaged(p.ell_x, grid, t, x, w, (p.n,), "running cost gradient")
 
 
 def averaged_jump_x(p: Problem, grid, t, x, v, w):
-    return _averaged(p.jump.C_x, grid, t, x, w, "jump gradient", extra=(v,))
-
-
-def _check_step(p: Problem, x, step: tuple, gradients: bool = False) -> tuple:
-    """The step tuple (b, sigma, l, [C per mark]) unchanged, after checking
-    each value against x's leading axes and its trailing shape: (n,), (n, m),
-    () and (n,), or for the gradients (n, n), (n, m, n), (n,) and (n, n).  A
-    wrong shape raises ShapeMismatch naming the value and both shapes."""
-    n, m = p.n, p.m
-    tails = ((n, n), (n, m, n), (n,), (n, n)) if gradients else ((n,), (n, m), (), (n,))
-    *fixed, per_mark = step
-    for i, val in enumerate(fixed + per_mark):
-        i = min(i, 3)  # every jump value is checked as the fourth entry
-        if val.shape != np.shape(x)[:-1] + tails[i]:
-            name = ("drift", "diffusion", "running cost", "jump coefficient")[i] + (" gradient" if gradients else "")
-            raise ShapeMismatch(f"{name} has shape {val.shape}, expected {np.shape(x)[:-1] + tails[i]}")
-    return step
+    return _averaged(p.jump.C_x, grid, t, x, w, (p.n, p.n), "jump gradient", extra=(v,))
 
 
 def averaged_coefficients(p: Problem, grid, t, x, w) -> tuple:
     """One Euler step's coefficients under weights w: drift (M, n), diffusion
     (M, n, m), running cost (M,) and the list of jump coefficients (M, n),
     one per mark in order (ShapeMismatch for another trailing shape)."""
-    return _check_step(p, x, (
+    return (
         averaged_drift(p, grid, t, x, w),
         averaged_diffusion(p, grid, t, x, w),
         averaged_running_cost(p, grid, t, x, w),
         [averaged_jump(p, grid, t, x, v, w) for v in p.jump.marks],
-    ))
+    )
 
 
 def point_coefficients(p: Problem, t, x, xi) -> tuple:
-    """The coefficients of `averaged_coefficients` at point control values xi."""
-    return _check_step(p, x, (
-        np.asarray(p.b(t, x, xi), dtype=float),
-        np.asarray(p.sigma(t, x, xi), dtype=float),
-        np.asarray(p.ell(t, x, xi), dtype=float),
-        [np.asarray(p.jump.C(t, x, v, xi), dtype=float) for v in p.jump.marks],
-    ))
+    """`averaged_coefficients`' values and shape rule at point control values xi, unchecked for NaN/Inf."""
+    lead, n = np.shape(x)[:-1], p.n
+    return (
+        _require_shape(p.b(t, x, xi), lead + (n,), "drift"),
+        _require_shape(p.sigma(t, x, xi), lead + (n, p.m), "diffusion"),
+        _require_shape(p.ell(t, x, xi), lead, "running cost"),
+        [_require_shape(p.jump.C(t, x, v, xi), lead + (n,), "jump coefficient") for v in p.jump.marks],
+    )
 
 
 def averaged_linearization(p: Problem, grid, t, x, w) -> tuple:
     """The state Jacobians under weights w: b_x (M, n, n), sigma_x (M, n, m, n),
     l_x (M, n) and the list of C_x (M, n, n), one per mark in order
     (ShapeMismatch for another trailing shape)."""
-    return _check_step(p, x, (
+    return (
         averaged_drift_x(p, grid, t, x, w),
         averaged_diffusion_x(p, grid, t, x, w),
         averaged_running_cost_x(p, grid, t, x, w),
         [averaged_jump_x(p, grid, t, x, v, w) for v in p.jump.marks],
-    ), gradients=True)
+    )
+
+
+def terminal_cost(p: Problem, x) -> np.ndarray:
+    """phi at the terminal states x (M, n), shape (M,) (ShapeMismatch otherwise)."""
+    return _require_shape(p.phi(x), np.shape(x)[:-1], "terminal cost")
+
+
+def terminal_gradient(p: Problem, x) -> np.ndarray:
+    """phi_x at the terminal states x (M, n), shape (M, n) (ShapeMismatch otherwise)."""
+    return _require_shape(p.phi_x(x), np.shape(x), "terminal cost gradient")
 
 
 @dataclass

@@ -28,9 +28,9 @@ from numpy.random import Generator, Philox
 
 from .adjoint import AdjointEnsemble, solve_bsde
 from .control import ControlGrid, RegularControl, RelaxedControl, mix
-from .errors import ShapeMismatch, require_count, require_seed, require_tolerance
+from .errors import ShapeMismatch, require_count, require_finite, require_seed, require_tolerance
 from .forward import pathwise_cost, sample_noise, simulate
-from .problem import Problem, _per_path, atom_hamiltonians, contract_atoms
+from .problem import Problem, _per_path, _require_shape, atom_hamiltonians, contract_atoms
 
 LINE_SEARCH_FLOOR = 10  # smallest line-search step is 2**-LINE_SEARCH_FLOOR
 
@@ -42,23 +42,20 @@ def hamiltonian(p: Problem, grid: ControlGrid, t, x, psi, Q, phi_row, w) -> np.n
     Batched over the M paths of x (M, n): psi is (M, n), Q (M, n, m) and
     phi_row (M, J, n), where Q and phi_row may also be one (n, m) or (J, n)
     array shared by every path and a diffusion's phi_row (J = 0) may be None;
-    w is one weight row (K,) or one per path (M, K).  Any other shape raises
-    ShapeMismatch.  Linear in w.
+    w is one weight row (K,) or one per path (M, K).  Any other shape, here
+    or of a coefficient value, raises ShapeMismatch, and a NaN/Inf term or
+    result (an overflowing sum included) NonFiniteCoefficient.  Linear in w.
     """
     x = np.atleast_2d(x)
     M, n, K = x.shape[0], p.n, grid.K
-    given = {
-        "x": (x, [(M, n)]),
-        "psi": (np.atleast_2d(psi), [(M, n)]),
-        "Q": (_per_path(Q, M), [(M, n, p.m)]),
-        "w": (np.asarray(w), [(K,), (M, K)]),
-    }
+    _require_shape(x, (M, n), "x")
+    _require_shape(np.atleast_2d(psi), (M, n), "psi")
+    _require_shape(_per_path(Q, M), (M, n, p.m), "Q")
+    if np.shape(w) not in ((K,), (M, K)):
+        raise ShapeMismatch(f"w has shape {np.shape(w)}, expected {(K,)} or {(M, K)}")
     if phi_row is not None:
-        given["phi_row"] = (_per_path(phi_row, M), [(M, p.jump.J, n)])
-    for name, (arr, shapes) in given.items():
-        if arr.shape not in shapes:
-            raise ShapeMismatch(f"{name} has shape {arr.shape}, expected {' or '.join(map(str, shapes))}")
-    return contract_atoms(atom_hamiltonians(p, grid, t, x, psi, Q, phi_row)[0], w)
+        _require_shape(_per_path(phi_row, M), (M, p.jump.J, n), "phi_row")
+    return require_finite(contract_atoms(atom_hamiltonians(p, grid, t, x, psi, Q, phi_row)[0], w), "Hamiltonian")
 
 
 @dataclass(frozen=True)

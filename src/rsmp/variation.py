@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import RelaxedControl
-from .errors import NonFiniteCoefficient, ShapeMismatch
+from .errors import ShapeMismatch, require_finite
 from .forward import PathEnsemble, _step_major, euler_step, step_cells
-from .problem import Problem, averaged_coefficients, averaged_linearization
+from .problem import Problem, averaged_coefficients, averaged_linearization, terminal_gradient
 
 
 @dataclass(frozen=True)
@@ -96,12 +96,10 @@ def response_functional(p: Problem, base: PathEnsemble, u0: RelaxedControl, var:
     if var.base is not base:
         raise ShapeMismatch("the variational ensemble was integrated along another base ensemble")
     N = base.n_steps
-    phix = np.asarray(p.phi_x(base.states[:, N]), dtype=float)
+    phix = terminal_gradient(p, base.states[:, N])
     total = _left_sum(0.0, var.response_terms)
     total += float(np.mean(np.einsum("qi,qi->q", phix, var.y[:, N])))
-    if not np.isfinite(total):
-        raise NonFiniteCoefficient("response functional evaluated to a non-finite value")
-    return total
+    return require_finite(total, "response functional")
 
 
 def gateaux(p: Problem, base: PathEnsemble, var: VariationEnsemble, u: RelaxedControl, u0: RelaxedControl) -> float:
@@ -114,7 +112,4 @@ def gateaux(p: Problem, base: PathEnsemble, var: VariationEnsemble, u: RelaxedCo
     """
     if not var.u.equals(u):
         raise ShapeMismatch("the variational ensemble was integrated for another direction")
-    total = _left_sum(response_functional(p, base, u0, var), var.direct_terms)
-    if not np.isfinite(total):
-        raise NonFiniteCoefficient("gateaux derivative evaluated to a non-finite value")
-    return total
+    return require_finite(_left_sum(response_functional(p, base, u0, var), var.direct_terms), "gateaux derivative")

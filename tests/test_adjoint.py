@@ -152,22 +152,36 @@ class TestSolveBsde:
         with pytest.raises(NonFiniteCoefficient):
             rsmp.solve_bsde(p, paths, u)
 
-    def test_overflowing_drift_pairing_raises(self):
-        # b + 1e308 at a zero-weight atom is finite and leaves the forward
-        # sweep unchanged, but its pairing with psi = 20 x overflows; unchecked,
-        # the Hamiltonian sums were Inf and smp_gap NaN
+    # (case, coefficients raised by 1e308 at the zero-weight atom, phi, phi_x, error)
+    OVERFLOWS = [
+        # the drift's pairing with psi = 20 x overflows
+        ("drift-pairing", ("b",), lambda x: 10.0 * np.asarray(x)[..., 0] ** 2, lambda x: 20.0 * np.asarray(x),
+         "^drift produced NaN/Inf$"),
+        # every term is finite at psi = 1, but drift plus running cost is not
+        ("finite-terms-sum", ("b", "ell"), lambda x: np.asarray(x)[..., 0], np.ones_like,
+         "^Hamiltonian produced NaN/Inf$"),
+    ]
+
+    @pytest.mark.parametrize("case, raised, phi, phi_x, error", OVERFLOWS, ids=[c[0] for c in OVERFLOWS])
+    def test_overflowing_hamiltonian_raises(self, case, raised, phi, phi_x, error):
+        # the raised atom has zero weight, so the forward sweep is unchanged;
+        # unchecked, the Hamiltonian sums were Inf and smp_gap NaN
         base = rsmp.make_benchmark("lq1d")
         grid = rsmp.benchmark_grid("lq1d", 5)
         bad_atom = grid.points[2]
 
-        def b(t, x, xi):
-            return base.b(t, x, xi) + np.where(np.all(xi == bad_atom, axis=-1), 1e308, 0.0)[..., None]
+        def raise_at_bad_atom(f):
+            def g(t, x, xi):
+                out = f(t, x, xi)
+                add = np.where(np.all(xi == bad_atom, axis=-1), 1e308, 0.0)
+                return out + add.reshape(add.shape + (1,) * (np.ndim(out) - add.ndim))
+            return g
 
-        p = dataclasses.replace(base, b=b, phi=lambda x: 10.0 * np.asarray(x)[..., 0] ** 2,
-                                phi_x=lambda x: 20.0 * np.asarray(x))
+        p = dataclasses.replace(base, phi=phi, phi_x=phi_x,
+                                **{key: raise_at_bad_atom(getattr(base, key)) for key in raised})
         u = rsmp.constant_control(grid, 8, [0.25, 0.25, 0.0, 0.25, 0.25])
         paths = rsmp.simulate(p, u, rsmp.sample_noise(p, 500, 8, seed=3))
-        with pytest.raises(NonFiniteCoefficient, match="^drift produced NaN/Inf$"):
+        with pytest.raises(NonFiniteCoefficient, match=error):
             rsmp.solve_bsde(p, paths, u)
 
     @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])

@@ -22,6 +22,7 @@ from rsmp import (
     GaussianInitial,
     JumpSpec,
     LQSpec,
+    NonFiniteCoefficient,
     OptimizeParams,
     RegularControl,
     RelaxedControl,
@@ -53,10 +54,22 @@ def pair_fn(t, xi):
     return t + xi[0]
 
 
-def lq_hamiltonian(x=(4, 1), psi=(4, 1), Q=(4, 1, 1), w=5, name="lq1d", phi_row=None):
+def filled(tail, value=0.0):
+    """A coefficient (t, x, ..., xi) or terminal cost (x) that is value at
+    states x (..., n), with the per-path trailing shape tail."""
+    return lambda *args: np.full(np.shape(args[0] if len(args) == 1 else args[1])[:-1] + tail, value)
+
+
+def jump_lq_c(C):
+    """jump-lq's jump spec with the jump coefficient C."""
+    return dataclasses.replace(rsmp.make_benchmark("jump-lq").jump, C=C)
+
+
+def lq_hamiltonian(x=(4, 1), psi=(4, 1), Q=(4, 1, 1), w=5, name="lq1d", phi_row=None, **changes):
     """rsmp.hamiltonian at t = 0 on a benchmark's 5-atom grid with arrays of ones
-    of the given shapes (n = m = 1, M = 4 on lq1d) and uniform weights."""
-    p, grid = rsmp.make_benchmark(name), rsmp.benchmark_grid(name, 5)
+    of the given shapes (n = m = 1, M = 4 on lq1d) and uniform weights, on
+    the benchmark with the given fields replaced."""
+    p, grid = dataclasses.replace(rsmp.make_benchmark(name), **changes), rsmp.benchmark_grid(name, 5)
     phi_row = None if phi_row is None else np.ones(phi_row)
     return rsmp.hamiltonian(p, grid, 0.0, np.ones(x), np.ones(psi), np.ones(Q), phi_row, np.full(w, 1.0 / 5))
 
@@ -71,6 +84,17 @@ def along(seed=1):
     base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 500, 8, seed))
     return SimpleNamespace(u0=u0, u=u, base=base, adjoint=rsmp.solve_bsde(p, base, u0),
                            var=rsmp.simulate_variational(p, base, u, u0))
+
+
+@functools.lru_cache(maxsize=None)
+def terminal(key, tail):
+    """(problem, base, u0, variational ensemble) on lq1d as in `along`, with
+    phi or phi_x (key) returning zeros of the per-path trailing shape tail."""
+    p = problem(**{key: filled(tail)})
+    grid = rsmp.benchmark_grid("lq1d")
+    u0, u = rsmp.constant_control(grid, 8), rsmp.constant_control(grid, 8, np.eye(grid.K)[0])
+    base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 500, 8, 1))
+    return p, base, u0, rsmp.simulate_variational(p, base, u, u0)
 
 
 def five_ell():
@@ -119,6 +143,30 @@ REFUSED = [
     ("hamiltonian states of another dimension", lambda: lq_hamiltonian(x=(4, 2)), ShapeMismatch, "x has shape"),
     ("hamiltonian jump row of another mark count", lambda: lq_hamiltonian(name="jump-lq", phi_row=(4, 1, 1)),
      ShapeMismatch, r"phi_row has shape \(4, 1, 1\), expected \(4, 2, 1\)"),
+    ("hamiltonian drift of two components", lambda: lq_hamiltonian(b=filled((2,))), ShapeMismatch,
+     r"^drift has shape \(4, 2\), expected \(4, 1\)$"),
+    ("hamiltonian diffusion of two columns", lambda: lq_hamiltonian(sigma=filled((1, 2))), ShapeMismatch,
+     r"^diffusion has shape \(4, 1, 2\), expected \(4, 1, 1\)$"),
+    ("hamiltonian running cost with a trailing axis", lambda: lq_hamiltonian(ell=filled((3,))), ShapeMismatch,
+     r"^running cost has shape \(4, 3\), expected \(4,\)$"),
+    ("hamiltonian jump coefficient of two components",
+     lambda: lq_hamiltonian(name="jump-lq", phi_row=(4, 2, 1), jump=jump_lq_c(filled((2,)))), ShapeMismatch,
+     r"^jump coefficient has shape \(4, 2\), expected \(4, 1\)$"),
+    ("hamiltonian whose finite terms overflow", lambda: lq_hamiltonian(b=filled((1,), 1e308), ell=filled((), 1e308)),
+     NonFiniteCoefficient, "^Hamiltonian produced NaN/Inf$"),
+    ("pathwise cost of an (M, 1) terminal cost", lambda: rsmp.pathwise_cost(*terminal("phi", (1,))[:2]),
+     ShapeMismatch, r"^terminal cost has shape \(500, 1\), expected \(500,\)$"),
+    ("cost of an (M, 1) terminal cost", lambda: rsmp.cost(*terminal("phi", (1,))[:2]), ShapeMismatch,
+     r"^terminal cost has shape \(500, 1\), expected \(500,\)$"),
+    ("adjoint of an (M,) terminal gradient", lambda: rsmp.solve_bsde(*terminal("phi_x", ())[:3]), ShapeMismatch,
+     r"^terminal cost gradient has shape \(500,\), expected \(500, 1\)$"),
+    ("adjoint of an (M, n, 1) terminal gradient", lambda: rsmp.solve_bsde(*terminal("phi_x", (1, 1))[:3]),
+     ShapeMismatch, r"^terminal cost gradient has shape \(500, 1, 1\), expected \(500, 1\)$"),
+    ("response functional of an (M,) terminal gradient", lambda: rsmp.response_functional(*terminal("phi_x", ())),
+     ShapeMismatch, r"^terminal cost gradient has shape \(500,\), expected \(500, 1\)$"),
+    ("response functional of an (M, n, 1) terminal gradient",
+     lambda: rsmp.response_functional(*terminal("phi_x", (1, 1))), ShapeMismatch,
+     r"^terminal cost gradient has shape \(500, 1, 1\), expected \(500, 1\)$"),
     ("fractional worker cap", lambda: rsmp.simulate(lq1d(), open_control(), rsmp.sample_noise(lq1d(), 4, 4, 1), 1.5),
      DomainError, "integer"),
     ("one ODE step", lambda: rsmp.lq_riccati_oracle(rsmp.benchmark_lq_spec("lq1d"), 1), DomainError, "at least 2"),
@@ -313,21 +361,9 @@ def test_validate_equals_the_row_loop(seed):
     assert found == loop_validate(w) and found
 
 
-def wrong_sigma(t, x, xi):
-    return np.zeros(np.shape(x)[:-1] + (2, 1))
-
-
-def wrong_sigma_x(t, x, xi):
-    return np.zeros(np.shape(x)[:-1] + (1, 1))
-
-
-def wrong_jump(t, x, v, xi):
-    return np.zeros(np.shape(x)[:-1] + (2,))
-
-
 @pytest.mark.parametrize("control", ["relaxed", "regular", "policy"])
 def test_diffusion_of_a_wrong_trailing_shape_is_shape_mismatch(control):
-    p = problem(sigma=wrong_sigma)
+    p = problem(sigma=filled((2, 1)))
     u = {
         "relaxed": open_control(),
         "regular": RegularControl(np.zeros((4, 1)), [[-2.0, 2.0]]),
@@ -338,14 +374,13 @@ def test_diffusion_of_a_wrong_trailing_shape_is_shape_mismatch(control):
 
 
 def test_jump_coefficient_of_a_wrong_trailing_shape_is_shape_mismatch():
-    p = rsmp.make_benchmark("jump-lq")
-    p = dataclasses.replace(p, jump=JumpSpec(p.jump.marks, p.jump.intensities, wrong_jump, p.jump.C_x))
+    p = dataclasses.replace(rsmp.make_benchmark("jump-lq"), jump=jump_lq_c(filled((2,))))
     with pytest.raises(ShapeMismatch, match="jump coefficient has shape"):
         rsmp.simulate(p, open_control(), rsmp.sample_noise(p, 10, 4, 1))
 
 
 def test_gradient_of_a_wrong_trailing_shape_is_shape_mismatch():
-    p = problem(sigma_x=wrong_sigma_x)
+    p = problem(sigma_x=filled((1, 1)))
     u = open_control()
     base = rsmp.simulate(p, u, rsmp.sample_noise(p, 50, 4, 1))
     with pytest.raises(ShapeMismatch, match=r"diffusion gradient has shape \(50, 1, 1\), expected \(50, 1, 1, 1\)"):

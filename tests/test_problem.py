@@ -1,11 +1,13 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 import rsmp
 from rsmp import ControlGrid, DomainError, JumpSpec, NonFiniteCoefficient, Problem, ShapeMismatch
-from rsmp.problem import atom_hamiltonians, atom_values, averaged_coefficients, averaged_linearization, contract_atoms, fd_gradient
+from rsmp.problem import atom_hamiltonians, atom_values, averaged_coefficients, averaged_drift, averaged_linearization
+from rsmp.problem import contract_atoms, fd_gradient
 
 
 def linear_problem(A, B):
@@ -52,7 +54,7 @@ class TestAveraged:
 
     def test_one_hot_recovers_point_value(self):
         x = np.array([[2.0], [3.0]])
-        out = rsmp.averaged_drift(self.p, self.grid, 0.0, x, np.array([0.0, 1.0]))
+        out = averaged_drift(self.p, self.grid, 0.0, x, np.array([0.0, 1.0]))
         assert np.allclose(out, x + 1.0, atol=0)
 
     def test_symmetric_average_cancels(self):
@@ -63,12 +65,12 @@ class TestAveraged:
 
         p = Problem(n=1, m=1, d=1, T=1.0, x0=np.array([0.0]), b=b, sigma=self.p.sigma,
                     ell=self.p.ell, phi=self.p.phi, control_box=[[-1.0, 1.0]])
-        out = rsmp.averaged_drift(p, g, 0.0, np.array([[5.0]]), np.array([0.5, 0.5]))
+        out = averaged_drift(p, g, 0.0, np.array([[5.0]]), np.array([0.5, 0.5]))
         assert np.allclose(out, 0.0, atol=0)
 
     def test_weighted_average(self):
         x = np.array([[4.0]])
-        out = rsmp.averaged_drift(self.p, self.grid, 0.0, x, np.array([0.3, 0.7]))
+        out = averaged_drift(self.p, self.grid, 0.0, x, np.array([0.3, 0.7]))
         assert out[0, 0] == pytest.approx(4.7, abs=1e-15)
 
     def test_linearity_in_weights(self):
@@ -80,9 +82,9 @@ class TestAveraged:
             w2 = rng.uniform(0.01, 1, 2)
             w2 /= w2.sum()
             eps = float(rng.uniform())
-            mixed = rsmp.averaged_drift(self.p, self.grid, 0.0, x, (1 - eps) * w1 + eps * w2)
-            parts = (1 - eps) * rsmp.averaged_drift(self.p, self.grid, 0.0, x, w1) \
-                + eps * rsmp.averaged_drift(self.p, self.grid, 0.0, x, w2)
+            mixed = averaged_drift(self.p, self.grid, 0.0, x, (1 - eps) * w1 + eps * w2)
+            parts = (1 - eps) * averaged_drift(self.p, self.grid, 0.0, x, w1) \
+                + eps * averaged_drift(self.p, self.grid, 0.0, x, w2)
             assert np.abs(mixed - parts).max() <= 1e-12
 
     def test_non_finite_coefficient_raises(self):
@@ -92,11 +94,11 @@ class TestAveraged:
         p = Problem(n=1, m=1, d=1, T=1.0, x0=np.array([0.0]), b=bad_b, sigma=self.p.sigma,
                     ell=self.p.ell, phi=self.p.phi, control_box=[[0.0, 1.0]])
         with pytest.raises(NonFiniteCoefficient):
-            rsmp.averaged_drift(p, self.grid, 0.0, np.array([[1.0]]), np.array([1.0, 0.0]))
+            averaged_drift(p, self.grid, 0.0, np.array([[1.0]]), np.array([1.0, 0.0]))
 
     def test_atom_values_stack_atoms_leading(self):
         x = np.array([[2.0], [3.0], [-1.0]])
-        vals = atom_values(self.p.b, self.grid, 0.0, x)
+        vals = atom_values(self.p.b, self.grid, 0.0, x, (1,))
         assert vals.shape == (2, 3, 1)
         assert np.array_equal(vals[1], x + 1.0)
 
@@ -108,7 +110,7 @@ class TestAveraged:
         w_path = rng.uniform(0.01, 1, (30, grid.K))
         w_path /= w_path.sum(axis=1, keepdims=True)
         for w in (w_path[0], w_path):
-            got = rsmp.averaged_drift(p, grid, 0.2, x, w)
+            got = averaged_drift(p, grid, 0.2, x, w)
             terms = [w[..., i].reshape(w.shape[:-1] + (1,)) * p.b(0.2, x, grid.points[i]) for i in range(grid.K)]
             ref = sum(terms[1:], terms[0])
             scale = sum(np.abs(t) for t in terms)
@@ -117,12 +119,14 @@ class TestAveraged:
 
 
 def atom_coefficients(p):
-    """(name, callable, extra) for every coefficient and gradient that
-    `atom_values` evaluates on a grid: C and C_x once per mark."""
-    out = [(key, getattr(p, key), ()) for key in ("b", "sigma", "ell", "b_x", "sigma_x", "ell_x")]
+    """(name, callable, per-path trailing shape, extra) for every coefficient
+    and gradient that `atom_values` evaluates on a grid: C and C_x once per mark."""
+    n, m = p.n, p.m
+    tails = {"b": (n,), "sigma": (n, m), "ell": (), "b_x": (n, n), "sigma_x": (n, m, n), "ell_x": (n,)}
+    out = [(key, getattr(p, key), tail, ()) for key, tail in tails.items()]
     if p.jump is not None:
         for v in p.jump.marks:
-            out += [("C", p.jump.C, (v,)), ("C_x", p.jump.C_x, (v,))]
+            out += [("C", p.jump.C, (n,), (v,)), ("C_x", p.jump.C_x, (n, n), (v,))]
     return out
 
 
@@ -132,14 +136,18 @@ class TestBroadcastContract:
 
     @pytest.mark.parametrize("name", rsmp.BENCHMARK_NAMES)
     def test_one_call_equals_stacked_point_calls(self, name):
+        # and the same call expecting another trailing shape is refused
         p = rsmp.make_benchmark(name)
         grid = rsmp.benchmark_grid(name, 5)
         x = np.random.default_rng(31).standard_normal((40, p.n))
-        for key, f, extra in atom_coefficients(p):
-            got = atom_values(f, grid, 0.3, x, extra, what=key)
+        for key, f, tail, extra in atom_coefficients(p):
+            got = atom_values(f, grid, 0.3, x, tail, extra, what=key)
             ref = np.stack([np.asarray(f(0.3, x, *extra, xi), dtype=float) for xi in grid.points])
             assert got.flags.c_contiguous, key
             assert got.shape == ref.shape and np.array_equal(got, ref), key
+            wrong = re.escape(f"{key} has shape {(40,) + tail}, expected {(40,) + tail + (1,)}")
+            with pytest.raises(ShapeMismatch, match=f"^{wrong}$"):
+                atom_values(f, grid, 0.3, x, tail + (1,), extra, what=key)
 
     def test_one_call_for_all_atoms(self):
         p = rsmp.make_benchmark("jump-lq")
@@ -150,7 +158,7 @@ class TestBroadcastContract:
             calls.append((np.shape(x), np.shape(xi)))
             return p.jump.C(t, x, v, xi)
 
-        vals = atom_values(counted, grid, 0.0, np.zeros((7, 1)), (p.jump.marks[0],))
+        vals = atom_values(counted, grid, 0.0, np.zeros((7, 1)), (1,), (p.jump.marks[0],))
         assert vals.shape == (9, 7, 1)
         assert calls == [((1, 7, 1), (9, 1, 1))]
 
@@ -161,7 +169,7 @@ class TestBroadcastContract:
 
         grid = ControlGrid([[-1.0], [0.0], [1.0]], [[-1.0, 1.0]])
         with pytest.raises(ShapeMismatch, match="drift does not broadcast over the 3 grid atoms") as exc:
-            atom_values(b, grid, 0.0, np.zeros((4, 1)), what="drift")
+            atom_values(b, grid, 0.0, np.zeros((4, 1)), (1,), what="drift")
         assert "x (..., n) and xi (..., d)" in str(exc.value)
         assert isinstance(exc.value.__cause__, ValueError)
 
@@ -172,7 +180,7 @@ class TestBroadcastContract:
 
         grid = ControlGrid([[-1.0], [1.0]], [[-1.0, 1.0]])
         with pytest.raises(ShapeMismatch, match="drift does not broadcast") as exc:
-            atom_values(b, grid, 0.0, np.zeros((4, 1)), what="drift")
+            atom_values(b, grid, 0.0, np.zeros((4, 1)), (1,), what="drift")
         assert isinstance(exc.value.__cause__, ValueError)
 
     def test_full_result_is_returned_without_a_copy(self):
@@ -185,7 +193,7 @@ class TestBroadcastContract:
             results.append(p.b(t, x, xi))
             return results[-1]
 
-        vals = atom_values(b, grid, 0.0, x)
+        vals = atom_values(b, grid, 0.0, x, (1,))
         assert vals.shape == (5, 6, 1) and vals.flags.c_contiguous
         assert np.shares_memory(vals, results[0])
 
@@ -199,7 +207,7 @@ class TestBroadcastContract:
             results.append(p.sigma(t, x, xi))
             return results[-1]
 
-        vals = atom_values(sigma, grid, 0.0, np.zeros((6, 1)))
+        vals = atom_values(sigma, grid, 0.0, np.zeros((6, 1)), (1, 1))
         assert results[0].shape == (1, 6, 1, 1)
         assert vals.shape == (5, 6, 1, 1) and vals.flags.c_contiguous
         assert not np.shares_memory(vals, results[0])
@@ -327,10 +335,10 @@ class TestFiniteDifferenceGradients:
         grid = rsmp.benchmark_grid("lq1d", 9)
         x = np.random.default_rng(32).standard_normal((25, 1))
         xs = np.broadcast_to(x, (grid.K,) + x.shape)
-        for grad in (p.b_x, p.sigma_x, p.ell_x):
+        for grad, tail in ((p.b_x, (1, 1)), (p.sigma_x, (1, 1, 1)), (p.ell_x, (1,))):
             ref = np.stack([grad(0.1, x, xi) for xi in grid.points])
             assert np.array_equal(grad(0.1, xs, grid.points[:, None]), ref)
-            assert np.array_equal(atom_values(grad, grid, 0.1, x), ref)
+            assert np.array_equal(atom_values(grad, grid, 0.1, x, tail), ref)
 
 
 class TestValidateAssumptions:
