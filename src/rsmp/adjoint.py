@@ -64,18 +64,18 @@ class BasisSpec:
 
     def features(self, x: np.ndarray) -> np.ndarray:
         """Design matrix (M, P) of monomials in the components of M states x
-        (M, n); ShapeMismatch for an x that is not 2-D."""
+        (M, n), the transpose of contiguous (P, M) monomial rows (the layout
+        `_design` reduces); ShapeMismatch for an x that is not 2-D."""
         x = np.asarray(x)
         if x.ndim != 2:
             raise ShapeMismatch(f"states must be (M, n), got shape {x.shape}")
-        cols = []
-        for alpha in self.exponents(x.shape[1]):
-            col = np.ones(x.shape[0])
+        exps = self.exponents(x.shape[1])
+        rows = np.ones((len(exps), x.shape[0]))
+        for row, alpha in zip(rows, exps):
             for dim, e in enumerate(alpha):
                 if e:
-                    col = col * x[:, dim] ** e
-            cols.append(col)
-        return np.stack(cols, axis=1)
+                    row *= x[:, dim] ** e
+        return rows.T
 
 
 @dataclass
@@ -87,37 +87,40 @@ class StepDiagnostics:
 
 
 def _design(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, bool]:
-    """Least-squares design on the regressors X: the standardized design Z,
-    its normal matrix G, G's condition number and whether a ridge was added.
+    """Least-squares design on the regressors X (M, P): the standardized,
+    feature-major design Zt (1 + kept, M), its normal matrix G = Zt Zt^T,
+    G's condition number and whether a ridge was added.
 
-    Columns are standardized for conditioning (the fit is invariant to that
-    reparametrization); degenerate columns are dropped, and a trace-scaled
-    ridge is added when the normal matrix condition number exceeds the limit.
+    Rows of X^T (a view for `BasisSpec.features`) are standardized for
+    conditioning (the fit is invariant to that reparametrization); degenerate
+    rows are dropped, and a trace-scaled ridge is added when G's condition
+    number exceeds the limit.
     """
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0)
+    Xt = np.ascontiguousarray(X.T)
+    mu = Xt.mean(axis=1)
+    sd = Xt.std(axis=1)
     keep = sd > DEGENERATE_STD * (1.0 + np.abs(mu))
-    Z = np.ones((X.shape[0], 1 + int(keep.sum())))
-    Z[:, 1:] = (X[:, keep] - mu[keep]) / sd[keep]
-    G = Z.T @ Z
+    Zt = np.ones((1 + int(keep.sum()), Xt.shape[1]))
+    Zt[1:] = (Xt[keep] - mu[keep, None]) / sd[keep, None]
+    G = Zt @ Zt.T
     cond = float(np.linalg.cond(G))
     ridge = not np.isfinite(cond) or cond > COND_LIMIT
     if ridge:
         G = G + (RIDGE_SCALE * np.trace(G) / G.shape[0]) * np.eye(G.shape[0])
-    return Z, G, cond, ridge
+    return Zt, G, cond, ridge
 
 
-def _fit(Z: np.ndarray, G: np.ndarray, Y: np.ndarray, step: int) -> tuple[np.ndarray, float]:
-    """Fitted values (Y's shape) of every column of Y on the design Z with
-    normal matrix G, and the orthogonality max |Z^T (Y - fitted)| / M."""
+def _fit(Zt: np.ndarray, G: np.ndarray, Y: np.ndarray, step: int) -> tuple[np.ndarray, float]:
+    """Fitted values (Y's shape) of every column of Y on the feature-major
+    design Zt with normal matrix G, and the orthogonality max |Zt (Y - fitted)| / M."""
     try:
-        beta = np.linalg.solve(G, Z.T @ Y)
+        beta = np.linalg.solve(G, Zt @ Y)
     except np.linalg.LinAlgError as exc:
         raise SingularRegression(step, str(exc)) from exc
     if not np.all(np.isfinite(beta)):
         raise SingularRegression(step, "non-finite regression coefficients")
-    fitted = Z @ beta
-    return fitted, float(np.abs(Z.T @ (Y - fitted)).max() / Z.shape[0])
+    fitted = Zt.T @ beta
+    return fitted, float(np.abs(Zt @ (Y - fitted)).max() / Zt.shape[1])
 
 
 def _cell_sums(cells: np.ndarray, C: int, atoms: np.ndarray) -> np.ndarray:
@@ -183,12 +186,12 @@ def _regress_step(
     x = base.states[:, k]
     cells, w0 = step_cells(base, u0, k)
     psi_next = psi[:, k + 1]
-    Z, G, cond, ridge = _design(basis.features(x))
+    Zt, G, cond, ridge = _design(basis.features(x))
 
     tq = psi_next[:, :, None] * noise.dW[:, k][:, None, :] / dt  # (M, n, m)
     dq = noise.jump_counts[:, k] - lam * dt  # (M, J)
     tj = psi_next[:, None, :] * (dq / (lam * dt))[:, :, None]  # (M, J, n)
-    fitted, ortho = _fit(Z, G, np.concatenate([psi_next, tq.reshape(M, n * m), tj.reshape(M, J * n)], axis=1), k)
+    fitted, ortho = _fit(Zt, G, np.concatenate([psi_next, tq.reshape(M, n * m), tj.reshape(M, J * n)], axis=1), k)
     cont = fitted[:, :n]
     Qk = fitted[:, n : n + n * m].reshape(M, n, m)
     phik = fitted[:, n + n * m :].reshape(M, J, n)
@@ -199,7 +202,7 @@ def _regress_step(
     drift += lx
     for j, cx in enumerate(cxs):
         drift += lam[j] * np.einsum("qij,qi->qj", cx, phik[:, j])
-    fitted_psi, ortho_psi = _fit(Z, G, psi_next + drift * dt, k)
+    fitted_psi, ortho_psi = _fit(Zt, G, psi_next + drift * dt, k)
     psi[:, k] = fitted_psi
     psi_cont[:, k] = cont
     Q[:, k] = Qk

@@ -18,19 +18,21 @@ their arguments.
 Relaxed controls only ever see a coefficient through its values at the K
 atoms of a control grid.  `atom_values` is the single place that evaluates a
 coefficient on a grid: one broadcast call with the atom axis leading,
-returned as a contiguous (K, M, ...) tensor, its values unchecked.
-Everything linear in the weights is a contraction of that tensor over its
-leading axis: `contract_atoms` pairs it with one weight row (K,), as open
-loop resolves, or per-path weights (M, K) into the `averaged_*` values, and
-`atom_hamiltonians` contracts it with the adjoint processes to get all K
-per-atom Hamiltonians from one evaluation.  One check rule covers both: each
-contracted value passes `errors.require_finite`, never the atoms (0 * Inf
-and Inf - Inf are NaN, so any NaN/Inf atom shows, and so does a contraction
-that overflows).  Every sweep reads a step's coefficients through
-`averaged_coefficients` (or its point-control twin `point_coefficients`),
-their state Jacobians through `averaged_linearization` and phi, phi_x through
-`terminal_cost`, `terminal_gradient`; no other module calls a coefficient,
-and a value of another per-path shape than documented raises ShapeMismatch.
+returned as a contiguous (K, M, ...) tensor, its values unchecked (a result
+of length 1 on the atom axis does not depend on the control: evaluated once,
+the sweeps keep it so).  Everything linear in the weights is a contraction
+over the atom axis: `contract_atoms` pairs it with one weight row (K,), as
+open loop resolves, or per-path weights (M, K) into the `averaged_*` values
+(a value evaluated once times the weight row sum), and `atom_hamiltonians`
+contracts it with the adjoint processes to get all K per-atom Hamiltonians
+from one evaluation.  One check rule covers both: each contracted value
+passes `errors.require_finite`, never the atoms (0 * Inf and Inf - Inf are
+NaN, so any NaN/Inf atom shows, and so does a contraction that overflows).
+Every sweep reads a step's coefficients through `averaged_coefficients` (or
+its point-control twin `point_coefficients`), their state Jacobians through
+`averaged_linearization` and phi, phi_x through `terminal_cost`,
+`terminal_gradient`; no other module calls a coefficient, and a value of
+another per-path shape than documented raises ShapeMismatch.
 """
 
 from __future__ import annotations
@@ -207,18 +209,9 @@ def _require_shape(vals, shape: tuple, what: str) -> np.ndarray:
     return vals
 
 
-def atom_values(f, grid, t, x, tail: tuple, extra=(), what: str = "coefficient") -> np.ndarray:
-    """f(t, x, *extra, xi_i) at every atom xi_i of the grid, with the atom
-    axis leading: shape (K, M, *tail) for states x (M, n).
-
-    One call evaluates all atoms: x gains a leading axis and the grid points
-    (K, d) broadcast against it, so f must broadcast x (..., n) and xi
-    (..., d) over their leading axes.  A contiguous (K, M, ...) result is
-    returned as it is; any other (a broadcast constant, say) is copied to
-    one.  A call or result that does not broadcast, or a per-path trailing
-    shape other than tail, raises ShapeMismatch naming what.  The values are
-    not checked for NaN/Inf: every caller checks what it contracts them to.
-    """
+def _atom_values(f, grid, t, x, tail: tuple, extra=(), what: str = "coefficient") -> np.ndarray:
+    """`atom_values` without its copy: a result of length 1 on the atom axis
+    of (K, M, *tail), or of lower rank, stays (1, M, *tail), contiguous."""
     x = np.asarray(x, dtype=float)
     K = grid.K
     xi = grid.points.reshape((K,) + (1,) * (x.ndim - 1) + (grid.d,))
@@ -232,7 +225,25 @@ def atom_values(f, grid, t, x, tail: tuple, extra=(), what: str = "coefficient")
             f"x (..., n) and xi (..., d) over their leading axes ({exc})"
         ) from exc
     _require_shape(vals[0], x.shape[:-1] + tail, what)  # the per-path shape, as a sweep sees it
-    return np.ascontiguousarray(vals)
+    once = raw.ndim < len(shape) or raw.shape[0] < K  # length 1 on the atom axis, or no atom axis
+    return np.ascontiguousarray(vals[:1] if once else vals)
+
+
+def atom_values(f, grid, t, x, tail: tuple, extra=(), what: str = "coefficient") -> np.ndarray:
+    """f(t, x, *extra, xi_i) at every atom xi_i of the grid, with the atom
+    axis leading: shape (K, M, *tail) for states x (M, n).
+
+    One call evaluates all atoms: x gains a leading axis and the grid points
+    (K, d) broadcast against it, so f must broadcast x (..., n) and xi
+    (..., d) over their leading axes.  A contiguous (K, M, ...) result is
+    returned as it is; any other (a broadcast constant, say) is copied to
+    one (the sweeps read `_atom_values`, which keeps a length-1 atom axis).  A
+    call or result that does not broadcast, or a per-path trailing shape
+    other than tail, raises ShapeMismatch naming what.  The values are not
+    checked for NaN/Inf: every caller checks what it contracts them to.
+    """
+    vals = _atom_values(f, grid, t, x, tail, extra, what)
+    return vals if len(vals) == grid.K else np.repeat(vals, grid.K, axis=0)
 
 
 def contract_atoms(vals: np.ndarray, w) -> np.ndarray:
@@ -256,13 +267,14 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row) -> tuple[np.ndarr
     sum without the running cost, the adjoint pairing with each atom's
     coefficients, shape (K, M).
 
-    Each coefficient is evaluated once for all atoms by `atom_values`; the
-    pairings contract the atom-leading tensors with psi (M, n), Q (M, n, m)
-    and phi_row (M, J, n), which may be None for a diffusion (J = 0).  Each
-    contracted (K, M) term (drift, diffusion, running cost, the jump term of
-    each mark) passes `require_finite`, as the averages do: a NaN/Inf atom
-    value, or a pairing that overflows, raises NonFiniteCoefficient naming
-    the coefficient.  The two sums may overflow to Inf, without a numpy
+    Each coefficient is evaluated once for all atoms; the pairings contract
+    the atom-leading tensors with psi (M, n), Q (M, n, m) and phi_row
+    (M, J, n), which may be None for a diffusion (J = 0); the drift term is
+    (K, M), and a value evaluated once adds one row to every atom.  Each
+    contracted term (drift, diffusion, running cost, the jump term of each
+    mark) passes `require_finite`, as the averages do: a NaN/Inf atom value,
+    or a pairing that overflows, raises NonFiniteCoefficient naming the
+    coefficient.  The two sums may overflow to Inf, without a numpy
     warning: each caller checks what it reduces them to.
     """
     x = np.atleast_2d(x)
@@ -271,14 +283,14 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row) -> tuple[np.ndarr
     with np.errstate(over="ignore"):
         val = require_finite(np.einsum("kqi,qi->kq", atom_values(p.b, grid, t, x, (n,), what="drift"), psi), "drift")
         val += require_finite(
-            np.einsum("kqab,qab->kq", atom_values(p.sigma, grid, t, x, (n, p.m), what="diffusion"), Q), "diffusion"
+            np.einsum("kqab,qab->kq", _atom_values(p.sigma, grid, t, x, (n, p.m), what="diffusion"), Q), "diffusion"
         )
         pairing = val.copy()
-        val += require_finite(atom_values(p.ell, grid, t, x, (), what="running cost"), "running cost")
+        val += require_finite(_atom_values(p.ell, grid, t, x, (), what="running cost"), "running cost")
         if p.jump.J and phi_row is None:
             raise ShapeMismatch("jump problems need the jump intensity row of the adjoint")
         for j in range(p.jump.J):
-            cj = atom_values(p.jump.C, grid, t, x, (n,), (p.jump.marks[j],), "jump coefficient")
+            cj = _atom_values(p.jump.C, grid, t, x, (n,), (p.jump.marks[j],), "jump coefficient")
             term = np.einsum("kqi,qi->kq", cj, _per_path(phi_row, M)[:, j])
             del cj  # free the atom tensor before the sums
             term *= p.jump.intensities[j]
@@ -287,55 +299,63 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row) -> tuple[np.ndarr
     return val, pairing
 
 
-def _averaged(f, grid, t, x, w, tail: tuple, what: str, extra=()):
-    """Relaxed average sum_i w[..., i] f(t, x, *extra, xi_i); linear in w."""
-    return require_finite(contract_atoms(atom_values(f, grid, t, x, tail, extra, what), w), what)
+def _averaged(f, grid, t, x, w, tail: tuple, what: str, extra=(), total=None):
+    """Relaxed average sum_i w[..., i] f(t, x, *extra, xi_i); linear in w.  A
+    value evaluated once for all atoms is scaled by total, the row sum of w."""
+    vals = _atom_values(f, grid, t, x, tail, extra, what)
+    if len(vals) == grid.K:
+        return require_finite(contract_atoms(vals, w), what)
+    total = np.asarray(w, dtype=float) @ np.ones(grid.K) if total is None else total
+    with np.errstate(over="ignore", invalid="ignore"):  # Inf * 0 is NaN: checked below
+        return require_finite(vals[0] * total.reshape(total.shape + (1,) * len(tail)), what)
 
 
-def averaged_drift(p: Problem, grid, t, x, w):
+def averaged_drift(p: Problem, grid, t, x, w, total=None):
     """Relaxed-averaged drift sum_i w_i b(t, x, xi_i); linear in w."""
-    return _averaged(p.b, grid, t, x, w, (p.n,), "drift")
+    return _averaged(p.b, grid, t, x, w, (p.n,), "drift", total=total)
 
 
-def averaged_diffusion(p: Problem, grid, t, x, w):
-    return _averaged(p.sigma, grid, t, x, w, (p.n, p.m), "diffusion")
+def averaged_diffusion(p: Problem, grid, t, x, w, total=None):
+    return _averaged(p.sigma, grid, t, x, w, (p.n, p.m), "diffusion", total=total)
 
 
-def averaged_running_cost(p: Problem, grid, t, x, w):
-    return _averaged(p.ell, grid, t, x, w, (), "running cost")
+def averaged_running_cost(p: Problem, grid, t, x, w, total=None):
+    return _averaged(p.ell, grid, t, x, w, (), "running cost", total=total)
 
 
-def averaged_jump(p: Problem, grid, t, x, v, w):
+def averaged_jump(p: Problem, grid, t, x, v, w, total=None):
     """Relaxed-averaged jump coefficient at a single mark v."""
-    return _averaged(p.jump.C, grid, t, x, w, (p.n,), "jump coefficient", extra=(v,))
+    return _averaged(p.jump.C, grid, t, x, w, (p.n,), "jump coefficient", (v,), total)
 
 
-def averaged_drift_x(p: Problem, grid, t, x, w):
-    return _averaged(p.b_x, grid, t, x, w, (p.n, p.n), "drift gradient")
+def averaged_drift_x(p: Problem, grid, t, x, w, total=None):
+    return _averaged(p.b_x, grid, t, x, w, (p.n, p.n), "drift gradient", total=total)
 
 
-def averaged_diffusion_x(p: Problem, grid, t, x, w):
-    return _averaged(p.sigma_x, grid, t, x, w, (p.n, p.m, p.n), "diffusion gradient")
+def averaged_diffusion_x(p: Problem, grid, t, x, w, total=None):
+    return _averaged(p.sigma_x, grid, t, x, w, (p.n, p.m, p.n), "diffusion gradient", total=total)
 
 
-def averaged_running_cost_x(p: Problem, grid, t, x, w):
-    return _averaged(p.ell_x, grid, t, x, w, (p.n,), "running cost gradient")
+def averaged_running_cost_x(p: Problem, grid, t, x, w, total=None):
+    return _averaged(p.ell_x, grid, t, x, w, (p.n,), "running cost gradient", total=total)
 
 
-def averaged_jump_x(p: Problem, grid, t, x, v, w):
-    return _averaged(p.jump.C_x, grid, t, x, w, (p.n, p.n), "jump gradient", extra=(v,))
+def averaged_jump_x(p: Problem, grid, t, x, v, w, total=None):
+    return _averaged(p.jump.C_x, grid, t, x, w, (p.n, p.n), "jump gradient", (v,), total)
+
+
+def _step_averages(p: Problem, grid, t, x, w, averages, jump_average) -> tuple:
+    """The averages under weights w, then jump_average per mark, sharing one row sum of w."""
+    total = np.asarray(w, dtype=float) @ np.ones(grid.K)  # a product: w.sum(-1) is several times slower
+    values = tuple(average(p, grid, t, x, w, total) for average in averages)
+    return values + ([jump_average(p, grid, t, x, v, w, total) for v in p.jump.marks],)
 
 
 def averaged_coefficients(p: Problem, grid, t, x, w) -> tuple:
     """One Euler step's coefficients under weights w: drift (M, n), diffusion
     (M, n, m), running cost (M,) and the list of jump coefficients (M, n),
     one per mark in order (ShapeMismatch for another trailing shape)."""
-    return (
-        averaged_drift(p, grid, t, x, w),
-        averaged_diffusion(p, grid, t, x, w),
-        averaged_running_cost(p, grid, t, x, w),
-        [averaged_jump(p, grid, t, x, v, w) for v in p.jump.marks],
-    )
+    return _step_averages(p, grid, t, x, w, (averaged_drift, averaged_diffusion, averaged_running_cost), averaged_jump)
 
 
 def point_coefficients(p: Problem, t, x, xi) -> tuple:
@@ -353,12 +373,8 @@ def averaged_linearization(p: Problem, grid, t, x, w) -> tuple:
     """The state Jacobians under weights w: b_x (M, n, n), sigma_x (M, n, m, n),
     l_x (M, n) and the list of C_x (M, n, n), one per mark in order
     (ShapeMismatch for another trailing shape)."""
-    return (
-        averaged_drift_x(p, grid, t, x, w),
-        averaged_diffusion_x(p, grid, t, x, w),
-        averaged_running_cost_x(p, grid, t, x, w),
-        [averaged_jump_x(p, grid, t, x, v, w) for v in p.jump.marks],
-    )
+    gradients = (averaged_drift_x, averaged_diffusion_x, averaged_running_cost_x)
+    return _step_averages(p, grid, t, x, w, gradients, averaged_jump_x)
 
 
 def terminal_cost(p: Problem, x) -> np.ndarray:

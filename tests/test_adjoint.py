@@ -12,7 +12,7 @@ from rsmp import (
     RelaxedControl,
     ShapeMismatch,
 )
-from rsmp.adjoint import BasisSpec
+from rsmp.adjoint import COND_LIMIT, DEGENERATE_STD, RIDGE_SCALE, BasisSpec, _design
 from rsmp.forward import _BLOCK
 
 
@@ -223,6 +223,67 @@ class TestSolveBsde:
 
             fd = np.stack([(ham(x + h * e) - ham(x - h * e)) / (2 * h) for e in np.eye(p.n)], axis=1)
             assert np.abs((adj.psi[:, k] - adj.psi[:, k + 1]) / dt - fd).max() <= 1e-6
+
+
+def path_major_design(X):
+    """The standardized design Z (M, 1 + kept) and normal matrix of X (M, P),
+    reduced column by column along the path axis, with `_design`'s rules."""
+    mu, sd = X.mean(axis=0), X.std(axis=0)
+    keep = sd > DEGENERATE_STD * (1.0 + np.abs(mu))
+    Z = np.ones((X.shape[0], 1 + int(keep.sum())))
+    Z[:, 1:] = (X[:, keep] - mu[keep]) / sd[keep]
+    G = Z.T @ Z
+    ridge = np.linalg.cond(G) > COND_LIMIT
+    if ridge:
+        G = G + (RIDGE_SCALE * np.trace(G) / G.shape[0]) * np.eye(G.shape[0])
+    return Z, G, ridge
+
+
+class TestDesign:
+    """The regression design is feature-major: `BasisSpec.features` builds
+    contiguous (P, M) monomial rows and `_design` reduces each row."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_features_equal_the_per_column_construction(self, n):
+        spec = BasisSpec(degree=2)
+        x = np.random.default_rng(41).standard_normal((300, n))
+        cols = []
+        for alpha in spec.exponents(n):
+            col = np.ones(300)
+            for dim, e in enumerate(alpha):
+                if e:
+                    col = col * x[:, dim] ** e
+            cols.append(col)
+        got = spec.features(x)
+        assert got.shape == (300, len(cols)) and got.T.flags.c_contiguous
+        assert np.array_equal(got, np.stack(cols, axis=1))
+
+    @staticmethod
+    def states(case):
+        rng = np.random.default_rng(42)
+        if case == "n=1":
+            return rng.standard_normal((2000, 1))
+        if case == "n=2":
+            return rng.standard_normal((2000, 2)) * [1.0, 3.0] + [0.5, -2.0]
+        if case == "deterministic x0":  # step 0 of lq1d: every non-constant column is degenerate
+            p = rsmp.make_benchmark("lq1d")
+            u = rsmp.constant_control(rsmp.benchmark_grid("lq1d", 3), 2)
+            return rsmp.simulate(p, u, rsmp.sample_noise(p, 2000, 2, seed=4)).states[:, 0]
+        x = rng.standard_normal(2000)  # "ridge": two nearly collinear coordinates
+        return np.stack([x, x + 1e-9 * rng.standard_normal(2000)], axis=1)
+
+    @pytest.mark.parametrize("case", ["n=1", "n=2", "deterministic x0", "ridge"])
+    def test_design_matches_the_path_major_reference(self, case):
+        X = BasisSpec(degree=2).features(self.states(case))
+        Zt, G, cond, ridge = _design(X)
+        Z_ref, G_ref, ridge_ref = path_major_design(X)
+        assert Zt.shape == Z_ref.T.shape and ridge == ridge_ref
+        assert np.all(np.abs(Zt.T - Z_ref) <= 1e-13 * np.abs(Z_ref).max())
+        assert np.all(np.abs(G - G_ref) <= 1e-13 * np.abs(G_ref).max())
+        if case == "deterministic x0":
+            assert Zt.shape[0] == 1 and not ridge
+        if case == "ridge":
+            assert ridge and cond > COND_LIMIT
 
 
 class TestDualityGap:

@@ -19,6 +19,7 @@ import pytest
 import rsmp
 from rsmp import RelaxedControl
 from rsmp.forward import _BLOCK, _DRAW_FLOATS
+from rsmp.problem import averaged_linearization
 
 M, N, K, CELLS = 4000, 32, 9, 16
 
@@ -77,3 +78,17 @@ def test_sample_noise_peak_is_its_outputs_plus_draw_buffers(name):
     buffers = 8 * _DRAW_FLOATS
     assert retained <= outputs + 64 * 1024
     assert peak <= outputs + buffers + 64 * 1024
+
+
+def test_control_free_linearization_builds_no_atom_tensor():
+    # lq1d's b_x, sigma_x and l_x do not depend on the control, so each is
+    # evaluated once for all atoms and scaled by the weight row sum: the
+    # averages under per-path weights never hold a (K, M, ...) tensor
+    paths, atoms = 20_000, 9
+    p = rsmp.make_benchmark("lq1d")
+    grid = rsmp.benchmark_grid("lq1d", atoms)
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((paths, 1))
+    w = rng.dirichlet(np.ones(atoms), paths)
+    _, _, peak = traced(lambda: averaged_linearization(p, grid, 0.3, x, w))
+    assert peak < atoms * paths * 8

@@ -6,8 +6,8 @@ import pytest
 
 import rsmp
 from rsmp import ControlGrid, DomainError, JumpSpec, NonFiniteCoefficient, Problem, ShapeMismatch
-from rsmp.problem import atom_hamiltonians, atom_values, averaged_coefficients, averaged_drift, averaged_linearization
-from rsmp.problem import contract_atoms, fd_gradient
+from rsmp.problem import _atom_values, atom_hamiltonians, atom_values, averaged_coefficients, averaged_drift
+from rsmp.problem import averaged_linearization, contract_atoms, fd_gradient
 
 
 def linear_problem(A, B):
@@ -212,6 +212,90 @@ class TestBroadcastContract:
         assert vals.shape == (5, 6, 1, 1) and vals.flags.c_contiguous
         assert not np.shares_memory(vals, results[0])
         assert np.array_equal(vals, np.broadcast_to(results[0], vals.shape))
+
+
+class TestControlFreeCoefficients:
+    """A coefficient whose result has length 1 on the atom axis does not
+    depend on the control and is evaluated once for all atoms: its relaxed
+    average is that value times the weight row sum, and its atom Hamiltonian
+    term one row added to every atom.  Both equal the contraction of the
+    (K, M, ...) tensor `atom_values` stacks, within rounding."""
+
+    M = 50
+    # the coefficients of each benchmark that do not depend on the control
+    CONTROL_FREE = {
+        "lq1d": {"sigma", "b_x", "sigma_x", "ell_x"},
+        "lq2d": {"sigma", "b_x", "sigma_x", "ell_x"},
+        "jump-lq": {"sigma", "b_x", "sigma_x", "ell_x", "C_x"},
+        "nonconvex-mix": {"sigma", "ell", "b_x", "sigma_x", "ell_x"},
+    }
+    RTOL = 1e-14
+
+    def case(self, name):
+        p = rsmp.make_benchmark(name)
+        grid = rsmp.benchmark_grid(name, 5)
+        x = np.random.default_rng(37).standard_normal((self.M, p.n))
+        return p, grid, x
+
+    @pytest.mark.parametrize("name", sorted(CONTROL_FREE))
+    def test_atom_axis_is_read_off_the_result(self, name):
+        # nonconvex-mix's running cost is (1, M): no trailing axis after the atom axis
+        p, grid, x = self.case(name)
+        for key, f, tail, extra in atom_coefficients(p):
+            vals = _atom_values(f, grid, 0.3, x, tail, extra, what=key)
+            atoms = 1 if key in self.CONTROL_FREE[name] else grid.K
+            assert vals.shape == (atoms, self.M) + tail and vals.flags.c_contiguous, key
+            assert np.array_equal(np.broadcast_to(vals, (grid.K,) + vals.shape[1:]),
+                                  atom_values(f, grid, 0.3, x, tail, extra, what=key)), key
+
+    def test_result_without_an_atom_axis(self):
+        # a scalar running cost broadcasts over atoms and paths alike
+        p, grid, x = self.case("lq1d")
+        p = dataclasses.replace(p, ell=lambda t, x, xi: 0.5)
+        assert _atom_values(p.ell, grid, 0.0, x, ()).shape == (1, self.M)
+        w = np.random.default_rng(38).dirichlet(np.ones(grid.K), self.M)
+        got = averaged_coefficients(p, grid, 0.0, x, w)[2]
+        assert np.array_equal(got, 0.5 * (w @ np.ones(grid.K)))
+
+    WEIGHTS = ["open-loop", "per-path", "per-path-difference"]
+
+    @pytest.mark.parametrize("weights", WEIGHTS)
+    @pytest.mark.parametrize("name", sorted(CONTROL_FREE))
+    def test_averages_match_the_contracted_atom_tensor(self, name, weights):
+        p, grid, x = self.case(name)
+        rng = np.random.default_rng(39)
+        rows = rng.dirichlet(np.ones(grid.K), (2, self.M))
+        w = {"open-loop": rows[0, 0], "per-path": rows[0], "per-path-difference": rows[0] - rows[1]}[weights]
+        coefs, lins = averaged_coefficients(p, grid, 0.3, x, w), averaged_linearization(p, grid, 0.3, x, w)
+        got = {"b": coefs[0], "sigma": coefs[1], "ell": coefs[2], "b_x": lins[0], "sigma_x": lins[1], "ell_x": lins[2]}
+        marks = {"C": iter(coefs[3]), "C_x": iter(lins[3])}
+        for key, f, tail, extra in atom_coefficients(p):
+            value = got[key] if key in got else next(marks[key])
+            vals = atom_values(f, grid, 0.3, x, tail, extra, what=key)
+            ref = contract_atoms(vals, w)
+            assert value.shape == ref.shape == (self.M,) + tail, key
+            assert np.all(np.abs(value - ref) <= self.RTOL * contract_atoms(np.abs(vals), np.abs(w))), key
+
+    @pytest.mark.parametrize("name", sorted(CONTROL_FREE))
+    def test_atom_hamiltonians_match_the_stacked_terms(self, name):
+        p, grid, x = self.case(name)
+        M, n, K = self.M, p.n, grid.K
+        rng = np.random.default_rng(40)
+        psi, Q = rng.standard_normal((M, n)), rng.standard_normal((M, n, p.m))
+        phi_row = rng.standard_normal((M, p.jump.J, n))
+        terms = [
+            np.einsum("kqi,qi->kq", atom_values(p.b, grid, 0.3, x, (n,)), psi),
+            np.einsum("kqab,qab->kq", atom_values(p.sigma, grid, 0.3, x, (n, p.m)), Q),
+        ]
+        for j, v in enumerate(p.jump.marks):
+            C = atom_values(p.jump.C, grid, 0.3, x, (n,), (v,))
+            terms.append(p.jump.intensities[j] * np.einsum("kqi,qi->kq", C, phi_row[:, j]))
+        ell = atom_values(p.ell, grid, 0.3, x, ())
+        ham, pairing = atom_hamiltonians(p, grid, 0.3, x, psi, Q, phi_row)
+        pairing_ref, scale = sum(terms), sum(np.abs(t) for t in terms)
+        assert ham.shape == pairing.shape == (K, M)
+        assert np.all(np.abs(pairing - pairing_ref) <= self.RTOL * scale)
+        assert np.all(np.abs(ham - (pairing_ref + ell)) <= self.RTOL * (scale + np.abs(ell)))
 
 
 class TestContraction:
