@@ -22,6 +22,10 @@ Hamiltonian field (and with it the optimality gap) is built from the
 adjoint alone, and the duality pairing with a direction checks that it is
 given the adjoint's own ensemble and control.  Neither evaluates a
 coefficient or walks the paths again.
+
+One sweep serves two storage policies: `solve_bsde` records every step and
+the pairing sums, while the descent loop, which reads only the Hamiltonian
+sums, holds two steps of the adjoint state and forms no pairing sums.
 """
 
 from __future__ import annotations
@@ -170,14 +174,20 @@ class AdjointEnsemble:
     base: PathEnsemble
 
 
+def _at(arr: np.ndarray, k: int) -> np.ndarray:
+    """Step k's slice of a sweep array that holds every step, or only a ring
+    of the last few: step k lives at k modulo the array's step count."""
+    return arr[:, k % arr.shape[1]]
+
+
 def _regress_step(
     p: Problem, basis: BasisSpec, base: PathEnsemble, u0: RelaxedControl, k: int,
     psi: np.ndarray, psi_cont: np.ndarray, Q: np.ndarray, phi: np.ndarray,
 ) -> tuple[np.ndarray, StepDiagnostics]:
-    """One backward regression step of solve_bsde: fills psi_cont[:, k],
-    Q[:, k], phi[:, k] and psi[:, k] from psi[:, k+1], and returns u0's
-    feedback cells at step k with the step's diagnostics.  Its per-path
-    temporaries are freed on return, before the step's Hamiltonians are formed.
+    """One backward regression step of the sweep: fills step k of psi_cont,
+    Q, phi and psi (by `_at`) from psi at k+1, and returns u0's feedback
+    cells at step k with the step's diagnostics.  Its per-path temporaries
+    are freed on return, before the step's Hamiltonians are formed.
     """
     noise = base.noise
     M, dt = base.M, base.dt
@@ -185,7 +195,7 @@ def _regress_step(
     J, lam = p.jump.J, p.jump.intensities
     x = base.states[:, k]
     cells, w0 = step_cells(base, u0, k)
-    psi_next = psi[:, k + 1]
+    psi_next = _at(psi, k + 1)
     Zt, G, cond, ridge = _design(basis.features(x))
 
     tq = psi_next[:, :, None] * noise.dW[:, k][:, None, :] / dt  # (M, n, m)
@@ -203,11 +213,51 @@ def _regress_step(
     for j, cx in enumerate(cxs):
         drift += lam[j] * np.einsum("qij,qi->qj", cx, phik[:, j])
     fitted_psi, ortho_psi = _fit(Zt, G, psi_next + drift * dt, k)
-    psi[:, k] = fitted_psi
-    psi_cont[:, k] = cont
-    Q[:, k] = Qk
-    phi[:, k] = phik
+    for arr, value in ((psi, fitted_psi), (psi_cont, cont), (Q, Qk), (phi, phik)):
+        _at(arr, k)[...] = value
     return cells, StepDiagnostics(k, cond, ridge, max(ortho, ortho_psi))
+
+
+def _sweep(p: Problem, base: PathEnsemble, u0: RelaxedControl, basis: BasisSpec, record: bool) -> tuple:
+    """The backward sweep of `solve_bsde`: read-only hamiltonian_sums and
+    occupancy, the kept arrays and the step diagnostics.  With record it
+    keeps (psi, psi_cont, Q, phi, pairing_sums) for every step; without, it
+    keeps nothing, holding psi at k+1 and k and step k's psi_cont, Q and phi
+    only, and forms no pairing sums.  Both bin the same sums bit for bit.
+    """
+    base.require(p, u0)
+    M, N, dt = base.M, base.n_steps, base.dt
+    n, m = p.n, p.m
+    C, K = u0.n_cells, u0.grid.K
+    held = N if record else 1  # steps held of psi_cont, Q and phi; psi holds one more
+
+    psi = _step_major(M, held + 1, (n,))
+    psi_cont = _step_major(M, held, (n,))
+    Q = _step_major(M, held, (n, m))
+    phi = _step_major(M, held, (p.jump.J, n))
+    hamiltonian_sums = np.empty((N, C, K))
+    pairing_sums = np.empty((N, C, K)) if record else None
+    occupancy = np.empty((N, C), dtype=np.int64)
+    path_blocks = np.arange(M) * SUM_BLOCKS // M if record else None
+    diagnostics = []
+
+    _at(psi, N)[...] = require_finite(terminal_gradient(p, base.states[:, N]), "terminal cost gradient")
+    for k in range(N - 1, -1, -1):
+        cells, diag = _regress_step(p, basis, base, u0, k, psi, psi_cont, Q, phi)
+        diagnostics.append(diag)
+        ham, pairing = atom_hamiltonians(
+            p, u0.grid, k * dt, base.states[:, k], _at(psi_cont, k), _at(Q, k), _at(phi, k), pairing=record
+        )
+        occupancy[k] = np.bincount(cells, minlength=C)
+        hamiltonian_sums[k] = _cell_sums(cells, C, ham)
+        if record:
+            with np.errstate(over="ignore"):  # an overflowing sum is Inf, checked below
+                pairing_sums[k] = _blocked_cell_sums(cells, C, pairing, path_blocks)
+    require_finite(hamiltonian_sums, "Hamiltonian")
+    kept = (psi, psi_cont, Q, phi, require_finite(pairing_sums, "adjoint pairing")) if record else ()
+    for arr in (hamiltonian_sums, occupancy, *kept):
+        arr.setflags(write=False)
+    return hamiltonian_sums, occupancy, kept, diagnostics[::-1]
 
 
 def solve_bsde(
@@ -233,40 +283,10 @@ def solve_bsde(
     coefficient term or cell sum raises NonFiniteCoefficient, and a value of
     another shape or a base not simulated under p and u0 ShapeMismatch.
     """
-    basis = basis_spec or BasisSpec()
-    base.require(p, u0)
-    M, N, dt = base.M, base.n_steps, base.dt
-    n, m = p.n, p.m
-    C, K = u0.n_cells, u0.grid.K
-
-    psi = _step_major(M, N + 1, (n,))
-    psi_cont = _step_major(M, N, (n,))
-    Q = _step_major(M, N, (n, m))
-    phi = _step_major(M, N, (p.jump.J, n))
-    hamiltonian_sums = np.empty((N, C, K))
-    pairing_sums = np.empty((N, C, K))
-    occupancy = np.empty((N, C), dtype=np.int64)
-    path_blocks = np.arange(M) * SUM_BLOCKS // M
-    diagnostics = []
-
-    psi[:, N] = require_finite(terminal_gradient(p, base.states[:, N]), "terminal cost gradient")
-    for k in range(N - 1, -1, -1):
-        cells, diag = _regress_step(p, basis, base, u0, k, psi, psi_cont, Q, phi)
-        diagnostics.append(diag)
-        ham, pairing = atom_hamiltonians(
-            p, u0.grid, k * dt, base.states[:, k], psi_cont[:, k], Q[:, k], phi[:, k]
-        )
-        occupancy[k] = np.bincount(cells, minlength=C)
-        hamiltonian_sums[k] = _cell_sums(cells, C, ham)
-        with np.errstate(over="ignore"):  # an overflowing sum is Inf, checked below
-            pairing_sums[k] = _blocked_cell_sums(cells, C, pairing, path_blocks)
-    require_finite(hamiltonian_sums, "Hamiltonian")
-    require_finite(pairing_sums, "adjoint pairing")
-
-    diagnostics.reverse()
-    for arr in (psi, psi_cont, Q, phi, hamiltonian_sums, pairing_sums, occupancy):
-        arr.setflags(write=False)
-    return AdjointEnsemble(psi, psi_cont, Q, phi, diagnostics, hamiltonian_sums, pairing_sums, occupancy, base)
+    sums, occupancy, (psi, psi_cont, Q, phi, pairing_sums), diagnostics = _sweep(
+        p, base, u0, basis_spec or BasisSpec(), record=True
+    )
+    return AdjointEnsemble(psi, psi_cont, Q, phi, diagnostics, sums, pairing_sums, occupancy, base)
 
 
 def adjoint_pairing(

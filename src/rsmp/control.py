@@ -160,7 +160,8 @@ def _resolve(table: np.ndarray, feedback: CellPartition | None, signal):
     """Cell of each row of signal (Q, p) and the row of one step's (C, ...)
     table it uses.  Open loop (no partition): without a signal, no cells and
     table[0]; with one, cell 0 and table[0] broadcast to (Q, ...).  Feedback
-    needs a signal (MissingPaths otherwise) and reads table[assigned cells].
+    needs a signal (MissingPaths otherwise) and gathers the assigned cells'
+    rows (`np.take`, the values of table[cells] at a fraction of the cost).
     """
     if feedback is None:
         if signal is None:
@@ -169,7 +170,7 @@ def _resolve(table: np.ndarray, feedback: CellPartition | None, signal):
     if signal is None:
         raise MissingPaths("feedback control needs a signal to resolve cells")
     cells = feedback.assign(signal)
-    return cells, table[cells]
+    return cells, np.take(table, cells, axis=0)
 
 
 def _partition_doc(feedback: CellPartition | None) -> dict | None:

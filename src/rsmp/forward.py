@@ -139,9 +139,9 @@ def sample_noise(p: Problem, M: int, N: int, seed: int) -> NoiseEnsemble:
     same ensemble bit for bit and the draws do not depend on the order in
     which blocks are drawn.  A block's increments are drawn a few rows at a
     time into one small reused buffer and copied, scaled, into the
-    step-major dW, and its counts the same rows at a time; successive draws
-    continue each of the block's substreams, so the values are those of one
-    call for the whole block.
+    step-major dW, and its counts the same rows at a time (a diffusion, J = 0,
+    draws none); successive draws continue each of the block's substreams,
+    so the values are those of one call for the whole block.
     """
     M, N, seed = require_count(M, "M"), require_count(N, "N"), require_seed(seed)
     dt = p.T / N
@@ -163,8 +163,8 @@ def sample_noise(p: Problem, M: int, N: int, seed: int) -> NoiseEnsemble:
             brownian.standard_normal(chunk.shape, out=chunk)
             chunk *= sqrt_dt
             dW[r : r + len(chunk)] = chunk
-            # Generator.poisson has no out=; its (rows, N, J) result is the only temporary
-            counts[r : r + len(chunk)] = jumps.poisson(p.jump.intensities * dt, (len(chunk), N, J))
+            if J:  # Generator.poisson has no out=; its (rows, N, J) result is the only temporary
+                counts[r : r + len(chunk)] = jumps.poisson(p.jump.intensities * dt, (len(chunk), N, J))
     _freeze(dW, counts, z0)
     return NoiseEnsemble(M, N, p.m, dt, seed, dW, counts, z0)
 

@@ -261,11 +261,12 @@ def _per_path(arr, M: int) -> np.ndarray:
     return np.broadcast_to(arr, (M,) + arr.shape) if arr.ndim == 2 else arr
 
 
-def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row) -> tuple[np.ndarray, np.ndarray]:
+def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, *, pairing=True) -> tuple:
     """Pathwise Hamiltonian at every grid atom, shape (K, M): drift pairing
     + diffusion trace pairing + running cost + jump pairing; and the same
     sum without the running cost, the adjoint pairing with each atom's
-    coefficients, shape (K, M).
+    coefficients, shape (K, M), or None for a caller that passes
+    pairing=False and reads only the Hamiltonian (its values are the same).
 
     Each coefficient is evaluated once for all atoms; the pairings contract
     the atom-leading tensors with psi (M, n), Q (M, n, m) and phi_row
@@ -285,7 +286,7 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row) -> tuple[np.ndarr
         val += require_finite(
             np.einsum("kqab,qab->kq", _atom_values(p.sigma, grid, t, x, (n, p.m), what="diffusion"), Q), "diffusion"
         )
-        pairing = val.copy()
+        pairing = val.copy() if pairing else None
         val += require_finite(_atom_values(p.ell, grid, t, x, (), what="running cost"), "running cost")
         if p.jump.J and phi_row is None:
             raise ShapeMismatch("jump problems need the jump intensity row of the adjoint")
@@ -295,7 +296,8 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row) -> tuple[np.ndarr
             del cj  # free the atom tensor before the sums
             term *= p.jump.intensities[j]
             val += require_finite(term, "jump coefficient")
-            pairing += term
+            if pairing is not None:
+                pairing += term
     return val, pairing
 
 

@@ -11,7 +11,8 @@ certifies optimality when it vanishes.  The backward sweep (`solve_bsde`)
 already sums the atom Hamiltonians over the cells of the control it was
 solved under, so the field is built from the adjoint alone: those sums
 divided by the cell occupancy, on that control's cells.  It evaluates no
-coefficient.
+coefficient.  `optimize` runs the same sweep without recording the adjoint
+processes or the pairing sums, and divides the same sums the same way.
 
 The information the Hamiltonian is conditioned on is the control's own:
 one cell per step for an open-loop control, state or observation cells for
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .adjoint import AdjointEnsemble, solve_bsde
+from .adjoint import AdjointEnsemble, BasisSpec, _sweep
 from .control import ControlGrid, RegularControl, RelaxedControl, mix
 from .errors import ShapeMismatch, require_count, require_finite, require_seed, require_tolerance
 from .forward import pathwise_cost, sample_noise, simulate
@@ -55,7 +56,8 @@ def hamiltonian(p: Problem, grid: ControlGrid, t, x, psi, Q, phi_row, w) -> np.n
         raise ShapeMismatch(f"w has shape {np.shape(w)}, expected {(K,)} or {(M, K)}")
     if phi_row is not None:
         _require_shape(_per_path(phi_row, M), (M, p.jump.J, n), "phi_row")
-    return require_finite(contract_atoms(atom_hamiltonians(p, grid, t, x, psi, Q, phi_row)[0], w), "Hamiltonian")
+    ham, _ = atom_hamiltonians(p, grid, t, x, psi, Q, phi_row, pairing=False)
+    return require_finite(contract_atoms(ham, w), "Hamiltonian")
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,20 @@ def _nearest_nonempty(cell_values_k, counts_k, centers):
         cell_values_k[c] = cell_values_k[occupied[int(np.argmin(d))]]
 
 
+def _field(sums: np.ndarray, occupancy: np.ndarray, u0: RelaxedControl, dt: float) -> HamiltonianField:
+    """The field of the cell sums (N, C, K) and occupancy (N, C) a backward
+    sweep binned on u0's cells: the sums divided by the occupancy, with
+    empty cells filled from their nearest occupied neighbour."""
+    centers = u0.feedback.centers() if u0.feedback is not None else None
+    cell_values = np.zeros(sums.shape)
+    for k, counts in enumerate(occupancy):
+        nonzero = counts > 0
+        cell_values[k, nonzero] = sums[k, nonzero] / counts[nonzero, None]
+        _nearest_nonempty(cell_values[k], counts, centers)
+    cell_values.setflags(write=False)
+    return HamiltonianField(cell_values, occupancy, u0, dt)
+
+
 def hamiltonian_field(adjoint: AdjointEnsemble) -> HamiltonianField:
     """Average the Hamiltonian at every grid atom over the feedback cells of
     the control the adjoint was solved under.
@@ -96,17 +112,7 @@ def hamiltonian_field(adjoint: AdjointEnsemble) -> HamiltonianField:
     sums by the occupancy and fills empty cells; it makes no coefficient
     call and does not walk the paths.
     """
-    u0 = adjoint.base.control_used
-    sums, occupancy = adjoint.hamiltonian_sums, adjoint.occupancy
-    centers = u0.feedback.centers() if u0.feedback is not None else None
-
-    cell_values = np.zeros(sums.shape)
-    for k, counts in enumerate(occupancy):
-        nonzero = counts > 0
-        cell_values[k, nonzero] = sums[k, nonzero] / counts[nonzero, None]
-        _nearest_nonempty(cell_values[k], counts, centers)
-    cell_values.setflags(write=False)
-    return HamiltonianField(cell_values, occupancy, u0, adjoint.base.dt)
+    return _field(adjoint.hamiltonian_sums, adjoint.occupancy, adjoint.base.control_used, adjoint.base.dt)
 
 
 def pointwise_argmin(field: HamiltonianField) -> RelaxedControl:
@@ -218,8 +224,9 @@ def optimize(p: Problem, u_init: RelaxedControl, params: OptimizeParams) -> Opti
     for it in range(params.max_iters + 1):
         J = float(costs.mean())
         se = float(costs.std(ddof=1) / np.sqrt(len(costs)))
-        # the adjoint is dropped as soon as the field is binned from it
-        fld = hamiltonian_field(solve_bsde(p, paths, u))
+        # the sweep keeps no adjoint process, only the sums the field reads
+        sums, occupancy, _, _ = _sweep(p, paths, u, BasisSpec(), record=False)
+        fld = _field(sums, occupancy, paths.control_used, paths.dt)
         gap, _ = smp_gap(fld, u)
         rec = IterateRecord(u, J, se, gap)
         iterates.append(rec)

@@ -167,6 +167,20 @@ class TestNoiseLayout:
         assert STREAM_VERSION == 2
         assert digest.hexdigest() == "5efd120109d21bb25133b47e44bd096e487ce57cf5601873c132e119c9277f66"
 
+    @pytest.mark.parametrize(
+        "name,expected",
+        [
+            ("lq1d", "3decd625d50d1698a7884dc4a1c29698b702ca40270028d3e90af839eebbaac5"),
+            ("lq2d", "94b25b734f0ba672c51e054f56f077fa792f4c6365723b1b379eebc77d432a2f"),
+        ],
+    )
+    def test_pinned_diffusion_stream_digest(self, name, expected):
+        # a diffusion (J = 0) makes no Poisson draw; a zero-size draw took no
+        # Philox state, so the increments are the ones pinned with one per chunk
+        noise = rsmp.sample_noise(rsmp.make_benchmark(name), _BLOCK + 3, 4, seed=1)
+        assert noise.jump_counts.shape == (_BLOCK + 3, 4, 0)
+        assert hashlib.sha256(noise.dW.astype("<f8").tobytes()).hexdigest() == expected
+
 
 class TestSimulate:
     def test_zero_dynamics_constant_paths(self):

@@ -2,8 +2,10 @@
 
 numpy reports its array buffers to tracemalloc, so the traced peak of a call
 is deterministic for fixed sizes.  Sizes: lq1d, M=4000 paths, N=32 steps,
-K=9 atoms, 16 state cells.  A field keeps only its (N, C, K) cell tensor and
-optimize holds one adjoint at a time, so both scale with M·N, not M·N·K.
+K=9 atoms, 16 state cells.  A field keeps only its (N, C, K) cell tensor, so
+it scales with M·N, not M·N·K.  optimize bins its field in a backward sweep
+that holds the adjoint state of two steps and the current step's Q and φ,
+not an adjoint process, so its peak is the paths and noise it simulates.
 The noise is drawn a few rows at a time, through one small reused buffer
 and small jump-count draws, into its step-major arrays, so it never holds
 a second full noise tensor or a block-sized temporary.
@@ -18,6 +20,7 @@ import pytest
 
 import rsmp
 from rsmp import RelaxedControl
+from rsmp.adjoint import _sweep
 from rsmp.forward import _BLOCK, _DRAW_FLOATS
 from rsmp.problem import averaged_linearization
 
@@ -51,6 +54,25 @@ def test_optimize_peak_is_a_few_path_tensors(lq1d):
     res, _, peak = traced(lambda: rsmp.optimize(p, u, params))
     assert len(res.iterates) >= 2  # at least one accepted step, so a second adjoint was solved
     assert peak <= 10 * M * (N + 1) * 8
+
+
+def test_optimize_peak_holds_no_adjoint_process(lq1d):
+    # solving a full adjoint per iteration (solve_bsde) peaks at about 6.8x here
+    p, u = lq1d
+    params = rsmp.OptimizeParams(M=M, N=N, max_iters=3, tol=0.0, seed=3)
+    res, _, peak = traced(lambda: rsmp.optimize(p, u, params))
+    assert len(res.iterates) >= 2
+    assert peak <= 5 * M * (N + 1) * 8
+
+
+def test_field_sweep_keeps_no_adjoint_process(lq1d):
+    # solve_bsde, which keeps psi, psi_cont, Q, phi and the pairing sums,
+    # peaks at about 4.6 M·N·8 bytes here
+    p, u = lq1d
+    base = rsmp.simulate(p, u, rsmp.sample_noise(p, M, N, seed=4))
+    (sums, occupancy, kept, _), _, peak = traced(lambda: _sweep(p, base, u, rsmp.BasisSpec(), record=False))
+    assert kept == () and sums.shape == (N, CELLS, K) and occupancy.shape == (N, CELLS)
+    assert peak <= 2 * M * N * 8
 
 
 def test_field_keeps_only_its_cell_tensor(lq1d):

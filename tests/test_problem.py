@@ -297,6 +297,17 @@ class TestControlFreeCoefficients:
         assert np.all(np.abs(pairing - pairing_ref) <= self.RTOL * scale)
         assert np.all(np.abs(ham - (pairing_ref + ell)) <= self.RTOL * (scale + np.abs(ell)))
 
+    @pytest.mark.parametrize("name", sorted(CONTROL_FREE))
+    def test_atom_hamiltonians_without_pairing_are_bit_equal(self, name):
+        p, grid, x = self.case(name)
+        rng = np.random.default_rng(41)
+        psi, Q = rng.standard_normal((self.M, p.n)), rng.standard_normal((self.M, p.n, p.m))
+        phi_row = rng.standard_normal((self.M, p.jump.J, p.n))
+        ham, _ = atom_hamiltonians(p, grid, 0.3, x, psi, Q, phi_row)
+        alone, pairing = atom_hamiltonians(p, grid, 0.3, x, psi, Q, phi_row, pairing=False)
+        assert pairing is None
+        assert np.array_equal(alone, ham)
+
 
 class TestContraction:
     """One weight row contracts to the same bits as its (M, K) broadcast, so

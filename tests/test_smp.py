@@ -5,7 +5,8 @@ import pytest
 
 import rsmp
 from rsmp import CellPartition, ControlGrid, DomainError, RelaxedControl
-from rsmp.smp import HamiltonianField, _largest_remainder
+from rsmp.adjoint import _sweep
+from rsmp.smp import HamiltonianField, _field, _largest_remainder
 
 
 def toy_field(cell_values, dt=1.0, grid=None, feedback_mode=rsmp.OPEN_LOOP, feedback=None,
@@ -219,6 +220,23 @@ class TestHamiltonianField:
                                           adj.psi_cont[:, k], adj.Q[:, k], phik, one_hot[i])
                 means = np.bincount(cells, weights=direct, minlength=C)[occupied] / counts[occupied]
                 assert np.array_equal(means, fld.cell_values[k, occupied, i])
+
+    @pytest.mark.parametrize("mode", [rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK])
+    @pytest.mark.parametrize("name", ["lq1d", "lq2d", "jump-lq", "nonconvex-mix"])
+    def test_optimize_sweep_field_equals_the_public_field(self, name, mode):
+        # optimize bins its field in a sweep that keeps no adjoint process and
+        # forms no pairing sums; the field must be the public one, bit for bit
+        p, _, base, adj = self.seeded_field_inputs(name, mode)
+        u = base.control_used
+        sums, occupancy, kept, _ = _sweep(p, base, u, rsmp.BasisSpec(), record=False)
+        assert kept == ()
+        for arr in (sums, occupancy):
+            assert not arr.flags.writeable
+        assert np.array_equal(sums, adj.hamiltonian_sums)
+        fld, ref = _field(sums, occupancy, u, base.dt), rsmp.hamiltonian_field(adj)
+        assert np.array_equal(fld.cell_values, ref.cell_values)
+        assert np.array_equal(fld.occupancy, ref.occupancy)
+        assert fld.control is ref.control and fld.dt == ref.dt
 
     @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
     def test_field_evaluates_each_coefficient_once_per_step(self, name):

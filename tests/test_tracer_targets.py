@@ -48,6 +48,7 @@ def test_traced_pipeline_records_every_span(spans):
         u = rsmp.constant_control(jump_grid, N, np.eye(jump_grid.K)[0])
         base = rsmp.simulate(jump, u0, rsmp.sample_noise(jump, 300, N, 1))
         adj = rsmp.solve_bsde(jump, base, u0)
+        rsmp.hamiltonian_field(adj)  # optimize bins its field without calling it
         var = rsmp.simulate_variational(jump, base, u, u0)
         rsmp.gateaux(jump, base, var, u, u0)
         rsmp.adjoint_pairing(jump, base, u0, u, adj)
