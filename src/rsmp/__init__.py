@@ -61,17 +61,14 @@ from .forward import (
     cost,
     pathwise_cost,
     paths_to_csv,
-    paths_to_csv_string,
     sample_noise,
     simulate,
 )
 from .problem import (
-    AssumptionReport,
     GaussianInitial,
     JumpSpec,
     Problem,
     fd_gradient,
-    validate_assumptions,
 )
 from .smp import (
     HamiltonianField,

@@ -398,9 +398,14 @@ def nonconvex_weight_oracle(N: int = 8, resolution: float = 0.1, sigma: float = 
     The expected discrete cost splits into a deterministic part driven by the
     mean state and an invariant noise part, so the search over the profile
     grid reduces to a shortest path over the reachable mean lattice; the
-    optimum returned is exactly the optimum of exhaustive enumeration.
+    optimum returned is exactly the optimum of exhaustive enumeration.  The
+    lattice is exact only when 1 / (2 resolution) is an integer (resolution
+    0.5, 0.25, 0.1, ...): any other resolution raises DomainError.
     """
     N, resolution = require_count(N, "N"), require_positive(resolution, "resolution")
+    half_steps = 0.5 / resolution  # drift steps on the lattice are level index minus this
+    if round(half_steps) < 1 or abs(half_steps - round(half_steps)) > 1e-9 * half_steps:
+        raise DomainError(f"resolution must be 1/(2 j) for an integer j >= 1, got {resolution!r}")
     dt = T / N
     levels = np.round(np.arange(0.0, 1.0 + resolution / 2, resolution), 10)
     drift = 2.0 * levels - 1.0  # mean velocity per weight level

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DomainError, MissingPaths, ShapeMismatch, ValueOffGrid
 from .errors import frozen_field, require_count, require_finite, require_positive, require_tolerance
+from .problem import _require_shape
 
 OPEN_LOOP = "open_loop"
 STATE_FEEDBACK = "state_feedback"
@@ -66,9 +67,12 @@ class ControlGrid:
     def snap(self, values: np.ndarray, tol: float = SNAP_TOL) -> np.ndarray:
         """Map each value in (..., d) to the index of the coinciding grid point.
 
-        Raises ValueOffGrid if a value is farther than tol from every point.
+        Raises ValueOffGrid if a value is farther than tol from every point,
+        ShapeMismatch if the last axis of values is not d.
         """
         tol = require_tolerance(tol, "snap tolerance")
+        if np.shape(values)[-1:] != (self.d,):
+            raise ShapeMismatch(f"values of shape {np.shape(values)} for a grid of dimension {self.d}")
         v = np.asarray(values, dtype=float).reshape(-1, self.d)
         dist = np.linalg.norm(v[:, None, :] - self.points[None, :, :], axis=2)
         idx = np.argmin(dist, axis=1)
@@ -394,7 +398,8 @@ def pair(phi, u: RelaxedControl, paths=None, horizon: float | None = None) -> fl
     grid; with feedback controls the weights are resolved per path from the
     supplied ensemble and the pairing is averaged over paths.
 
-    phi is called as phi(t, xi) with xi a grid atom of shape (d,).
+    phi is called as phi(t, xi) with xi a grid atom of shape (d,) and must
+    return a scalar (ShapeMismatch otherwise).
     """
     N = u.time_steps
     if paths is not None:
@@ -409,7 +414,8 @@ def pair(phi, u: RelaxedControl, paths=None, horizon: float | None = None) -> fl
         T = require_positive(horizon, "horizon")
     dt = T / N
     phi_grid = require_finite(
-        np.array([[float(phi(k * dt, u.grid.points[i])) for i in range(u.grid.K)] for k in range(N)]), "test function"
+        np.array([[_require_shape(phi(k * dt, xi), (), "test function") for xi in u.grid.points] for k in range(N)]),
+        "test function",
     )
     if u.feedback_mode == OPEN_LOOP:
         return float(dt * np.sum(phi_grid * u.weights[:, 0, :]))

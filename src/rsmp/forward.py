@@ -26,7 +26,6 @@ terminal cost to that record.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -320,10 +319,29 @@ def pathwise_cost(p: Problem, paths: PathEnsemble) -> np.ndarray:
     return require_finite(paths.running_cost + terminal_cost(p, paths.states[:, -1]), "cost evaluation")
 
 
+def _mean_and_error(x: np.ndarray, what: str) -> tuple[float, float]:
+    """Sample mean of x (n,) and its standard error std(ddof=1) / sqrt(n), 0.0 for one sample.
+
+    Finite samples whose sum or squares overflow are recomputed on x / max|x|
+    and scaled back, so they too give finite statistics; a statistic that
+    stays NaN/Inf raises NonFiniteCoefficient naming it.
+    """
+    n = len(x)
+
+    def moments(y):
+        return y.mean(), y.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, se = moments(x)
+        if not (np.isfinite(mean) and np.isfinite(se)):
+            scale = np.abs(x).max()
+            mean, se = (scale * v for v in moments(x / scale))
+    return float(require_finite(mean, f"mean of {what}")), float(require_finite(se, f"standard error of {what}"))
+
+
 def cost(p: Problem, paths: PathEnsemble) -> tuple[float, float]:
     """Monte Carlo cost estimate and its standard error."""
-    c = pathwise_cost(p, paths)
-    return float(c.mean()), float(c.std(ddof=1) / np.sqrt(len(c))) if len(c) > 1 else 0.0
+    return _mean_and_error(pathwise_cost(p, paths), "cost")
 
 
 def paths_to_csv(paths: PathEnsemble, fileobj) -> None:
@@ -349,8 +367,3 @@ def paths_to_csv(paths: PathEnsemble, fileobj) -> None:
         if close:
             fileobj.close()
 
-
-def paths_to_csv_string(paths: PathEnsemble) -> str:
-    buf = io.StringIO()
-    paths_to_csv(paths, buf)
-    return buf.getvalue()

@@ -37,13 +37,11 @@ another per-path shape than documented raises ShapeMismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import DomainError, ShapeMismatch, frozen_field, require_count, require_finite, require_positive
-from .errors import require_seed
 
 FD_STEP = 1e-5
 
@@ -136,10 +134,6 @@ class JumpSpec:
     @property
     def J(self) -> int:
         return self.marks.shape[0]
-
-    @property
-    def total_intensity(self) -> float:
-        return float(self.intensities.sum())
 
 
 @dataclass(frozen=True)
@@ -387,102 +381,3 @@ def terminal_cost(p: Problem, x) -> np.ndarray:
 def terminal_gradient(p: Problem, x) -> np.ndarray:
     """phi_x at the terminal states x (M, n), shape (M, n) (ShapeMismatch otherwise)."""
     return _require_shape(p.phi_x(x), np.shape(x), "terminal cost gradient")
-
-
-@dataclass
-class AssumptionReport:
-    """Empirical constants from Monte Carlo spot checks of the standing assumptions."""
-
-    lipschitz_b: float = 0.0
-    growth_b: float = 0.0
-    lipschitz_sigma: float = 0.0
-    growth_sigma: float = 0.0
-    gradient_bound_b: float = 0.0
-    gradient_bound_sigma: float = 0.0
-    growth_ell: float = 0.0
-    growth_phi: float = 0.0
-    jump_growth: float = 0.0
-    jump_lipschitz: float = 0.0
-    max_gradient_mismatch: float = 0.0
-    purity_ok: bool = True
-    nonfinite: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.nonfinite
-
-
-def validate_assumptions(p: Problem, samples: int = 200, seed: int = 0, scale: float = 2.0) -> AssumptionReport:
-    """Spot-check Lipschitz/growth/gradient bounds at random points.
-
-    Draws (t, x, y, xi) tuples, records the largest observed ratios, compares
-    user-supplied gradients against central finite differences, and flags any
-    non-finite evaluation.  Report-only: constants are evidence, not proof.
-    """
-    samples = require_count(samples, "samples")
-    scale = require_positive(scale, "scale")
-    rng = Generator(Philox(key=require_seed(seed)))
-    rep = AssumptionReport()
-    ts = rng.uniform(0.0, p.T, samples)
-    xs = scale * rng.standard_normal((samples, p.n))
-    ys = scale * rng.standard_normal((samples, p.n))
-    lo, hi = p.control_box[:, 0], p.control_box[:, 1]
-    xis = lo + (hi - lo) * rng.uniform(size=(samples, p.d))
-
-    def check(name, arr):
-        a = np.asarray(arr, dtype=float)
-        if not np.all(np.isfinite(a)):
-            rep.nonfinite.append(name)
-        return a
-
-    def bump(current, value):
-        value = float(value)
-        return max(current, value) if np.isfinite(value) else current
-
-    fd_b = fd_gradient(p.b)
-    fd_sigma = fd_gradient(p.sigma)
-    fd_ell = fd_gradient(p.ell)
-    fd_phi = fd_gradient(p.phi, argpos=0)
-    for t, x, y, xi in zip(ts, xs, ys, xis):
-        bx_val = check("b", p.b(t, x, xi))
-        by_val = check("b", p.b(t, y, xi))
-        sx_val = check("sigma", p.sigma(t, x, xi))
-        sy_val = check("sigma", p.sigma(t, y, xi))
-        gap = np.linalg.norm(x - y)
-        rep.lipschitz_b = bump(rep.lipschitz_b, np.linalg.norm(bx_val - by_val) / gap)
-        rep.lipschitz_sigma = bump(rep.lipschitz_sigma, np.linalg.norm(sx_val - sy_val) / gap)
-        rep.growth_b = bump(rep.growth_b, np.linalg.norm(bx_val) / (1.0 + np.linalg.norm(x)))
-        rep.growth_sigma = bump(rep.growth_sigma, np.linalg.norm(sx_val) / (1.0 + np.linalg.norm(x)))
-        grad_b = check("b_x", p.b_x(t, x, xi))
-        grad_s = check("sigma_x", p.sigma_x(t, x, xi))
-        rep.gradient_bound_b = bump(rep.gradient_bound_b, np.abs(grad_b).max())
-        rep.gradient_bound_sigma = bump(rep.gradient_bound_sigma, np.abs(grad_s).max())
-        ell_val = check("ell", p.ell(t, x, xi))
-        phi_val = check("phi", p.phi(np.atleast_2d(x)))
-        rep.growth_ell = bump(rep.growth_ell, np.abs(ell_val) / (1.0 + np.dot(x, x)))
-        rep.growth_phi = bump(rep.growth_phi, np.abs(phi_val).max() / (1.0 + np.dot(x, x)))
-        if p.jump.J:
-            lam = p.jump.intensities
-            cx = np.stack([check("C", p.jump.C(t, x, v, xi)) for v in p.jump.marks])
-            cy = np.stack([check("C", p.jump.C(t, y, v, xi)) for v in p.jump.marks])
-            nx = np.sqrt(np.sum(lam * np.sum(np.atleast_2d(cx) ** 2, axis=-1)))
-            nd = np.sqrt(np.sum(lam * np.sum(np.atleast_2d(cx - cy) ** 2, axis=-1)))
-            rep.jump_growth = bump(rep.jump_growth, nx / (1.0 + np.linalg.norm(x)))
-            rep.jump_lipschitz = bump(rep.jump_lipschitz, nd / gap)
-        for user, fd, args in (
-            (p.b_x, fd_b, (t, x, xi)),
-            (p.sigma_x, fd_sigma, (t, x, xi)),
-            (p.ell_x, fd_ell, (t, x, xi)),
-            (p.phi_x, fd_phi, (x,)),
-        ):
-            gu = np.asarray(user(*args), dtype=float)
-            gf = np.asarray(fd(*args), dtype=float)
-            rel = np.abs(gu - gf) / (1.0 + np.abs(gf))
-            rep.max_gradient_mismatch = bump(rep.max_gradient_mismatch, rel.max())
-    # purity: a second evaluation at the first sample must be bit-identical
-    t0, x0, xi0 = ts[0], xs[0], xis[0]
-    rep.purity_ok = bool(
-        np.array_equal(np.asarray(p.b(t0, x0, xi0)), np.asarray(p.b(t0, x0, xi0)))
-        and np.array_equal(np.asarray(p.sigma(t0, x0, xi0)), np.asarray(p.sigma(t0, x0, xi0)))
-    )
-    return rep

@@ -30,7 +30,7 @@ from numpy.random import Generator, Philox
 from .adjoint import AdjointEnsemble, BasisSpec, _sweep
 from .control import ControlGrid, RegularControl, RelaxedControl, mix
 from .errors import ShapeMismatch, require_count, require_finite, require_seed, require_tolerance
-from .forward import pathwise_cost, sample_noise, simulate
+from .forward import _mean_and_error, pathwise_cost, sample_noise, simulate
 from .problem import Problem, _per_path, _require_shape, atom_hamiltonians, contract_atoms
 
 LINE_SEARCH_FLOOR = 10  # smallest line-search step is 2**-LINE_SEARCH_FLOOR
@@ -222,8 +222,7 @@ def optimize(p: Problem, u_init: RelaxedControl, params: OptimizeParams) -> Opti
     paths = simulate(p, u, noise, threads=params.threads)
     costs = pathwise_cost(p, paths)
     for it in range(params.max_iters + 1):
-        J = float(costs.mean())
-        se = float(costs.std(ddof=1) / np.sqrt(len(costs)))
+        J, se = _mean_and_error(costs, "cost")
         # the sweep keeps no adjoint process, only the sums the field reads
         sums, occupancy, _, _ = _sweep(p, paths, u, BasisSpec(), record=False)
         fld = _field(sums, occupancy, paths.control_used, paths.dt)
@@ -242,9 +241,8 @@ def optimize(p: Problem, u_init: RelaxedControl, params: OptimizeParams) -> Opti
             trial = mix(u, candidate, eps)
             trial_paths = simulate(p, trial, noise, threads=params.threads)
             trial_costs = pathwise_cost(p, trial_paths)
-            diff = costs - trial_costs
-            se_diff = float(diff.std(ddof=1) / np.sqrt(len(diff)))
-            if float(diff.mean()) >= se_diff:
+            gain, se_diff = _mean_and_error(costs - trial_costs, "cost difference")
+            if gain >= se_diff:
                 accepted = (eps, trial, trial_paths, trial_costs)
                 break
         if accepted is None:

@@ -1,6 +1,7 @@
 """Shared pytest hooks and fixtures: surface the acceptance criterion verdicts,
-and a problem whose diffusion depends on the state."""
+a problem whose diffusion depends on the state, and lq1d with scaled costs."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -60,3 +61,25 @@ def sigma_x_case():
     grid = rsmp.ControlGrid([[-1.0], [0.0], [1.0]], [[-1.0, 1.0]])
     u0 = rsmp.RelaxedControl(grid, rng.dirichlet(np.ones(grid.K), (N, 1)))
     return SimpleNamespace(p=p, grid=grid, u0=u0)
+
+
+@pytest.fixture
+def scaled_cost_lq1d():
+    """lq1d with ell, ell_x, phi and phi_x multiplied by a scale s, as
+    problem(s), and the uniform state-feedback control u on 5 atoms and 8
+    state cells over N = 8 steps."""
+    base = rsmp.make_benchmark("lq1d")
+
+    def problem(s):
+        return dataclasses.replace(
+            base,
+            ell=lambda t, x, xi: s * base.ell(t, x, xi),
+            ell_x=lambda t, x, xi: s * base.ell_x(t, x, xi),
+            phi=lambda x: s * base.phi(x),
+            phi_x=lambda x: s * base.phi_x(x),
+        )
+
+    grid = rsmp.benchmark_grid("lq1d", 5)
+    part = rsmp.benchmark_partition("lq1d", rsmp.STATE_FEEDBACK, cells=8)
+    u = rsmp.RelaxedControl(grid, np.full((8, part.n_cells, grid.K), 1.0 / grid.K), rsmp.STATE_FEEDBACK, part)
+    return SimpleNamespace(problem=problem, u=u)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -70,7 +72,7 @@ class TestMakeBenchmark:
         p = rsmp.make_benchmark("jump-lq")
         assert p.jump is not None
         assert p.jump.J == 2
-        assert p.jump.total_intensity > 0
+        assert p.jump.intensities.sum() > 0
 
     @pytest.mark.parametrize("name, dim", [("lq1d", 1), ("lq2d", 2), ("jump-lq", 1), ("nonconvex-mix", 1)])
     def test_observation_partition_has_the_observation_width(self, name, dim):
@@ -90,6 +92,21 @@ class TestMakeBenchmark:
         assert doc2["sigma"] == 0.3
 
 
+def enumerated_optimum(N, res, sigma, T):
+    """The least expected discrete cost over every open-loop profile of N
+    weight levels 0, res, ..., 1 on nonconvex-mix."""
+    dt = T / N
+    best = np.inf
+    for prof in itertools.product(np.arange(round(1.0 / res) + 1) * res, repeat=N):
+        m = 0.0
+        acc = 0.0
+        for k in range(N):
+            acc += (m * m + sigma * sigma * k * dt) * dt
+            m += (2 * prof[k] - 1.0) * dt
+        best = min(best, acc)
+    return best
+
+
 class TestNonconvexOracle:
     def test_optimal_profile_is_balanced(self):
         cost, profile = rsmp.nonconvex_weight_oracle(N=8)
@@ -101,20 +118,14 @@ class TestNonconvexOracle:
 
     def test_oracle_matches_direct_enumeration_small(self):
         # exhaustive check at a coarse resolution on a short horizon
-        import itertools
-
         N, res, sigma, T = 3, 0.5, 0.3, 1.0
-        dt = T / N
-        best = np.inf
-        for prof in itertools.product(np.arange(0.0, 1.0 + 1e-9, res), repeat=N):
-            m = 0.0
-            acc = 0.0
-            for k in range(N):
-                acc += (m * m + sigma * sigma * k * dt) * dt
-                m += (2 * prof[k] - 1.0) * dt
-            best = min(best, acc)
         cost, _ = rsmp.nonconvex_weight_oracle(N=N, resolution=res, sigma=sigma, T=T)
-        assert cost == pytest.approx(best, rel=1e-12)
+        assert cost == pytest.approx(enumerated_optimum(N, res, sigma, T), rel=1e-12)
+
+    @pytest.mark.parametrize("res", [0.5, 0.25, 0.1])
+    def test_oracle_matches_enumeration_on_four_steps(self, res):
+        cost, _ = rsmp.nonconvex_weight_oracle(N=4, resolution=res, sigma=0.3)
+        assert cost == pytest.approx(enumerated_optimum(4, res, 0.3, 1.0), rel=1e-12)
 
 
 class TestBruteForceRegular:

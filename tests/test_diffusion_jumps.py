@@ -82,7 +82,7 @@ def test_jump_spec_with_marks_needs_its_coefficient():
     with pytest.raises(DomainError, match="jump coefficient C"):
         JumpSpec([[1.0]], [2.0], None)
     empty = JumpSpec(np.zeros((0, 1)), np.zeros(0), None)
-    assert empty.J == 0 and empty.total_intensity == 0.0
+    assert empty.J == 0 and empty.intensities.sum() == 0.0
 
 
 def test_jump_spec_fills_its_gradient():

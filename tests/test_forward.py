@@ -9,7 +9,7 @@ import rsmp
 from rsmp import BlowUp, ControlGrid, DomainError, GaussianInitial, JumpSpec, NonFiniteCoefficient, Problem
 from rsmp import ShapeMismatch
 from rsmp.container import TAG_PATHS, paths_to_binary, read_section
-from rsmp.forward import _BLOCK, BLOWUP_GUARD, STREAM_VERSION, guard_step, pathwise_cost, step_cells
+from rsmp.forward import _BLOCK, BLOWUP_GUARD, STREAM_VERSION, _mean_and_error, guard_step, pathwise_cost, step_cells
 from rsmp.problem import averaged_running_cost
 
 
@@ -405,6 +405,28 @@ class TestCost:
         est, se = rsmp.cost(p, rsmp.simulate(p, u, rsmp.sample_noise(p, 20_000, 32, seed=3)))
         assert abs(est - p.T) <= 4 * se
 
+    @pytest.mark.parametrize("scale", [1e300, 1e308])
+    def test_costs_near_the_float_limit_have_finite_statistics(self, scaled_cost_lq1d, scale):
+        # the squares of these finite costs overflow, and at 1e308 their sum
+        case = scaled_cost_lq1d
+        unit = case.problem(1.0)
+        noise = rsmp.sample_noise(unit, 400, 8, seed=3)
+        unit_est, unit_se = rsmp.cost(unit, rsmp.simulate(unit, case.u, noise))
+        p = case.problem(scale)
+        est, se = rsmp.cost(p, rsmp.simulate(p, case.u, noise))
+        assert est / scale == pytest.approx(unit_est, rel=1e-12)
+        assert se / scale == pytest.approx(unit_se, rel=1e-12)
+
+    def test_statistics_of_finite_samples_keep_their_bits(self):
+        x = np.random.default_rng(4).standard_normal(1000)
+        assert _mean_and_error(x, "cost") == (float(x.mean()), float(x.std(ddof=1) / np.sqrt(x.size)))
+        assert _mean_and_error(np.array([2.5]), "cost") == (2.5, 0.0)
+        assert _mean_and_error(np.array([1e300, -1e300]), "cost") == (0.0, 1e300)
+
+    def test_statistics_of_a_non_finite_sample_name_it(self):
+        with pytest.raises(NonFiniteCoefficient, match="^mean of cost difference produced NaN/Inf$"):
+            _mean_and_error(np.array([np.inf, 1.0]), "cost difference")
+
 
 def rewalked_cost(p, paths):
     """Reference cost that walks the ensemble a second time: left-endpoint
@@ -555,16 +577,22 @@ class TestNonFiniteCost:
             pathwise_cost(p, paths)
 
 
+def csv_text(paths):
+    buf = io.StringIO()
+    rsmp.paths_to_csv(paths, buf)
+    return buf.getvalue()
+
+
 class TestExports:
     def test_csv_shape_and_determinism(self):
         p = rsmp.make_benchmark("lq1d")
         u = rsmp.constant_control(rsmp.benchmark_grid("lq1d"), 4)
         paths = rsmp.simulate(p, u, rsmp.sample_noise(p, 3, 4, seed=7))
-        text = rsmp.paths_to_csv_string(paths)
+        text = csv_text(paths)
         lines = text.strip().split("\n")
         assert lines[0] == "path,step,t,x0"
         assert len(lines) == 1 + 3 * 5
-        assert text == rsmp.paths_to_csv_string(paths)
+        assert text == csv_text(paths)
         assert "\r" not in text
 
     def test_binary_round_trip(self):

@@ -172,8 +172,6 @@ REFUSED = [
     ("one ODE step", lambda: rsmp.lq_riccati_oracle(rsmp.benchmark_lq_spec("lq1d"), 1), DomainError, "at least 2"),
     ("fractional ODE steps", lambda: rsmp.lq_riccati_oracle(rsmp.benchmark_lq_spec("lq1d"), 20.5), DomainError,
      "integer"),
-    ("fractional assumption samples", lambda: rsmp.validate_assumptions(lq1d(), samples=2.5), DomainError,
-     "integer"),
     ("fractional optimize steps", lambda: OptimizeParams(M=10, N=4.5), DomainError, "integer"),
     ("negative optimize seed", lambda: OptimizeParams(M=10, N=4, seed=-1), DomainError, "at least 0"),
     ("fractional worker cap of optimize", lambda: OptimizeParams(M=10, N=4, threads=2.0), DomainError, "integer"),
@@ -187,13 +185,6 @@ REFUSED = [
     ("boolean noise seed", lambda: rsmp.sample_noise(lq1d(), 4, 4, True), DomainError, "integer"),
     ("negative noise seed", lambda: rsmp.sample_noise(lq1d(), 4, 4, -1), DomainError, "at least 0"),
     ("noise seed past the key range", lambda: rsmp.sample_noise(lq1d(), 4, 4, 2**128), DomainError, "Philox key"),
-    ("fractional assumption seed", lambda: rsmp.validate_assumptions(lq1d(), 5, seed=1.5), DomainError, "integer"),
-    ("boolean assumption seed", lambda: rsmp.validate_assumptions(lq1d(), 5, seed=True), DomainError, "integer"),
-    ("negative assumption seed", lambda: rsmp.validate_assumptions(lq1d(), 5, seed=-1), DomainError, "at least 0"),
-    ("assumption seed past the key range", lambda: rsmp.validate_assumptions(lq1d(), 5, seed=2**128), DomainError,
-     "Philox key"),
-    ("NaN assumption scale", lambda: rsmp.validate_assumptions(lq1d(), 5, scale=NAN), DomainError, "must be finite"),
-    ("zero assumption scale", lambda: rsmp.validate_assumptions(lq1d(), 5, scale=0.0), DomainError, "positive"),
     ("fractional realization seed", lambda: rsmp.realize_regular(open_control(), 2, seed=1.5), DomainError,
      "integer"),
     ("boolean realization seed", lambda: rsmp.realize_regular(open_control(), 2, seed=True), DomainError, "integer"),
@@ -232,11 +223,23 @@ REFUSED = [
      "real number"),
     ("NaN snap tolerance", lambda: rsmp.benchmark_grid("lq1d", 3).snap([[0.0]], tol=NAN), DomainError,
      "must be finite"),
+    ("snap of values with a last axis of 2 on a 1-D grid", lambda: rsmp.benchmark_grid("lq1d", 3).snap([[0.0, 0.0]]),
+     ShapeMismatch, r"^values of shape \(1, 2\) for a grid of dimension 1$"),
+    ("dirac embedding of a 2-D regular control on a 1-D grid",
+     lambda: rsmp.dirac_embed(RegularControl(np.zeros((3, 1, 2)), [[-1.0, 1.0]] * 2), rsmp.benchmark_grid("lq1d", 3)),
+     ShapeMismatch, r"^values of shape \(3, 1, 2\) for a grid of dimension 1$"),
+    ("pairing with a vector-valued test function",
+     lambda: rsmp.pair(lambda t, xi: np.array([t, xi[0]]), open_control(), horizon=1.0), ShapeMismatch,
+     r"^test function has shape \(2,\), expected \(\)$"),
     ("fractional constant-control steps", lambda: rsmp.constant_control(rsmp.benchmark_grid("lq1d", 3), 2.5),
      DomainError, "integer"),
     ("fractional benchmark grid size", lambda: rsmp.benchmark_grid("lq1d", 2.5), DomainError, "integer"),
     ("zero oracle steps", lambda: rsmp.nonconvex_weight_oracle(N=0), DomainError, "at least 1"),
     ("fractional oracle steps", lambda: rsmp.nonconvex_weight_oracle(N=2.5), DomainError, "integer"),
+    ("oracle resolution off the mean lattice", lambda: rsmp.nonconvex_weight_oracle(N=4, resolution=0.2), DomainError,
+     r"1/\(2 j\)"),
+    ("oracle resolution above one half", lambda: rsmp.nonconvex_weight_oracle(N=4, resolution=2.0), DomainError,
+     r"1/\(2 j\)"),
     ("zero oracle resolution", lambda: rsmp.nonconvex_weight_oracle(resolution=0.0), DomainError, "positive"),
     ("NaN oracle resolution", lambda: rsmp.nonconvex_weight_oracle(resolution=NAN), DomainError, "must be finite"),
     ("string mixing weight", lambda: rsmp.mix(open_control(), open_control(), "0.5"), DomainError, "real number"),

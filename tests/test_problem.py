@@ -436,59 +436,6 @@ class TestFiniteDifferenceGradients:
             assert np.array_equal(atom_values(grad, grid, 0.1, x, tail), ref)
 
 
-class TestValidateAssumptions:
-    def test_linear_drift_lipschitz_matches_operator_norm(self):
-        A = np.array([[1.0, 0.3], [0.0, 0.7]])
-        p = linear_problem(A, [[1.0], [0.0]])
-        rep = rsmp.validate_assumptions(p, samples=500, seed=3)
-        # oracle: power iteration for the largest singular value of A
-        v = np.ones(2)
-        for _ in range(200):
-            v = A.T @ (A @ v)
-            v /= np.linalg.norm(v)
-        sigma_max = float(np.linalg.norm(A @ v))
-        assert rep.lipschitz_b <= sigma_max * (1 + 1e-9)
-        assert rep.lipschitz_b >= 0.9 * sigma_max
-
-    def test_constant_diffusion_has_zero_lipschitz(self):
-        p = linear_problem([[0.5]], [[1.0]])
-        rep = rsmp.validate_assumptions(p, samples=100, seed=5)
-        assert rep.lipschitz_sigma == 0.0
-
-    def test_nan_coefficient_flagged(self):
-        def b(t, x, xi):
-            x = np.asarray(x)
-            out = np.where(x > 0.5, np.nan, x)
-            return out
-
-        def b_x(t, x, xi):
-            return np.ones(np.shape(x)[:-1] + (1, 1))
-
-        base = linear_problem([[0.2]], [[1.0]])
-        p = Problem(n=1, m=1, d=1, T=1.0, x0=np.array([0.0]), b=b, sigma=base.sigma,
-                    ell=base.ell, phi=base.phi, control_box=[[-1.0, 1.0]], b_x=b_x)
-        rep = rsmp.validate_assumptions(p, samples=200, seed=7)
-        assert "b" in rep.nonfinite
-        assert not rep.ok
-
-    def test_wrong_user_gradient_detected(self):
-        base = linear_problem([[0.5]], [[1.0]])
-
-        def wrong_bx(t, x, xi):
-            return np.full(np.shape(x)[:-1] + (1, 1), 9.0)
-
-        p = Problem(n=1, m=1, d=1, T=1.0, x0=np.array([0.0]), b=base.b, sigma=base.sigma,
-                    ell=base.ell, phi=base.phi, control_box=[[-1.0, 1.0]], b_x=wrong_bx)
-        rep = rsmp.validate_assumptions(p, samples=50, seed=9)
-        assert rep.max_gradient_mismatch > 1e-5
-
-    def test_exact_gradients_pass_consistency(self):
-        p = rsmp.make_benchmark("lq1d")
-        rep = rsmp.validate_assumptions(p, samples=100, seed=11)
-        assert rep.max_gradient_mismatch <= 1e-5
-        assert rep.purity_ok
-
-
 class TestJumpSpec:
     def test_zero_mark_rejected(self):
         with pytest.raises(DomainError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rsmp
-from rsmp import CellPartition, ControlGrid, DomainError, RelaxedControl
+from rsmp import CellPartition, ControlGrid, DomainError, NonFiniteCoefficient, RelaxedControl
 from rsmp.adjoint import _sweep
 from rsmp.smp import HamiltonianField, _field, _largest_remainder
 
@@ -364,6 +364,17 @@ class TestOptimize:
         for prev, nxt in zip(res.iterates, res.iterates[1:]):
             assert nxt.cost <= prev.cost + 2 * prev.std_error
         assert res.status in ("converged", "stalled", "max_iters")
+
+    def test_costs_near_the_float_limit_converge_or_raise(self, scaled_cost_lq1d):
+        # the squares of these finite costs overflow in the iterate and
+        # line-search statistics: an Inf standard error must not stall the run
+        p = scaled_cost_lq1d.problem(1e300)
+        try:
+            res = rsmp.optimize(p, scaled_cost_lq1d.u, rsmp.OptimizeParams(M=400, N=8, seed=3, tol=1e-3 * 1e300))
+        except NonFiniteCoefficient:
+            return
+        assert res.status == "converged"
+        assert all(np.isfinite(rec.std_error) and rec.std_error > 0 for rec in res.iterates)
 
     def test_result_serializes(self):
         import json
