@@ -23,21 +23,23 @@ adjoint alone, and the duality pairing with a direction checks that it is
 given the adjoint's own ensemble and control.  Neither evaluates a
 coefficient or walks the paths again.
 
-One sweep serves two storage policies: `solve_bsde` records every step and
-the pairing sums, while the descent loop, which reads only the Hamiltonian
-sums, holds two steps of the adjoint state and forms no pairing sums.
+One sweep serves two storage policies: `solve_bsde` records every step,
+the pairing sums and the regression diagnostics, while the descent loop,
+which reads only the Hamiltonian sums, holds two steps of the adjoint state
+and forms neither the pairing sums nor the orthogonality diagnostic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .control import RelaxedControl
 from .errors import ShapeMismatch, SingularRegression, require_count, require_finite
-from .forward import PathEnsemble, _step_major, step_cells
+from .forward import PathEnsemble, _step_major
 from .problem import Problem, atom_hamiltonians, averaged_linearization, terminal_gradient
 from .variation import VariationEnsemble, response_functional
 
@@ -114,17 +116,35 @@ def _design(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, bool]:
     return Zt, G, cond, ridge
 
 
-def _fit(Zt: np.ndarray, G: np.ndarray, Y: np.ndarray, step: int) -> tuple[np.ndarray, float]:
+def _fit(Zt: np.ndarray, G: np.ndarray, Y: np.ndarray, step: int) -> np.ndarray:
     """Fitted values (Y's shape) of every column of Y on the feature-major
-    design Zt with normal matrix G, and the orthogonality max |Zt (Y - fitted)| / M."""
-    try:
-        beta = np.linalg.solve(G, Zt @ Y)
-    except np.linalg.LinAlgError as exc:
-        raise SingularRegression(step, str(exc)) from exc
-    if not np.all(np.isfinite(beta)):
-        raise SingularRegression(step, "non-finite regression coefficients")
-    fitted = Zt.T @ beta
-    return fitted, float(np.abs(Zt @ (Y - fitted)).max() / Zt.shape[1])
+    design Zt with normal matrix G.
+
+    Finite targets whose products overflow are refit on Y / max|Y| and
+    scaled back, as `forward._mean_and_error` does; fitted values that stay
+    NaN/Inf (targets that are not finite) raise NonFiniteCoefficient naming
+    the adjoint state and the step.  SingularRegression means only a G that
+    numpy cannot solve.
+    """
+
+    def fitted(y):
+        try:
+            return Zt.T @ np.linalg.solve(G, Zt @ y)
+        except np.linalg.LinAlgError as exc:
+            raise SingularRegression(step, str(exc)) from exc
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = fitted(Y)
+        if not np.all(np.isfinite(out)):
+            scale = np.abs(Y).max()
+            out = scale * fitted(Y / scale)
+    return require_finite(out, f"adjoint state at step {step}")
+
+
+def _orthogonality(Zt: np.ndarray, Y: np.ndarray, fitted: np.ndarray) -> float:
+    """max |Zt (Y - fitted)| / M: zero, up to rounding, for a least-squares fit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.abs(Zt @ (Y - fitted)).max() / Zt.shape[1])
 
 
 def _cell_sums(cells: np.ndarray, C: int, atoms: np.ndarray) -> np.ndarray:
@@ -180,42 +200,67 @@ def _at(arr: np.ndarray, k: int) -> np.ndarray:
     return arr[:, k % arr.shape[1]]
 
 
+def _step_weights(base: PathEnsemble, u0: RelaxedControl, k: int) -> tuple:
+    """u0's feedback cell (M,) of every path at step k, each path's weight
+    row sum (M,), and a function that gathers the weight rows themselves
+    (M, K), once, by the rule of `forward.step_cells`.  The row sums are
+    taken per cell and gathered by cell, so a step whose linearization does
+    not depend on the control gathers no (M, K) rows."""
+    table, ones = u0.weights[k], np.ones(u0.grid.K)
+    if u0.feedback is None:  # one cell: a broadcast row, as `step_cells` resolves it
+        rows = np.broadcast_to(table[0], (base.M, u0.grid.K))
+        return np.zeros(base.M, dtype=np.int64), rows @ ones, lambda: rows
+    cells = u0.feedback.assign(base.feedback_signal(k, u0.feedback_mode))
+    return cells, np.take(table @ ones, cells), cache(lambda: np.take(table, cells, axis=0))
+
+
 def _regress_step(
     p: Problem, basis: BasisSpec, base: PathEnsemble, u0: RelaxedControl, k: int,
-    psi: np.ndarray, psi_cont: np.ndarray, Q: np.ndarray, phi: np.ndarray,
+    psi: np.ndarray, psi_cont: np.ndarray, Q: np.ndarray, phi: np.ndarray, record: bool,
 ) -> tuple[np.ndarray, StepDiagnostics]:
     """One backward regression step of the sweep: fills step k of psi_cont,
     Q, phi and psi (by `_at`) from psi at k+1, and returns u0's feedback
-    cells at step k with the step's diagnostics.  Its per-path temporaries
-    are freed on return, before the step's Hamiltonians are formed.
+    cells at step k with the step's diagnostics, whose orthogonality only a
+    recording sweep computes (NaN otherwise).  The targets are formed
+    without numpy warnings: one that overflows reaches `_fit` as Inf, which
+    raises NonFiniteCoefficient.  Its per-path temporaries are freed on
+    return, before the step's Hamiltonians are formed.
     """
     noise = base.noise
     M, dt = base.M, base.dt
     n, m = p.n, p.m
     J, lam = p.jump.J, p.jump.intensities
     x = base.states[:, k]
-    cells, w0 = step_cells(base, u0, k)
+    cells, total, rows = _step_weights(base, u0, k)
     psi_next = _at(psi, k + 1)
     Zt, G, cond, ridge = _design(basis.features(x))
 
-    tq = psi_next[:, :, None] * noise.dW[:, k][:, None, :] / dt  # (M, n, m)
-    dq = noise.jump_counts[:, k] - lam * dt  # (M, J)
-    tj = psi_next[:, None, :] * (dq / (lam * dt))[:, :, None]  # (M, J, n)
-    fitted, ortho = _fit(Zt, G, np.concatenate([psi_next, tq.reshape(M, n * m), tj.reshape(M, J * n)], axis=1), k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tq = psi_next[:, :, None] * noise.dW[:, k][:, None, :] / dt  # (M, n, m)
+        dq = noise.jump_counts[:, k] - lam * dt  # (M, J)
+        tj = psi_next[:, None, :] * (dq / (lam * dt))[:, :, None]  # (M, J, n)
+        targets = np.concatenate([psi_next, tq.reshape(M, n * m), tj.reshape(M, J * n)], axis=1)
+    fitted = _fit(Zt, G, targets, k)
+    ortho = _orthogonality(Zt, targets, fitted) if record else np.nan
+    del targets, tq, tj
     cont = fitted[:, :n]
     Qk = fitted[:, n : n + n * m].reshape(M, n, m)
     phik = fitted[:, n + n * m :].reshape(M, J, n)
 
-    bx, sx, lx, cxs = averaged_linearization(p, u0.grid, k * dt, x, w0)
-    drift = np.einsum("qij,qi->qj", bx, psi_next)
-    drift += np.einsum("qab,qabl->ql", Qk, sx)
-    drift += lx
-    for j, cx in enumerate(cxs):
-        drift += lam[j] * np.einsum("qij,qi->qj", cx, phik[:, j])
-    fitted_psi, ortho_psi = _fit(Zt, G, psi_next + drift * dt, k)
+    bx, sx, lx, cxs = averaged_linearization(p, u0.grid, k * dt, x, rows, total)
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = np.einsum("qij,qi->qj", bx, psi_next)
+        drift += np.einsum("qab,qabl->ql", Qk, sx)
+        drift += lx
+        for j, cx in enumerate(cxs):
+            drift += lam[j] * np.einsum("qij,qi->qj", cx, phik[:, j])
+        target = psi_next + drift * dt
+    fitted_psi = _fit(Zt, G, target, k)
+    if record:
+        ortho = max(ortho, _orthogonality(Zt, target, fitted_psi))
     for arr, value in ((psi, fitted_psi), (psi_cont, cont), (Q, Qk), (phi, phik)):
         _at(arr, k)[...] = value
-    return cells, StepDiagnostics(k, cond, ridge, max(ortho, ortho_psi))
+    return cells, StepDiagnostics(k, cond, ridge, ortho)
 
 
 def _sweep(p: Problem, base: PathEnsemble, u0: RelaxedControl, basis: BasisSpec, record: bool) -> tuple:
@@ -223,7 +268,15 @@ def _sweep(p: Problem, base: PathEnsemble, u0: RelaxedControl, basis: BasisSpec,
     occupancy, the kept arrays and the step diagnostics.  With record it
     keeps (psi, psi_cont, Q, phi, pairing_sums) for every step; without, it
     keeps nothing, holding psi at k+1 and k and step k's psi_cont, Q and phi
-    only, and forms no pairing sums.  Both bin the same sums bit for bit.
+    only, and forms neither the pairing sums nor the orthogonality
+    diagnostic.  Both bin the same sums bit for bit.
+
+    No atom Hamiltonian term is checked on its own: a NaN/Inf term reaches
+    the step's (C, K) cell sums, so the sums are checked instead, and a step
+    whose sums are not finite is evaluated again term by term
+    (`atom_hamiltonians` checked), which names the coefficient.  Sums that
+    overflow from finite terms raise NonFiniteCoefficient("Hamiltonian ...")
+    once the sweep is done.
     """
     base.require(p, u0)
     M, N, dt = base.M, base.n_steps, base.dt
@@ -243,16 +296,17 @@ def _sweep(p: Problem, base: PathEnsemble, u0: RelaxedControl, basis: BasisSpec,
 
     _at(psi, N)[...] = require_finite(terminal_gradient(p, base.states[:, N]), "terminal cost gradient")
     for k in range(N - 1, -1, -1):
-        cells, diag = _regress_step(p, basis, base, u0, k, psi, psi_cont, Q, phi)
+        cells, diag = _regress_step(p, basis, base, u0, k, psi, psi_cont, Q, phi, record)
         diagnostics.append(diag)
-        ham, pairing = atom_hamiltonians(
-            p, u0.grid, k * dt, base.states[:, k], _at(psi_cont, k), _at(Q, k), _at(phi, k), pairing=record
-        )
+        args = (p, u0.grid, k * dt, base.states[:, k], _at(psi_cont, k), _at(Q, k), _at(phi, k))
+        ham, pairing = atom_hamiltonians(*args, pairing=record, checked=False)
         occupancy[k] = np.bincount(cells, minlength=C)
-        hamiltonian_sums[k] = _cell_sums(cells, C, ham)
-        if record:
-            with np.errstate(over="ignore"):  # an overflowing sum is Inf, checked below
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite is checked below
+            hamiltonian_sums[k] = _cell_sums(cells, C, ham)
+            if record:
                 pairing_sums[k] = _blocked_cell_sums(cells, C, pairing, path_blocks)
+        if not np.all(np.isfinite(hamiltonian_sums[k])):
+            atom_hamiltonians(*args, pairing=False)  # raises naming the coefficient of a NaN/Inf term
     require_finite(hamiltonian_sums, "Hamiltonian")
     kept = (psi, psi_cont, Q, phi, require_finite(pairing_sums, "adjoint pairing")) if record else ()
     for arr in (hamiltonian_sums, occupancy, *kept):
@@ -280,8 +334,9 @@ def solve_bsde(
     phi_k in hand the step evaluates b, sigma, l and C once for all atoms, forms
     the (K, M) atom Hamiltonians and sums them, with and without the running
     cost, over u0's feedback cells.  A NaN/Inf terminal cost gradient,
-    coefficient term or cell sum raises NonFiniteCoefficient, and a value of
-    another shape or a base not simulated under p and u0 ShapeMismatch.
+    regression target, coefficient term or cell sum raises
+    NonFiniteCoefficient, and a value of another shape or a base not
+    simulated under p and u0 ShapeMismatch.
     """
     sums, occupancy, (psi, psi_cont, Q, phi, pairing_sums), diagnostics = _sweep(
         p, base, u0, basis_spec or BasisSpec(), record=True

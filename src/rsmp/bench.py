@@ -400,25 +400,34 @@ def nonconvex_weight_oracle(N: int = 8, resolution: float = 0.1, sigma: float = 
     grid reduces to a shortest path over the reachable mean lattice; the
     optimum returned is exactly the optimum of exhaustive enumeration.  The
     lattice is exact only when 1 / (2 resolution) is an integer (resolution
-    0.5, 0.25, 0.1, ...): any other resolution raises DomainError.
+    0.5, 0.25, 0.1, ...): any other resolution raises DomainError, and so
+    does one whose lattice (about 2 N / resolution means per step) is too
+    large to allocate.
     """
     N, resolution = require_count(N, "N"), require_positive(resolution, "resolution")
+    size = 2.0 * N / resolution + 1.0  # reachable means per step
+    too_large = DomainError(f"resolution {resolution!r} gives a lattice of {size:.3g} means, too large to allocate")
+    if N * size > np.iinfo(np.intp).max / 8:  # beyond numpy's largest array (Inf included)
+        raise too_large
     half_steps = 0.5 / resolution  # drift steps on the lattice are level index minus this
     if round(half_steps) < 1 or abs(half_steps - round(half_steps)) > 1e-9 * half_steps:
         raise DomainError(f"resolution must be 1/(2 j) for an integer j >= 1, got {resolution!r}")
     dt = T / N
-    levels = np.round(np.arange(0.0, 1.0 + resolution / 2, resolution), 10)
-    drift = 2.0 * levels - 1.0  # mean velocity per weight level
     # lattice of reachable means: integer multiples of resolution * 2 * dt
     unit = 2.0 * resolution * dt
     span = int(round(1.0 / resolution)) * N
-    offsets = np.arange(-span, span + 1)
+    try:
+        levels = np.round(np.arange(0.0, 1.0 + resolution / 2, resolution), 10)
+        offsets = np.arange(-span, span + 1)
+        parent = np.full((N, offsets.size), -1, dtype=int)
+        choice = np.full((N, offsets.size), -1, dtype=int)
+    except MemoryError:
+        raise too_large from None
+    drift = 2.0 * levels - 1.0  # mean velocity per weight level
     means = offsets * unit
     cost_to_come = np.full(means.size, np.inf)
     start = span  # mean 0
     cost_to_come[start] = 0.0
-    parent = np.full((N, means.size), -1, dtype=int)
-    choice = np.full((N, means.size), -1, dtype=int)
     steps = [int(round(v * dt / unit)) for v in drift]
     for k in range(N):
         nxt = np.full(means.size, np.inf)

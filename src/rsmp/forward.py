@@ -21,7 +21,9 @@ one contiguous run; `np.ascontiguousarray(arr)` gives the path-major C
 layout with the same values.
 `simulate` is the only walk over a control: it records the running cost
 from the weights or values it resolves, and `pathwise_cost` adds the
-terminal cost to that record.
+terminal cost to that record.  A relaxed control evaluates every atom at
+a step, except at a Dirac step, where each cell's weight sits on one atom:
+there it resolves that atom per path and steps as a regular control does.
 """
 
 from __future__ import annotations
@@ -254,6 +256,17 @@ def _control_values(p: Problem, u, k: int, N: int, t: float, x: np.ndarray) -> n
         raise ShapeMismatch(f"control values of shape {vals.shape} for {x.shape[0]} paths and d = {p.d}") from None
 
 
+def _dirac_steps(u: RelaxedControl) -> tuple[np.ndarray, RegularControl]:
+    """Which steps of u are Dirac, every cell's weight row one-hot (a single
+    1.0, zeros elsewhere), as an (N,) mask; and the regular control with one
+    slot per step that takes, in each cell, the atom of largest weight, so
+    at a Dirac step the atom that carries all of it."""
+    w = u.weights
+    one_hot = (np.count_nonzero(w, axis=-1) == 1) & (w.max(axis=-1) == 1.0)
+    atoms = u.grid.points[w.argmax(axis=-1)]
+    return one_hot.all(axis=1), RegularControl(atoms, u.grid.box, u.feedback_mode, u.feedback)
+
+
 def euler_step(p: Problem, noise: NoiseEnsemble, k: int, x, drift, diff, jumps, what: str) -> np.ndarray:
     """x + drift dt + diff dW_k + sum_j C_j (counts_kj - lam_j dt) on every
     path, marks added in order, checked by `guard_step`."""
@@ -274,7 +287,13 @@ def simulate(p: Problem, u, noise: NoiseEnsemble, threads: int = 1) -> PathEnsem
     at step k; jump events apply at the left endpoint of their step together
     with the intensity compensator; the running cost at the same weights or
     values accumulates into running_cost.  Each step advances all paths at
-    once.  `threads` is a worker cap that serial execution always meets and
+    once.  A relaxed step whose weight row is one-hot in every cell (a Dirac
+    step, as a conditional-gradient step of size 1 lands on) takes the
+    regular-control path: every path's coefficients are evaluated once, at
+    the atom its cell puts all weight on, so `simulate(p, dirac_embed(r,
+    grid), noise)` is `simulate(p, r, noise)` bit for bit, and, as for a
+    regular control, a NaN at an atom without weight raises nothing.
+    `threads` is a worker cap that serial execution always meets and
     that never changed a result; it must be at least 1 (DomainError
     otherwise).  A control of another dimension than p.d raises
     ShapeMismatch.
@@ -293,13 +312,14 @@ def simulate(p: Problem, u, noise: NoiseEnsemble, threads: int = 1) -> PathEnsem
     states = _step_major(noise.M, N + 1, (p.n,))
     states[:, 0] = p.initial_states(noise.M, noise.initial_normals)
     running = np.zeros(noise.M)
+    at_point, point = _dirac_steps(u) if isinstance(u, RelaxedControl) else (np.ones(N, dtype=bool), u)
     for k in range(N):
         t, x = k * dt, states[:, k]
-        if isinstance(u, RelaxedControl):
+        if at_point[k]:
+            drift, diff, ell, jumps = point_coefficients(p, t, x, _control_values(p, point, k, N, t, x))
+        else:
             w = u.weights_at(k, _feedback_signal(p, u.feedback_mode, x))
             drift, diff, ell, jumps = averaged_coefficients(p, u.grid, t, x, w)
-        else:
-            drift, diff, ell, jumps = point_coefficients(p, t, x, _control_values(p, u, k, N, t, x))
         running += ell * dt
         states[:, k + 1] = euler_step(p, noise, k, x, drift, diff, jumps, "state")
     states.setflags(write=False)

@@ -28,6 +28,11 @@ contracts it with the adjoint processes to get all K per-atom Hamiltonians
 from one evaluation.  One check rule covers both: each contracted value
 passes `errors.require_finite`, never the atoms (0 * Inf and Inf - Inf are
 NaN, so any NaN/Inf atom shows, and so does a contraction that overflows).
+The backward sweep checks one reduction further: the per-step cell sums of
+the atom Hamiltonians, which every NaN/Inf term reaches, and only a step
+whose sums are not finite has its terms checked one by one to name the
+coefficient.  `point_coefficients` evaluates only the control values in
+force, so a NaN at any other atom never shows.
 Every sweep reads a step's coefficients through `averaged_coefficients` (or
 its point-control twin `point_coefficients`), their state Jacobians through
 `averaged_linearization` and phi, phi_x through `terminal_cost`,
@@ -255,7 +260,7 @@ def _per_path(arr, M: int) -> np.ndarray:
     return np.broadcast_to(arr, (M,) + arr.shape) if arr.ndim == 2 else arr
 
 
-def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, *, pairing=True) -> tuple:
+def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, *, pairing=True, checked=True) -> tuple:
     """Pathwise Hamiltonian at every grid atom, shape (K, M): drift pairing
     + diffusion trace pairing + running cost + jump pairing; and the same
     sum without the running cost, the adjoint pairing with each atom's
@@ -269,19 +274,26 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, *, pairing=True) 
     contracted term (drift, diffusion, running cost, the jump term of each
     mark) passes `require_finite`, as the averages do: a NaN/Inf atom value,
     or a pairing that overflows, raises NonFiniteCoefficient naming the
-    coefficient.  The two sums may overflow to Inf, without a numpy
-    warning: each caller checks what it reduces them to.
+    coefficient.  With checked=False no term is checked and a NaN/Inf term
+    reaches both sums; a caller that finds one in what it reduces them to
+    calls again, checked, to name the coefficient.  The two sums may
+    overflow to Inf, or turn NaN, without a numpy warning: each caller
+    checks what it reduces them to.
     """
     x = np.atleast_2d(x)
     M, n = x.shape[0], p.n
     psi, Q = np.atleast_2d(psi), _per_path(Q, M)
-    with np.errstate(over="ignore"):
-        val = require_finite(np.einsum("kqi,qi->kq", atom_values(p.b, grid, t, x, (n,), what="drift"), psi), "drift")
-        val += require_finite(
+
+    def check(term, what):
+        return require_finite(term, what) if checked else term
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = check(np.einsum("kqi,qi->kq", atom_values(p.b, grid, t, x, (n,), what="drift"), psi), "drift")
+        val += check(
             np.einsum("kqab,qab->kq", _atom_values(p.sigma, grid, t, x, (n, p.m), what="diffusion"), Q), "diffusion"
         )
         pairing = val.copy() if pairing else None
-        val += require_finite(_atom_values(p.ell, grid, t, x, (), what="running cost"), "running cost")
+        val += check(_atom_values(p.ell, grid, t, x, (), what="running cost"), "running cost")
         if p.jump.J and phi_row is None:
             raise ShapeMismatch("jump problems need the jump intensity row of the adjoint")
         for j in range(p.jump.J):
@@ -289,7 +301,7 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, *, pairing=True) 
             term = np.einsum("kqi,qi->kq", cj, _per_path(phi_row, M)[:, j])
             del cj  # free the atom tensor before the sums
             term *= p.jump.intensities[j]
-            val += require_finite(term, "jump coefficient")
+            val += check(term, "jump coefficient")
             if pairing is not None:
                 pairing += term
     return val, pairing
@@ -297,10 +309,12 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, *, pairing=True) 
 
 def _averaged(f, grid, t, x, w, tail: tuple, what: str, extra=(), total=None):
     """Relaxed average sum_i w[..., i] f(t, x, *extra, xi_i); linear in w.  A
-    value evaluated once for all atoms is scaled by total, the row sum of w."""
+    value evaluated once for all atoms is scaled by total, the row sum of w.
+    w may also be a function returning the weights, called only for a value
+    with an atom axis (then total must be given)."""
     vals = _atom_values(f, grid, t, x, tail, extra, what)
     if len(vals) == grid.K:
-        return require_finite(contract_atoms(vals, w), what)
+        return require_finite(contract_atoms(vals, w() if callable(w) else w), what)
     total = np.asarray(w, dtype=float) @ np.ones(grid.K) if total is None else total
     with np.errstate(over="ignore", invalid="ignore"):  # Inf * 0 is NaN: checked below
         return require_finite(vals[0] * total.reshape(total.shape + (1,) * len(tail)), what)
@@ -340,9 +354,10 @@ def averaged_jump_x(p: Problem, grid, t, x, v, w, total=None):
     return _averaged(p.jump.C_x, grid, t, x, w, (p.n, p.n), "jump gradient", (v,), total)
 
 
-def _step_averages(p: Problem, grid, t, x, w, averages, jump_average) -> tuple:
+def _step_averages(p: Problem, grid, t, x, w, averages, jump_average, total=None) -> tuple:
     """The averages under weights w, then jump_average per mark, sharing one row sum of w."""
-    total = np.asarray(w, dtype=float) @ np.ones(grid.K)  # a product: w.sum(-1) is several times slower
+    if total is None:
+        total = np.asarray(w, dtype=float) @ np.ones(grid.K)  # a product: w.sum(-1) is several times slower
     values = tuple(average(p, grid, t, x, w, total) for average in averages)
     return values + ([jump_average(p, grid, t, x, v, w, total) for v in p.jump.marks],)
 
@@ -365,12 +380,14 @@ def point_coefficients(p: Problem, t, x, xi) -> tuple:
     )
 
 
-def averaged_linearization(p: Problem, grid, t, x, w) -> tuple:
+def averaged_linearization(p: Problem, grid, t, x, w, total=None) -> tuple:
     """The state Jacobians under weights w: b_x (M, n, n), sigma_x (M, n, m, n),
     l_x (M, n) and the list of C_x (M, n, n), one per mark in order
-    (ShapeMismatch for another trailing shape)."""
+    (ShapeMismatch for another trailing shape).  Given the row sums total
+    (M,) of w, w may be a function returning the weights, which a Jacobian
+    that does not depend on the control never calls."""
     gradients = (averaged_drift_x, averaged_diffusion_x, averaged_running_cost_x)
-    return _step_averages(p, grid, t, x, w, gradients, averaged_jump_x)
+    return _step_averages(p, grid, t, x, w, gradients, averaged_jump_x, total)
 
 
 def terminal_cost(p: Problem, x) -> np.ndarray:

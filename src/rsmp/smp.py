@@ -223,9 +223,11 @@ def optimize(p: Problem, u_init: RelaxedControl, params: OptimizeParams) -> Opti
     costs = pathwise_cost(p, paths)
     for it in range(params.max_iters + 1):
         J, se = _mean_and_error(costs, "cost")
-        # the sweep keeps no adjoint process, only the sums the field reads
+        # the sweep keeps no adjoint process, only the sums the field reads;
+        # the ensemble is dropped with it, so a trial's is the only one held
         sums, occupancy, _, _ = _sweep(p, paths, u, BasisSpec(), record=False)
-        fld = _field(sums, occupancy, paths.control_used, paths.dt)
+        paths = None
+        fld = _field(sums, occupancy, u, noise.dt)
         gap, _ = smp_gap(fld, u)
         rec = IterateRecord(u, J, se, gap)
         iterates.append(rec)
@@ -239,17 +241,18 @@ def optimize(p: Problem, u_init: RelaxedControl, params: OptimizeParams) -> Opti
         for halving in range(LINE_SEARCH_FLOOR + 1):
             eps = 0.5**halving
             trial = mix(u, candidate, eps)
-            trial_paths = simulate(p, trial, noise, threads=params.threads)
-            trial_costs = pathwise_cost(p, trial_paths)
+            paths = simulate(p, trial, noise, threads=params.threads)
+            trial_costs = pathwise_cost(p, paths)
             gain, se_diff = _mean_and_error(costs - trial_costs, "cost difference")
             if gain >= se_diff:
-                accepted = (eps, trial, trial_paths, trial_costs)
+                accepted = (eps, trial, trial_costs)
                 break
+            paths = None  # a rejected trial's ensemble is freed before the next one is simulated
         if accepted is None:
             status = "stalled"
             break
         rec.step_size = accepted[0]
-        u, paths, costs = accepted[1], accepted[2], accepted[3]
+        u, costs = accepted[1], accepted[2]
     return OptimizationResult(iterates, status, u)
 
 

@@ -12,7 +12,7 @@ from rsmp import (
     RelaxedControl,
     ShapeMismatch,
 )
-from rsmp.adjoint import COND_LIMIT, DEGENERATE_STD, RIDGE_SCALE, BasisSpec, _design
+from rsmp.adjoint import COND_LIMIT, DEGENERATE_STD, RIDGE_SCALE, BasisSpec, _design, _fit
 from rsmp.forward import _BLOCK
 
 
@@ -93,6 +93,18 @@ class TestSolveBsde:
         base = rsmp.simulate(p, u, rsmp.sample_noise(p, 3000, 12, seed=4))
         adj = rsmp.solve_bsde(p, base, u)
         assert max(d.orthogonality for d in adj.conditioning if not d.ridge) <= 1e-10
+
+    def test_fit_of_targets_whose_products_overflow(self):
+        # Zt @ Y overflows for these finite targets: they are fit scaled by
+        # 1 / max|Y| and scaled back; a target that is Inf names the step
+        rng = np.random.default_rng(5)
+        Zt, G, _, _ = _design(BasisSpec(2).features(rng.standard_normal((200, 1))))
+        Y = rng.standard_normal((200, 2))
+        with np.errstate(all="raise"):
+            assert np.allclose(_fit(Zt, G, Y * 1e307, 0) / 1e307, _fit(Zt, G, Y, 0), rtol=1e-12, atol=0.0)
+            Y[7, 1] = np.inf
+            with pytest.raises(NonFiniteCoefficient, match="^adjoint state at step 5 produced NaN/Inf$"):
+                _fit(Zt, G, Y, 5)
 
     def test_deterministic_initial_state_ridge_free_mean(self):
         # point-mass state at step 0 collapses the regression to the mean
@@ -401,6 +413,39 @@ class TestStepCoefficientCalls:
             calls.clear()
             rsmp.simulate(counted, control, rsmp.sample_noise(p, M, steps, seed=73))
             assert calls == {key: count * steps for key, count in per_step.items()}, M
+
+    @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
+    def test_dirac_steps_of_relaxed_simulate(self, name):
+        # steps 1 and 3 are one-hot in every cell: there each coefficient is
+        # called once with every path's own atom, (M, ...) arguments and no
+        # atom axis; the other steps evaluate all atoms at once
+        p = rsmp.make_benchmark(name)
+        (u,) = seeded_controls(name, rsmp.STATE_FEEDBACK, self.N, 1, seed=75)
+        K, C = u.grid.K, u.n_cells
+        w = u.weights.copy()
+        w[1::2] = np.eye(K)[np.random.default_rng(76).integers(0, K, (self.N // 2, C))]
+        u = RelaxedControl(u.grid, w, u.feedback_mode, u.feedback)
+        seen = []
+
+        def recorded(key, f):
+            def wrapper(t, x, *rest):
+                seen.append((key, t, np.shape(x), np.shape(rest[-1])))
+                return f(t, x, *rest)
+            return wrapper
+
+        changes = {key: recorded(key, getattr(p, key)) for key in ("b", "sigma", "ell")}
+        if p.jump.J:
+            changes["jump"] = dataclasses.replace(p.jump, C=recorded("C", p.jump.C))
+        keys = sorted(["b", "sigma", "ell"] + ["C"] * p.jump.J)
+        for M in self.PATHS:
+            seen.clear()
+            noise = rsmp.sample_noise(p, M, self.N, seed=77)
+            rsmp.simulate(dataclasses.replace(p, **changes), u, noise)
+            for k in range(self.N):
+                at_k = [call for call in seen if call[1] == k * noise.dt]
+                assert sorted(key for key, *_ in at_k) == keys, (M, k)
+                shapes = {(x_shape, xi_shape) for *_, x_shape, xi_shape in at_k}
+                assert shapes == ({((M, p.n), (M, p.d))} if k % 2 else {((1, M, p.n), (K, 1, p.d))}), (M, k)
 
     def test_jump_variational_sweep(self):
         # l_x, b_x, sigma_x and C_x under u0; l, b, sigma and C under u - u0

@@ -494,6 +494,42 @@ def test_simulation_of_fewer_paths_is_row_prefix(kind):
         assert np.array_equal(small.running_cost, large.running_cost[:M])
 
 
+class TestDiracSteps:
+    """A relaxed step whose weight row is one-hot in every cell steps as a
+    regular control: each path's coefficients at the atom of its cell."""
+
+    @pytest.mark.parametrize("name", ["lq1d", "lq2d", "jump-lq", "nonconvex-mix"])
+    @pytest.mark.parametrize("mode", [rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK])
+    def test_dirac_embedding_simulates_as_the_regular_control(self, name, mode):
+        p = rsmp.make_benchmark(name)
+        grid = rsmp.benchmark_grid(name, 5)
+        part = None if mode == rsmp.OPEN_LOOP else rsmp.benchmark_partition(name, mode, cells=4)
+        C, N = 1 if part is None else part.n_cells, 8
+        atoms = np.random.default_rng(11).integers(0, grid.K, (N, C))
+        regular = rsmp.RegularControl(grid.points[atoms], grid.box, mode, part)  # one slot per step
+        noise = rsmp.sample_noise(p, 600, N, seed=12)
+        relaxed = rsmp.simulate(p, rsmp.dirac_embed(regular, grid), noise)
+        reference = rsmp.simulate(p, regular, noise)
+        assert np.array_equal(relaxed.states, reference.states)
+        assert np.array_equal(relaxed.running_cost, reference.running_cost)
+
+    def test_nan_at_an_atom_without_weight_is_not_evaluated(self):
+        # as for a regular control; a relaxed step that weighs the atom at
+        # all evaluates it and raises
+        base = rsmp.make_benchmark("lq1d")
+        grid = rsmp.benchmark_grid("lq1d", 5)
+
+        def b(t, x, xi):
+            return np.where(np.asarray(xi) == grid.points[0], np.nan, base.b(t, x, xi))
+
+        p = dataclasses.replace(base, b=b)
+        noise = rsmp.sample_noise(p, 300, 4, seed=13)
+        paths = rsmp.simulate(p, rsmp.constant_control(grid, 4, np.eye(grid.K)[2]), noise)
+        assert np.all(np.isfinite(paths.states))
+        with pytest.raises(NonFiniteCoefficient, match="^drift produced NaN/Inf$"):
+            rsmp.simulate(p, rsmp.constant_control(grid, 4, [0.0, 0.0, 0.5, 0.5, 0.0]), noise)
+
+
 class TestRecordedRunningCost:
     M = _BLOCK + 37  # two noise blocks, the second one short
 

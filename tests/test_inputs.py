@@ -242,6 +242,8 @@ REFUSED = [
      r"1/\(2 j\)"),
     ("zero oracle resolution", lambda: rsmp.nonconvex_weight_oracle(resolution=0.0), DomainError, "positive"),
     ("NaN oracle resolution", lambda: rsmp.nonconvex_weight_oracle(resolution=NAN), DomainError, "must be finite"),
+    ("oracle resolution too fine to allocate", lambda: rsmp.nonconvex_weight_oracle(N=2, resolution=1e-300),
+     DomainError, "^resolution 1e-300 gives a lattice of 4e\\+300 means, too large to allocate$"),
     ("string mixing weight", lambda: rsmp.mix(open_control(), open_control(), "0.5"), DomainError, "real number"),
     ("string pairing horizon", lambda: rsmp.pair(pair_fn, open_control(), horizon="1"), DomainError, "real number"),
     ("regular control without slots", lambda: RegularControl(np.zeros((0, 1)), [[-1.0, 1.0]]), DomainError,

@@ -65,6 +65,25 @@ def test_optimize_peak_holds_no_adjoint_process(lq1d):
     assert peak <= 5 * M * (N + 1) * 8
 
 
+def test_line_search_holds_one_ensemble(lq1d, monkeypatch):
+    # the current iterate's ensemble is dropped once its sweep is done, and a
+    # rejected trial's before the next trial, so when a trial is simulated
+    # optimize holds the noise and no ensemble: the trial's is the only one
+    p, u = lq1d
+    params = rsmp.OptimizeParams(M=M, N=N, max_iters=3, tol=0.0, seed=3)
+    simulate, held = rsmp.smp.simulate, []
+
+    def recorded(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(rsmp.smp, "simulate", recorded)
+    res, _, _ = traced(lambda: rsmp.optimize(p, u, params))
+    noise = rsmp.sample_noise(p, M, N, seed=3)
+    assert len(res.iterates) >= 2 and len(held) >= 2  # the first iterate and at least one trial
+    assert max(held) - noise.dW.nbytes <= M * (N + 1) * p.n * 8 // 2  # less than one ensemble's states
+
+
 def test_field_sweep_keeps_no_adjoint_process(lq1d):
     # solve_bsde, which keeps psi, psi_cont, Q, phi and the pairing sums,
     # peaks at about 4.6 M·N·8 bytes here

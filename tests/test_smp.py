@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -375,6 +376,38 @@ class TestOptimize:
             return
         assert res.status == "converged"
         assert all(np.isfinite(rec.std_error) and rec.std_error > 0 for rec in res.iterates)
+
+    @pytest.mark.parametrize("scale", [1e306, 1e308])
+    def test_costs_at_the_float_limit_converge_or_raise_a_typed_error(self, scaled_cost_lq1d, scale):
+        # the backward targets' products overflow at 1e306 and the targets
+        # themselves at 1e308: the fit is retried on scaled targets, and what
+        # stays Inf raises NonFiniteCoefficient, never a numpy warning or a
+        # SingularRegression of a well-conditioned design
+        p = scaled_cost_lq1d.problem(scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                res = rsmp.optimize(p, scaled_cost_lq1d.u, rsmp.OptimizeParams(M=400, N=8, seed=3, tol=1e-3 * scale))
+            except NonFiniteCoefficient:
+                return
+        assert res.status == "converged"
+        assert all(np.isfinite(rec.std_error) and rec.std_error > 0 for rec in res.iterates)
+
+    @pytest.mark.parametrize("start", ["uniform", "dirac"])
+    def test_nan_drift_at_one_atom_names_the_drift(self, start):
+        # a uniform start meets the NaN in simulate; a Dirac start simulates
+        # only atom 2 and meets it in the sweep, whose NaN cell sums are
+        # checked term by term again
+        base = rsmp.make_benchmark("lq1d")
+        grid = rsmp.benchmark_grid("lq1d", 5)
+
+        def b(t, x, xi):
+            return np.where(np.asarray(xi) == grid.points[0], np.nan, base.b(t, x, xi))
+
+        p = dataclasses.replace(base, b=b)
+        u = rsmp.constant_control(grid, 8, None if start == "uniform" else np.eye(grid.K)[2])
+        with pytest.raises(NonFiniteCoefficient, match="^drift produced NaN/Inf$"):
+            rsmp.optimize(p, u, rsmp.OptimizeParams(M=500, N=8, seed=3))
 
     def test_result_serializes(self):
         import json
