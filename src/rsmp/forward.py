@@ -13,7 +13,7 @@ alone, so the bits do not depend on how many paths share a step, and no
 result ever depended on the worker cap.  Jumps use a finite atomic jump
 measure; each step applies the event counts minus their compensator at the
 left endpoint.  The forward and variational sweeps share one Euler step,
-`euler_step`.
+`euler_step`, which writes step k+1 into its row of the sweep's output.
 Every per-step array (noise, states, and the variational and adjoint
 sweeps' outputs) keeps its public shape (M, steps, ...) but is stored
 step-major, so the slice arr[:, k] that a sweep reads or writes at step k is
@@ -36,7 +36,8 @@ from numpy.random import Generator, Philox
 from .control import OBSERVATION_FEEDBACK, OPEN_LOOP, RegularControl, RelaxedControl, _resolve
 from .errors import BlowUp, DomainError, NonFiniteCoefficient, ShapeMismatch, require_count, require_finite
 from .errors import require_seed
-from .problem import GaussianInitial, Problem, averaged_coefficients, point_coefficients, terminal_cost
+from .problem import GaussianInitial, Problem, _same_on_every_path, averaged_coefficients, point_coefficients
+from .problem import terminal_cost
 
 BLOWUP_GUARD = 1e9
 # Fixed path block of the noise streams (stream version 2): each block draws
@@ -235,7 +236,7 @@ def guard_step(x: np.ndarray, k: int, what: str) -> None:
     exceed the guard: a NaN state has no norm to report.  Otherwise an entry
     above BLOWUP_GUARD, Inf included, raises BlowUp with the largest |x|.
     """
-    peak = float(np.abs(x).max())
+    peak = float(max(x.max(), -x.min()))  # max |x| without an |x| temporary
     if peak <= BLOWUP_GUARD:
         return
     if np.isnan(peak):
@@ -267,16 +268,25 @@ def _dirac_steps(u: RelaxedControl) -> tuple[np.ndarray, RegularControl]:
     return one_hot.all(axis=1), RegularControl(atoms, u.grid.box, u.feedback_mode, u.feedback)
 
 
-def euler_step(p: Problem, noise: NoiseEnsemble, k: int, x, drift, diff, jumps, what: str) -> np.ndarray:
-    """x + drift dt + diff dW_k + sum_j C_j (counts_kj - lam_j dt) on every
-    path, marks added in order, checked by `guard_step`."""
+def euler_step(p: Problem, noise: NoiseEnsemble, k: int, x, drift, diff, jumps, out, what: str) -> None:
+    """Write x + drift dt + diff dW_k + sum_j C_j (counts_kj - lam_j dt) on
+    every path into the row out (not x), marks added in order, and check it
+    by `guard_step`; a drift or diffusion the same on every path is read as
+    one row.  The terms are added in that order, so the bits are the sum's."""
     dt = noise.dt
-    x_next = x + drift * dt + np.einsum("qnm,qm->qn", diff, noise.dW[:, k])
+    if _same_on_every_path(drift):
+        np.add(x, drift[:1] * dt, out=out)
+    else:
+        np.multiply(drift, dt, out=out)
+        out += x  # drift dt + x: the same bits as x + drift dt
+    if _same_on_every_path(diff):
+        out += np.einsum("nm,qm->qn", diff[0], noise.dW[:, k])
+    else:
+        out += np.einsum("qnm,qm->qn", diff, noise.dW[:, k])
     for j, cj in enumerate(jumps):
         factor = noise.jump_counts[:, k, j] - p.jump.intensities[j] * dt
-        x_next = x_next + factor[:, None] * cj
-    guard_step(x_next, k, what)
-    return x_next
+        out += factor[:, None] * cj
+    guard_step(out, k, what)
 
 
 def simulate(p: Problem, u, noise: NoiseEnsemble, threads: int = 1) -> PathEnsemble:
@@ -321,7 +331,7 @@ def simulate(p: Problem, u, noise: NoiseEnsemble, threads: int = 1) -> PathEnsem
             w = u.weights_at(k, _feedback_signal(p, u.feedback_mode, x))
             drift, diff, ell, jumps = averaged_coefficients(p, u.grid, t, x, w)
         running += ell * dt
-        states[:, k + 1] = euler_step(p, noise, k, x, drift, diff, jumps, "state")
+        euler_step(p, noise, k, x, drift, diff, jumps, states[:, k + 1], "state")
     states.setflags(write=False)
     running.setflags(write=False)
     return PathEnsemble(states, noise, u, p, running)

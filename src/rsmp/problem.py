@@ -25,7 +25,9 @@ over the atom axis: `contract_atoms` pairs it with one weight row (K,), as
 open loop resolves, or per-path weights (M, K) into the `averaged_*` values
 (a value evaluated once times the weight row sum), and `atom_hamiltonians`
 contracts it with the adjoint processes to get all K per-atom Hamiltonians
-from one evaluation.  One check rule covers both: each contracted value
+from one evaluation.  A value that is a broadcast along the path axis (a
+constant sigma, the LQ b_x = A) is averaged as one row, never copied to
+every path.  One check rule covers both: each contracted value (or row)
 passes `errors.require_finite`, never the atoms (0 * Inf and Inf - Inf are
 NaN, so any NaN/Inf atom shows, and so does a contraction that overflows).
 The backward sweep checks one reduction further: the per-step cell sums of
@@ -208,9 +210,13 @@ def _require_shape(vals, shape: tuple, what: str) -> np.ndarray:
     return vals
 
 
-def _atom_values(f, grid, t, x, tail: tuple, extra=(), what: str = "coefficient") -> np.ndarray:
-    """`atom_values` without its copy: a result of length 1 on the atom axis
-    of (K, M, *tail), or of lower rank, stays (1, M, *tail), contiguous."""
+def _same_on_every_path(a: np.ndarray) -> bool:
+    """True when a (M, ...) is a broadcast along its path axis."""
+    return len(a) > 1 and a.strides[0] == 0
+
+
+def _atom_view(f, grid, t, x, tail: tuple, extra=(), what: str = "coefficient") -> np.ndarray:
+    """`_atom_values` without any copy: a view, broadcasts keep stride 0."""
     x = np.asarray(x, dtype=float)
     K = grid.K
     xi = grid.points.reshape((K,) + (1,) * (x.ndim - 1) + (grid.d,))
@@ -225,7 +231,13 @@ def _atom_values(f, grid, t, x, tail: tuple, extra=(), what: str = "coefficient"
         ) from exc
     _require_shape(vals[0], x.shape[:-1] + tail, what)  # the per-path shape, as a sweep sees it
     once = raw.ndim < len(shape) or raw.shape[0] < K  # length 1 on the atom axis, or no atom axis
-    return np.ascontiguousarray(vals[:1] if once else vals)
+    return vals[:1] if once else vals
+
+
+def _atom_values(f, grid, t, x, tail: tuple, extra=(), what: str = "coefficient") -> np.ndarray:
+    """`atom_values` without its copy: a result of length 1 on the atom axis
+    of (K, M, *tail), or of lower rank, stays (1, M, *tail), contiguous."""
+    return np.ascontiguousarray(_atom_view(f, grid, t, x, tail, extra, what))
 
 
 def atom_values(f, grid, t, x, tail: tuple, extra=(), what: str = "coefficient") -> np.ndarray:
@@ -311,13 +323,19 @@ def _averaged(f, grid, t, x, w, tail: tuple, what: str, extra=(), total=None):
     """Relaxed average sum_i w[..., i] f(t, x, *extra, xi_i); linear in w.  A
     value evaluated once for all atoms is scaled by total, the row sum of w.
     w may also be a function returning the weights, called only for a value
-    with an atom axis (then total must be given)."""
-    vals = _atom_values(f, grid, t, x, tail, extra, what)
+    with an atom axis (then total must be given).  A value the same on every
+    path is averaged and checked as one row, returned as a read-only
+    broadcast view, unless per-path weights or row sums spread it."""
+    vals = _atom_view(f, grid, t, x, tail, extra, what)
+    M, row = vals.shape[1], _same_on_every_path(vals[0])
+    vals = vals[:, :1] if row else np.ascontiguousarray(vals)
     if len(vals) == grid.K:
-        return require_finite(contract_atoms(vals, w() if callable(w) else w), what)
-    total = np.asarray(w, dtype=float) @ np.ones(grid.K) if total is None else total
-    with np.errstate(over="ignore", invalid="ignore"):  # Inf * 0 is NaN: checked below
-        return require_finite(vals[0] * total.reshape(total.shape + (1,) * len(tail)), what)
+        out = require_finite(contract_atoms(vals, w() if callable(w) else w), what)
+    else:
+        total = np.asarray(w, dtype=float) @ np.ones(grid.K) if total is None else total
+        with np.errstate(over="ignore", invalid="ignore"):  # Inf * 0 is NaN: checked below
+            out = require_finite(vals[0] * total.reshape(total.shape + (1,) * len(tail)), what)
+    return out if len(out) == M else np.broadcast_to(out, (M,) + tail)
 
 
 def averaged_drift(p: Problem, grid, t, x, w, total=None):
@@ -365,7 +383,9 @@ def _step_averages(p: Problem, grid, t, x, w, averages, jump_average, total=None
 def averaged_coefficients(p: Problem, grid, t, x, w) -> tuple:
     """One Euler step's coefficients under weights w: drift (M, n), diffusion
     (M, n, m), running cost (M,) and the list of jump coefficients (M, n),
-    one per mark in order (ShapeMismatch for another trailing shape)."""
+    one per mark in order (ShapeMismatch for another trailing shape); under
+    one weight row (K,), a value the same on every path is a read-only
+    broadcast view."""
     return _step_averages(p, grid, t, x, w, (averaged_drift, averaged_diffusion, averaged_running_cost), averaged_jump)
 
 
@@ -385,7 +405,8 @@ def averaged_linearization(p: Problem, grid, t, x, w, total=None) -> tuple:
     l_x (M, n) and the list of C_x (M, n, n), one per mark in order
     (ShapeMismatch for another trailing shape).  Given the row sums total
     (M,) of w, w may be a function returning the weights, which a Jacobian
-    that does not depend on the control never calls."""
+    that does not depend on the control never calls.  A Jacobian the same
+    on every path under one weight row (K,) is a read-only broadcast view."""
     gradients = (averaged_drift_x, averaged_diffusion_x, averaged_running_cost_x)
     return _step_averages(p, grid, t, x, w, gradients, averaged_jump_x, total)
 

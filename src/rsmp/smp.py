@@ -34,6 +34,7 @@ from .forward import _mean_and_error, pathwise_cost, sample_noise, simulate
 from .problem import Problem, _per_path, _require_shape, atom_hamiltonians, contract_atoms
 
 LINE_SEARCH_FLOOR = 10  # smallest line-search step is 2**-LINE_SEARCH_FLOOR
+_DISTANCE_FLOATS = 131072  # cell-center differences held at once by _nearest_nonempty: 1 MB
 
 
 def hamiltonian(p: Problem, grid: ControlGrid, t, x, psi, Q, phi_row, w) -> np.ndarray:
@@ -80,12 +81,20 @@ class HamiltonianField:
 
 
 def _nearest_nonempty(cell_values_k, counts_k, centers):
-    """Fill empty cells with the values of the nearest occupied cell.  An
-    open-loop control (centers None) has one cell holding every path."""
+    """Fill empty cells with the values of the nearest occupied cell, ties
+    to the lowest index; distances are `np.linalg.norm`'s, for runs of empty
+    cells at once.  An open loop (centers None) has one cell holding every path."""
+    empty = np.flatnonzero(counts_k == 0)
+    if empty.size == 0:
+        return
     occupied = np.flatnonzero(counts_k > 0)
-    for c in np.flatnonzero(counts_k == 0):
-        d = np.linalg.norm(centers[occupied] - centers[c], axis=1)
-        cell_values_k[c] = cell_values_k[occupied[int(np.argmin(d))]]
+    occupied_centers = centers[occupied]
+    rows = max(1, _DISTANCE_FLOATS // occupied_centers.size)
+    for s in range(0, empty.size, rows):
+        cells = empty[s : s + rows]
+        diff = occupied_centers - centers[cells][:, None, :]  # (cells, occupied, p)
+        nearest = np.argmin(np.sqrt(np.add.reduce(diff * diff, axis=-1)), axis=1)
+        cell_values_k[cells] = cell_values_k[occupied[nearest]]
 
 
 def _field(sums: np.ndarray, occupancy: np.ndarray, u0: RelaxedControl, dt: float) -> HamiltonianField:

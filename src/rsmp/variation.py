@@ -71,7 +71,7 @@ def simulate_variational(
         drift = np.einsum("qij,qj->qi", bx, yk) + b_dw
         diff = np.einsum("qabl,ql->qab", sx, yk) + s_dw
         jumps = [np.einsum("qij,qj->qi", cx, yk) + c_dw for cx, c_dw in zip(cxs, c_dws)]
-        y[:, k + 1] = euler_step(p, base.noise, k, yk, drift, diff, jumps, "variational state")
+        euler_step(p, base.noise, k, yk, drift, diff, jumps, y[:, k + 1], "variational state")
     for arr in (y, response_terms, direct_terms):
         arr.setflags(write=False)
     return VariationEnsemble(y, u, base, response_terms, direct_terms)

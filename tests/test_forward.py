@@ -9,7 +9,8 @@ import rsmp
 from rsmp import BlowUp, ControlGrid, DomainError, GaussianInitial, JumpSpec, NonFiniteCoefficient, Problem
 from rsmp import ShapeMismatch
 from rsmp.container import TAG_PATHS, paths_to_binary, read_section
-from rsmp.forward import _BLOCK, BLOWUP_GUARD, STREAM_VERSION, _mean_and_error, guard_step, pathwise_cost, step_cells
+from rsmp.forward import _BLOCK, BLOWUP_GUARD, STREAM_VERSION, _mean_and_error, euler_step, guard_step, pathwise_cost
+from rsmp.forward import step_cells
 from rsmp.problem import averaged_running_cost
 
 
@@ -311,6 +312,42 @@ class TestStepGuard:
     def test_nan_and_over_guard_in_one_step_is_non_finite(self):
         with pytest.raises(NonFiniteCoefficient):
             guard_step(np.array([[3e9], [np.nan], [np.inf]]), 0, "state")
+
+    def test_all_negative_over_guard_reports_largest(self):
+        with pytest.raises(BlowUp) as exc:
+            guard_step(np.array([[-3e9], [-2e9]]), 4, "state")
+        assert exc.value.step == 4 and exc.value.max_norm == 3e9
+
+    def test_nan_next_to_minus_inf_is_non_finite(self):
+        with pytest.raises(NonFiniteCoefficient, match="non-finite state at step 1"):
+            guard_step(np.array([[np.nan], [-np.inf]]), 1, "state")
+
+    @pytest.mark.parametrize("coefficients", ["per path", "same on every path"])
+    def test_step_writes_its_row_and_names_its_step(self, coefficients):
+        # the step is formed in the row it is given, with the bits of
+        # x + drift dt + diff dW + sum_j C_j (counts - lam dt), also from a
+        # drift and diffusion read as one row; a blow-up there names the step
+        p = gaussian_jump_problem()
+        M, k = 50, 2
+        noise = rsmp.sample_noise(p, M, 4, seed=9)
+        rng = np.random.default_rng(10)
+        x, drift, diff = rng.standard_normal((M, 2)), rng.standard_normal((M, 2)), rng.standard_normal((M, 2, 2))
+        if coefficients == "same on every path":
+            drift, diff = np.broadcast_to(drift[0], drift.shape), np.broadcast_to(diff[0], diff.shape)
+        jumps = [rng.standard_normal((M, 2)) for _ in range(p.jump.J)]
+        ref = x + np.ascontiguousarray(drift) * noise.dt
+        ref = ref + np.einsum("qnm,qm->qn", np.ascontiguousarray(diff), noise.dW[:, k])
+        for j, cj in enumerate(jumps):
+            ref = ref + (noise.jump_counts[:, k, j] - p.jump.intensities[j] * noise.dt)[:, None] * cj
+        rows = np.zeros((3, M, 2))
+        x_before = x.copy()
+        euler_step(p, noise, k, x, drift, diff, jumps, rows[1], "state")
+        assert rows[1].tobytes() == ref.tobytes()
+        assert not rows[0].any() and not rows[2].any() and np.array_equal(x, x_before)
+        jumps[0][7] = 1e12
+        with pytest.raises(BlowUp) as exc:
+            euler_step(p, noise, k, x, drift, diff, jumps, rows[2], "state")
+        assert exc.value.step == k and exc.value.max_norm == np.abs(rows[2]).max()
 
     def test_sweep_with_nan_and_over_guard_paths_is_non_finite(self):
         def b(t, x, xi):

@@ -133,3 +133,17 @@ def test_control_free_linearization_builds_no_atom_tensor():
     w = rng.dirichlet(np.ones(atoms), paths)
     _, _, peak = traced(lambda: averaged_linearization(p, grid, 0.3, x, w))
     assert peak < atoms * paths * 8
+
+
+def test_relaxed_simulate_of_path_constant_coefficients_holds_no_copies():
+    # nonconvex-mix's drift xi and diffusion are the same on every path: each
+    # is averaged as one row and read as a broadcast, never copied to all M
+    # paths, and each Euler step is formed in its own row of the states
+    # (about 8.5 M·8 bytes above the states when the rows are copied)
+    paths = 4000
+    p = rsmp.make_benchmark("nonconvex-mix")
+    grid = rsmp.benchmark_grid("nonconvex-mix")
+    u = RelaxedControl(grid, np.full((N, 1, grid.K), 1.0 / grid.K))
+    noise = rsmp.sample_noise(p, paths, N, seed=3)
+    out, _, peak = traced(lambda: rsmp.simulate(p, u, noise))
+    assert peak - out.states.nbytes <= 6 * paths * 8

@@ -6,8 +6,8 @@ import pytest
 
 import rsmp
 from rsmp import ControlGrid, DomainError, JumpSpec, NonFiniteCoefficient, Problem, ShapeMismatch
-from rsmp.problem import _atom_values, atom_hamiltonians, atom_values, averaged_coefficients, averaged_drift
-from rsmp.problem import averaged_linearization, contract_atoms, fd_gradient
+from rsmp.problem import _atom_values, atom_hamiltonians, atom_values, averaged_coefficients, averaged_diffusion
+from rsmp.problem import averaged_drift, averaged_drift_x, averaged_linearization, contract_atoms, fd_gradient
 
 
 def linear_problem(A, B):
@@ -307,6 +307,75 @@ class TestControlFreeCoefficients:
         alone, pairing = atom_hamiltonians(p, grid, 0.3, x, psi, Q, phi_row, pairing=False)
         assert pairing is None
         assert np.array_equal(alone, ham)
+
+
+class TestPathConstantRows:
+    """A coefficient value that is a broadcast along the path axis is the
+    same on every path and is averaged as one row: its averages equal, bit
+    for bit, those of the same values given as a contiguous array, and the
+    row is what the finite check sees."""
+
+    M = 60
+    # (benchmark, coefficient) whose value is a broadcast along the path axis
+    ROWS = [(name, "sigma") for name in rsmp.BENCHMARK_NAMES] + [
+        ("lq1d", "b_x"), ("lq2d", "b_x"), ("jump-lq", "b_x"), ("nonconvex-mix", "b"),
+    ]
+    AVERAGE = {"sigma": averaged_diffusion, "b": averaged_drift, "b_x": averaged_drift_x}
+
+    def case(self, name):
+        p = rsmp.make_benchmark(name)
+        grid = rsmp.benchmark_grid(name, 5)
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((self.M, p.n))
+        weights = {
+            "open-loop": rng.dirichlet(np.ones(grid.K)),
+            "per-path": rng.dirichlet(np.ones(grid.K), self.M),
+            "per-path-difference": rng.dirichlet(np.ones(grid.K), self.M) - rng.dirichlet(np.ones(grid.K), self.M),
+        }
+        return p, grid, x, weights
+
+    @pytest.mark.parametrize("weights", ["open-loop", "per-path", "per-path-difference"])
+    @pytest.mark.parametrize("name, key", ROWS, ids=[f"{n}-{k}" for n, k in ROWS])
+    def test_row_equals_the_contiguous_values_bit_for_bit(self, name, key, weights):
+        p, grid, x, ws = self.case(name)
+        f = getattr(p, key)
+        dense = dataclasses.replace(p, **{key: lambda *args: np.ascontiguousarray(f(*args))})
+        assert np.asarray(f(0.3, x[None], grid.points[:, None])).strides[1] == 0  # the value is a path broadcast
+        average, w = self.AVERAGE[key], ws[weights]
+        given, ref = average(p, grid, 0.3, x, w), average(dense, grid, 0.3, x, w)
+        assert given.shape == ref.shape and given.tobytes() == ref.tobytes()
+        if w.ndim == 1:  # one row for every path: a read-only broadcast view of it
+            assert given.strides[0] == 0 and not given.flags.writeable
+        else:
+            assert given.flags.c_contiguous
+        # the row sums of the weights given per path, as the backward sweep passes them
+        total = np.broadcast_to(w, (self.M, grid.K)) @ np.ones(grid.K)
+        rows = np.broadcast_to(w, (self.M, grid.K))
+        given, ref = average(p, grid, 0.3, x, lambda: rows, total), average(dense, grid, 0.3, x, lambda: rows, total)
+        assert given.shape == ref.shape == (self.M,) + given.shape[1:] and given.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("weights", ["open-loop", "per-path"])
+    def test_nan_row_names_the_coefficient(self, weights):
+        p, grid, x, ws = self.case("lq1d")
+        p = dataclasses.replace(p, sigma=lambda t, x, xi: np.broadcast_to(np.nan, np.shape(x)[:-1] + (1, 1)))
+        with pytest.raises(NonFiniteCoefficient, match="^diffusion produced NaN/Inf$"):
+            averaged_coefficients(p, grid, 0.3, x, ws[weights])
+
+    @pytest.mark.parametrize("weights", ["open-loop", "per-path"])
+    def test_inf_row_at_an_atom_of_weight_zero_is_nan(self, weights):
+        # nonconvex-mix's drift is xi on every path; atom 0 of weight 0 gives Inf * 0
+        p, grid, x, _ = self.case("nonconvex-mix")
+
+        def b(t, x, xi):
+            xi = np.where(np.asarray(xi) == -1.0, np.inf, xi)
+            return np.broadcast_to(xi, np.broadcast_shapes(np.shape(xi), np.shape(x)))
+
+        p = dataclasses.replace(p, b=b)
+        w = np.array([0.0, 1.0]) if weights == "open-loop" else np.tile([0.0, 1.0], (self.M, 1))
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(contract_atoms(_atom_values(b, grid, 0.3, x, (1,)), w)).all()
+        with pytest.raises(NonFiniteCoefficient, match="^drift produced NaN/Inf$"):
+            averaged_coefficients(p, grid, 0.3, x, w)
 
 
 class TestContraction:

@@ -239,6 +239,36 @@ class TestHamiltonianField:
         assert np.array_equal(fld.occupancy, ref.occupancy)
         assert fld.control is ref.control and fld.dt == ref.dt
 
+    @pytest.mark.parametrize("runs", ["one run", "a run per cell"])
+    @pytest.mark.parametrize(
+        "bounds, cells_per_dim",
+        [([[-2.0, 2.0]], (16,)), ([[-1.3, 2.1]], (7,)), ([[-2.0, 2.0], [-2.0, 2.0]], (6, 6)),
+         ([[-1.3, 2.1], [0.0, 0.7]], (5, 8))],
+    )
+    def test_empty_cells_take_the_field_of_the_per_cell_loop(self, bounds, cells_per_dim, runs, monkeypatch):
+        # random occupancy on 1-D and 2-D cells; regular centers give ties,
+        # which go to the lowest occupied index as in the loop
+        if runs == "a run per cell":
+            monkeypatch.setattr(rsmp.smp, "_DISTANCE_FLOATS", 1)
+        part = CellPartition(bounds, cells_per_dim)
+        grid = ControlGrid([[-1.0], [0.0], [1.0]], [[-1.0, 1.0]])
+        N, C = 12, part.n_cells
+        u = RelaxedControl(grid, np.full((N, C, grid.K), 1.0 / grid.K), rsmp.STATE_FEEDBACK, part)
+        rng = np.random.default_rng(sum(cells_per_dim))
+        occupancy = rng.integers(1, 20, (N, C)) * (rng.uniform(size=(N, C)) < rng.uniform(0.05, 0.9, (N, 1)))
+        occupancy[np.arange(N), rng.integers(0, C, N)] += 1  # at least one occupied cell per step
+        sums = rng.standard_normal((N, C, grid.K)) * occupancy[..., None]
+        centers = part.centers()
+        ref = np.zeros(sums.shape)
+        for k, counts in enumerate(occupancy):
+            occupied = np.flatnonzero(counts > 0)
+            ref[k, occupied] = sums[k, occupied] / counts[occupied, None]
+            for c in np.flatnonzero(counts == 0):
+                d = np.linalg.norm(centers[occupied] - centers[c], axis=1)
+                ref[k, c] = ref[k, occupied[int(np.argmin(d))]]
+        assert (occupancy == 0).any()
+        assert np.array_equal(_field(sums, occupancy, u, 0.1).cell_values, ref)
+
     @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
     def test_field_evaluates_each_coefficient_once_per_step(self, name):
         # the backward sweep evaluates b, sigma and ell once per step, and C
