@@ -32,14 +32,13 @@ and forms neither the pairing sums nor the orthogonality diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .control import RelaxedControl
 from .errors import ShapeMismatch, SingularRegression, require_count, require_finite
-from .forward import PathEnsemble, _step_major
+from .forward import PathEnsemble, _step_major, _step_weights
 from .problem import Problem, atom_hamiltonians, averaged_linearization, terminal_gradient
 from .variation import VariationEnsemble, response_functional
 
@@ -198,20 +197,6 @@ def _at(arr: np.ndarray, k: int) -> np.ndarray:
     """Step k's slice of a sweep array that holds every step, or only a ring
     of the last few: step k lives at k modulo the array's step count."""
     return arr[:, k % arr.shape[1]]
-
-
-def _step_weights(base: PathEnsemble, u0: RelaxedControl, k: int) -> tuple:
-    """u0's feedback cell (M,) of every path at step k, each path's weight
-    row sum (M,), and a function that gathers the weight rows themselves
-    (M, K), once, by the rule of `forward.step_cells`.  The row sums are
-    taken per cell and gathered by cell, so a step whose linearization does
-    not depend on the control gathers no (M, K) rows."""
-    table, ones = u0.weights[k], np.ones(u0.grid.K)
-    if u0.feedback is None:  # one cell: a broadcast row, as `step_cells` resolves it
-        rows = np.broadcast_to(table[0], (base.M, u0.grid.K))
-        return np.zeros(base.M, dtype=np.int64), rows @ ones, lambda: rows
-    cells = u0.feedback.assign(base.feedback_signal(k, u0.feedback_mode))
-    return cells, np.take(table @ ones, cells), cache(lambda: np.take(table, cells, axis=0))
 
 
 def _regress_step(

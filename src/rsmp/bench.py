@@ -16,11 +16,9 @@ import numpy as np
 from .control import CellPartition, ControlGrid, OBSERVATION_FEEDBACK, OPEN_LOOP, RelaxedControl, STATE_FEEDBACK
 from .errors import DomainError, NonPSD, ShapeMismatch, UnknownBenchmark, frozen_field, require_count, require_positive
 from .forward import NoiseEnsemble, pathwise_cost, simulate
-from .problem import GaussianInitial, JumpSpec, Problem
+from .problem import SYMMETRY_TOL, GaussianInitial, JumpSpec, Problem
 
 BENCHMARK_NAMES = ("lq1d", "lq2d", "nonconvex-mix", "jump-lq")
-
-SYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)

@@ -451,10 +451,13 @@ def validate(u, tol: float = SIMPLEX_TOL) -> ControlReport:
 
     Accepts a RelaxedControl or a bare weight array of shape (N, C, K) or
     (N, K); the constructor raises on the first violation, so raw arrays are
-    the usual subject (hand-assembled weights, edited files).
+    the usual subject (hand-assembled weights, edited files).  An array of
+    no axis, of more than three, or of no atom (K = 0) raises ShapeMismatch.
     """
     tol = require_tolerance(tol, "simplex tolerance")
     w = u.weights if isinstance(u, RelaxedControl) else np.asarray(u, dtype=float)
+    if not 1 <= w.ndim <= 3 or w.shape[-1] == 0:
+        raise ShapeMismatch(f"weights must have shape (N, C, K) or (N, K) with K >= 1, got {w.shape}")
     if w.ndim < 3:
         w = w.reshape(-1, 1, w.shape[-1])
     entry_ok = np.isfinite(w)

@@ -29,11 +29,12 @@ there it resolves that atom per path and steps as a regular control does.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .control import OBSERVATION_FEEDBACK, OPEN_LOOP, RegularControl, RelaxedControl, _resolve
+from .control import OBSERVATION_FEEDBACK, OPEN_LOOP, RegularControl, RelaxedControl
 from .errors import BlowUp, DomainError, NonFiniteCoefficient, ShapeMismatch, require_count, require_finite
 from .errors import require_seed
 from .problem import GaussianInitial, Problem, _same_on_every_path, averaged_coefficients, point_coefficients
@@ -220,13 +221,18 @@ def _feedback_signal(p: Problem, mode: str, x: np.ndarray):
     return p.observation(x) if mode == OBSERVATION_FEEDBACK else x
 
 
-def step_cells(paths: PathEnsemble, u: RelaxedControl, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Feedback cell (M,) of every path of the ensemble at step k under u,
-    and u's weights there by the rule of `RelaxedControl.weights_at`: for
-    open loop all cells 0 and the single weight row (K,), otherwise the
-    per-path weight vectors (M, K)."""
-    cells, w = _resolve(u.weights[k], u.feedback, paths.feedback_signal(k, u.feedback_mode))
-    return (np.zeros(paths.M, dtype=np.int64) if cells is None else cells), w
+def _step_weights(paths: PathEnsemble, u: RelaxedControl, k: int) -> tuple:
+    """u's feedback cell (M,) of every path of the ensemble at step k, the
+    weight row sums, and a function returning the weights themselves: for
+    open loop cells 0, the single row (K,) and its sum; for feedback the
+    per-cell sums gathered by cell (M,) and the rows (M, K), gathered once,
+    on the first call.  A step whose values do not depend on the control so
+    gathers no (M, K) rows."""
+    table, ones = u.weights[k], np.ones(u.grid.K)
+    if u.feedback is None:
+        return np.zeros(paths.M, dtype=np.int64), table[0] @ ones, lambda: table[0]
+    cells = u.feedback.assign(paths.feedback_signal(k, u.feedback_mode))
+    return cells, np.take(table @ ones, cells), cache(lambda: np.take(table, cells, axis=0))
 
 
 def guard_step(x: np.ndarray, k: int, what: str) -> None:

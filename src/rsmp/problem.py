@@ -16,19 +16,20 @@ back to central finite differences.  Callables must be pure functions of
 their arguments.
 
 Relaxed controls only ever see a coefficient through its values at the K
-atoms of a control grid.  `atom_values` is the single place that evaluates a
-coefficient on a grid: one broadcast call with the atom axis leading,
-returned as a contiguous (K, M, ...) tensor, its values unchecked (a result
-of length 1 on the atom axis does not depend on the control: evaluated once,
-the sweeps keep it so).  Everything linear in the weights is a contraction
-over the atom axis: `contract_atoms` pairs it with one weight row (K,), as
-open loop resolves, or per-path weights (M, K) into the `averaged_*` values
-(a value evaluated once times the weight row sum), and `atom_hamiltonians`
-contracts it with the adjoint processes to get all K per-atom Hamiltonians
-from one evaluation.  A value that is a broadcast along the path axis (a
-constant sigma, the LQ b_x = A) is averaged as one row, never copied to
-every path.  One check rule covers both: each contracted value (or row)
-passes `errors.require_finite`, never the atoms (0 * Inf and Inf - Inf are
+atoms of a control grid, and `_atom_view` is the one place that evaluates a
+coefficient on a grid: one broadcast call with the atom axis leading, its
+result kept in its smallest exact form (1 or K, 1 or M, *tail).  The atom
+axis has length 1 for a value evaluated once (it does not depend on the
+control), the path axis length 1 for a value the same on every path (a
+constant sigma, the LQ b_x = A); any other value is a contiguous (K, M,
+*tail) tensor.  Everything linear in the weights contracts that form over
+the atom axis, and einsum broadcasts a length-1 path axis: `contract_atoms`
+pairs it with one weight row (K,), as open loop resolves, or per-path
+weights (M, K) into the `averaged_*` values (a value evaluated once times
+the weight row sum), and `atom_hamiltonians` pairs it with the adjoint
+processes to get all K per-atom Hamiltonians from one evaluation.  The
+values themselves are never checked: each contracted value (or row, or
+term) passes `errors.require_finite` instead (0 * Inf and Inf - Inf are
 NaN, so any NaN/Inf atom shows, and so does a contraction that overflows).
 The backward sweep checks one reduction further: the per-step cell sums of
 the atom Hamiltonians, which every NaN/Inf term reaches, and only a step
@@ -48,14 +49,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatch, frozen_field, require_count, require_finite, require_positive
+from .errors import DomainError, NonPSD, ShapeMismatch, frozen_field, require_count, require_finite, require_positive
 
 FD_STEP = 1e-5
+SYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class GaussianInitial:
-    """Gaussian initial state with the given mean and covariance."""
+    """Gaussian initial state with the given mean and covariance.
+
+    The covariance must be symmetric (NonPSD beyond SYMMETRY_TOL: its
+    Cholesky factor would read the lower triangle alone) and positive
+    definite (NonPSD otherwise)."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -65,7 +71,12 @@ class GaussianInitial:
         cov = frozen_field(self, "cov", 2, "initial covariance")
         if cov.shape != (mean.size, mean.size):
             raise ShapeMismatch("covariance must be (n, n)")
-        object.__setattr__(self, "_chol", np.linalg.cholesky(cov + 0.0))
+        if np.any(np.abs(cov - cov.T) > SYMMETRY_TOL):
+            raise NonPSD("initial covariance is not symmetric")
+        try:
+            object.__setattr__(self, "_chol", np.linalg.cholesky(cov + 0.0))
+        except np.linalg.LinAlgError:
+            raise NonPSD("initial covariance must be positive definite") from None
 
     def sample(self, z: np.ndarray) -> np.ndarray:
         """Map standard normal draws (..., n) to initial states."""
@@ -216,7 +227,20 @@ def _same_on_every_path(a: np.ndarray) -> bool:
 
 
 def _atom_view(f, grid, t, x, tail: tuple, extra=(), what: str = "coefficient") -> np.ndarray:
-    """`_atom_values` without any copy: a view, broadcasts keep stride 0."""
+    """f(t, x, *extra, xi_i) at every atom xi_i of the grid, atom axis
+    leading, for states x (M, n), in its smallest exact form (1 or K, 1 or
+    M, *tail).
+
+    One call evaluates all atoms: x gains a leading axis and the grid points
+    (K, d) broadcast against it, so f must broadcast x (..., n) and xi
+    (..., d) over their leading axes.  A result of length 1 on the atom axis,
+    or of lower rank, was evaluated once and keeps one atom; a result that
+    is a broadcast along the path axis keeps one path, as a view of f's
+    result; any other is contiguous, f's own array when it already is.  A
+    call or result that does not broadcast, or a per-path trailing shape
+    other than tail, raises ShapeMismatch naming what.  The values are not
+    checked for NaN/Inf: every caller checks what it contracts them to.
+    """
     x = np.asarray(x, dtype=float)
     K = grid.K
     xi = grid.points.reshape((K,) + (1,) * (x.ndim - 1) + (grid.d,))
@@ -230,31 +254,9 @@ def _atom_view(f, grid, t, x, tail: tuple, extra=(), what: str = "coefficient") 
             f"x (..., n) and xi (..., d) over their leading axes ({exc})"
         ) from exc
     _require_shape(vals[0], x.shape[:-1] + tail, what)  # the per-path shape, as a sweep sees it
-    once = raw.ndim < len(shape) or raw.shape[0] < K  # length 1 on the atom axis, or no atom axis
-    return vals[:1] if once else vals
-
-
-def _atom_values(f, grid, t, x, tail: tuple, extra=(), what: str = "coefficient") -> np.ndarray:
-    """`atom_values` without its copy: a result of length 1 on the atom axis
-    of (K, M, *tail), or of lower rank, stays (1, M, *tail), contiguous."""
-    return np.ascontiguousarray(_atom_view(f, grid, t, x, tail, extra, what))
-
-
-def atom_values(f, grid, t, x, tail: tuple, extra=(), what: str = "coefficient") -> np.ndarray:
-    """f(t, x, *extra, xi_i) at every atom xi_i of the grid, with the atom
-    axis leading: shape (K, M, *tail) for states x (M, n).
-
-    One call evaluates all atoms: x gains a leading axis and the grid points
-    (K, d) broadcast against it, so f must broadcast x (..., n) and xi
-    (..., d) over their leading axes.  A contiguous (K, M, ...) result is
-    returned as it is; any other (a broadcast constant, say) is copied to
-    one (the sweeps read `_atom_values`, which keeps a length-1 atom axis).  A
-    call or result that does not broadcast, or a per-path trailing shape
-    other than tail, raises ShapeMismatch naming what.  The values are not
-    checked for NaN/Inf: every caller checks what it contracts them to.
-    """
-    vals = _atom_values(f, grid, t, x, tail, extra, what)
-    return vals if len(vals) == grid.K else np.repeat(vals, grid.K, axis=0)
+    if raw.ndim < len(shape) or raw.shape[0] < K:  # length 1 on the atom axis, or no atom axis
+        vals = vals[:1]
+    return vals[:, :1] if _same_on_every_path(vals[0]) else np.ascontiguousarray(vals)
 
 
 def contract_atoms(vals: np.ndarray, w) -> np.ndarray:
@@ -279,18 +281,19 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, *, pairing=True, 
     coefficients, shape (K, M), or None for a caller that passes
     pairing=False and reads only the Hamiltonian (its values are the same).
 
-    Each coefficient is evaluated once for all atoms; the pairings contract
-    the atom-leading tensors with psi (M, n), Q (M, n, m) and phi_row
-    (M, J, n), which may be None for a diffusion (J = 0); the drift term is
-    (K, M), and a value evaluated once adds one row to every atom.  Each
-    contracted term (drift, diffusion, running cost, the jump term of each
-    mark) passes `require_finite`, as the averages do: a NaN/Inf atom value,
-    or a pairing that overflows, raises NonFiniteCoefficient naming the
-    coefficient.  With checked=False no term is checked and a NaN/Inf term
-    reaches both sums; a caller that finds one in what it reduces them to
-    calls again, checked, to name the coefficient.  The two sums may
-    overflow to Inf, or turn NaN, without a numpy warning: each caller
-    checks what it reduces them to.
+    Each coefficient is evaluated once for all atoms by `_atom_view`, and
+    its form is paired as it is with psi (M, n), Q (M, n, m) and phi_row
+    (M, J, n), which may be None for a diffusion (J = 0): a value evaluated
+    once gives one term row, added to every atom (the drift's is repeated
+    to K rows, which start the sums), and a value the same on every path is
+    paired as one path row.  Each term (drift, diffusion, running cost, the
+    jump term of each mark) passes `require_finite` as it is paired, as the
+    averages do: a NaN/Inf atom value, or a pairing that overflows, raises
+    NonFiniteCoefficient naming the coefficient.  With checked=False no term
+    is checked and a NaN/Inf term reaches both sums; a caller that finds one
+    in what it reduces them to calls again, checked, to name the
+    coefficient.  The two sums may overflow to Inf, or turn NaN, without a
+    numpy warning: each caller checks what it reduces them to.
     """
     x = np.atleast_2d(x)
     M, n = x.shape[0], p.n
@@ -300,16 +303,18 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, *, pairing=True, 
         return require_finite(term, what) if checked else term
 
     with np.errstate(over="ignore", invalid="ignore"):
-        val = check(np.einsum("kqi,qi->kq", atom_values(p.b, grid, t, x, (n,), what="drift"), psi), "drift")
+        val = check(np.einsum("kqi,qi->kq", _atom_view(p.b, grid, t, x, (n,), what="drift"), psi), "drift")
+        if len(val) < grid.K:  # a drift evaluated once: its one term row for every atom
+            val = np.repeat(val, grid.K, axis=0)
         val += check(
-            np.einsum("kqab,qab->kq", _atom_values(p.sigma, grid, t, x, (n, p.m), what="diffusion"), Q), "diffusion"
+            np.einsum("kqab,qab->kq", _atom_view(p.sigma, grid, t, x, (n, p.m), what="diffusion"), Q), "diffusion"
         )
         pairing = val.copy() if pairing else None
-        val += check(_atom_values(p.ell, grid, t, x, (), what="running cost"), "running cost")
+        val += check(_atom_view(p.ell, grid, t, x, (), what="running cost"), "running cost")
         if p.jump.J and phi_row is None:
             raise ShapeMismatch("jump problems need the jump intensity row of the adjoint")
         for j in range(p.jump.J):
-            cj = _atom_values(p.jump.C, grid, t, x, (n,), (p.jump.marks[j],), "jump coefficient")
+            cj = _atom_view(p.jump.C, grid, t, x, (n,), (p.jump.marks[j],), "jump coefficient")
             term = np.einsum("kqi,qi->kq", cj, _per_path(phi_row, M)[:, j])
             del cj  # free the atom tensor before the sums
             term *= p.jump.intensities[j]
@@ -320,15 +325,14 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, *, pairing=True, 
 
 
 def _averaged(f, grid, t, x, w, tail: tuple, what: str, extra=(), total=None):
-    """Relaxed average sum_i w[..., i] f(t, x, *extra, xi_i); linear in w.  A
-    value evaluated once for all atoms is scaled by total, the row sum of w.
-    w may also be a function returning the weights, called only for a value
-    with an atom axis (then total must be given).  A value the same on every
-    path is averaged and checked as one row, returned as a read-only
-    broadcast view, unless per-path weights or row sums spread it."""
-    vals = _atom_view(f, grid, t, x, tail, extra, what)
-    M, row = vals.shape[1], _same_on_every_path(vals[0])
-    vals = vals[:, :1] if row else np.ascontiguousarray(vals)
+    """Relaxed average sum_i w[..., i] f(t, x, *extra, xi_i) of `_atom_view`'s
+    form; linear in w.  A value evaluated once for all atoms is scaled by
+    total, the row sum of w.  w may also be a function returning the
+    weights, called only for a value with an atom axis (then total must be
+    given).  A value the same on every path is averaged and checked as one
+    row, returned as a read-only broadcast view, unless per-path weights or
+    row sums spread it."""
+    vals, M = _atom_view(f, grid, t, x, tail, extra, what), np.shape(x)[0]
     if len(vals) == grid.K:
         out = require_finite(contract_atoms(vals, w() if callable(w) else w), what)
     else:
@@ -404,9 +408,10 @@ def averaged_linearization(p: Problem, grid, t, x, w, total=None) -> tuple:
     """The state Jacobians under weights w: b_x (M, n, n), sigma_x (M, n, m, n),
     l_x (M, n) and the list of C_x (M, n, n), one per mark in order
     (ShapeMismatch for another trailing shape).  Given the row sums total
-    (M,) of w, w may be a function returning the weights, which a Jacobian
-    that does not depend on the control never calls.  A Jacobian the same
-    on every path under one weight row (K,) is a read-only broadcast view."""
+    of w (one, or (M,)), w may be a function returning the weights, which a
+    Jacobian that does not depend on the control never calls.  A Jacobian
+    the same on every path under one weight row (K,) is a read-only
+    broadcast view."""
     gradients = (averaged_drift_x, averaged_diffusion_x, averaged_running_cost_x)
     return _step_averages(p, grid, t, x, w, gradients, averaged_jump_x, total)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .control import RelaxedControl
 from .errors import ShapeMismatch, require_finite
-from .forward import PathEnsemble, _step_major, euler_step, step_cells
+from .forward import PathEnsemble, _step_major, _step_weights, euler_step
 from .problem import Problem, averaged_coefficients, averaged_linearization, terminal_gradient
 
 
@@ -62,9 +62,10 @@ def simulate_variational(
         t = k * dt
         x = base.states[:, k]
         yk = y[:, k]
-        cells, w0 = step_cells(base, u0, k)
-        dw = (u.weights[k] - u0.weights[k])[cells if w0.ndim == 2 else 0]
-        bx, sx, lx, cxs = averaged_linearization(p, grid, t, x, w0)
+        cells, total, rows = _step_weights(base, u0, k)
+        dw = u.weights[k] - u0.weights[k]
+        dw = dw[0] if u0.feedback is None else np.take(dw, cells, axis=0)
+        bx, sx, lx, cxs = averaged_linearization(p, grid, t, x, rows, total)
         b_dw, s_dw, l_dw, c_dws = averaged_coefficients(p, grid, t, x, dw)
         response_terms[k] = dt * float(np.mean(np.einsum("qi,qi->q", lx, yk)))
         direct_terms[k] = dt * float(np.mean(l_dw))

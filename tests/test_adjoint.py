@@ -466,14 +466,14 @@ class TestStepCoefficientCalls:
 def walked_pairing(p, base, u0, u, adj):
     """The pairing as a per-step walk: the coefficient differences at every
     path's own weights, paired with the adjoint triple and averaged."""
-    from rsmp.forward import step_cells
     from rsmp.problem import averaged_diffusion, averaged_drift, averaged_jump
 
     grid, dt = u0.grid, base.dt
     total = 0.0
     for k in range(base.n_steps):
         x = base.states[:, k]
-        dw = step_cells(base, u, k)[1] - step_cells(base, u0, k)[1]
+        signal = base.feedback_signal(k, u0.feedback_mode)
+        dw = u.weights_at(k, signal) - u0.weights_at(k, signal)
         term = np.einsum("qi,qi->q", adj.psi_cont[:, k], averaged_drift(p, grid, k * dt, x, dw))
         term += np.einsum("qab,qab->q", adj.Q[:, k], averaged_diffusion(p, grid, k * dt, x, dw))
         if p.jump is not None:

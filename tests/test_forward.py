@@ -10,7 +10,7 @@ from rsmp import BlowUp, ControlGrid, DomainError, GaussianInitial, JumpSpec, No
 from rsmp import ShapeMismatch
 from rsmp.container import TAG_PATHS, paths_to_binary, read_section
 from rsmp.forward import _BLOCK, BLOWUP_GUARD, STREAM_VERSION, _mean_and_error, euler_step, guard_step, pathwise_cost
-from rsmp.forward import step_cells
+from rsmp.forward import _step_weights
 from rsmp.problem import averaged_running_cost
 
 
@@ -475,7 +475,8 @@ def rewalked_cost(p, paths):
     for k in range(N):
         t, x = k * dt, paths.states[:, k]
         if isinstance(u, rsmp.RelaxedControl):
-            total += averaged_running_cost(p, u.grid, t, x, step_cells(paths, u, k)[1]) * dt
+            w = u.weights_at(k, paths.feedback_signal(k, u.feedback_mode))
+            total += averaged_running_cost(p, u.grid, t, x, w) * dt
             continue
         if isinstance(u, rsmp.RegularControl):
             xi = u.values_at(k, N, paths.feedback_signal(k, u.feedback_mode))
@@ -497,19 +498,24 @@ def relaxed_control(name, mode, N, seed=0):
 
 
 @pytest.mark.parametrize("mode", [rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK])
-def test_step_cells_resolve_open_loop_to_one_row(mode):
-    # the rule of weights_at: open loop reads its single (K,) row on cell 0
+def test_step_weights_resolve_open_loop_to_one_row(mode):
+    # the rule of weights_at: open loop reads its single (K,) row on cell 0;
+    # feedback gathers the rows of its cells once, and the row sums by cell
     p = rsmp.make_benchmark("lq1d")
     u = relaxed_control("lq1d", mode, 4)
     paths = rsmp.simulate(p, u, rsmp.sample_noise(p, 50, 4, seed=3))
+    ones = np.ones(u.grid.K)
     for k in range(4):
-        cells, w = step_cells(paths, u, k)
+        cells, total, rows = _step_weights(paths, u, k)
+        w = rows()
         assert cells.shape == (50,) and cells.dtype == np.int64
+        assert np.array_equal(w, u.weights_at(k, paths.feedback_signal(k, mode)))
         if mode == rsmp.OPEN_LOOP:
             assert not cells.any() and np.array_equal(w, u.weights[k, 0])
+            assert np.shape(total) == () and total == w @ ones
         else:
-            assert np.array_equal(w, u.weights_at(k, paths.feedback_signal(k, mode)))
-            assert np.array_equal(w, u.weights[k][cells])
+            assert np.array_equal(w, u.weights[k][cells]) and rows() is w
+            assert np.array_equal(total, (u.weights[k] @ ones)[cells])
 
 
 @pytest.mark.parametrize("kind", ["relaxed", "regular", "policy"])

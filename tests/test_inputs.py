@@ -23,6 +23,7 @@ from rsmp import (
     JumpSpec,
     LQSpec,
     NonFiniteCoefficient,
+    NonPSD,
     OptimizeParams,
     RegularControl,
     RelaxedControl,
@@ -112,6 +113,10 @@ REFUSED = [
     ("fractional refinement factor", lambda: rsmp.refine_steps(open_control(), 2.5), DomainError, "integer"),
     ("NaN initial mean", lambda: GaussianInitial([NAN], [[1.0]]), DomainError, "must be finite"),
     ("Inf initial covariance", lambda: GaussianInitial([0.0], [[np.inf]]), DomainError, "must be finite"),
+    ("asymmetric initial covariance", lambda: GaussianInitial([0.0, 0.0], [[1.0, 2.0], [0.0, 1.0]]), NonPSD,
+     "^initial covariance is not symmetric$"),
+    ("indefinite initial covariance", lambda: GaussianInitial([0.0], [[-1.0]]), NonPSD,
+     "^initial covariance must be positive definite$"),
     ("NaN jump mark", lambda: JumpSpec([[NAN]], [1.0], jump_c), DomainError, "must be finite"),
     ("NaN jump intensity", lambda: JumpSpec([[1.0]], [NAN], jump_c), DomainError, "must be finite"),
     ("NaN LQ matrix", lambda: LQSpec(**{**LQ1D, "A": [[NAN]]}), DomainError, "must be finite"),
@@ -221,6 +226,11 @@ REFUSED = [
     ("NaN simplex tolerance", lambda: rsmp.validate(np.full((2, 3), 1 / 3), tol=NAN), DomainError, "must be finite"),
     ("string simplex tolerance", lambda: rsmp.validate(np.full((2, 3), 1 / 3), tol="1"), DomainError,
      "real number"),
+    ("validation of a 0-d array", lambda: rsmp.validate(np.array(1.0)), ShapeMismatch,
+     r"^weights must have shape \(N, C, K\) or \(N, K\) with K >= 1, got \(\)$"),
+    ("validation of a 4-d array", lambda: rsmp.validate(np.full((2, 1, 1, 3), 1 / 3)), ShapeMismatch,
+     r"got \(2, 1, 1, 3\)$"),
+    ("validation of weights without atoms", lambda: rsmp.validate(np.zeros((2, 0))), ShapeMismatch, r"got \(2, 0\)$"),
     ("NaN snap tolerance", lambda: rsmp.benchmark_grid("lq1d", 3).snap([[0.0]], tol=NAN), DomainError,
      "must be finite"),
     ("snap of values with a last axis of 2 on a 1-D grid", lambda: rsmp.benchmark_grid("lq1d", 3).snap([[0.0, 0.0]]),

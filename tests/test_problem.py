@@ -6,8 +6,13 @@ import pytest
 
 import rsmp
 from rsmp import ControlGrid, DomainError, JumpSpec, NonFiniteCoefficient, Problem, ShapeMismatch
-from rsmp.problem import _atom_values, atom_hamiltonians, atom_values, averaged_coefficients, averaged_diffusion
+from rsmp.problem import _atom_view, atom_hamiltonians, averaged_coefficients, averaged_diffusion
 from rsmp.problem import averaged_drift, averaged_drift_x, averaged_linearization, contract_atoms, fd_gradient
+
+
+def stacked(f, grid, t, x, extra=()):
+    """f at every atom of the grid by one call per atom, stacked atom-leading."""
+    return np.stack([np.asarray(f(t, x, *extra, xi), dtype=float) for xi in grid.points])
 
 
 def linear_problem(A, B):
@@ -96,9 +101,9 @@ class TestAveraged:
         with pytest.raises(NonFiniteCoefficient):
             averaged_drift(p, self.grid, 0.0, np.array([[1.0]]), np.array([1.0, 0.0]))
 
-    def test_atom_values_stack_atoms_leading(self):
+    def test_atom_view_stacks_atoms_leading(self):
         x = np.array([[2.0], [3.0], [-1.0]])
-        vals = atom_values(self.p.b, self.grid, 0.0, x, (1,))
+        vals = _atom_view(self.p.b, self.grid, 0.0, x, (1,))
         assert vals.shape == (2, 3, 1)
         assert np.array_equal(vals[1], x + 1.0)
 
@@ -120,7 +125,7 @@ class TestAveraged:
 
 def atom_coefficients(p):
     """(name, callable, per-path trailing shape, extra) for every coefficient
-    and gradient that `atom_values` evaluates on a grid: C and C_x once per mark."""
+    and gradient that `_atom_view` evaluates on a grid: C and C_x once per mark."""
     n, m = p.n, p.m
     tails = {"b": (n,), "sigma": (n, m), "ell": (), "b_x": (n, n), "sigma_x": (n, m, n), "ell_x": (n,)}
     out = [(key, getattr(p, key), tail, ()) for key, tail in tails.items()]
@@ -131,8 +136,8 @@ def atom_coefficients(p):
 
 
 class TestBroadcastContract:
-    """`atom_values` makes one broadcast call; its result is the K per-atom
-    calls stacked, bit for bit."""
+    """`_atom_view` makes one broadcast call; its result, broadcast to (K, M,
+    ...), is the K per-atom calls stacked, bit for bit."""
 
     @pytest.mark.parametrize("name", rsmp.BENCHMARK_NAMES)
     def test_one_call_equals_stacked_point_calls(self, name):
@@ -141,13 +146,15 @@ class TestBroadcastContract:
         grid = rsmp.benchmark_grid(name, 5)
         x = np.random.default_rng(31).standard_normal((40, p.n))
         for key, f, tail, extra in atom_coefficients(p):
-            got = atom_values(f, grid, 0.3, x, tail, extra, what=key)
-            ref = np.stack([np.asarray(f(0.3, x, *extra, xi), dtype=float) for xi in grid.points])
-            assert got.flags.c_contiguous, key
-            assert got.shape == ref.shape and np.array_equal(got, ref), key
+            got = _atom_view(f, grid, 0.3, x, tail, extra, what=key)
+            ref = stacked(f, grid, 0.3, x, extra)
+            # the smallest exact form: (1 or K, 1 or M, *tail), contiguous unless one path
+            assert got.shape[0] in (1, grid.K) and got.shape[1:] in ((1,) + tail, (40,) + tail), key
+            assert got.flags.c_contiguous or got.shape[1] == 1, key
+            assert np.array_equal(np.broadcast_to(got, ref.shape), ref), key
             wrong = re.escape(f"{key} has shape {(40,) + tail}, expected {(40,) + tail + (1,)}")
             with pytest.raises(ShapeMismatch, match=f"^{wrong}$"):
-                atom_values(f, grid, 0.3, x, tail + (1,), extra, what=key)
+                _atom_view(f, grid, 0.3, x, tail + (1,), extra, what=key)
 
     def test_one_call_for_all_atoms(self):
         p = rsmp.make_benchmark("jump-lq")
@@ -158,7 +165,7 @@ class TestBroadcastContract:
             calls.append((np.shape(x), np.shape(xi)))
             return p.jump.C(t, x, v, xi)
 
-        vals = atom_values(counted, grid, 0.0, np.zeros((7, 1)), (1,), (p.jump.marks[0],))
+        vals = _atom_view(counted, grid, 0.0, np.zeros((7, 1)), (1,), (p.jump.marks[0],))
         assert vals.shape == (9, 7, 1)
         assert calls == [((1, 7, 1), (9, 1, 1))]
 
@@ -169,7 +176,7 @@ class TestBroadcastContract:
 
         grid = ControlGrid([[-1.0], [0.0], [1.0]], [[-1.0, 1.0]])
         with pytest.raises(ShapeMismatch, match="drift does not broadcast over the 3 grid atoms") as exc:
-            atom_values(b, grid, 0.0, np.zeros((4, 1)), (1,), what="drift")
+            _atom_view(b, grid, 0.0, np.zeros((4, 1)), (1,), what="drift")
         assert "x (..., n) and xi (..., d)" in str(exc.value)
         assert isinstance(exc.value.__cause__, ValueError)
 
@@ -180,7 +187,7 @@ class TestBroadcastContract:
 
         grid = ControlGrid([[-1.0], [1.0]], [[-1.0, 1.0]])
         with pytest.raises(ShapeMismatch, match="drift does not broadcast") as exc:
-            atom_values(b, grid, 0.0, np.zeros((4, 1)), (1,), what="drift")
+            _atom_view(b, grid, 0.0, np.zeros((4, 1)), (1,), what="drift")
         assert isinstance(exc.value.__cause__, ValueError)
 
     def test_full_result_is_returned_without_a_copy(self):
@@ -193,12 +200,12 @@ class TestBroadcastContract:
             results.append(p.b(t, x, xi))
             return results[-1]
 
-        vals = atom_values(b, grid, 0.0, x, (1,))
+        vals = _atom_view(b, grid, 0.0, x, (1,))
         assert vals.shape == (5, 6, 1) and vals.flags.c_contiguous
         assert np.shares_memory(vals, results[0])
 
-    def test_broadcast_result_is_copied_to_the_full_shape(self):
-        # lq1d's diffusion is constant: one (1, M, 1, 1) view for all atoms
+    def test_path_broadcast_result_is_a_view_of_one_path(self):
+        # lq1d's diffusion is constant: one (1, M, 1, 1) broadcast for all atoms
         p = rsmp.make_benchmark("lq1d")
         grid = rsmp.benchmark_grid("lq1d", 5)
         results = []
@@ -207,11 +214,11 @@ class TestBroadcastContract:
             results.append(p.sigma(t, x, xi))
             return results[-1]
 
-        vals = atom_values(sigma, grid, 0.0, np.zeros((6, 1)), (1, 1))
+        vals = _atom_view(sigma, grid, 0.0, np.zeros((6, 1)), (1, 1))
         assert results[0].shape == (1, 6, 1, 1)
-        assert vals.shape == (5, 6, 1, 1) and vals.flags.c_contiguous
-        assert not np.shares_memory(vals, results[0])
-        assert np.array_equal(vals, np.broadcast_to(results[0], vals.shape))
+        assert vals.shape == (1, 1, 1, 1)
+        assert np.shares_memory(vals, results[0])
+        assert np.array_equal(np.broadcast_to(vals, (5, 6, 1, 1)), np.broadcast_to(results[0], (5, 6, 1, 1)))
 
 
 class TestControlFreeCoefficients:
@@ -219,7 +226,7 @@ class TestControlFreeCoefficients:
     depend on the control and is evaluated once for all atoms: its relaxed
     average is that value times the weight row sum, and its atom Hamiltonian
     term one row added to every atom.  Both equal the contraction of the
-    (K, M, ...) tensor `atom_values` stacks, within rounding."""
+    (K, M, ...) tensor of the stacked per-atom calls, within rounding."""
 
     M = 50
     # the coefficients of each benchmark that do not depend on the control
@@ -242,17 +249,18 @@ class TestControlFreeCoefficients:
         # nonconvex-mix's running cost is (1, M): no trailing axis after the atom axis
         p, grid, x = self.case(name)
         for key, f, tail, extra in atom_coefficients(p):
-            vals = _atom_values(f, grid, 0.3, x, tail, extra, what=key)
+            vals = _atom_view(f, grid, 0.3, x, tail, extra, what=key)
             atoms = 1 if key in self.CONTROL_FREE[name] else grid.K
-            assert vals.shape == (atoms, self.M) + tail and vals.flags.c_contiguous, key
-            assert np.array_equal(np.broadcast_to(vals, (grid.K,) + vals.shape[1:]),
-                                  atom_values(f, grid, 0.3, x, tail, extra, what=key)), key
+            assert vals.shape[0] == atoms and vals.shape[2:] == tail, key
+            assert vals.shape[1] == 1 or (vals.shape[1] == self.M and vals.flags.c_contiguous), key
+            ref = stacked(f, grid, 0.3, x, extra)
+            assert np.array_equal(np.broadcast_to(vals, (grid.K, self.M) + tail), ref), key
 
     def test_result_without_an_atom_axis(self):
         # a scalar running cost broadcasts over atoms and paths alike
         p, grid, x = self.case("lq1d")
         p = dataclasses.replace(p, ell=lambda t, x, xi: 0.5)
-        assert _atom_values(p.ell, grid, 0.0, x, ()).shape == (1, self.M)
+        assert _atom_view(p.ell, grid, 0.0, x, ()).shape == (1, 1)
         w = np.random.default_rng(38).dirichlet(np.ones(grid.K), self.M)
         got = averaged_coefficients(p, grid, 0.0, x, w)[2]
         assert np.array_equal(got, 0.5 * (w @ np.ones(grid.K)))
@@ -271,7 +279,7 @@ class TestControlFreeCoefficients:
         marks = {"C": iter(coefs[3]), "C_x": iter(lins[3])}
         for key, f, tail, extra in atom_coefficients(p):
             value = got[key] if key in got else next(marks[key])
-            vals = atom_values(f, grid, 0.3, x, tail, extra, what=key)
+            vals = stacked(f, grid, 0.3, x, extra)
             ref = contract_atoms(vals, w)
             assert value.shape == ref.shape == (self.M,) + tail, key
             assert np.all(np.abs(value - ref) <= self.RTOL * contract_atoms(np.abs(vals), np.abs(w))), key
@@ -284,13 +292,13 @@ class TestControlFreeCoefficients:
         psi, Q = rng.standard_normal((M, n)), rng.standard_normal((M, n, p.m))
         phi_row = rng.standard_normal((M, p.jump.J, n))
         terms = [
-            np.einsum("kqi,qi->kq", atom_values(p.b, grid, 0.3, x, (n,)), psi),
-            np.einsum("kqab,qab->kq", atom_values(p.sigma, grid, 0.3, x, (n, p.m)), Q),
+            np.einsum("kqi,qi->kq", stacked(p.b, grid, 0.3, x), psi),
+            np.einsum("kqab,qab->kq", stacked(p.sigma, grid, 0.3, x), Q),
         ]
         for j, v in enumerate(p.jump.marks):
-            C = atom_values(p.jump.C, grid, 0.3, x, (n,), (v,))
+            C = stacked(p.jump.C, grid, 0.3, x, (v,))
             terms.append(p.jump.intensities[j] * np.einsum("kqi,qi->kq", C, phi_row[:, j]))
-        ell = atom_values(p.ell, grid, 0.3, x, ())
+        ell = stacked(p.ell, grid, 0.3, x)
         ham, pairing = atom_hamiltonians(p, grid, 0.3, x, psi, Q, phi_row)
         pairing_ref, scale = sum(terms), sum(np.abs(t) for t in terms)
         assert ham.shape == pairing.shape == (K, M)
@@ -311,19 +319,24 @@ class TestControlFreeCoefficients:
 
 class TestPathConstantRows:
     """A coefficient value that is a broadcast along the path axis is the
-    same on every path and is averaged as one row: its averages equal, bit
-    for bit, those of the same values given as a contiguous array, and the
-    row is what the finite check sees."""
+    same on every path, and `_atom_view` keeps one path of it: its averages
+    and atom Hamiltonians equal, bit for bit, those of the same values given
+    as a contiguous array, and the row is what the finite check sees."""
 
     M = 60
-    # (benchmark, coefficient) whose value is a broadcast along the path axis
+    # (benchmark, coefficient) whose value is a broadcast along the path axis;
+    # "negative-zero" is lq1d with a drift of -0.0 on every path, evaluated once
     ROWS = [(name, "sigma") for name in rsmp.BENCHMARK_NAMES] + [
-        ("lq1d", "b_x"), ("lq2d", "b_x"), ("jump-lq", "b_x"), ("nonconvex-mix", "b"),
+        ("lq1d", "b_x"), ("lq2d", "b_x"), ("jump-lq", "b_x"), ("nonconvex-mix", "b"), ("negative-zero", "b"),
     ]
     AVERAGE = {"sigma": averaged_diffusion, "b": averaged_drift, "b_x": averaged_drift_x}
 
     def case(self, name):
-        p = rsmp.make_benchmark(name)
+        if name == "negative-zero":
+            p = dataclasses.replace(rsmp.make_benchmark("lq1d"), b=lambda t, x, xi: np.broadcast_to(-0.0, np.shape(x)))
+            name = "lq1d"
+        else:
+            p = rsmp.make_benchmark(name)
         grid = rsmp.benchmark_grid(name, 5)
         rng = np.random.default_rng(42)
         x = rng.standard_normal((self.M, p.n))
@@ -354,6 +367,27 @@ class TestPathConstantRows:
         given, ref = average(p, grid, 0.3, x, lambda: rows, total), average(dense, grid, 0.3, x, lambda: rows, total)
         assert given.shape == ref.shape == (self.M,) + given.shape[1:] and given.tobytes() == ref.tobytes()
 
+    # (benchmark, coefficient) paired as it is by atom_hamiltonians; jump-lq's C is a full value
+    HAMILTONIAN_ROWS = [(name, "sigma") for name in rsmp.BENCHMARK_NAMES] + [
+        ("nonconvex-mix", "b"), ("jump-lq", "C"), ("negative-zero", "b"),
+    ]
+
+    @pytest.mark.parametrize("checked", [True, False], ids=["checked", "unchecked"])
+    @pytest.mark.parametrize("name, key", HAMILTONIAN_ROWS, ids=[f"{n}-{k}" for n, k in HAMILTONIAN_ROWS])
+    def test_atom_hamiltonians_equal_those_of_the_contiguous_values_bit_for_bit(self, name, key, checked):
+        p, grid, x, _ = self.case(name)
+        owner = p.jump if key == "C" else p
+        f = getattr(owner, key)
+        dense = dataclasses.replace(owner, **{key: lambda *args: np.ascontiguousarray(f(*args))})
+        dense = dataclasses.replace(p, jump=dense) if key == "C" else dense
+        rng = np.random.default_rng(43)
+        psi, Q = rng.standard_normal((self.M, p.n)), rng.standard_normal((self.M, p.n, p.m))
+        phi_row = rng.standard_normal((self.M, p.jump.J, p.n))
+        given = atom_hamiltonians(p, grid, 0.3, x, psi, Q, phi_row, checked=checked)
+        ref = atom_hamiltonians(dense, grid, 0.3, x, psi, Q, phi_row, checked=checked)
+        for got, want in zip(given, ref):
+            assert got.shape == want.shape == (grid.K, self.M) and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("weights", ["open-loop", "per-path"])
     def test_nan_row_names_the_coefficient(self, weights):
         p, grid, x, ws = self.case("lq1d")
@@ -373,7 +407,7 @@ class TestPathConstantRows:
         p = dataclasses.replace(p, b=b)
         w = np.array([0.0, 1.0]) if weights == "open-loop" else np.tile([0.0, 1.0], (self.M, 1))
         with np.errstate(invalid="ignore"):
-            assert np.isnan(contract_atoms(_atom_values(b, grid, 0.3, x, (1,)), w)).all()
+            assert np.isnan(contract_atoms(_atom_view(b, grid, 0.3, x, (1,)), w)).all()
         with pytest.raises(NonFiniteCoefficient, match="^drift produced NaN/Inf$"):
             averaged_coefficients(p, grid, 0.3, x, w)
 
@@ -502,7 +536,7 @@ class TestFiniteDifferenceGradients:
         for grad, tail in ((p.b_x, (1, 1)), (p.sigma_x, (1, 1, 1)), (p.ell_x, (1,))):
             ref = np.stack([grad(0.1, x, xi) for xi in grid.points])
             assert np.array_equal(grad(0.1, xs, grid.points[:, None]), ref)
-            assert np.array_equal(atom_values(grad, grid, 0.1, x, tail), ref)
+            assert np.array_equal(np.broadcast_to(_atom_view(grad, grid, 0.1, x, tail), ref.shape), ref)
 
 
 class TestJumpSpec:

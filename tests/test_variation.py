@@ -6,7 +6,7 @@ import pytest
 
 import rsmp
 from rsmp import ControlGrid, NonFiniteCoefficient, Problem, RelaxedControl, ShapeMismatch
-from rsmp.forward import pathwise_cost, step_cells
+from rsmp.forward import pathwise_cost
 from rsmp.problem import averaged_running_cost, averaged_running_cost_x
 from rsmp.variation import response_functional
 
@@ -249,8 +249,9 @@ class TestGateaux:
             per_path = np.zeros(M)
             for k in range(N):
                 x = base.states[:, k]
-                w0 = step_cells(base, u_star, k)[1]
-                dw = step_cells(base, u_dir, k)[1] - w0
+                signal = base.feedback_signal(k, u_star.feedback_mode)
+                w0 = u_star.weights_at(k, signal)
+                dw = u_dir.weights_at(k, signal) - w0
                 lx = averaged_running_cost_x(p, grid, k * dt, x, w0)
                 per_path += dt * np.einsum("qi,qi->q", lx, var.y[:, k])
                 per_path += dt * averaged_running_cost(p, grid, k * dt, x, dw)
@@ -265,13 +266,15 @@ def walked_derivative(p, base, u0, u, var):
     N, dt, grid = base.n_steps, base.dt, u0.grid
     response = 0.0
     for k in range(N):
-        lx = averaged_running_cost_x(p, grid, k * dt, base.states[:, k], step_cells(base, u0, k)[1])
+        w0 = u0.weights_at(k, base.feedback_signal(k, u0.feedback_mode))
+        lx = averaged_running_cost_x(p, grid, k * dt, base.states[:, k], w0)
         response += dt * float(np.mean(np.einsum("qi,qi->q", lx, var.y[:, k])))
     phix = np.asarray(p.phi_x(base.states[:, N]), dtype=float)
     response += float(np.mean(np.einsum("qi,qi->q", phix, var.y[:, N])))
     derivative = response
     for k in range(N):
-        dw = step_cells(base, u, k)[1] - step_cells(base, u0, k)[1]
+        signal = base.feedback_signal(k, u0.feedback_mode)
+        dw = u.weights_at(k, signal) - u0.weights_at(k, signal)
         derivative += dt * float(np.mean(averaged_running_cost(p, grid, k * dt, base.states[:, k], dw)))
     return response, derivative
 
