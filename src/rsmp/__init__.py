@@ -27,6 +27,7 @@ from .bench import (
     make_benchmark,
     nonconvex_weight_oracle,
 )
+from .container import paths_to_csv
 from .control import (
     OBSERVATION_FEEDBACK,
     OPEN_LOOP,
@@ -60,7 +61,6 @@ from .forward import (
     PathEnsemble,
     cost,
     pathwise_cost,
-    paths_to_csv,
     sample_noise,
     simulate,
 )

@@ -200,23 +200,24 @@ def _at(arr: np.ndarray, k: int) -> np.ndarray:
 
 
 def _regress_step(
-    p: Problem, basis: BasisSpec, base: PathEnsemble, u0: RelaxedControl, k: int,
+    basis: BasisSpec, base: PathEnsemble, k: int,
     psi: np.ndarray, psi_cont: np.ndarray, Q: np.ndarray, phi: np.ndarray, record: bool,
 ) -> tuple[np.ndarray, StepDiagnostics]:
-    """One backward regression step of the sweep: fills step k of psi_cont,
-    Q, phi and psi (by `_at`) from psi at k+1, and returns u0's feedback
-    cells at step k with the step's diagnostics, whose orthogonality only a
-    recording sweep computes (NaN otherwise).  The targets are formed
-    without numpy warnings: one that overflows reaches `_fit` as Inf, which
-    raises NonFiniteCoefficient.  Its per-path temporaries are freed on
-    return, before the step's Hamiltonians are formed.
+    """One backward regression step of the sweep on base, under its problem
+    and control: fills step k of psi_cont, Q, phi and psi (by `_at`) from psi
+    at k+1, and returns the control's feedback cells at step k with the step's
+    diagnostics, whose orthogonality only a recording sweep computes (NaN
+    otherwise).  The targets are formed without numpy warnings: one that
+    overflows reaches `_fit` as Inf, which raises NonFiniteCoefficient.  Its
+    per-path temporaries are freed on return, before the step's Hamiltonians
+    are formed.
     """
-    noise = base.noise
+    p, noise = base.problem, base.noise
     M, dt = base.M, base.dt
     n, m = p.n, p.m
     J, lam = p.jump.J, p.jump.intensities
     x = base.states[:, k]
-    cells, total, rows = _step_weights(base, u0, k)
+    cells, total, rows = _step_weights(base, k)
     psi_next = _at(psi, k + 1)
     Zt, G, cond, ridge = _design(basis.features(x))
 
@@ -232,7 +233,7 @@ def _regress_step(
     Qk = fitted[:, n : n + n * m].reshape(M, n, m)
     phik = fitted[:, n + n * m :].reshape(M, J, n)
 
-    bx, sx, lx, cxs = averaged_linearization(p, u0.grid, k * dt, x, rows, total)
+    bx, sx, lx, cxs = averaged_linearization(p, base.control_used.grid, k * dt, x, rows, total)
     with np.errstate(over="ignore", invalid="ignore"):
         drift = np.einsum("qij,qi->qj", bx, psi_next)
         drift += np.einsum("qab,qabl->ql", Qk, sx)
@@ -248,13 +249,14 @@ def _regress_step(
     return cells, StepDiagnostics(k, cond, ridge, ortho)
 
 
-def _sweep(p: Problem, base: PathEnsemble, u0: RelaxedControl, basis: BasisSpec, record: bool) -> tuple:
-    """The backward sweep of `solve_bsde`: read-only hamiltonian_sums and
-    occupancy, the kept arrays and the step diagnostics.  With record it
-    keeps (psi, psi_cont, Q, phi, pairing_sums) for every step; without, it
-    keeps nothing, holding psi at k+1 and k and step k's psi_cont, Q and phi
-    only, and forms neither the pairing sums nor the orthogonality
-    diagnostic.  Both bin the same sums bit for bit.
+def _sweep(base: PathEnsemble, basis: BasisSpec, record: bool) -> tuple:
+    """The backward sweep of `solve_bsde` on base, under its problem and
+    relaxed control, which the caller checks: read-only hamiltonian_sums and
+    occupancy, the kept arrays and the step diagnostics.  With record it keeps
+    (psi, psi_cont, Q, phi, pairing_sums) for every step; without, it keeps
+    nothing, holding psi at k+1 and k and step k's psi_cont, Q and phi only,
+    and forms neither the pairing sums nor the orthogonality diagnostic.  Both
+    bin the same sums bit for bit.
 
     No atom Hamiltonian term is checked on its own: a NaN/Inf term reaches
     the step's (C, K) cell sums, so the sums are checked instead, and a step
@@ -263,7 +265,7 @@ def _sweep(p: Problem, base: PathEnsemble, u0: RelaxedControl, basis: BasisSpec,
     overflow from finite terms raise NonFiniteCoefficient("Hamiltonian ...")
     once the sweep is done.
     """
-    base.require(p, u0)
+    p, u0 = base.problem, base.control_used
     M, N, dt = base.M, base.n_steps, base.dt
     n, m = p.n, p.m
     C, K = u0.n_cells, u0.grid.K
@@ -281,7 +283,7 @@ def _sweep(p: Problem, base: PathEnsemble, u0: RelaxedControl, basis: BasisSpec,
 
     _at(psi, N)[...] = require_finite(terminal_gradient(p, base.states[:, N]), "terminal cost gradient")
     for k in range(N - 1, -1, -1):
-        cells, diag = _regress_step(p, basis, base, u0, k, psi, psi_cont, Q, phi, record)
+        cells, diag = _regress_step(basis, base, k, psi, psi_cont, Q, phi, record)
         diagnostics.append(diag)
         args = (p, u0.grid, k * dt, base.states[:, k], _at(psi_cont, k), _at(Q, k), _at(phi, k))
         ham, pairing = atom_hamiltonians(*args, pairing=record, checked=False)
@@ -323,10 +325,9 @@ def solve_bsde(
     NonFiniteCoefficient, and a value of another shape or a base not
     simulated under p and u0 ShapeMismatch.
     """
-    sums, occupancy, (psi, psi_cont, Q, phi, pairing_sums), diagnostics = _sweep(
-        p, base, u0, basis_spec or BasisSpec(), record=True
-    )
-    return AdjointEnsemble(psi, psi_cont, Q, phi, diagnostics, sums, pairing_sums, occupancy, base)
+    base.require(p, u0)
+    sums, occupancy, (psi, psi_cont, Q, phi, pairing), diags = _sweep(base, basis_spec or BasisSpec(), record=True)
+    return AdjointEnsemble(psi, psi_cont, Q, phi, diags, sums, pairing, occupancy, base)
 
 
 def adjoint_pairing(

@@ -82,6 +82,8 @@ class RiccatiSolution:
         return self._interp(self.gain, t)
 
     def _interp(self, arr: np.ndarray, t: float) -> np.ndarray:
+        if not -np.inf < t < np.inf:  # a time that is not finite (NaN fails both comparisons)
+            raise DomainError(f"time t must be finite, got {t!r}")
         ts = self.ts
         t = min(max(t, ts[0]), ts[-1])
         j = min(int(np.searchsorted(ts, t, side="right")) - 1, len(ts) - 2)
@@ -322,9 +324,9 @@ def benchmark_partition(name: str, mode: str, cells: int = 8) -> CellPartition |
     """Default feedback binning, `cells` per coordinate of the signal: the
     state box [-2, 2]^n for state feedback, [-1, 1] per coordinate of the
     observation for observation feedback, nothing for open loop."""
+    p = make_benchmark(name)  # UnknownBenchmark before the mode is read
     if mode == OPEN_LOOP:
         return None
-    p = make_benchmark(name)
     if mode == OBSERVATION_FEEDBACK:
         dim = p.observation(np.zeros((1, p.n))).shape[1]
         return CellPartition([[-1.0, 1.0]] * dim, (cells,) * dim)
@@ -400,9 +402,10 @@ def nonconvex_weight_oracle(N: int = 8, resolution: float = 0.1, sigma: float = 
     lattice is exact only when 1 / (2 resolution) is an integer (resolution
     0.5, 0.25, 0.1, ...): any other resolution raises DomainError, and so
     does one whose lattice (about 2 N / resolution means per step) is too
-    large to allocate.
+    large to allocate.  sigma and T must be finite, sigma >= 0 and T > 0.
     """
     N, resolution = require_count(N, "N"), require_positive(resolution, "resolution")
+    sigma, T = require_positive(sigma, "sigma", strict=False), require_positive(T, "horizon T")
     size = 2.0 * N / resolution + 1.0  # reachable means per step
     too_large = DomainError(f"resolution {resolution!r} gives a lattice of {size:.3g} means, too large to allocate")
     if N * size > np.iinfo(np.intp).max / 8:  # beyond numpy's largest array (Inf included)

@@ -18,11 +18,11 @@ import numpy as np
 
 from . import bench
 from .adjoint import adjoint_pairing, duality_gap, solve_bsde
-from .container import adjoint_to_binary, paths_to_binary
+from .container import _opened, adjoint_to_binary, paths_to_binary, paths_to_csv
 from .control import OBSERVATION_FEEDBACK, OPEN_LOOP, STATE_FEEDBACK, RelaxedControl, refine_steps
 from .errors import BlowUp, DomainError, NonFiniteCoefficient, RsmpError, SingularRegression
 from .errors import UnknownBenchmark, require_count, require_tolerance
-from .forward import STREAM_VERSION, cost, pathwise_cost, paths_to_csv, sample_noise, simulate
+from .forward import STREAM_VERSION, cost, pathwise_cost, sample_noise, simulate
 from .smp import OptimizeParams, hamiltonian_field, optimize, realize_regular, smp_gap
 from .variation import gateaux, response_functional, simulate_variational
 
@@ -128,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     base: dict = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
+        with _opened(args.config, "r") as fh:
             base = _config_doc(fh.read())
     base.update((key, val) for key, val in vars(args).items() if key != "config" and val is not None)
     return RunConfig(**base)
@@ -137,11 +137,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def _initial_control(config: RunConfig) -> RelaxedControl:
     if config.control:
         try:
-            with open(config.control, encoding="utf-8") as fh:
-                text = fh.read()
+            with _opened(config.control, "r") as fh:
+                return RelaxedControl.from_json(fh.read())
         except OSError as exc:
             raise DomainError(f"cannot read control file: {exc}") from None
-        return RelaxedControl.from_json(text)
     grid = bench.benchmark_grid(config.bench, config.K)
     mode = MODE_ALIASES.get(config.mode, STATE_FEEDBACK)
     part = bench.benchmark_partition(config.bench, mode, config.cells)
@@ -161,7 +160,7 @@ def _out_path(config: RunConfig, name: str, fmt: str | None = None) -> str | Non
 def _write(config: RunConfig, name: str, text: str) -> None:
     path = _out_path(config, name)
     if path is not None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with _opened(path, "w") as fh:
             fh.write(text)
 
 

@@ -1,6 +1,8 @@
-"""Compact binary container for path and adjoint ensembles.
+"""Artifact files of path and adjoint ensembles, CSV and a compact binary
+container.  Every file argument is a path (`str`, `bytes`, `os.PathLike`) or
+an open file object; `_opened` is the one opener, also the CLI's.
 
-Layout (all integers little-endian):
+Binary layout (all integers little-endian):
 
     magic "RSMP" | u32 version | 4-byte section tag | u32 n_meta | u32 n_arrays
     n_meta  x (u16 key length, key utf-8, f64 value)
@@ -12,7 +14,9 @@ Path ensembles use tag "PATH", adjoint ensembles "ADJT".
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -24,12 +28,16 @@ TAG_PATHS = b"PATH"
 TAG_ADJOINT = b"ADJT"
 
 
+def _opened(target, mode: str):
+    """A context of target itself for a file object, and of a path (`str`,
+    `bytes`, `os.PathLike`) opened in mode, UTF-8 with LF for text, closed on exit."""
+    if not isinstance(target, (str, bytes, os.PathLike)):
+        return nullcontext(target)
+    return open(target, mode, **({} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}))
+
+
 def write_section(fileobj, tag: bytes, meta: dict, arrays: dict) -> None:
-    close = False
-    if isinstance(fileobj, (str, bytes)):
-        fileobj = open(fileobj, "wb")
-        close = True
-    try:
+    with _opened(fileobj, "wb") as fileobj:
         fileobj.write(MAGIC)
         fileobj.write(struct.pack("<I", VERSION))
         fileobj.write(tag)
@@ -47,9 +55,6 @@ def write_section(fileobj, tag: bytes, meta: dict, arrays: dict) -> None:
             fileobj.write(struct.pack("<B", arr.ndim))
             fileobj.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
             fileobj.write(arr.tobytes())
-    finally:
-        if close:
-            fileobj.close()
 
 
 def _read(fileobj, size: int) -> bytes:
@@ -67,11 +72,7 @@ def _unpack(fileobj, fmt: str) -> tuple:
 def read_section(fileobj):
     """(tag, meta, arrays) of one section; DomainError for a file that is not
     a container, has another version or is cut short."""
-    close = False
-    if isinstance(fileobj, (str, bytes)):
-        fileobj = open(fileobj, "rb")
-        close = True
-    try:
+    with _opened(fileobj, "rb") as fileobj:
         if _read(fileobj, 4) != MAGIC:
             raise DomainError("not a container file (bad magic)")
         (version,) = _unpack(fileobj, "<I")
@@ -93,9 +94,20 @@ def read_section(fileobj):
             count = int(np.prod(shape)) if ndim else 1
             arrays[name] = np.frombuffer(_read(fileobj, 8 * count), dtype="<f8").reshape(shape).copy()
         return tag, meta, arrays
-    finally:
-        if close:
-            fileobj.close()
+
+
+def paths_to_csv(paths, fileobj) -> None:
+    """One row per (path, step): path, step, t, x_0 .. x_{n-1}.
+
+    UTF-8, header row, '.' decimals, LF line endings; floats use shortest
+    round-trip formatting so replays are byte-identical.
+    """
+    with _opened(fileobj, "w") as fileobj:
+        fileobj.write("path,step,t," + ",".join(f"x{i}" for i in range(paths.states.shape[2])) + "\n")
+        for q in range(paths.M):
+            for k in range(paths.n_steps + 1):
+                row = ",".join(repr(float(v)) for v in paths.states[q, k])
+                fileobj.write(f"{q},{k},{paths.dt * k!r},{row}\n")
 
 
 def paths_to_binary(paths, fileobj) -> None:

@@ -161,20 +161,17 @@ def _check_information(mode: str, feedback, cells: int) -> None:
 
 
 def _resolve(table: np.ndarray, feedback: CellPartition | None, signal):
-    """Cell of each row of signal (Q, p) and the row of one step's (C, ...)
-    table it uses.  Open loop (no partition): without a signal, no cells and
-    table[0]; with one, cell 0 and table[0] broadcast to (Q, ...).  Feedback
-    needs a signal (MissingPaths otherwise) and gathers the assigned cells'
-    rows (`np.take`, the values of table[cells] at a fraction of the cost).
+    """The row of one step's (C, ...) table each row of signal (Q, p) uses.
+    Open loop (no partition): without a signal, table[0]; with one, table[0]
+    broadcast to (Q, ...).  Feedback needs a signal (MissingPaths otherwise)
+    and gathers the assigned cells' rows (`np.take`, the values of
+    table[cells] at a fraction of the cost).
     """
     if feedback is None:
-        if signal is None:
-            return None, table[0]
-        return np.zeros(len(signal), dtype=np.int64), np.broadcast_to(table[0], (len(signal),) + table.shape[1:])
+        return table[0] if signal is None else np.broadcast_to(table[0], (len(signal),) + table.shape[1:])
     if signal is None:
         raise MissingPaths("feedback control needs a signal to resolve cells")
-    cells = feedback.assign(signal)
-    return cells, np.take(table, cells, axis=0)
+    return np.take(table, feedback.assign(signal), axis=0)
 
 
 def _partition_doc(feedback: CellPartition | None) -> dict | None:
@@ -234,7 +231,7 @@ class RelaxedControl:
         shape (Q, p); an open-loop control reads only its length, and
         without it returns its single (K,) weight vector.
         """
-        return _resolve(self.weights[k], self.feedback, signal)[1]
+        return _resolve(self.weights[k], self.feedback, signal)
 
     def same_structure(self, other: "RelaxedControl") -> bool:
         """True when other resolves the same cells on the same atoms: equal
@@ -318,7 +315,7 @@ class RegularControl:
         rapid switching; on a coarser grid each step samples the slot at its
         left endpoint.
         """
-        return _resolve(self.values[(k * self.slots) // n_steps], self.feedback, signal)[1]
+        return _resolve(self.values[(k * self.slots) // n_steps], self.feedback, signal)
 
     def to_json(self) -> str:
         doc = {

@@ -24,6 +24,8 @@ from the weights or values it resolves, and `pathwise_cost` adds the
 terminal cost to that record.  A relaxed control evaluates every atom at
 a step, except at a Dirac step, where each cell's weight sits on one atom:
 there it resolves that atom per path and steps as a regular control does.
+Sweeps along an ensemble read its problem and control from it; the CSV and
+binary files of ensembles are `container`'s, and this module opens no file.
 """
 
 from __future__ import annotations
@@ -221,13 +223,14 @@ def _feedback_signal(p: Problem, mode: str, x: np.ndarray):
     return p.observation(x) if mode == OBSERVATION_FEEDBACK else x
 
 
-def _step_weights(paths: PathEnsemble, u: RelaxedControl, k: int) -> tuple:
-    """u's feedback cell (M,) of every path of the ensemble at step k, the
-    weight row sums, and a function returning the weights themselves: for
-    open loop cells 0, the single row (K,) and its sum; for feedback the
-    per-cell sums gathered by cell (M,) and the rows (M, K), gathered once,
-    on the first call.  A step whose values do not depend on the control so
-    gathers no (M, K) rows."""
+def _step_weights(paths: PathEnsemble, k: int) -> tuple:
+    """The feedback cell (M,) at step k of every path under the relaxed
+    control_used of the ensemble, the weight row sums, and a function
+    returning the weights themselves: for open loop cells 0, the single row
+    (K,) and its sum; for feedback the per-cell sums gathered by cell (M,)
+    and the rows (M, K), gathered once, on the first call.  A step whose
+    values do not depend on the control so gathers no (M, K) rows."""
+    u = paths.control_used
     table, ones = u.weights[k], np.ones(u.grid.K)
     if u.feedback is None:
         return np.zeros(paths.M, dtype=np.int64), table[0] @ ones, lambda: table[0]
@@ -378,28 +381,3 @@ def _mean_and_error(x: np.ndarray, what: str) -> tuple[float, float]:
 def cost(p: Problem, paths: PathEnsemble) -> tuple[float, float]:
     """Monte Carlo cost estimate and its standard error."""
     return _mean_and_error(pathwise_cost(p, paths), "cost")
-
-
-def paths_to_csv(paths: PathEnsemble, fileobj) -> None:
-    """One row per (path, step): path, step, t, x_0 .. x_{n-1}.
-
-    UTF-8, header row, '.' decimals, LF line endings; floats use shortest
-    round-trip formatting so replays are byte-identical.
-    """
-    close = False
-    if isinstance(fileobj, (str, bytes)):
-        fileobj = open(fileobj, "w", encoding="utf-8", newline="\n")
-        close = True
-    try:
-        n = paths.states.shape[2]
-        header = "path,step,t," + ",".join(f"x{i}" for i in range(n))
-        fileobj.write(header + "\n")
-        dt = paths.dt
-        for q in range(paths.M):
-            for k in range(paths.n_steps + 1):
-                row = paths.states[q, k]
-                fileobj.write(f"{q},{k},{dt * k!r}," + ",".join(repr(float(v)) for v in row) + "\n")
-    finally:
-        if close:
-            fileobj.close()
-

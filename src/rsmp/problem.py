@@ -88,6 +88,13 @@ def _fd_scale(x: np.ndarray, step: float) -> np.ndarray:
     return step * (1.0 + np.linalg.norm(x, axis=-1))
 
 
+def _require_callable(f, what: str, optional: bool = False):
+    """f as given; DomainError("<what> must be callable") unless it is callable (or None where optional)."""
+    if not (callable(f) or optional and f is None):
+        raise DomainError(f"{what} must be callable")
+    return f
+
+
 def fd_gradient(f, argpos: int = 1, step: float = FD_STEP):
     """Central-difference gradient of f in its state argument.
 
@@ -146,8 +153,9 @@ class JumpSpec:
             raise DomainError("jump marks must be nonzero vectors")
         if self.J and self.C is None:
             raise DomainError("jump problems need the jump coefficient C")
-        if self.C_x is None:
-            object.__setattr__(self, "C_x", fd_gradient(self.C))
+        C = _require_callable(self.C, "C", optional=True)
+        if _require_callable(self.C_x, "C_x", optional=True) is None:
+            object.__setattr__(self, "C_x", fd_gradient(C))
 
     @property
     def J(self) -> int:
@@ -194,8 +202,10 @@ class Problem:
         if self.jump.marks.shape[1] != self.n:
             raise ShapeMismatch("jump marks must live in the state space")
         for name, argpos in (("b", 1), ("sigma", 1), ("ell", 1), ("phi", 0)):
-            if getattr(self, name + "_x") is None:
-                object.__setattr__(self, name + "_x", fd_gradient(getattr(self, name), argpos))
+            f = _require_callable(getattr(self, name), name)
+            if _require_callable(getattr(self, name + "_x"), name + "_x", optional=True) is None:
+                object.__setattr__(self, name + "_x", fd_gradient(f, argpos))
+        _require_callable(self.observe, "observe", optional=True)
 
     def initial_states(self, M: int, z: np.ndarray | None = None) -> np.ndarray:
         if isinstance(self.x0, GaussianInitial):
@@ -268,12 +278,6 @@ def contract_atoms(vals: np.ndarray, w) -> np.ndarray:
     return np.einsum("qk,kq...->q...", w, vals)
 
 
-def _per_path(arr, M: int) -> np.ndarray:
-    """A (M, a, b) array as given, or one shared (a, b) array broadcast to it."""
-    arr = np.asarray(arr, dtype=float)
-    return np.broadcast_to(arr, (M,) + arr.shape) if arr.ndim == 2 else arr
-
-
 def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, *, pairing=True, checked=True) -> tuple:
     """Pathwise Hamiltonian at every grid atom, shape (K, M): drift pairing
     + diffusion trace pairing + running cost + jump pairing; and the same
@@ -282,8 +286,9 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, *, pairing=True, 
     pairing=False and reads only the Hamiltonian (its values are the same).
 
     Each coefficient is evaluated once for all atoms by `_atom_view`, and
-    its form is paired as it is with psi (M, n), Q (M, n, m) and phi_row
-    (M, J, n), which may be None for a diffusion (J = 0): a value evaluated
+    its form is paired as it is with the per-path arrays x (M, n), psi (M, n),
+    Q (M, n, m) and phi_row (M, J, n), None for a diffusion (J = 0), which
+    are not reshaped (`hamiltonian` broadcasts shared ones): a value evaluated
     once gives one term row, added to every atom (the drift's is repeated
     to K rows, which start the sums), and a value the same on every path is
     paired as one path row.  Each term (drift, diffusion, running cost, the
@@ -295,27 +300,24 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, *, pairing=True, 
     coefficient.  The two sums may overflow to Inf, or turn NaN, without a
     numpy warning: each caller checks what it reduces them to.
     """
-    x = np.atleast_2d(x)
-    M, n = x.shape[0], p.n
-    psi, Q = np.atleast_2d(psi), _per_path(Q, M)
 
     def check(term, what):
         return require_finite(term, what) if checked else term
 
     with np.errstate(over="ignore", invalid="ignore"):
-        val = check(np.einsum("kqi,qi->kq", _atom_view(p.b, grid, t, x, (n,), what="drift"), psi), "drift")
+        val = check(np.einsum("kqi,qi->kq", _atom_view(p.b, grid, t, x, (p.n,), what="drift"), psi), "drift")
         if len(val) < grid.K:  # a drift evaluated once: its one term row for every atom
             val = np.repeat(val, grid.K, axis=0)
         val += check(
-            np.einsum("kqab,qab->kq", _atom_view(p.sigma, grid, t, x, (n, p.m), what="diffusion"), Q), "diffusion"
+            np.einsum("kqab,qab->kq", _atom_view(p.sigma, grid, t, x, (p.n, p.m), what="diffusion"), Q), "diffusion"
         )
         pairing = val.copy() if pairing else None
         val += check(_atom_view(p.ell, grid, t, x, (), what="running cost"), "running cost")
         if p.jump.J and phi_row is None:
             raise ShapeMismatch("jump problems need the jump intensity row of the adjoint")
         for j in range(p.jump.J):
-            cj = _atom_view(p.jump.C, grid, t, x, (n,), (p.jump.marks[j],), "jump coefficient")
-            term = np.einsum("kqi,qi->kq", cj, _per_path(phi_row, M)[:, j])
+            cj = _atom_view(p.jump.C, grid, t, x, (p.n,), (p.jump.marks[j],), "jump coefficient")
+            term = np.einsum("kqi,qi->kq", cj, phi_row[:, j])
             del cj  # free the atom tensor before the sums
             term *= p.jump.intensities[j]
             val += check(term, "jump coefficient")

@@ -31,10 +31,16 @@ from .adjoint import AdjointEnsemble, BasisSpec, _sweep
 from .control import ControlGrid, RegularControl, RelaxedControl, mix
 from .errors import ShapeMismatch, require_count, require_finite, require_seed, require_tolerance
 from .forward import _mean_and_error, pathwise_cost, sample_noise, simulate
-from .problem import Problem, _per_path, _require_shape, atom_hamiltonians, contract_atoms
+from .problem import Problem, _require_shape, atom_hamiltonians, contract_atoms
 
 LINE_SEARCH_FLOOR = 10  # smallest line-search step is 2**-LINE_SEARCH_FLOOR
 _DISTANCE_FLOATS = 131072  # cell-center differences held at once by _nearest_nonempty: 1 MB
+
+
+def _per_path(arr, M: int) -> np.ndarray:
+    """A (M, a, b) array as given, or one shared (a, b) array broadcast to it."""
+    arr = np.asarray(arr, dtype=float)
+    return np.broadcast_to(arr, (M,) + arr.shape) if arr.ndim == 2 else arr
 
 
 def hamiltonian(p: Problem, grid: ControlGrid, t, x, psi, Q, phi_row, w) -> np.ndarray:
@@ -43,20 +49,21 @@ def hamiltonian(p: Problem, grid: ControlGrid, t, x, psi, Q, phi_row, w) -> np.n
 
     Batched over the M paths of x (M, n): psi is (M, n), Q (M, n, m) and
     phi_row (M, J, n), where Q and phi_row may also be one (n, m) or (J, n)
-    array shared by every path and a diffusion's phi_row (J = 0) may be None;
-    w is one weight row (K,) or one per path (M, K).  Any other shape, here
-    or of a coefficient value, raises ShapeMismatch, and a NaN/Inf term or
-    result (an overflowing sum included) NonFiniteCoefficient.  Linear in w.
+    array shared by every path, broadcast here so that `atom_hamiltonians`
+    gets per-path arrays, and a diffusion's phi_row (J = 0) may be None; w is
+    one weight row (K,) or one per path (M, K).  Any other shape, here or of
+    a coefficient value, raises ShapeMismatch, and a NaN/Inf term or result
+    (an overflowing sum included) NonFiniteCoefficient.  Linear in w.
     """
     x = np.atleast_2d(x)
     M, n, K = x.shape[0], p.n, grid.K
-    _require_shape(x, (M, n), "x")
-    _require_shape(np.atleast_2d(psi), (M, n), "psi")
-    _require_shape(_per_path(Q, M), (M, n, p.m), "Q")
+    x = _require_shape(x, (M, n), "x")
+    psi = _require_shape(np.atleast_2d(psi), (M, n), "psi")
+    Q = _require_shape(_per_path(Q, M), (M, n, p.m), "Q")
     if np.shape(w) not in ((K,), (M, K)):
         raise ShapeMismatch(f"w has shape {np.shape(w)}, expected {(K,)} or {(M, K)}")
     if phi_row is not None:
-        _require_shape(_per_path(phi_row, M), (M, p.jump.J, n), "phi_row")
+        phi_row = _require_shape(_per_path(phi_row, M), (M, p.jump.J, n), "phi_row")
     ham, _ = atom_hamiltonians(p, grid, t, x, psi, Q, phi_row, pairing=False)
     return require_finite(contract_atoms(ham, w), "Hamiltonian")
 
@@ -234,7 +241,7 @@ def optimize(p: Problem, u_init: RelaxedControl, params: OptimizeParams) -> Opti
         J, se = _mean_and_error(costs, "cost")
         # the sweep keeps no adjoint process, only the sums the field reads;
         # the ensemble is dropped with it, so a trial's is the only one held
-        sums, occupancy, _, _ = _sweep(p, paths, u, BasisSpec(), record=False)
+        sums, occupancy, _, _ = _sweep(paths, BasisSpec(), record=False)
         paths = None
         fld = _field(sums, occupancy, u, noise.dt)
         gap, _ = smp_gap(fld, u)

@@ -62,7 +62,7 @@ def simulate_variational(
         t = k * dt
         x = base.states[:, k]
         yk = y[:, k]
-        cells, total, rows = _step_weights(base, u0, k)
+        cells, total, rows = _step_weights(base, k)
         dw = u.weights[k] - u0.weights[k]
         dw = dw[0] if u0.feedback is None else np.take(dw, cells, axis=0)
         bx, sx, lx, cxs = averaged_linearization(p, grid, t, x, rows, total)

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import io
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 import rsmp
 from rsmp import BlowUp, ControlGrid, DomainError, GaussianInitial, JumpSpec, NonFiniteCoefficient, Problem
 from rsmp import ShapeMismatch
-from rsmp.container import TAG_PATHS, paths_to_binary, read_section
+from rsmp.container import TAG_ADJOINT, TAG_PATHS, adjoint_to_binary, paths_to_binary, read_section
 from rsmp.forward import _BLOCK, BLOWUP_GUARD, STREAM_VERSION, _mean_and_error, euler_step, guard_step, pathwise_cost
 from rsmp.forward import _step_weights
 from rsmp.problem import averaged_running_cost
@@ -506,7 +508,7 @@ def test_step_weights_resolve_open_loop_to_one_row(mode):
     paths = rsmp.simulate(p, u, rsmp.sample_noise(p, 50, 4, seed=3))
     ones = np.ones(u.grid.K)
     for k in range(4):
-        cells, total, rows = _step_weights(paths, u, k)
+        cells, total, rows = _step_weights(paths, k)
         w = rows()
         assert cells.shape == (50,) and cells.dtype == np.int64
         assert np.array_equal(w, u.weights_at(k, paths.feedback_signal(k, mode)))
@@ -688,6 +690,27 @@ class TestExports:
         assert np.array_equal(arrays["states"], paths.states)
         assert np.array_equal(arrays["dW"], paths.noise.dW)
         assert np.array_equal(arrays["jump_counts"], paths.noise.jump_counts)
+
+    @pytest.mark.parametrize("kind", [Path, str, os.fsencode])
+    def test_every_file_function_takes_a_path(self, tmp_path, kind):
+        # a pathlib.Path, a str or a bytes path writes the bytes a file object
+        # receives, and reads back what was written
+        p = rsmp.make_benchmark("jump-lq")
+        u = rsmp.constant_control(rsmp.benchmark_grid("jump-lq"), 4)
+        paths = rsmp.simulate(p, u, rsmp.sample_noise(p, 40, 4, seed=9))
+        adj = rsmp.solve_bsde(p, paths, u)
+        rsmp.paths_to_csv(paths, kind(tmp_path / "paths.csv"))
+        assert (tmp_path / "paths.csv").read_bytes() == csv_text(paths).encode("utf-8")
+        for name, write, record, tag, key in (
+            ("paths.bin", paths_to_binary, paths, TAG_PATHS, "states"),
+            ("adjoint.bin", adjoint_to_binary, adj, TAG_ADJOINT, "psi"),
+        ):
+            buf = io.BytesIO()
+            write(record, buf)
+            write(record, kind(tmp_path / name))
+            assert (tmp_path / name).read_bytes() == buf.getvalue()
+            read_tag, _, arrays = read_section(kind(tmp_path / name))
+            assert read_tag == tag and np.array_equal(arrays[key], getattr(record, key))
 
     def test_truncated_binary_is_a_domain_error(self):
         # a file cut anywhere, inside the header, a key, a shape or the data

@@ -98,6 +98,12 @@ def terminal(key, tail):
     return p, base, u0, rsmp.simulate_variational(p, base, u, u0)
 
 
+@functools.lru_cache(maxsize=None)
+def riccati():
+    """lq1d's Riccati solution on 20 ODE steps."""
+    return rsmp.lq_riccati_oracle(rsmp.benchmark_lq_spec("lq1d"), 20)
+
+
 def five_ell():
     """A copy of the base's problem whose running cost is 5 times lq1d's."""
     p = along().base.problem
@@ -266,6 +272,28 @@ REFUSED = [
     ("optimize tol beyond the float range", lambda: OptimizeParams(M=10, N=4, tol=10**400), DomainError,
      "must be finite"),
     ("horizon beyond the float range", lambda: problem(T=10**400), DomainError, "must be finite"),
+    ("drift that is not callable", lambda: problem(b=5.0), DomainError, "^b must be callable$"),
+    ("terminal cost that is not callable", lambda: problem(phi=3.0), DomainError, "^phi must be callable$"),
+    ("missing running cost", lambda: problem(ell=None), DomainError, "^ell must be callable$"),
+    ("diffusion gradient that is not callable", lambda: problem(sigma_x=1.0), DomainError,
+     "^sigma_x must be callable$"),
+    ("observation that is not callable", lambda: problem(observe=2), DomainError, "^observe must be callable$"),
+    ("jump coefficient that is not callable", lambda: JumpSpec([[0.5]], [1.0], 7), DomainError,
+     "^C must be callable$"),
+    ("jump gradient that is not callable", lambda: JumpSpec([[0.5]], [1.0], jump_c, 7), DomainError,
+     "^C_x must be callable$"),
+    ("NaN oracle sigma", lambda: rsmp.nonconvex_weight_oracle(N=4, sigma=NAN), DomainError, "must be finite"),
+    ("string oracle sigma", lambda: rsmp.nonconvex_weight_oracle(N=4, sigma="a"), DomainError, "real number"),
+    ("negative oracle sigma", lambda: rsmp.nonconvex_weight_oracle(N=4, sigma=-0.5), DomainError, "nonnegative"),
+    ("NaN oracle horizon", lambda: rsmp.nonconvex_weight_oracle(N=4, T=NAN), DomainError, "must be finite"),
+    ("zero oracle horizon", lambda: rsmp.nonconvex_weight_oracle(N=4, T=0.0), DomainError, "positive"),
+    ("Riccati gain at a NaN time", lambda: riccati().gain_at(NAN), DomainError, "must be finite"),
+    ("Riccati matrix at a NaN time", lambda: riccati().P_at(NAN), DomainError, "must be finite"),
+    ("Riccati feedback at a NaN time", lambda: riccati().feedback(NAN, np.ones((2, 1))), DomainError,
+     "must be finite"),
+    ("Riccati gain at an infinite time", lambda: riccati().gain_at(np.inf), DomainError, "must be finite"),
+    ("open-loop partition of an unknown benchmark", lambda: rsmp.benchmark_partition("bogus", rsmp.OPEN_LOOP),
+     rsmp.UnknownBenchmark, "bogus"),
     ("negative horizon beyond the float range", lambda: problem(T=-(10**400)), DomainError, "must be finite"),
 ]
 

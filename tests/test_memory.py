@@ -89,7 +89,7 @@ def test_field_sweep_keeps_no_adjoint_process(lq1d):
     # peaks at about 4.6 M·N·8 bytes here
     p, u = lq1d
     base = rsmp.simulate(p, u, rsmp.sample_noise(p, M, N, seed=4))
-    (sums, occupancy, kept, _), _, peak = traced(lambda: _sweep(p, base, u, rsmp.BasisSpec(), record=False))
+    (sums, occupancy, kept, _), _, peak = traced(lambda: _sweep(base, rsmp.BasisSpec(), record=False))
     assert kept == () and sums.shape == (N, CELLS, K) and occupancy.shape == (N, CELLS)
     assert peak <= 2 * M * N * 8
 

@@ -229,7 +229,7 @@ class TestHamiltonianField:
         # forms no pairing sums; the field must be the public one, bit for bit
         p, _, base, adj = self.seeded_field_inputs(name, mode)
         u = base.control_used
-        sums, occupancy, kept, _ = _sweep(p, base, u, rsmp.BasisSpec(), record=False)
+        sums, occupancy, kept, _ = _sweep(base, rsmp.BasisSpec(), record=False)
         assert kept == ()
         for arr in (sums, occupancy):
             assert not arr.flags.writeable
