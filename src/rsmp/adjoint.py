@@ -221,14 +221,16 @@ def _regress_step(
     psi_next = _at(psi, k + 1)
     Zt, G, cond, ridge = _design(basis.features(x))
 
+    targets = np.empty((M, n + n * m + J * n))  # psi_next, then the Q and the phi targets, row-major
+    targets[:, :n] = psi_next
     with np.errstate(over="ignore", invalid="ignore"):
-        tq = psi_next[:, :, None] * noise.dW[:, k][:, None, :] / dt  # (M, n, m)
-        dq = noise.jump_counts[:, k] - lam * dt  # (M, J)
-        tj = psi_next[:, None, :] * (dq / (lam * dt))[:, :, None]  # (M, J, n)
-        targets = np.concatenate([psi_next, tq.reshape(M, n * m), tj.reshape(M, J * n)], axis=1)
+        np.divide(psi_next[:, :, None] * noise.dW[:, k][:, None, :], dt, out=targets[:, n : n + n * m].reshape(M, n, m))
+        for j, col in enumerate(range(n + n * m, targets.shape[1], n)):  # one compensated count per mark
+            dq = noise.jump_counts[:, k, j] - lam[j] * dt
+            np.multiply(psi_next, (dq / (lam[j] * dt))[:, None], out=targets[:, col : col + n])
     fitted = _fit(Zt, G, targets, k)
     ortho = _orthogonality(Zt, targets, fitted) if record else np.nan
-    del targets, tq, tj
+    del targets
     cont = fitted[:, :n]
     Qk = fitted[:, n : n + n * m].reshape(M, n, m)
     phik = fitted[:, n + n * m :].reshape(M, J, n)

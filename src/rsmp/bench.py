@@ -82,10 +82,14 @@ class RiccatiSolution:
         return self._interp(self.gain, t)
 
     def _interp(self, arr: np.ndarray, t: float) -> np.ndarray:
-        if not -np.inf < t < np.inf:  # a time that is not finite (NaN fails both comparisons)
+        try:
+            time = float(t)
+        except (TypeError, ValueError):  # no number: refused as a NaN time is
+            time = np.nan
+        if not -np.inf < time < np.inf:  # a time that is not finite (NaN fails both comparisons)
             raise DomainError(f"time t must be finite, got {t!r}")
         ts = self.ts
-        t = min(max(t, ts[0]), ts[-1])
+        t = min(max(time, ts[0]), ts[-1])
         j = min(int(np.searchsorted(ts, t, side="right")) - 1, len(ts) - 2)
         lam = (t - ts[j]) / (ts[j + 1] - ts[j])
         return (1.0 - lam) * arr[j] + lam * arr[j + 1]
@@ -139,13 +143,22 @@ def lq_riccati_oracle(spec: LQSpec, n_ode: int) -> RiccatiSolution:
     return RiccatiSolution(ts, P, init_cost + float(noise_cost), gain)
 
 
+def _dot(a, matrix: np.ndarray) -> np.ndarray:
+    """a (..., k) @ matrix (k, j) by one 2-D `np.dot` of a's (-1, k) rows: the
+    stacked @'s values at a fraction of its cost on narrow axes."""
+    a = np.asarray(a, dtype=float)
+    return np.dot(a.reshape(-1, a.shape[-1]), matrix).reshape(a.shape[:-1] + matrix.shape[1:])
+
+
 def lq_problem(spec: LQSpec, control_box, observe=None, jump: JumpSpec | None = None) -> Problem:
-    """Wrap an LQSpec as a generic control problem with exact gradients."""
+    """Wrap an LQSpec as a generic control problem with exact gradients; a
+    coefficient that does not depend on the state is a broadcast view."""
     A, B, S0, Rx, Ru, G = spec.A, spec.B, spec.Sigma0, spec.R_x, spec.R_u, spec.G
+    AT, BT, RxT, GT = (np.ascontiguousarray(a.T) for a in (A, B, Rx, G))
     n, m = spec.n, spec.m
 
     def b(t, x, xi):
-        return np.asarray(x) @ A.T + np.asarray(xi) @ B.T
+        return _dot(x, AT) + _dot(xi, BT)
 
     def b_x(t, x, xi):
         return np.broadcast_to(A, np.shape(x)[:-1] + A.shape)
@@ -154,7 +167,7 @@ def lq_problem(spec: LQSpec, control_box, observe=None, jump: JumpSpec | None = 
         return np.broadcast_to(S0, np.shape(x)[:-1] + S0.shape)
 
     def sigma_x(t, x, xi):
-        return np.zeros(np.shape(x)[:-1] + (n, m, n))
+        return np.broadcast_to(0.0, np.shape(x)[:-1] + (n, m, n))
 
     def ell(t, x, xi):
         x = np.asarray(x)
@@ -162,15 +175,14 @@ def lq_problem(spec: LQSpec, control_box, observe=None, jump: JumpSpec | None = 
         return np.einsum("...i,ij,...j->...", x, Rx, x) + np.einsum("...i,ij,...j->...", xi, Ru, xi)
 
     def ell_x(t, x, xi):
-        quad = 2.0 * np.asarray(x) @ Rx.T
-        return np.broadcast_to(quad, np.shape(x))
+        return _dot(2.0 * np.asarray(x), RxT)
 
     def phi(x):
         x = np.asarray(x)
         return np.einsum("...i,ij,...j->...", x, G, x)
 
     def phi_x(x):
-        return 2.0 * np.asarray(x) @ G.T
+        return _dot(2.0 * np.asarray(x), GT)
 
     return Problem(
         n=n,
@@ -233,8 +245,7 @@ def _jump_lq_spec() -> JumpSpec:
         return out
 
     def C_x(t, x, v, xi):
-        base = np.zeros(np.shape(x)[:-1] + (1, 1))
-        return base + 0.2 * v[0]
+        return np.broadcast_to(0.2 * v[0], np.shape(x)[:-1] + (1, 1))
 
     return JumpSpec(JUMP_LQ_MARKS, JUMP_LQ_RATES, C, C_x)
 
@@ -258,13 +269,13 @@ def make_benchmark(name: str) -> Problem:
             return np.broadcast_to(xi, np.broadcast_shapes(np.shape(xi), np.shape(x)))
 
         def b_x(t, x, xi):
-            return np.zeros(np.shape(x)[:-1] + (1, 1))
+            return np.broadcast_to(0.0, np.shape(x)[:-1] + (1, 1))
 
         def sigma(t, x, xi):
             return np.broadcast_to(sig, np.shape(x)[:-1] + (1, 1))
 
         def sigma_x(t, x, xi):
-            return np.zeros(np.shape(x)[:-1] + (1, 1, 1))
+            return np.broadcast_to(0.0, np.shape(x)[:-1] + (1, 1, 1))
 
         def ell(t, x, xi):
             x = np.asarray(x)
@@ -391,6 +402,7 @@ def best_regular_open_loop(p: Problem, grid: ControlGrid, noise: NoiseEnsemble):
     return best_costs, np.array(best_profile)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a cost beyond the float range is refused once, at the end
 def nonconvex_weight_oracle(N: int = 8, resolution: float = 0.1, sigma: float = NONCONVEX_SIGMA, T: float = 1.0):
     """Reference optimum over open-loop weight profiles on the two-atom grid,
     discretized in steps of `resolution`.
@@ -402,7 +414,8 @@ def nonconvex_weight_oracle(N: int = 8, resolution: float = 0.1, sigma: float = 
     lattice is exact only when 1 / (2 resolution) is an integer (resolution
     0.5, 0.25, 0.1, ...): any other resolution raises DomainError, and so
     does one whose lattice (about 2 N / resolution means per step) is too
-    large to allocate.  sigma and T must be finite, sigma >= 0 and T > 0.
+    large to allocate.  sigma and T must be finite, sigma >= 0 and T > 0,
+    and a pair whose cost leaves the float range raises DomainError.
     """
     N, resolution = require_count(N, "N"), require_positive(resolution, "resolution")
     sigma, T = require_positive(sigma, "sigma", strict=False), require_positive(T, "horizon T")
@@ -441,11 +454,14 @@ def nonconvex_weight_oracle(N: int = 8, resolution: float = 0.1, sigma: float = 
                     parent[k, s2] = s
                     choice[k, s2] = a
         cost_to_come = nxt
-    noise_part = float(sigma**2 * dt**2 * (N - 1) * N / 2.0)
+    noise_part = np.float64(sigma) ** 2 * np.float64(dt) ** 2 * (N - 1) * N / 2.0
     end = int(np.argmin(cost_to_come))
+    optimum = float(cost_to_come[end] + noise_part)
+    if not np.isfinite(optimum):
+        raise DomainError(f"horizon T={T!r} with sigma={sigma!r} takes the cost beyond the float range")
     profile = np.empty(N)
     s = end
     for k in range(N - 1, -1, -1):
         profile[k] = levels[choice[k, s]]
         s = parent[k, s]
-    return float(cost_to_come[end] + noise_part), profile
+    return optimum, profile

@@ -111,7 +111,8 @@ class CellPartition:
         """Flat cell index for each row of signal (..., p).
 
         Raises DomainError on a NaN/Inf signal, which has no cell, and
-        ShapeMismatch when the signal's width is not p.
+        ShapeMismatch when the signal's width is not p.  A finite signal far
+        outside the bounds takes its edge bin (clipped before the int cast).
         """
         s = np.asarray(signal, dtype=float)
         if not np.all(np.isfinite(s)):
@@ -121,12 +122,12 @@ class CellPartition:
             s = s[:, None] if p == 1 else s[None, :]
         if s.shape[-1:] != (p,):
             raise ShapeMismatch(f"signal of shape {s.shape} does not fit a partition of dimension {p}")
-        lo = self.bounds[:, 0]
-        width = (self.bounds[:, 1] - lo) / np.asarray(self.cells_per_dim)
-        raw = np.floor((s - lo) / width).astype(int)
-        raw = np.clip(raw, 0, np.asarray(self.cells_per_dim) - 1)
-        flat = np.zeros(s.shape[:-1], dtype=int)
-        for dim, c in enumerate(self.cells_per_dim):
+        lo, cpd = self.bounds[:, 0], np.asarray(self.cells_per_dim)
+        with np.errstate(over="ignore"):
+            q = (s - lo) / ((self.bounds[:, 1] - lo) / cpd)
+        raw = np.clip(np.floor(q, out=q), 0, cpd - 1, out=q).astype(int)
+        flat = raw[..., 0]
+        for dim, c in enumerate(self.cells_per_dim[1:], 1):
             flat = flat * c + raw[..., dim]
         return flat
 

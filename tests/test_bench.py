@@ -6,6 +6,7 @@ import pytest
 import rsmp
 from rsmp import LQSpec, NonPSD, UnknownBenchmark
 from rsmp.forward import pathwise_cost
+from rsmp.problem import _atom_view
 
 
 class TestRiccatiOracle:
@@ -54,6 +55,44 @@ class TestRiccatiOracle:
         sol = rsmp.lq_riccati_oracle(spec, 500)
         assert sol.P.shape == (500 + 1, 2, 2)
         assert np.all(np.linalg.eigvalsh(sol.P[0]) >= -1e-12)
+
+    def test_time_may_be_any_real_scalar(self):
+        # a time is read through float(): numbers and 0-d arrays give the same gain
+        sol = rsmp.lq_riccati_oracle(rsmp.benchmark_lq_spec("lq2d"), 50)
+        for t in (np.array(0.5), np.float64(0.5), np.array(0.5, dtype=np.float32)):
+            assert sol.gain_at(t).tobytes() == sol.gain_at(0.5).tobytes()
+        assert sol.P_at(np.int64(1)).tobytes() == sol.P_at(1.0).tobytes()
+
+
+class TestLQCoefficients:
+    # b, l_x and phi_x are 2-D np.dot products of the (-1, n) rows; they must
+    # keep the bits of the stacked @ they replace
+    @pytest.mark.parametrize("name", ["lq1d", "lq2d", "jump-lq"])
+    @pytest.mark.parametrize("x_lead, xi_lead", [((5, 300), (5, 300)), ((300,), (300,)), ((1, 300), (5, 1))])
+    def test_products_equal_their_matmul_forms(self, name, x_lead, xi_lead):
+        spec, p = rsmp.benchmark_lq_spec(name), rsmp.make_benchmark(name)
+        rng = np.random.default_rng(4)
+        x, xi = rng.standard_normal(x_lead + (p.n,)), rng.standard_normal(xi_lead + (p.d,))
+        assert p.b(0.2, x, xi).tobytes() == (x @ spec.A.T + xi @ spec.B.T).tobytes()
+        assert p.ell_x(0.2, x, xi).tobytes() == (2.0 * x @ spec.R_x.T).tobytes()
+        assert p.phi_x(x).tobytes() == (2.0 * x @ spec.G.T).tobytes()
+
+    @pytest.mark.parametrize("name, jacobians", [
+        ("lq1d", ("b_x", "sigma", "sigma_x")),
+        ("lq2d", ("b_x", "sigma", "sigma_x")),
+        ("jump-lq", ("b_x", "sigma", "sigma_x", "C_x")),
+        ("nonconvex-mix", ("b_x", "sigma", "sigma_x")),
+    ])
+    def test_constant_values_are_broadcast_views_kept_as_one_row(self, name, jacobians):
+        p, grid = rsmp.make_benchmark(name), rsmp.benchmark_grid(name, 5)
+        x = np.random.default_rng(5).standard_normal((40, p.n))
+        for what in jacobians:
+            f = p.jump.C_x if what == "C_x" else getattr(p, what)
+            extra = (p.jump.marks[0],) if what == "C_x" else ()
+            value = f(0.0, x, *extra, np.zeros((40, p.d)))
+            assert value.strides[0] == 0, what
+            view = _atom_view(f, grid, 0.0, x, value.shape[1:], extra)
+            assert view.shape[:2] == (1, 1), what
 
 
 class TestMakeBenchmark:

@@ -339,6 +339,16 @@ class TestCellPartition:
         pts = np.array([[0.1, 0.1], [0.9, 0.1], [0.1, 0.9], [5.0, 5.0]])
         assert part.assign(pts).tolist() == [0, 2, 1, 3]
 
+    @pytest.mark.parametrize("cells", [4, 16])
+    def test_signal_beyond_the_integer_range_takes_the_edge_bin(self, cells):
+        # 1e300 cast to int used to land in cell 0 with a RuntimeWarning (an
+        # error in this suite); 1.7e308 / width 0.25 overflows to Inf
+        part = rsmp.benchmark_partition("lq1d", rsmp.STATE_FEEDBACK, cells=cells)
+        signal = np.array([[1e300], [-1e300], [2.5], [1.7e308], [-1.7e308]])
+        assert part.assign(signal).tolist() == [cells - 1, 0, cells - 1, cells - 1, 0]
+        both = CellPartition([[-2.0, 2.0], [0.0, 1.0]], (cells, 2))
+        assert both.assign(np.array([[1e300, -1e300], [-1e300, 1e300]])).tolist() == [2 * cells - 2, 1]
+
     def test_non_finite_signal_rejected(self):
         part = CellPartition([[0.0, 1.0]], (4,))
         for bad in (np.nan, np.inf):

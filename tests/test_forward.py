@@ -9,7 +9,7 @@ import pytest
 
 import rsmp
 from rsmp import BlowUp, ControlGrid, DomainError, GaussianInitial, JumpSpec, NonFiniteCoefficient, Problem
-from rsmp import ShapeMismatch
+from rsmp import CellPartition, ShapeMismatch
 from rsmp.container import TAG_ADJOINT, TAG_PATHS, adjoint_to_binary, paths_to_binary, read_section
 from rsmp.forward import _BLOCK, BLOWUP_GUARD, STREAM_VERSION, _mean_and_error, euler_step, guard_step, pathwise_cost
 from rsmp.forward import _step_weights
@@ -518,6 +518,34 @@ def test_step_weights_resolve_open_loop_to_one_row(mode):
         else:
             assert np.array_equal(w, u.weights[k][cells]) and rows() is w
             assert np.array_equal(total, (u.weights[k] @ ones)[cells])
+
+
+@pytest.mark.parametrize("name", ["lq1d", "jump-lq", "nonconvex-mix"])
+@pytest.mark.parametrize("mode", [rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK])
+def test_feedback_whose_cells_agree_keeps_the_gather_bits(name, mode):
+    # the bits of a control that puts every path in cell 0 and other rows in
+    # cells no path reaches: a shortcut for cells that agree must keep the
+    # gather's per-path BLAS row sums; open loop sums its one row in atom
+    # order, so it agrees to rounding
+    p, grid = rsmp.make_benchmark(name), rsmp.benchmark_grid(name, 9)
+    weights = np.full((6, 1, grid.K), 1.0 / grid.K)  # nine 1/9 sum to 1.0 through BLAS, not in atom order
+    weights[1::2] = np.random.default_rng(8).dirichlet(np.ones(grid.K), size=(3, 1))
+    open_loop = rsmp.RelaxedControl(grid, weights)
+    near = rsmp.benchmark_partition(name, mode, cells=4)
+    part = CellPartition(near.bounds + 1e6, near.cells_per_dim)  # every signal below: cell 0
+    rows = np.repeat(open_loop.weights, part.n_cells, axis=1)
+    agree = rsmp.RelaxedControl(open_loop.grid, rows, mode, part)
+    other = rows.copy()
+    other[:, 1:] = np.random.default_rng(9).dirichlet(np.ones(grid.K), size=other[:, 1:].shape[:2])
+    gather = rsmp.RelaxedControl(open_loop.grid, other, mode, part)
+    noise = rsmp.sample_noise(p, 400, 6, seed=2)
+    a, b, c = (rsmp.simulate(p, u, noise) for u in (agree, gather, open_loop))
+    assert a.states.tobytes() == b.states.tobytes()
+    assert a.running_cost.tobytes() == b.running_cost.tobytes()
+    np.testing.assert_allclose(a.states, c.states, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(a.running_cost, c.running_cost, rtol=1e-12, atol=1e-12)
+    with pytest.raises(DomainError, match="must be finite"):
+        agree.weights_at(3, np.full((400, len(part.cells_per_dim)), np.nan))
 
 
 @pytest.mark.parametrize("kind", ["relaxed", "regular", "policy"])

@@ -292,6 +292,15 @@ REFUSED = [
     ("Riccati feedback at a NaN time", lambda: riccati().feedback(NAN, np.ones((2, 1))), DomainError,
      "must be finite"),
     ("Riccati gain at an infinite time", lambda: riccati().gain_at(np.inf), DomainError, "must be finite"),
+    ("Riccati gain at a string time", lambda: riccati().gain_at("a"), DomainError, "must be finite"),
+    ("Riccati matrix at a string time", lambda: riccati().P_at("a"), DomainError, "must be finite"),
+    ("Riccati feedback at a string time", lambda: riccati().feedback("a", np.ones((2, 1))), DomainError,
+     "must be finite"),
+    ("Riccati gain at no time", lambda: riccati().gain_at(None), DomainError, "must be finite"),
+    ("oracle horizon whose cost overflows", lambda: rsmp.nonconvex_weight_oracle(N=4, T=1e300), DomainError,
+     "horizon T=1e\\+300"),
+    ("oracle sigma whose cost overflows", lambda: rsmp.nonconvex_weight_oracle(N=4, sigma=1e200), DomainError,
+     "beyond the float range"),
     ("open-loop partition of an unknown benchmark", lambda: rsmp.benchmark_partition("bogus", rsmp.OPEN_LOOP),
      rsmp.UnknownBenchmark, "bogus"),
     ("negative horizon beyond the float range", lambda: problem(T=-(10**400)), DomainError, "must be finite"),
