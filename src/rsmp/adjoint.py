@@ -217,7 +217,7 @@ def _regress_step(
     n, m = p.n, p.m
     J, lam = p.jump.J, p.jump.intensities
     x = base.states[:, k]
-    cells, total, rows = _step_weights(base, k)
+    cells, total, rows, _ = _step_weights(base, k)
     psi_next = _at(psi, k + 1)
     Zt, G, cond, ridge = _design(basis.features(x))
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import CellPartition, ControlGrid, OBSERVATION_FEEDBACK, OPEN_LOOP, RelaxedControl, STATE_FEEDBACK
-from .errors import DomainError, NonPSD, ShapeMismatch, UnknownBenchmark, frozen_field, require_count, require_positive
+from .errors import DomainError, NonPSD, ShapeMismatch, UnknownBenchmark, allocating, frozen_field, require_count
+from .errors import require_positive
 from .forward import NoiseEnsemble, pathwise_cost, simulate
 from .problem import SYMMETRY_TOL, GaussianInitial, JumpSpec, Problem
 
@@ -117,7 +118,8 @@ def lq_riccati_oracle(spec: LQSpec, n_ode: int) -> RiccatiSolution:
         return -(A.T @ P + P @ A - P @ B @ Ru_inv @ B.T @ P + Rx)
 
     h = spec.T / n_ode
-    P = np.empty((n_ode + 1, spec.n, spec.n))
+    with allocating((n_ode + 1) * spec.n * spec.n, f"Riccati solution on {n_ode} steps"):
+        P = np.empty((n_ode + 1, spec.n, spec.n))
     P[n_ode] = G
     for j in range(n_ode, 0, -1):
         Pj = P[j]
@@ -328,7 +330,9 @@ def benchmark_grid(name: str, K: int = 9) -> ControlGrid:
         lo, hi = LQ1D_FEEDBACK_RANGE
     else:
         lo, hi = p.control_box[0]
-    return ControlGrid(np.linspace(lo, hi, require_count(K, "K"))[:, None], p.control_box)
+    K = require_count(K, "K")
+    with allocating(K, f"grid of {K} atoms"):
+        return ControlGrid(np.linspace(lo, hi, K)[:, None], p.control_box)
 
 
 def benchmark_partition(name: str, mode: str, cells: int = 8) -> CellPartition | None:
@@ -419,10 +423,6 @@ def nonconvex_weight_oracle(N: int = 8, resolution: float = 0.1, sigma: float = 
     """
     N, resolution = require_count(N, "N"), require_positive(resolution, "resolution")
     sigma, T = require_positive(sigma, "sigma", strict=False), require_positive(T, "horizon T")
-    size = 2.0 * N / resolution + 1.0  # reachable means per step
-    too_large = DomainError(f"resolution {resolution!r} gives a lattice of {size:.3g} means, too large to allocate")
-    if N * size > np.iinfo(np.intp).max / 8:  # beyond numpy's largest array (Inf included)
-        raise too_large
     half_steps = 0.5 / resolution  # drift steps on the lattice are level index minus this
     if round(half_steps) < 1 or abs(half_steps - round(half_steps)) > 1e-9 * half_steps:
         raise DomainError(f"resolution must be 1/(2 j) for an integer j >= 1, got {resolution!r}")
@@ -430,13 +430,12 @@ def nonconvex_weight_oracle(N: int = 8, resolution: float = 0.1, sigma: float = 
     # lattice of reachable means: integer multiples of resolution * 2 * dt
     unit = 2.0 * resolution * dt
     span = int(round(1.0 / resolution)) * N
-    try:
+    size = 2.0 * N / resolution + 1.0  # reachable means per step
+    with allocating(N * size, f"resolution {resolution!r} gives a lattice of {size:.3g} means"):
         levels = np.round(np.arange(0.0, 1.0 + resolution / 2, resolution), 10)
         offsets = np.arange(-span, span + 1)
         parent = np.full((N, offsets.size), -1, dtype=int)
         choice = np.full((N, offsets.size), -1, dtype=int)
-    except MemoryError:
-        raise too_large from None
     drift = 2.0 * levels - 1.0  # mean velocity per weight level
     means = offsets * unit
     cost_to_come = np.full(means.size, np.inf)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, MissingPaths, ShapeMismatch, ValueOffGrid
+from .errors import DomainError, MissingPaths, ShapeMismatch, ValueOffGrid, allocating
 from .errors import frozen_field, require_count, require_finite, require_positive, require_tolerance
 from .problem import _require_shape
 
@@ -356,13 +356,17 @@ def constant_control(grid: ControlGrid, time_steps: int, weights=None) -> Relaxe
         w = np.full(grid.K, 1.0 / grid.K)
     else:
         w = np.asarray(weights, dtype=float)
-    return RelaxedControl(grid, np.tile(w, (require_count(time_steps, "time steps"), 1, 1)))
+    time_steps = require_count(time_steps, "time steps")
+    with allocating(time_steps * w.size, f"{time_steps} time steps of weights"):
+        return RelaxedControl(grid, np.tile(w, (time_steps, 1, 1)))
 
 
 def refine_steps(u: RelaxedControl, factor: int) -> RelaxedControl:
     """The same control on a time grid `factor` times finer: each step's
     weights repeat over the sub-steps (the control is piecewise constant)."""
-    w = np.repeat(u.weights, require_count(factor, "refinement factor"), axis=0)
+    factor = require_count(factor, "refinement factor")
+    with allocating(u.weights.size * factor, f"refinement by {factor}"):
+        w = np.repeat(u.weights, factor, axis=0)
     return RelaxedControl(u.grid, w, u.feedback_mode, u.feedback)
 
 

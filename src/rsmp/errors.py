@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package, and the input checks of its records and of user callables' values."""
 
+from contextlib import contextmanager
+
 import numpy as np
 
 
@@ -81,6 +83,21 @@ def require_count(value, what: str, low: int = 1) -> int:
     if value < low:
         raise DomainError(f"{what} must be at least {low}, got {value!r}")
     return int(value)
+
+
+@contextmanager
+def allocating(elements, what: str):
+    """Context of an allocation of `elements` 8-byte items (a float, Inf
+    included, or an exact int): DomainError("<what>, too large to allocate")
+    on entry when elements * 8 exceeds np.intp's largest value, the bound of
+    numpy's largest array, and in place of a MemoryError raised inside."""
+    too_large = DomainError(f"{what}, too large to allocate")
+    if not elements * 8 <= np.iinfo(np.intp).max:
+        raise too_large
+    try:
+        yield
+    except MemoryError:
+        raise too_large from None
 
 
 def require_seed(value, what: str = "seed") -> int:

@@ -9,7 +9,8 @@ therefore a function of (seed, i) alone: an ensemble of M1 paths is the row
 prefix of one of M2 > M1 paths, and a simulation is a pure function of
 (problem, control, noise).  `simulate` steps all M paths at once, like the
 variational and adjoint sweeps; each path's row depends on its own noise
-alone, so the bits do not depend on how many paths share a step, and no
+alone, under feedback too (`problem._row_sums` sums each weight row on its
+own), so the bits do not depend on how many paths share a step, and no
 result ever depended on the worker cap.  Jumps use a finite atomic jump
 measure; each step applies the event counts minus their compensator at the
 left endpoint.  The forward and variational sweeps share one Euler step,
@@ -38,9 +39,9 @@ from numpy.random import Generator, Philox
 
 from .control import OBSERVATION_FEEDBACK, OPEN_LOOP, RegularControl, RelaxedControl
 from .errors import BlowUp, DomainError, NonFiniteCoefficient, ShapeMismatch, require_count, require_finite
-from .errors import require_seed
-from .problem import GaussianInitial, Problem, _same_on_every_path, averaged_coefficients, point_coefficients
-from .problem import terminal_cost
+from .errors import allocating, require_seed
+from .problem import GaussianInitial, Problem, _row_sums, _same_on_every_path, averaged_coefficients
+from .problem import point_coefficients, terminal_cost
 
 BLOWUP_GUARD = 1e9
 # Fixed path block of the noise streams (stream version 2): each block draws
@@ -151,10 +152,11 @@ def sample_noise(p: Problem, M: int, N: int, seed: int) -> NoiseEnsemble:
     M, N, seed = require_count(M, "M"), require_count(N, "N"), require_seed(seed)
     dt = p.T / N
     sqrt_dt = np.sqrt(dt)
-    dW = _step_major(M, N, (p.m,))
-    z0 = np.empty((M, p.n)) if isinstance(p.x0, GaussianInitial) else None
     J = p.jump.J
-    counts = _step_major(M, N, (J,), np.int64)
+    with allocating(M * (N * (p.m + J) + p.n), f"noise of {M} paths and {N} steps"):
+        dW = _step_major(M, N, (p.m,))
+        z0 = np.empty((M, p.n)) if isinstance(p.x0, GaussianInitial) else None
+        counts = _step_major(M, N, (J,), np.int64)
     rows = max(1, _DRAW_FLOATS // (N * (p.m + J)))
     draws = np.empty((min(M, _BLOCK, rows), N, p.m))  # Philox fills only a C-contiguous out=
     for b, s in enumerate(range(0, M, _BLOCK)):
@@ -223,19 +225,21 @@ def _feedback_signal(p: Problem, mode: str, x: np.ndarray):
     return p.observation(x) if mode == OBSERVATION_FEEDBACK else x
 
 
-def _step_weights(paths: PathEnsemble, k: int) -> tuple:
-    """The feedback cell (M,) at step k of every path under the relaxed
-    control_used of the ensemble, the weight row sums, and a function
-    returning the weights themselves: for open loop cells 0, the single row
-    (K,) and its sum; for feedback the per-cell sums gathered by cell (M,)
-    and the rows (M, K), gathered once, on the first call.  A step whose
-    values do not depend on the control so gathers no (M, K) rows."""
-    u = paths.control_used
-    table, ones = u.weights[k], np.ones(u.grid.K)
+def _step_weights(paths: PathEnsemble, k: int, direction: RelaxedControl | None = None) -> tuple:
+    """Step k of the ensemble's relaxed control_used, resolved on its paths:
+    the feedback cells (M,) (0 under open loop), the weight row sums
+    (`_row_sums` of the one row, or per cell gathered by cell), a function
+    returning the weights (the row (K,), or the (M, K) rows gathered once,
+    on the first call, so a step whose values do not depend on the control
+    gathers none), and a direction's weights less those, or None."""
+    u, table = paths.control_used, paths.control_used.weights[k]
     if u.feedback is None:
-        return np.zeros(paths.M, dtype=np.int64), table[0] @ ones, lambda: table[0]
-    cells = u.feedback.assign(paths.feedback_signal(k, u.feedback_mode))
-    return cells, np.take(table @ ones, cells), cache(lambda: np.take(table, cells, axis=0))
+        cells, gather, total = np.zeros(paths.M, dtype=np.int64), (lambda t: t[0]), _row_sums(table[0])
+    else:
+        cells = u.feedback.assign(paths.feedback_signal(k, u.feedback_mode))
+        gather, total = (lambda t: np.take(t, cells, axis=0)), np.take(_row_sums(table), cells)
+    dw = None if direction is None else gather(direction.weights[k] - table)
+    return cells, total, cache(lambda: gather(table)), dw
 
 
 def guard_step(x: np.ndarray, k: int, what: str) -> None:

@@ -326,6 +326,15 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, *, pairing=True, 
     return val, pairing
 
 
+def _row_sums(w) -> np.ndarray:
+    """Row sums of weights whose bits depend on each row alone: one row (K,)
+    by `w @ ones`, a table (Q, K) of per-path or per-cell rows row by row,
+    so a path's sum is its cell's and does not depend on how many paths
+    share the step."""
+    w = np.asarray(w, dtype=float)
+    return w @ np.ones(len(w)) if w.ndim == 1 else np.einsum("qk->q", w)
+
+
 def _averaged(f, grid, t, x, w, tail: tuple, what: str, extra=(), total=None):
     """Relaxed average sum_i w[..., i] f(t, x, *extra, xi_i) of `_atom_view`'s
     form; linear in w.  A value evaluated once for all atoms is scaled by
@@ -338,7 +347,7 @@ def _averaged(f, grid, t, x, w, tail: tuple, what: str, extra=(), total=None):
     if len(vals) == grid.K:
         out = require_finite(contract_atoms(vals, w() if callable(w) else w), what)
     else:
-        total = np.asarray(w, dtype=float) @ np.ones(grid.K) if total is None else total
+        total = _row_sums(w) if total is None else total
         with np.errstate(over="ignore", invalid="ignore"):  # Inf * 0 is NaN: checked below
             out = require_finite(vals[0] * total.reshape(total.shape + (1,) * len(tail)), what)
     return out if len(out) == M else np.broadcast_to(out, (M,) + tail)
@@ -380,8 +389,7 @@ def averaged_jump_x(p: Problem, grid, t, x, v, w, total=None):
 
 def _step_averages(p: Problem, grid, t, x, w, averages, jump_average, total=None) -> tuple:
     """The averages under weights w, then jump_average per mark, sharing one row sum of w."""
-    if total is None:
-        total = np.asarray(w, dtype=float) @ np.ones(grid.K)  # a product: w.sum(-1) is several times slower
+    total = _row_sums(w) if total is None else total
     values = tuple(average(p, grid, t, x, w, total) for average in averages)
     return values + ([jump_average(p, grid, t, x, v, w, total) for v in p.jump.marks],)
 

@@ -29,7 +29,7 @@ from numpy.random import Generator, Philox
 
 from .adjoint import AdjointEnsemble, BasisSpec, _sweep
 from .control import ControlGrid, RegularControl, RelaxedControl, mix
-from .errors import ShapeMismatch, require_count, require_finite, require_seed, require_tolerance
+from .errors import ShapeMismatch, allocating, require_count, require_finite, require_seed, require_tolerance
 from .forward import _mean_and_error, pathwise_cost, sample_noise, simulate
 from .problem import Problem, _require_shape, atom_hamiltonians, contract_atoms
 
@@ -311,7 +311,8 @@ def realize_regular(u_relaxed: RelaxedControl, refinement: int, seed: int | None
     refinement = require_count(refinement, "refinement")
     N, C, K = u_relaxed.weights.shape
     d = u_relaxed.grid.d
-    values = np.empty((N * refinement, C, d))
+    with allocating(N * refinement * C * d, f"realization of {N * refinement} slots"):
+        values = np.empty((N * refinement, C, d))
     rng = Generator(Philox(key=require_seed(seed))) if seed is not None else None
     for k in range(N):
         for c in range(C):

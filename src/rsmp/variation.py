@@ -62,9 +62,7 @@ def simulate_variational(
         t = k * dt
         x = base.states[:, k]
         yk = y[:, k]
-        cells, total, rows = _step_weights(base, k)
-        dw = u.weights[k] - u0.weights[k]
-        dw = dw[0] if u0.feedback is None else np.take(dw, cells, axis=0)
+        _, total, rows, dw = _step_weights(base, k, u)
         bx, sx, lx, cxs = averaged_linearization(p, grid, t, x, rows, total)
         b_dw, s_dw, l_dw, c_dws = averaged_coefficients(p, grid, t, x, dw)
         response_terms[k] = dt * float(np.mean(np.einsum("qi,qi->q", lx, yk)))

@@ -13,7 +13,7 @@ from rsmp import CellPartition, ShapeMismatch
 from rsmp.container import TAG_ADJOINT, TAG_PATHS, adjoint_to_binary, paths_to_binary, read_section
 from rsmp.forward import _BLOCK, BLOWUP_GUARD, STREAM_VERSION, _mean_and_error, euler_step, guard_step, pathwise_cost
 from rsmp.forward import _step_weights
-from rsmp.problem import averaged_running_cost
+from rsmp.problem import _row_sums, averaged_running_cost
 
 
 def scalar_problem(b=None, sigma=None, ell=None, phi=None, x0=0.0, jump=None, T=1.0):
@@ -502,22 +502,27 @@ def relaxed_control(name, mode, N, seed=0):
 @pytest.mark.parametrize("mode", [rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK])
 def test_step_weights_resolve_open_loop_to_one_row(mode):
     # the rule of weights_at: open loop reads its single (K,) row on cell 0;
-    # feedback gathers the rows of its cells once, and the row sums by cell
+    # feedback gathers the rows of its cells once, and the row sums by cell;
+    # a direction's weight difference is gathered the same way
     p = rsmp.make_benchmark("lq1d")
     u = relaxed_control("lq1d", mode, 4)
+    direction = relaxed_control("lq1d", mode, 4, seed=1)
     paths = rsmp.simulate(p, u, rsmp.sample_noise(p, 50, 4, seed=3))
-    ones = np.ones(u.grid.K)
     for k in range(4):
-        cells, total, rows = _step_weights(paths, k)
+        cells, total, rows, dw = _step_weights(paths, k, direction)
         w = rows()
         assert cells.shape == (50,) and cells.dtype == np.int64
         assert np.array_equal(w, u.weights_at(k, paths.feedback_signal(k, mode)))
+        diff = direction.weights[k] - u.weights[k]
         if mode == rsmp.OPEN_LOOP:
             assert not cells.any() and np.array_equal(w, u.weights[k, 0])
-            assert np.shape(total) == () and total == w @ ones
+            assert np.shape(total) == () and np.array_equal(total, _row_sums(w))
+            assert np.array_equal(dw, diff[0])
         else:
             assert np.array_equal(w, u.weights[k][cells]) and rows() is w
-            assert np.array_equal(total, (u.weights[k] @ ones)[cells])
+            assert np.array_equal(total, _row_sums(u.weights[k])[cells])
+            assert np.array_equal(dw, diff[cells])
+        assert _step_weights(paths, k)[3] is None
 
 
 @pytest.mark.parametrize("name", ["lq1d", "jump-lq", "nonconvex-mix"])
@@ -525,10 +530,10 @@ def test_step_weights_resolve_open_loop_to_one_row(mode):
 def test_feedback_whose_cells_agree_keeps_the_gather_bits(name, mode):
     # the bits of a control that puts every path in cell 0 and other rows in
     # cells no path reaches: a shortcut for cells that agree must keep the
-    # gather's per-path BLAS row sums; open loop sums its one row in atom
-    # order, so it agrees to rounding
+    # gather's row sums of a table; open loop sums its one row in atom order,
+    # so it agrees to rounding
     p, grid = rsmp.make_benchmark(name), rsmp.benchmark_grid(name, 9)
-    weights = np.full((6, 1, grid.K), 1.0 / grid.K)  # nine 1/9 sum to 1.0 through BLAS, not in atom order
+    weights = np.full((6, 1, grid.K), 1.0 / grid.K)  # nine 1/9 sum to 1.0 in a table's rows, not in atom order
     weights[1::2] = np.random.default_rng(8).dirichlet(np.ones(grid.K), size=(3, 1))
     open_loop = rsmp.RelaxedControl(grid, weights)
     near = rsmp.benchmark_partition(name, mode, cells=4)
@@ -548,23 +553,30 @@ def test_feedback_whose_cells_agree_keeps_the_gather_bits(name, mode):
         agree.weights_at(3, np.full((400, len(part.cells_per_dim)), np.nan))
 
 
-@pytest.mark.parametrize("kind", ["relaxed", "regular", "policy"])
+@pytest.mark.parametrize("kind", ["relaxed", "regular", "policy", "feedback-rows"])
 def test_simulation_of_fewer_paths_is_row_prefix(kind):
     """Each path's row depends on its own noise alone, so how many paths
     share a step never shows in the bits."""
+    sizes, large, seed = (100, _BLOCK + 1), 2 * _BLOCK + 5, 6
     if kind == "policy":
         p = rsmp.make_benchmark("lq1d")
         u, N = rsmp.lq_riccati_oracle(rsmp.benchmark_lq_spec("lq1d"), 64).feedback, 8
+    elif kind == "feedback-rows":  # per-path weight rows, each summed on its own
+        p, grid = rsmp.make_benchmark("lq1d"), rsmp.benchmark_grid("lq1d", 9)
+        part = rsmp.benchmark_partition("lq1d", rsmp.STATE_FEEDBACK, cells=4)
+        w = np.random.default_rng(10).dirichlet(np.ones(9), (8, 4))
+        u, N = rsmp.RelaxedControl(grid, w, rsmp.STATE_FEEDBACK, part), 8
+        sizes, large, seed = (2, 7), 64, 1
     else:
         p = rsmp.make_benchmark("jump-lq")
         u, N = relaxed_control("jump-lq", rsmp.STATE_FEEDBACK, 4), 4
         if kind == "regular":
             u, N = rsmp.realize_regular(u, 2), 8
-    large = rsmp.simulate(p, u, rsmp.sample_noise(p, 2 * _BLOCK + 5, N, seed=6))
-    for M in (100, _BLOCK + 1):
-        small = rsmp.simulate(p, u, rsmp.sample_noise(p, M, N, seed=6))
-        assert np.array_equal(small.states, large.states[:M])
-        assert np.array_equal(small.running_cost, large.running_cost[:M])
+    ref = rsmp.simulate(p, u, rsmp.sample_noise(p, large, N, seed=seed))
+    for M in sizes:
+        small = rsmp.simulate(p, u, rsmp.sample_noise(p, M, N, seed=seed))
+        assert np.array_equal(small.states, ref.states[:M])
+        assert np.array_equal(small.running_cost, ref.running_cost[:M])
 
 
 class TestDiracSteps:

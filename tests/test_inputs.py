@@ -304,6 +304,19 @@ REFUSED = [
     ("open-loop partition of an unknown benchmark", lambda: rsmp.benchmark_partition("bogus", rsmp.OPEN_LOOP),
      rsmp.UnknownBenchmark, "bogus"),
     ("negative horizon beyond the float range", lambda: problem(T=-(10**400)), DomainError, "must be finite"),
+    # sizes beyond numpy's largest array, refused before anything is allocated
+    ("noise of 2**62 paths", lambda: rsmp.sample_noise(lq1d(), 2**62, 4, 1), DomainError,
+     "^noise of 4611686018427387904 paths and 4 steps, too large to allocate$"),
+    ("constant control of 2**62 steps", lambda: rsmp.constant_control(rsmp.benchmark_grid("lq1d", 3), 2**62),
+     DomainError, "too large to allocate$"),
+    ("refinement by 2**62", lambda: rsmp.refine_steps(open_control(), 2**62), DomainError,
+     "^refinement by 4611686018427387904, too large to allocate$"),
+    ("realization refinement of 2**62", lambda: rsmp.realize_regular(open_control(), 2**62), DomainError,
+     "too large to allocate$"),
+    ("benchmark grid of 2**62 atoms", lambda: rsmp.benchmark_grid("lq1d", 2**62), DomainError,
+     "too large to allocate$"),
+    ("Riccati oracle on 2**62 steps", lambda: rsmp.lq_riccati_oracle(rsmp.benchmark_lq_spec("lq1d"), 2**62),
+     DomainError, "too large to allocate$"),
 ]
 
 
@@ -380,6 +393,25 @@ def test_control_file_with_a_float_cell_count_exits_2(tmp_path, count):
         code = main(["simulate", "--bench", "lq1d", "--M", "20", "--N", "4", "--seed", "1", "--control", str(path)])
     assert code == EXIT_CONFIG
     assert err.getvalue().startswith("error: ") and "integer" in err.getvalue()
+
+
+def test_path_count_beyond_numpy_s_largest_array_exits_2():
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate", "--bench", "lq1d", "--M", str(2**62), "--N", "64", "--seed", "1"])
+    assert code == EXIT_CONFIG
+    assert err.getvalue() == "error: noise of 4611686018427387904 paths and 64 steps, too large to allocate\n"
+
+
+def test_command_out_of_memory_exits_2(monkeypatch):
+    def exhausted(config):
+        raise MemoryError("Unable to allocate 46.6 TiB")
+
+    monkeypatch.setitem(rsmp.cli._COMMANDS, "simulate", (exhausted, "simulate"))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate", "--bench", "lq1d", "--M", "20", "--N", "4", "--seed", "1"])
+    assert code == EXIT_CONFIG and err.getvalue() == "out of memory: Unable to allocate 46.6 TiB\n"
 
 
 def test_validate_reports_non_finite_weights():

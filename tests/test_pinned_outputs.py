@@ -1,4 +1,5 @@
-"""The bits of 12 `optimize` results, pinned by the SHA-256 of their JSON.
+"""The bits of 12 `optimize` results, pinned by the SHA-256 of their JSON,
+and of every file one small run of each CLI command writes.
 
 A change that reorders a sum, fuses a product or calls another BLAS routine
 moves these digests; a change that keeps them keeps every result an older
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import rsmp
+from rsmp.cli import main
 
 MODES = (rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK)
 
@@ -63,3 +65,60 @@ def test_optimize_result_keeps_its_bits(name, mode):
 
 def test_digests_cover_every_benchmark_and_mode():
     assert set(DIGESTS) == {(name, mode) for name in rsmp.BENCHMARK_NAMES for mode in MODES}
+
+
+# One small run per CLI command, each writing into its own --out directory,
+# named relatively so that the artifacts that record the configuration do
+# not depend on where the test runs.
+SMALL = ["--M", "200", "--N", "8", "--K", "5", "--seed", "3"]
+CLI_RUNS = {
+    "describe": ["describe", "--bench", "jump-lq"],
+    "simulate": ["simulate", "--bench", "jump-lq", "--mode", "state", "--format", "csv,json,bin", *SMALL],
+    "adjoint": ["adjoint", "--bench", "jump-lq", "--mode", "obs", "--format", "bin", *SMALL],
+    "optimize": ["optimize", "--bench", "lq1d", "--mode", "state", "--max-iters", "3", "--tol", "0", *SMALL],
+    "certify": ["certify", "--bench", "lq2d", "--mode", "open", *SMALL],
+    "chatter": ["chatter", "--bench", "nonconvex-mix", "--mode", "open", "--R", "4", *SMALL],
+}
+
+# the SHA-256 of every file each run of CLI_RUNS writes
+CLI_DIGESTS = {
+    "describe": {
+        "bench.json": "34850696c3ab4f1d38856386dc1853afda98cc1acc3d443e35e8d1d31154ca11",
+        "config.json": "4c416a33c3185a8976922f0fdec2882826fbe2ac5be783e94858d518001453ac",
+    },
+    "simulate": {
+        "config.json": "900a6224e7bf5cdcfe071fd9c59ee4da385890aa8957beb0715df97166a91216",
+        "cost.json": "219f70b6b6e517be83d2bf198a9489399ea211ac788d7766c816e6954055d375",
+        "paths.bin": "0869275090d3e612a9119873a7e320207404e330ab2b62a91683c28e3bfb9160",
+        "paths.csv": "6f6567a04c300bf9390d5f42df0f736d77be640c6fedde1c288415bbfb288b17",
+    },
+    "adjoint": {
+        "adjoint.bin": "86b802154e4ce15c70f41d795af0826600fcff5c0f6c6fd22fd3bf44cc3d46cb",
+        "config.json": "4bc2c05283bf1de26cc97c75e30d8f963d8e7c399043fc3d34ea6e55ab495e6d",
+        "duality.json": "ffd02c90dc265bc79c1e03caaf34238a8480b57c534a7e5a35fd84e14e9f7b0d",
+    },
+    "optimize": {
+        "config.json": "c1e5839f6e3ff0589fb83db42920ef4852b2337f32d4db77a040fdaa0930c16b",
+        "final_control.json": "e8c83bcc6b32336ddd91becc8be265f96d32c7d540b21904e6ea2d346b94fcba",
+        "iterates.json": "af44e5af2e7db48c06e4c9683a6f3afe86142cb9956a1b2fd23ae4432bd19f3f",
+    },
+    "certify": {
+        "certify.json": "7e357fb230523e24be1eaadb82fe2b715462405b1cf0f73c1cdba2e3cbb551a0",
+        "config.json": "7298bcce9538e72ec19820c139b4d19ef8dbeff9137b74490cd5852385ddcbfc",
+    },
+    "chatter": {
+        "chatter.json": "44aa42891e18de6a2e42de2161bc3db54cf108e8832d78e6ad5c8fa6ab42e529",
+        "config.json": "82b9c46f20cdc9dc05c35f1bb40ce4f26682cd91fbe506098906ef02d1682945",
+    },
+}
+
+
+@pytest.mark.parametrize("run", list(CLI_RUNS))
+def test_cli_artifacts_keep_their_bits(run, tmp_path, monkeypatch):
+    found = fingerprint()
+    if found != FINGERPRINT:
+        pytest.skip(f"digests pinned on {FINGERPRINT}, this stack is {found}")
+    monkeypatch.chdir(tmp_path)
+    assert main([*CLI_RUNS[run], "--out", run]) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted((tmp_path / run).iterdir())}
+    assert written == CLI_DIGESTS[run]

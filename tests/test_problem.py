@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import rsmp
 from rsmp import ControlGrid, DomainError, JumpSpec, NonFiniteCoefficient, Problem, ShapeMismatch
-from rsmp.problem import _atom_view, atom_hamiltonians, averaged_coefficients, averaged_diffusion
+from rsmp.problem import _atom_view, _row_sums, atom_hamiltonians, averaged_coefficients, averaged_diffusion
 from rsmp.problem import averaged_drift, averaged_drift_x, averaged_linearization, contract_atoms, fd_gradient
 
 
@@ -263,7 +264,7 @@ class TestControlFreeCoefficients:
         assert _atom_view(p.ell, grid, 0.0, x, ()).shape == (1, 1)
         w = np.random.default_rng(38).dirichlet(np.ones(grid.K), self.M)
         got = averaged_coefficients(p, grid, 0.0, x, w)[2]
-        assert np.array_equal(got, 0.5 * (w @ np.ones(grid.K)))
+        assert np.array_equal(got, 0.5 * _row_sums(w))
 
     WEIGHTS = ["open-loop", "per-path", "per-path-difference"]
 
@@ -362,8 +363,8 @@ class TestPathConstantRows:
         else:
             assert given.flags.c_contiguous
         # the row sums of the weights given per path, as the backward sweep passes them
-        total = np.broadcast_to(w, (self.M, grid.K)) @ np.ones(grid.K)
         rows = np.broadcast_to(w, (self.M, grid.K))
+        total = _row_sums(rows)
         given, ref = average(p, grid, 0.3, x, lambda: rows, total), average(dense, grid, 0.3, x, lambda: rows, total)
         assert given.shape == ref.shape == (self.M,) + given.shape[1:] and given.tobytes() == ref.tobytes()
 
@@ -501,6 +502,26 @@ class TestContraction:
         psi, Q, phi_row = np.full((M, 1), 1e10), np.full((M, 1, 1), 1e10), np.full((M, J, 1), 1e10)
         with pytest.raises(NonFiniteCoefficient, match=f"^{what} produced NaN/Inf$"):
             atom_hamiltonians(p, grid, 0.3, x, psi, Q, phi_row)
+
+
+class TestRowSums:
+    """The row sums of a weight table depend on each row alone, so a path's
+    sum is its cell's and the same in any number of paths; one row sums in
+    atom order, as its product with ones."""
+
+    def test_per_path_and_per_cell_sums_agree_bit_for_bit(self):
+        rng = np.random.default_rng(40)
+        for K, C, M in itertools.product((2, 3, 5, 8, 9, 16, 17, 33), (1, 2, 3, 4, 16, 64), (1, 2, 7, 64, 1000, 8193)):
+            table = rng.dirichlet(np.ones(K), C)
+            cells = rng.integers(0, C, M)
+            per_path = _row_sums(np.take(table, cells, axis=0))
+            assert per_path.tobytes() == _row_sums(table)[cells].tobytes(), (K, C, M)
+            assert per_path[: M // 2].tobytes() == _row_sums(np.take(table, cells[: M // 2], axis=0)).tobytes()
+
+    def test_one_row_sums_in_atom_order(self):
+        row = np.full(9, 1.0 / 9.0)  # nine 1/9 in atom order: one ulp above 1.0
+        assert _row_sums(row).shape == () and _row_sums(row) == row @ np.ones(9) == 1.0 + 2.0**-52
+        assert np.array_equal(_row_sums(row[None]), [1.0])
 
 
 class TestFiniteDifferenceGradients:
