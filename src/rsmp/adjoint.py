@@ -36,10 +36,10 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .control import RelaxedControl
+from .control import ControlGrid, RelaxedControl
 from .errors import ShapeMismatch, SingularRegression, require_count, require_finite
 from .forward import PathEnsemble, _step_major, _step_weights
-from .problem import Problem, atom_hamiltonians, averaged_linearization, terminal_gradient
+from .problem import Problem, atom_differences, atom_hamiltonians, averaged_linearization, terminal_gradient
 from .variation import VariationEnsemble, response_functional
 
 COND_LIMIT = 1e12
@@ -146,19 +146,52 @@ def _orthogonality(Zt: np.ndarray, Y: np.ndarray, fitted: np.ndarray) -> float:
         return float(np.abs(Zt @ (Y - fitted)).max() / Zt.shape[1])
 
 
-def _cell_sums(cells: np.ndarray, C: int, atoms: np.ndarray) -> np.ndarray:
-    """Per-cell sums (C, K) of atom-leading values atoms (K, M) over the
-    paths in each cell, each bin adding its paths one by one in path order
-    (the binning the Hamiltonian field's cell values are defined by)."""
-    return np.stack([np.bincount(cells, weights=row, minlength=C) for row in atoms], axis=1)
+def _cell_sums(cells: np.ndarray, C: int, rows) -> np.ndarray:
+    """Per-cell sums (C, R) of R rows of per-path values (atom Hamiltonians
+    (K, M), or a list of (M,) rows) over the paths in each cell, each bin
+    adding its paths one by one in path order (the binning the Hamiltonian
+    field's cell values are defined by)."""
+    return np.stack([np.bincount(cells, weights=row, minlength=C) for row in rows], axis=1)
 
 
-def _blocked_cell_sums(cells: np.ndarray, C: int, atoms: np.ndarray, path_blocks: np.ndarray) -> np.ndarray:
+def _blocked_cell_sums(cells: np.ndarray, C: int, rows, path_blocks: np.ndarray) -> np.ndarray:
     """The per-cell sums of `_cell_sums`, each added within the SUM_BLOCKS
     blocks of consecutive paths (path_blocks gives each path's block) and
     then block by block: a pairing of a direction with them cancels, so its
     rounding must not grow with the path count."""
-    return _cell_sums(cells * SUM_BLOCKS + path_blocks, C * SUM_BLOCKS, atoms).reshape(C, SUM_BLOCKS, -1).sum(axis=1)
+    return _cell_sums(cells * SUM_BLOCKS + path_blocks, C * SUM_BLOCKS, rows).reshape(C, SUM_BLOCKS, -1).sum(axis=1)
+
+
+def _separable_sums(first: ControlGrid, p: Problem, grid, t, x, psi, Q, phi, cells, counts, path_blocks) -> tuple:
+    """The cell sums (C, K) of `atom_hamiltonians` on a separable problem,
+    and with path_blocks (a recording sweep) the blocked sums of its pairing,
+    from the Hamiltonian G at the first atom xi_0 and the Delta tables of
+    `atom_differences` at the paths of least and greatest coordinate sum:
+
+        S[c, i] = sum_{q in c} G_q + (sum psi)_c . Delta b_i + (sum Q)_c : Delta sigma_i
+                  + counts_c Delta ell_i + sum_j lam_j (sum phi_j)_c . Delta C_ji,
+
+    the pairing the same without the running cost.  Only G and the per-path
+    arrays whose coefficient has an atom axis are binned."""
+    M, C = len(x), len(counts)
+    G, G_pairing = atom_hamiltonians(p, first, t, x, psi, Q, phi, pairing=path_blocks is not None, checked=False)
+    ends = x.sum(axis=1)
+    db, dsigma, dell, *dC = atom_differences(p, grid, t, x[[np.argmin(ends), np.argmax(ends)]])
+    pairs = [(psi, db), (Q.reshape(M, -1), dsigma)]
+    pairs += [(phi[:, j], lam * d) for j, (lam, d) in enumerate(zip(p.jump.intensities, dC)) if d is not None]
+    pairs = [(a, d.reshape(len(d), -1)) for a, d in pairs if d is not None]
+    columns = [col for a, _ in pairs for col in a.T]
+    deltas = np.concatenate([d for _, d in pairs], axis=1) if pairs else np.zeros((grid.K, 0))
+
+    def identity(sums):  # (C, 1 + columns) binned G and columns
+        return sums[:, :1] + np.dot(sums[:, 1:], deltas.T)
+
+    ham = identity(_cell_sums(cells, C, [G[0], *columns]))
+    if dell is not None:
+        ham += counts[:, None] * dell
+    if path_blocks is None:
+        return ham, None
+    return ham, identity(_blocked_cell_sums(cells, C, [G_pairing[0], *columns], path_blocks))
 
 
 @dataclass(frozen=True)
@@ -281,6 +314,7 @@ def _sweep(base: PathEnsemble, basis: BasisSpec, record: bool) -> tuple:
     pairing_sums = np.empty((N, C, K)) if record else None
     occupancy = np.empty((N, C), dtype=np.int64)
     path_blocks = np.arange(M) * SUM_BLOCKS // M if record else None
+    first = ControlGrid(u0.grid.points[:1], u0.grid.box) if p.separable else None
     diagnostics = []
 
     _at(psi, N)[...] = require_finite(terminal_gradient(p, base.states[:, N]), "terminal cost gradient")
@@ -288,12 +322,16 @@ def _sweep(base: PathEnsemble, basis: BasisSpec, record: bool) -> tuple:
         cells, diag = _regress_step(basis, base, k, psi, psi_cont, Q, phi, record)
         diagnostics.append(diag)
         args = (p, u0.grid, k * dt, base.states[:, k], _at(psi_cont, k), _at(Q, k), _at(phi, k))
-        ham, pairing = atom_hamiltonians(*args, pairing=record, checked=False)
         occupancy[k] = np.bincount(cells, minlength=C)
         with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite is checked below
-            hamiltonian_sums[k] = _cell_sums(cells, C, ham)
+            if first is not None:
+                hamiltonian_sums[k], pairing = _separable_sums(first, *args, cells, occupancy[k], path_blocks)
+            else:
+                ham, pairing = atom_hamiltonians(*args, pairing=record, checked=False)
+                hamiltonian_sums[k] = _cell_sums(cells, C, ham)
+                pairing = _blocked_cell_sums(cells, C, pairing, path_blocks) if record else None
             if record:
-                pairing_sums[k] = _blocked_cell_sums(cells, C, pairing, path_blocks)
+                pairing_sums[k] = pairing
         if not np.all(np.isfinite(hamiltonian_sums[k])):
             atom_hamiltonians(*args, pairing=False)  # raises naming the coefficient of a NaN/Inf term
     require_finite(hamiltonian_sums, "Hamiltonian")
@@ -322,9 +360,11 @@ def solve_bsde(
     value first, then psi_k, whose target needs them.  With psi_cont, Q_k and
     phi_k in hand the step evaluates b, sigma, l and C once for all atoms, forms
     the (K, M) atom Hamiltonians and sums them, with and without the running
-    cost, over u0's feedback cells.  A NaN/Inf terminal cost gradient,
-    regression target, coefficient term or cell sum raises
-    NonFiniteCoefficient, and a value of another shape or a base not
+    cost, over u0's feedback cells; on a separable problem it evaluates each
+    once more and sums by the identity of `_separable_sums` instead, and a
+    problem declared separable that is not raises DomainError.  A NaN/Inf
+    terminal cost gradient, regression target, coefficient term or cell sum
+    raises NonFiniteCoefficient, and a value of another shape or a base not
     simulated under p and u0 ShapeMismatch.
     """
     base.require(p, u0)

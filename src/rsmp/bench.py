@@ -154,7 +154,8 @@ def _dot(a, matrix: np.ndarray) -> np.ndarray:
 
 def lq_problem(spec: LQSpec, control_box, observe=None, jump: JumpSpec | None = None) -> Problem:
     """Wrap an LQSpec as a generic control problem with exact gradients; a
-    coefficient that does not depend on the state is a broadcast view."""
+    coefficient that does not depend on the state is a broadcast view.  The
+    problem is declared separable, so a jump coefficient must be too."""
     A, B, S0, Rx, Ru, G = spec.A, spec.B, spec.Sigma0, spec.R_x, spec.R_u, spec.G
     AT, BT, RxT, GT = (np.ascontiguousarray(a.T) for a in (A, B, Rx, G))
     n, m = spec.n, spec.m
@@ -203,6 +204,7 @@ def lq_problem(spec: LQSpec, control_box, observe=None, jump: JumpSpec | None = 
         phi_x=phi_x,
         jump=jump,
         observe=observe,
+        separable=True,
     )
 
 
@@ -307,6 +309,7 @@ def make_benchmark(name: str) -> Problem:
             sigma_x=sigma_x,
             ell_x=ell_x,
             phi_x=phi_x,
+            separable=True,
         )
     raise UnknownBenchmark(f"no benchmark named {name!r}; choose from {BENCHMARK_NAMES}")
 

@@ -22,7 +22,7 @@ from .container import _opened, adjoint_to_binary, paths_to_binary, paths_to_csv
 from .control import OBSERVATION_FEEDBACK, OPEN_LOOP, STATE_FEEDBACK, RelaxedControl, refine_steps
 from .errors import BlowUp, DomainError, NonFiniteCoefficient, RsmpError, SingularRegression
 from .errors import UnknownBenchmark, require_count, require_tolerance
-from .forward import STREAM_VERSION, cost, pathwise_cost, sample_noise, simulate
+from .forward import NUMERICS_VERSION, STREAM_VERSION, cost, pathwise_cost, sample_noise, simulate
 from .smp import OptimizeParams, hamiltonian_field, optimize, realize_regular, smp_gap
 from .variation import gateaux, response_functional, simulate_variational
 
@@ -52,13 +52,14 @@ class RunConfig:
     control: str | None = None
     refinement: int = 16
     stream_version: int = STREAM_VERSION
+    numerics_version: int = NUMERICS_VERSION
 
     def __post_init__(self):
-        if self.stream_version != STREAM_VERSION:
-            raise DomainError(
-                f"config uses noise stream version {self.stream_version}, this build draws version "
-                f"{STREAM_VERSION}; its artifacts cannot be replayed"
-            )
+        versions = (("stream_version", self.stream_version, STREAM_VERSION),
+                    ("numerics_version", self.numerics_version, NUMERICS_VERSION))
+        for name, given, ours in versions:
+            if given != ours:
+                raise DomainError(f"config uses {name} {given}, this build runs {ours}; its artifacts cannot be replayed")
         if self.seed is None:
             raise DomainError("a seed is mandatory; wall-clock seeding is not supported")
         for name, low in (("M", 1), ("N", 1), ("K", 1), ("cells", 1), ("refinement", 1), ("seed", 0), ("max_iters", 0)):
@@ -85,9 +86,10 @@ class RunConfig:
 
 
 def _config_doc(text: str) -> dict:
-    """Fields of a config JSON text.  A config without stream_version predates
-    the key and was drawn with the per-path layout, version 1.  A key that is
-    not a RunConfig field (such as the removed info or threads) is rejected."""
+    """Fields of a config JSON text.  A config without stream_version or
+    numerics_version predates the key and was run at version 1 of it (the
+    per-path noise layout, the per-atom Hamiltonian sums).  A key that is not
+    a RunConfig field (such as the removed info or threads) is rejected."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise DomainError("config must be a JSON object")
@@ -95,6 +97,7 @@ def _config_doc(text: str) -> dict:
     if unknown:
         raise DomainError(f"unknown config key(s) {unknown}")
     doc.setdefault("stream_version", 1)
+    doc.setdefault("numerics_version", 1)
     return doc
 
 

@@ -21,6 +21,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from .errors import DomainError
+from .forward import NUMERICS_VERSION
 
 MAGIC = b"RSMP"
 VERSION = 1
@@ -121,6 +122,7 @@ def paths_to_binary(paths, fileobj) -> None:
         "dt": noise.dt,
         "seed": noise.seed,
         "stream_version": noise.stream_version,
+        "numerics_version": NUMERICS_VERSION,
     }
     arrays = {"states": paths.states, "dW": noise.dW}
     if noise.jump_counts.shape[2]:  # J = 0: a diffusion's file has no jump_counts array
@@ -131,7 +133,7 @@ def paths_to_binary(paths, fileobj) -> None:
 def adjoint_to_binary(adj, fileobj) -> None:
     """Serialize an AdjointEnsemble under its own section tag."""
     M, Np1, n = adj.psi.shape
-    meta = {"M": M, "N": Np1 - 1, "n": n, "m": adj.Q.shape[3]}
+    meta = {"M": M, "N": Np1 - 1, "n": n, "m": adj.Q.shape[3], "numerics_version": NUMERICS_VERSION}
     arrays = {"psi": adj.psi, "psi_cont": adj.psi_cont, "Q": adj.Q}
     if adj.phi.shape[2]:  # J = 0: no phi array and no J entry
         arrays["phi"] = adj.phi

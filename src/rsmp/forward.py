@@ -55,6 +55,10 @@ _DRAW_FLOATS = 16384
 # replayed configuration cannot silently get different bytes.  Version 1 drew
 # one Philox substream per path; version 2 one per (path block, noise kind).
 STREAM_VERSION = 2
+# Version of the arithmetic behind every result: bump it, and re-pin the
+# pinned outputs, whenever a change moves the bits of a result the noise
+# does not.  Version 2 bins the separable Hamiltonian sums.
+NUMERICS_VERSION = 2
 _KIND_INITIAL, _KIND_BROWNIAN, _KIND_JUMPS = range(3)
 
 

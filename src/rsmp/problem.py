@@ -41,6 +41,16 @@ its point-control twin `point_coefficients`), their state Jacobians through
 `averaged_linearization` and phi, phi_x through `terminal_cost`,
 `terminal_gradient`; no other module calls a coefficient, and a value of
 another per-path shape than documented raises ShapeMismatch.
+
+A problem declares `separable` when b, sigma, ell and C are each additively
+separable in state and control, f(t, x, xi) = g(t, x) + h(t, xi).  Then
+f(x, xi_i) = f(x, xi_0) + Delta_i with Delta_i = f(x_r, xi_i) - f(x_r, xi_0)
+at any state x_r, so the backward sweep bins the Hamiltonian at the first
+atom xi_0 and the per-path arrays the Delta tables pair with, not all K
+atom Hamiltonians.  `atom_differences` checks the declaration at every
+step (DomainError naming the coefficient).  The field of a declared problem
+equals the one-hot `hamiltonian` averages to rounding; an undeclared
+problem keeps the per-atom sums, equal to them bit for bit.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ from .errors import DomainError, NonPSD, ShapeMismatch, frozen_field, require_co
 
 FD_STEP = 1e-5
 SYMMETRY_TOL = 1e-10
+SEPARABLE_TOL = 1e-9  # of a coefficient's largest value: its two Delta tables may differ by rounding only
 
 
 @dataclass(frozen=True)
@@ -168,7 +179,9 @@ class Problem:
 
     jump is a JumpSpec; jump=None builds a diffusion, the spec without marks.
     observe, when present, maps states to the signal generating the partial
-    information structure; feedback cells bin that signal.
+    information structure; feedback cells bin that signal.  separable
+    declares b, sigma, ell and C additively separable in state and control
+    (see the module docstring).
     """
 
     n: int
@@ -187,9 +200,12 @@ class Problem:
     phi_x: object | None = None
     jump: JumpSpec | None = None
     observe: object | None = None
+    separable: bool = False
 
     def __post_init__(self):
         require_positive(self.T, "horizon T")
+        if not isinstance(self.separable, (bool, np.bool_)):
+            raise DomainError(f"separable must be True or False, got {self.separable!r}")
         for name in ("n", "m", "d"):
             require_count(getattr(self, name), name)
         x0 = self.x0.mean if isinstance(self.x0, GaussianInitial) else frozen_field(self, "x0", 1)
@@ -324,6 +340,29 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, *, pairing=True, 
             if pairing is not None:
                 pairing += term
     return val, pairing
+
+
+def atom_differences(p: Problem, grid, t, x) -> list:
+    """Delta tables of a separable problem at states x (2, n) of two
+    reference paths: per coefficient b, sigma, ell and C (one per mark), in
+    that order, the mean over the paths of f(t, x, xi_i) - f(t, x, xi_0) at
+    every atom (K, *tail), or None for a value without an atom axis; one
+    call per coefficient.  DomainError names a coefficient whose two finite
+    tables differ by more than SEPARABLE_TOL (1e-9) times its largest value.
+    A value that is not finite is not checked: its table is not finite
+    either, and the caller checks what it reduces the tables to."""
+    coefficients = [(p.b, (p.n,), (), "drift"), (p.sigma, (p.n, p.m), (), "diffusion"), (p.ell, (), (), "running cost")]
+    coefficients += [(p.jump.C, (p.n,), (v,), "jump coefficient") for v in p.jump.marks]
+    tables = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f, tail, extra, what in coefficients:
+            vals = _atom_view(f, grid, t, x, tail, extra, what)
+            delta = vals - vals[:1]
+            first, last = delta[:, 0], delta[:, -1]
+            if np.isfinite(delta).all() and np.any(np.abs(first - last) > SEPARABLE_TOL * np.abs(vals).max()):
+                raise DomainError(f"{what} is declared separable, but its atom differences depend on the state")
+            tables.append(0.5 * (first + last) if len(vals) > 1 else None)
+    return tables
 
 
 def _row_sums(w) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 import rsmp
 from rsmp import (
     ControlGrid,
+    DomainError,
     GaussianInitial,
     NonFiniteCoefficient,
     Problem,
@@ -373,6 +374,55 @@ def seeded_controls(name, mode, N, count, seed):
         w /= w.sum(axis=-1, keepdims=True)
         out.append(RelaxedControl(grid, w, mode, part))
     return out
+
+
+class TestSeparableGuard:
+    """A problem declared separable is checked at every backward step: a
+    coefficient whose atom differences depend on the state raises
+    DomainError naming it, and a NaN at one atom NonFiniteCoefficient naming
+    it, as for an undeclared problem."""
+
+    @staticmethod
+    def solved(p, name="lq1d"):
+        (u0,) = seeded_controls(name, rsmp.STATE_FEEDBACK, 4, 1, seed=30)
+        base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 200, 4, seed=31))
+        return rsmp.solve_bsde(p, base, u0)
+
+    @pytest.mark.parametrize("key, what", [("ell", "running cost"), ("b", "drift")])
+    def test_coupled_coefficient_is_named(self, key, what):
+        # x . xi: its atom differences grow with the state
+        def coupled(t, x, xi):
+            value = np.asarray(x) * np.asarray(xi)
+            return value.sum(axis=-1) if key == "ell" else value
+
+        p = dataclasses.replace(rsmp.make_benchmark("lq1d"), **{key: coupled})
+        with pytest.raises(DomainError, match=f"{what} is declared separable"):
+            self.solved(p)
+        self.solved(dataclasses.replace(p, separable=False))  # undeclared, the same problem solves
+
+    @pytest.mark.parametrize(
+        "name, key, what",
+        [("lq1d", "b", "drift"), ("lq1d", "sigma", "diffusion"), ("lq1d", "ell", "running cost"),
+         ("jump-lq", "C", "jump coefficient")],
+    )
+    def test_nan_at_one_atom_names_the_coefficient(self, name, key, what):
+        p = rsmp.make_benchmark(name)
+        bad_atom, armed = rsmp.benchmark_grid(name, 5).points[3], []
+        f = p.jump.C if key == "C" else getattr(p, key)
+
+        def poisoned(*args):
+            # xi holds the atoms on its leading axis; once armed, poison atom 3 only
+            value = np.asarray(f(*args))
+            hit = np.all(args[-1] == bad_atom, axis=-1)
+            return np.where(hit.reshape(hit.shape + (1,) * (value.ndim - hit.ndim)), np.nan, value) if armed else value
+
+        p = dataclasses.replace(p, jump=dataclasses.replace(p.jump, C=poisoned)) if key == "C" else (
+            dataclasses.replace(p, **{key: poisoned}))
+        (u0,) = seeded_controls(name, rsmp.STATE_FEEDBACK, 4, 1, seed=30)
+        base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 200, 4, seed=31))
+        armed.append(True)
+        with pytest.raises(NonFiniteCoefficient, match=what):
+            rsmp.solve_bsde(p, base, u0)
 
 
 class TestStepCoefficientCalls:

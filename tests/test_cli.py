@@ -6,7 +6,8 @@ import pytest
 
 from rsmp import ControlGrid, DomainError, OptimizeParams, constant_control
 from rsmp.cli import _COMMANDS, EXIT_CONFIG, EXIT_OK, RunConfig, _build_parser, main
-from rsmp.forward import STREAM_VERSION
+from rsmp.container import read_section
+from rsmp.forward import NUMERICS_VERSION, STREAM_VERSION
 
 
 def read(path):
@@ -59,7 +60,7 @@ class TestFlagParity:
     @pytest.mark.parametrize("command", list(_COMMANDS))
     def test_flags_are_the_config_fields(self, command):
         dests = set(vars(_build_parser().parse_args([command]))) - {"config"}
-        assert dests == {f.name for f in fields(RunConfig)} - {"stream_version"}
+        assert dests == {f.name for f in fields(RunConfig)} - {"stream_version", "numerics_version"}
 
 
 class TestOutputError:
@@ -143,6 +144,32 @@ class TestSimulate:
         doc["out"] = str(tmp_path / "stale")
         (tmp_path / "stale.json").write_text(json.dumps(doc))
         assert main(["simulate", "--config", str(tmp_path / "stale.json")]) == EXIT_CONFIG
+        assert not (tmp_path / "stale").exists()
+
+    @pytest.mark.parametrize("stale", ["version-1", "missing"])
+    def test_config_from_another_numerics_version_is_config_error(self, tmp_path, capsys, stale):
+        # refused as a foreign stream_version is; both binary files record the version
+        out = tmp_path / "run"
+        for command in ("simulate", "adjoint"):
+            assert main([command, "--bench", "jump-lq", "--M", "50", "--N", "4", "--seed", "6",
+                         "--format", "bin", "--out", str(out)]) == EXIT_OK
+        for name in ("paths.bin", "adjoint.bin"):
+            assert read_section(str(out / name))[1]["numerics_version"] == NUMERICS_VERSION
+        doc = json.loads(read(out / "config.json"))
+        assert doc["numerics_version"] == NUMERICS_VERSION
+        # a config without the key predates it and was run at version 1
+        if stale == "version-1":
+            doc["numerics_version"] = 1
+        else:
+            del doc["numerics_version"]
+        doc["out"] = str(tmp_path / "stale")
+        (tmp_path / "stale.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["adjoint", "--config", str(tmp_path / "stale.json")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: config uses numerics_version 1, this build runs {NUMERICS_VERSION}; "
+            "its artifacts cannot be replayed\n"
+        )
         assert not (tmp_path / "stale").exists()
 
     @pytest.mark.parametrize("text", ['{"mode": "open_loop", "weights": [[[1.0]]]}', "not json"])

@@ -6,7 +6,8 @@ moves these digests; a change that keeps them keeps every result an older
 configuration replays.  The bits depend on numpy and on the BLAS it calls,
 so the digests are stored with the fingerprint of the stack that produced
 them, and on another stack the test skips.  A change that moves the bits on
-purpose re-pins them in the same diff and says so.
+purpose bumps `rsmp.forward.NUMERICS_VERSION`, re-pins them and the version
+they were taken at in the same diff, and says so.
 """
 
 import hashlib
@@ -17,26 +18,29 @@ import pytest
 
 import rsmp
 from rsmp.cli import main
+from rsmp.forward import NUMERICS_VERSION
 
 MODES = (rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK)
 
 FINGERPRINT = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0", "machine": "x86_64"}
+# the rsmp NUMERICS_VERSION the digests below were taken at
+PINNED_NUMERICS_VERSION = 2
 
 # optimize(M=1500, N=8, K=5 (2 on nonconvex-mix), 4 cells per signal
 # coordinate, uniform start, max_iters=4, tol=0, seed=3).to_json()
 DIGESTS = {
-    ("lq1d", "open_loop"): "0cfaf492cc1e97a85a6b346c4db8fc3cfb0d13b32e2b6bf181fbf43f77a7f65b",
-    ("lq1d", "state_feedback"): "21629f13a13b930f8951910be17c3635d91d18b5cc4b1aacc885185263c9de3d",
-    ("lq1d", "observation_feedback"): "cf1f397740cd416afa2dda6fec86e00ed838d8585b7413cbc01fcaa3be46d8d4",
-    ("lq2d", "open_loop"): "68b8118cffa41f36390d18f6d34fd54778fa86dd316d27a949fecab8c298ada1",
-    ("lq2d", "state_feedback"): "0fbfa60a2cda2e9148138a36b45599cd3e6aacd69ebc3681883b55c8656e1a88",
-    ("lq2d", "observation_feedback"): "05125e1eec7938249c4b3df7c42940245481c9e9aba748c684569455f8e14dde",
-    ("nonconvex-mix", "open_loop"): "3a2c3c3407326f5a6b16f467941667361916c97db507534f275de805c3d57e34",
-    ("nonconvex-mix", "state_feedback"): "f4eeebce52d5e96be23dbf32d618178cc619da45b271576c5658d53aaf88f4f8",
-    ("nonconvex-mix", "observation_feedback"): "211f66c7dfcfd995087db1601a987fba1997f0513f35670bf23ab4cfb2222d69",
-    ("jump-lq", "open_loop"): "f2805bc83398cf9f3bd78f48f219291e5a0a5007b50ff06baf3b8032ce6ae0ef",
-    ("jump-lq", "state_feedback"): "d2e5a81a0067dcf87167a4bcdfed78b577817a38b3dec738670197c6a7742147",
-    ("jump-lq", "observation_feedback"): "a44c529cd68ff20aeeac98087a94a57754ce274c20209aa7f60569b65e1a9667",
+    ("lq1d", "open_loop"): "713f2ebafdcc655c127f31e2966e8e817643a423c8d648b5747c9908ab1c85f8",
+    ("lq1d", "state_feedback"): "5f9ba564b49cde814c9837978aeb6cba1205ef5eaa4d935e2c3f578e8b9de5f7",
+    ("lq1d", "observation_feedback"): "fd801fae6c791af0d1e3045111c550b100c4c97bd63223bdcca6e527972d36ab",
+    ("lq2d", "open_loop"): "2bd115b0252965d972ebc435e6d792a614eb1556691e5f4f7f918adff73c2a30",
+    ("lq2d", "state_feedback"): "85065ba81e0698f29956a393e4dfa178856a5829100cbc00f1457edd3516df39",
+    ("lq2d", "observation_feedback"): "44c4c4d7b22eb580b6e93feaea8833cf044c285fbd1868aa8cc3aedfb36b02a5",
+    ("nonconvex-mix", "open_loop"): "474af10311737b4aa9b6c733429df8e6ad7c440284bf975f804fbfb23e1bc1c3",
+    ("nonconvex-mix", "state_feedback"): "8961a851115977678ccc95daf00bca6c4127f1a8b4b19d8c07443faf5488e491",
+    ("nonconvex-mix", "observation_feedback"): "b0cc456c4807da1a31895424d0467697b5acd7f2fba00244557db5ecace802d1",
+    ("jump-lq", "open_loop"): "3260ec8c1551e7e4cff9b95477480adb6672651df6f156224850b295700da500",
+    ("jump-lq", "state_feedback"): "f8eceb3267e0aa526b2516aef248dcfbe03e67f196832be8b34a80441dd15c1d",
+    ("jump-lq", "observation_feedback"): "d9dddf87af5b714391423e745e0ae337ada798d15b071cd5dc71d18a6964b8b3",
 }
 
 
@@ -63,6 +67,13 @@ def test_optimize_result_keeps_its_bits(name, mode):
     assert hashlib.sha256(result.to_json().encode()).hexdigest() == DIGESTS[name, mode]
 
 
+def test_digests_were_taken_at_this_numerics_version():
+    # a change that moves pinned bits bumps NUMERICS_VERSION and re-pins in
+    # the same diff: a re-pin without the bump fails here, and so does a
+    # bump without a re-pin
+    assert PINNED_NUMERICS_VERSION == NUMERICS_VERSION
+
+
 def test_digests_cover_every_benchmark_and_mode():
     assert set(DIGESTS) == {(name, mode) for name in rsmp.BENCHMARK_NAMES for mode in MODES}
 
@@ -83,32 +94,32 @@ CLI_RUNS = {
 # the SHA-256 of every file each run of CLI_RUNS writes
 CLI_DIGESTS = {
     "describe": {
-        "bench.json": "34850696c3ab4f1d38856386dc1853afda98cc1acc3d443e35e8d1d31154ca11",
-        "config.json": "4c416a33c3185a8976922f0fdec2882826fbe2ac5be783e94858d518001453ac",
+        "bench.json": "078635af3e939999bbb21d0e62e77a4bca0a9a92832e0c4f400f6cbb951441bd",
+        "config.json": "f1b06a77b50ba12f806c9ca9253fef0f08c5e0f8d5b67bce9c2821e224fe0cc4",
     },
     "simulate": {
-        "config.json": "900a6224e7bf5cdcfe071fd9c59ee4da385890aa8957beb0715df97166a91216",
-        "cost.json": "219f70b6b6e517be83d2bf198a9489399ea211ac788d7766c816e6954055d375",
-        "paths.bin": "0869275090d3e612a9119873a7e320207404e330ab2b62a91683c28e3bfb9160",
+        "config.json": "9481c67b823e5a4c5b97bae1f3bb0ddcb136795a5dbf9f02c6f9e3384fa86ad4",
+        "cost.json": "8c4d0829aa6e45c7161be59bfa98da7ba630d651d5ff90ac44e2e040b80fdd0d",
+        "paths.bin": "230b9fd5f2ebd5d2f6800468cd33b90dd01e83ce1708cb729c4c3b33c85f4342",
         "paths.csv": "6f6567a04c300bf9390d5f42df0f736d77be640c6fedde1c288415bbfb288b17",
     },
     "adjoint": {
-        "adjoint.bin": "86b802154e4ce15c70f41d795af0826600fcff5c0f6c6fd22fd3bf44cc3d46cb",
-        "config.json": "4bc2c05283bf1de26cc97c75e30d8f963d8e7c399043fc3d34ea6e55ab495e6d",
-        "duality.json": "ffd02c90dc265bc79c1e03caaf34238a8480b57c534a7e5a35fd84e14e9f7b0d",
+        "adjoint.bin": "7d5aeac3303248c5d69457e8ee518a5d66c5d4e81e298f9ddc8eb2294cfc90ad",
+        "config.json": "5ef1a29ecb5a85a3a2bf4f54b2c335b52527d747402425ab20a629aa6ff606eb",
+        "duality.json": "3d00aebad0fb0796fd1c7c17c23b7b4ebe528d9ececd927219eecce0959e617a",
     },
     "optimize": {
-        "config.json": "c1e5839f6e3ff0589fb83db42920ef4852b2337f32d4db77a040fdaa0930c16b",
+        "config.json": "7bed3428ad616d10762902a80c3c0247ac9888a2990a60a98ce09b2f4ca17bbb",
         "final_control.json": "e8c83bcc6b32336ddd91becc8be265f96d32c7d540b21904e6ea2d346b94fcba",
-        "iterates.json": "af44e5af2e7db48c06e4c9683a6f3afe86142cb9956a1b2fd23ae4432bd19f3f",
+        "iterates.json": "35ba3cf80ce4757cbcb24e9013e30d3db3e3553fe94c58560f0b67e43f51a70a",
     },
     "certify": {
-        "certify.json": "7e357fb230523e24be1eaadb82fe2b715462405b1cf0f73c1cdba2e3cbb551a0",
-        "config.json": "7298bcce9538e72ec19820c139b4d19ef8dbeff9137b74490cd5852385ddcbfc",
+        "certify.json": "9e7233ae3f65d25e40d001fa099f7d11750953bf77234794d604cfc85b1eb9a9",
+        "config.json": "fa2f2bc9bcafb84c4a319045bfa5eede098d1d48097aea0aef9192172e6947eb",
     },
     "chatter": {
-        "chatter.json": "44aa42891e18de6a2e42de2161bc3db54cf108e8832d78e6ad5c8fa6ab42e529",
-        "config.json": "82b9c46f20cdc9dc05c35f1bb40ce4f26682cd91fbe506098906ef02d1682945",
+        "chatter.json": "256a8dec4fa253de07167c5483c7117766016a52096340cf0e6c7124de279ffe",
+        "config.json": "dba07db32a3d01367dfc0fd84d883599f0af8ce6f7442d134f44b8114b264b75",
     },
 }
 

@@ -183,8 +183,8 @@ class TestHamiltonianField:
         assert np.array_equal(np.bincount(cells, weights=direct, minlength=1) / 200, fld.cell_values[k, :, 0])
 
     @staticmethod
-    def seeded_field_inputs(name, mode):
-        p = rsmp.make_benchmark(name)
+    def seeded_field_inputs(name, mode, separable=True):
+        p = dataclasses.replace(rsmp.make_benchmark(name), separable=separable)
         grid = rsmp.benchmark_grid(name, 5)
         N = 6
         if mode == rsmp.OPEN_LOOP:
@@ -204,7 +204,7 @@ class TestHamiltonianField:
         [("lq1d", rsmp.STATE_FEEDBACK), ("jump-lq", rsmp.OPEN_LOOP), ("lq2d", rsmp.OBSERVATION_FEEDBACK)],
     )
     def test_field_values_equal_one_hot_hamiltonian(self, name, mode):
-        p, grid, base, adj = self.seeded_field_inputs(name, mode)
+        p, grid, base, adj = self.seeded_field_inputs(name, mode, separable=False)
         fld = rsmp.hamiltonian_field(adj)
         u = base.control_used
         C = u.n_cells
@@ -221,6 +221,19 @@ class TestHamiltonianField:
                                           adj.psi_cont[:, k], adj.Q[:, k], phik, one_hot[i])
                 means = np.bincount(cells, weights=direct, minlength=C)[occupied] / counts[occupied]
                 assert np.array_equal(means, fld.cell_values[k, occupied, i])
+
+    @pytest.mark.parametrize("mode", [rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK])
+    @pytest.mark.parametrize("name", ["lq1d", "lq2d", "jump-lq", "nonconvex-mix"])
+    def test_separable_sums_equal_the_per_atom_sums_to_rounding(self, name, mode):
+        # the separable identity adds the same terms in another order: both
+        # sums agree within 1e-12 (about 4500 eps) of the largest of them
+        _, _, base, adj = self.seeded_field_inputs(name, mode)
+        p, _, generic_base, generic = self.seeded_field_inputs(name, mode, separable=False)
+        assert not p.separable and np.array_equal(base.states, generic_base.states)
+        for key in ("hamiltonian_sums", "pairing_sums"):
+            got, ref = getattr(adj, key), getattr(generic, key)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(adj.occupancy, generic.occupancy)
 
     @pytest.mark.parametrize("mode", [rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK])
     @pytest.mark.parametrize("name", ["lq1d", "lq2d", "jump-lq", "nonconvex-mix"])
@@ -269,12 +282,11 @@ class TestHamiltonianField:
         assert (occupancy == 0).any()
         assert np.array_equal(_field(sums, occupancy, u, 0.1).cell_values, ref)
 
-    @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
-    def test_field_evaluates_each_coefficient_once_per_step(self, name):
-        # the backward sweep evaluates b, sigma and ell once per step, and C
-        # once per mark and step, for all atoms at once; the field itself
-        # evaluates nothing
-        p, grid, base, _ = self.seeded_field_inputs(name, rsmp.STATE_FEEDBACK)
+    def sweep_coefficient_calls(self, name, separable):
+        """Calls of b, sigma, ell and C that solve_bsde makes on seeded inputs,
+        with the step count and the mark count; the field itself evaluates
+        nothing."""
+        p, grid, base, _ = self.seeded_field_inputs(name, rsmp.STATE_FEEDBACK, separable)
         calls = {}
 
         def counted(key, f):
@@ -290,14 +302,32 @@ class TestHamiltonianField:
         base = rsmp.simulate(wrapped, base.control_used, base.noise)
         calls.clear()
         adj = rsmp.solve_bsde(wrapped, base, base.control_used)
-        expected = {key: base.n_steps for key in ("b", "sigma", "ell")}
-        if p.jump.J:
-            expected["C"] = p.jump.J * base.n_steps
-        assert calls == expected
+        swept = dict(calls)
         calls.clear()
         fld = rsmp.hamiltonian_field(adj)
         assert calls == {}
         assert fld.cell_values.shape == (base.n_steps, base.control_used.n_cells, grid.K)
+        return swept, base.n_steps, p.jump.J
+
+    @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
+    def test_field_evaluates_each_coefficient_once_per_step(self, name):
+        # the backward sweep evaluates b, sigma and ell once per step, and C
+        # once per mark and step, for all atoms at once
+        calls, N, J = self.sweep_coefficient_calls(name, separable=False)
+        expected = {key: N for key in ("b", "sigma", "ell")}
+        if J:
+            expected["C"] = J * N
+        assert calls == expected
+
+    @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
+    def test_separable_field_evaluates_each_coefficient_twice_per_step(self, name):
+        # a separable problem's sweep evaluates each coefficient at the first
+        # atom on every path, and at every atom on two reference paths
+        calls, N, J = self.sweep_coefficient_calls(name, separable=True)
+        expected = {key: 2 * N for key in ("b", "sigma", "ell")}
+        if J:
+            expected["C"] = 2 * J * N
+        assert calls == expected
 
     def test_nan_at_one_atom_raises(self):
         # the field's coefficients are evaluated in the backward sweep
