@@ -15,13 +15,14 @@ they are regressed on, so each step's slice [:, k] is one contiguous run.
 
 While it holds a step's adjoint values the sweep also forms the pathwise
 Hamiltonian at every control atom and sums it, with and without the running
-cost, over the feedback cells of the control: small (N, C, K) tensors that
-every derivative at that control is a contraction of.  The adjoint keeps
-the ensemble it was solved on, and through it the control, so the
-Hamiltonian field (and with it the optimality gap) is built from the
-adjoint alone, and the duality pairing with a direction checks that it is
-given the adjoint's own ensemble and control.  Neither evaluates a
-coefficient or walks the paths again.
+cost, over the feedback cells of the control, by the one rule of `_cell_sums`
+(within blocks of consecutive paths, then block by block, in one pass per
+step): small (N, C, K) tensors that every derivative at that control is a
+contraction of.  The adjoint keeps the ensemble it was solved on, and
+through it the control, so the Hamiltonian field (and with it the
+optimality gap) is built from the adjoint alone, and the duality pairing
+with a direction checks that it is given the adjoint's own ensemble and
+control.  Neither evaluates a coefficient or walks the paths again.
 
 One sweep serves two storage policies: `solve_bsde` records every step,
 the pairing sums and the regression diagnostics, while the descent loop,
@@ -38,14 +39,14 @@ import numpy as np
 
 from .control import ControlGrid, RelaxedControl
 from .errors import ShapeMismatch, SingularRegression, require_count, require_finite
-from .forward import PathEnsemble, _step_major, _step_weights
+from .forward import PathEnsemble, _rescaled, _step_major, _step_weights
 from .problem import Problem, atom_differences, atom_hamiltonians, averaged_linearization, terminal_gradient
 from .variation import VariationEnsemble, response_functional
 
 COND_LIMIT = 1e12
 RIDGE_SCALE = 1e-8
 DEGENERATE_STD = 1e-12
-SUM_BLOCKS = 64  # path blocks per cell in the pairing sums
+SUM_BLOCKS = 64  # blocks of consecutive paths every cell sum adds within
 
 
 @dataclass(frozen=True)
@@ -120,10 +121,10 @@ def _fit(Zt: np.ndarray, G: np.ndarray, Y: np.ndarray, step: int) -> np.ndarray:
     design Zt with normal matrix G.
 
     Finite targets whose products overflow are refit on Y / max|Y| and
-    scaled back, as `forward._mean_and_error` does; fitted values that stay
-    NaN/Inf (targets that are not finite) raise NonFiniteCoefficient naming
-    the adjoint state and the step.  SingularRegression means only a G that
-    numpy cannot solve.
+    scaled back by `forward._rescaled`, as `forward._mean_and_error` is;
+    fitted values that stay NaN/Inf (targets that are not finite) raise
+    NonFiniteCoefficient naming the adjoint state and the step.
+    SingularRegression means only a G that numpy cannot solve.
     """
 
     def fitted(y):
@@ -132,12 +133,7 @@ def _fit(Zt: np.ndarray, G: np.ndarray, Y: np.ndarray, step: int) -> np.ndarray:
         except np.linalg.LinAlgError as exc:
             raise SingularRegression(step, str(exc)) from exc
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = fitted(Y)
-        if not np.all(np.isfinite(out)):
-            scale = np.abs(Y).max()
-            out = scale * fitted(Y / scale)
-    return require_finite(out, f"adjoint state at step {step}")
+    return require_finite(_rescaled(fitted, Y), f"adjoint state at step {step}")
 
 
 def _orthogonality(Zt: np.ndarray, Y: np.ndarray, fitted: np.ndarray) -> float:
@@ -146,35 +142,29 @@ def _orthogonality(Zt: np.ndarray, Y: np.ndarray, fitted: np.ndarray) -> float:
         return float(np.abs(Zt @ (Y - fitted)).max() / Zt.shape[1])
 
 
-def _cell_sums(cells: np.ndarray, C: int, rows) -> np.ndarray:
-    """Per-cell sums (C, R) of R rows of per-path values (atom Hamiltonians
-    (K, M), or a list of (M,) rows) over the paths in each cell, each bin
-    adding its paths one by one in path order (the binning the Hamiltonian
-    field's cell values are defined by)."""
-    return np.stack([np.bincount(cells, weights=row, minlength=C) for row in rows], axis=1)
+def _cell_sums(bins: np.ndarray, C: int, rows) -> np.ndarray:
+    """Per-cell sums (C, R) of R rows of per-path values, bins (M,) giving each
+    path's cell * SUM_BLOCKS + its block of consecutive paths: each cell adds
+    its paths in path order within each block, then, row by row, its block
+    sums, so the rounding grows with the block length, not with the path
+    count, and a row's sums do not depend on the rows binned with it."""
+    blocks = np.stack([np.bincount(bins, weights=row, minlength=C * SUM_BLOCKS) for row in rows])
+    return blocks.reshape(-1, C, SUM_BLOCKS).sum(axis=2).T
 
 
-def _blocked_cell_sums(cells: np.ndarray, C: int, rows, path_blocks: np.ndarray) -> np.ndarray:
-    """The per-cell sums of `_cell_sums`, each added within the SUM_BLOCKS
-    blocks of consecutive paths (path_blocks gives each path's block) and
-    then block by block: a pairing of a direction with them cancels, so its
-    rounding must not grow with the path count."""
-    return _cell_sums(cells * SUM_BLOCKS + path_blocks, C * SUM_BLOCKS, rows).reshape(C, SUM_BLOCKS, -1).sum(axis=1)
-
-
-def _separable_sums(first: ControlGrid, p: Problem, grid, t, x, psi, Q, phi, cells, counts, path_blocks) -> tuple:
+def _separable_sums(first: ControlGrid, p: Problem, grid, t, x, psi, Q, phi, bins, counts, pairing) -> tuple:
     """The cell sums (C, K) of `atom_hamiltonians` on a separable problem,
-    and with path_blocks (a recording sweep) the blocked sums of its pairing,
+    and with pairing (a recording sweep) those of its pairing, else None,
     from the Hamiltonian G at the first atom xi_0 and the Delta tables of
     `atom_differences` at the paths of least and greatest coordinate sum:
 
         S[c, i] = sum_{q in c} G_q + (sum psi)_c . Delta b_i + (sum Q)_c : Delta sigma_i
                   + counts_c Delta ell_i + sum_j lam_j (sum phi_j)_c . Delta C_ji,
 
-    the pairing the same without the running cost.  Only G and the per-path
-    arrays whose coefficient has an atom axis are binned."""
+    the pairing the same without the running cost.  G, its pairing and the
+    per-path arrays whose coefficient has an atom axis are binned in one pass."""
     M, C = len(x), len(counts)
-    G, G_pairing = atom_hamiltonians(p, first, t, x, psi, Q, phi, pairing=path_blocks is not None, checked=False)
+    G, G_pairing = atom_hamiltonians(p, first, t, x, psi, Q, phi, pairing=pairing, checked=False)
     ends = x.sum(axis=1)
     db, dsigma, dell, *dC = atom_differences(p, grid, t, x[[np.argmin(ends), np.argmax(ends)]])
     pairs = [(psi, db), (Q.reshape(M, -1), dsigma)]
@@ -182,16 +172,13 @@ def _separable_sums(first: ControlGrid, p: Problem, grid, t, x, psi, Q, phi, cel
     pairs = [(a, d.reshape(len(d), -1)) for a, d in pairs if d is not None]
     columns = [col for a, _ in pairs for col in a.T]
     deltas = np.concatenate([d for _, d in pairs], axis=1) if pairs else np.zeros((grid.K, 0))
-
-    def identity(sums):  # (C, 1 + columns) binned G and columns
-        return sums[:, :1] + np.dot(sums[:, 1:], deltas.T)
-
-    ham = identity(_cell_sums(cells, C, [G[0], *columns]))
+    heads = [G[0]] if G_pairing is None else [G[0], G_pairing[0]]
+    sums = _cell_sums(bins, C, [*heads, *columns])
+    shift = np.dot(sums[:, len(heads) :], deltas.T)
+    ham = sums[:, :1] + shift
     if dell is not None:
         ham += counts[:, None] * dell
-    if path_blocks is None:
-        return ham, None
-    return ham, identity(_blocked_cell_sums(cells, C, [G_pairing[0], *columns], path_blocks))
+    return ham, None if G_pairing is None else sums[:, 1:2] + shift
 
 
 @dataclass(frozen=True)
@@ -208,8 +195,9 @@ class AdjointEnsemble:
     pairing of psi_cont, Q and phi with the coefficients, plus the running
     cost) over the occupancy[k, c] paths in feedback cell c of the control
     the adjoint was solved under; pairing_sums[k, c, i] sums the same
-    Hamiltonian without the running cost, in path blocks.  The adjoint pairing
-    with a direction u is dt / M * <pairing_sums, w_u - w_u0>.
+    Hamiltonian without the running cost.  Both add within blocks of
+    consecutive paths, then block by block (`_cell_sums`).  The adjoint
+    pairing with a direction u is dt / M * <pairing_sums, w_u - w_u0>.
 
     base is the ensemble the adjoint was solved on; its control_used is the
     relaxed control u0 on whose cells the sums are binned.
@@ -291,7 +279,7 @@ def _sweep(base: PathEnsemble, basis: BasisSpec, record: bool) -> tuple:
     (psi, psi_cont, Q, phi, pairing_sums) for every step; without, it keeps
     nothing, holding psi at k+1 and k and step k's psi_cont, Q and phi only,
     and forms neither the pairing sums nor the orthogonality diagnostic.  Both
-    bin the same sums bit for bit.
+    bin each step's sums in one `_cell_sums` pass, the same sums bit for bit.
 
     No atom Hamiltonian term is checked on its own: a NaN/Inf term reaches
     the step's (C, K) cell sums, so the sums are checked instead, and a step
@@ -313,7 +301,8 @@ def _sweep(base: PathEnsemble, basis: BasisSpec, record: bool) -> tuple:
     hamiltonian_sums = np.empty((N, C, K))
     pairing_sums = np.empty((N, C, K)) if record else None
     occupancy = np.empty((N, C), dtype=np.int64)
-    path_blocks = np.arange(M) * SUM_BLOCKS // M if record else None
+    path_blocks = np.arange(M) * SUM_BLOCKS // M
+    bins = np.empty(M, dtype=np.int64)  # each step's cell * SUM_BLOCKS + path block
     first = ControlGrid(u0.grid.points[:1], u0.grid.box) if p.separable else None
     diagnostics = []
 
@@ -323,13 +312,15 @@ def _sweep(base: PathEnsemble, basis: BasisSpec, record: bool) -> tuple:
         diagnostics.append(diag)
         args = (p, u0.grid, k * dt, base.states[:, k], _at(psi_cont, k), _at(Q, k), _at(phi, k))
         occupancy[k] = np.bincount(cells, minlength=C)
+        np.multiply(cells, SUM_BLOCKS, out=bins)
+        bins += path_blocks
         with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite is checked below
             if first is not None:
-                hamiltonian_sums[k], pairing = _separable_sums(first, *args, cells, occupancy[k], path_blocks)
+                hamiltonian_sums[k], pairing = _separable_sums(first, *args, bins, occupancy[k], record)
             else:
                 ham, pairing = atom_hamiltonians(*args, pairing=record, checked=False)
-                hamiltonian_sums[k] = _cell_sums(cells, C, ham)
-                pairing = _blocked_cell_sums(cells, C, pairing, path_blocks) if record else None
+                sums = _cell_sums(bins, C, [*ham, *(pairing if record else ())])
+                hamiltonian_sums[k], pairing = sums[:, :K], sums[:, K:]
             if record:
                 pairing_sums[k] = pairing
         if not np.all(np.isfinite(hamiltonian_sums[k])):

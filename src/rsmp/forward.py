@@ -57,8 +57,9 @@ _DRAW_FLOATS = 16384
 STREAM_VERSION = 2
 # Version of the arithmetic behind every result: bump it, and re-pin the
 # pinned outputs, whenever a change moves the bits of a result the noise
-# does not.  Version 2 bins the separable Hamiltonian sums.
-NUMERICS_VERSION = 2
+# does not.  Version 2 bins the separable Hamiltonian sums; version 3 adds
+# every cell sum within blocks of consecutive paths.
+NUMERICS_VERSION = 3
 _KIND_INITIAL, _KIND_BROWNIAN, _KIND_JUMPS = range(3)
 
 
@@ -366,23 +367,27 @@ def pathwise_cost(p: Problem, paths: PathEnsemble) -> np.ndarray:
     return require_finite(paths.running_cost + terminal_cost(p, paths.states[:, -1]), "cost evaluation")
 
 
+def _rescaled(f, y: np.ndarray) -> np.ndarray:
+    """f(y) without numpy warnings, for an f whose array value scales with y;
+    where that is not finite, max|y| * f(y / max|y|), so finite y whose sums
+    or products overflow give finite values.  Values that stay NaN/Inf (y
+    that is not finite) are the caller's to check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = f(y)
+        if not np.all(np.isfinite(out)):
+            scale = np.abs(y).max()
+            out = scale * f(y / scale)
+    return out
+
+
 def _mean_and_error(x: np.ndarray, what: str) -> tuple[float, float]:
     """Sample mean of x (n,) and its standard error std(ddof=1) / sqrt(n), 0.0 for one sample.
 
     Finite samples whose sum or squares overflow are recomputed on x / max|x|
-    and scaled back, so they too give finite statistics; a statistic that
-    stays NaN/Inf raises NonFiniteCoefficient naming it.
+    and scaled back (`_rescaled`), so they too give finite statistics; a
+    statistic that stays NaN/Inf raises NonFiniteCoefficient naming it.
     """
-    n = len(x)
-
-    def moments(y):
-        return y.mean(), y.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, se = moments(x)
-        if not (np.isfinite(mean) and np.isfinite(se)):
-            scale = np.abs(x).max()
-            mean, se = (scale * v for v in moments(x / scale))
+    mean, se = _rescaled(lambda y: np.array([y.mean(), y.std(ddof=1) / np.sqrt(len(y)) if len(y) > 1 else 0.0]), x)
     return float(require_finite(mean, f"mean of {what}")), float(require_finite(se, f"standard error of {what}"))
 
 

@@ -49,8 +49,9 @@ at any state x_r, so the backward sweep bins the Hamiltonian at the first
 atom xi_0 and the per-path arrays the Delta tables pair with, not all K
 atom Hamiltonians.  `atom_differences` checks the declaration at every
 step (DomainError naming the coefficient).  The field of a declared problem
-equals the one-hot `hamiltonian` averages to rounding; an undeclared
-problem keeps the per-atom sums, equal to them bit for bit.
+equals the one-hot `hamiltonian` averages to rounding; that of an undeclared
+problem equals the one-hot `hamiltonian` rows summed by the same blocked
+rule (`adjoint._cell_sums`), bit for bit.
 """
 
 from __future__ import annotations

@@ -5,13 +5,20 @@ A change that reorders a sum, fuses a product or calls another BLAS routine
 moves these digests; a change that keeps them keeps every result an older
 configuration replays.  The bits depend on numpy and on the BLAS it calls,
 so the digests are stored with the fingerprint of the stack that produced
-them, and on another stack the test skips.  A change that moves the bits on
-purpose bumps `rsmp.forward.NUMERICS_VERSION`, re-pins them and the version
-they were taken at in the same diff, and says so.
+them.  On another stack the CLI checks skip, and the `optimize` results are
+compared by value with their stored JSON (`pinned_optimize.json`) instead.
+A change that moves the bits on purpose bumps
+`rsmp.forward.NUMERICS_VERSION`, re-pins them, the stored results and the
+version they were taken at in the same diff, and says so.
 """
 
+import functools
 import hashlib
+import json
+import math
 import platform
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,24 +31,34 @@ MODES = (rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK)
 
 FINGERPRINT = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0", "machine": "x86_64"}
 # the rsmp NUMERICS_VERSION the digests below were taken at
-PINNED_NUMERICS_VERSION = 2
+PINNED_NUMERICS_VERSION = 3
 
 # optimize(M=1500, N=8, K=5 (2 on nonconvex-mix), 4 cells per signal
 # coordinate, uniform start, max_iters=4, tol=0, seed=3).to_json()
 DIGESTS = {
-    ("lq1d", "open_loop"): "713f2ebafdcc655c127f31e2966e8e817643a423c8d648b5747c9908ab1c85f8",
-    ("lq1d", "state_feedback"): "5f9ba564b49cde814c9837978aeb6cba1205ef5eaa4d935e2c3f578e8b9de5f7",
-    ("lq1d", "observation_feedback"): "fd801fae6c791af0d1e3045111c550b100c4c97bd63223bdcca6e527972d36ab",
-    ("lq2d", "open_loop"): "2bd115b0252965d972ebc435e6d792a614eb1556691e5f4f7f918adff73c2a30",
-    ("lq2d", "state_feedback"): "85065ba81e0698f29956a393e4dfa178856a5829100cbc00f1457edd3516df39",
-    ("lq2d", "observation_feedback"): "44c4c4d7b22eb580b6e93feaea8833cf044c285fbd1868aa8cc3aedfb36b02a5",
-    ("nonconvex-mix", "open_loop"): "474af10311737b4aa9b6c733429df8e6ad7c440284bf975f804fbfb23e1bc1c3",
-    ("nonconvex-mix", "state_feedback"): "8961a851115977678ccc95daf00bca6c4127f1a8b4b19d8c07443faf5488e491",
-    ("nonconvex-mix", "observation_feedback"): "b0cc456c4807da1a31895424d0467697b5acd7f2fba00244557db5ecace802d1",
-    ("jump-lq", "open_loop"): "3260ec8c1551e7e4cff9b95477480adb6672651df6f156224850b295700da500",
-    ("jump-lq", "state_feedback"): "f8eceb3267e0aa526b2516aef248dcfbe03e67f196832be8b34a80441dd15c1d",
-    ("jump-lq", "observation_feedback"): "d9dddf87af5b714391423e745e0ae337ada798d15b071cd5dc71d18a6964b8b3",
+    ("lq1d", "open_loop"): "35e9e3bddbd40014ea9ccb5937a2f6e158daa3c1ebd1f56dca2843eddc1afc49",
+    ("lq1d", "state_feedback"): "2c0842b8f1d1e347099c7f8aeb325b55f389015830bcedde20d292ad9f4df6e1",
+    ("lq1d", "observation_feedback"): "b3b328af7d53e098080a8e814e3dfe4f0c24066a35375a4c77318965006d48af",
+    ("lq2d", "open_loop"): "c3ea7ec3de40e1ee43b771a9e6db7037b31cc3f223fc1745258250af4cca897b",
+    ("lq2d", "state_feedback"): "153e314ac5bc7f60442b3d881b2714126d8aab7140fae1455a89e573914e2d66",
+    ("lq2d", "observation_feedback"): "d643a16d27f83d530b20dd5e74785d71aa367a2bebc22ed83157448cdce953da",
+    ("nonconvex-mix", "open_loop"): "fe476f297ad83d14b692483c477f5376c5a2b6227d328bc6bc70182991c473f9",
+    ("nonconvex-mix", "state_feedback"): "f16d6a0e7e2f4f25055c460dd4fb59e01288924732d2d8d33cd9b0a979450c25",
+    ("nonconvex-mix", "observation_feedback"): "04e643366194fc5a3b30d4eb2c902fd610e97028cd2fcb8d0ea956e9d8725856",
+    ("jump-lq", "open_loop"): "64fc20e91acdfd86655a0235d0636686812a0787de65d74e7d203baea555a195",
+    ("jump-lq", "state_feedback"): "05afafc18b3d3da46ce86e3739b464bd6d9aa43460d4e55ce6035b44f1925bae",
+    ("jump-lq", "observation_feedback"): "3424b8c63545ed1529e9313481cc50e2d9b2fbe47fb11586af3579de30e9b302",
 }
+
+# the same 12 results' JSON, keyed "<benchmark>/<mode>"
+STORED = json.loads((Path(__file__).resolve().parent / "pinned_optimize.json").read_text(encoding="utf-8"))
+
+# On another stack the sums and solves round differently: statuses, step
+# sizes and final controls must still be equal, and costs, standard errors
+# and SMP gaps must agree within RTOL relative.  Changes of summation order
+# moved them by at most 6e-13 relative; a change of method moves them at
+# the Monte Carlo scale, about 1e-3.
+RTOL = 1e-9
 
 
 def fingerprint() -> dict | None:
@@ -54,17 +71,71 @@ def fingerprint() -> dict | None:
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}", "machine": platform.machine()}
 
 
-@pytest.mark.parametrize("name, mode", list(DIGESTS))
-def test_optimize_result_keeps_its_bits(name, mode):
-    found = fingerprint()
-    if found != FINGERPRINT:
-        pytest.skip(f"digests pinned on {FINGERPRINT}, this stack is {found}")
+@functools.cache
+def optimized(name: str, mode: str) -> str:
+    """The JSON of one pinned `optimize` run, computed once per session."""
     p, grid = rsmp.make_benchmark(name), rsmp.benchmark_grid(name, 5)
     part = rsmp.benchmark_partition(name, mode, cells=4)
     C = 1 if part is None else part.n_cells
     u0 = rsmp.RelaxedControl(grid, np.full((8, C, grid.K), 1.0 / grid.K), mode, part)
-    result = rsmp.optimize(p, u0, rsmp.OptimizeParams(M=1500, N=8, max_iters=4, tol=0.0, seed=3))
-    assert hashlib.sha256(result.to_json().encode()).hexdigest() == DIGESTS[name, mode]
+    return rsmp.optimize(p, u0, rsmp.OptimizeParams(M=1500, N=8, max_iters=4, tol=0.0, seed=3)).to_json()
+
+
+def assert_matches_stored(found: dict, stored: dict) -> None:
+    """found agrees with the stored result: equal status, iterations, step
+    sizes and final control, costs, standard errors and SMP gaps within RTOL."""
+    assert found["status"] == stored["status"]
+    assert found["final_control"] == stored["final_control"]
+    assert [(it["iteration"], it["step_size"]) for it in found["iterates"]] == [
+        (it["iteration"], it["step_size"]) for it in stored["iterates"]
+    ]
+    for got, want in zip(found["iterates"], stored["iterates"]):
+        for key in ("cost", "std_error", "smp_gap"):
+            assert math.isclose(got[key], want[key], rel_tol=RTOL, abs_tol=0.0), (got["iteration"], key)
+
+
+def check_optimize_result(name: str, mode: str) -> None:
+    """The pinned run keeps its digest on the pinned stack, and its stored
+    values within RTOL on any other."""
+    payload = optimized(name, mode)
+    if fingerprint() == FINGERPRINT:
+        assert hashlib.sha256(payload.encode()).hexdigest() == DIGESTS[name, mode]
+    else:
+        assert_matches_stored(json.loads(payload), STORED[f"{name}/{mode}"])
+
+
+@pytest.mark.parametrize("name, mode", list(DIGESTS))
+def test_optimize_result_keeps_its_bits(name, mode):
+    check_optimize_result(name, mode)
+
+
+@pytest.mark.parametrize("name, mode", list(DIGESTS))
+def test_another_stack_compares_the_stored_values(name, mode, monkeypatch):
+    # the value comparison that another numpy, BLAS or machine runs
+    monkeypatch.setattr(sys.modules[__name__], "fingerprint", lambda: {**FINGERPRINT, "blas": "another BLAS"})
+    check_optimize_result(name, mode)
+
+
+def test_stored_results_are_the_pinned_results():
+    # the stored JSON is re-pinned with the digests: each hashes to its digest
+    assert set(STORED) == {f"{name}/{mode}" for name, mode in DIGESTS}
+    for (name, mode), digest in DIGESTS.items():
+        text = json.dumps(STORED[f"{name}/{mode}"], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_value_comparison_sees_a_moved_value():
+    stored = STORED["lq1d/state_feedback"]
+    assert_matches_stored(json.loads(json.dumps(stored)), stored)
+    for key, scale in (("cost", 1 + 1e-8), ("smp_gap", 1 + 1e-8), ("step_size", 1 + 1e-15)):
+        moved = json.loads(json.dumps(stored))
+        moved["iterates"][0][key] *= scale
+        with pytest.raises(AssertionError):
+            assert_matches_stored(moved, stored)
+    moved = json.loads(json.dumps(stored))
+    moved["status"] = "stalled"
+    with pytest.raises(AssertionError):
+        assert_matches_stored(moved, stored)
 
 
 def test_digests_were_taken_at_this_numerics_version():
@@ -94,32 +165,32 @@ CLI_RUNS = {
 # the SHA-256 of every file each run of CLI_RUNS writes
 CLI_DIGESTS = {
     "describe": {
-        "bench.json": "078635af3e939999bbb21d0e62e77a4bca0a9a92832e0c4f400f6cbb951441bd",
-        "config.json": "f1b06a77b50ba12f806c9ca9253fef0f08c5e0f8d5b67bce9c2821e224fe0cc4",
+        "bench.json": "0be3f62a84d6d9fbee3fb4813b9a108a465a968023597f20c16f94e552bd0c9c",
+        "config.json": "853928c60d43a6b9a43b5e71cfeb7b8288fdabe109839c203851f99fceff437d",
     },
     "simulate": {
-        "config.json": "9481c67b823e5a4c5b97bae1f3bb0ddcb136795a5dbf9f02c6f9e3384fa86ad4",
-        "cost.json": "8c4d0829aa6e45c7161be59bfa98da7ba630d651d5ff90ac44e2e040b80fdd0d",
-        "paths.bin": "230b9fd5f2ebd5d2f6800468cd33b90dd01e83ce1708cb729c4c3b33c85f4342",
+        "config.json": "422c2bba74d7de199c8beab5f4b6a56034c11d511cca54eae29dea980d0dc3b6",
+        "cost.json": "de27628d082d5cf0f158032a9155c8916009de09fe5beb3440f043f8038edbac",
+        "paths.bin": "b8290b7ccaf742bbd491099036a7b620518c2615b6aa0dcf2b24b1686cca796d",
         "paths.csv": "6f6567a04c300bf9390d5f42df0f736d77be640c6fedde1c288415bbfb288b17",
     },
     "adjoint": {
-        "adjoint.bin": "7d5aeac3303248c5d69457e8ee518a5d66c5d4e81e298f9ddc8eb2294cfc90ad",
-        "config.json": "5ef1a29ecb5a85a3a2bf4f54b2c335b52527d747402425ab20a629aa6ff606eb",
-        "duality.json": "3d00aebad0fb0796fd1c7c17c23b7b4ebe528d9ececd927219eecce0959e617a",
+        "adjoint.bin": "f081008c6547e9b20b501b726f20753d93da418eae6ab9245cc096a244721e33",
+        "config.json": "9950e78dcc6d5a59286db8f3011ecc7652d5fc1b81f6a843cfd5f58323b31993",
+        "duality.json": "51a25b62b55d3554a0281619c1cb0a3684942dfef0b380a73ef1748a0fef24ca",
     },
     "optimize": {
-        "config.json": "7bed3428ad616d10762902a80c3c0247ac9888a2990a60a98ce09b2f4ca17bbb",
+        "config.json": "b3dfa4a3351cde262889648372d92e71acc24b68ba09c46d4f1b1de696fdb1ea",
         "final_control.json": "e8c83bcc6b32336ddd91becc8be265f96d32c7d540b21904e6ea2d346b94fcba",
-        "iterates.json": "35ba3cf80ce4757cbcb24e9013e30d3db3e3553fe94c58560f0b67e43f51a70a",
+        "iterates.json": "9c6932b70a579fbd39f638b7896f647d56965f7e90560962df326aedff4930eb",
     },
     "certify": {
-        "certify.json": "9e7233ae3f65d25e40d001fa099f7d11750953bf77234794d604cfc85b1eb9a9",
-        "config.json": "fa2f2bc9bcafb84c4a319045bfa5eede098d1d48097aea0aef9192172e6947eb",
+        "certify.json": "9da421afe7dd40c02752954dfdbb9bf1344f454dcb875928a890b94b0c40f490",
+        "config.json": "c2212259601520bf30b1c69678e18264bd7bf48c46c8c9e248d11ff5111ada39",
     },
     "chatter": {
-        "chatter.json": "256a8dec4fa253de07167c5483c7117766016a52096340cf0e6c7124de279ffe",
-        "config.json": "dba07db32a3d01367dfc0fd84d883599f0af8ce6f7442d134f44b8114b264b75",
+        "chatter.json": "f43ef97a3ed0807e7e1b4234a20247048c2c457859f226edc04d0a97bb2ff0a1",
+        "config.json": "f29a004f556fffd3becf1338cfa288699c10931e816139713c77cafcb5e4e6a9",
     },
 }
 

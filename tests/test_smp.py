@@ -6,8 +6,15 @@ import pytest
 
 import rsmp
 from rsmp import CellPartition, ControlGrid, DomainError, NonFiniteCoefficient, RelaxedControl
-from rsmp.adjoint import _sweep
+from rsmp.adjoint import SUM_BLOCKS, _cell_sums, _sweep
 from rsmp.smp import HamiltonianField, _field, _largest_remainder
+
+
+def blocked_sums(cells, C, rows):
+    """`_cell_sums` of rows on the bins the backward sweep gives M paths in
+    cells: each path's cell and block of consecutive paths."""
+    M = len(cells)
+    return _cell_sums(cells * SUM_BLOCKS + np.arange(M) * SUM_BLOCKS // M, C, rows)
 
 
 def toy_field(cell_values, dt=1.0, grid=None, feedback_mode=rsmp.OPEN_LOOP, feedback=None,
@@ -180,7 +187,7 @@ class TestHamiltonianField:
         direct = rsmp.hamiltonian(p, grid, k * base.dt, base.states[:, k],
                                   adj.psi_cont[:, k], adj.Q[:, k], None, np.array([1.0]))
         cells = np.zeros(200, dtype=np.int64)
-        assert np.array_equal(np.bincount(cells, weights=direct, minlength=1) / 200, fld.cell_values[k, :, 0])
+        assert np.array_equal(blocked_sums(cells, 1, [direct])[:, 0] / 200, fld.cell_values[k, :, 0])
 
     @staticmethod
     def seeded_field_inputs(name, mode, separable=True):
@@ -219,7 +226,7 @@ class TestHamiltonianField:
             for i in range(grid.K):
                 direct = rsmp.hamiltonian(p, grid, k * base.dt, base.states[:, k],
                                           adj.psi_cont[:, k], adj.Q[:, k], phik, one_hot[i])
-                means = np.bincount(cells, weights=direct, minlength=C)[occupied] / counts[occupied]
+                means = blocked_sums(cells, C, [direct])[occupied, 0] / counts[occupied]
                 assert np.array_equal(means, fld.cell_values[k, occupied, i])
 
     @pytest.mark.parametrize("mode", [rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK])
