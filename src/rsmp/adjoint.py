@@ -37,7 +37,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .control import ControlGrid, RelaxedControl
+from .control import RelaxedControl
 from .errors import ShapeMismatch, SingularRegression, require_count, require_finite
 from .forward import PathEnsemble, _rescaled, _step_major, _step_weights
 from .problem import Problem, atom_differences, atom_hamiltonians, averaged_linearization, terminal_gradient
@@ -152,11 +152,11 @@ def _cell_sums(bins: np.ndarray, C: int, rows) -> np.ndarray:
     return blocks.reshape(-1, C, SUM_BLOCKS).sum(axis=2).T
 
 
-def _separable_sums(first: ControlGrid, p: Problem, grid, t, x, psi, Q, phi, bins, counts, pairing) -> tuple:
+def _separable_sums(p: Problem, grid, t, x, psi, Q, phi, bins, counts, pairing) -> tuple:
     """The cell sums (C, K) of `atom_hamiltonians` on a separable problem,
     and with pairing (a recording sweep) those of its pairing, else None,
     from the Hamiltonian G at the first atom xi_0 and the Delta tables of
-    `atom_differences` at the paths of least and greatest coordinate sum:
+    `atom_differences`, the forward and variational sweeps' own:
 
         S[c, i] = sum_{q in c} G_q + (sum psi)_c . Delta b_i + (sum Q)_c : Delta sigma_i
                   + counts_c Delta ell_i + sum_j lam_j (sum phi_j)_c . Delta C_ji,
@@ -164,9 +164,8 @@ def _separable_sums(first: ControlGrid, p: Problem, grid, t, x, psi, Q, phi, bin
     the pairing the same without the running cost.  G, its pairing and the
     per-path arrays whose coefficient has an atom axis are binned in one pass."""
     M, C = len(x), len(counts)
-    G, G_pairing = atom_hamiltonians(p, first, t, x, psi, Q, phi, pairing=pairing, checked=False)
-    ends = x.sum(axis=1)
-    db, dsigma, dell, *dC = atom_differences(p, grid, t, x[[np.argmin(ends), np.argmax(ends)]])
+    G, G_pairing = atom_hamiltonians(p, grid._first_atom, t, x, psi, Q, phi, pairing=pairing, checked=False)
+    db, dsigma, dell, *dC = atom_differences(p, grid, t, x)
     pairs = [(psi, db), (Q.reshape(M, -1), dsigma)]
     pairs += [(phi[:, j], lam * d) for j, (lam, d) in enumerate(zip(p.jump.intensities, dC)) if d is not None]
     pairs = [(a, d.reshape(len(d), -1)) for a, d in pairs if d is not None]
@@ -303,7 +302,6 @@ def _sweep(base: PathEnsemble, basis: BasisSpec, record: bool) -> tuple:
     occupancy = np.empty((N, C), dtype=np.int64)
     path_blocks = np.arange(M) * SUM_BLOCKS // M
     bins = np.empty(M, dtype=np.int64)  # each step's cell * SUM_BLOCKS + path block
-    first = ControlGrid(u0.grid.points[:1], u0.grid.box) if p.separable else None
     diagnostics = []
 
     _at(psi, N)[...] = require_finite(terminal_gradient(p, base.states[:, N]), "terminal cost gradient")
@@ -315,8 +313,8 @@ def _sweep(base: PathEnsemble, basis: BasisSpec, record: bool) -> tuple:
         np.multiply(cells, SUM_BLOCKS, out=bins)
         bins += path_blocks
         with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite is checked below
-            if first is not None:
-                hamiltonian_sums[k], pairing = _separable_sums(first, *args, bins, occupancy[k], record)
+            if p.separable:
+                hamiltonian_sums[k], pairing = _separable_sums(*args, bins, occupancy[k], record)
             else:
                 ham, pairing = atom_hamiltonians(*args, pairing=record, checked=False)
                 sums = _cell_sums(bins, C, [*ham, *(pairing if record else ())])
@@ -352,7 +350,8 @@ def solve_bsde(
     phi_k in hand the step evaluates b, sigma, l and C once for all atoms, forms
     the (K, M) atom Hamiltonians and sums them, with and without the running
     cost, over u0's feedback cells; on a separable problem it evaluates each
-    once more and sums by the identity of `_separable_sums` instead, and a
+    at the first atom on every path and at every atom on a few reference
+    states instead, and sums by the identity of `_separable_sums`, and a
     problem declared separable that is not raises DomainError.  A NaN/Inf
     terminal cost gradient, regression target, coefficient term or cell sum
     raises NonFiniteCoefficient, and a value of another shape or a base not

@@ -58,8 +58,10 @@ STREAM_VERSION = 2
 # Version of the arithmetic behind every result: bump it, and re-pin the
 # pinned outputs, whenever a change moves the bits of a result the noise
 # does not.  Version 2 bins the separable Hamiltonian sums; version 3 adds
-# every cell sum within blocks of consecutive paths.
-NUMERICS_VERSION = 3
+# every cell sum within blocks of consecutive paths; version 4 averages a
+# separable coefficient under one weight row by the separable identity, with
+# every Delta table taken at the mean of x0.
+NUMERICS_VERSION = 4
 _KIND_INITIAL, _KIND_BROWNIAN, _KIND_JUMPS = range(3)
 
 

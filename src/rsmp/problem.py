@@ -45,18 +45,28 @@ another per-path shape than documented raises ShapeMismatch.
 A problem declares `separable` when b, sigma, ell and C are each additively
 separable in state and control, f(t, x, xi) = g(t, x) + h(t, xi).  Then
 f(x, xi_i) = f(x, xi_0) + Delta_i with Delta_i = f(x_r, xi_i) - f(x_r, xi_0)
-at any state x_r, so the backward sweep bins the Hamiltonian at the first
-atom xi_0 and the per-path arrays the Delta tables pair with, not all K
-atom Hamiltonians.  `atom_differences` checks the declaration at every
-step (DomainError naming the coefficient).  The field of a declared problem
-equals the one-hot `hamiltonian` averages to rounding; that of an undeclared
-problem equals the one-hot `hamiltonian` rows summed by the same blocked
-rule (`adjoint._cell_sums`), bit for bit.
+at any state x_r.  `_atom_difference` is the one source of the Delta
+tables: it takes them at the mean of x0, a state fixed by the problem, so a
+path's value depends on its own state alone, and checks the declaration at
+the step's two extreme states (DomainError naming the coefficient).  The
+backward sweep bins the Hamiltonian at the first atom xi_0 and the per-path
+arrays the tables pair with, not all K atom Hamiltonians.  The forward and
+variational sweeps average a coefficient under one weight row w (K,), as
+open loop resolves, as (sum_i w_i) f(x, xi_0) + w . Delta
+(`_separable_average`): one evaluation on the M paths and a (K,) table,
+where the per-atom form is a (K, M, *tail) tensor.  Per-path rows (M, K),
+as feedback resolves, keep the per-atom contraction and its bits: there the
+identity would need an (M, K) product with the table that sums each row on
+its own, as `_row_sums` does, so that a path's bits stay its own.
+The field of a declared problem equals the one-hot `hamiltonian` averages
+to rounding; that of an undeclared problem equals the one-hot `hamiltonian`
+rows summed by the same blocked rule (`adjoint._cell_sums`), bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -181,8 +191,10 @@ class Problem:
     jump is a JumpSpec; jump=None builds a diffusion, the spec without marks.
     observe, when present, maps states to the signal generating the partial
     information structure; feedback cells bin that signal.  separable
-    declares b, sigma, ell and C additively separable in state and control
-    (see the module docstring).
+    declares b, sigma, ell and C additively separable in state and control:
+    the backward sweep's cell sums and their averages under one weight row
+    in the forward and variational sweeps then take the separable identity
+    (see the module docstring), which moves results by rounding only.
     """
 
     n: int
@@ -343,27 +355,44 @@ def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, *, pairing=True, 
     return val, pairing
 
 
+def _reference_states(p: Problem, x: np.ndarray) -> np.ndarray:
+    """The states (3, n) a Delta table is taken at: the mean of x0, a state
+    fixed by the problem, so that an average by the table depends on its
+    path's own state alone; then the two states among x (M, n) of least and
+    greatest coordinate sum, where the declaration is checked."""
+    ends = reduce(np.add, x.T)  # not x.sum(axis=1): numpy's sum over a short last axis is slow
+    x0 = p.x0.mean if isinstance(p.x0, GaussianInitial) else p.x0
+    return np.stack([x0, x[ends.argmin()], x[ends.argmax()]])
+
+
+def _atom_difference(f, grid, t, references, tail: tuple, extra, what: str):
+    """Delta table (K, *tail) of a coefficient f of a separable problem at
+    the first of its `_reference_states`, f(t, x_r, *extra, xi_i) -
+    f(t, x_r, *extra, xi_0) at every atom, or None for a value without an
+    atom axis; one call at all three states.  DomainError names a
+    coefficient whose finite tables at the other two states differ from it
+    by more than SEPARABLE_TOL (1e-9) times its largest value there.  A
+    value that is not finite is not checked, and makes the table not
+    finite, which the caller checks."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _atom_view(f, grid, t, references, tail, extra, what)
+        if len(vals) == 1:
+            return None
+        delta = vals - vals[:1]
+        off = np.abs(delta - delta[:, :1]).max()
+        if off > SEPARABLE_TOL * np.abs(vals).max():
+            raise DomainError(f"{what} is declared separable, but its atom differences depend on the state")
+    return delta[:, 0] if np.isfinite(off) else np.full_like(delta[:, 0], np.nan)
+
+
 def atom_differences(p: Problem, grid, t, x) -> list:
-    """Delta tables of a separable problem at states x (2, n) of two
-    reference paths: per coefficient b, sigma, ell and C (one per mark), in
-    that order, the mean over the paths of f(t, x, xi_i) - f(t, x, xi_0) at
-    every atom (K, *tail), or None for a value without an atom axis; one
-    call per coefficient.  DomainError names a coefficient whose two finite
-    tables differ by more than SEPARABLE_TOL (1e-9) times its largest value.
-    A value that is not finite is not checked: its table is not finite
-    either, and the caller checks what it reduces the tables to."""
+    """`_atom_difference` tables of a separable problem at a step's states x
+    (M, n): per coefficient b, sigma, ell and C (one per mark), in that
+    order, at the same `_reference_states` of x."""
+    references = _reference_states(p, x)
     coefficients = [(p.b, (p.n,), (), "drift"), (p.sigma, (p.n, p.m), (), "diffusion"), (p.ell, (), (), "running cost")]
     coefficients += [(p.jump.C, (p.n,), (v,), "jump coefficient") for v in p.jump.marks]
-    tables = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for f, tail, extra, what in coefficients:
-            vals = _atom_view(f, grid, t, x, tail, extra, what)
-            delta = vals - vals[:1]
-            first, last = delta[:, 0], delta[:, -1]
-            if np.isfinite(delta).all() and np.any(np.abs(first - last) > SEPARABLE_TOL * np.abs(vals).max()):
-                raise DomainError(f"{what} is declared separable, but its atom differences depend on the state")
-            tables.append(0.5 * (first + last) if len(vals) > 1 else None)
-    return tables
+    return [_atom_difference(f, grid, t, references, tail, extra, what) for f, tail, extra, what in coefficients]
 
 
 def _row_sums(w) -> np.ndarray:
@@ -375,15 +404,44 @@ def _row_sums(w) -> np.ndarray:
     return w @ np.ones(len(w)) if w.ndim == 1 else np.einsum("qk->q", w)
 
 
-def _averaged(f, grid, t, x, w, tail: tuple, what: str, extra=(), total=None):
+def _separable_average(p: Problem, f, grid, t, x, w, tail: tuple, what: str, extra, total):
+    """sum_i w_i f(t, x, *extra, xi_i) for a coefficient f of the declared
+    separable problem p under one weight row w (K,), as total f(x, xi_0) +
+    w . Delta (total the row sum of w, Delta the `_atom_difference` table)
+    where `_atom_view`'s form would be a (K, M, *tail) tensor; without an
+    atom axis, total f(x, xi_0), the per-atom rule's own value.  None where
+    the per-atom rule applies: a value the same on every path, or a result
+    that is not finite, which the per-atom contraction names or finds
+    finite after all."""
+    head = _atom_view(f, grid._first_atom, t, x, tail, extra, what)
+    if head.shape[1] < len(x):  # the same on every path: one row, contracted as it is
+        return None
+    delta = _atom_difference(f, grid, t, _reference_states(p, x), tail, extra, what)
+    total = _row_sums(w) if total is None else total
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = head[0] * total
+        if delta is not None:
+            out += np.dot(w, delta.reshape(len(delta), -1)).reshape(tail)
+    return out if np.isfinite(out).all() else None
+
+
+def _averaged(f, grid, t, x, w, tail: tuple, what: str, extra=(), total=None, p: Problem | None = None):
     """Relaxed average sum_i w[..., i] f(t, x, *extra, xi_i) of `_atom_view`'s
     form; linear in w.  A value evaluated once for all atoms is scaled by
     total, the row sum of w.  w may also be a function returning the
     weights, called only for a value with an atom axis (then total must be
     given).  A value the same on every path is averaged and checked as one
     row, returned as a read-only broadcast view, unless per-path weights or
-    row sums spread it."""
-    vals, M = _atom_view(f, grid, t, x, tail, extra, what), np.shape(x)[0]
+    row sums spread it.  Given the problem p of a coefficient b, sigma, ell
+    or C that p declares separable, one weight row (K,) averages by
+    `_separable_average` where that applies; per-path rows (M, K) keep the
+    per-atom contraction."""
+    M = np.shape(x)[0]
+    if p is not None and p.separable and np.ndim(w) == 1:
+        out = _separable_average(p, f, grid, t, x, w, tail, what, extra, total)
+        if out is not None:
+            return out
+    vals = _atom_view(f, grid, t, x, tail, extra, what)
     if len(vals) == grid.K:
         out = require_finite(contract_atoms(vals, w() if callable(w) else w), what)
     else:
@@ -395,20 +453,20 @@ def _averaged(f, grid, t, x, w, tail: tuple, what: str, extra=(), total=None):
 
 def averaged_drift(p: Problem, grid, t, x, w, total=None):
     """Relaxed-averaged drift sum_i w_i b(t, x, xi_i); linear in w."""
-    return _averaged(p.b, grid, t, x, w, (p.n,), "drift", total=total)
+    return _averaged(p.b, grid, t, x, w, (p.n,), "drift", total=total, p=p)
 
 
 def averaged_diffusion(p: Problem, grid, t, x, w, total=None):
-    return _averaged(p.sigma, grid, t, x, w, (p.n, p.m), "diffusion", total=total)
+    return _averaged(p.sigma, grid, t, x, w, (p.n, p.m), "diffusion", total=total, p=p)
 
 
 def averaged_running_cost(p: Problem, grid, t, x, w, total=None):
-    return _averaged(p.ell, grid, t, x, w, (), "running cost", total=total)
+    return _averaged(p.ell, grid, t, x, w, (), "running cost", total=total, p=p)
 
 
 def averaged_jump(p: Problem, grid, t, x, v, w, total=None):
     """Relaxed-averaged jump coefficient at a single mark v."""
-    return _averaged(p.jump.C, grid, t, x, w, (p.n,), "jump coefficient", (v,), total)
+    return _averaged(p.jump.C, grid, t, x, w, (p.n,), "jump coefficient", (v,), total, p)
 
 
 def averaged_drift_x(p: Problem, grid, t, x, w, total=None):
@@ -439,7 +497,10 @@ def averaged_coefficients(p: Problem, grid, t, x, w) -> tuple:
     (M, n, m), running cost (M,) and the list of jump coefficients (M, n),
     one per mark in order (ShapeMismatch for another trailing shape); under
     one weight row (K,), a value the same on every path is a read-only
-    broadcast view."""
+    broadcast view.  On a problem declared separable, one weight row
+    averages each coefficient that varies by path as its value at the first
+    atom plus a (K,) table (`_separable_average`), equal to the per-atom
+    contraction to rounding; per-path rows (M, K) contract every atom."""
     return _step_averages(p, grid, t, x, w, (averaged_drift, averaged_diffusion, averaged_running_cost), averaged_jump)
 
 

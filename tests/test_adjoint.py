@@ -378,11 +378,45 @@ def seeded_controls(name, mode, N, count, seed):
     return out
 
 
+def coupled_problem(key):
+    """lq1d, declared separable, with b or ell replaced by x . xi, whose atom
+    differences grow with the state."""
+
+    def coupled(t, x, xi):
+        value = np.asarray(x) * np.asarray(xi)
+        return value.sum(axis=-1) if key == "ell" else value
+
+    return dataclasses.replace(rsmp.make_benchmark("lq1d"), **{key: coupled})
+
+
+def poisoned_problem(name, key, armed):
+    """The benchmark with coefficient key NaN at atom 3 of its 5-atom grid
+    once armed (a non-empty list)."""
+    p = rsmp.make_benchmark(name)
+    bad_atom = rsmp.benchmark_grid(name, 5).points[3]
+    f = p.jump.C if key == "C" else getattr(p, key)
+
+    def poisoned(*args):
+        # xi holds the atoms on its leading axis; once armed, poison atom 3 only
+        value = np.asarray(f(*args))
+        hit = np.all(args[-1] == bad_atom, axis=-1)
+        return np.where(hit.reshape(hit.shape + (1,) * (value.ndim - hit.ndim)), np.nan, value) if armed else value
+
+    if key == "C":
+        return dataclasses.replace(p, jump=dataclasses.replace(p.jump, C=poisoned))
+    return dataclasses.replace(p, **{key: poisoned})
+
+
+POISONED = [("lq1d", "b", "drift"), ("lq1d", "sigma", "diffusion"), ("lq1d", "ell", "running cost"),
+            ("jump-lq", "C", "jump coefficient")]
+
+
 class TestSeparableGuard:
-    """A problem declared separable is checked at every backward step: a
-    coefficient whose atom differences depend on the state raises
-    DomainError naming it, and a NaN at one atom NonFiniteCoefficient naming
-    it, as for an undeclared problem."""
+    """A problem declared separable is checked at every backward step, and at
+    every step of an open-loop simulate, which averages under one weight row
+    by the separable identity: a coefficient whose atom differences depend
+    on the state raises DomainError naming it, and a NaN at one atom
+    NonFiniteCoefficient naming it, as for an undeclared problem."""
 
     @staticmethod
     def solved(p, name="lq1d"):
@@ -390,41 +424,53 @@ class TestSeparableGuard:
         base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 200, 4, seed=31))
         return rsmp.solve_bsde(p, base, u0)
 
+    @staticmethod
+    def simulated_open_loop(p, name="lq1d"):
+        (u,) = seeded_controls(name, rsmp.OPEN_LOOP, 4, 1, seed=30)
+        return rsmp.simulate(p, u, rsmp.sample_noise(p, 200, 4, seed=31))
+
     @pytest.mark.parametrize("key, what", [("ell", "running cost"), ("b", "drift")])
     def test_coupled_coefficient_is_named(self, key, what):
-        # x . xi: its atom differences grow with the state
-        def coupled(t, x, xi):
-            value = np.asarray(x) * np.asarray(xi)
-            return value.sum(axis=-1) if key == "ell" else value
-
-        p = dataclasses.replace(rsmp.make_benchmark("lq1d"), **{key: coupled})
+        p = coupled_problem(key)
         with pytest.raises(DomainError, match=f"{what} is declared separable"):
             self.solved(p)
         self.solved(dataclasses.replace(p, separable=False))  # undeclared, the same problem solves
 
-    @pytest.mark.parametrize(
-        "name, key, what",
-        [("lq1d", "b", "drift"), ("lq1d", "sigma", "diffusion"), ("lq1d", "ell", "running cost"),
-         ("jump-lq", "C", "jump coefficient")],
-    )
+    @pytest.mark.parametrize("key, what", [("ell", "running cost"), ("b", "drift")])
+    def test_coupled_coefficient_is_named_by_an_open_loop_simulate(self, key, what):
+        p = coupled_problem(key)
+        with pytest.raises(DomainError, match=f"{what} is declared separable"):
+            self.simulated_open_loop(p)
+        self.simulated_open_loop(dataclasses.replace(p, separable=False))
+
+    @pytest.mark.parametrize("name, key, what", POISONED)
     def test_nan_at_one_atom_names_the_coefficient(self, name, key, what):
-        p = rsmp.make_benchmark(name)
-        bad_atom, armed = rsmp.benchmark_grid(name, 5).points[3], []
-        f = p.jump.C if key == "C" else getattr(p, key)
-
-        def poisoned(*args):
-            # xi holds the atoms on its leading axis; once armed, poison atom 3 only
-            value = np.asarray(f(*args))
-            hit = np.all(args[-1] == bad_atom, axis=-1)
-            return np.where(hit.reshape(hit.shape + (1,) * (value.ndim - hit.ndim)), np.nan, value) if armed else value
-
-        p = dataclasses.replace(p, jump=dataclasses.replace(p.jump, C=poisoned)) if key == "C" else (
-            dataclasses.replace(p, **{key: poisoned}))
+        armed = []
+        p = poisoned_problem(name, key, armed)
         (u0,) = seeded_controls(name, rsmp.STATE_FEEDBACK, 4, 1, seed=30)
         base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 200, 4, seed=31))
         armed.append(True)
         with pytest.raises(NonFiniteCoefficient, match=what):
             rsmp.solve_bsde(p, base, u0)
+
+    @pytest.mark.parametrize("name, key, what", POISONED)
+    def test_nan_at_one_atom_is_named_by_an_open_loop_simulate(self, name, key, what):
+        # the identity's result is not finite: the per-atom contraction names it
+        with pytest.raises(NonFiniteCoefficient, match=what):
+            self.simulated_open_loop(poisoned_problem(name, key, [True]), name)
+
+    def test_nan_away_from_the_mean_of_x0_is_named_by_an_open_loop_simulate(self):
+        # NaN at atom 3 only for x > 1.3: the table at x0 = 1 is finite, the
+        # check at the extreme states is not, and the step falls back per atom
+        p = rsmp.make_benchmark("lq1d")
+        bad_atom, ell = rsmp.benchmark_grid("lq1d", 5).points[3], p.ell
+
+        def far_nan(t, x, xi):
+            hit = np.all(xi == bad_atom, axis=-1) & (np.asarray(x)[..., 0] > 1.3)
+            return np.where(hit, np.nan, ell(t, x, xi))
+
+        with pytest.raises(NonFiniteCoefficient, match="running cost"):
+            self.simulated_open_loop(dataclasses.replace(p, ell=far_nan))
 
 
 class TestStepCoefficientCalls:
@@ -501,7 +547,8 @@ class TestStepCoefficientCalls:
 
     def test_jump_variational_sweep(self):
         # l_x, b_x, sigma_x and C_x under u0; l, b, sigma and C under u - u0
-        p = rsmp.make_benchmark("jump-lq")
+        # (undeclared: a declared problem's one-row averages count below)
+        p = dataclasses.replace(rsmp.make_benchmark("jump-lq"), separable=False)
         grid = rsmp.benchmark_grid("jump-lq", 9)
         u0 = rsmp.constant_control(grid, self.N)
         u = rsmp.constant_control(grid, self.N, np.eye(grid.K)[0])
@@ -513,6 +560,26 @@ class TestStepCoefficientCalls:
         per_step.update(C=2, C_x=2)
         assert sum(per_step.values()) == 10
         assert calls == {key: count * self.N for key, count in per_step.items()}
+
+    def test_declared_one_row_steps(self):
+        # under one weight row, open loop, a declared coefficient that varies
+        # by path is evaluated at the first atom on every path and at every
+        # atom on three reference states; sigma, the same on every path, at
+        # the first atom and then at every atom
+        p = rsmp.make_benchmark("jump-lq")
+        grid = rsmp.benchmark_grid("jump-lq", 9)
+        u0 = rsmp.constant_control(grid, self.N)
+        u = rsmp.constant_control(grid, self.N, np.eye(grid.K)[0])
+        counted, calls = counting_problem(p)
+        averages = {"b": 2, "sigma": 2, "ell": 2, "C": 2 * p.jump.J}
+        linearization = {"b_x": 1, "sigma_x": 1, "ell_x": 1, "C_x": p.jump.J}
+        for M in self.PATHS:
+            calls.clear()
+            base = rsmp.simulate(counted, u0, rsmp.sample_noise(p, M, self.N, seed=74))
+            assert calls == {key: count * self.N for key, count in averages.items()}, M
+            calls.clear()
+            rsmp.simulate_variational(counted, base, u, u0)
+            assert calls == {key: count * self.N for key, count in {**averages, **linearization}.items()}, M
 
 
 def walked_pairing(p, base, u0, u, adj):

@@ -553,7 +553,7 @@ def test_feedback_whose_cells_agree_keeps_the_gather_bits(name, mode):
         agree.weights_at(3, np.full((400, len(part.cells_per_dim)), np.nan))
 
 
-@pytest.mark.parametrize("kind", ["relaxed", "regular", "policy", "feedback-rows"])
+@pytest.mark.parametrize("kind", ["relaxed", "regular", "policy", "feedback-rows", "open-loop-separable"])
 def test_simulation_of_fewer_paths_is_row_prefix(kind):
     """Each path's row depends on its own noise alone, so how many paths
     share a step never shows in the bits."""
@@ -567,6 +567,10 @@ def test_simulation_of_fewer_paths_is_row_prefix(kind):
         w = np.random.default_rng(10).dirichlet(np.ones(9), (8, 4))
         u, N = rsmp.RelaxedControl(grid, w, rsmp.STATE_FEEDBACK, part), 8
         sizes, large, seed = (2, 7), 64, 1
+    elif kind == "open-loop-separable":  # one weight row: the declared identity, its tables at x0's mean
+        p = rsmp.make_benchmark("jump-lq")
+        assert p.separable
+        u, N = relaxed_control("jump-lq", rsmp.OPEN_LOOP, 4), 4
     else:
         p = rsmp.make_benchmark("jump-lq")
         u, N = relaxed_control("jump-lq", rsmp.STATE_FEEDBACK, 4), 4

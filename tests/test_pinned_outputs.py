@@ -31,22 +31,22 @@ MODES = (rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK)
 
 FINGERPRINT = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0", "machine": "x86_64"}
 # the rsmp NUMERICS_VERSION the digests below were taken at
-PINNED_NUMERICS_VERSION = 3
+PINNED_NUMERICS_VERSION = 4
 
 # optimize(M=1500, N=8, K=5 (2 on nonconvex-mix), 4 cells per signal
 # coordinate, uniform start, max_iters=4, tol=0, seed=3).to_json()
 DIGESTS = {
-    ("lq1d", "open_loop"): "35e9e3bddbd40014ea9ccb5937a2f6e158daa3c1ebd1f56dca2843eddc1afc49",
-    ("lq1d", "state_feedback"): "2c0842b8f1d1e347099c7f8aeb325b55f389015830bcedde20d292ad9f4df6e1",
-    ("lq1d", "observation_feedback"): "b3b328af7d53e098080a8e814e3dfe4f0c24066a35375a4c77318965006d48af",
-    ("lq2d", "open_loop"): "c3ea7ec3de40e1ee43b771a9e6db7037b31cc3f223fc1745258250af4cca897b",
-    ("lq2d", "state_feedback"): "153e314ac5bc7f60442b3d881b2714126d8aab7140fae1455a89e573914e2d66",
-    ("lq2d", "observation_feedback"): "d643a16d27f83d530b20dd5e74785d71aa367a2bebc22ed83157448cdce953da",
+    ("lq1d", "open_loop"): "dd706ecf794b27c5f6cdb55648439127de233b114a9999c5c15b860443071813",
+    ("lq1d", "state_feedback"): "5a870bdb8a33afb5f9f6d8e09c72f9d79d1ead98c57bd40886e3c85efeb6d9db",
+    ("lq1d", "observation_feedback"): "b328329ddb3a9db9a7763c29c67fb556b306bff4fdfe0efce7f5ff32d00a8044",
+    ("lq2d", "open_loop"): "018454a3cd458eba9e6ce8092feab38eb1546cc50a1cbfe01f8760a244870db4",
+    ("lq2d", "state_feedback"): "f1b6fcd66ebceb635cd345c0416f9a83db022404de5b2a9557f0de5ae6d5bafa",
+    ("lq2d", "observation_feedback"): "e29b7ca153d7a517ab333010fc254150e52625769fd6a4bfc2523a2af041ee23",
     ("nonconvex-mix", "open_loop"): "fe476f297ad83d14b692483c477f5376c5a2b6227d328bc6bc70182991c473f9",
     ("nonconvex-mix", "state_feedback"): "f16d6a0e7e2f4f25055c460dd4fb59e01288924732d2d8d33cd9b0a979450c25",
     ("nonconvex-mix", "observation_feedback"): "04e643366194fc5a3b30d4eb2c902fd610e97028cd2fcb8d0ea956e9d8725856",
-    ("jump-lq", "open_loop"): "64fc20e91acdfd86655a0235d0636686812a0787de65d74e7d203baea555a195",
-    ("jump-lq", "state_feedback"): "05afafc18b3d3da46ce86e3739b464bd6d9aa43460d4e55ce6035b44f1925bae",
+    ("jump-lq", "open_loop"): "efff2cd389d1e496beebbe258e7497edcd3eb592d9c181b3e4868506513e53ac",
+    ("jump-lq", "state_feedback"): "d03bb485b88c20bf6ec9398cd5860b687af08e86c0e87b35056bbef3e7b37085",
     ("jump-lq", "observation_feedback"): "3424b8c63545ed1529e9313481cc50e2d9b2fbe47fb11586af3579de30e9b302",
 }
 
@@ -165,32 +165,32 @@ CLI_RUNS = {
 # the SHA-256 of every file each run of CLI_RUNS writes
 CLI_DIGESTS = {
     "describe": {
-        "bench.json": "0be3f62a84d6d9fbee3fb4813b9a108a465a968023597f20c16f94e552bd0c9c",
-        "config.json": "853928c60d43a6b9a43b5e71cfeb7b8288fdabe109839c203851f99fceff437d",
+        "bench.json": "d3b2f39e606c008845f9e4ee9bdb80860cdb8d07d8d915ed122d7f8692c890d7",
+        "config.json": "f418b6c600e0b1f7c3bad4be3ec0b175f98ad386ad641cac83c973ae1d564ac1",
     },
     "simulate": {
-        "config.json": "422c2bba74d7de199c8beab5f4b6a56034c11d511cca54eae29dea980d0dc3b6",
-        "cost.json": "de27628d082d5cf0f158032a9155c8916009de09fe5beb3440f043f8038edbac",
-        "paths.bin": "b8290b7ccaf742bbd491099036a7b620518c2615b6aa0dcf2b24b1686cca796d",
+        "config.json": "31ac1dbab1fc21221690ec60cf12917b97d98b9f4b571106180186c670e57ba7",
+        "cost.json": "d196fd4bf64ea3519bcab8366e46ac81a40ac6ceb0574ce8bf00c93f94bb86a5",
+        "paths.bin": "2b7bf72ff79249101b5e6287e64baff56d325c7d5f55e2666ab532c73cef2b35",
         "paths.csv": "6f6567a04c300bf9390d5f42df0f736d77be640c6fedde1c288415bbfb288b17",
     },
     "adjoint": {
-        "adjoint.bin": "f081008c6547e9b20b501b726f20753d93da418eae6ab9245cc096a244721e33",
-        "config.json": "9950e78dcc6d5a59286db8f3011ecc7652d5fc1b81f6a843cfd5f58323b31993",
-        "duality.json": "51a25b62b55d3554a0281619c1cb0a3684942dfef0b380a73ef1748a0fef24ca",
+        "adjoint.bin": "e6032247e007dc67e47b8a450416ad940370ef4a9734a276b337d92d6ffd53dd",
+        "config.json": "7953f89894e97e3ed88e4336005d1948e7c6acca841c6fa898a1cf434503c5b5",
+        "duality.json": "2d1f2b4b20411109d5ba548c678843dbe263035f59ef83ad71f84e1eeb4155d0",
     },
     "optimize": {
-        "config.json": "b3dfa4a3351cde262889648372d92e71acc24b68ba09c46d4f1b1de696fdb1ea",
+        "config.json": "e10145e774a2d2fe2ee555b4b2d7717224bb3dfd18eb729056761c877ab4a154",
         "final_control.json": "e8c83bcc6b32336ddd91becc8be265f96d32c7d540b21904e6ea2d346b94fcba",
-        "iterates.json": "9c6932b70a579fbd39f638b7896f647d56965f7e90560962df326aedff4930eb",
+        "iterates.json": "312d7d12eb6789de2856ed962b3f5c47cfe7988500ba9e6bc8c699c1ada8c7a3",
     },
     "certify": {
-        "certify.json": "9da421afe7dd40c02752954dfdbb9bf1344f454dcb875928a890b94b0c40f490",
-        "config.json": "c2212259601520bf30b1c69678e18264bd7bf48c46c8c9e248d11ff5111ada39",
+        "certify.json": "138435e9e162b63a3f3fd9a98e7706ac65a61a7b89d34d7f6fc66b0997134af9",
+        "config.json": "8e56000a7c4cec9de41f51dcff4376d96d1392a201dced5341af85c570d480dd",
     },
     "chatter": {
-        "chatter.json": "f43ef97a3ed0807e7e1b4234a20247048c2c457859f226edc04d0a97bb2ff0a1",
-        "config.json": "f29a004f556fffd3becf1338cfa288699c10931e816139713c77cafcb5e4e6a9",
+        "chatter.json": "28f90654e32bd463b39897abda674b8290cbb2db7763f0d3ee6b8183c82dc071",
+        "config.json": "5bf3ce0a61e6055e2fb89cc9d926935d8095c545d608e1ed047d0b7aa724ee5d",
     },
 }
 
