@@ -59,9 +59,9 @@ STREAM_VERSION = 2
 # pinned outputs, whenever a change moves the bits of a result the noise
 # does not.  Version 2 bins the separable Hamiltonian sums; version 3 adds
 # every cell sum within blocks of consecutive paths; version 4 averages a
-# separable coefficient under one weight row by the separable identity, with
-# every Delta table taken at the mean of x0.
-NUMERICS_VERSION = 4
+# separable coefficient under one weight row by the separable identity, its
+# tables at the mean of x0; version 5 under any weights, with line-search ties.
+NUMERICS_VERSION = 5
 _KIND_INITIAL, _KIND_BROWNIAN, _KIND_JUMPS = range(3)
 
 

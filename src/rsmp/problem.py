@@ -44,20 +44,15 @@ another per-path shape than documented raises ShapeMismatch.
 
 A problem declares `separable` when b, sigma, ell and C are each additively
 separable in state and control, f(t, x, xi) = g(t, x) + h(t, xi).  Then
-f(x, xi_i) = f(x, xi_0) + Delta_i with Delta_i = f(x_r, xi_i) - f(x_r, xi_0)
-at any state x_r.  `_atom_difference` is the one source of the Delta
-tables: it takes them at the mean of x0, a state fixed by the problem, so a
+f(x, xi_i) = f(x, xi_0) + Delta_i, Delta_i = f(x_r, xi_i) - f(x_r, xi_0) at
+any state x_r, and sum_i w_i f(x, xi_i) = (sum_i w_i) f(x, xi_0) + w . Delta
+under any weights.  `atom_differences`, every sweep's one call per step,
+forms the tables at the mean of x0, a state fixed by the problem, so a
 path's value depends on its own state alone, and checks the declaration at
 the step's two extreme states (DomainError naming the coefficient).  The
-backward sweep bins the Hamiltonian at the first atom xi_0 and the per-path
-arrays the tables pair with, not all K atom Hamiltonians.  The forward and
-variational sweeps average a coefficient under one weight row w (K,), as
-open loop resolves, as (sum_i w_i) f(x, xi_0) + w . Delta
-(`_separable_average`): one evaluation on the M paths and a (K,) table,
-where the per-atom form is a (K, M, *tail) tensor.  Per-path rows (M, K),
-as feedback resolves, keep the per-atom contraction and its bits: there the
-identity would need an (M, K) product with the table that sums each row on
-its own, as `_row_sums` does, so that a path's bits stay its own.
+backward sweep bins the Hamiltonian at xi_0 and the per-path arrays the
+tables pair with, not all K atom Hamiltonians; the forward and variational
+sweeps average by the identity (`_separable_coefficients`).
 The field of a declared problem equals the one-hot `hamiltonian` averages
 to rounding; that of an undeclared problem equals the one-hot `hamiltonian`
 rows summed by the same blocked rule (`adjoint._cell_sums`), bit for bit.
@@ -192,8 +187,8 @@ class Problem:
     observe, when present, maps states to the signal generating the partial
     information structure; feedback cells bin that signal.  separable
     declares b, sigma, ell and C additively separable in state and control:
-    the backward sweep's cell sums and their averages under one weight row
-    in the forward and variational sweeps then take the separable identity
+    the backward sweep's cell sums and their averages under any weights in
+    the forward and variational sweeps then take the separable identity
     (see the module docstring), which moves results by rounding only.
     """
 
@@ -385,14 +380,18 @@ def _atom_difference(f, grid, t, references, tail: tuple, extra, what: str):
     return delta[:, 0] if np.isfinite(off) else np.full_like(delta[:, 0], np.nan)
 
 
+def _coefficients(p: Problem) -> list:
+    """(callable, per-path tail, extra arguments, name) of b, sigma, ell and each C."""
+    coefficients = [(p.b, (p.n,), (), "drift"), (p.sigma, (p.n, p.m), (), "diffusion"), (p.ell, (), (), "running cost")]
+    return coefficients + [(p.jump.C, (p.n,), (v,), "jump coefficient") for v in p.jump.marks]
+
+
 def atom_differences(p: Problem, grid, t, x) -> list:
     """`_atom_difference` tables of a separable problem at a step's states x
     (M, n): per coefficient b, sigma, ell and C (one per mark), in that
     order, at the same `_reference_states` of x."""
     references = _reference_states(p, x)
-    coefficients = [(p.b, (p.n,), (), "drift"), (p.sigma, (p.n, p.m), (), "diffusion"), (p.ell, (), (), "running cost")]
-    coefficients += [(p.jump.C, (p.n,), (v,), "jump coefficient") for v in p.jump.marks]
-    return [_atom_difference(f, grid, t, references, tail, extra, what) for f, tail, extra, what in coefficients]
+    return [_atom_difference(f, grid, t, references, tail, extra, what) for f, tail, extra, what in _coefficients(p)]
 
 
 def _row_sums(w) -> np.ndarray:
@@ -404,43 +403,15 @@ def _row_sums(w) -> np.ndarray:
     return w @ np.ones(len(w)) if w.ndim == 1 else np.einsum("qk->q", w)
 
 
-def _separable_average(p: Problem, f, grid, t, x, w, tail: tuple, what: str, extra, total):
-    """sum_i w_i f(t, x, *extra, xi_i) for a coefficient f of the declared
-    separable problem p under one weight row w (K,), as total f(x, xi_0) +
-    w . Delta (total the row sum of w, Delta the `_atom_difference` table)
-    where `_atom_view`'s form would be a (K, M, *tail) tensor; without an
-    atom axis, total f(x, xi_0), the per-atom rule's own value.  None where
-    the per-atom rule applies: a value the same on every path, or a result
-    that is not finite, which the per-atom contraction names or finds
-    finite after all."""
-    head = _atom_view(f, grid._first_atom, t, x, tail, extra, what)
-    if head.shape[1] < len(x):  # the same on every path: one row, contracted as it is
-        return None
-    delta = _atom_difference(f, grid, t, _reference_states(p, x), tail, extra, what)
-    total = _row_sums(w) if total is None else total
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = head[0] * total
-        if delta is not None:
-            out += np.dot(w, delta.reshape(len(delta), -1)).reshape(tail)
-    return out if np.isfinite(out).all() else None
-
-
-def _averaged(f, grid, t, x, w, tail: tuple, what: str, extra=(), total=None, p: Problem | None = None):
+def _averaged(f, grid, t, x, w, tail: tuple, what: str, extra=(), total=None):
     """Relaxed average sum_i w[..., i] f(t, x, *extra, xi_i) of `_atom_view`'s
     form; linear in w.  A value evaluated once for all atoms is scaled by
     total, the row sum of w.  w may also be a function returning the
     weights, called only for a value with an atom axis (then total must be
     given).  A value the same on every path is averaged and checked as one
     row, returned as a read-only broadcast view, unless per-path weights or
-    row sums spread it.  Given the problem p of a coefficient b, sigma, ell
-    or C that p declares separable, one weight row (K,) averages by
-    `_separable_average` where that applies; per-path rows (M, K) keep the
-    per-atom contraction."""
+    row sums spread it."""
     M = np.shape(x)[0]
-    if p is not None and p.separable and np.ndim(w) == 1:
-        out = _separable_average(p, f, grid, t, x, w, tail, what, extra, total)
-        if out is not None:
-            return out
     vals = _atom_view(f, grid, t, x, tail, extra, what)
     if len(vals) == grid.K:
         out = require_finite(contract_atoms(vals, w() if callable(w) else w), what)
@@ -451,22 +422,46 @@ def _averaged(f, grid, t, x, w, tail: tuple, what: str, extra=(), total=None, p:
     return out if len(out) == M else np.broadcast_to(out, (M,) + tail)
 
 
+def _separable_coefficients(p: Problem, grid, t, x, w) -> tuple:
+    """`averaged_coefficients` of a problem declared separable: each of b,
+    sigma, ell and C as total f(x, xi_0) + w . Delta (total f(x, xi_0) without
+    an atom axis), total the row sums of w, f(x, xi_0) one evaluation on the
+    M paths, Delta its `atom_differences` table, under one weight row (K,),
+    per-path rows (M, K) or a direction's difference alike.  Each row's
+    product with a table is summed on its own (einsum; a BLAS product sums a
+    row by its position), so a path's bits are its own.  A value that is not
+    finite is averaged again per atom, which names the coefficient."""
+    M, total, lead = len(x), _row_sums(w), np.shape(w)[:-1]
+    values = []
+    for (f, tail, extra, what), delta in zip(_coefficients(p), atom_differences(p, grid, t, x)):
+        head = _atom_view(f, grid._first_atom, t, x, tail, extra, what)[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            out = head * total.reshape(lead + (1,) * len(tail))
+            if delta is not None:  # a (T, K) copy: each row's dot with a column runs over contiguous atoms
+                shift = np.einsum("...k,tk->...t", w, delta.reshape(len(delta), -1).T.copy()).reshape(lead + tail)
+                out = np.add(out, shift, out=out if out.size >= shift.size else shift)  # into the larger
+        if not np.isfinite(out).all():
+            out = _averaged(f, grid, t, x, w, tail, what, extra, total)
+        values.append(out if len(out) == M else np.broadcast_to(out, (M,) + tail))
+    return (*values[:3], values[3:])
+
+
 def averaged_drift(p: Problem, grid, t, x, w, total=None):
     """Relaxed-averaged drift sum_i w_i b(t, x, xi_i); linear in w."""
-    return _averaged(p.b, grid, t, x, w, (p.n,), "drift", total=total, p=p)
+    return _averaged(p.b, grid, t, x, w, (p.n,), "drift", total=total)
 
 
 def averaged_diffusion(p: Problem, grid, t, x, w, total=None):
-    return _averaged(p.sigma, grid, t, x, w, (p.n, p.m), "diffusion", total=total, p=p)
+    return _averaged(p.sigma, grid, t, x, w, (p.n, p.m), "diffusion", total=total)
 
 
 def averaged_running_cost(p: Problem, grid, t, x, w, total=None):
-    return _averaged(p.ell, grid, t, x, w, (), "running cost", total=total, p=p)
+    return _averaged(p.ell, grid, t, x, w, (), "running cost", total=total)
 
 
 def averaged_jump(p: Problem, grid, t, x, v, w, total=None):
     """Relaxed-averaged jump coefficient at a single mark v."""
-    return _averaged(p.jump.C, grid, t, x, w, (p.n,), "jump coefficient", (v,), total, p)
+    return _averaged(p.jump.C, grid, t, x, w, (p.n,), "jump coefficient", (v,), total)
 
 
 def averaged_drift_x(p: Problem, grid, t, x, w, total=None):
@@ -493,26 +488,23 @@ def _step_averages(p: Problem, grid, t, x, w, averages, jump_average, total=None
 
 
 def averaged_coefficients(p: Problem, grid, t, x, w) -> tuple:
-    """One Euler step's coefficients under weights w: drift (M, n), diffusion
-    (M, n, m), running cost (M,) and the list of jump coefficients (M, n),
-    one per mark in order (ShapeMismatch for another trailing shape); under
-    one weight row (K,), a value the same on every path is a read-only
-    broadcast view.  On a problem declared separable, one weight row
-    averages each coefficient that varies by path as its value at the first
-    atom plus a (K,) table (`_separable_average`), equal to the per-atom
-    contraction to rounding; per-path rows (M, K) contract every atom."""
+    """One Euler step's coefficients under weights w, one row (K,) or per
+    path (M, K): drift (M, n), diffusion (M, n, m), running cost (M,) and the
+    list of jump coefficients (M, n), one per mark in order (ShapeMismatch
+    for another trailing shape); under one weight row, a value the same on
+    every path is a read-only broadcast view.  A problem declared separable
+    averages by the one separable rule (`_separable_coefficients`), equal
+    to the per-atom contraction of any other problem to rounding."""
+    if p.separable:
+        return _separable_coefficients(p, grid, t, x, w)
     return _step_averages(p, grid, t, x, w, (averaged_drift, averaged_diffusion, averaged_running_cost), averaged_jump)
 
 
 def point_coefficients(p: Problem, t, x, xi) -> tuple:
     """`averaged_coefficients`' values and shape rule at point control values xi, unchecked for NaN/Inf."""
-    lead, n = np.shape(x)[:-1], p.n
-    return (
-        _require_shape(p.b(t, x, xi), lead + (n,), "drift"),
-        _require_shape(p.sigma(t, x, xi), lead + (n, p.m), "diffusion"),
-        _require_shape(p.ell(t, x, xi), lead, "running cost"),
-        [_require_shape(p.jump.C(t, x, v, xi), lead + (n,), "jump coefficient") for v in p.jump.marks],
-    )
+    lead = np.shape(x)[:-1]
+    values = [_require_shape(f(t, x, *extra, xi), lead + tail, what) for f, tail, extra, what in _coefficients(p)]
+    return (*values[:3], values[3:])
 
 
 def averaged_linearization(p: Problem, grid, t, x, w, total=None) -> tuple:

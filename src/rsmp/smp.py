@@ -34,6 +34,9 @@ from .forward import _mean_and_error, pathwise_cost, sample_noise, simulate
 from .problem import Problem, _require_shape, atom_hamiltonians, contract_atoms
 
 LINE_SEARCH_FLOOR = 10  # smallest line-search step is 2**-LINE_SEARCH_FLOOR
+# gain = se_diff = a / M exactly when a trial lowers one path's cost by a > 0 and
+# no other: accept that tie on every stack (rounding moves it by ~1e-16 relative).
+LINE_SEARCH_TIE = 1e-12
 _DISTANCE_FLOATS = 131072  # cell-center differences held at once by _nearest_nonempty: 1 MB
 
 
@@ -218,6 +221,12 @@ class OptimizeParams:
         require_tolerance(self.tol, "tol")
 
 
+def _decrease_clears(difference: np.ndarray) -> bool:
+    """Whether the mean paired cost decrease reaches its standard error, ties (LINE_SEARCH_TIE) included."""
+    gain, se_diff = _mean_and_error(difference, "cost difference")
+    return gain >= se_diff * (1.0 - LINE_SEARCH_TIE)
+
+
 def optimize(p: Problem, u_init: RelaxedControl, params: OptimizeParams) -> OptimizationResult:
     """Conditional-gradient descent on the relaxed control set.
 
@@ -225,8 +234,8 @@ def optimize(p: Problem, u_init: RelaxedControl, params: OptimizeParams) -> Opti
     random numbers, solves the adjoint backward, builds the conditional
     Hamiltonian field, and takes its pointwise argmin as the candidate
     extreme point.  A halving line search over the mixing weight accepts the
-    first step whose paired cost decrease clears one standard error of the
-    difference estimate.  Stops when the Hamiltonian excess certificate
+    first step whose paired cost decrease reaches one standard error of the
+    difference, ties included.  Stops when the Hamiltonian excess certificate
     drops below tol, when no step is accepted (stalled), or at max_iters.
     """
     if u_init.time_steps != params.N:
@@ -259,8 +268,7 @@ def optimize(p: Problem, u_init: RelaxedControl, params: OptimizeParams) -> Opti
             trial = mix(u, candidate, eps)
             paths = simulate(p, trial, noise, threads=params.threads)
             trial_costs = pathwise_cost(p, paths)
-            gain, se_diff = _mean_and_error(costs - trial_costs, "cost difference")
-            if gain >= se_diff:
+            if _decrease_clears(costs - trial_costs):
                 accepted = (eps, trial, trial_costs)
                 break
             paths = None  # a rejected trial's ensemble is freed before the next one is simulated

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -17,6 +18,9 @@ from rsmp import (
 from rsmp.adjoint import COND_LIMIT, DEGENERATE_STD, RIDGE_SCALE, SUM_BLOCKS, BasisSpec, _cell_sums, _design, _fit
 from rsmp.forward import _BLOCK
 from rsmp.problem import atom_hamiltonians
+
+problem_module = importlib.import_module("rsmp.problem")
+adjoint_module = importlib.import_module("rsmp.adjoint")
 
 
 def linear_terminal_problem(a=0.6, c=0.0, drift_slope=0.0, noise=0.4):
@@ -413,10 +417,11 @@ POISONED = [("lq1d", "b", "drift"), ("lq1d", "sigma", "diffusion"), ("lq1d", "el
 
 class TestSeparableGuard:
     """A problem declared separable is checked at every backward step, and at
-    every step of an open-loop simulate, which averages under one weight row
-    by the separable identity: a coefficient whose atom differences depend
-    on the state raises DomainError naming it, and a NaN at one atom
-    NonFiniteCoefficient naming it, as for an undeclared problem."""
+    every relaxed step of a simulate or a variational sweep, which average
+    by the separable identity under any weights: a coefficient whose atom
+    differences depend on the state raises DomainError naming it, and a NaN
+    at one atom NonFiniteCoefficient naming it, as for an undeclared
+    problem."""
 
     @staticmethod
     def solved(p, name="lq1d"):
@@ -428,6 +433,23 @@ class TestSeparableGuard:
     def simulated_open_loop(p, name="lq1d"):
         (u,) = seeded_controls(name, rsmp.OPEN_LOOP, 4, 1, seed=30)
         return rsmp.simulate(p, u, rsmp.sample_noise(p, 200, 4, seed=31))
+
+    @staticmethod
+    def simulated_feedback(p, name="lq1d"):
+        (u,) = seeded_controls(name, rsmp.STATE_FEEDBACK, 4, 1, seed=30)
+        return rsmp.simulate(p, u, rsmp.sample_noise(p, 200, 4, seed=31))
+
+    @staticmethod
+    def varied_feedback(p, name="lq1d", armed=None):
+        """A feedback direction's variational sweep along a Dirac base, whose
+        steps evaluate no average: only the direction's averages see p."""
+        (u,) = seeded_controls(name, rsmp.STATE_FEEDBACK, 4, 1, seed=30)
+        u0 = RelaxedControl(u.grid, np.eye(u.grid.K)[np.arange(u.n_cells) % u.grid.K][None].repeat(4, 0),
+                            u.feedback_mode, u.feedback)
+        base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 200, 4, seed=31))
+        if armed is not None:
+            armed.append(True)
+        return rsmp.simulate_variational(p, base, u, u0)
 
     @pytest.mark.parametrize("key, what", [("ell", "running cost"), ("b", "drift")])
     def test_coupled_coefficient_is_named(self, key, what):
@@ -442,6 +464,27 @@ class TestSeparableGuard:
         with pytest.raises(DomainError, match=f"{what} is declared separable"):
             self.simulated_open_loop(p)
         self.simulated_open_loop(dataclasses.replace(p, separable=False))
+
+    @pytest.mark.parametrize("key, what", [("ell", "running cost"), ("b", "drift")])
+    @pytest.mark.parametrize("sweep", ["simulate", "direction"])
+    def test_coupled_coefficient_is_named_by_a_feedback_sweep(self, key, what, sweep):
+        p = coupled_problem(key)
+        run = self.simulated_feedback if sweep == "simulate" else self.varied_feedback
+        with pytest.raises(DomainError, match=f"{what} is declared separable"):
+            run(p)
+        run(dataclasses.replace(p, separable=False))
+
+    @pytest.mark.parametrize("name, key, what", POISONED)
+    @pytest.mark.parametrize("sweep", ["simulate", "direction"])
+    def test_nan_at_one_atom_is_named_by_a_feedback_sweep(self, name, key, what, sweep):
+        armed = []
+        p = poisoned_problem(name, key, armed)
+        with pytest.raises(NonFiniteCoefficient, match=what):
+            if sweep == "simulate":
+                armed.append(True)
+                self.simulated_feedback(p, name)
+            else:
+                self.varied_feedback(p, name, armed)
 
     @pytest.mark.parametrize("name, key, what", POISONED)
     def test_nan_at_one_atom_names_the_coefficient(self, name, key, what):
@@ -476,7 +519,9 @@ class TestSeparableGuard:
 class TestStepCoefficientCalls:
     """Per step, a sweep evaluates each coefficient it needs once, for all
     atoms of the control grid or under a point control, and each jump
-    coefficient once per mark, however many paths share the step."""
+    coefficient once per mark, however many paths share the step; a
+    declared problem's averages twice, at the first atom on every path and
+    at every atom on three reference states."""
 
     N = 4
     PATHS = (300, _BLOCK + 1)
@@ -486,9 +531,10 @@ class TestStepCoefficientCalls:
         p = rsmp.make_benchmark(name)
         (u,) = seeded_controls(name, rsmp.STATE_FEEDBACK, self.N, 1, seed=70)
         counted, calls = counting_problem(p)
-        per_step = {"b": 1, "sigma": 1, "ell": 1}
+        assert p.separable
+        per_step = {"b": 2, "sigma": 2, "ell": 2}
         if p.jump.J:
-            per_step["C"] = p.jump.J
+            per_step["C"] = 2 * p.jump.J
         for M in self.PATHS:
             calls.clear()
             rsmp.simulate(counted, u, rsmp.sample_noise(p, M, self.N, seed=71))
@@ -516,7 +562,8 @@ class TestStepCoefficientCalls:
     def test_dirac_steps_of_relaxed_simulate(self, name):
         # steps 1 and 3 are one-hot in every cell: there each coefficient is
         # called once with every path's own atom, (M, ...) arguments and no
-        # atom axis; the other steps evaluate all atoms at once
+        # atom axis; the other steps, declared separable, evaluate it at the
+        # first atom on every path and at all atoms on three reference states
         p = rsmp.make_benchmark(name)
         (u,) = seeded_controls(name, rsmp.STATE_FEEDBACK, self.N, 1, seed=75)
         K, C = u.grid.K, u.n_cells
@@ -541,9 +588,10 @@ class TestStepCoefficientCalls:
             rsmp.simulate(dataclasses.replace(p, **changes), u, noise)
             for k in range(self.N):
                 at_k = [call for call in seen if call[1] == k * noise.dt]
-                assert sorted(key for key, *_ in at_k) == keys, (M, k)
+                assert sorted(key for key, *_ in at_k) == (keys if k % 2 else sorted(keys * 2)), (M, k)
                 shapes = {(x_shape, xi_shape) for *_, x_shape, xi_shape in at_k}
-                assert shapes == ({((M, p.n), (M, p.d))} if k % 2 else {((1, M, p.n), (K, 1, p.d))}), (M, k)
+                relaxed = {((1, M, p.n), (1, 1, p.d)), ((1, 3, p.n), (K, 1, p.d))}
+                assert shapes == ({((M, p.n), (M, p.d))} if k % 2 else relaxed), (M, k)
 
     def test_jump_variational_sweep(self):
         # l_x, b_x, sigma_x and C_x under u0; l, b, sigma and C under u - u0
@@ -562,10 +610,9 @@ class TestStepCoefficientCalls:
         assert calls == {key: count * self.N for key, count in per_step.items()}
 
     def test_declared_one_row_steps(self):
-        # under one weight row, open loop, a declared coefficient that varies
-        # by path is evaluated at the first atom on every path and at every
-        # atom on three reference states; sigma, the same on every path, at
-        # the first atom and then at every atom
+        # under one weight row, open loop, every declared coefficient is
+        # evaluated at the first atom on every path and at every atom on
+        # three reference states, sigma (the same on every path) too
         p = rsmp.make_benchmark("jump-lq")
         grid = rsmp.benchmark_grid("jump-lq", 9)
         u0 = rsmp.constant_control(grid, self.N)
@@ -580,6 +627,34 @@ class TestStepCoefficientCalls:
             calls.clear()
             rsmp.simulate_variational(counted, base, u, u0)
             assert calls == {key: count * self.N for key, count in {**averages, **linearization}.items()}, M
+
+    @pytest.mark.parametrize("mode", [rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK])
+    def test_one_table_call_per_step(self, mode, monkeypatch):
+        # a declared problem's step forms every Delta table in one
+        # `atom_differences` call, in each sweep, under any weights
+        p = rsmp.make_benchmark("jump-lq")
+        u0, u = seeded_controls("jump-lq", mode, self.N, 2, seed=78)
+        steps = []
+        tables = problem_module.atom_differences
+
+        def counted(*args):
+            steps.append(args[2])
+            return tables(*args)
+
+        monkeypatch.setattr(problem_module, "atom_differences", counted)
+        monkeypatch.setattr(adjoint_module, "atom_differences", counted)
+        for M in self.PATHS:
+            noise = rsmp.sample_noise(p, M, self.N, seed=79)
+            times = [k * noise.dt for k in range(self.N)]
+            steps.clear()
+            base = rsmp.simulate(p, u0, noise)
+            assert steps == times, M
+            steps.clear()
+            rsmp.simulate_variational(p, base, u, u0)
+            assert steps == times, M
+            steps.clear()
+            rsmp.solve_bsde(p, base, u0)
+            assert steps == times[::-1], M
 
 
 def walked_pairing(p, base, u0, u, adj):

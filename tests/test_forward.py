@@ -13,7 +13,7 @@ from rsmp import CellPartition, ShapeMismatch
 from rsmp.container import TAG_ADJOINT, TAG_PATHS, adjoint_to_binary, paths_to_binary, read_section
 from rsmp.forward import _BLOCK, BLOWUP_GUARD, STREAM_VERSION, _mean_and_error, euler_step, guard_step, pathwise_cost
 from rsmp.forward import _step_weights
-from rsmp.problem import _row_sums, averaged_running_cost
+from rsmp.problem import _row_sums, averaged_coefficients
 
 
 def scalar_problem(b=None, sigma=None, ell=None, phi=None, x0=0.0, jump=None, T=1.0):
@@ -478,7 +478,7 @@ def rewalked_cost(p, paths):
         t, x = k * dt, paths.states[:, k]
         if isinstance(u, rsmp.RelaxedControl):
             w = u.weights_at(k, paths.feedback_signal(k, u.feedback_mode))
-            total += averaged_running_cost(p, u.grid, t, x, w) * dt
+            total += averaged_coefficients(p, u.grid, t, x, w)[2] * dt
             continue
         if isinstance(u, rsmp.RegularControl):
             xi = u.values_at(k, N, paths.feedback_signal(k, u.feedback_mode))
@@ -553,7 +553,11 @@ def test_feedback_whose_cells_agree_keeps_the_gather_bits(name, mode):
         agree.weights_at(3, np.full((400, len(part.cells_per_dim)), np.nan))
 
 
-@pytest.mark.parametrize("kind", ["relaxed", "regular", "policy", "feedback-rows", "open-loop-separable"])
+@pytest.mark.parametrize(
+    "kind",
+    ["relaxed", "regular", "policy", "feedback-rows", "open-loop-separable", "feedback-separable-jump-lq",
+     "feedback-separable-lq2d"],
+)
 def test_simulation_of_fewer_paths_is_row_prefix(kind):
     """Each path's row depends on its own noise alone, so how many paths
     share a step never shows in the bits."""
@@ -571,6 +575,12 @@ def test_simulation_of_fewer_paths_is_row_prefix(kind):
         p = rsmp.make_benchmark("jump-lq")
         assert p.separable
         u, N = relaxed_control("jump-lq", rsmp.OPEN_LOOP, 4), 4
+    elif kind.startswith("feedback-separable-"):  # per-path rows: each row's product with a table its own
+        name = kind.removeprefix("feedback-separable-")
+        p = rsmp.make_benchmark(name)
+        assert p.separable
+        u, N = relaxed_control(name, rsmp.OBSERVATION_FEEDBACK, 4, seed=4), 4
+        sizes, seed = (1, 3, 7), 5  # sizes whose rows a BLAS product with the tables sums otherwise
     else:
         p = rsmp.make_benchmark("jump-lq")
         u, N = relaxed_control("jump-lq", rsmp.STATE_FEEDBACK, 4), 4

@@ -31,17 +31,17 @@ MODES = (rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK)
 
 FINGERPRINT = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0", "machine": "x86_64"}
 # the rsmp NUMERICS_VERSION the digests below were taken at
-PINNED_NUMERICS_VERSION = 4
+PINNED_NUMERICS_VERSION = 5
 
 # optimize(M=1500, N=8, K=5 (2 on nonconvex-mix), 4 cells per signal
 # coordinate, uniform start, max_iters=4, tol=0, seed=3).to_json()
 DIGESTS = {
     ("lq1d", "open_loop"): "dd706ecf794b27c5f6cdb55648439127de233b114a9999c5c15b860443071813",
-    ("lq1d", "state_feedback"): "5a870bdb8a33afb5f9f6d8e09c72f9d79d1ead98c57bd40886e3c85efeb6d9db",
-    ("lq1d", "observation_feedback"): "b328329ddb3a9db9a7763c29c67fb556b306bff4fdfe0efce7f5ff32d00a8044",
-    ("lq2d", "open_loop"): "018454a3cd458eba9e6ce8092feab38eb1546cc50a1cbfe01f8760a244870db4",
-    ("lq2d", "state_feedback"): "f1b6fcd66ebceb635cd345c0416f9a83db022404de5b2a9557f0de5ae6d5bafa",
-    ("lq2d", "observation_feedback"): "e29b7ca153d7a517ab333010fc254150e52625769fd6a4bfc2523a2af041ee23",
+    ("lq1d", "state_feedback"): "94a33feec11aa8f828cce1030c9dcebb89d66ff8b859224b84a5497b12fb33bb",
+    ("lq1d", "observation_feedback"): "60d4ce902e7aeb6b2f2d9c78c5cd8695034d75eee96c038749cd30a738c407aa",
+    ("lq2d", "open_loop"): "54f1336a6a18b772f8b3aa1b7e00c2ecde3daa4f558612680e95be1657516187",
+    ("lq2d", "state_feedback"): "7d9dc71b722a4aa05d6ca65f803cbef14a5b210caa8f2b2f8f3a60f6e9718ac5",
+    ("lq2d", "observation_feedback"): "4adbfd98e5ac518eec5fd56324086d78f42e179c1bb4f50218314fc0d3c8b654",
     ("nonconvex-mix", "open_loop"): "fe476f297ad83d14b692483c477f5376c5a2b6227d328bc6bc70182991c473f9",
     ("nonconvex-mix", "state_feedback"): "f16d6a0e7e2f4f25055c460dd4fb59e01288924732d2d8d33cd9b0a979450c25",
     ("nonconvex-mix", "observation_feedback"): "04e643366194fc5a3b30d4eb2c902fd610e97028cd2fcb8d0ea956e9d8725856",
@@ -165,32 +165,32 @@ CLI_RUNS = {
 # the SHA-256 of every file each run of CLI_RUNS writes
 CLI_DIGESTS = {
     "describe": {
-        "bench.json": "d3b2f39e606c008845f9e4ee9bdb80860cdb8d07d8d915ed122d7f8692c890d7",
-        "config.json": "f418b6c600e0b1f7c3bad4be3ec0b175f98ad386ad641cac83c973ae1d564ac1",
+        "bench.json": "2f75e38dda5bc89e544b5af5b1d5e700ec70b69de6b5e56b596babd396c3e9de",
+        "config.json": "0275345a255a4a4f782351168dd07dc22384342a74ae231a4ae64aa6a2f9fc9e",
     },
     "simulate": {
-        "config.json": "31ac1dbab1fc21221690ec60cf12917b97d98b9f4b571106180186c670e57ba7",
-        "cost.json": "d196fd4bf64ea3519bcab8366e46ac81a40ac6ceb0574ce8bf00c93f94bb86a5",
-        "paths.bin": "2b7bf72ff79249101b5e6287e64baff56d325c7d5f55e2666ab532c73cef2b35",
-        "paths.csv": "6f6567a04c300bf9390d5f42df0f736d77be640c6fedde1c288415bbfb288b17",
+        "config.json": "d3826587e9d3706cb777fa06a8c8c8b4cef041c25f0998c8fec775fa81df7758",
+        "cost.json": "c1bde10a69804a6d14a51e3bc522a1fed6dd6b5c1120247fca110dd575177020",
+        "paths.bin": "fb294a38159d0dbd6381c249c64d79d3ee53cccabff194ea531145814e6d444d",
+        "paths.csv": "f01496e26111cc403a8f8c3ae9c796cca47603174684f1c319e339de43bb9509",
     },
     "adjoint": {
-        "adjoint.bin": "e6032247e007dc67e47b8a450416ad940370ef4a9734a276b337d92d6ffd53dd",
-        "config.json": "7953f89894e97e3ed88e4336005d1948e7c6acca841c6fa898a1cf434503c5b5",
-        "duality.json": "2d1f2b4b20411109d5ba548c678843dbe263035f59ef83ad71f84e1eeb4155d0",
+        "adjoint.bin": "6016f3d4d27d5ded5662f01a7411c66bf494dbd79106c744450ca937c398a28f",
+        "config.json": "4b1a8cfbaef82537661290ec29dcb4b4204c0da0ed06b3a91596ec3bc5f4039b",
+        "duality.json": "da620f93369b72ff4a83110ab2158e84cbff86b6c6f4a6e46736e6645d0f9596",
     },
     "optimize": {
-        "config.json": "e10145e774a2d2fe2ee555b4b2d7717224bb3dfd18eb729056761c877ab4a154",
+        "config.json": "301c0d8095945fd7c70f62e1b7fb35c43bf0911b2a25e0e6a879827e09a9afe3",
         "final_control.json": "e8c83bcc6b32336ddd91becc8be265f96d32c7d540b21904e6ea2d346b94fcba",
-        "iterates.json": "312d7d12eb6789de2856ed962b3f5c47cfe7988500ba9e6bc8c699c1ada8c7a3",
+        "iterates.json": "e6f9572ac92acc6a26276a3aed72f1157f93f5c4105b0e364eb3fb8e44b02f72",
     },
     "certify": {
-        "certify.json": "138435e9e162b63a3f3fd9a98e7706ac65a61a7b89d34d7f6fc66b0997134af9",
-        "config.json": "8e56000a7c4cec9de41f51dcff4376d96d1392a201dced5341af85c570d480dd",
+        "certify.json": "b5e46b46fbca539ab67ce17ccffe894b4a78cdbd8795c69fa41523710c2412b5",
+        "config.json": "99da66d09b5b4fc74f9c91dc4863ad8c185dd1ccf089b3a5a362cf48468f4885",
     },
     "chatter": {
-        "chatter.json": "28f90654e32bd463b39897abda674b8290cbb2db7763f0d3ee6b8183c82dc071",
-        "config.json": "5bf3ce0a61e6055e2fb89cc9d926935d8095c545d608e1ed047d0b7aa724ee5d",
+        "chatter.json": "b97147d87fd94a7d2a688e34be12847d0b15a19b468da2bf8be4e820ad44c28c",
+        "config.json": "92f822cd5e9b7654487a251c7b3f405fd75f6f7e3843b6c96e62155e1c83200f",
     },
 }
 

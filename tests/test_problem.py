@@ -7,7 +7,8 @@ import pytest
 
 import rsmp
 from rsmp import ControlGrid, DomainError, JumpSpec, NonFiniteCoefficient, Problem, ShapeMismatch
-from rsmp.problem import _atom_view, _row_sums, atom_hamiltonians, averaged_coefficients, averaged_diffusion
+from rsmp.forward import _feedback_signal
+from rsmp.problem import _atom_view, _coefficients, _reference_states, _row_sums, atom_hamiltonians, averaged_coefficients, averaged_diffusion
 from rsmp.problem import averaged_drift, averaged_drift_x, averaged_linearization, contract_atoms, fd_gradient
 
 
@@ -522,6 +523,48 @@ class TestRowSums:
         row = np.full(9, 1.0 / 9.0)  # nine 1/9 in atom order: one ulp above 1.0
         assert _row_sums(row).shape == () and _row_sums(row) == row @ np.ones(9) == 1.0 + 2.0**-52
         assert np.array_equal(_row_sums(row[None]), [1.0])
+
+
+class TestSeparableRule:
+    """A problem declared separable averages b, sigma, ell and C by one rule
+    under any weights (`problem._separable_coefficients`): a weight row (K,)
+    as open loop resolves, per-path rows (M, K) as feedback resolves, and a
+    direction's difference of either.  Each agrees with the per-atom
+    contraction of the same problem undeclared within TOL of the
+    coefficient's largest atom value, and has its shape and layout."""
+
+    TOL = 1e-13  # about 450 eps; the rule moves the averages by rounding only
+    M = 500
+
+    @staticmethod
+    def weights(name, mode, x, seed):
+        """Two random controls of one step resolved at the states x."""
+        p, grid = rsmp.make_benchmark(name), rsmp.benchmark_grid(name, 9)
+        part = None if mode == rsmp.OPEN_LOOP else rsmp.benchmark_partition(name, mode, cells=4)
+        C = 1 if part is None else part.n_cells
+        rows = np.random.default_rng(seed).dirichlet(np.ones(grid.K), (2, 1, C))
+        signal = _feedback_signal(p, mode, x)
+        return [rsmp.RelaxedControl(grid, w, mode, part).weights_at(0, signal) for w in rows]
+
+    @pytest.mark.parametrize("name", rsmp.BENCHMARK_NAMES)
+    @pytest.mark.parametrize("mode", [rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK])
+    @pytest.mark.parametrize("direction", [False, True], ids=["weights", "direction"])
+    def test_declared_averages_agree_with_the_per_atom_ones(self, name, mode, direction):
+        p, grid = rsmp.make_benchmark(name), rsmp.benchmark_grid(name, 9)
+        assert p.separable
+        x = np.random.default_rng(40).normal(0.0, 0.7, (self.M, p.n)) + _reference_states(p, np.zeros((1, p.n)))[0]
+        w0, w1 = self.weights(name, mode, x, 41)
+        assert w0.shape == ((grid.K,) if mode == rsmp.OPEN_LOOP else (self.M, grid.K))
+        w = w1 - w0 if direction else w1
+        t = 0.3
+        b, sigma, ell, C = averaged_coefficients(p, grid, t, x, w)
+        ref_b, ref_sigma, ref_ell, ref_C = averaged_coefficients(dataclasses.replace(p, separable=False), grid, t, x, w)
+        averages = zip(_coefficients(p), (b, sigma, ell, *C), (ref_b, ref_sigma, ref_ell, *ref_C))
+        for (f, tail, extra, what), got, ref in averages:
+            scale = np.abs(_atom_view(f, grid, t, x, tail, extra, what)).max()
+            assert got.shape == ref.shape == (self.M,) + tail, what
+            assert got.flags.writeable == ref.flags.writeable, what
+            assert np.abs(got - ref).max() <= self.TOL * scale, what
 
 
 class TestFiniteDifferenceGradients:

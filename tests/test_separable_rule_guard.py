@@ -1,0 +1,69 @@
+"""A separable problem's averages have one home.
+
+`problem.atom_differences` is the only place that searches a step's
+reference states and forms Delta tables, so every sweep (forward,
+variational, backward) takes one reference search and one table per
+coefficient per step; a second caller would bring back a per-coefficient
+search or a table of its own.  `problem._averaged` is the per-atom rule
+alone: it takes no problem, so no declaration can route an average around
+`problem._separable_coefficients`.  A static check with the standard-library
+`ast`.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "rsmp"
+ONE_CALLER = ("_reference_states", "_atom_difference")
+
+
+def call_sites(tree: ast.Module, names) -> list:
+    """(called name, enclosing class and function names) of every call of one of names."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope + (child.name,) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in names:
+                    found.append((name, ".".join(inner)))
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def functions(tree: ast.Module) -> dict:
+    return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def test_reference_states_and_tables_are_formed_only_by_atom_differences():
+    found = [
+        (path.stem, name, scope)
+        for path in sorted(SRC.glob("*.py"))
+        for name, scope in call_sites(ast.parse(path.read_text(encoding="utf-8")), ONE_CALLER)
+    ]
+    assert found == [("problem", name, "atom_differences") for name in ONE_CALLER]
+
+
+def test_the_per_atom_average_takes_no_problem():
+    defined = functions(ast.parse((SRC / "problem.py").read_text(encoding="utf-8")))
+    args = defined["_averaged"].args
+    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    assert "p" not in names
+    assert not any(a.annotation is not None and "Problem" in ast.unparse(a.annotation) for a in args.args)
+    assert "_separable_average" not in defined
+
+
+def test_guard_sees_every_call():
+    tree = ast.parse(
+        "def atom_differences(p, x):\n    return _atom_difference(_reference_states(p, x))\n\n\n"
+        "class A:\n    def g(self, p, x):\n        return problem._reference_states(p, x)\n"
+    )
+    assert call_sites(tree, ONE_CALLER) == [
+        ("_atom_difference", "atom_differences"),
+        ("_reference_states", "atom_differences"),
+        ("_reference_states", "A.g"),
+    ]

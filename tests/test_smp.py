@@ -7,7 +7,8 @@ import pytest
 import rsmp
 from rsmp import CellPartition, ControlGrid, DomainError, NonFiniteCoefficient, RelaxedControl
 from rsmp.adjoint import SUM_BLOCKS, _cell_sums, _sweep
-from rsmp.smp import HamiltonianField, _field, _largest_remainder
+from rsmp.forward import _mean_and_error
+from rsmp.smp import HamiltonianField, _decrease_clears, _field, _largest_remainder
 
 
 def blocked_sums(cells, C, rows):
@@ -492,6 +493,46 @@ class TestOptimize:
         assert len(doc["iterates"]) == len(res.iterates)
         restored = RelaxedControl.from_json(json.dumps(doc["final_control"]))
         assert np.array_equal(restored.weights, res.final_control.weights)
+
+
+# single-path cost decreases (M, path, a); the first is the trial of the
+# pinned lq1d feedback runs (M = 1500, N = 8, seed 3) whose gain read
+# 8.5e-22 below its standard error
+SINGLE_PATH_DECREASES = [(1500, 1006, float.fromhex("0x1.68b2e7aaa3080p-7"))] + [
+    (M, at, a)
+    for M in (2, 3, 7, 1500, 8193)
+    for at in sorted({0, M // 2, M - 1})
+    for a in (0.011007655256684012, 1.0, 3e-7, 2.5e5)
+]
+
+
+class TestLineSearchTie:
+    """A trial that lowers one path's cost by a > 0, and no other, has gain
+    and standard error both a / M in exact arithmetic: the line search
+    accepts that tie on every stack, whatever the rounding of either side."""
+
+    @staticmethod
+    def difference(M, at, a):
+        out = np.zeros(M)
+        out[at] = a
+        return out
+
+    @pytest.mark.parametrize("M, at, a", SINGLE_PATH_DECREASES)
+    def test_a_single_path_decrease_is_accepted(self, M, at, a):
+        assert _decrease_clears(self.difference(M, at, a))
+        assert not _decrease_clears(self.difference(M, at, -a))
+
+    def test_rounding_alone_would_split_the_ties(self):
+        # the strict comparison gain >= se rejects some of these ties (on
+        # numpy 2.4, x86_64, 25 of the 57, the measured one among them)
+        strict = [gain >= se for gain, se in (_mean_and_error(self.difference(*case), "") for case in SINGLE_PATH_DECREASES)]
+        assert any(strict) and not all(strict)
+
+    def test_a_decrease_below_one_standard_error_is_rejected(self):
+        difference = self.difference(1500, 3, 1.0)
+        difference[4] = -0.5
+        assert not _decrease_clears(difference)
+        assert _decrease_clears(np.zeros(10))  # equal costs clear a zero standard error
 
 
 class TestRealizeRegular:

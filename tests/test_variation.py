@@ -7,7 +7,7 @@ import pytest
 import rsmp
 from rsmp import ControlGrid, NonFiniteCoefficient, Problem, RelaxedControl, ShapeMismatch
 from rsmp.forward import pathwise_cost
-from rsmp.problem import averaged_running_cost, averaged_running_cost_x
+from rsmp.problem import averaged_coefficients, averaged_running_cost, averaged_running_cost_x
 from rsmp.variation import response_functional
 
 
@@ -275,7 +275,7 @@ def walked_derivative(p, base, u0, u, var):
     for k in range(N):
         signal = base.feedback_signal(k, u0.feedback_mode)
         dw = u.weights_at(k, signal) - u0.weights_at(k, signal)
-        derivative += dt * float(np.mean(averaged_running_cost(p, grid, k * dt, base.states[:, k], dw)))
+        derivative += dt * float(np.mean(averaged_coefficients(p, grid, k * dt, base.states[:, k], dw)[2]))
     return response, derivative
 
 
