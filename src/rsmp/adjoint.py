@@ -32,13 +32,13 @@ and forms neither the pairing sums nor the orthogonality diagnostic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .control import RelaxedControl
-from .errors import ShapeMismatch, SingularRegression, require_count, require_finite
+from .errors import ShapeMismatch, SingularRegression, allocating, require_count, require_finite
 from .forward import PathEnsemble, _rescaled, _step_major, _step_weights
 from .problem import Problem, atom_differences, atom_hamiltonians, averaged_linearization, terminal_gradient
 from .variation import VariationEnsemble, response_functional
@@ -59,24 +59,27 @@ class BasisSpec:
         require_count(self.degree, "basis degree", low=0)
 
     def exponents(self, n: int) -> list:
-        exps = [(0,) * n]
-        for deg in range(1, self.degree + 1):
-            for combo in combinations_with_replacement(range(n), deg):
-                alpha = [0] * n
-                for idx in combo:
-                    alpha[idx] += 1
-                exps.append(tuple(alpha))
-        return exps
+        """The P = comb(n + degree, degree) exponent tuples of the monomials
+        in n variables: by total degree, then with the leading exponent
+        falling, each tail in that order too, in O(P n) steps."""
+        degrees = range(self.degree + 1)
+        by_degree = [[(d,)] for d in degrees] if n else [[()]]
+        for _ in range(n - 1):  # one more leading variable, its exponent a falling
+            by_degree = [[(a, *rest) for a in range(d, -1, -1) for rest in by_degree[d - a]] for d in degrees]
+        return [alpha for level in by_degree for alpha in level]
 
     def features(self, x: np.ndarray) -> np.ndarray:
         """Design matrix (M, P) of monomials in the components of M states x
         (M, n), the transpose of contiguous (P, M) monomial rows (the layout
-        `_design` reduces); ShapeMismatch for an x that is not 2-D."""
+        `_design` reduces); ShapeMismatch for an x that is not 2-D, and
+        DomainError for a matrix too large to allocate."""
         x = np.asarray(x)
         if x.ndim != 2:
             raise ShapeMismatch(f"states must be (M, n), got shape {x.shape}")
-        exps = self.exponents(x.shape[1])
-        rows = np.ones((len(exps), x.shape[0]))
+        P = math.comb(x.shape[1] + self.degree, self.degree)
+        with allocating(P * x.shape[0], f"design matrix of {P} monomials on {x.shape[0]} paths"):
+            exps = self.exponents(x.shape[1])
+            rows = np.ones((P, x.shape[0]))
         for row, alpha in zip(rows, exps):
             for dim, e in enumerate(alpha):
                 if e:
@@ -237,7 +240,7 @@ def _regress_step(
     n, m = p.n, p.m
     J, lam = p.jump.J, p.jump.intensities
     x = base.states[:, k]
-    cells, total, rows, _ = _step_weights(base, k)
+    cells, rows, _ = _step_weights(base, k)
     psi_next = _at(psi, k + 1)
     Zt, G, cond, ridge = _design(basis.features(x))
 
@@ -255,7 +258,7 @@ def _regress_step(
     Qk = fitted[:, n : n + n * m].reshape(M, n, m)
     phik = fitted[:, n + n * m :].reshape(M, J, n)
 
-    bx, sx, lx, cxs = averaged_linearization(p, base.control_used.grid, k * dt, x, rows, total)
+    bx, sx, lx, cxs = averaged_linearization(p, base.control_used.grid, k * dt, x, rows)
     with np.errstate(over="ignore", invalid="ignore"):
         drift = np.einsum("qij,qi->qj", bx, psi_next)
         drift += np.einsum("qab,qabl->ql", Qk, sx)

@@ -75,8 +75,9 @@ class ControlGrid:
     def snap(self, values: np.ndarray, tol: float = SNAP_TOL) -> np.ndarray:
         """Map each value in (..., d) to the index of the coinciding grid point.
 
-        Raises ValueOffGrid if a value is farther than tol from every point,
-        ShapeMismatch if the last axis of values is not d.
+        Raises ValueOffGrid if a value is farther than tol from every point
+        or has no distance to one (NaN), ShapeMismatch if the last axis of
+        values is not d.
         """
         tol = require_tolerance(tol, "snap tolerance")
         if np.shape(values)[-1:] != (self.d,):
@@ -85,7 +86,7 @@ class ControlGrid:
         dist = np.linalg.norm(v[:, None, :] - self.points[None, :, :], axis=2)
         idx = np.argmin(dist, axis=1)
         worst = dist[np.arange(len(v)), idx]
-        if np.any(worst > tol):
+        if not np.all(worst <= tol):  # a NaN distance fails <= too
             bad = int(np.argmax(worst))
             raise ValueOffGrid(f"value {v[bad]} is {worst[bad]:.3e} from the nearest grid point")
         return idx.reshape(np.asarray(values).shape[:-1])

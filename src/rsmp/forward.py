@@ -9,9 +9,10 @@ therefore a function of (seed, i) alone: an ensemble of M1 paths is the row
 prefix of one of M2 > M1 paths, and a simulation is a pure function of
 (problem, control, noise).  `simulate` steps all M paths at once, like the
 variational and adjoint sweeps; each path's row depends on its own noise
-alone, under feedback too (`problem._row_sums` sums each weight row on its
-own), so the bits do not depend on how many paths share a step, and no
-result ever depended on the worker cap.  Jumps use a finite atomic jump
+and weight row alone, under feedback too (a weight row is a control's,
+total mass 1, or a direction's, total mass 0, and is never summed), so the
+bits do not depend on how many paths share a step, and no result ever
+depended on the worker cap.  Jumps use a finite atomic jump
 measure; each step applies the event counts minus their compensator at the
 left endpoint.  The forward and variational sweeps share one Euler step,
 `euler_step`, which writes step k+1 into its row of the sweep's output.
@@ -32,7 +33,7 @@ binary files of ensembles are `container`'s, and this module opens no file.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -40,7 +41,7 @@ from numpy.random import Generator, Philox
 from .control import OBSERVATION_FEEDBACK, OPEN_LOOP, RegularControl, RelaxedControl
 from .errors import BlowUp, DomainError, NonFiniteCoefficient, ShapeMismatch, require_count, require_finite
 from .errors import allocating, require_seed
-from .problem import GaussianInitial, Problem, _row_sums, _same_on_every_path, averaged_coefficients
+from .problem import GaussianInitial, Problem, _same_on_every_path, averaged_coefficients
 from .problem import point_coefficients, terminal_cost
 
 BLOWUP_GUARD = 1e9
@@ -60,8 +61,10 @@ STREAM_VERSION = 2
 # does not.  Version 2 bins the separable Hamiltonian sums; version 3 adds
 # every cell sum within blocks of consecutive paths; version 4 averages a
 # separable coefficient under one weight row by the separable identity, its
-# tables at the mean of x0; version 5 under any weights, with line-search ties.
-NUMERICS_VERSION = 5
+# tables at the mean of x0; version 5 under any weights, with line-search ties;
+# version 6 takes a weight row's total as 1 (a control) or 0 (a direction),
+# not its computed sum.
+NUMERICS_VERSION = 6
 _KIND_INITIAL, _KIND_BROWNIAN, _KIND_JUMPS = range(3)
 
 
@@ -234,19 +237,18 @@ def _feedback_signal(p: Problem, mode: str, x: np.ndarray):
 
 def _step_weights(paths: PathEnsemble, k: int, direction: RelaxedControl | None = None) -> tuple:
     """Step k of the ensemble's relaxed control_used, resolved on its paths:
-    the feedback cells (M,) (0 under open loop), the weight row sums
-    (`_row_sums` of the one row, or per cell gathered by cell), a function
-    returning the weights (the row (K,), or the (M, K) rows gathered once,
-    on the first call, so a step whose values do not depend on the control
-    gathers none), and a direction's weights less those, or None."""
+    the feedback cells (M,) (0 under open loop), a function returning the
+    weights (the row (K,), or the (M, K) rows gathered once, on the first
+    call, so a step whose values do not depend on the control gathers none),
+    and a direction's weights less those, or None."""
     u, table = paths.control_used, paths.control_used.weights[k]
     if u.feedback is None:
-        cells, gather, total = np.zeros(paths.M, dtype=np.int64), (lambda t: t[0]), _row_sums(table[0])
+        cells, gather = np.zeros(paths.M, dtype=np.int64), (lambda t: t[0])
     else:
         cells = u.feedback.assign(paths.feedback_signal(k, u.feedback_mode))
-        gather, total = (lambda t: np.take(t, cells, axis=0)), np.take(_row_sums(table), cells)
+        gather = partial(np.take, indices=cells, axis=0)
     dw = None if direction is None else gather(direction.weights[k] - table)
-    return cells, total, cache(lambda: gather(table)), dw
+    return cells, cache(lambda: gather(table)), dw
 
 
 def guard_step(x: np.ndarray, k: int, what: str) -> None:

@@ -25,9 +25,13 @@ constant sigma, the LQ b_x = A); any other value is a contiguous (K, M,
 *tail) tensor.  Everything linear in the weights contracts that form over
 the atom axis, and einsum broadcasts a length-1 path axis: `contract_atoms`
 pairs it with one weight row (K,), as open loop resolves, or per-path
-weights (M, K) into the `averaged_*` values (a value evaluated once times
-the weight row sum), and `atom_hamiltonians` pairs it with the adjoint
-processes to get all K per-atom Hamiltonians from one evaluation.  The
+weights (M, K) into the `averaged_*` values, and `atom_hamiltonians` pairs
+it with the adjoint processes to get all K per-atom Hamiltonians from one
+evaluation.  Weights are a relaxed control's, a probability measure on the
+atoms (total mass 1), or a direction's, the difference of two (total mass
+0); no row is ever summed.  A value evaluated once averages to itself under
+a control, returned as it is, and to zero under a direction, which only
+`averaged_coefficients` is given (its `mass`).  The
 values themselves are never checked: each contracted value (or row, or
 term) passes `errors.require_finite` instead (0 * Inf and Inf - Inf are
 NaN, so any NaN/Inf atom shows, and so does a contraction that overflows).
@@ -45,8 +49,9 @@ another per-path shape than documented raises ShapeMismatch.
 A problem declares `separable` when b, sigma, ell and C are each additively
 separable in state and control, f(t, x, xi) = g(t, x) + h(t, xi).  Then
 f(x, xi_i) = f(x, xi_0) + Delta_i, Delta_i = f(x_r, xi_i) - f(x_r, xi_0) at
-any state x_r, and sum_i w_i f(x, xi_i) = (sum_i w_i) f(x, xi_0) + w . Delta
-under any weights.  `atom_differences`, every sweep's one call per step,
+any state x_r, and sum_i w_i f(x, xi_i) = f(x, xi_0) + w . Delta under a
+control's weights, w . Delta alone under a direction's, which so evaluates
+f on no path.  `atom_differences`, every sweep's one call per step,
 forms the tables at the mean of x0, a state fixed by the problem, so a
 path's value depends on its own state alone, and checks the declaration at
 the step's two extreme states (DomainError naming the coefficient).  The
@@ -394,110 +399,96 @@ def atom_differences(p: Problem, grid, t, x) -> list:
     return [_atom_difference(f, grid, t, references, tail, extra, what) for f, tail, extra, what in _coefficients(p)]
 
 
-def _row_sums(w) -> np.ndarray:
-    """Row sums of weights whose bits depend on each row alone: one row (K,)
-    by `w @ ones`, a table (Q, K) of per-path or per-cell rows row by row,
-    so a path's sum is its cell's and does not depend on how many paths
-    share the step."""
-    w = np.asarray(w, dtype=float)
-    return w @ np.ones(len(w)) if w.ndim == 1 else np.einsum("qk->q", w)
-
-
-def _averaged(f, grid, t, x, w, tail: tuple, what: str, extra=(), total=None):
+def _averaged(f, grid, t, x, w, tail: tuple, what: str, extra=(), mass=1.0):
     """Relaxed average sum_i w[..., i] f(t, x, *extra, xi_i) of `_atom_view`'s
-    form; linear in w.  A value evaluated once for all atoms is scaled by
-    total, the row sum of w.  w may also be a function returning the
-    weights, called only for a value with an atom axis (then total must be
-    given).  A value the same on every path is averaged and checked as one
-    row, returned as a read-only broadcast view, unless per-path weights or
-    row sums spread it."""
-    M = np.shape(x)[0]
-    vals = _atom_view(f, grid, t, x, tail, extra, what)
+    form under weights w whose rows have total mass 1 (a control's) or 0 (a
+    direction's).  A value with an atom axis is contracted with w, which may
+    also be a function returning the weights, called only then.  A value
+    evaluated once for all atoms is mass times itself: the value as it is
+    (checked, a read-only view) under mass 1, zero under 0.  A value the
+    same on every path is averaged and checked as one row, returned as a
+    read-only broadcast view, unless per-path weights spread it."""
+    M, vals = np.shape(x)[0], _atom_view(f, grid, t, x, tail, extra, what)
     if len(vals) == grid.K:
         out = require_finite(contract_atoms(vals, w() if callable(w) else w), what)
-    else:
-        total = _row_sums(w) if total is None else total
-        with np.errstate(over="ignore", invalid="ignore"):  # Inf * 0 is NaN: checked below
-            out = require_finite(vals[0] * total.reshape(total.shape + (1,) * len(tail)), what)
-    return out if len(out) == M else np.broadcast_to(out, (M,) + tail)
+        return out if len(out) == M else np.broadcast_to(out, (M,) + tail)
+    return np.broadcast_to(require_finite(vals[0], what) if mass else 0.0, (M,) + tail)
 
 
-def _separable_coefficients(p: Problem, grid, t, x, w) -> tuple:
+def _separable_coefficients(p: Problem, grid, t, x, w, mass) -> tuple:
     """`averaged_coefficients` of a problem declared separable: each of b,
-    sigma, ell and C as total f(x, xi_0) + w . Delta (total f(x, xi_0) without
-    an atom axis), total the row sums of w, f(x, xi_0) one evaluation on the
-    M paths, Delta its `atom_differences` table, under one weight row (K,),
-    per-path rows (M, K) or a direction's difference alike.  Each row's
-    product with a table is summed on its own (einsum; a BLAS product sums a
-    row by its position), so a path's bits are its own.  A value that is not
-    finite is averaged again per atom, which names the coefficient."""
-    M, total, lead = len(x), _row_sums(w), np.shape(w)[:-1]
+    sigma, ell and C as f(x, xi_0) + w . Delta under mass 1 and w . Delta
+    alone under mass 0, f(x, xi_0) one evaluation on the M paths (made only
+    under mass 1) and Delta its `atom_differences` table, under one weight
+    row (K,) or per-path rows (M, K) alike; a value without an atom axis is
+    mass times itself, as `_averaged` forms it.  Each row's product with a
+    table is summed on its own (einsum; a BLAS product sums a row by its
+    position), so a path's bits are its own.  A value that is not finite is
+    averaged again per atom, which names the coefficient."""
+    M, lead = len(x), np.shape(w)[:-1]
     values = []
     for (f, tail, extra, what), delta in zip(_coefficients(p), atom_differences(p, grid, t, x)):
-        head = _atom_view(f, grid._first_atom, t, x, tail, extra, what)[0]
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            out = head * total.reshape(lead + (1,) * len(tail))
+            out = _atom_view(f, grid._first_atom, t, x, tail, extra, what)[0] if mass else 0.0
             if delta is not None:  # a (T, K) copy: each row's dot with a column runs over contiguous atoms
                 shift = np.einsum("...k,tk->...t", w, delta.reshape(len(delta), -1).T.copy()).reshape(lead + tail)
-                out = np.add(out, shift, out=out if out.size >= shift.size else shift)  # into the larger
+                out = out + shift if mass else shift
         if not np.isfinite(out).all():
-            out = _averaged(f, grid, t, x, w, tail, what, extra, total)
-        values.append(out if len(out) == M else np.broadcast_to(out, (M,) + tail))
+            out = _averaged(f, grid, t, x, w, tail, what, extra, mass)
+        elif delta is None or out.shape != (M,) + tail:  # f's own value, or one row for every path
+            out = np.broadcast_to(out, (M,) + tail)
+        values.append(out)
     return (*values[:3], values[3:])
 
 
-def averaged_drift(p: Problem, grid, t, x, w, total=None):
-    """Relaxed-averaged drift sum_i w_i b(t, x, xi_i); linear in w."""
-    return _averaged(p.b, grid, t, x, w, (p.n,), "drift", total=total)
+def averaged_drift(p: Problem, grid, t, x, w):
+    """Relaxed-averaged drift sum_i w_i b(t, x, xi_i) under a control's weights w."""
+    return _averaged(p.b, grid, t, x, w, (p.n,), "drift")
 
 
-def averaged_diffusion(p: Problem, grid, t, x, w, total=None):
-    return _averaged(p.sigma, grid, t, x, w, (p.n, p.m), "diffusion", total=total)
+def averaged_diffusion(p: Problem, grid, t, x, w):
+    return _averaged(p.sigma, grid, t, x, w, (p.n, p.m), "diffusion")
 
 
-def averaged_running_cost(p: Problem, grid, t, x, w, total=None):
-    return _averaged(p.ell, grid, t, x, w, (), "running cost", total=total)
+def averaged_running_cost(p: Problem, grid, t, x, w):
+    return _averaged(p.ell, grid, t, x, w, (), "running cost")
 
 
-def averaged_jump(p: Problem, grid, t, x, v, w, total=None):
+def averaged_jump(p: Problem, grid, t, x, v, w):
     """Relaxed-averaged jump coefficient at a single mark v."""
-    return _averaged(p.jump.C, grid, t, x, w, (p.n,), "jump coefficient", (v,), total)
+    return _averaged(p.jump.C, grid, t, x, w, (p.n,), "jump coefficient", (v,))
 
 
-def averaged_drift_x(p: Problem, grid, t, x, w, total=None):
-    return _averaged(p.b_x, grid, t, x, w, (p.n, p.n), "drift gradient", total=total)
+def averaged_drift_x(p: Problem, grid, t, x, w):
+    return _averaged(p.b_x, grid, t, x, w, (p.n, p.n), "drift gradient")
 
 
-def averaged_diffusion_x(p: Problem, grid, t, x, w, total=None):
-    return _averaged(p.sigma_x, grid, t, x, w, (p.n, p.m, p.n), "diffusion gradient", total=total)
+def averaged_diffusion_x(p: Problem, grid, t, x, w):
+    return _averaged(p.sigma_x, grid, t, x, w, (p.n, p.m, p.n), "diffusion gradient")
 
 
-def averaged_running_cost_x(p: Problem, grid, t, x, w, total=None):
-    return _averaged(p.ell_x, grid, t, x, w, (p.n,), "running cost gradient", total=total)
+def averaged_running_cost_x(p: Problem, grid, t, x, w):
+    return _averaged(p.ell_x, grid, t, x, w, (p.n,), "running cost gradient")
 
 
-def averaged_jump_x(p: Problem, grid, t, x, v, w, total=None):
-    return _averaged(p.jump.C_x, grid, t, x, w, (p.n, p.n), "jump gradient", (v,), total)
+def averaged_jump_x(p: Problem, grid, t, x, v, w):
+    return _averaged(p.jump.C_x, grid, t, x, w, (p.n, p.n), "jump gradient", (v,))
 
 
-def _step_averages(p: Problem, grid, t, x, w, averages, jump_average, total=None) -> tuple:
-    """The averages under weights w, then jump_average per mark, sharing one row sum of w."""
-    total = _row_sums(w) if total is None else total
-    values = tuple(average(p, grid, t, x, w, total) for average in averages)
-    return values + ([jump_average(p, grid, t, x, v, w, total) for v in p.jump.marks],)
-
-
-def averaged_coefficients(p: Problem, grid, t, x, w) -> tuple:
+def averaged_coefficients(p: Problem, grid, t, x, w, mass=1.0) -> tuple:
     """One Euler step's coefficients under weights w, one row (K,) or per
-    path (M, K): drift (M, n), diffusion (M, n, m), running cost (M,) and the
-    list of jump coefficients (M, n), one per mark in order (ShapeMismatch
-    for another trailing shape); under one weight row, a value the same on
-    every path is a read-only broadcast view.  A problem declared separable
-    averages by the one separable rule (`_separable_coefficients`), equal
-    to the per-atom contraction of any other problem to rounding."""
+    path (M, K), of total mass 1 (a control) or 0 (a direction, the
+    difference of two): drift (M, n), diffusion (M, n, m), running cost (M,)
+    and the list of jump coefficients (M, n), one per mark in order
+    (ShapeMismatch for another trailing shape).  A value the same on every
+    path under one weight row, or without an atom axis, is a read-only
+    broadcast view.  A problem declared separable averages by the one
+    separable rule (`_separable_coefficients`), equal to the per-atom
+    contraction of any other problem to rounding."""
     if p.separable:
-        return _separable_coefficients(p, grid, t, x, w)
-    return _step_averages(p, grid, t, x, w, (averaged_drift, averaged_diffusion, averaged_running_cost), averaged_jump)
+        return _separable_coefficients(p, grid, t, x, w, mass)
+    values = [_averaged(f, grid, t, x, w, tail, what, extra, mass) for f, tail, extra, what in _coefficients(p)]
+    return (*values[:3], values[3:])
 
 
 def point_coefficients(p: Problem, t, x, xi) -> tuple:
@@ -507,16 +498,15 @@ def point_coefficients(p: Problem, t, x, xi) -> tuple:
     return (*values[:3], values[3:])
 
 
-def averaged_linearization(p: Problem, grid, t, x, w, total=None) -> tuple:
-    """The state Jacobians under weights w: b_x (M, n, n), sigma_x (M, n, m, n),
-    l_x (M, n) and the list of C_x (M, n, n), one per mark in order
-    (ShapeMismatch for another trailing shape).  Given the row sums total
-    of w (one, or (M,)), w may be a function returning the weights, which a
-    Jacobian that does not depend on the control never calls.  A Jacobian
-    the same on every path under one weight row (K,) is a read-only
-    broadcast view."""
-    gradients = (averaged_drift_x, averaged_diffusion_x, averaged_running_cost_x)
-    return _step_averages(p, grid, t, x, w, gradients, averaged_jump_x, total)
+def averaged_linearization(p: Problem, grid, t, x, w) -> tuple:
+    """The state Jacobians under the weights w of a control: b_x (M, n, n),
+    sigma_x (M, n, m, n), l_x (M, n) and the list of C_x (M, n, n), one per
+    mark in order (ShapeMismatch for another trailing shape).  w may be a
+    function returning the weights, which a Jacobian that does not depend
+    on the control never calls; such a Jacobian, or one the same on every
+    path under one weight row (K,), is a read-only broadcast view."""
+    b_x, sigma_x, l_x = (f(p, grid, t, x, w) for f in (averaged_drift_x, averaged_diffusion_x, averaged_running_cost_x))
+    return b_x, sigma_x, l_x, [averaged_jump_x(p, grid, t, x, v, w) for v in p.jump.marks]
 
 
 def terminal_cost(p: Problem, x) -> np.ndarray:

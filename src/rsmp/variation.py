@@ -62,9 +62,9 @@ def simulate_variational(
         t = k * dt
         x = base.states[:, k]
         yk = y[:, k]
-        _, total, rows, dw = _step_weights(base, k, u)
-        bx, sx, lx, cxs = averaged_linearization(p, grid, t, x, rows, total)
-        b_dw, s_dw, l_dw, c_dws = averaged_coefficients(p, grid, t, x, dw)
+        _, rows, dw = _step_weights(base, k, u)
+        bx, sx, lx, cxs = averaged_linearization(p, grid, t, x, rows)
+        b_dw, s_dw, l_dw, c_dws = averaged_coefficients(p, grid, t, x, dw, mass=0.0)
         response_terms[k] = dt * float(np.mean(np.einsum("qi,qi->q", lx, yk)))
         direct_terms[k] = dt * float(np.mean(l_dw))
         drift = np.einsum("qij,qj->qi", bx, yk) + b_dw

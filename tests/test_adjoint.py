@@ -1,6 +1,8 @@
 import dataclasses
 import importlib
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -276,6 +278,26 @@ class TestDesign:
         got = spec.features(x)
         assert got.shape == (300, len(cols)) and got.T.flags.c_contiguous
         assert np.array_equal(got, np.stack(cols, axis=1))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_exponents_keep_the_order_of_the_combinations(self, n):
+        # the order the regression columns had when each total degree was
+        # enumerated by itertools.combinations_with_replacement
+        for degree in range(6):
+            ref = [(0,) * n]
+            for total in range(1, degree + 1):
+                for combo in itertools.combinations_with_replacement(range(n), total):
+                    ref.append(tuple(combo.count(i) for i in range(n)))
+            assert BasisSpec(degree).exponents(n) == ref, degree
+
+    @pytest.mark.parametrize("n, degree", [(1, 10**5), (2, 400), (3, 60)])
+    def test_high_degree_exponents_take_linear_time(self, n, degree):
+        # each is about 1e5 monomials, counted once each, not once per degree
+        start = time.perf_counter()
+        exps = BasisSpec(degree).exponents(n)
+        assert time.perf_counter() - start < 5.0
+        assert len(exps) == math.comb(n + degree, degree) and len(set(exps)) == len(exps)
+        assert all(sum(alpha) <= degree for alpha in exps[-100:])
 
     @staticmethod
     def states(case):
@@ -609,24 +631,31 @@ class TestStepCoefficientCalls:
         assert sum(per_step.values()) == 10
         assert calls == {key: count * self.N for key, count in per_step.items()}
 
-    def test_declared_one_row_steps(self):
-        # under one weight row, open loop, every declared coefficient is
-        # evaluated at the first atom on every path and at every atom on
-        # three reference states, sigma (the same on every path) too
+    # a declared step's calls per coefficient: simulate evaluates it at the
+    # first atom on every path and at every atom on three reference states,
+    # sigma (the same on every path) too; a direction's average (mass 0) is
+    # its table alone, and each Jacobian is one evaluation for all atoms
+    AVERAGES = {"b": 2, "sigma": 2, "ell": 2, "C": 4}
+    DIRECTION = {"b": 1, "sigma": 1, "ell": 1, "C": 2, "b_x": 1, "sigma_x": 1, "ell_x": 1, "C_x": 2}
+
+    def declared_calls(self, u0, u):
         p = rsmp.make_benchmark("jump-lq")
-        grid = rsmp.benchmark_grid("jump-lq", 9)
-        u0 = rsmp.constant_control(grid, self.N)
-        u = rsmp.constant_control(grid, self.N, np.eye(grid.K)[0])
+        assert p.jump.J == 2
         counted, calls = counting_problem(p)
-        averages = {"b": 2, "sigma": 2, "ell": 2, "C": 2 * p.jump.J}
-        linearization = {"b_x": 1, "sigma_x": 1, "ell_x": 1, "C_x": p.jump.J}
         for M in self.PATHS:
             calls.clear()
             base = rsmp.simulate(counted, u0, rsmp.sample_noise(p, M, self.N, seed=74))
-            assert calls == {key: count * self.N for key, count in averages.items()}, M
+            assert calls == {key: count * self.N for key, count in self.AVERAGES.items()}, M
             calls.clear()
             rsmp.simulate_variational(counted, base, u, u0)
-            assert calls == {key: count * self.N for key, count in {**averages, **linearization}.items()}, M
+            assert calls == {key: count * self.N for key, count in self.DIRECTION.items()}, M
+
+    def test_declared_one_row_steps(self):
+        grid = rsmp.benchmark_grid("jump-lq", 9)
+        self.declared_calls(rsmp.constant_control(grid, self.N), rsmp.constant_control(grid, self.N, np.eye(grid.K)[0]))
+
+    def test_declared_per_path_steps(self):
+        self.declared_calls(*seeded_controls("jump-lq", rsmp.STATE_FEEDBACK, self.N, 2, seed=73))
 
     @pytest.mark.parametrize("mode", [rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK])
     def test_one_table_call_per_step(self, mode, monkeypatch):
@@ -659,8 +688,9 @@ class TestStepCoefficientCalls:
 
 def walked_pairing(p, base, u0, u, adj):
     """The pairing as a per-step walk: the coefficient differences at every
-    path's own weights, paired with the adjoint triple and averaged."""
-    from rsmp.problem import averaged_diffusion, averaged_drift, averaged_jump
+    path's own weights (a direction's, of mass 0), paired with the adjoint
+    triple and averaged."""
+    from rsmp.problem import averaged_coefficients
 
     grid, dt = u0.grid, base.dt
     total = 0.0
@@ -668,12 +698,11 @@ def walked_pairing(p, base, u0, u, adj):
         x = base.states[:, k]
         signal = base.feedback_signal(k, u0.feedback_mode)
         dw = u.weights_at(k, signal) - u0.weights_at(k, signal)
-        term = np.einsum("qi,qi->q", adj.psi_cont[:, k], averaged_drift(p, grid, k * dt, x, dw))
-        term += np.einsum("qab,qab->q", adj.Q[:, k], averaged_diffusion(p, grid, k * dt, x, dw))
-        if p.jump is not None:
-            for j in range(p.jump.J):
-                c_diff = averaged_jump(p, grid, k * dt, x, p.jump.marks[j], dw)
-                term += p.jump.intensities[j] * np.einsum("qi,qi->q", adj.phi[:, k, j], c_diff)
+        b_diff, sigma_diff, _, c_diffs = averaged_coefficients(p, grid, k * dt, x, dw, mass=0.0)
+        term = np.einsum("qi,qi->q", adj.psi_cont[:, k], b_diff)
+        term += np.einsum("qab,qab->q", adj.Q[:, k], sigma_diff)
+        for j, c_diff in enumerate(c_diffs):
+            term += p.jump.intensities[j] * np.einsum("qi,qi->q", adj.phi[:, k, j], c_diff)
         total += dt * float(term.mean())
     return total
 

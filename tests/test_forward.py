@@ -13,7 +13,7 @@ from rsmp import CellPartition, ShapeMismatch
 from rsmp.container import TAG_ADJOINT, TAG_PATHS, adjoint_to_binary, paths_to_binary, read_section
 from rsmp.forward import _BLOCK, BLOWUP_GUARD, STREAM_VERSION, _mean_and_error, euler_step, guard_step, pathwise_cost
 from rsmp.forward import _step_weights
-from rsmp.problem import _row_sums, averaged_coefficients
+from rsmp.problem import averaged_coefficients
 
 
 def scalar_problem(b=None, sigma=None, ell=None, phi=None, x0=0.0, jump=None, T=1.0):
@@ -502,27 +502,25 @@ def relaxed_control(name, mode, N, seed=0):
 @pytest.mark.parametrize("mode", [rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK])
 def test_step_weights_resolve_open_loop_to_one_row(mode):
     # the rule of weights_at: open loop reads its single (K,) row on cell 0;
-    # feedback gathers the rows of its cells once, and the row sums by cell;
-    # a direction's weight difference is gathered the same way
+    # feedback gathers the rows of its cells once; a direction's weight
+    # difference is gathered the same way
     p = rsmp.make_benchmark("lq1d")
     u = relaxed_control("lq1d", mode, 4)
     direction = relaxed_control("lq1d", mode, 4, seed=1)
     paths = rsmp.simulate(p, u, rsmp.sample_noise(p, 50, 4, seed=3))
     for k in range(4):
-        cells, total, rows, dw = _step_weights(paths, k, direction)
+        cells, rows, dw = _step_weights(paths, k, direction)
         w = rows()
         assert cells.shape == (50,) and cells.dtype == np.int64
         assert np.array_equal(w, u.weights_at(k, paths.feedback_signal(k, mode)))
         diff = direction.weights[k] - u.weights[k]
         if mode == rsmp.OPEN_LOOP:
             assert not cells.any() and np.array_equal(w, u.weights[k, 0])
-            assert np.shape(total) == () and np.array_equal(total, _row_sums(w))
             assert np.array_equal(dw, diff[0])
         else:
             assert np.array_equal(w, u.weights[k][cells]) and rows() is w
-            assert np.array_equal(total, _row_sums(u.weights[k])[cells])
             assert np.array_equal(dw, diff[cells])
-        assert _step_weights(paths, k)[3] is None
+        assert _step_weights(paths, k)[2] is None
 
 
 @pytest.mark.parametrize("name", ["lq1d", "jump-lq", "nonconvex-mix"])
@@ -530,10 +528,10 @@ def test_step_weights_resolve_open_loop_to_one_row(mode):
 def test_feedback_whose_cells_agree_keeps_the_gather_bits(name, mode):
     # the bits of a control that puts every path in cell 0 and other rows in
     # cells no path reaches: a shortcut for cells that agree must keep the
-    # gather's row sums of a table; open loop sums its one row in atom order,
-    # so it agrees to rounding
+    # bits of the gathered per-path rows; open loop reads its one row, so it
+    # agrees to rounding
     p, grid = rsmp.make_benchmark(name), rsmp.benchmark_grid(name, 9)
-    weights = np.full((6, 1, grid.K), 1.0 / grid.K)  # nine 1/9 sum to 1.0 in a table's rows, not in atom order
+    weights = np.full((6, 1, grid.K), 1.0 / grid.K)  # nine 1/9, whose sum in atom order is one ulp above 1.0
     weights[1::2] = np.random.default_rng(8).dirichlet(np.ones(grid.K), size=(3, 1))
     open_loop = rsmp.RelaxedControl(grid, weights)
     near = rsmp.benchmark_partition(name, mode, cells=4)

@@ -28,6 +28,7 @@ from rsmp import (
     RegularControl,
     RelaxedControl,
     ShapeMismatch,
+    ValueOffGrid,
 )
 from rsmp.cli import EXIT_CONFIG, RunConfig, main
 
@@ -144,6 +145,8 @@ REFUSED = [
     ("negative basis degree", lambda: BasisSpec(-1), DomainError, "at least 0"),
     ("basis features of 1-D states", lambda: BasisSpec(2).features(np.array([1.0, 2.0, 3.0])), ShapeMismatch,
      r"states must be \(M, n\), got shape \(3,\)"),
+    ("basis features too large to allocate", lambda: BasisSpec(10**18).features(np.zeros((2, 1))), DomainError,
+     "^design matrix of 1000000000000000001 monomials on 2 paths, too large to allocate$"),
     ("hamiltonian Q with two rows", lambda: lq_hamiltonian(Q=(4, 2, 1)), ShapeMismatch,
      r"Q has shape \(4, 2, 1\), expected \(4, 1, 1\)"),
     ("hamiltonian Q with three columns", lambda: lq_hamiltonian(Q=(4, 1, 3)), ShapeMismatch, "Q has shape"),
@@ -239,6 +242,8 @@ REFUSED = [
     ("validation of weights without atoms", lambda: rsmp.validate(np.zeros((2, 0))), ShapeMismatch, r"got \(2, 0\)$"),
     ("NaN snap tolerance", lambda: rsmp.benchmark_grid("lq1d", 3).snap([[0.0]], tol=NAN), DomainError,
      "must be finite"),
+    ("snap of a NaN value", lambda: rsmp.benchmark_grid("lq1d", 3).snap([[NAN]]), ValueOffGrid,
+     r"^value \[nan\] is nan from the nearest grid point$"),
     ("snap of values with a last axis of 2 on a 1-D grid", lambda: rsmp.benchmark_grid("lq1d", 3).snap([[0.0, 0.0]]),
      ShapeMismatch, r"^values of shape \(1, 2\) for a grid of dimension 1$"),
     ("dirac embedding of a 2-D regular control on a 1-D grid",

@@ -123,8 +123,8 @@ def test_sample_noise_peak_is_its_outputs_plus_draw_buffers(name):
 
 def test_control_free_linearization_builds_no_atom_tensor():
     # lq1d's b_x, sigma_x and l_x do not depend on the control, so each is
-    # evaluated once for all atoms and scaled by the weight row sum: the
-    # averages under per-path weights never hold a (K, M, ...) tensor
+    # evaluated once for all atoms and averaged as it is: the averages under
+    # per-path weights never hold a (K, M, ...) tensor
     paths, atoms = 20_000, 9
     p = rsmp.make_benchmark("lq1d")
     grid = rsmp.benchmark_grid("lq1d", atoms)
@@ -133,6 +133,23 @@ def test_control_free_linearization_builds_no_atom_tensor():
     w = rng.dirichlet(np.ones(atoms), paths)
     _, _, peak = traced(lambda: averaged_linearization(p, grid, 0.3, x, w))
     assert peak < atoms * paths * 8
+
+
+def test_linearization_under_per_path_rows_builds_no_jacobian_array():
+    # lq1d's b_x and sigma_x are evaluated once and the same on every path,
+    # so under per-path weights (M, K) they stay one broadcast row: beyond
+    # l_x's own evaluation the averages allocate less than one (M, n, n)
+    # array, and no row sums of the weights
+    paths, atoms = 20_000, 9
+    p = rsmp.make_benchmark("lq1d")
+    grid = rsmp.benchmark_grid("lq1d", atoms)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((paths, p.n))
+    w = rng.dirichlet(np.ones(atoms), paths)
+    (bx, sx, _, _), _, peak = traced(lambda: averaged_linearization(p, grid, 0.3, x, w))
+    _, _, own = traced(lambda: p.ell_x(0.3, x[None], grid.points[:, None]))
+    assert bx.strides[0] == sx.strides[0] == 0
+    assert peak - own < paths * p.n * p.n * 8
 
 
 def test_relaxed_simulate_of_path_constant_coefficients_holds_no_copies():

@@ -31,7 +31,7 @@ MODES = (rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK)
 
 FINGERPRINT = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0", "machine": "x86_64"}
 # the rsmp NUMERICS_VERSION the digests below were taken at
-PINNED_NUMERICS_VERSION = 5
+PINNED_NUMERICS_VERSION = 6
 
 # optimize(M=1500, N=8, K=5 (2 on nonconvex-mix), 4 cells per signal
 # coordinate, uniform start, max_iters=4, tol=0, seed=3).to_json()
@@ -165,32 +165,32 @@ CLI_RUNS = {
 # the SHA-256 of every file each run of CLI_RUNS writes
 CLI_DIGESTS = {
     "describe": {
-        "bench.json": "2f75e38dda5bc89e544b5af5b1d5e700ec70b69de6b5e56b596babd396c3e9de",
-        "config.json": "0275345a255a4a4f782351168dd07dc22384342a74ae231a4ae64aa6a2f9fc9e",
+        "bench.json": "06c265de7422cc355cd18cb4d90708918bbc2f1bba3fa038a310af590e39db0f",
+        "config.json": "8ded85a0e8fc1050fe015a4ef566641dfd3883eeca4c70ca0e43e61a39e4b09f",
     },
     "simulate": {
-        "config.json": "d3826587e9d3706cb777fa06a8c8c8b4cef041c25f0998c8fec775fa81df7758",
-        "cost.json": "c1bde10a69804a6d14a51e3bc522a1fed6dd6b5c1120247fca110dd575177020",
-        "paths.bin": "fb294a38159d0dbd6381c249c64d79d3ee53cccabff194ea531145814e6d444d",
+        "config.json": "384edf948d3d8b086a09cf35b7a7de318ef5109cff2384a6497f02490c544d4a",
+        "cost.json": "c661d21e501d5760206133bf32dd2c95bdf4a3712b4e17161c5a11d4f74db769",
+        "paths.bin": "a5965d0394c784c696b5df01576ad51eb048f45d12b7e44c56410eb6f118e17b",
         "paths.csv": "f01496e26111cc403a8f8c3ae9c796cca47603174684f1c319e339de43bb9509",
     },
     "adjoint": {
-        "adjoint.bin": "6016f3d4d27d5ded5662f01a7411c66bf494dbd79106c744450ca937c398a28f",
-        "config.json": "4b1a8cfbaef82537661290ec29dcb4b4204c0da0ed06b3a91596ec3bc5f4039b",
-        "duality.json": "da620f93369b72ff4a83110ab2158e84cbff86b6c6f4a6e46736e6645d0f9596",
+        "adjoint.bin": "56e3466b004e9320df7b3b9f3fe26a1c72c343b360344b2fa3a764924b99765b",
+        "config.json": "a86a8bed31f44ebe7fa8bf5c223ced5b71e486927d8a5081bce6813b5467f3a8",
+        "duality.json": "867760d2824c0f0fbc136932667702086d507f07494d86b5a917096ad2ced01a",
     },
     "optimize": {
-        "config.json": "301c0d8095945fd7c70f62e1b7fb35c43bf0911b2a25e0e6a879827e09a9afe3",
+        "config.json": "7aa2d0a3586bc444df8500156241ad684a2ad9904d3ca42d1e95888c4efdb248",
         "final_control.json": "e8c83bcc6b32336ddd91becc8be265f96d32c7d540b21904e6ea2d346b94fcba",
-        "iterates.json": "e6f9572ac92acc6a26276a3aed72f1157f93f5c4105b0e364eb3fb8e44b02f72",
+        "iterates.json": "089aeb6cbd8b19e29eff5ddff6b8d091bb6393575e91120496e38775077fb28a",
     },
     "certify": {
-        "certify.json": "b5e46b46fbca539ab67ce17ccffe894b4a78cdbd8795c69fa41523710c2412b5",
-        "config.json": "99da66d09b5b4fc74f9c91dc4863ad8c185dd1ccf089b3a5a362cf48468f4885",
+        "certify.json": "6de8c74029b5f942542aa6be1f9961692a03ed79c58ac153f72571af1863feab",
+        "config.json": "cb3516153a5e3c06f9d6481d2dea4c9e85782aba1f0fdc2d2fae7b49ec5cfb66",
     },
     "chatter": {
-        "chatter.json": "b97147d87fd94a7d2a688e34be12847d0b15a19b468da2bf8be4e820ad44c28c",
-        "config.json": "92f822cd5e9b7654487a251c7b3f405fd75f6f7e3843b6c96e62155e1c83200f",
+        "chatter.json": "f415a4a7ce05560cca4e2a457a5b706f3d95c6041da0e8c9948b3baf89208314",
+        "config.json": "b799711b2af76e1035fa33c6a7822ca1804e71c77f26516e3f6b9c8ce1fe9546",
     },
 }
 

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import re
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 import rsmp
 from rsmp import ControlGrid, DomainError, JumpSpec, NonFiniteCoefficient, Problem, ShapeMismatch
 from rsmp.forward import _feedback_signal
-from rsmp.problem import _atom_view, _coefficients, _reference_states, _row_sums, atom_hamiltonians, averaged_coefficients, averaged_diffusion
+from rsmp.problem import _atom_view, _coefficients, _reference_states, atom_hamiltonians, averaged_coefficients, averaged_diffusion
 from rsmp.problem import averaged_drift, averaged_drift_x, averaged_linearization, contract_atoms, fd_gradient
 
 
@@ -226,8 +225,9 @@ class TestBroadcastContract:
 class TestControlFreeCoefficients:
     """A coefficient whose result has length 1 on the atom axis does not
     depend on the control and is evaluated once for all atoms: its relaxed
-    average is that value times the weight row sum, and its atom Hamiltonian
-    term one row added to every atom.  Both equal the contraction of the
+    average is that value under a control's weights (total mass 1) and zero
+    under a direction's (total mass 0), and its atom Hamiltonian term one row
+    added to every atom.  Both equal the contraction of the
     (K, M, ...) tensor of the stacked per-atom calls, within rounding."""
 
     M = 50
@@ -263,9 +263,11 @@ class TestControlFreeCoefficients:
         p, grid, x = self.case("lq1d")
         p = dataclasses.replace(p, ell=lambda t, x, xi: 0.5)
         assert _atom_view(p.ell, grid, 0.0, x, ()).shape == (1, 1)
-        w = np.random.default_rng(38).dirichlet(np.ones(grid.K), self.M)
-        got = averaged_coefficients(p, grid, 0.0, x, w)[2]
-        assert np.array_equal(got, 0.5 * _row_sums(w))
+        w = np.random.default_rng(38).dirichlet(np.ones(grid.K), (2, self.M))
+        for weights, mass, value in ((w[0], 1.0, 0.5), (w[0] - w[1], 0.0, 0.0)):
+            got = averaged_coefficients(p, grid, 0.0, x, weights, mass)[2]
+            assert got.shape == (self.M,) and got.strides == (0,) and not got.flags.writeable
+            assert np.array_equal(got, np.full(self.M, value))
 
     WEIGHTS = ["open-loop", "per-path", "per-path-difference"]
 
@@ -276,15 +278,24 @@ class TestControlFreeCoefficients:
         rng = np.random.default_rng(39)
         rows = rng.dirichlet(np.ones(grid.K), (2, self.M))
         w = {"open-loop": rows[0, 0], "per-path": rows[0], "per-path-difference": rows[0] - rows[1]}[weights]
-        coefs, lins = averaged_coefficients(p, grid, 0.3, x, w), averaged_linearization(p, grid, 0.3, x, w)
-        got = {"b": coefs[0], "sigma": coefs[1], "ell": coefs[2], "b_x": lins[0], "sigma_x": lins[1], "ell_x": lins[2]}
-        marks = {"C": iter(coefs[3]), "C_x": iter(lins[3])}
+        mass = 0.0 if weights == "per-path-difference" else 1.0
+        coefs = averaged_coefficients(p, grid, 0.3, x, w, mass)
+        got, marks = {"b": coefs[0], "sigma": coefs[1], "ell": coefs[2]}, {"C": iter(coefs[3])}
+        if mass:  # Jacobians are averaged under a control's weights only
+            lins = averaged_linearization(p, grid, 0.3, x, w)
+            got.update(b_x=lins[0], sigma_x=lins[1], ell_x=lins[2])
+            marks["C_x"] = iter(lins[3])
         for key, f, tail, extra in atom_coefficients(p):
+            if key not in got and key not in marks:
+                continue
             value = got[key] if key in got else next(marks[key])
             vals = stacked(f, grid, 0.3, x, extra)
             ref = contract_atoms(vals, w)
             assert value.shape == ref.shape == (self.M,) + tail, key
-            assert np.all(np.abs(value - ref) <= self.RTOL * contract_atoms(np.abs(vals), np.abs(w))), key
+            bound = self.RTOL * contract_atoms(np.abs(vals), np.abs(w))
+            if not mass:  # a direction's rows sum to 0 up to rounding, which the averages take as exactly 0
+                bound += np.abs(w.sum(axis=-1)).reshape((-1,) + (1,) * len(tail)) * np.abs(vals).max(axis=0)
+            assert np.all(np.abs(value - ref) <= bound), key
 
     @pytest.mark.parametrize("name", sorted(CONTROL_FREE))
     def test_atom_hamiltonians_match_the_stacked_terms(self, name):
@@ -323,7 +334,9 @@ class TestPathConstantRows:
     """A coefficient value that is a broadcast along the path axis is the
     same on every path, and `_atom_view` keeps one path of it: its averages
     and atom Hamiltonians equal, bit for bit, those of the same values given
-    as a contiguous array, and the row is what the finite check sees."""
+    as a contiguous array, and the row is what the finite check sees.  A
+    value evaluated once for all atoms stays one row under per-path weights
+    too."""
 
     M = 60
     # (benchmark, coefficient) whose value is a broadcast along the path axis;
@@ -359,14 +372,14 @@ class TestPathConstantRows:
         average, w = self.AVERAGE[key], ws[weights]
         given, ref = average(p, grid, 0.3, x, w), average(dense, grid, 0.3, x, w)
         assert given.shape == ref.shape and given.tobytes() == ref.tobytes()
-        if w.ndim == 1:  # one row for every path: a read-only broadcast view of it
+        evaluated_once = len(_atom_view(f, grid, 0.3, x, given.shape[1:])) == 1
+        if w.ndim == 1 or evaluated_once:  # one row for every path: a read-only broadcast view of it
             assert given.strides[0] == 0 and not given.flags.writeable
         else:
             assert given.flags.c_contiguous
-        # the row sums of the weights given per path, as the backward sweep passes them
+        # the weights given per path by a function, as the backward sweep passes them
         rows = np.broadcast_to(w, (self.M, grid.K))
-        total = _row_sums(rows)
-        given, ref = average(p, grid, 0.3, x, lambda: rows, total), average(dense, grid, 0.3, x, lambda: rows, total)
+        given, ref = average(p, grid, 0.3, x, lambda: rows), average(dense, grid, 0.3, x, lambda: rows)
         assert given.shape == ref.shape == (self.M,) + given.shape[1:] and given.tobytes() == ref.tobytes()
 
     # (benchmark, coefficient) paired as it is by atom_hamiltonians; jump-lq's C is a full value
@@ -505,33 +518,14 @@ class TestContraction:
             atom_hamiltonians(p, grid, 0.3, x, psi, Q, phi_row)
 
 
-class TestRowSums:
-    """The row sums of a weight table depend on each row alone, so a path's
-    sum is its cell's and the same in any number of paths; one row sums in
-    atom order, as its product with ones."""
-
-    def test_per_path_and_per_cell_sums_agree_bit_for_bit(self):
-        rng = np.random.default_rng(40)
-        for K, C, M in itertools.product((2, 3, 5, 8, 9, 16, 17, 33), (1, 2, 3, 4, 16, 64), (1, 2, 7, 64, 1000, 8193)):
-            table = rng.dirichlet(np.ones(K), C)
-            cells = rng.integers(0, C, M)
-            per_path = _row_sums(np.take(table, cells, axis=0))
-            assert per_path.tobytes() == _row_sums(table)[cells].tobytes(), (K, C, M)
-            assert per_path[: M // 2].tobytes() == _row_sums(np.take(table, cells[: M // 2], axis=0)).tobytes()
-
-    def test_one_row_sums_in_atom_order(self):
-        row = np.full(9, 1.0 / 9.0)  # nine 1/9 in atom order: one ulp above 1.0
-        assert _row_sums(row).shape == () and _row_sums(row) == row @ np.ones(9) == 1.0 + 2.0**-52
-        assert np.array_equal(_row_sums(row[None]), [1.0])
-
-
 class TestSeparableRule:
     """A problem declared separable averages b, sigma, ell and C by one rule
     under any weights (`problem._separable_coefficients`): a weight row (K,)
     as open loop resolves, per-path rows (M, K) as feedback resolves, and a
-    direction's difference of either.  Each agrees with the per-atom
-    contraction of the same problem undeclared within TOL of the
-    coefficient's largest atom value, and has its shape and layout."""
+    direction's difference of either (mass 0).  Each agrees with the
+    per-atom contraction of the same problem undeclared within TOL of the
+    coefficient's largest atom value, and has its shape and layout, except
+    that a direction's one row, w . Delta alone, is one row for every path."""
 
     TOL = 1e-13  # about 450 eps; the rule moves the averages by rounding only
     M = 500
@@ -557,13 +551,18 @@ class TestSeparableRule:
         assert w0.shape == ((grid.K,) if mode == rsmp.OPEN_LOOP else (self.M, grid.K))
         w = w1 - w0 if direction else w1
         t = 0.3
-        b, sigma, ell, C = averaged_coefficients(p, grid, t, x, w)
-        ref_b, ref_sigma, ref_ell, ref_C = averaged_coefficients(dataclasses.replace(p, separable=False), grid, t, x, w)
+        mass = 0.0 if direction else 1.0
+        b, sigma, ell, C = averaged_coefficients(p, grid, t, x, w, mass)
+        undeclared = dataclasses.replace(p, separable=False)
+        ref_b, ref_sigma, ref_ell, ref_C = averaged_coefficients(undeclared, grid, t, x, w, mass)
         averages = zip(_coefficients(p), (b, sigma, ell, *C), (ref_b, ref_sigma, ref_ell, *ref_C))
         for (f, tail, extra, what), got, ref in averages:
             scale = np.abs(_atom_view(f, grid, t, x, tail, extra, what)).max()
             assert got.shape == ref.shape == (self.M,) + tail, what
-            assert got.flags.writeable == ref.flags.writeable, what
+            if direction and w.ndim == 1:  # w . Delta alone, the same on every path
+                assert got.strides[0] == 0 and not got.flags.writeable, what
+            else:
+                assert got.flags.writeable == ref.flags.writeable, what
             assert np.abs(got - ref).max() <= self.TOL * scale, what
 
 

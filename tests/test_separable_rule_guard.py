@@ -6,8 +6,12 @@ variational, backward) takes one reference search and one table per
 coefficient per step; a second caller would bring back a per-coefficient
 search or a table of its own.  `problem._averaged` is the per-atom rule
 alone: it takes no problem, so no declaration can route an average around
-`problem._separable_coefficients`.  A static check with the standard-library
-`ast`.
+`problem._separable_coefficients`.  No function sums a weight row: a
+control's rows have total mass 1 and a direction's 0, which every caller
+states (`averaged_coefficients`' mass) rather than computes, so a row sum
+(`np.einsum("qk->q", w)`, `w @ np.ones(K)`) or a `_row_sums` would bring
+back a value that differs from the stated one by rounding.  A static check
+with the standard-library `ast`.
 """
 
 import ast
@@ -37,6 +41,48 @@ def call_sites(tree: ast.Module, names) -> list:
 
 def functions(tree: ast.Module) -> dict:
     return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def _called(node: ast.AST) -> str | None:
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def row_sums(tree: ast.Module) -> list:
+    """(line, source) of every weight-row sum, in line order: an einsum of
+    one operand that sums out an index, or a product with np.ones; and every
+    definition, import, name or attribute _row_sums."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called(node) == "einsum" and node.args:
+            spec = node.args[0]
+            if isinstance(spec, ast.Constant) and isinstance(spec.value, str) and "->" in spec.value:
+                inputs, output = (set(side) - {"."} for side in spec.value.replace(" ", "").split("->"))
+                if "," not in inputs and len(output) < len(inputs):
+                    found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            if any(isinstance(side, ast.Call) and _called(side) == "ones" for side in (node.left, node.right)):
+                found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, (ast.Name, ast.Attribute, ast.FunctionDef, ast.alias)):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name == "_row_sums":
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_no_function_sums_a_weight_row():
+    for path in sorted(SRC.glob("*.py")):
+        assert row_sums(ast.parse(path.read_text(encoding="utf-8"))) == [], path.name
+
+
+def test_guard_sees_every_row_sum():
+    tree = ast.parse(
+        "from .problem import _row_sums\n\n\n"
+        "def _row_sums(w):\n    return np.einsum('qk->q', w), w @ np.ones(len(w)), np.einsum('k->', w)\n\n\n"
+        "def f(w, vals):\n    return np.einsum('qk,kq->q', w, vals), np.einsum('...k->...k', w), problem._row_sums(w)\n"
+        "\n\ndef g(w):\n    return np.einsum('...k->...', w)\n"
+    )
+    assert [line for line, _ in row_sums(tree)] == [1, 4, 5, 5, 5, 9, 13]
 
 
 def test_reference_states_and_tables_are_formed_only_by_atom_differences():

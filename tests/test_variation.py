@@ -7,7 +7,7 @@ import pytest
 import rsmp
 from rsmp import ControlGrid, NonFiniteCoefficient, Problem, RelaxedControl, ShapeMismatch
 from rsmp.forward import pathwise_cost
-from rsmp.problem import averaged_coefficients, averaged_running_cost, averaged_running_cost_x
+from rsmp.problem import averaged_coefficients, averaged_running_cost_x
 from rsmp.variation import response_functional
 
 
@@ -254,7 +254,7 @@ class TestGateaux:
                 dw = u_dir.weights_at(k, signal) - w0
                 lx = averaged_running_cost_x(p, grid, k * dt, x, w0)
                 per_path += dt * np.einsum("qi,qi->q", lx, var.y[:, k])
-                per_path += dt * averaged_running_cost(p, grid, k * dt, x, dw)
+                per_path += dt * averaged_coefficients(p, grid, k * dt, x, dw, mass=0.0)[2]
             per_path += np.einsum("qi,qi->q", p.phi_x(base.states[:, N]), var.y[:, N])
             se = per_path.std(ddof=1) / np.sqrt(M)
             assert per_path.mean() >= -3 * se
@@ -275,15 +275,15 @@ def walked_derivative(p, base, u0, u, var):
     for k in range(N):
         signal = base.feedback_signal(k, u0.feedback_mode)
         dw = u.weights_at(k, signal) - u0.weights_at(k, signal)
-        derivative += dt * float(np.mean(averaged_coefficients(p, grid, k * dt, base.states[:, k], dw)[2]))
+        derivative += dt * float(np.mean(averaged_coefficients(p, grid, k * dt, base.states[:, k], dw, mass=0.0)[2]))
     return response, derivative
 
 
 @pytest.mark.parametrize("name", ["lq1d", "lq2d", "jump-lq"])
 def test_separable_one_row_averages_agree_with_the_per_atom_ones(name):
     # open loop resolves one weight row, which a declared problem averages by
-    # the separable identity in simulate and, for a direction whose row sums
-    # to about 0, in the variational sweep: states, costs and y agree with
+    # the separable identity in simulate and, for a direction (of total mass
+    # 0), in the variational sweep: states, costs and y agree with
     # the undeclared per-atom contraction within 1e-12 (about 4500 eps) of
     # their largest entry
     grid = rsmp.benchmark_grid(name, 9)
