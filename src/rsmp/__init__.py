@@ -68,6 +68,7 @@ from .problem import (
     GaussianInitial,
     JumpSpec,
     Problem,
+    Separable,
     fd_gradient,
 )
 from .smp import (

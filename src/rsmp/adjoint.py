@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .control import RelaxedControl
 from .errors import ShapeMismatch, SingularRegression, allocating, require_count, require_finite
 from .forward import PathEnsemble, _rescaled, _step_major, _step_weights
-from .problem import Problem, atom_differences, atom_hamiltonians, averaged_linearization, terminal_gradient
+from .problem import Problem, atom_hamiltonians, averaged_linearization, cell_hamiltonians, terminal_gradient
 from .variation import VariationEnsemble, response_functional
 
 COND_LIMIT = 1e12
@@ -153,34 +154,6 @@ def _cell_sums(bins: np.ndarray, C: int, rows) -> np.ndarray:
     count, and a row's sums do not depend on the rows binned with it."""
     blocks = np.stack([np.bincount(bins, weights=row, minlength=C * SUM_BLOCKS) for row in rows])
     return blocks.reshape(-1, C, SUM_BLOCKS).sum(axis=2).T
-
-
-def _separable_sums(p: Problem, grid, t, x, psi, Q, phi, bins, counts, pairing) -> tuple:
-    """The cell sums (C, K) of `atom_hamiltonians` on a separable problem,
-    and with pairing (a recording sweep) those of its pairing, else None,
-    from the Hamiltonian G at the first atom xi_0 and the Delta tables of
-    `atom_differences`, the forward and variational sweeps' own:
-
-        S[c, i] = sum_{q in c} G_q + (sum psi)_c . Delta b_i + (sum Q)_c : Delta sigma_i
-                  + counts_c Delta ell_i + sum_j lam_j (sum phi_j)_c . Delta C_ji,
-
-    the pairing the same without the running cost.  G, its pairing and the
-    per-path arrays whose coefficient has an atom axis are binned in one pass."""
-    M, C = len(x), len(counts)
-    G, G_pairing = atom_hamiltonians(p, grid._first_atom, t, x, psi, Q, phi, pairing=pairing, checked=False)
-    db, dsigma, dell, *dC = atom_differences(p, grid, t, x)
-    pairs = [(psi, db), (Q.reshape(M, -1), dsigma)]
-    pairs += [(phi[:, j], lam * d) for j, (lam, d) in enumerate(zip(p.jump.intensities, dC)) if d is not None]
-    pairs = [(a, d.reshape(len(d), -1)) for a, d in pairs if d is not None]
-    columns = [col for a, _ in pairs for col in a.T]
-    deltas = np.concatenate([d for _, d in pairs], axis=1) if pairs else np.zeros((grid.K, 0))
-    heads = [G[0]] if G_pairing is None else [G[0], G_pairing[0]]
-    sums = _cell_sums(bins, C, [*heads, *columns])
-    shift = np.dot(sums[:, len(heads) :], deltas.T)
-    ham = sums[:, :1] + shift
-    if dell is not None:
-        ham += counts[:, None] * dell
-    return ham, None if G_pairing is None else sums[:, 1:2] + shift
 
 
 @dataclass(frozen=True)
@@ -305,6 +278,7 @@ def _sweep(base: PathEnsemble, basis: BasisSpec, record: bool) -> tuple:
     occupancy = np.empty((N, C), dtype=np.int64)
     path_blocks = np.arange(M) * SUM_BLOCKS // M
     bins = np.empty(M, dtype=np.int64)  # each step's cell * SUM_BLOCKS + path block
+    binned = partial(_cell_sums, bins, C)
     diagnostics = []
 
     _at(psi, N)[...] = require_finite(terminal_gradient(p, base.states[:, N]), "terminal cost gradient")
@@ -316,12 +290,7 @@ def _sweep(base: PathEnsemble, basis: BasisSpec, record: bool) -> tuple:
         np.multiply(cells, SUM_BLOCKS, out=bins)
         bins += path_blocks
         with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite is checked below
-            if p.separable:
-                hamiltonian_sums[k], pairing = _separable_sums(*args, bins, occupancy[k], record)
-            else:
-                ham, pairing = atom_hamiltonians(*args, pairing=record, checked=False)
-                sums = _cell_sums(bins, C, [*ham, *(pairing if record else ())])
-                hamiltonian_sums[k], pairing = sums[:, :K], sums[:, K:]
+            hamiltonian_sums[k], pairing = cell_hamiltonians(*args, binned, occupancy[k], pairing=record)
             if record:
                 pairing_sums[k] = pairing
         if not np.all(np.isfinite(hamiltonian_sums[k])):
@@ -352,10 +321,9 @@ def solve_bsde(
     value first, then psi_k, whose target needs them.  With psi_cont, Q_k and
     phi_k in hand the step evaluates b, sigma, l and C once for all atoms, forms
     the (K, M) atom Hamiltonians and sums them, with and without the running
-    cost, over u0's feedback cells; on a separable problem it evaluates each
-    at the first atom on every path and at every atom on a few reference
-    states instead, and sums by the identity of `_separable_sums`, and a
-    problem declared separable that is not raises DomainError.  A NaN/Inf
+    cost, over u0's feedback cells (`problem.cell_hamiltonians`: a
+    `Separable` coefficient adds its state part on the paths and pairs a
+    (K,) table of its control part with per-cell sums).  A NaN/Inf
     terminal cost gradient, regression target, coefficient term or cell sum
     raises NonFiniteCoefficient, and a value of another shape or a base not
     simulated under p and u0 ShapeMismatch.

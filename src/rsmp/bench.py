@@ -17,7 +17,7 @@ from .control import CellPartition, ControlGrid, OBSERVATION_FEEDBACK, OPEN_LOOP
 from .errors import DomainError, NonPSD, ShapeMismatch, UnknownBenchmark, allocating, frozen_field, require_count
 from .errors import require_positive
 from .forward import NoiseEnsemble, pathwise_cost, simulate
-from .problem import SYMMETRY_TOL, GaussianInitial, JumpSpec, Problem
+from .problem import SYMMETRY_TOL, GaussianInitial, JumpSpec, Problem, Separable
 
 BENCHMARK_NAMES = ("lq1d", "lq2d", "nonconvex-mix", "jump-lq")
 
@@ -154,14 +154,12 @@ def _dot(a, matrix: np.ndarray) -> np.ndarray:
 
 def lq_problem(spec: LQSpec, control_box, observe=None, jump: JumpSpec | None = None) -> Problem:
     """Wrap an LQSpec as a generic control problem with exact gradients; a
-    coefficient that does not depend on the state is a broadcast view.  The
-    problem is declared separable, so a jump coefficient must be too."""
+    coefficient that does not depend on the state is a broadcast view.  b
+    and ell are `Separable`, A x + B xi and x^T R_x x + xi^T R_u xi; sigma
+    is a plain constant."""
     A, B, S0, Rx, Ru, G = spec.A, spec.B, spec.Sigma0, spec.R_x, spec.R_u, spec.G
     AT, BT, RxT, GT = (np.ascontiguousarray(a.T) for a in (A, B, Rx, G))
     n, m = spec.n, spec.m
-
-    def b(t, x, xi):
-        return _dot(x, AT) + _dot(xi, BT)
 
     def b_x(t, x, xi):
         return np.broadcast_to(A, np.shape(x)[:-1] + A.shape)
@@ -172,17 +170,15 @@ def lq_problem(spec: LQSpec, control_box, observe=None, jump: JumpSpec | None = 
     def sigma_x(t, x, xi):
         return np.broadcast_to(0.0, np.shape(x)[:-1] + (n, m, n))
 
-    def ell(t, x, xi):
-        x = np.asarray(x)
-        xi = np.asarray(xi)
-        return np.einsum("...i,ij,...j->...", x, Rx, x) + np.einsum("...i,ij,...j->...", xi, Ru, xi)
+    def quadratic(a, R):
+        a = np.asarray(a)
+        return np.einsum("...i,ij,...j->...", a, R, a)
 
     def ell_x(t, x, xi):
         return _dot(2.0 * np.asarray(x), RxT)
 
     def phi(x):
-        x = np.asarray(x)
-        return np.einsum("...i,ij,...j->...", x, G, x)
+        return quadratic(x, G)
 
     def phi_x(x):
         return _dot(2.0 * np.asarray(x), GT)
@@ -193,9 +189,9 @@ def lq_problem(spec: LQSpec, control_box, observe=None, jump: JumpSpec | None = 
         d=spec.d,
         T=spec.T,
         x0=spec.x0,
-        b=b,
+        b=Separable(lambda t, x: _dot(x, AT), lambda t, xi: _dot(xi, BT)),
         sigma=sigma,
-        ell=ell,
+        ell=Separable(lambda t, x: quadratic(x, Rx), lambda t, xi: quadratic(xi, Ru)),
         phi=phi,
         control_box=control_box,
         b_x=b_x,
@@ -204,7 +200,6 @@ def lq_problem(spec: LQSpec, control_box, observe=None, jump: JumpSpec | None = 
         phi_x=phi_x,
         jump=jump,
         observe=observe,
-        separable=True,
     )
 
 
@@ -241,17 +236,17 @@ JUMP_LQ_RATES = np.array([1.0, 1.5])
 
 
 def _jump_lq_spec() -> JumpSpec:
-    def C(t, x, v, xi):
-        # scaled in place: on all K atoms at once, a second (K, M, 1) array
-        # per call costs more than the arithmetic
-        out = 1.0 + 0.2 * np.asarray(x) + 0.1 * np.asarray(xi)
-        out *= v
-        return out
+    # C = (1 + 0.2 x + 0.1 xi) v: both parts take the mark
+    def C_state(t, x, v):
+        return (1.0 + 0.2 * np.asarray(x)) * v
+
+    def C_control(t, v, xi):
+        return 0.1 * np.asarray(xi) * v
 
     def C_x(t, x, v, xi):
         return np.broadcast_to(0.2 * v[0], np.shape(x)[:-1] + (1, 1))
 
-    return JumpSpec(JUMP_LQ_MARKS, JUMP_LQ_RATES, C, C_x)
+    return JumpSpec(JUMP_LQ_MARKS, JUMP_LQ_RATES, Separable(C_state, C_control), C_x)
 
 
 def _sign_observation(x):
@@ -309,7 +304,6 @@ def make_benchmark(name: str) -> Problem:
             sigma_x=sigma_x,
             ell_x=ell_x,
             phi_x=phi_x,
-            separable=True,
         )
     raise UnknownBenchmark(f"no benchmark named {name!r}; choose from {BENCHMARK_NAMES}")
 

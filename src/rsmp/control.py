@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -64,13 +63,6 @@ class ControlGrid:
     @property
     def d(self) -> int:
         return self.points.shape[1]
-
-    @cached_property
-    def _first_atom(self) -> "ControlGrid":
-        """The grid of the first atom xi_0 alone, in the same box: where a
-        separable coefficient is evaluated on every path.  Built once per
-        grid, on first use."""
-        return ControlGrid(self.points[:1], self.box)
 
     def snap(self, values: np.ndarray, tol: float = SNAP_TOL) -> np.ndarray:
         """Map each value in (..., d) to the index of the coinciding grid point.

@@ -63,8 +63,10 @@ STREAM_VERSION = 2
 # separable coefficient under one weight row by the separable identity, its
 # tables at the mean of x0; version 5 under any weights, with line-search ties;
 # version 6 takes a weight row's total as 1 (a control) or 0 (a direction),
-# not its computed sum.
-NUMERICS_VERSION = 6
+# not its computed sum; version 7 averages and sums a `Separable` coefficient
+# from its parts, state + w . table, where a problem declared separable took
+# f(x, xi_0) + w . Delta.
+NUMERICS_VERSION = 7
 _KIND_INITIAL, _KIND_BROWNIAN, _KIND_JUMPS = range(3)
 
 

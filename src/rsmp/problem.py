@@ -16,57 +16,51 @@ back to central finite differences.  Callables must be pure functions of
 their arguments.
 
 Relaxed controls only ever see a coefficient through its values at the K
-atoms of a control grid, and `_atom_view` is the one place that evaluates a
-coefficient on a grid: one broadcast call with the atom axis leading, its
-result kept in its smallest exact form (1 or K, 1 or M, *tail).  The atom
-axis has length 1 for a value evaluated once (it does not depend on the
-control), the path axis length 1 for a value the same on every path (a
+atoms of a control grid.  A coefficient is a plain callable, or a
+`Separable`, which states its state and control parts, f(t, x, xi) =
+g(t, x) + h(t, xi) (C(t, x, v, xi) = g(t, x, v) + h(t, v, xi)): a control
+acts on it only through the (K,) table h(t, xi_i), evaluated with no
+state.  Each coefficient averages by its own rule, under weights w that are
+a relaxed control's, a probability measure on the atoms (total mass 1), or
+a direction's, the difference of two (total mass 0); no row is ever summed.
+A `Separable` averages as g + w . table under mass 1 and as w . table
+alone under mass 0, which evaluates it on no path.  A plain callable is
+evaluated by `_atom_view`, one broadcast call with the atom axis leading,
+its result kept in its smallest exact form (1 or K, 1 or M, *tail): the
+atom axis has length 1 for a value evaluated once (it does not depend on
+the control), the path axis length 1 for a value the same on every path (a
 constant sigma, the LQ b_x = A); any other value is a contiguous (K, M,
-*tail) tensor.  Everything linear in the weights contracts that form over
-the atom axis, and einsum broadcasts a length-1 path axis: `contract_atoms`
-pairs it with one weight row (K,), as open loop resolves, or per-path
-weights (M, K) into the `averaged_*` values, and `atom_hamiltonians` pairs
-it with the adjoint processes to get all K per-atom Hamiltonians from one
-evaluation.  Weights are a relaxed control's, a probability measure on the
-atoms (total mass 1), or a direction's, the difference of two (total mass
-0); no row is ever summed.  A value evaluated once averages to itself under
-a control, returned as it is, and to zero under a direction, which only
-`averaged_coefficients` is given (its `mass`).  The
-values themselves are never checked: each contracted value (or row, or
-term) passes `errors.require_finite` instead (0 * Inf and Inf - Inf are
-NaN, so any NaN/Inf atom shows, and so does a contraction that overflows).
-The backward sweep checks one reduction further: the per-step cell sums of
-the atom Hamiltonians, which every NaN/Inf term reaches, and only a step
-whose sums are not finite has its terms checked one by one to name the
-coefficient.  `point_coefficients` evaluates only the control values in
+*tail) tensor.  A value evaluated once averages to itself under a control,
+returned as it is, and to zero under a direction; any other is contracted
+over the atom axis, and einsum broadcasts a length-1 path axis:
+`contract_atoms` pairs it with one weight row (K,), as open loop resolves,
+or per-path weights (M, K).  Only `averaged_coefficients` is given a mass.
+`atom_hamiltonians` pairs every coefficient's atom values with the adjoint
+processes to get all K per-atom Hamiltonians from one evaluation each;
+`cell_hamiltonians`, the backward sweep's, sums them over feedback cells,
+pairing a `Separable`'s table with the cell sums of the per-path array it
+multiplies instead.  The values themselves are never checked: each
+contracted value (or row, or term) passes `errors.require_finite` instead
+(0 * Inf and Inf - Inf are NaN, so any NaN/Inf atom shows, and so does a
+contraction that overflows).  The backward sweep checks one reduction
+further: the per-step cell sums, which every NaN/Inf term reaches, and only
+a step whose sums are not finite has its terms checked one by one to name
+the coefficient.  `point_coefficients` evaluates only the control values in
 force, so a NaN at any other atom never shows.
 Every sweep reads a step's coefficients through `averaged_coefficients` (or
 its point-control twin `point_coefficients`), their state Jacobians through
 `averaged_linearization` and phi, phi_x through `terminal_cost`,
-`terminal_gradient`; no other module calls a coefficient, and a value of
-another per-path shape than documented raises ShapeMismatch.
-
-A problem declares `separable` when b, sigma, ell and C are each additively
-separable in state and control, f(t, x, xi) = g(t, x) + h(t, xi).  Then
-f(x, xi_i) = f(x, xi_0) + Delta_i, Delta_i = f(x_r, xi_i) - f(x_r, xi_0) at
-any state x_r, and sum_i w_i f(x, xi_i) = f(x, xi_0) + w . Delta under a
-control's weights, w . Delta alone under a direction's, which so evaluates
-f on no path.  `atom_differences`, every sweep's one call per step,
-forms the tables at the mean of x0, a state fixed by the problem, so a
-path's value depends on its own state alone, and checks the declaration at
-the step's two extreme states (DomainError naming the coefficient).  The
-backward sweep bins the Hamiltonian at xi_0 and the per-path arrays the
-tables pair with, not all K atom Hamiltonians; the forward and variational
-sweeps average by the identity (`_separable_coefficients`).
-The field of a declared problem equals the one-hot `hamiltonian` averages
-to rounding; that of an undeclared problem equals the one-hot `hamiltonian`
-rows summed by the same blocked rule (`adjoint._cell_sums`), bit for bit.
+`terminal_gradient`; no other module calls a coefficient or reads the parts
+of a `Separable`, and a value (or part) of another per-path shape than
+documented raises ShapeMismatch.
+The field of a problem without a `Separable` equals the one-hot
+`hamiltonian` rows summed by the backward sweep's blocked rule
+(`adjoint._cell_sums`), bit for bit; a `Separable`'s moves it by rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -74,7 +68,6 @@ from .errors import DomainError, NonPSD, ShapeMismatch, frozen_field, require_co
 
 FD_STEP = 1e-5
 SYMMETRY_TOL = 1e-10
-SEPARABLE_TOL = 1e-9  # of a coefficient's largest value: its two Delta tables may differ by rounding only
 
 
 @dataclass(frozen=True)
@@ -149,6 +142,33 @@ def fd_gradient(f, argpos: int = 1, step: float = FD_STEP):
 
 
 @dataclass(frozen=True)
+class Separable:
+    """A coefficient additively separable in state and control: b, sigma or
+    ell as f(t, x, xi) = state(t, x) + control(t, xi), the jump coefficient
+    as C(t, x, v, xi) = state(t, x, v) + control(t, v, xi), the mark an
+    argument of both parts.  Callable as that sum, so whatever evaluates a
+    coefficient at points or atoms works unchanged; only the relaxed
+    averages and the backward sweep's cell sums read the parts, each part
+    once per step: the state part on the paths, the control part on the K
+    atoms of the grid, with no state.  Each part broadcasts its state or
+    control argument over leading axes and returns the coefficient's
+    trailing shape after them (ShapeMismatch naming the coefficient and the
+    part otherwise); a part that is not callable raises DomainError here.
+    """
+
+    state: object
+    control: object
+
+    def __post_init__(self):
+        _require_callable(self.state, "Separable state part")
+        _require_callable(self.control, "Separable control part")
+
+    def __call__(self, t, x, *rest):
+        *extra, xi = rest
+        return np.add(self.state(t, x, *extra), self.control(t, *extra, xi))
+
+
+@dataclass(frozen=True)
 class JumpSpec:
     """Finite-activity jump component: atomic jump measure plus kernel.
 
@@ -190,11 +210,11 @@ class Problem:
 
     jump is a JumpSpec; jump=None builds a diffusion, the spec without marks.
     observe, when present, maps states to the signal generating the partial
-    information structure; feedback cells bin that signal.  separable
-    declares b, sigma, ell and C additively separable in state and control:
-    the backward sweep's cell sums and their averages under any weights in
-    the forward and variational sweeps then take the separable identity
-    (see the module docstring), which moves results by rounding only.
+    information structure; feedback cells bin that signal.  Each of b,
+    sigma, ell and C is a plain callable or a `Separable`, which states its
+    control part: its averages and the backward sweep's cell sums then take
+    a (K,) table of that part (see the module docstring), which moves
+    results by rounding only.
     """
 
     n: int
@@ -213,12 +233,9 @@ class Problem:
     phi_x: object | None = None
     jump: JumpSpec | None = None
     observe: object | None = None
-    separable: bool = False
 
     def __post_init__(self):
         require_positive(self.T, "horizon T")
-        if not isinstance(self.separable, (bool, np.bool_)):
-            raise DomainError(f"separable must be True or False, got {self.separable!r}")
         for name in ("n", "m", "d"):
             require_count(getattr(self, name), name)
         x0 = self.x0.mean if isinstance(self.x0, GaussianInitial) else frozen_field(self, "x0", 1)
@@ -307,82 +324,14 @@ def contract_atoms(vals: np.ndarray, w) -> np.ndarray:
     return np.einsum("qk,kq...->q...", w, vals)
 
 
-def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, *, pairing=True, checked=True) -> tuple:
-    """Pathwise Hamiltonian at every grid atom, shape (K, M): drift pairing
-    + diffusion trace pairing + running cost + jump pairing; and the same
-    sum without the running cost, the adjoint pairing with each atom's
-    coefficients, shape (K, M), or None for a caller that passes
-    pairing=False and reads only the Hamiltonian (its values are the same).
-
-    Each coefficient is evaluated once for all atoms by `_atom_view`, and
-    its form is paired as it is with the per-path arrays x (M, n), psi (M, n),
-    Q (M, n, m) and phi_row (M, J, n), None for a diffusion (J = 0), which
-    are not reshaped (`hamiltonian` broadcasts shared ones): a value evaluated
-    once gives one term row, added to every atom (the drift's is repeated
-    to K rows, which start the sums), and a value the same on every path is
-    paired as one path row.  Each term (drift, diffusion, running cost, the
-    jump term of each mark) passes `require_finite` as it is paired, as the
-    averages do: a NaN/Inf atom value, or a pairing that overflows, raises
-    NonFiniteCoefficient naming the coefficient.  With checked=False no term
-    is checked and a NaN/Inf term reaches both sums; a caller that finds one
-    in what it reduces them to calls again, checked, to name the
-    coefficient.  The two sums may overflow to Inf, or turn NaN, without a
-    numpy warning: each caller checks what it reduces them to.
-    """
-
-    def check(term, what):
-        return require_finite(term, what) if checked else term
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = check(np.einsum("kqi,qi->kq", _atom_view(p.b, grid, t, x, (p.n,), what="drift"), psi), "drift")
-        if len(val) < grid.K:  # a drift evaluated once: its one term row for every atom
-            val = np.repeat(val, grid.K, axis=0)
-        val += check(
-            np.einsum("kqab,qab->kq", _atom_view(p.sigma, grid, t, x, (p.n, p.m), what="diffusion"), Q), "diffusion"
-        )
-        pairing = val.copy() if pairing else None
-        val += check(_atom_view(p.ell, grid, t, x, (), what="running cost"), "running cost")
-        if p.jump.J and phi_row is None:
-            raise ShapeMismatch("jump problems need the jump intensity row of the adjoint")
-        for j in range(p.jump.J):
-            cj = _atom_view(p.jump.C, grid, t, x, (p.n,), (p.jump.marks[j],), "jump coefficient")
-            term = np.einsum("kqi,qi->kq", cj, phi_row[:, j])
-            del cj  # free the atom tensor before the sums
-            term *= p.jump.intensities[j]
-            val += check(term, "jump coefficient")
-            if pairing is not None:
-                pairing += term
-    return val, pairing
+def _state_part(f: Separable, t, x, extra, tail: tuple, what: str) -> np.ndarray:
+    """f's state part at the states x (M, n), shape (M, *tail)."""
+    return _require_shape(f.state(t, x, *extra), np.shape(x)[:-1] + tail, f"{what} state part")
 
 
-def _reference_states(p: Problem, x: np.ndarray) -> np.ndarray:
-    """The states (3, n) a Delta table is taken at: the mean of x0, a state
-    fixed by the problem, so that an average by the table depends on its
-    path's own state alone; then the two states among x (M, n) of least and
-    greatest coordinate sum, where the declaration is checked."""
-    ends = reduce(np.add, x.T)  # not x.sum(axis=1): numpy's sum over a short last axis is slow
-    x0 = p.x0.mean if isinstance(p.x0, GaussianInitial) else p.x0
-    return np.stack([x0, x[ends.argmin()], x[ends.argmax()]])
-
-
-def _atom_difference(f, grid, t, references, tail: tuple, extra, what: str):
-    """Delta table (K, *tail) of a coefficient f of a separable problem at
-    the first of its `_reference_states`, f(t, x_r, *extra, xi_i) -
-    f(t, x_r, *extra, xi_0) at every atom, or None for a value without an
-    atom axis; one call at all three states.  DomainError names a
-    coefficient whose finite tables at the other two states differ from it
-    by more than SEPARABLE_TOL (1e-9) times its largest value there.  A
-    value that is not finite is not checked, and makes the table not
-    finite, which the caller checks."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = _atom_view(f, grid, t, references, tail, extra, what)
-        if len(vals) == 1:
-            return None
-        delta = vals - vals[:1]
-        off = np.abs(delta - delta[:, :1]).max()
-        if off > SEPARABLE_TOL * np.abs(vals).max():
-            raise DomainError(f"{what} is declared separable, but its atom differences depend on the state")
-    return delta[:, 0] if np.isfinite(off) else np.full_like(delta[:, 0], np.nan)
+def _control_table(f: Separable, grid, t, extra, tail: tuple, what: str) -> np.ndarray:
+    """f's control part at the K atoms of the grid, one call with no state, shape (K, *tail)."""
+    return _require_shape(f.control(t, *extra, grid.points), (grid.K,) + tail, f"{what} control part")
 
 
 def _coefficients(p: Problem) -> list:
@@ -391,54 +340,147 @@ def _coefficients(p: Problem) -> list:
     return coefficients + [(p.jump.C, (p.n,), (v,), "jump coefficient") for v in p.jump.marks]
 
 
-def atom_differences(p: Problem, grid, t, x) -> list:
-    """`_atom_difference` tables of a separable problem at a step's states x
-    (M, n): per coefficient b, sigma, ell and C (one per mark), in that
-    order, at the same `_reference_states` of x."""
-    references = _reference_states(p, x)
-    return [_atom_difference(f, grid, t, references, tail, extra, what) for f, tail, extra, what in _coefficients(p)]
+def _accumulated(total, term) -> np.ndarray:
+    """total + term, into total when it already has the sum's shape."""
+    return np.add(total, term, out=total if total.shape == np.broadcast_shapes(total.shape, term.shape) else None)
+
+
+def _hamiltonian_rows(p: Problem, grid, t, x, psi, Q, phi_row, pairing: bool, checked: bool, split: bool) -> tuple:
+    """The rows (1 or K, M) of the pathwise Hamiltonian and, with pairing, of
+    the same sum without the running cost (else None), term by term: drift
+    pairing + diffusion trace pairing + running cost + the jump pairing of
+    each mark, in that order; and the (dual, table) of each coefficient left
+    out, else an empty list.
+
+    A coefficient's term is its `_atom_view` form paired as it is with the
+    per-path arrays x (M, n), psi (M, n), Q (M, n, m) and phi_row (M, J, n),
+    None for a diffusion (J = 0), which are not reshaped: a value evaluated
+    once gives one term row, and a value the same on every path is paired as
+    one path row.  With split, a `Separable` gives its state part's term
+    instead, one row, and leaves its control part out: its table at the K
+    atoms (times the intensity for a jump coefficient) and its dual, the
+    per-path array the table pairs with (None for the running cost, whose
+    table every path adds).  With checked, each term passes `require_finite`
+    as it is paired, naming the coefficient; the sums may overflow to Inf,
+    or turn NaN, without a numpy warning.
+    """
+    if p.jump.J and phi_row is None:
+        raise ShapeMismatch("jump problems need the jump intensity row of the adjoint")
+    duals = [psi, Q, None] + [phi_row[:, j] for j in range(p.jump.J)]
+    scales = [None, None, None, *p.jump.intensities]
+    ham = pairs = None
+    left_out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (f, tail, extra, what), dual, lam in zip(_coefficients(p), duals, scales):
+            if split and isinstance(f, Separable):
+                vals = _state_part(f, t, x, extra, tail, what)[None]
+                table = _control_table(f, grid, t, extra, tail, what)
+                left_out.append((dual, table if lam is None else lam * table))
+            else:
+                vals = _atom_view(f, grid, t, x, tail, extra, what)
+            axes = "ab"[: len(tail)]  # the per-path tail of b and C (n,), of sigma (n, m)
+            term = vals if dual is None else np.einsum(f"kq{axes},q{axes}->kq", vals, dual)
+            del vals  # free an atom tensor before the next one
+            if lam is not None:
+                term *= lam
+            if checked:
+                require_finite(term, what)
+            if pairing and dual is not None:
+                pairs = term.copy() if pairs is None else _accumulated(pairs, term)
+            ham = term if ham is None else _accumulated(ham, term)
+    return ham, pairs, left_out
+
+
+def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, *, pairing=True, checked=True) -> tuple:
+    """Pathwise Hamiltonian at every grid atom, shape (K, M): drift pairing
+    + diffusion trace pairing + running cost + jump pairing; and the same
+    sum without the running cost, the adjoint pairing with each atom's
+    coefficients, shape (K, M), or None for a caller that passes
+    pairing=False and reads only the Hamiltonian (its values are the same).
+
+    Each coefficient, a `Separable` as the sum of its parts, is evaluated
+    once for all atoms by `_atom_view` and paired as `_hamiltonian_rows`
+    pairs it; sums of one row are repeated to K.  With checked, a NaN/Inf
+    atom value, or a pairing that overflows, raises NonFiniteCoefficient
+    naming the coefficient.  With checked=False no term is checked and a
+    NaN/Inf term reaches both sums; a caller that finds one in what it
+    reduces them to calls again, checked, to name the coefficient.  The two
+    sums may overflow to Inf, or turn NaN, without a numpy warning: each
+    caller checks what it reduces them to.
+    """
+    sums = _hamiltonian_rows(p, grid, t, x, psi, Q, phi_row, pairing, checked, split=False)[:2]
+    return tuple(rows if rows is None or len(rows) == grid.K else np.repeat(rows, grid.K, axis=0) for rows in sums)
+
+
+def cell_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, cell_sums, counts, *, pairing: bool) -> tuple:
+    """The per-cell sums (C, K) of `atom_hamiltonians` over feedback cells
+    holding counts (C,) paths, and with pairing (a recording sweep) those of
+    its pairing, else None; cell_sums(rows) -> (C, R) sums each of R
+    per-path rows over the cells.
+
+    A `Separable`'s control part is the same on every path, so its term's
+    cell sum is the cell sum of the per-path array it pairs with times its
+    table at the K atoms:
+
+        S[c, i] = sum_{q in c} H_q[i] + (sum psi)_c . h_b(xi_i) + (sum Q)_c : h_sigma(xi_i)
+                  + counts_c h_ell(xi_i) + sum_j lam_j (sum phi_j)_c . h_Cj(xi_i),
+
+    each table term present for a `Separable` coefficient only, and H the
+    rows of `_hamiltonian_rows` split: every plain term and every state-part
+    term, 1 or K rows; the pairing the same without the running cost.  The
+    rows and the per-path arrays the tables pair with are binned in one
+    cell_sums pass.  Nothing is checked: the caller checks the sums.  On a
+    problem without a `Separable` the sums are `atom_hamiltonians`' rows
+    binned, bit for bit.
+    """
+    ham, pairs, left_out = _hamiltonian_rows(p, grid, t, x, psi, Q, phi_row, pairing, checked=False, split=True)
+    M, K = len(x), grid.K
+    paired = [(dual.reshape(M, -1).T, table.reshape(K, -1).T) for dual, table in left_out if dual is not None]
+    heads = [*ham, *(pairs if pairing else ())]
+    sums = cell_sums([*heads, *(column for dual, _ in paired for column in dual)])
+    shift = np.dot(sums[:, len(heads) :], np.concatenate([np.zeros((0, K)), *(table for _, table in paired)]))
+    ham_sums = sums[:, : len(ham)] + shift
+    for dual, table in left_out:
+        if dual is None:  # the running cost's control part: every path of a cell adds its table
+            ham_sums += counts[:, None] * table
+    return ham_sums, sums[:, len(ham) : len(heads)] + shift if pairing else None
 
 
 def _averaged(f, grid, t, x, w, tail: tuple, what: str, extra=(), mass=1.0):
-    """Relaxed average sum_i w[..., i] f(t, x, *extra, xi_i) of `_atom_view`'s
-    form under weights w whose rows have total mass 1 (a control's) or 0 (a
-    direction's).  A value with an atom axis is contracted with w, which may
-    also be a function returning the weights, called only then.  A value
-    evaluated once for all atoms is mass times itself: the value as it is
-    (checked, a read-only view) under mass 1, zero under 0.  A value the
-    same on every path is averaged and checked as one row, returned as a
-    read-only broadcast view, unless per-path weights spread it."""
-    M, vals = np.shape(x)[0], _atom_view(f, grid, t, x, tail, extra, what)
-    if len(vals) == grid.K:
-        out = require_finite(contract_atoms(vals, w() if callable(w) else w), what)
-        return out if len(out) == M else np.broadcast_to(out, (M,) + tail)
-    return np.broadcast_to(require_finite(vals[0], what) if mass else 0.0, (M,) + tail)
+    """Relaxed average sum_i w[..., i] f(t, x, *extra, xi_i) under weights w,
+    one row (K,) or per path (M, K), whose rows have total mass 1 (a
+    control's) or 0 (a direction's); w may also be a function returning
+    the weights, called only when f depends on the control.
 
-
-def _separable_coefficients(p: Problem, grid, t, x, w, mass) -> tuple:
-    """`averaged_coefficients` of a problem declared separable: each of b,
-    sigma, ell and C as f(x, xi_0) + w . Delta under mass 1 and w . Delta
-    alone under mass 0, f(x, xi_0) one evaluation on the M paths (made only
-    under mass 1) and Delta its `atom_differences` table, under one weight
-    row (K,) or per-path rows (M, K) alike; a value without an atom axis is
-    mass times itself, as `_averaged` forms it.  Each row's product with a
-    table is summed on its own (einsum; a BLAS product sums a row by its
-    position), so a path's bits are its own.  A value that is not finite is
-    averaged again per atom, which names the coefficient."""
-    M, lead = len(x), np.shape(w)[:-1]
-    values = []
-    for (f, tail, extra, what), delta in zip(_coefficients(p), atom_differences(p, grid, t, x)):
+    A `Separable` averages as state + w . table under mass 1 and as
+    w . table alone under mass 0, the state part one call on the M paths
+    (made only under mass 1) and the table its control part at the K atoms;
+    each row's product with the table is summed on its own (einsum; a BLAS
+    product sums a row by its position), so a path's bits are its own.  Any
+    other f keeps `_atom_view`'s form: a value with an atom axis is
+    contracted with w, and a value evaluated once for all atoms is mass
+    times itself, the value as it is under mass 1 and zero under 0.  The
+    average is checked (NonFiniteCoefficient naming what).  A value the
+    same on every path, or evaluated once, or a direction's one row, is
+    returned as a read-only broadcast view, unless per-path weights spread
+    it."""
+    M = np.shape(x)[0]
+    if isinstance(f, Separable):
+        table = _control_table(f, grid, t, extra, tail, what)
+        weights = w() if callable(w) else w
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            out = _atom_view(f, grid._first_atom, t, x, tail, extra, what)[0] if mass else 0.0
-            if delta is not None:  # a (T, K) copy: each row's dot with a column runs over contiguous atoms
-                shift = np.einsum("...k,tk->...t", w, delta.reshape(len(delta), -1).T.copy()).reshape(lead + tail)
-                out = out + shift if mass else shift
-        if not np.isfinite(out).all():
-            out = _averaged(f, grid, t, x, w, tail, what, extra, mass)
-        elif delta is None or out.shape != (M,) + tail:  # f's own value, or one row for every path
-            out = np.broadcast_to(out, (M,) + tail)
-        values.append(out)
-    return (*values[:3], values[3:])
+            # a (T, K) copy: each row's dot with a column runs over contiguous atoms
+            out = np.einsum("...k,tk->...t", weights, table.reshape(grid.K, -1).T.copy())
+            out = out.reshape(np.shape(weights)[:-1] + tail)
+            if mass:
+                out = _state_part(f, t, x, extra, tail, what) + out
+        out = require_finite(out, what)
+    else:
+        vals = _atom_view(f, grid, t, x, tail, extra, what)
+        if len(vals) < grid.K:
+            return np.broadcast_to(require_finite(vals[0], what) if mass else 0.0, (M,) + tail)
+        out = require_finite(contract_atoms(vals, w() if callable(w) else w), what)
+    return out if out.shape == (M,) + tail else np.broadcast_to(out, (M,) + tail)
 
 
 def averaged_drift(p: Problem, grid, t, x, w):
@@ -480,13 +522,11 @@ def averaged_coefficients(p: Problem, grid, t, x, w, mass=1.0) -> tuple:
     path (M, K), of total mass 1 (a control) or 0 (a direction, the
     difference of two): drift (M, n), diffusion (M, n, m), running cost (M,)
     and the list of jump coefficients (M, n), one per mark in order
-    (ShapeMismatch for another trailing shape).  A value the same on every
-    path under one weight row, or without an atom axis, is a read-only
-    broadcast view.  A problem declared separable averages by the one
-    separable rule (`_separable_coefficients`), equal to the per-atom
-    contraction of any other problem to rounding."""
-    if p.separable:
-        return _separable_coefficients(p, grid, t, x, w, mass)
+    (ShapeMismatch for another trailing shape).  Each coefficient averages
+    by its own rule (`_averaged`): a `Separable` from its state part and a
+    (K,) table of its control part, a plain callable from its atom values.
+    A value the same on every path under one weight row, or without an atom
+    axis, is a read-only broadcast view."""
     values = [_averaged(f, grid, t, x, w, tail, what, extra, mass) for f, tail, extra, what in _coefficients(p)]
     return (*values[:3], values[3:])
 

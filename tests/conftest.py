@@ -1,5 +1,6 @@
-"""Shared pytest hooks and fixtures: surface the acceptance criterion verdicts,
-a problem whose diffusion depends on the state, and lq1d with scaled costs."""
+"""Shared pytest hooks, fixtures and helpers: surface the acceptance
+criterion verdicts, a problem whose diffusion depends on the state, lq1d
+with scaled costs, and the plain twin of a problem."""
 
 import dataclasses
 from types import SimpleNamespace
@@ -17,6 +18,18 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in criterion_lines:
             terminalreporter.write_line(line)
+
+
+def plain(f):
+    """f, or for a `Separable` a plain callable of the same values, which
+    every sweep evaluates at the atoms and averages or sums per atom."""
+    return (lambda *args: f(*args)) if isinstance(f, rsmp.Separable) else f
+
+
+def plain_twin(p):
+    """p with each `Separable` of b, sigma, ell and C wrapped as `plain`."""
+    changes = {key: plain(getattr(p, key)) for key in ("b", "sigma", "ell")}
+    return dataclasses.replace(p, jump=dataclasses.replace(p.jump, C=plain(p.jump.C)), **changes)
 
 
 @pytest.fixture

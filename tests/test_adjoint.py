@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import itertools
 import math
 import time
@@ -10,19 +9,17 @@ import pytest
 import rsmp
 from rsmp import (
     ControlGrid,
-    DomainError,
     GaussianInitial,
     NonFiniteCoefficient,
     Problem,
     RelaxedControl,
+    Separable,
     ShapeMismatch,
 )
 from rsmp.adjoint import COND_LIMIT, DEGENERATE_STD, RIDGE_SCALE, SUM_BLOCKS, BasisSpec, _cell_sums, _design, _fit
 from rsmp.forward import _BLOCK
 from rsmp.problem import atom_hamiltonians
-
-problem_module = importlib.import_module("rsmp.problem")
-adjoint_module = importlib.import_module("rsmp.adjoint")
+from conftest import plain_twin
 
 
 def linear_terminal_problem(a=0.6, c=0.0, drift_slope=0.0, noise=0.4):
@@ -376,10 +373,15 @@ COEFFICIENTS = ("b", "sigma", "ell", "phi", "b_x", "sigma_x", "ell_x", "phi_x")
 
 
 def counting_problem(p):
-    """p with every coefficient callable counting its calls into a dict."""
+    """p with every coefficient callable counting its calls into a dict; a
+    `Separable` stays one, its parts counted as "<key>.state" and
+    "<key>.control"."""
     calls = {}
 
     def counted(key, f):
+        if isinstance(f, Separable):
+            return Separable(counted(f"{key}.state", f.state), counted(f"{key}.control", f.control))
+
         def wrapper(*args):
             calls[key] = calls.get(key, 0) + 1
             return f(*args)
@@ -404,23 +406,21 @@ def seeded_controls(name, mode, N, count, seed):
     return out
 
 
-def coupled_problem(key):
-    """lq1d, declared separable, with b or ell replaced by x . xi, whose atom
-    differences grow with the state."""
+def mixed_problem(key):
+    """lq1d with b or ell replaced by the plain x . xi, which couples state
+    and control, and the other still a `Separable`."""
 
     def coupled(t, x, xi):
         value = np.asarray(x) * np.asarray(xi)
         return value.sum(axis=-1) if key == "ell" else value
 
-    return dataclasses.replace(rsmp.make_benchmark("lq1d"), **{key: coupled})
+    p = dataclasses.replace(rsmp.make_benchmark("lq1d"), **{key: coupled})
+    assert isinstance(p.ell if key == "b" else p.b, Separable)
+    return p
 
 
-def poisoned_problem(name, key, armed):
-    """The benchmark with coefficient key NaN at atom 3 of its 5-atom grid
-    once armed (a non-empty list)."""
-    p = rsmp.make_benchmark(name)
-    bad_atom = rsmp.benchmark_grid(name, 5).points[3]
-    f = p.jump.C if key == "C" else getattr(p, key)
+def nan_at(f, bad_atom, armed):
+    """f with NaN at the control value bad_atom once armed (a non-empty list)."""
 
     def poisoned(*args):
         # xi holds the atoms on its leading axis; once armed, poison atom 3 only
@@ -428,6 +428,17 @@ def poisoned_problem(name, key, armed):
         hit = np.all(args[-1] == bad_atom, axis=-1)
         return np.where(hit.reshape(hit.shape + (1,) * (value.ndim - hit.ndim)), np.nan, value) if armed else value
 
+    return poisoned
+
+
+def poisoned_problem(name, key, armed, part=False):
+    """The benchmark with coefficient key NaN at atom 3 of its 5-atom grid
+    once armed (a non-empty list); with part, the `Separable` key keeps its
+    state part and only its control part is poisoned."""
+    p = rsmp.make_benchmark(name)
+    bad_atom = rsmp.benchmark_grid(name, 5).points[3]
+    f = p.jump.C if key == "C" else getattr(p, key)
+    poisoned = Separable(f.state, nan_at(f.control, bad_atom, armed)) if part else nan_at(f, bad_atom, armed)
     if key == "C":
         return dataclasses.replace(p, jump=dataclasses.replace(p.jump, C=poisoned))
     return dataclasses.replace(p, **{key: poisoned})
@@ -435,15 +446,17 @@ def poisoned_problem(name, key, armed):
 
 POISONED = [("lq1d", "b", "drift"), ("lq1d", "sigma", "diffusion"), ("lq1d", "ell", "running cost"),
             ("jump-lq", "C", "jump coefficient")]
+# the `Separable` coefficients of the benchmarks: each control part poisoned alone
+POISONED_PARTS = [("lq1d", "b", "drift"), ("lq1d", "ell", "running cost"), ("jump-lq", "C", "jump coefficient")]
 
 
 class TestSeparableGuard:
-    """A problem declared separable is checked at every backward step, and at
-    every relaxed step of a simulate or a variational sweep, which average
-    by the separable identity under any weights: a coefficient whose atom
-    differences depend on the state raises DomainError naming it, and a NaN
-    at one atom NonFiniteCoefficient naming it, as for an undeclared
-    problem."""
+    """A problem that mixes plain and `Separable` coefficients sweeps as its
+    plain twin to rounding, and a NaN at one atom, of a plain coefficient or
+    of a `Separable`'s control part, raises NonFiniteCoefficient naming the
+    coefficient in every sweep."""
+
+    ROUNDING = 1e-12  # of the largest entry, about 4500 eps: the tables move the sums by rounding only
 
     @staticmethod
     def solved(p, name="lq1d"):
@@ -473,28 +486,38 @@ class TestSeparableGuard:
             armed.append(True)
         return rsmp.simulate_variational(p, base, u, u0)
 
-    @pytest.mark.parametrize("key, what", [("ell", "running cost"), ("b", "drift")])
-    def test_coupled_coefficient_is_named(self, key, what):
-        p = coupled_problem(key)
-        with pytest.raises(DomainError, match=f"{what} is declared separable"):
-            self.solved(p)
-        self.solved(dataclasses.replace(p, separable=False))  # undeclared, the same problem solves
+    def assert_rounding(self, got, ref):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= self.ROUNDING * np.abs(ref).max()
 
-    @pytest.mark.parametrize("key, what", [("ell", "running cost"), ("b", "drift")])
-    def test_coupled_coefficient_is_named_by_an_open_loop_simulate(self, key, what):
-        p = coupled_problem(key)
-        with pytest.raises(DomainError, match=f"{what} is declared separable"):
-            self.simulated_open_loop(p)
-        self.simulated_open_loop(dataclasses.replace(p, separable=False))
+    @pytest.mark.parametrize("key", ["ell", "b"])
+    def test_mixed_problem_solves_as_its_plain_twin(self, key):
+        p = mixed_problem(key)
+        adj = self.solved(p)
+        twin = plain_twin(p)
+        ref = rsmp.solve_bsde(twin, dataclasses.replace(adj.base, problem=twin), adj.base.control_used)
+        for name in ("hamiltonian_sums", "pairing_sums", "psi"):
+            self.assert_rounding(getattr(adj, name), getattr(ref, name))
+        assert not np.array_equal(adj.hamiltonian_sums, ref.hamiltonian_sums)  # the tables were taken
+        assert np.array_equal(adj.occupancy, ref.occupancy)
 
-    @pytest.mark.parametrize("key, what", [("ell", "running cost"), ("b", "drift")])
-    @pytest.mark.parametrize("sweep", ["simulate", "direction"])
-    def test_coupled_coefficient_is_named_by_a_feedback_sweep(self, key, what, sweep):
-        p = coupled_problem(key)
-        run = self.simulated_feedback if sweep == "simulate" else self.varied_feedback
-        with pytest.raises(DomainError, match=f"{what} is declared separable"):
-            run(p)
-        run(dataclasses.replace(p, separable=False))
+    @pytest.mark.parametrize("key", ["ell", "b"])
+    @pytest.mark.parametrize("sweep", ["open-loop", "feedback"])
+    def test_mixed_problem_simulates_as_its_plain_twin(self, key, sweep):
+        p = mixed_problem(key)
+        run = self.simulated_open_loop if sweep == "open-loop" else self.simulated_feedback
+        got, ref = run(p), run(plain_twin(p))
+        self.assert_rounding(got.states, ref.states)
+        self.assert_rounding(got.running_cost, ref.running_cost)
+        assert not np.array_equal(got.running_cost, ref.running_cost)  # ell, or b through the states
+
+    @pytest.mark.parametrize("key", ["ell", "b"])
+    def test_mixed_problem_direction_as_its_plain_twin(self, key):
+        p = mixed_problem(key)
+        got, ref = self.varied_feedback(p), self.varied_feedback(plain_twin(p))
+        assert np.array_equal(got.base.states, ref.base.states)  # a Dirac base evaluates f as a sum
+        for name in ("y", "direct_terms", "response_terms"):
+            self.assert_rounding(getattr(got, name), getattr(ref, name))
 
     @pytest.mark.parametrize("name, key, what", POISONED)
     @pytest.mark.parametrize("sweep", ["simulate", "direction"])
@@ -524,6 +547,25 @@ class TestSeparableGuard:
         with pytest.raises(NonFiniteCoefficient, match=what):
             self.simulated_open_loop(poisoned_problem(name, key, [True]), name)
 
+    @pytest.mark.parametrize("name, key, what", POISONED_PARTS)
+    @pytest.mark.parametrize("sweep", ["open-loop", "feedback", "direction", "backward"])
+    def test_nan_in_a_control_part_is_named(self, name, key, what, sweep):
+        # the table's atom 3 is NaN: every average or cell sum it enters is
+        armed = []
+        p = poisoned_problem(name, key, armed, part=True)
+        if sweep == "backward":
+            (u0,) = seeded_controls(name, rsmp.STATE_FEEDBACK, 4, 1, seed=30)
+            base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 200, 4, seed=31))
+        with pytest.raises(NonFiniteCoefficient, match=what):
+            if sweep == "direction":
+                self.varied_feedback(p, name, armed)
+            else:
+                armed.append(True)
+                if sweep == "backward":
+                    rsmp.solve_bsde(p, base, u0)
+                else:
+                    (self.simulated_open_loop if sweep == "open-loop" else self.simulated_feedback)(p, name)
+
     def test_nan_away_from_the_mean_of_x0_is_named_by_an_open_loop_simulate(self):
         # NaN at atom 3 only for x > 1.3: the table at x0 = 1 is finite, the
         # check at the extreme states is not, and the step falls back per atom
@@ -542,21 +584,30 @@ class TestStepCoefficientCalls:
     """Per step, a sweep evaluates each coefficient it needs once, for all
     atoms of the control grid or under a point control, and each jump
     coefficient once per mark, however many paths share the step; a
-    declared problem's averages twice, at the first atom on every path and
-    at every atom on three reference states."""
+    `Separable` calls each of its parts once: the state part on the paths
+    and the control part on the K atoms, or both at a point control."""
 
     N = 4
     PATHS = (300, _BLOCK + 1)
+
+    @staticmethod
+    def per_step(p, keys=("b", "sigma", "ell")):
+        """Each coefficient of keys, and C once per mark, called once per
+        step: a `Separable` as its two parts."""
+        found = {}
+        for key in keys + (("C",) if p.jump.J else ()):
+            f, count = (p.jump.C, p.jump.J) if key == "C" else (getattr(p, key), 1)
+            found.update({f"{key}.{part}": count for part in ("state", "control")} if isinstance(f, Separable)
+                         else {key: count})
+        return found
 
     @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
     def test_relaxed_simulate(self, name):
         p = rsmp.make_benchmark(name)
         (u,) = seeded_controls(name, rsmp.STATE_FEEDBACK, self.N, 1, seed=70)
         counted, calls = counting_problem(p)
-        assert p.separable
-        per_step = {"b": 2, "sigma": 2, "ell": 2}
-        if p.jump.J:
-            per_step["C"] = 2 * p.jump.J
+        per_step = self.per_step(p)
+        assert per_step["b.control"] == per_step["ell.state"] == per_step["sigma"] == 1
         for M in self.PATHS:
             calls.clear()
             rsmp.simulate(counted, u, rsmp.sample_noise(p, M, self.N, seed=71))
@@ -572,9 +623,7 @@ class TestStepCoefficientCalls:
         else:
             control, steps = rsmp.lq_riccati_oracle(rsmp.benchmark_lq_spec(name), 64).feedback, self.N
         counted, calls = counting_problem(p)
-        per_step = {"b": 1, "sigma": 1, "ell": 1}
-        if p.jump.J:
-            per_step["C"] = p.jump.J
+        per_step = self.per_step(p)
         for M in self.PATHS:
             calls.clear()
             rsmp.simulate(counted, control, rsmp.sample_noise(p, M, steps, seed=73))
@@ -584,8 +633,8 @@ class TestStepCoefficientCalls:
     def test_dirac_steps_of_relaxed_simulate(self, name):
         # steps 1 and 3 are one-hot in every cell: there each coefficient is
         # called once with every path's own atom, (M, ...) arguments and no
-        # atom axis; the other steps, declared separable, evaluate it at the
-        # first atom on every path and at all atoms on three reference states
+        # atom axis; at the other steps once for all atoms (the recording
+        # wrappers are plain callables)
         p = rsmp.make_benchmark(name)
         (u,) = seeded_controls(name, rsmp.STATE_FEEDBACK, self.N, 1, seed=75)
         K, C = u.grid.K, u.n_cells
@@ -610,15 +659,14 @@ class TestStepCoefficientCalls:
             rsmp.simulate(dataclasses.replace(p, **changes), u, noise)
             for k in range(self.N):
                 at_k = [call for call in seen if call[1] == k * noise.dt]
-                assert sorted(key for key, *_ in at_k) == (keys if k % 2 else sorted(keys * 2)), (M, k)
+                assert sorted(key for key, *_ in at_k) == keys, (M, k)
                 shapes = {(x_shape, xi_shape) for *_, x_shape, xi_shape in at_k}
-                relaxed = {((1, M, p.n), (1, 1, p.d)), ((1, 3, p.n), (K, 1, p.d))}
-                assert shapes == ({((M, p.n), (M, p.d))} if k % 2 else relaxed), (M, k)
+                assert shapes == ({((M, p.n), (M, p.d))} if k % 2 else {((1, M, p.n), (K, 1, p.d))}), (M, k)
 
     def test_jump_variational_sweep(self):
         # l_x, b_x, sigma_x and C_x under u0; l, b, sigma and C under u - u0
-        # (undeclared: a declared problem's one-row averages count below)
-        p = dataclasses.replace(rsmp.make_benchmark("jump-lq"), separable=False)
+        # (plain: a `Separable`'s direction averages count below)
+        p = plain_twin(rsmp.make_benchmark("jump-lq"))
         grid = rsmp.benchmark_grid("jump-lq", 9)
         u0 = rsmp.constant_control(grid, self.N)
         u = rsmp.constant_control(grid, self.N, np.eye(grid.K)[0])
@@ -631,50 +679,56 @@ class TestStepCoefficientCalls:
         assert sum(per_step.values()) == 10
         assert calls == {key: count * self.N for key, count in per_step.items()}
 
-    # a declared step's calls per coefficient: simulate evaluates it at the
-    # first atom on every path and at every atom on three reference states,
-    # sigma (the same on every path) too; a direction's average (mass 0) is
-    # its table alone, and each Jacobian is one evaluation for all atoms
-    AVERAGES = {"b": 2, "sigma": 2, "ell": 2, "C": 4}
-    DIRECTION = {"b": 1, "sigma": 1, "ell": 1, "C": 2, "b_x": 1, "sigma_x": 1, "ell_x": 1, "C_x": 2}
+    # the calls per step of jump-lq's b, sigma, ell and C: a direction's
+    # average (mass 0) of a `Separable` is its table alone, so its state part
+    # is not called; each Jacobian is one evaluation for all atoms
+    JACOBIANS = {"b_x": 1, "sigma_x": 1, "ell_x": 1, "C_x": 2}
+    DIRECTION = {"b.control": 1, "sigma": 1, "ell.control": 1, "C.control": 2, **JACOBIANS}
 
-    def declared_calls(self, u0, u):
+    def part_calls(self, u0, u):
         p = rsmp.make_benchmark("jump-lq")
         assert p.jump.J == 2
         counted, calls = counting_problem(p)
+        averages = self.per_step(p)
         for M in self.PATHS:
             calls.clear()
             base = rsmp.simulate(counted, u0, rsmp.sample_noise(p, M, self.N, seed=74))
-            assert calls == {key: count * self.N for key, count in self.AVERAGES.items()}, M
+            assert calls == {key: count * self.N for key, count in averages.items()}, M
             calls.clear()
             rsmp.simulate_variational(counted, base, u, u0)
             assert calls == {key: count * self.N for key, count in self.DIRECTION.items()}, M
+            calls.clear()
+            rsmp.solve_bsde(counted, base, u0)
+            swept = {key: count * self.N for key, count in {**averages, **self.JACOBIANS}.items()}
+            assert calls == {**swept, "phi_x": 1}, M
 
     def test_declared_one_row_steps(self):
         grid = rsmp.benchmark_grid("jump-lq", 9)
-        self.declared_calls(rsmp.constant_control(grid, self.N), rsmp.constant_control(grid, self.N, np.eye(grid.K)[0]))
+        self.part_calls(rsmp.constant_control(grid, self.N), rsmp.constant_control(grid, self.N, np.eye(grid.K)[0]))
 
     def test_declared_per_path_steps(self):
-        self.declared_calls(*seeded_controls("jump-lq", rsmp.STATE_FEEDBACK, self.N, 2, seed=73))
+        self.part_calls(*seeded_controls("jump-lq", rsmp.STATE_FEEDBACK, self.N, 2, seed=73))
 
     @pytest.mark.parametrize("mode", [rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK])
-    def test_one_table_call_per_step(self, mode, monkeypatch):
-        # a declared problem's step forms every Delta table in one
-        # `atom_differences` call, in each sweep, under any weights
+    def test_one_table_call_per_step(self, mode):
+        # each `Separable`'s control part is called once per step in each
+        # sweep, under any weights, on the K atoms (K, d) and no state
         p = rsmp.make_benchmark("jump-lq")
         u0, u = seeded_controls("jump-lq", mode, self.N, 2, seed=78)
         steps = []
-        tables = problem_module.atom_differences
 
-        def counted(*args):
-            steps.append(args[2])
-            return tables(*args)
+        def tabled(f):
+            def control(t, *rest):
+                steps.append((t, np.shape(rest[-1])))
+                return f.control(t, *rest)
+            return Separable(f.state, control)
 
-        monkeypatch.setattr(problem_module, "atom_differences", counted)
-        monkeypatch.setattr(adjoint_module, "atom_differences", counted)
+        jump = dataclasses.replace(p.jump, C=tabled(p.jump.C))
+        p = dataclasses.replace(p, b=tabled(p.b), ell=tabled(p.ell), jump=jump)
+        tables = 2 + p.jump.J
         for M in self.PATHS:
             noise = rsmp.sample_noise(p, M, self.N, seed=79)
-            times = [k * noise.dt for k in range(self.N)]
+            times = [(k * noise.dt, (u0.grid.K, p.d)) for k in range(self.N) for _ in range(tables)]
             steps.clear()
             base = rsmp.simulate(p, u0, noise)
             assert steps == times, M
@@ -808,7 +862,7 @@ class TestCellSums:
         # blocked sums err by about the block length in ulps: within 2e-14 of
         # the largest sum at M = 20000, where adding the paths one by one
         # errs by about 1e-13 to 4e-13
-        p = dataclasses.replace(rsmp.make_benchmark(name), separable=False)
+        p = plain_twin(rsmp.make_benchmark(name))
         grid, M, N = rsmp.benchmark_grid(name), 20000, 4
         part = None if mode == rsmp.OPEN_LOOP else rsmp.benchmark_partition(name, mode, cells=16)
         C = 1 if part is None else part.n_cells

@@ -569,14 +569,14 @@ def test_simulation_of_fewer_paths_is_row_prefix(kind):
         w = np.random.default_rng(10).dirichlet(np.ones(9), (8, 4))
         u, N = rsmp.RelaxedControl(grid, w, rsmp.STATE_FEEDBACK, part), 8
         sizes, large, seed = (2, 7), 64, 1
-    elif kind == "open-loop-separable":  # one weight row: the declared identity, its tables at x0's mean
+    elif kind == "open-loop-separable":  # one weight row: each `Separable` as state + w . table
         p = rsmp.make_benchmark("jump-lq")
-        assert p.separable
+        assert isinstance(p.jump.C, rsmp.Separable)
         u, N = relaxed_control("jump-lq", rsmp.OPEN_LOOP, 4), 4
     elif kind.startswith("feedback-separable-"):  # per-path rows: each row's product with a table its own
         name = kind.removeprefix("feedback-separable-")
         p = rsmp.make_benchmark(name)
-        assert p.separable
+        assert isinstance(p.b, rsmp.Separable)
         u, N = relaxed_control(name, rsmp.OBSERVATION_FEEDBACK, 4, seed=4), 4
         sizes, seed = (1, 3, 7), 5  # sizes whose rows a BLAS product with the tables sums otherwise
     else:

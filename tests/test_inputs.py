@@ -67,6 +67,21 @@ def jump_lq_c(C):
     return dataclasses.replace(rsmp.make_benchmark("jump-lq").jump, C=C)
 
 
+def with_part(name, key, part, tail):
+    """A relaxed simulate (N = 4, M = 4) on the benchmark whose `Separable`
+    key has the given part returning zeros of the per-path trailing shape
+    tail, under the uniform control on 3 atoms."""
+    p = rsmp.make_benchmark(name)
+    f = p.jump.C if key == "C" else getattr(p, key)
+
+    def wrong(*args):  # a state part's state follows t, a control part's control comes last
+        return np.zeros(np.shape(args[-1] if part == "control" else args[1])[:-1] + tail)
+
+    bad = rsmp.Separable(**{"state": f.state, "control": f.control, part: wrong})
+    p = dataclasses.replace(p, **({"jump": dataclasses.replace(p.jump, C=bad)} if key == "C" else {key: bad}))
+    return rsmp.simulate(p, rsmp.constant_control(rsmp.benchmark_grid(name, 3), 4), rsmp.sample_noise(p, 4, 4, 1))
+
+
 def lq_hamiltonian(x=(4, 1), psi=(4, 1), Q=(4, 1, 1), w=5, name="lq1d", phi_row=None, **changes):
     """rsmp.hamiltonian at t = 0 on a benchmark's 5-atom grid with arrays of ones
     of the given shapes (n = m = 1, M = 4 on lq1d) and uniform weights, on
@@ -287,6 +302,20 @@ REFUSED = [
      "^C must be callable$"),
     ("jump gradient that is not callable", lambda: JumpSpec([[0.5]], [1.0], jump_c, 7), DomainError,
      "^C_x must be callable$"),
+    ("Separable state part that is not callable", lambda: rsmp.Separable(3.0, pair_fn), DomainError,
+     "^Separable state part must be callable$"),
+    ("Separable control part that is not callable", lambda: rsmp.Separable(pair_fn, None), DomainError,
+     "^Separable control part must be callable$"),
+    ("drift state part of two components", lambda: with_part("lq1d", "b", "state", (2,)), ShapeMismatch,
+     r"^drift state part has shape \(4, 2\), expected \(4, 1\)$"),
+    ("drift control part without its axis", lambda: with_part("lq1d", "b", "control", ()), ShapeMismatch,
+     r"^drift control part has shape \(3,\), expected \(3, 1\)$"),
+    ("running cost state part with an axis", lambda: with_part("lq1d", "ell", "state", (1,)), ShapeMismatch,
+     r"^running cost state part has shape \(4, 1\), expected \(4,\)$"),
+    ("running cost control part with an axis", lambda: with_part("lq1d", "ell", "control", (1,)), ShapeMismatch,
+     r"^running cost control part has shape \(3, 1\), expected \(3,\)$"),
+    ("jump coefficient control part of two components", lambda: with_part("jump-lq", "C", "control", (2,)),
+     ShapeMismatch, r"^jump coefficient control part has shape \(3, 2\), expected \(3, 1\)$"),
     ("NaN oracle sigma", lambda: rsmp.nonconvex_weight_oracle(N=4, sigma=NAN), DomainError, "must be finite"),
     ("string oracle sigma", lambda: rsmp.nonconvex_weight_oracle(N=4, sigma="a"), DomainError, "real number"),
     ("negative oracle sigma", lambda: rsmp.nonconvex_weight_oracle(N=4, sigma=-0.5), DomainError, "nonnegative"),

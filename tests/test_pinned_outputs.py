@@ -5,11 +5,13 @@ A change that reorders a sum, fuses a product or calls another BLAS routine
 moves these digests; a change that keeps them keeps every result an older
 configuration replays.  The bits depend on numpy and on the BLAS it calls,
 so the digests are stored with the fingerprint of the stack that produced
-them.  On another stack the CLI checks skip, and the `optimize` results are
-compared by value with their stored JSON (`pinned_optimize.json`) instead.
-A change that moves the bits on purpose bumps
-`rsmp.forward.NUMERICS_VERSION`, re-pins them, the stored results and the
-version they were taken at in the same diff, and says so.
+them.  On another stack the `optimize` results are compared by value with
+their stored JSON (`pinned_optimize.json`) instead, and so are the JSON
+files of the CLI runs (`pinned_cli.json`, their text); the binary and CSV
+files of the CLI runs are compared on the pinned stack only.  A change that
+moves the bits on purpose bumps `rsmp.forward.NUMERICS_VERSION`, re-pins
+them, the stored results and the version they were taken at in the same
+diff, and says so.
 """
 
 import functools
@@ -31,27 +33,28 @@ MODES = (rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK)
 
 FINGERPRINT = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0", "machine": "x86_64"}
 # the rsmp NUMERICS_VERSION the digests below were taken at
-PINNED_NUMERICS_VERSION = 6
+PINNED_NUMERICS_VERSION = 7
 
 # optimize(M=1500, N=8, K=5 (2 on nonconvex-mix), 4 cells per signal
 # coordinate, uniform start, max_iters=4, tol=0, seed=3).to_json()
 DIGESTS = {
-    ("lq1d", "open_loop"): "dd706ecf794b27c5f6cdb55648439127de233b114a9999c5c15b860443071813",
-    ("lq1d", "state_feedback"): "94a33feec11aa8f828cce1030c9dcebb89d66ff8b859224b84a5497b12fb33bb",
-    ("lq1d", "observation_feedback"): "60d4ce902e7aeb6b2f2d9c78c5cd8695034d75eee96c038749cd30a738c407aa",
-    ("lq2d", "open_loop"): "54f1336a6a18b772f8b3aa1b7e00c2ecde3daa4f558612680e95be1657516187",
-    ("lq2d", "state_feedback"): "7d9dc71b722a4aa05d6ca65f803cbef14a5b210caa8f2b2f8f3a60f6e9718ac5",
-    ("lq2d", "observation_feedback"): "4adbfd98e5ac518eec5fd56324086d78f42e179c1bb4f50218314fc0d3c8b654",
-    ("nonconvex-mix", "open_loop"): "fe476f297ad83d14b692483c477f5376c5a2b6227d328bc6bc70182991c473f9",
-    ("nonconvex-mix", "state_feedback"): "f16d6a0e7e2f4f25055c460dd4fb59e01288924732d2d8d33cd9b0a979450c25",
-    ("nonconvex-mix", "observation_feedback"): "04e643366194fc5a3b30d4eb2c902fd610e97028cd2fcb8d0ea956e9d8725856",
-    ("jump-lq", "open_loop"): "efff2cd389d1e496beebbe258e7497edcd3eb592d9c181b3e4868506513e53ac",
-    ("jump-lq", "state_feedback"): "d03bb485b88c20bf6ec9398cd5860b687af08e86c0e87b35056bbef3e7b37085",
-    ("jump-lq", "observation_feedback"): "3424b8c63545ed1529e9313481cc50e2d9b2fbe47fb11586af3579de30e9b302",
+    ("lq1d", "open_loop"): "2931ce478ad549a25bc89f85622ed9edcabb4966f080c27eadade2e9761a18d7",
+    ("lq1d", "state_feedback"): "40e9fb119a46d697adf3828983da61e5ce564295c04449f6ccfdc1d013a572f2",
+    ("lq1d", "observation_feedback"): "5ceb7d3fd1234227db60ddfa0fddb479879c9d1585a07271360c62175c0b9d36",
+    ("lq2d", "open_loop"): "2c2e8998b5aa619e1a64ab138afd1c7b9682c4f4b44fe906268a45c94b615035",
+    ("lq2d", "state_feedback"): "f5c414362bb7fcb387b2cbfbafa9cfe166d05c502ddda940a515b5a905cc3c36",
+    ("lq2d", "observation_feedback"): "b2a73b5f0442eeb5c17a19e22bb1f5bbc4001bf44c87cca32f36b134fd20f118",
+    ("nonconvex-mix", "open_loop"): "43df7effc39c19c5ef1e0651d42b9456c4345f2aeebf2eeb1ee735c65144bd6b",
+    ("nonconvex-mix", "state_feedback"): "4d359ae0c9ae90085a296d6bbfe277ef171bb941a7c31d48c92541555c052c60",
+    ("nonconvex-mix", "observation_feedback"): "229814d185e4dc5ae9356abc0c9e36dafff034c053645496665aa7487b907d68",
+    ("jump-lq", "open_loop"): "70b6bd0a6e80e167c8cc5bccab29cef57a2265b39cad92817b77da830db20aa4",
+    ("jump-lq", "state_feedback"): "ae601c0dd717c153d153cbdf5c4d36e91bf30b35582e7f7aa2a5f795923f6014",
+    ("jump-lq", "observation_feedback"): "5527d0f9988e351e0cf95cdbb9b21d1b8593adbd1a5645775b6db2d342f78648",
 }
 
 # the same 12 results' JSON, keyed "<benchmark>/<mode>"
-STORED = json.loads((Path(__file__).resolve().parent / "pinned_optimize.json").read_text(encoding="utf-8"))
+HERE = Path(__file__).resolve().parent
+STORED = json.loads((HERE / "pinned_optimize.json").read_text(encoding="utf-8"))
 
 # On another stack the sums and solves round differently: statuses, step
 # sizes and final controls must still be equal, and costs, standard errors
@@ -165,42 +168,97 @@ CLI_RUNS = {
 # the SHA-256 of every file each run of CLI_RUNS writes
 CLI_DIGESTS = {
     "describe": {
-        "bench.json": "06c265de7422cc355cd18cb4d90708918bbc2f1bba3fa038a310af590e39db0f",
-        "config.json": "8ded85a0e8fc1050fe015a4ef566641dfd3883eeca4c70ca0e43e61a39e4b09f",
+        "bench.json": "6af74d16062d662a7813698aaca77b2d75fd9f595d2b7c0de9a3e0ff02f461d8",
+        "config.json": "138f709e731a7eef03bd1b5aaa141245fe94b97f21fe15d732223661416d8537",
     },
     "simulate": {
-        "config.json": "384edf948d3d8b086a09cf35b7a7de318ef5109cff2384a6497f02490c544d4a",
-        "cost.json": "c661d21e501d5760206133bf32dd2c95bdf4a3712b4e17161c5a11d4f74db769",
-        "paths.bin": "a5965d0394c784c696b5df01576ad51eb048f45d12b7e44c56410eb6f118e17b",
-        "paths.csv": "f01496e26111cc403a8f8c3ae9c796cca47603174684f1c319e339de43bb9509",
+        "config.json": "2509a9622039c3c95cdd944bd8afb20c9e4999a001f0477fbd4c0f0258ead819",
+        "cost.json": "fc939410fe5509b188688b5bba101e1085a447dee258e41f0250f7a63a426c28",
+        "paths.bin": "3cdffeb5e34c841308f0b4db947359d9ad27fa0881adc2e79db857b3c5e3b957",
+        "paths.csv": "a50fe57b97c77ea3497aea54f17c2c64d4a1ce31350778ad59918b494be07fdf",
     },
     "adjoint": {
-        "adjoint.bin": "56e3466b004e9320df7b3b9f3fe26a1c72c343b360344b2fa3a764924b99765b",
-        "config.json": "a86a8bed31f44ebe7fa8bf5c223ced5b71e486927d8a5081bce6813b5467f3a8",
-        "duality.json": "867760d2824c0f0fbc136932667702086d507f07494d86b5a917096ad2ced01a",
+        "adjoint.bin": "5381e63e57df61a84e27c9671ad8531e7728c6448befaab0a1f34e01f0a34966",
+        "config.json": "709566e40274c6a8494b2217fd0395dd49dd89ca516aac2a8bce786aaa8a516a",
+        "duality.json": "031f3ed50233ffed4da295a3584758dc82ec8322e57472858b9111e43469fbd4",
     },
     "optimize": {
-        "config.json": "7aa2d0a3586bc444df8500156241ad684a2ad9904d3ca42d1e95888c4efdb248",
+        "config.json": "8ce968d6e4558c2e2491904319d188d8d01543bdedba87b7b3c55f47e7b50fba",
         "final_control.json": "e8c83bcc6b32336ddd91becc8be265f96d32c7d540b21904e6ea2d346b94fcba",
-        "iterates.json": "089aeb6cbd8b19e29eff5ddff6b8d091bb6393575e91120496e38775077fb28a",
+        "iterates.json": "4ad621466e9cd68744a6784de96ecaf33c931b3c3e048f19cf5815b3cfcc0e28",
     },
     "certify": {
-        "certify.json": "6de8c74029b5f942542aa6be1f9961692a03ed79c58ac153f72571af1863feab",
-        "config.json": "cb3516153a5e3c06f9d6481d2dea4c9e85782aba1f0fdc2d2fae7b49ec5cfb66",
+        "certify.json": "b93e4c21c4e8b6497b14d344ad3806c6c0df8308e4a9e6ee899633af380e23a1",
+        "config.json": "22bde2d20f8dd89163b4a92cd9b194230ffe6872b3672ecdf05d861d934bd79f",
     },
     "chatter": {
-        "chatter.json": "f415a4a7ce05560cca4e2a457a5b706f3d95c6041da0e8c9948b3baf89208314",
-        "config.json": "b799711b2af76e1035fa33c6a7822ca1804e71c77f26516e3f6b9c8ce1fe9546",
+        "chatter.json": "bdbb2c64fe1b1384333035f304eee6e3329db9766524ac7a2ed8aeaef686c7a9",
+        "config.json": "a0c2b4a61dd547216944c531345dee3e67f87b48b8bc8aabc257c94299f4b22a",
     },
 }
+
+# the text of every JSON file of CLI_DIGESTS, keyed "<run>/<file>"
+CLI_STORED = json.loads((HERE / "pinned_cli.json").read_text(encoding="utf-8"))
+
+
+def assert_values_close(found, stored, where: str = "") -> None:
+    """found has stored's structure and values: every float within RTOL
+    relative, every other value equal."""
+    assert type(found) is type(stored), where
+    if isinstance(stored, dict):
+        assert sorted(found) == sorted(stored), where
+        for key in stored:
+            assert_values_close(found[key], stored[key], f"{where}/{key}")
+    elif isinstance(stored, list):
+        assert len(found) == len(stored), where
+        for i, (got, want) in enumerate(zip(found, stored)):
+            assert_values_close(got, want, f"{where}[{i}]")
+    elif isinstance(stored, float):
+        assert math.isclose(found, stored, rel_tol=RTOL, abs_tol=0.0), where
+    else:
+        assert found == stored, where
+
+
+def check_cli_run(run: str, tmp_path, monkeypatch) -> None:
+    """One CLI run writes the pinned files: each with its digest on the
+    pinned stack; on any other, each JSON file with its stored values
+    within RTOL (the binary and CSV files are not compared there)."""
+    monkeypatch.chdir(tmp_path)
+    assert main([*CLI_RUNS[run], "--out", run]) == 0
+    paths = sorted((tmp_path / run).iterdir())
+    assert [path.name for path in paths] == sorted(CLI_DIGESTS[run])
+    if fingerprint() == FINGERPRINT:
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths} == CLI_DIGESTS[run]
+        return
+    for path in (path for path in paths if path.suffix == ".json"):
+        stored = json.loads(CLI_STORED[f"{run}/{path.name}"])
+        assert_values_close(json.loads(path.read_text(encoding="utf-8")), stored, f"{run}/{path.name}")
 
 
 @pytest.mark.parametrize("run", list(CLI_RUNS))
 def test_cli_artifacts_keep_their_bits(run, tmp_path, monkeypatch):
-    found = fingerprint()
-    if found != FINGERPRINT:
-        pytest.skip(f"digests pinned on {FINGERPRINT}, this stack is {found}")
-    monkeypatch.chdir(tmp_path)
-    assert main([*CLI_RUNS[run], "--out", run]) == 0
-    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted((tmp_path / run).iterdir())}
-    assert written == CLI_DIGESTS[run]
+    check_cli_run(run, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("run", list(CLI_RUNS))
+def test_another_stack_compares_the_stored_cli_values(run, tmp_path, monkeypatch):
+    # the value comparison that another numpy, BLAS or machine runs
+    monkeypatch.setattr(sys.modules[__name__], "fingerprint", lambda: {**FINGERPRINT, "blas": "another BLAS"})
+    check_cli_run(run, tmp_path, monkeypatch)
+
+
+def test_stored_cli_payloads_are_the_pinned_payloads():
+    # the stored texts are re-pinned with the digests: each hashes to its digest
+    pinned = {f"{run}/{name}": digest for run, files in CLI_DIGESTS.items() for name, digest in files.items()}
+    assert set(CLI_STORED) == {key for key in pinned if key.endswith(".json")}
+    for key, text in CLI_STORED.items():
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned[key], key
+
+
+def test_cli_value_comparison_sees_a_moved_value():
+    stored = json.loads(CLI_STORED["adjoint/duality.json"])
+    assert_values_close(json.loads(json.dumps(stored)), stored)
+    moved = {"duality_gap": stored["duality_gap"] * (1 + 1e-8), "config": {**stored["config"], "seed": 4}}
+    for key, value in moved.items():
+        with pytest.raises(AssertionError):
+            assert_values_close({**stored, key: value}, stored)

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import rsmp
-from rsmp import ControlGrid, DomainError, JumpSpec, NonFiniteCoefficient, Problem, ShapeMismatch
+from rsmp import ControlGrid, DomainError, JumpSpec, NonFiniteCoefficient, Problem, Separable, ShapeMismatch
 from rsmp.forward import _feedback_signal
-from rsmp.problem import _atom_view, _coefficients, _reference_states, atom_hamiltonians, averaged_coefficients, averaged_diffusion
-from rsmp.problem import averaged_drift, averaged_drift_x, averaged_linearization, contract_atoms, fd_gradient
+from rsmp.problem import _atom_view, _coefficients, atom_hamiltonians, averaged_coefficients, averaged_diffusion
+from rsmp.problem import averaged_drift, averaged_drift_x, averaged_linearization, cell_hamiltonians, contract_atoms
+from rsmp.problem import fd_gradient
+from conftest import plain_twin
 
 
 def stacked(f, grid, t, x, extra=()):
@@ -519,13 +521,13 @@ class TestContraction:
 
 
 class TestSeparableRule:
-    """A problem declared separable averages b, sigma, ell and C by one rule
-    under any weights (`problem._separable_coefficients`): a weight row (K,)
-    as open loop resolves, per-path rows (M, K) as feedback resolves, and a
-    direction's difference of either (mass 0).  Each agrees with the
-    per-atom contraction of the same problem undeclared within TOL of the
-    coefficient's largest atom value, and has its shape and layout, except
-    that a direction's one row, w . Delta alone, is one row for every path."""
+    """A `Separable` coefficient averages by its own rule under any weights
+    (`problem._averaged`): a weight row (K,) as open loop resolves, per-path
+    rows (M, K) as feedback resolves, and a direction's difference of either
+    (mass 0).  Each agrees with the per-atom contraction of the plain twin
+    within TOL of the coefficient's largest atom value, and has its shape
+    and layout, except that a direction's one row, w . table alone, is one
+    row for every path."""
 
     TOL = 1e-13  # about 450 eps; the rule moves the averages by rounding only
     M = 500
@@ -545,25 +547,41 @@ class TestSeparableRule:
     @pytest.mark.parametrize("direction", [False, True], ids=["weights", "direction"])
     def test_declared_averages_agree_with_the_per_atom_ones(self, name, mode, direction):
         p, grid = rsmp.make_benchmark(name), rsmp.benchmark_grid(name, 9)
-        assert p.separable
-        x = np.random.default_rng(40).normal(0.0, 0.7, (self.M, p.n)) + _reference_states(p, np.zeros((1, p.n)))[0]
+        x = np.random.default_rng(40).normal(0.0, 0.7, (self.M, p.n)) + p.x0
         w0, w1 = self.weights(name, mode, x, 41)
         assert w0.shape == ((grid.K,) if mode == rsmp.OPEN_LOOP else (self.M, grid.K))
         w = w1 - w0 if direction else w1
         t = 0.3
         mass = 0.0 if direction else 1.0
         b, sigma, ell, C = averaged_coefficients(p, grid, t, x, w, mass)
-        undeclared = dataclasses.replace(p, separable=False)
-        ref_b, ref_sigma, ref_ell, ref_C = averaged_coefficients(undeclared, grid, t, x, w, mass)
-        averages = zip(_coefficients(p), (b, sigma, ell, *C), (ref_b, ref_sigma, ref_ell, *ref_C))
+        twin = plain_twin(p)
+        ref_b, ref_sigma, ref_ell, ref_C = averaged_coefficients(twin, grid, t, x, w, mass)
+        averages = zip(_coefficients(twin), (b, sigma, ell, *C), (ref_b, ref_sigma, ref_ell, *ref_C))
         for (f, tail, extra, what), got, ref in averages:
             scale = np.abs(_atom_view(f, grid, t, x, tail, extra, what)).max()
             assert got.shape == ref.shape == (self.M,) + tail, what
-            if direction and w.ndim == 1:  # w . Delta alone, the same on every path
+            if direction and w.ndim == 1:  # w . table alone, the same on every path
                 assert got.strides[0] == 0 and not got.flags.writeable, what
             else:
                 assert got.flags.writeable == ref.flags.writeable, what
             assert np.abs(got - ref).max() <= self.TOL * scale, what
+
+    @pytest.mark.parametrize("key, what, tail", [("b", "drift", (1,)), ("ell", "running cost", ())])
+    @pytest.mark.parametrize("part", ["state", "control"])
+    def test_a_part_of_another_shape_is_named(self, key, what, tail, part):
+        # every sweep reads the parts through `_averaged` or the backward
+        # sweep's split rows; a part returning an extra trailing axis is named
+        p, grid = rsmp.make_benchmark("lq1d"), rsmp.benchmark_grid("lq1d", 5)
+        f = getattr(p, key)
+        parts = {"state": f.state, "control": f.control}
+        parts[part] = (lambda g: lambda *args: np.asarray(g(*args))[..., None])(parts[part])
+        bad = dataclasses.replace(p, **{key: Separable(**parts)})
+        x, psi, Q = np.zeros((6, 1)), np.ones((6, 1)), np.ones((6, 1, 1))
+        with pytest.raises(ShapeMismatch, match=f"^{what} {part} part has shape"):
+            averaged_coefficients(bad, grid, 0.3, x, np.full(grid.K, 0.2))
+        with pytest.raises(ShapeMismatch, match=f"^{what} {part} part has shape"):
+            cell_hamiltonians(bad, grid, 0.3, x, psi, Q, None, lambda rows: np.zeros((1, len(rows))), np.array([6]),
+                              pairing=True)
 
 
 class TestFiniteDifferenceGradients:

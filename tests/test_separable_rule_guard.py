@@ -1,28 +1,31 @@
-"""A separable problem's averages have one home.
+"""A `Separable`'s parts have one reader.
 
-`problem.atom_differences` is the only place that searches a step's
-reference states and forms Delta tables, so every sweep (forward,
-variational, backward) takes one reference search and one table per
-coefficient per step; a second caller would bring back a per-coefficient
-search or a table of its own.  `problem._averaged` is the per-atom rule
-alone: it takes no problem, so no declaration can route an average around
-`problem._separable_coefficients`.  No function sums a weight row: a
-control's rows have total mass 1 and a direction's 0, which every caller
-states (`averaged_coefficients`' mass) rather than computes, so a row sum
-(`np.einsum("qk->q", w)`, `w @ np.ones(K)`) or a `_row_sums` would bring
-back a value that differs from the stated one by rounding.  A static check
-with the standard-library `ast`.
+Only `problem.py` calls the state or control part of a `Separable`, in
+`Separable.__call__`, `_state_part` and `_control_table`, and only two
+functions decide by the type of a coefficient: `_averaged`, the one
+averaging rule per coefficient, and `_hamiltonian_rows`, which the backward
+sweep's cell sums split by; every other module sees a coefficient as a
+callable.  A second reader would bring back a rule of its own.  `_averaged`
+takes no problem, so no problem-level declaration can route an average.
+No function sums a weight row: a control's rows have total mass 1 and a
+direction's 0, which every caller states (`averaged_coefficients`' mass)
+rather than computes, so a row sum (`np.einsum("qk->q", w)`,
+`w @ np.ones(K)`) or a `_row_sums` would bring back a value that differs
+from the stated one by rounding.  A static check with the standard-library
+`ast`.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rsmp"
-ONE_CALLER = ("_reference_states", "_atom_difference")
+PARTS = ("state", "control")
 
 
-def call_sites(tree: ast.Module, names) -> list:
-    """(called name, enclosing class and function names) of every call of one of names."""
+def part_sites(tree: ast.Module) -> list:
+    """(what, enclosing class and function names) of every call of a part,
+    `<obj>.state(...)` or `<obj>.control(...)`, and of every
+    `isinstance(..., Separable)`, in source order."""
     found = []
 
     def visit(node, scope):
@@ -30,9 +33,10 @@ def call_sites(tree: ast.Module, names) -> list:
             inner = scope + (child.name,) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
             if isinstance(child, ast.Call):
                 func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in names:
-                    found.append((name, ".".join(inner)))
+                if isinstance(func, ast.Attribute) and func.attr in PARTS:
+                    found.append((func.attr, ".".join(inner)))
+                elif getattr(func, "id", None) == "isinstance" and "Separable" in ast.unparse(child.args[1]):
+                    found.append(("isinstance", ".".join(inner)))
             visit(child, inner)
 
     visit(tree, ())
@@ -85,13 +89,17 @@ def test_guard_sees_every_row_sum():
     assert [line for line, _ in row_sums(tree)] == [1, 4, 5, 5, 5, 9, 13]
 
 
-def test_reference_states_and_tables_are_formed_only_by_atom_differences():
-    found = [
-        (path.stem, name, scope)
-        for path in sorted(SRC.glob("*.py"))
-        for name, scope in call_sites(ast.parse(path.read_text(encoding="utf-8")), ONE_CALLER)
-    ]
-    assert found == [("problem", name, "atom_differences") for name in ONE_CALLER]
+def test_only_problem_reads_the_parts():
+    found = [(path.stem, *site) for path in sorted(SRC.glob("*.py"))
+             for site in part_sites(ast.parse(path.read_text(encoding="utf-8")))]
+    assert sorted(found) == sorted([
+        ("problem", "state", "Separable.__call__"),
+        ("problem", "control", "Separable.__call__"),
+        ("problem", "state", "_state_part"),
+        ("problem", "control", "_control_table"),
+        ("problem", "isinstance", "_hamiltonian_rows"),
+        ("problem", "isinstance", "_averaged"),
+    ])
 
 
 def test_the_per_atom_average_takes_no_problem():
@@ -103,13 +111,14 @@ def test_the_per_atom_average_takes_no_problem():
     assert "_separable_average" not in defined
 
 
-def test_guard_sees_every_call():
+def test_guard_sees_every_part_read():
     tree = ast.parse(
-        "def atom_differences(p, x):\n    return _atom_difference(_reference_states(p, x))\n\n\n"
-        "class A:\n    def g(self, p, x):\n        return problem._reference_states(p, x)\n"
+        "def f(g, t, x):\n    return g.state(t, x), isinstance(g, rsmp.Separable)\n\n\n"
+        "class A:\n    def h(self, g, t, xi):\n        return g.control(t, xi), isinstance(g, (int, Separable))\n"
     )
-    assert call_sites(tree, ONE_CALLER) == [
-        ("_atom_difference", "atom_differences"),
-        ("_reference_states", "atom_differences"),
-        ("_reference_states", "A.g"),
+    assert part_sites(tree) == [
+        ("state", "f"),
+        ("isinstance", "f"),
+        ("control", "A.h"),
+        ("isinstance", "A.h"),
     ]

@@ -9,6 +9,7 @@ from rsmp import CellPartition, ControlGrid, DomainError, NonFiniteCoefficient, 
 from rsmp.adjoint import SUM_BLOCKS, _cell_sums, _sweep
 from rsmp.forward import _mean_and_error
 from rsmp.smp import HamiltonianField, _decrease_clears, _field, _largest_remainder
+from conftest import plain_twin
 
 
 def blocked_sums(cells, C, rows):
@@ -191,8 +192,8 @@ class TestHamiltonianField:
         assert np.array_equal(blocked_sums(cells, 1, [direct])[:, 0] / 200, fld.cell_values[k, :, 0])
 
     @staticmethod
-    def seeded_field_inputs(name, mode, separable=True):
-        p = dataclasses.replace(rsmp.make_benchmark(name), separable=separable)
+    def seeded_field_inputs(name, mode, plain=False):
+        p = plain_twin(rsmp.make_benchmark(name)) if plain else rsmp.make_benchmark(name)
         grid = rsmp.benchmark_grid(name, 5)
         N = 6
         if mode == rsmp.OPEN_LOOP:
@@ -212,7 +213,7 @@ class TestHamiltonianField:
         [("lq1d", rsmp.STATE_FEEDBACK), ("jump-lq", rsmp.OPEN_LOOP), ("lq2d", rsmp.OBSERVATION_FEEDBACK)],
     )
     def test_field_values_equal_one_hot_hamiltonian(self, name, mode):
-        p, grid, base, adj = self.seeded_field_inputs(name, mode, separable=False)
+        p, grid, base, adj = self.seeded_field_inputs(name, mode, plain=True)
         fld = rsmp.hamiltonian_field(adj)
         u = base.control_used
         C = u.n_cells
@@ -233,15 +234,16 @@ class TestHamiltonianField:
     @pytest.mark.parametrize("mode", [rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK])
     @pytest.mark.parametrize("name", ["lq1d", "lq2d", "jump-lq", "nonconvex-mix"])
     def test_separable_sums_equal_the_per_atom_sums_to_rounding(self, name, mode):
-        # the separable identity adds the same terms in another order: both
-        # sums agree within 1e-12 (about 4500 eps) of the largest of them;
-        # both sweep one base, since an open-loop simulate of the declared
-        # problem moves the states by rounding too
+        # a `Separable`'s tables add the same terms in another order: the
+        # sums agree with the plain twin's within 1e-12 (about 4500 eps) of
+        # the largest of them (nonconvex-mix, all plain, bit for bit); both
+        # sweep one base, since a simulate with tables moves the states by
+        # rounding too
         _, _, base, adj = self.seeded_field_inputs(name, mode)
-        p = dataclasses.replace(base.problem, separable=False)
+        p = plain_twin(base.problem)
         generic_base = dataclasses.replace(base, problem=p)
         generic = rsmp.solve_bsde(p, generic_base, base.control_used)
-        assert not p.separable and generic_base.states is base.states
+        assert generic_base.states is base.states
         for key in ("hamiltonian_sums", "pairing_sums"):
             got, ref = getattr(adj, key), getattr(generic, key)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -294,14 +296,18 @@ class TestHamiltonianField:
         assert (occupancy == 0).any()
         assert np.array_equal(_field(sums, occupancy, u, 0.1).cell_values, ref)
 
-    def sweep_coefficient_calls(self, name, separable):
-        """Calls of b, sigma, ell and C that solve_bsde makes on seeded inputs,
-        with the step count and the mark count; the field itself evaluates
-        nothing."""
-        p, grid, base, _ = self.seeded_field_inputs(name, rsmp.STATE_FEEDBACK, separable)
+    def sweep_coefficient_calls(self, name, plain):
+        """Calls of b, sigma, ell and C (of each part of a `Separable`, as
+        "<key>.state" and "<key>.control") that solve_bsde makes on seeded
+        inputs, with the step count and the mark count; the field itself
+        evaluates nothing."""
+        p, grid, base, _ = self.seeded_field_inputs(name, rsmp.STATE_FEEDBACK, plain)
         calls = {}
 
         def counted(key, f):
+            if isinstance(f, rsmp.Separable):
+                return rsmp.Separable(counted(f"{key}.state", f.state), counted(f"{key}.control", f.control))
+
             def wrapper(*args):
                 calls[key] = calls.get(key, 0) + 1
                 return f(*args)
@@ -325,20 +331,21 @@ class TestHamiltonianField:
     def test_field_evaluates_each_coefficient_once_per_step(self, name):
         # the backward sweep evaluates b, sigma and ell once per step, and C
         # once per mark and step, for all atoms at once
-        calls, N, J = self.sweep_coefficient_calls(name, separable=False)
+        calls, N, J = self.sweep_coefficient_calls(name, plain=True)
         expected = {key: N for key in ("b", "sigma", "ell")}
         if J:
             expected["C"] = J * N
         assert calls == expected
 
     @pytest.mark.parametrize("name", ["lq1d", "jump-lq"])
-    def test_separable_field_evaluates_each_coefficient_twice_per_step(self, name):
-        # a separable problem's sweep evaluates each coefficient at the first
-        # atom on every path, and at every atom on three reference states
-        calls, N, J = self.sweep_coefficient_calls(name, separable=True)
-        expected = {key: 2 * N for key in ("b", "sigma", "ell")}
+    def test_separable_field_evaluates_each_part_once_per_step(self, name):
+        # a `Separable`'s sweep evaluates its state part on every path and its
+        # control part at every atom, once per step each; sigma is plain
+        calls, N, J = self.sweep_coefficient_calls(name, plain=False)
+        expected = {f"{key}.{part}": N for key in ("b", "ell") for part in ("state", "control")}
+        expected["sigma"] = N
         if J:
-            expected["C"] = 2 * J * N
+            expected.update({"C.state": J * N, "C.control": J * N})
         assert calls == expected
 
     def test_nan_at_one_atom_raises(self):

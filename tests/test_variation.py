@@ -9,6 +9,7 @@ from rsmp import ControlGrid, NonFiniteCoefficient, Problem, RelaxedControl, Sha
 from rsmp.forward import pathwise_cost
 from rsmp.problem import averaged_coefficients, averaged_running_cost_x
 from rsmp.variation import response_functional
+from conftest import plain_twin
 
 
 def drift_only_problem():
@@ -281,23 +282,22 @@ def walked_derivative(p, base, u0, u, var):
 
 @pytest.mark.parametrize("name", ["lq1d", "lq2d", "jump-lq"])
 def test_separable_one_row_averages_agree_with_the_per_atom_ones(name):
-    # open loop resolves one weight row, which a declared problem averages by
-    # the separable identity in simulate and, for a direction (of total mass
-    # 0), in the variational sweep: states, costs and y agree with
-    # the undeclared per-atom contraction within 1e-12 (about 4500 eps) of
+    # open loop resolves one weight row, which a `Separable` averages as
+    # state + w . table in simulate and, for a direction (of total mass 0),
+    # as w . table in the variational sweep: states, costs and y agree with
+    # the plain twin's per-atom contraction within 1e-12 (about 4500 eps) of
     # their largest entry
     grid = rsmp.benchmark_grid(name, 9)
     u0, u1 = random_controls(grid, 8, 70)
     assert u0.feedback is None
     out = []
-    for separable in (True, False):
-        p = dataclasses.replace(rsmp.make_benchmark(name), separable=separable)
+    for p in (rsmp.make_benchmark(name), plain_twin(rsmp.make_benchmark(name))):
         base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 2000, 8, seed=71))
         var = rsmp.simulate_variational(p, base, u1, u0)
         out.append((base.states, rsmp.pathwise_cost(p, base), var.y))
-    for declared, generic in zip(*out):
-        assert not np.array_equal(declared, generic)
-        assert np.abs(declared - generic).max() <= 1e-12 * np.abs(generic).max()
+    for split, plain in zip(*out):
+        assert not np.array_equal(split, plain)
+        assert np.abs(split - plain).max() <= 1e-12 * np.abs(plain).max()
 
 
 class TestRecordedDerivative:
