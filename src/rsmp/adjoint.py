@@ -14,12 +14,13 @@ is set exactly from the terminal cost gradient.  The processes keep their
 they are regressed on, so each step's slice [:, k] is one contiguous run.
 
 While it holds a step's adjoint values the sweep also forms the pathwise
-Hamiltonian at every control atom and sums it, with and without the running
-cost, over the feedback cells of the control, by the one rule of `_cell_sums`
-(within blocks of consecutive paths, then block by block, in one pass per
-step): small (N, C, K) tensors that every derivative at that control is a
-contraction of.  The adjoint keeps the ensemble it was solved on, and
-through it the control, so the Hamiltonian field (and with it the
+Hamiltonian at every control atom, by the pairing whose state gradient is
+the psi drift (`problem._hamiltonian_rows`), and sums it, with and without
+the running cost, over the feedback cells of the control, by the one rule of
+`_cell_sums` (within blocks of consecutive paths, then block by block, in
+one pass per step): small (N, C, K) tensors that every derivative at that
+control is a contraction of.  The adjoint keeps the ensemble it was solved
+on, and through it the control, so the Hamiltonian field (and with it the
 optimality gap) is built from the adjoint alone, and the duality pairing
 with a direction checks that it is given the adjoint's own ensemble and
 control.  Neither evaluates a coefficient or walks the paths again.
@@ -41,7 +42,7 @@ import numpy as np
 from .control import RelaxedControl
 from .errors import ShapeMismatch, SingularRegression, allocating, require_count, require_finite
 from .forward import PathEnsemble, _rescaled, _step_major, _step_weights
-from .problem import Problem, atom_hamiltonians, averaged_linearization, cell_hamiltonians, terminal_gradient
+from .problem import Problem, _hamiltonian_rows, averaged_linearization, cell_hamiltonians, terminal_gradient
 from .variation import VariationEnsemble, response_functional
 
 COND_LIMIT = 1e12
@@ -232,12 +233,8 @@ def _regress_step(
     phik = fitted[:, n + n * m :].reshape(M, J, n)
 
     bx, sx, lx, cxs = averaged_linearization(p, base.control_used.grid, k * dt, x, rows)
+    (drift,), _ = _hamiltonian_rows(p, [v[None] for v in (bx, sx, lx, *cxs)], psi_next, Qk, phik, False, False)
     with np.errstate(over="ignore", invalid="ignore"):
-        drift = np.einsum("qij,qi->qj", bx, psi_next)
-        drift += np.einsum("qab,qabl->ql", Qk, sx)
-        drift += lx
-        for j, cx in enumerate(cxs):
-            drift += lam[j] * np.einsum("qij,qi->qj", cx, phik[:, j])
         target = psi_next + drift * dt
     fitted_psi = _fit(Zt, G, target, k)
     if record:
@@ -256,12 +253,13 @@ def _sweep(base: PathEnsemble, basis: BasisSpec, record: bool) -> tuple:
     and forms neither the pairing sums nor the orthogonality diagnostic.  Both
     bin each step's sums in one `_cell_sums` pass, the same sums bit for bit.
 
-    No atom Hamiltonian term is checked on its own: a NaN/Inf term reaches
-    the step's (C, K) cell sums, so the sums are checked instead, and a step
-    whose sums are not finite is evaluated again term by term
-    (`atom_hamiltonians` checked), which names the coefficient.  Sums that
-    overflow from finite terms raise NonFiniteCoefficient("Hamiltonian ...")
-    once the sweep is done.
+    No Hamiltonian term is checked on its own: a NaN/Inf term or table
+    reaches the step's (C, K) cell sums, so the sums are checked instead, and
+    a step whose sums are not finite is evaluated again, under the sweep's
+    errstate, checking each term and table (`cell_hamiltonians` checked),
+    which names the coefficient.  Sums that overflow from finite terms and
+    tables raise NonFiniteCoefficient("Hamiltonian ...") once the sweep is
+    done.
     """
     p, u0 = base.problem, base.control_used
     M, N, dt = base.M, base.n_steps, base.dt
@@ -293,8 +291,8 @@ def _sweep(base: PathEnsemble, basis: BasisSpec, record: bool) -> tuple:
             hamiltonian_sums[k], pairing = cell_hamiltonians(*args, binned, occupancy[k], pairing=record)
             if record:
                 pairing_sums[k] = pairing
-        if not np.all(np.isfinite(hamiltonian_sums[k])):
-            atom_hamiltonians(*args, pairing=False)  # raises naming the coefficient of a NaN/Inf term
+            if not np.all(np.isfinite(hamiltonian_sums[k])):  # raises naming the coefficient of a NaN/Inf term
+                cell_hamiltonians(*args, binned, occupancy[k], pairing=False, checked=True)
     require_finite(hamiltonian_sums, "Hamiltonian")
     kept = (psi, psi_cont, Q, phi, require_finite(pairing_sums, "adjoint pairing")) if record else ()
     for arr in (hamiltonian_sums, occupancy, *kept):
@@ -315,18 +313,21 @@ def solve_bsde(
       psi_k    <- fit of psi_next + [b_x^T psi_next + V_Q + l_x
                                       + sum_j lam_j C_x^T phi_kj] dt,
 
-    all conditioned on the step-k state through the polynomial basis.  Each
-    step builds one design (normal matrix, condition number, ridge decision)
-    and solves it for two target blocks: Q_k, phi_k and the continuation
-    value first, then psi_k, whose target needs them.  With psi_cont, Q_k and
-    phi_k in hand the step evaluates b, sigma, l and C once for all atoms, forms
-    the (K, M) atom Hamiltonians and sums them, with and without the running
-    cost, over u0's feedback cells (`problem.cell_hamiltonians`: a
-    `Separable` coefficient adds its state part on the paths and pairs a
-    (K,) table of its control part with per-cell sums).  A NaN/Inf
-    terminal cost gradient, regression target, coefficient term or cell sum
-    raises NonFiniteCoefficient, and a value of another shape or a base not
-    simulated under p and u0 ShapeMismatch.
+    all conditioned on the step-k state through the polynomial basis; the
+    bracket (V_Q = Q_k : sigma_x) pairs the averaged Jacobians as
+    `rsmp.hamiltonian` pairs the averaged coefficients.  Each step builds one
+    design (normal matrix, condition number, ridge decision) and solves it for
+    two target blocks: Q_k, phi_k and the continuation value first, then
+    psi_k, whose target needs them.  With psi_cont, Q_k and phi_k in hand the
+    step evaluates b, sigma, l and C once for all atoms, pairs them into the
+    atom Hamiltonians and sums these, with and without the running cost, over
+    u0's feedback cells (`problem.cell_hamiltonians`: a `Separable`
+    coefficient adds its state part on the paths and pairs a (K,) table of its
+    control part with per-cell sums).  A NaN/Inf terminal cost gradient,
+    regression target or cell sum raises NonFiniteCoefficient, which names the
+    coefficient of a NaN/Inf term or table when the step is evaluated again,
+    checked; a value of another shape or a base not simulated under p and u0
+    raises ShapeMismatch.
     """
     base.require(p, u0)
     sums, occupancy, (psi, psi_cont, Q, phi, pairing), diags = _sweep(base, basis_spec or BasisSpec(), record=True)

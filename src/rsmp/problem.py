@@ -35,18 +35,20 @@ returned as it is, and to zero under a direction; any other is contracted
 over the atom axis, and einsum broadcasts a length-1 path axis:
 `contract_atoms` pairs it with one weight row (K,), as open loop resolves,
 or per-path weights (M, K).  Only `averaged_coefficients` is given a mass.
-`atom_hamiltonians` pairs every coefficient's atom values with the adjoint
-processes to get all K per-atom Hamiltonians from one evaluation each;
-`cell_hamiltonians`, the backward sweep's, sums them over feedback cells,
-pairing a `Separable`'s table with the cell sums of the per-path array it
-multiplies instead.  The values themselves are never checked: each
-contracted value (or row, or term) passes `errors.require_finite` instead
-(0 * Inf and Inf - Inf are NaN, so any NaN/Inf atom shows, and so does a
-contraction that overflows).  The backward sweep checks one reduction
-further: the per-step cell sums, which every NaN/Inf term reaches, and only
-a step whose sums are not finite has its terms checked one by one to name
-the coefficient.  `point_coefficients` evaluates only the control values in
-force, so a NaN at any other atom never shows.
+`_hamiltonian_rows` is the one pairing of coefficient values with the
+adjoint processes: `cell_hamiltonians`, the backward sweep's, pairs atom
+values and sums them over feedback cells, pairing a `Separable`'s table
+with the cell sums of the per-path array it multiplies instead;
+`smp.hamiltonian` pairs averages, and each backward step the averaged
+Jacobians, the state gradient.  The values themselves are never checked:
+each contracted value (or row, or term) passes `errors.require_finite`
+instead (0 * Inf and Inf - Inf are NaN, so any NaN/Inf atom shows, and so
+does a contraction that overflows).  The backward sweep checks one
+reduction further: the per-step cell sums, which every NaN/Inf term
+reaches, and only a step whose sums are not finite has its terms and
+tables checked one by one to name the coefficient.  `point_coefficients`
+evaluates only the control values in force, so a NaN at any other atom
+never shows.
 Every sweep reads a step's coefficients through `averaged_coefficients` (or
 its point-control twin `point_coefficients`), their state Jacobians through
 `averaged_linearization` and phi, phi_x through `terminal_cost`,
@@ -54,8 +56,9 @@ its point-control twin `point_coefficients`), their state Jacobians through
 of a `Separable`, and a value (or part) of another per-path shape than
 documented raises ShapeMismatch.
 The field of a problem without a `Separable` equals the one-hot
-`hamiltonian` rows summed by the backward sweep's blocked rule
-(`adjoint._cell_sums`), bit for bit; a `Separable`'s moves it by rounding.
+`hamiltonian` rows (one-hot averages are the atom values) summed by the
+backward sweep's blocked rule (`adjoint._cell_sums`), bit for bit; a
+`Separable`'s tables move it by rounding.
 """
 
 from __future__ import annotations
@@ -341,45 +344,39 @@ def _coefficients(p: Problem) -> list:
 
 
 def _accumulated(total, term) -> np.ndarray:
-    """total + term, into total when it already has the sum's shape."""
-    return np.add(total, term, out=total if total.shape == np.broadcast_shapes(total.shape, term.shape) else None)
+    """total + term, into total unless term has more atoms: a row sum's path
+    axis is always full (M), since its first term pairs with psi (M, n)."""
+    return np.add(total, term, out=total if len(total) >= len(term) else None)
 
 
-def _hamiltonian_rows(p: Problem, grid, t, x, psi, Q, phi_row, pairing: bool, checked: bool, split: bool) -> tuple:
-    """The rows (1 or K, M) of the pathwise Hamiltonian and, with pairing, of
-    the same sum without the running cost (else None), term by term: drift
-    pairing + diffusion trace pairing + running cost + the jump pairing of
-    each mark, in that order; and the (dual, table) of each coefficient left
-    out, else an empty list.
-
-    A coefficient's term is its `_atom_view` form paired as it is with the
-    per-path arrays x (M, n), psi (M, n), Q (M, n, m) and phi_row (M, J, n),
-    None for a diffusion (J = 0), which are not reshaped: a value evaluated
-    once gives one term row, and a value the same on every path is paired as
-    one path row.  With split, a `Separable` gives its state part's term
-    instead, one row, and leaves its control part out: its table at the K
-    atoms (times the intensity for a jump coefficient) and its dual, the
-    per-path array the table pairs with (None for the running cost, whose
-    table every path adds).  With checked, each term passes `require_finite`
-    as it is paired, naming the coefficient; the sums may overflow to Inf,
-    or turn NaN, without a numpy warning.
-    """
+def _duals(p: Problem, psi, Q, phi_row) -> list:
+    """(dual, scale) per coefficient in `_coefficients` order: the per-path array it pairs with (None for the
+    running cost) and lam_j for the jump coefficient of mark j, else None."""
     if p.jump.J and phi_row is None:
         raise ShapeMismatch("jump problems need the jump intensity row of the adjoint")
-    duals = [psi, Q, None] + [phi_row[:, j] for j in range(p.jump.J)]
-    scales = [None, None, None, *p.jump.intensities]
+    return [(psi, None), (Q, None), (None, None)] + [(phi_row[:, j], lam) for j, lam in enumerate(p.jump.intensities)]
+
+
+def _hamiltonian_rows(p: Problem, values, psi, Q, phi_row, pairing: bool, checked: bool) -> tuple:
+    """The one Hamiltonian pairing: per-coefficient values paired with the
+    adjoint term by term, drift . psi + diffusion : Q + running cost +
+    sum_j lam_j jump_j . phi_j in that order, and with pairing the same sum
+    without the running cost (else None).
+
+    values yields each coefficient's values in `_coefficients` order, shape
+    (1 or K, 1 or M, *tail): atom values, or a state part or averages as one
+    row; a state Jacobian's derivative axis rides along (einsum's ...), so
+    its sum is the state gradient of the Hamiltonian.  They pair as they
+    are with psi (M, n), Q (M, n, m) and phi_row (M, J, n), None for J = 0,
+    and each is dropped once paired.  With checked, each term passes
+    `require_finite` as it is paired, naming the coefficient; the sums may
+    overflow to Inf, or turn NaN, without a numpy warning.
+    """
     ham = pairs = None
-    left_out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for (f, tail, extra, what), dual, lam in zip(_coefficients(p), duals, scales):
-            if split and isinstance(f, Separable):
-                vals = _state_part(f, t, x, extra, tail, what)[None]
-                table = _control_table(f, grid, t, extra, tail, what)
-                left_out.append((dual, table if lam is None else lam * table))
-            else:
-                vals = _atom_view(f, grid, t, x, tail, extra, what)
+        for (_, tail, _, what), (dual, lam), vals in zip(_coefficients(p), _duals(p, psi, Q, phi_row), values):
             axes = "ab"[: len(tail)]  # the per-path tail of b and C (n,), of sigma (n, m)
-            term = vals if dual is None else np.einsum(f"kq{axes},q{axes}->kq", vals, dual)
+            term = vals if dual is None else np.einsum(f"kq{axes}...,q{axes}->kq...", vals, dual)
             del vals  # free an atom tensor before the next one
             if lam is not None:
                 term *= lam
@@ -388,35 +385,15 @@ def _hamiltonian_rows(p: Problem, grid, t, x, psi, Q, phi_row, pairing: bool, ch
             if pairing and dual is not None:
                 pairs = term.copy() if pairs is None else _accumulated(pairs, term)
             ham = term if ham is None else _accumulated(ham, term)
-    return ham, pairs, left_out
+    return ham, pairs
 
 
-def atom_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, *, pairing=True, checked=True) -> tuple:
-    """Pathwise Hamiltonian at every grid atom, shape (K, M): drift pairing
-    + diffusion trace pairing + running cost + jump pairing; and the same
-    sum without the running cost, the adjoint pairing with each atom's
-    coefficients, shape (K, M), or None for a caller that passes
-    pairing=False and reads only the Hamiltonian (its values are the same).
-
-    Each coefficient, a `Separable` as the sum of its parts, is evaluated
-    once for all atoms by `_atom_view` and paired as `_hamiltonian_rows`
-    pairs it; sums of one row are repeated to K.  With checked, a NaN/Inf
-    atom value, or a pairing that overflows, raises NonFiniteCoefficient
-    naming the coefficient.  With checked=False no term is checked and a
-    NaN/Inf term reaches both sums; a caller that finds one in what it
-    reduces them to calls again, checked, to name the coefficient.  The two
-    sums may overflow to Inf, or turn NaN, without a numpy warning: each
-    caller checks what it reduces them to.
-    """
-    sums = _hamiltonian_rows(p, grid, t, x, psi, Q, phi_row, pairing, checked, split=False)[:2]
-    return tuple(rows if rows is None or len(rows) == grid.K else np.repeat(rows, grid.K, axis=0) for rows in sums)
-
-
-def cell_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, cell_sums, counts, *, pairing: bool) -> tuple:
-    """The per-cell sums (C, K) of `atom_hamiltonians` over feedback cells
-    holding counts (C,) paths, and with pairing (a recording sweep) those of
-    its pairing, else None; cell_sums(rows) -> (C, R) sums each of R
-    per-path rows over the cells.
+def cell_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, cell_sums, counts, *, pairing: bool, checked=False):
+    """The per-cell sums (C, K) of the pathwise Hamiltonian at every grid
+    atom over feedback cells holding counts (C,) paths, and with pairing (a
+    recording sweep) those of the same sum without the running cost, else
+    None; cell_sums(rows) -> (C, R) sums each of R per-path rows over the
+    cells.
 
     A `Separable`'s control part is the same on every path, so its term's
     cell sum is the cell sum of the per-path array it pairs with times its
@@ -426,14 +403,27 @@ def cell_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, cell_sums, counts
                   + counts_c h_ell(xi_i) + sum_j lam_j (sum phi_j)_c . h_Cj(xi_i),
 
     each table term present for a `Separable` coefficient only, and H the
-    rows of `_hamiltonian_rows` split: every plain term and every state-part
-    term, 1 or K rows; the pairing the same without the running cost.  The
-    rows and the per-path arrays the tables pair with are binned in one
-    cell_sums pass.  Nothing is checked: the caller checks the sums.  On a
-    problem without a `Separable` the sums are `atom_hamiltonians`' rows
-    binned, bit for bit.
+    `_hamiltonian_rows` of the plain coefficients' `_atom_view` values and
+    of the state parts, 1 or K rows.  The rows and the per-path arrays the
+    tables pair with are binned in one cell_sums pass.  With checked, each
+    term and table passes `require_finite` in coefficient order, naming the
+    coefficient; else the caller checks the sums.  On a problem without a
+    `Separable` the sums are the per-atom rows' binned, bit for bit.
     """
-    ham, pairs, left_out = _hamiltonian_rows(p, grid, t, x, psi, Q, phi_row, pairing, checked=False, split=True)
+    left_out = []  # (dual, table) of each Separable, a jump coefficient's table times its intensity
+
+    def values():
+        for (f, tail, extra, what), (dual, lam) in zip(_coefficients(p), _duals(p, psi, Q, phi_row)):
+            if not isinstance(f, Separable):
+                yield _atom_view(f, grid, t, x, tail, extra, what)
+                continue
+            state = _state_part(f, t, x, extra, tail, what)[None]
+            table = _control_table(f, grid, t, extra, tail, what)
+            table = require_finite(table, what) if checked else table
+            left_out.append((dual, table if lam is None else lam * table))
+            yield state
+
+    ham, pairs = _hamiltonian_rows(p, values(), psi, Q, phi_row, pairing, checked)
     M, K = len(x), grid.K
     paired = [(dual.reshape(M, -1).T, table.reshape(K, -1).T) for dual, table in left_out if dual is not None]
     heads = [*ham, *(pairs if pairing else ())]

@@ -28,10 +28,11 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .adjoint import AdjointEnsemble, BasisSpec, _sweep
-from .control import ControlGrid, RegularControl, RelaxedControl, mix
-from .errors import ShapeMismatch, allocating, require_count, require_finite, require_seed, require_tolerance
+from .control import ControlGrid, RegularControl, RelaxedControl, mix, validate
+from .errors import DomainError, ShapeMismatch, allocating, require_count, require_finite, require_seed
+from .errors import require_tolerance
 from .forward import _mean_and_error, pathwise_cost, sample_noise, simulate
-from .problem import Problem, _require_shape, atom_hamiltonians, contract_atoms
+from .problem import Problem, _hamiltonian_rows, _require_shape, averaged_coefficients
 
 LINE_SEARCH_FLOOR = 10  # smallest line-search step is 2**-LINE_SEARCH_FLOOR
 # gain = se_diff = a / M exactly when a trial lowers one path's cost by a > 0 and
@@ -47,16 +48,18 @@ def _per_path(arr, M: int) -> np.ndarray:
 
 
 def hamiltonian(p: Problem, grid: ControlGrid, t, x, psi, Q, phi_row, w) -> np.ndarray:
-    """Relaxed-averaged Hamiltonian: the per-atom Hamiltonians of
-    `atom_hamiltonians` averaged against the weight vector w.
+    """Relaxed-averaged Hamiltonian H(w) = sum_i w_i H(xi_i): the one
+    pairing (`_hamiltonian_rows`) of the w-averaged coefficients, each by
+    its own rule (`averaged_coefficients`), with the adjoint.
 
     Batched over the M paths of x (M, n): psi is (M, n), Q (M, n, m) and
     phi_row (M, J, n), where Q and phi_row may also be one (n, m) or (J, n)
-    array shared by every path, broadcast here so that `atom_hamiltonians`
-    gets per-path arrays, and a diffusion's phi_row (J = 0) may be None; w is
-    one weight row (K,) or one per path (M, K).  Any other shape, here or of
-    a coefficient value, raises ShapeMismatch, and a NaN/Inf term or result
-    (an overflowing sum included) NonFiniteCoefficient.  Linear in w.
+    array shared by every path, and a diffusion's phi_row (J = 0) may be
+    None; w is one weight row (K,) or one per path (M, K).  Any other shape,
+    here or of a coefficient value, raises ShapeMismatch, then a row of w
+    off the simplex (`validate`'s rule) DomainError, and a NaN/Inf average,
+    term or result (an overflowing sum included) NonFiniteCoefficient.
+    Affine in the measure w.
     """
     x = np.atleast_2d(x)
     M, n, K = x.shape[0], p.n, grid.K
@@ -67,8 +70,12 @@ def hamiltonian(p: Problem, grid: ControlGrid, t, x, psi, Q, phi_row, w) -> np.n
         raise ShapeMismatch(f"w has shape {np.shape(w)}, expected {(K,)} or {(M, K)}")
     if phi_row is not None:
         phi_row = _require_shape(_per_path(phi_row, M), (M, p.jump.J, n), "phi_row")
-    ham, _ = atom_hamiltonians(p, grid, t, x, psi, Q, phi_row, pairing=False)
-    return require_finite(contract_atoms(ham, w), "Hamiltonian")
+    if violations := validate(w).violations:
+        v = violations[0]
+        raise DomainError(f"w is not a measure: {v.kind} weights in row {v.step}, off the simplex by {v.magnitude:.3e}")
+    b, sigma, ell, Cs = averaged_coefficients(p, grid, t, x, w)
+    (ham,), _ = _hamiltonian_rows(p, [value[None] for value in (b, sigma, ell, *Cs)], psi, Q, phi_row, False, True)
+    return require_finite(ham, "Hamiltonian")
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,8 @@ class HamiltonianField:
     hamiltonian_sums divided by its occupancy, which the field shares.
     control is the relaxed control the adjoint was solved under; its grid and
     feedback structure are the field's.  Pathwise values are not kept;
-    `hamiltonian` with one-hot weights gives them.
+    `hamiltonian` with one-hot weights gives them (bit for bit without a
+    `Separable`).
     """
 
     cell_values: np.ndarray  # (N, C, K)

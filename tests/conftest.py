@@ -1,6 +1,7 @@
 """Shared pytest hooks, fixtures and helpers: surface the acceptance
 criterion verdicts, a problem whose diffusion depends on the state, lq1d
-with scaled costs, and the plain twin of a problem."""
+with scaled costs, the plain twin of a problem, and the per-path
+Hamiltonian rows of the backward sweep's pairing."""
 
 import dataclasses
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import rsmp
+from rsmp.problem import cell_hamiltonians
 
 criterion_lines = []
 
@@ -30,6 +32,16 @@ def plain_twin(p):
     """p with each `Separable` of b, sigma, ell and C wrapped as `plain`."""
     changes = {key: plain(getattr(p, key)) for key in ("b", "sigma", "ell")}
     return dataclasses.replace(p, jump=dataclasses.replace(p.jump, C=plain(p.jump.C)), **changes)
+
+
+def per_path_hamiltonians(p, grid, t, x, psi, Q, phi_row, checked=False):
+    """`problem.cell_hamiltonians` with one cell per path: the (M, K)
+    pathwise Hamiltonian at every atom, a `Separable` paired by its state
+    part and its table."""
+    M = len(x)
+    ham, _ = cell_hamiltonians(p, grid, t, x, psi, Q, phi_row, lambda rows: np.stack(rows, axis=1), np.ones(M),
+                               pairing=False, checked=checked)
+    return ham
 
 
 @pytest.fixture

@@ -18,8 +18,7 @@ from rsmp import (
 )
 from rsmp.adjoint import COND_LIMIT, DEGENERATE_STD, RIDGE_SCALE, SUM_BLOCKS, BasisSpec, _cell_sums, _design, _fit
 from rsmp.forward import _BLOCK
-from rsmp.problem import atom_hamiltonians
-from conftest import plain_twin
+from conftest import per_path_hamiltonians, plain_twin
 
 
 def linear_terminal_problem(a=0.6, c=0.0, drift_slope=0.0, noise=0.4):
@@ -874,9 +873,60 @@ class TestCellSums:
             signal = base.feedback_signal(k, mode)
             cells = np.zeros(M, dtype=np.int64) if signal is None else part.assign(signal)
             phik = adj.phi[:, k] if p.jump.J else None
-            ham, _ = atom_hamiltonians(
-                p, grid, k * base.dt, base.states[:, k], adj.psi_cont[:, k], adj.Q[:, k], phik, pairing=False
-            )
+            x, t = base.states[:, k], k * base.dt
+            ham = per_path_hamiltonians(p, grid, t, x, adj.psi_cont[:, k], adj.Q[:, k], phik).T  # per atom (K, M)
             exact = np.array([[math.fsum(row[cells == c]) for row in ham] for c in range(C)])
             worst = max(worst, np.abs(adj.hamiltonian_sums[k] - exact).max())
         assert worst <= 2e-14 * np.abs(adj.hamiltonian_sums).max()
+
+
+class TestBackwardDrift:
+    """The psi target drift of each backward step is the state gradient of
+    the Hamiltonian, b_x^T psi + Q : sigma_x + l_x + sum_j lam_j C_x^T phi_j,
+    formed by the one pairing rule (`problem._hamiltonian_rows`) on
+    `averaged_linearization`'s values: byte for byte the einsum block each
+    step used to form it with."""
+
+    CASES = ["lq1d", "lq2d", "jump-lq", "nonconvex-mix", "sigma_x_case"]
+
+    @staticmethod
+    def reference_drift(p, bx, sx, lx, cxs, psi_next, Qk, phik):
+        lam = p.jump.intensities
+        with np.errstate(over="ignore", invalid="ignore"):
+            drift = np.einsum("qij,qi->qj", bx, psi_next)
+            drift += np.einsum("qab,qabl->ql", Qk, sx)
+            drift += lx
+            for j, cx in enumerate(cxs):
+                drift += lam[j] * np.einsum("qij,qi->qj", cx, phik[:, j])
+        return drift
+
+    @pytest.mark.parametrize("mode", [rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK])
+    @pytest.mark.parametrize("name", CASES)
+    def test_drift_equals_the_einsum_block_byte_for_byte(self, name, mode, request, monkeypatch):
+        N = 4
+        if name == "sigma_x_case":
+            case = request.getfixturevalue("sigma_x_case")
+            p, grid = case.p, case.grid
+            part = None if mode == rsmp.OPEN_LOOP else rsmp.CellPartition([[-2.0, 2.0]] * p.n, (3,) * p.n)
+            C = 1 if part is None else part.n_cells
+            u0 = RelaxedControl(grid, np.random.default_rng(50).dirichlet(np.ones(grid.K), (N, C)), mode, part)
+        else:
+            p = rsmp.make_benchmark(name)
+            (u0,) = seeded_controls(name, mode, N, 1, seed=50)
+        base = rsmp.simulate(p, u0, rsmp.sample_noise(p, 300, N, seed=51))
+        pairing_rule = rsmp.adjoint._hamiltonian_rows
+        drifts = []
+
+        def spy(p, values, psi, Q, phi_row, pairing, checked):
+            values = list(values)
+            rows = pairing_rule(p, values, psi, Q, phi_row, pairing, checked)
+            drifts.append(([v[0] for v in values], psi.copy(), Q.copy(), phi_row.copy(), rows[0][0].copy()))
+            return rows
+
+        monkeypatch.setattr(rsmp.adjoint, "_hamiltonian_rows", spy)
+        rsmp.solve_bsde(p, base, u0)
+        assert len(drifts) == N
+        for (bx, sx, lx, *cxs), psi_next, Qk, phik, got in drifts:
+            assert len(cxs) == p.jump.J
+            ref = self.reference_drift(p, bx, sx, lx, cxs, psi_next, Qk, phik)
+            assert got.shape == ref.shape == (base.M, p.n) and got.tobytes() == ref.tobytes()

@@ -82,13 +82,15 @@ def with_part(name, key, part, tail):
     return rsmp.simulate(p, rsmp.constant_control(rsmp.benchmark_grid(name, 3), 4), rsmp.sample_noise(p, 4, 4, 1))
 
 
-def lq_hamiltonian(x=(4, 1), psi=(4, 1), Q=(4, 1, 1), w=5, name="lq1d", phi_row=None, **changes):
+def lq_hamiltonian(x=(4, 1), psi=(4, 1), Q=(4, 1, 1), w=5, name="lq1d", phi_row=None, weights=None, **changes):
     """rsmp.hamiltonian at t = 0 on a benchmark's 5-atom grid with arrays of ones
-    of the given shapes (n = m = 1, M = 4 on lq1d) and uniform weights, on
-    the benchmark with the given fields replaced."""
+    of the given shapes (n = m = 1, M = 4 on lq1d) and uniform weights of
+    shape w, or the given weights, on the benchmark with the given fields
+    replaced."""
     p, grid = dataclasses.replace(rsmp.make_benchmark(name), **changes), rsmp.benchmark_grid(name, 5)
     phi_row = None if phi_row is None else np.ones(phi_row)
-    return rsmp.hamiltonian(p, grid, 0.0, np.ones(x), np.ones(psi), np.ones(Q), phi_row, np.full(w, 1.0 / 5))
+    w = np.full(w, 1.0 / 5) if weights is None else np.array(weights, dtype=float)
+    return rsmp.hamiltonian(p, grid, 0.0, np.ones(x), np.ones(psi), np.ones(Q), phi_row, w)
 
 
 @functools.lru_cache(maxsize=None)
@@ -181,6 +183,14 @@ REFUSED = [
     ("hamiltonian jump coefficient of two components",
      lambda: lq_hamiltonian(name="jump-lq", phi_row=(4, 2, 1), jump=jump_lq_c(filled((2,)))), ShapeMismatch,
      r"^jump coefficient has shape \(4, 2\), expected \(4, 1\)$"),
+    ("hamiltonian with a negative weight", lambda: lq_hamiltonian(weights=[-0.2, 0.4, 0.4, 0.2, 0.2]),
+     DomainError, r"^w is not a measure: negative weights in row 0, off the simplex by 2\.000e-01$"),
+    ("hamiltonian with a row of mass 0.5", lambda: lq_hamiltonian(weights=[[0.2] * 5, [0.1] * 5, [0.2] * 5, [0.2] * 5]),
+     DomainError, r"^w is not a measure: normalization weights in row 1, off the simplex by 5\.000e-01$"),
+    ("hamiltonian with a NaN weight", lambda: lq_hamiltonian(weights=[NAN, 0.25, 0.25, 0.25, 0.25]), DomainError,
+     r"^w is not a measure: non-finite weights in row 0, off the simplex by 1\.000e\+00$"),
+    ("hamiltonian of another shape before the measure", lambda: lq_hamiltonian(Q=(4, 2, 1), weights=[NAN] * 5),
+     ShapeMismatch, "Q has shape"),
     ("hamiltonian whose finite terms overflow", lambda: lq_hamiltonian(b=filled((1,), 1e308), ell=filled((), 1e308)),
      NonFiniteCoefficient, "^Hamiltonian produced NaN/Inf$"),
     ("pathwise cost of an (M, 1) terminal cost", lambda: rsmp.pathwise_cost(*terminal("phi", (1,))[:2]),

@@ -7,15 +7,25 @@ import pytest
 import rsmp
 from rsmp import ControlGrid, DomainError, JumpSpec, NonFiniteCoefficient, Problem, Separable, ShapeMismatch
 from rsmp.forward import _feedback_signal
-from rsmp.problem import _atom_view, _coefficients, atom_hamiltonians, averaged_coefficients, averaged_diffusion
+from rsmp.problem import _atom_view, _coefficients, _hamiltonian_rows, averaged_coefficients, averaged_diffusion
 from rsmp.problem import averaged_drift, averaged_drift_x, averaged_linearization, cell_hamiltonians, contract_atoms
 from rsmp.problem import fd_gradient
-from conftest import plain_twin
+from conftest import per_path_hamiltonians, plain_twin
 
 
 def stacked(f, grid, t, x, extra=()):
     """f at every atom of the grid by one call per atom, stacked atom-leading."""
     return np.stack([np.asarray(f(t, x, *extra, xi), dtype=float) for xi in grid.points])
+
+
+def atom_rows(p, grid, t, x, psi, Q, phi_row, pairing=True, checked=True):
+    """The pathwise Hamiltonian at every atom (K, M) and the same sum
+    without the running cost (None without pairing): `_hamiltonian_rows` on
+    every coefficient's `_atom_view` values, a `Separable` as its sum, each
+    sum of one row broadcast to K."""
+    values = (_atom_view(f, grid, t, x, tail, extra, what) for f, tail, extra, what in _coefficients(p))
+    rows = _hamiltonian_rows(p, values, psi, Q, phi_row, pairing, checked)
+    return tuple(None if r is None else np.broadcast_to(r, (grid.K, len(x))) for r in rows)
 
 
 def linear_problem(A, B):
@@ -228,7 +238,7 @@ class TestControlFreeCoefficients:
     """A coefficient whose result has length 1 on the atom axis does not
     depend on the control and is evaluated once for all atoms: its relaxed
     average is that value under a control's weights (total mass 1) and zero
-    under a direction's (total mass 0), and its atom Hamiltonian term one row
+    under a direction's (total mass 0), and its Hamiltonian term one row
     added to every atom.  Both equal the contraction of the
     (K, M, ...) tensor of the stacked per-atom calls, within rounding."""
 
@@ -300,7 +310,7 @@ class TestControlFreeCoefficients:
             assert np.all(np.abs(value - ref) <= bound), key
 
     @pytest.mark.parametrize("name", sorted(CONTROL_FREE))
-    def test_atom_hamiltonians_match_the_stacked_terms(self, name):
+    def test_hamiltonian_rows_match_the_stacked_terms(self, name):
         p, grid, x = self.case(name)
         M, n, K = self.M, p.n, grid.K
         rng = np.random.default_rng(40)
@@ -314,20 +324,20 @@ class TestControlFreeCoefficients:
             C = stacked(p.jump.C, grid, 0.3, x, (v,))
             terms.append(p.jump.intensities[j] * np.einsum("kqi,qi->kq", C, phi_row[:, j]))
         ell = stacked(p.ell, grid, 0.3, x)
-        ham, pairing = atom_hamiltonians(p, grid, 0.3, x, psi, Q, phi_row)
+        ham, pairing = atom_rows(p, grid, 0.3, x, psi, Q, phi_row)
         pairing_ref, scale = sum(terms), sum(np.abs(t) for t in terms)
         assert ham.shape == pairing.shape == (K, M)
         assert np.all(np.abs(pairing - pairing_ref) <= self.RTOL * scale)
         assert np.all(np.abs(ham - (pairing_ref + ell)) <= self.RTOL * (scale + np.abs(ell)))
 
     @pytest.mark.parametrize("name", sorted(CONTROL_FREE))
-    def test_atom_hamiltonians_without_pairing_are_bit_equal(self, name):
+    def test_hamiltonian_rows_without_pairing_are_bit_equal(self, name):
         p, grid, x = self.case(name)
         rng = np.random.default_rng(41)
         psi, Q = rng.standard_normal((self.M, p.n)), rng.standard_normal((self.M, p.n, p.m))
         phi_row = rng.standard_normal((self.M, p.jump.J, p.n))
-        ham, _ = atom_hamiltonians(p, grid, 0.3, x, psi, Q, phi_row)
-        alone, pairing = atom_hamiltonians(p, grid, 0.3, x, psi, Q, phi_row, pairing=False)
+        ham, _ = atom_rows(p, grid, 0.3, x, psi, Q, phi_row)
+        alone, pairing = atom_rows(p, grid, 0.3, x, psi, Q, phi_row, pairing=False)
         assert pairing is None
         assert np.array_equal(alone, ham)
 
@@ -335,7 +345,7 @@ class TestControlFreeCoefficients:
 class TestPathConstantRows:
     """A coefficient value that is a broadcast along the path axis is the
     same on every path, and `_atom_view` keeps one path of it: its averages
-    and atom Hamiltonians equal, bit for bit, those of the same values given
+    and Hamiltonian rows equal, bit for bit, those of the same values given
     as a contiguous array, and the row is what the finite check sees.  A
     value evaluated once for all atoms stays one row under per-path weights
     too."""
@@ -384,14 +394,14 @@ class TestPathConstantRows:
         given, ref = average(p, grid, 0.3, x, lambda: rows), average(dense, grid, 0.3, x, lambda: rows)
         assert given.shape == ref.shape == (self.M,) + given.shape[1:] and given.tobytes() == ref.tobytes()
 
-    # (benchmark, coefficient) paired as it is by atom_hamiltonians; jump-lq's C is a full value
+    # (benchmark, coefficient) paired as it is by _hamiltonian_rows; jump-lq's C is a full value
     HAMILTONIAN_ROWS = [(name, "sigma") for name in rsmp.BENCHMARK_NAMES] + [
         ("nonconvex-mix", "b"), ("jump-lq", "C"), ("negative-zero", "b"),
     ]
 
     @pytest.mark.parametrize("checked", [True, False], ids=["checked", "unchecked"])
     @pytest.mark.parametrize("name, key", HAMILTONIAN_ROWS, ids=[f"{n}-{k}" for n, k in HAMILTONIAN_ROWS])
-    def test_atom_hamiltonians_equal_those_of_the_contiguous_values_bit_for_bit(self, name, key, checked):
+    def test_hamiltonian_rows_equal_those_of_the_contiguous_values_bit_for_bit(self, name, key, checked):
         p, grid, x, _ = self.case(name)
         owner = p.jump if key == "C" else p
         f = getattr(owner, key)
@@ -400,8 +410,8 @@ class TestPathConstantRows:
         rng = np.random.default_rng(43)
         psi, Q = rng.standard_normal((self.M, p.n)), rng.standard_normal((self.M, p.n, p.m))
         phi_row = rng.standard_normal((self.M, p.jump.J, p.n))
-        given = atom_hamiltonians(p, grid, 0.3, x, psi, Q, phi_row, checked=checked)
-        ref = atom_hamiltonians(dense, grid, 0.3, x, psi, Q, phi_row, checked=checked)
+        given = atom_rows(p, grid, 0.3, x, psi, Q, phi_row, checked=checked)
+        ref = atom_rows(dense, grid, 0.3, x, psi, Q, phi_row, checked=checked)
         for got, want in zip(given, ref):
             assert got.shape == want.shape == (grid.K, self.M) and got.tobytes() == want.tobytes()
 
@@ -432,8 +442,8 @@ class TestPathConstantRows:
 class TestContraction:
     """One weight row contracts to the same bits as its (M, K) broadcast, so
     an open-loop control resolves to its row; and a NaN or Inf at any atom
-    reaches the contracted value, which is all the averages and the atom
-    Hamiltonians check."""
+    reaches the contracted value, which is all the averages and the
+    Hamiltonian pairing check."""
 
     @pytest.mark.parametrize("tail", [(), (2,), (2, 3), (2, 2), (2, 3, 2)])
     def test_row_matches_its_broadcast_bit_for_bit(self, tail):
@@ -504,8 +514,9 @@ class TestContraction:
     ]
 
     @pytest.mark.parametrize("key, what, value", HAMILTONIAN_TERMS, ids=[c[0] for c in HAMILTONIAN_TERMS])
-    def test_non_finite_term_reaches_the_atom_hamiltonians(self, key, what, value):
-        # each contracted (K, M) term is checked, not the atom values
+    def test_non_finite_term_is_named_by_the_checked_cell_sums(self, key, what, value):
+        # each contracted term is checked, not the atom values, as the backward
+        # sweep's naming re-run checks them; here one cell per path
         p = rsmp.make_benchmark("jump-lq")
         grid = rsmp.benchmark_grid("jump-lq", 5)
         at = {2: value}
@@ -517,7 +528,7 @@ class TestContraction:
         x = np.random.default_rng(36).standard_normal((M, 1))
         psi, Q, phi_row = np.full((M, 1), 1e10), np.full((M, 1, 1), 1e10), np.full((M, J, 1), 1e10)
         with pytest.raises(NonFiniteCoefficient, match=f"^{what} produced NaN/Inf$"):
-            atom_hamiltonians(p, grid, 0.3, x, psi, Q, phi_row)
+            per_path_hamiltonians(p, grid, 0.3, x, psi, Q, phi_row, checked=True)
 
 
 class TestSeparableRule:

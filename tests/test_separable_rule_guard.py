@@ -3,8 +3,9 @@
 Only `problem.py` calls the state or control part of a `Separable`, in
 `Separable.__call__`, `_state_part` and `_control_table`, and only two
 functions decide by the type of a coefficient: `_averaged`, the one
-averaging rule per coefficient, and `_hamiltonian_rows`, which the backward
-sweep's cell sums split by; every other module sees a coefficient as a
+averaging rule per coefficient, and `cell_hamiltonians`, whose values (a
+state part for a `Separable`, which keeps its table out) the one pairing
+rule `_hamiltonian_rows` pairs; every other module sees a coefficient as a
 callable.  A second reader would bring back a rule of its own.  `_averaged`
 takes no problem, so no problem-level declaration can route an average.
 No function sums a weight row: a control's rows have total mass 1 and a
@@ -97,7 +98,7 @@ def test_only_problem_reads_the_parts():
         ("problem", "control", "Separable.__call__"),
         ("problem", "state", "_state_part"),
         ("problem", "control", "_control_table"),
-        ("problem", "isinstance", "_hamiltonian_rows"),
+        ("problem", "isinstance", "cell_hamiltonians.values"),
         ("problem", "isinstance", "_averaged"),
     ])
 

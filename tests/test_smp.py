@@ -8,8 +8,9 @@ import rsmp
 from rsmp import CellPartition, ControlGrid, DomainError, NonFiniteCoefficient, RelaxedControl
 from rsmp.adjoint import SUM_BLOCKS, _cell_sums, _sweep
 from rsmp.forward import _mean_and_error
+from rsmp.problem import _coefficients, contract_atoms
 from rsmp.smp import HamiltonianField, _decrease_clears, _field, _largest_remainder
-from conftest import plain_twin
+from conftest import per_path_hamiltonians, plain_twin
 
 
 def blocked_sums(cells, C, rows):
@@ -53,6 +54,28 @@ class TestHamiltonian:
         x = np.array([[0.5]])
         got = rsmp.hamiltonian(p, grid, 0.0, x, np.zeros((1, 1)), np.zeros((1, 1, 1)), None, np.array([0.5, 0.5]))
         assert got[0] == pytest.approx(0.25, abs=1e-14)
+
+    @pytest.mark.parametrize("weights", ["one row", "per path"])
+    @pytest.mark.parametrize("name", ["lq1d", "lq2d", "jump-lq"])
+    def test_separable_hamiltonian_is_the_plain_twins_contraction_to_rounding(self, name, weights):
+        # a `Separable` averages as state + w . table, so the Hamiltonian of
+        # the averages agrees with the contraction of the plain twin's per-atom
+        # rows (one cell per path) within 1e-12 of the largest |term|
+        p, grid = rsmp.make_benchmark(name), rsmp.benchmark_grid(name, 5)
+        twin, M, n = plain_twin(p), 40, p.n
+        rng = np.random.default_rng(60)
+        x, psi, Q = rng.standard_normal((M, n)), rng.standard_normal((M, n)), rng.standard_normal((M, n, p.m))
+        phi_row = rng.standard_normal((M, p.jump.J, n)) if p.jump.J else None
+        w = rng.dirichlet(np.ones(grid.K), M if weights == "per path" else None)
+        ref = contract_atoms(per_path_hamiltonians(twin, grid, 0.3, x, psi, Q, phi_row).T, w)
+        got = rsmp.hamiltonian(p, grid, 0.3, x, psi, Q, phi_row, w)
+        atoms = [np.stack([f(0.3, x, *extra, xi) for xi in grid.points]) for f, _, extra, _ in _coefficients(twin)]
+        terms = [np.einsum("kqi,qi->kq", atoms[0], psi), np.einsum("kqab,qab->kq", atoms[1], Q), atoms[2]]
+        terms += [lam * np.einsum("kqi,qi->kq", C, phi_row[:, j])
+                  for j, (lam, C) in enumerate(zip(p.jump.intensities, atoms[3:]))]
+        assert got.shape == ref.shape == (M,)
+        assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(term).max() for term in terms)
+        assert not np.array_equal(got, ref)  # the tables were taken
 
     def test_affine_in_measure(self):
         p = rsmp.make_benchmark("lq1d")
