@@ -25,10 +25,19 @@ optimality gap) is built from the adjoint alone, and the duality pairing
 with a direction checks that it is given the adjoint's own ensemble and
 control.  Neither evaluates a coefficient or walks the paths again.
 
-One sweep serves two storage policies: `solve_bsde` records every step,
-the pairing sums and the regression diagnostics, while the descent loop,
-which reads only the Hamiltonian sums, holds two steps of the adjoint state
-and forms neither the pairing sums nor the orthogonality diagnostic.
+Each step standardizes its regression design in one centring pass, forms
+its normal matrix, conditions it from its eigenvalues and factors it once
+(Cholesky) for both of the step's fits, the regression-based scheme of
+Gobet, Lemor & Warin (Ann. Appl. Probab. 2005).
+
+One sweep serves two storage policies, which the caller names: `solve_bsde`
+records every step, the pairing sums and the regression diagnostics, and
+sums every Hamiltonian term, so its field is the one-hot `rsmp.hamiltonian`
+rows binned; the descent loop, which reads only the Hamiltonian sums to
+minimize them over the atoms, holds two steps of the adjoint state, forms
+neither the pairing sums nor the orthogonality diagnostic, and sums only
+the terms that vary over the atoms (`cell_hamiltonians` without
+constant_terms), which moves each cell's sums by one number for all atoms.
 """
 
 from __future__ import annotations
@@ -81,11 +90,12 @@ class BasisSpec:
         P = math.comb(x.shape[1] + self.degree, self.degree)
         with allocating(P * x.shape[0], f"design matrix of {P} monomials on {x.shape[0]} paths"):
             exps = self.exponents(x.shape[1])
-            rows = np.ones((P, x.shape[0]))
-        for row, alpha in zip(rows, exps):
-            for dim, e in enumerate(alpha):
-                if e:
-                    row *= x[:, dim] ** e
+            rows = np.empty((P, x.shape[0]))
+        for row, alpha in zip(rows, exps):  # each row its first power (1 for the constant), times the others
+            powers = (x[:, dim] ** e for dim, e in enumerate(alpha) if e)
+            row[...] = next(powers, 1.0)
+            for power in powers:
+                row *= power
         return rows.T
 
 
@@ -103,42 +113,76 @@ def _design(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, bool]:
     G's condition number and whether a ridge was added.
 
     Rows of X^T (a view for `BasisSpec.features`) are standardized for
-    conditioning (the fit is invariant to that reparametrization); degenerate
-    rows are dropped, and a trace-scaled ridge is added when G's condition
-    number exceeds the limit.
+    conditioning (the fit is invariant to that reparametrization): each is
+    centred once, into a buffer with one spare row, and scaled by its
+    standard deviation, taken from the centred row; degenerate rows are
+    dropped.  The row of ones takes the place of the last degenerate row
+    ahead of the first kept one (the constant monomial's, for
+    `BasisSpec.features`), or of the spare row, so Zt is a view of the
+    buffer unless a degenerate row follows a kept one.  G is formed row by
+    row (a matrix-vector product per row of Zt, no packed matrix product).
+    The condition number is the ratio of G's extreme eigenvalues (`eigvalsh`
+    of the symmetric G): Inf when the smallest is not positive (G singular
+    up to rounding), NaN when G is not finite.  A trace-scaled ridge is
+    added when it is not finite or exceeds the limit.
     """
-    Xt = np.ascontiguousarray(X.T)
+    Xt = X.T
+    P, M = Xt.shape
     mu = Xt.mean(axis=1)
-    sd = Xt.std(axis=1)
+    buffer = np.empty((1 + P, M))
+    centred = np.subtract(Xt, mu[:, None], out=buffer[1:])
+    sd = np.sqrt(np.einsum("pm,pm->p", centred, centred) / M)
     keep = sd > DEGENERATE_STD * (1.0 + np.abs(mu))
-    Zt = np.ones((1 + int(keep.sum()), Xt.shape[1]))
-    Zt[1:] = (Xt[keep] - mu[keep, None]) / sd[keep, None]
-    G = Zt @ Zt.T
-    cond = float(np.linalg.cond(G))
+    first = int(np.argmax(keep)) if keep.any() else P  # the degenerate rows ahead of the first kept one
+    Zt, keep, sd = buffer[first:], keep[first:], sd[first:]
+    Zt[0] = 1.0
+    if not keep.all():
+        Zt, sd = Zt[np.concatenate(([True], keep))], sd[keep]
+    Zt[1:] *= (1.0 / sd)[:, None]
+    G = np.empty((len(Zt), len(Zt)))
+    for i, row in enumerate(Zt):
+        G[i:, i] = G[i, i:] = Zt[i:] @ row
+    if np.all(np.isfinite(G)):
+        low, high = np.linalg.eigvalsh(G)[[0, -1]]  # eigenvalues ascending
+        cond = float(high / low) if low > 0 else math.inf
+    else:
+        cond = math.nan
     ridge = not np.isfinite(cond) or cond > COND_LIMIT
     if ridge:
-        G = G + (RIDGE_SCALE * np.trace(G) / G.shape[0]) * np.eye(G.shape[0])
+        G[np.diag_indices_from(G)] += RIDGE_SCALE * np.trace(G) / len(G)
     return Zt, G, cond, ridge
 
 
-def _fit(Zt: np.ndarray, G: np.ndarray, Y: np.ndarray, step: int) -> np.ndarray:
-    """Fitted values (Y's shape) of every column of Y on the feature-major
-    design Zt with normal matrix G.
+def _fitter(Zt: np.ndarray, G: np.ndarray, step: int):
+    """The least-squares fit on the feature-major design Zt with normal
+    matrix G, as a function of the targets Y (M, R) returning the fitted
+    values (Y's shape) of every column: G is factored once (Cholesky, and
+    the inverse R of the factor, so G^-1 = R^T R), and every call shares
+    the factor, as a regression step's two fits do.
 
     Finite targets whose products overflow are refit on Y / max|Y| and
     scaled back by `forward._rescaled`, as `forward._mean_and_error` is;
     fitted values that stay NaN/Inf (targets that are not finite) raise
-    NonFiniteCoefficient naming the adjoint state and the step.
-    SingularRegression means only a G that numpy cannot solve.
+    NonFiniteCoefficient naming the adjoint state and the step, so a fit
+    checks its values once.  SingularRegression means only a G that numpy
+    cannot factor (one that is not positive definite).
     """
+    try:
+        R = np.linalg.inv(np.linalg.cholesky(G))
+    except np.linalg.LinAlgError as exc:
+        raise SingularRegression(step, str(exc)) from exc
 
-    def fitted(y):
-        try:
-            return Zt.T @ np.linalg.solve(G, Zt @ y)
-        except np.linalg.LinAlgError as exc:
-            raise SingularRegression(step, str(exc)) from exc
+    def fitted(y):  # column-major, the layout of a step's first targets
+        coefficients = R.T @ (R @ (Zt @ y))
+        return (coefficients.T @ Zt).T
 
-    return require_finite(_rescaled(fitted, Y), f"adjoint state at step {step}")
+    return partial(_rescaled, fitted, what=f"adjoint state at step {step}")
+
+
+def _fit(Zt: np.ndarray, G: np.ndarray, Y: np.ndarray, step: int) -> np.ndarray:
+    """Fitted values (Y's shape) of every column of Y on the design Zt with
+    normal matrix G: one call of `_fitter`."""
+    return _fitter(Zt, G, step)(Y)
 
 
 def _orthogonality(Zt: np.ndarray, Y: np.ndarray, fitted: np.ndarray) -> float:
@@ -153,8 +197,8 @@ def _cell_sums(bins: np.ndarray, C: int, rows) -> np.ndarray:
     its paths in path order within each block, then, row by row, its block
     sums, so the rounding grows with the block length, not with the path
     count, and a row's sums do not depend on the rows binned with it."""
-    blocks = np.stack([np.bincount(bins, weights=row, minlength=C * SUM_BLOCKS) for row in rows])
-    return blocks.reshape(-1, C, SUM_BLOCKS).sum(axis=2).T
+    blocks = np.array([np.bincount(bins, weights=row, minlength=C * SUM_BLOCKS) for row in rows], dtype=float)
+    return blocks.reshape(len(blocks), C, SUM_BLOCKS).sum(axis=2).T
 
 
 @dataclass(frozen=True)
@@ -204,10 +248,12 @@ def _regress_step(
     and control: fills step k of psi_cont, Q, phi and psi (by `_at`) from psi
     at k+1, and returns the control's feedback cells at step k with the step's
     diagnostics, whose orthogonality only a recording sweep computes (NaN
-    otherwise).  The targets are formed without numpy warnings: one that
-    overflows reaches `_fit` as Inf, which raises NonFiniteCoefficient.  Its
-    per-path temporaries are freed on return, before the step's Hamiltonians
-    are formed.
+    otherwise).  Both fits share one factor of the step's design
+    (`_fitter`); the first targets are column-major, one contiguous row per
+    fitted column.  The targets are formed without numpy warnings: one that
+    overflows reaches its fit as Inf, which raises NonFiniteCoefficient.
+    Its per-path temporaries are freed on return, before the step's
+    Hamiltonians are formed.
     """
     p, noise = base.problem, base.noise
     M, dt = base.M, base.dt
@@ -217,30 +263,32 @@ def _regress_step(
     cells, rows, _ = _step_weights(base, k)
     psi_next = _at(psi, k + 1)
     Zt, G, cond, ridge = _design(basis.features(x))
+    fit = _fitter(Zt, G, k)
 
-    targets = np.empty((M, n + n * m + J * n))  # psi_next, then the Q and the phi targets, row-major
-    targets[:, :n] = psi_next
+    targets = np.empty((n + n * m + J * n, M))  # psi_next, then the Q and the phi targets, one row per column
+    targets[:n] = psi_next.T
     with np.errstate(over="ignore", invalid="ignore"):
-        np.divide(psi_next[:, :, None] * noise.dW[:, k][:, None, :], dt, out=targets[:, n : n + n * m].reshape(M, n, m))
-        for j, col in enumerate(range(n + n * m, targets.shape[1], n)):  # one compensated count per mark
+        np.divide(psi_next.T[:, None] * noise.dW[:, k].T, dt, out=targets[n : n + n * m].reshape(n, m, M))
+        for j, row in enumerate(range(n + n * m, len(targets), n)):  # one compensated count per mark
             dq = noise.jump_counts[:, k, j] - lam[j] * dt
-            np.multiply(psi_next, (dq / (lam[j] * dt))[:, None], out=targets[:, col : col + n])
-    fitted = _fit(Zt, G, targets, k)
-    ortho = _orthogonality(Zt, targets, fitted) if record else np.nan
+            np.multiply(psi_next.T, dq / (lam[j] * dt), out=targets[row : row + n])
+    fitted = fit(targets.T)
+    ortho = _orthogonality(Zt, targets.T, fitted) if record else np.nan
     del targets
-    cont = fitted[:, :n]
-    Qk = fitted[:, n : n + n * m].reshape(M, n, m)
-    phik = fitted[:, n + n * m :].reshape(M, J, n)
+    for arr, value in ((psi_cont, fitted[:, :n]), (Q, fitted[:, n : n + n * m].reshape(M, n, m)),
+                       (phi, fitted[:, n + n * m :].reshape(M, J, n))):
+        _at(arr, k)[...] = value
+    del fitted
 
     bx, sx, lx, cxs = averaged_linearization(p, base.control_used.grid, k * dt, x, rows)
-    (drift,), _ = _hamiltonian_rows(p, [v[None] for v in (bx, sx, lx, *cxs)], psi_next, Qk, phik, False, False)
+    values = [v[None] for v in (bx, sx, lx, *cxs)]
+    (drift,), _ = _hamiltonian_rows(p, values, psi_next, _at(Q, k), _at(phi, k), False, False)
     with np.errstate(over="ignore", invalid="ignore"):
         target = psi_next + drift * dt
-    fitted_psi = _fit(Zt, G, target, k)
+    fitted_psi = fit(target)
     if record:
         ortho = max(ortho, _orthogonality(Zt, target, fitted_psi))
-    for arr, value in ((psi, fitted_psi), (psi_cont, cont), (Q, Qk), (phi, phik)):
-        _at(arr, k)[...] = value
+    _at(psi, k)[...] = fitted_psi
     return cells, StepDiagnostics(k, cond, ridge, ortho)
 
 
@@ -248,18 +296,24 @@ def _sweep(base: PathEnsemble, basis: BasisSpec, record: bool) -> tuple:
     """The backward sweep of `solve_bsde` on base, under its problem and
     relaxed control, which the caller checks: read-only hamiltonian_sums and
     occupancy, the kept arrays and the step diagnostics.  With record it keeps
-    (psi, psi_cont, Q, phi, pairing_sums) for every step; without, it keeps
-    nothing, holding psi at k+1 and k and step k's psi_cont, Q and phi only,
-    and forms neither the pairing sums nor the orthogonality diagnostic.  Both
-    bin each step's sums in one `_cell_sums` pass, the same sums bit for bit.
+    (psi, psi_cont, Q, phi, pairing_sums) for every step and sums every
+    Hamiltonian term; without, it keeps nothing, holding psi at k+1 and k and
+    step k's psi_cont, Q and phi only, forms neither the pairing sums nor the
+    orthogonality diagnostic, and sums only the terms that vary over the
+    atoms: a term without an atom axis (a `Separable`'s state part, then not
+    evaluated, or a plain value evaluated once for all atoms) adds one number
+    to every atom of a cell, which neither the argmin nor the Hamiltonian
+    excess sees.  Such a term cannot hide a NaN: `simulate` checked the
+    averages it enters at the same states.  Both bin each step's sums in one
+    `_cell_sums` pass.
 
     No Hamiltonian term is checked on its own: a NaN/Inf term or table
     reaches the step's (C, K) cell sums, so the sums are checked instead, and
     a step whose sums are not finite is evaluated again, under the sweep's
-    errstate, checking each term and table (`cell_hamiltonians` checked),
-    which names the coefficient.  Sums that overflow from finite terms and
-    tables raise NonFiniteCoefficient("Hamiltonian ...") once the sweep is
-    done.
+    errstate, checking each term, table and table product
+    (`cell_hamiltonians` checked), which names the coefficient.  Sums that
+    overflow from finite terms and products raise
+    NonFiniteCoefficient("Hamiltonian ...") once the sweep is done.
     """
     p, u0 = base.problem, base.control_used
     M, N, dt = base.M, base.n_steps, base.dt
@@ -288,11 +342,12 @@ def _sweep(base: PathEnsemble, basis: BasisSpec, record: bool) -> tuple:
         np.multiply(cells, SUM_BLOCKS, out=bins)
         bins += path_blocks
         with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite is checked below
-            hamiltonian_sums[k], pairing = cell_hamiltonians(*args, binned, occupancy[k], pairing=record)
+            hamiltonian_sums[k], pairing = cell_hamiltonians(*args, binned, occupancy[k], pairing=record,
+                                                             constant_terms=record)
             if record:
                 pairing_sums[k] = pairing
             if not np.all(np.isfinite(hamiltonian_sums[k])):  # raises naming the coefficient of a NaN/Inf term
-                cell_hamiltonians(*args, binned, occupancy[k], pairing=False, checked=True)
+                cell_hamiltonians(*args, binned, occupancy[k], pairing=False, constant_terms=record, checked=True)
     require_finite(hamiltonian_sums, "Hamiltonian")
     kept = (psi, psi_cont, Q, phi, require_finite(pairing_sums, "adjoint pairing")) if record else ()
     for arr in (hamiltonian_sums, occupancy, *kept):
@@ -316,17 +371,17 @@ def solve_bsde(
     all conditioned on the step-k state through the polynomial basis; the
     bracket (V_Q = Q_k : sigma_x) pairs the averaged Jacobians as
     `rsmp.hamiltonian` pairs the averaged coefficients.  Each step builds one
-    design (normal matrix, condition number, ridge decision) and solves it for
-    two target blocks: Q_k, phi_k and the continuation value first, then
-    psi_k, whose target needs them.  With psi_cont, Q_k and phi_k in hand the
+    design (normal matrix, condition number, ridge decision), factors it once
+    and fits two target blocks with the factor: Q_k, phi_k and the
+    continuation value first, then psi_k, whose target needs them.  With psi_cont, Q_k and phi_k in hand the
     step evaluates b, sigma, l and C once for all atoms, pairs them into the
     atom Hamiltonians and sums these, with and without the running cost, over
     u0's feedback cells (`problem.cell_hamiltonians`: a `Separable`
     coefficient adds its state part on the paths and pairs a (K,) table of its
     control part with per-cell sums).  A NaN/Inf terminal cost gradient,
     regression target or cell sum raises NonFiniteCoefficient, which names the
-    coefficient of a NaN/Inf term or table when the step is evaluated again,
-    checked; a value of another shape or a base not simulated under p and u0
+    coefficient of a NaN/Inf term, table or table product when the step is
+    evaluated again, checked; a value of another shape or a base not simulated under p and u0
     raises ShapeMismatch.
     """
     base.require(p, u0)

@@ -65,8 +65,11 @@ STREAM_VERSION = 2
 # version 6 takes a weight row's total as 1 (a control) or 0 (a direction),
 # not its computed sum; version 7 averages and sums a `Separable` coefficient
 # from its parts, state + w . table, where a problem declared separable took
-# f(x, xi_0) + w . Delta.
-NUMERICS_VERSION = 7
+# f(x, xi_0) + w . Delta; version 8 standardizes the regression design in one
+# centring pass, fits both of a step's target blocks through one Cholesky
+# factor of its normal matrix, and sums optimize's field from the terms that
+# vary over the atoms only.
+NUMERICS_VERSION = 8
 _KIND_INITIAL, _KIND_BROWNIAN, _KIND_JUMPS = range(3)
 
 
@@ -373,16 +376,19 @@ def pathwise_cost(p: Problem, paths: PathEnsemble) -> np.ndarray:
     return require_finite(paths.running_cost + terminal_cost(p, paths.states[:, -1]), "cost evaluation")
 
 
-def _rescaled(f, y: np.ndarray) -> np.ndarray:
+def _rescaled(f, y: np.ndarray, what: str | None = None) -> np.ndarray:
     """f(y) without numpy warnings, for an f whose array value scales with y;
     where that is not finite, max|y| * f(y / max|y|), so finite y whose sums
     or products overflow give finite values.  Values that stay NaN/Inf (y
-    that is not finite) are the caller's to check."""
+    that is not finite) raise NonFiniteCoefficient naming what, or without
+    what are the caller's to check."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = f(y)
         if not np.all(np.isfinite(out)):
             scale = np.abs(y).max()
             out = scale * f(y / scale)
+            if what is not None:
+                require_finite(out, what)
     return out
 
 

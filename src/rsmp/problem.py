@@ -45,8 +45,10 @@ each contracted value (or row, or term) passes `errors.require_finite`
 instead (0 * Inf and Inf - Inf are NaN, so any NaN/Inf atom shows, and so
 does a contraction that overflows).  The backward sweep checks one
 reduction further: the per-step cell sums, which every NaN/Inf term
-reaches, and only a step whose sums are not finite has its terms and
-tables checked one by one to name the coefficient.  `point_coefficients`
+reaches, and only a step whose sums are not finite has its terms, tables
+and tables' products with their cell sums checked one by one to name the
+coefficient.  The descent loop's sweep sums only the terms that vary over
+the atoms (`cell_hamiltonians` without constant_terms).  `point_coefficients`
 evaluates only the control values in force, so a NaN at any other atom
 never shows.
 Every sweep reads a step's coefficients through `averaged_coefficients` (or
@@ -55,9 +57,9 @@ its point-control twin `point_coefficients`), their state Jacobians through
 `terminal_gradient`; no other module calls a coefficient or reads the parts
 of a `Separable`, and a value (or part) of another per-path shape than
 documented raises ShapeMismatch.
-The field of a problem without a `Separable` equals the one-hot
-`hamiltonian` rows (one-hot averages are the atom values) summed by the
-backward sweep's blocked rule (`adjoint._cell_sums`), bit for bit; a
+The field of `solve_bsde` for a problem without a `Separable` equals the
+one-hot `hamiltonian` rows (one-hot averages are the atom values) summed by
+the backward sweep's blocked rule (`adjoint._cell_sums`), bit for bit; a
 `Separable`'s tables move it by rounding.
 """
 
@@ -368,13 +370,16 @@ def _hamiltonian_rows(p: Problem, values, psi, Q, phi_row, pairing: bool, checke
     row; a state Jacobian's derivative axis rides along (einsum's ...), so
     its sum is the state gradient of the Hamiltonian.  They pair as they
     are with psi (M, n), Q (M, n, m) and phi_row (M, J, n), None for J = 0,
-    and each is dropped once paired.  With checked, each term passes
+    and each is dropped once paired; a value None is a term left out (both
+    sums are None when every term is).  With checked, each term passes
     `require_finite` as it is paired, naming the coefficient; the sums may
     overflow to Inf, or turn NaN, without a numpy warning.
     """
     ham = pairs = None
     with np.errstate(over="ignore", invalid="ignore"):
         for (_, tail, _, what), (dual, lam), vals in zip(_coefficients(p), _duals(p, psi, Q, phi_row), values):
+            if vals is None:  # a term left out
+                continue
             axes = "ab"[: len(tail)]  # the per-path tail of b and C (n,), of sigma (n, m)
             term = vals if dual is None else np.einsum(f"kq{axes}...,q{axes}->kq...", vals, dual)
             del vals  # free an atom tensor before the next one
@@ -388,12 +393,13 @@ def _hamiltonian_rows(p: Problem, values, psi, Q, phi_row, pairing: bool, checke
     return ham, pairs
 
 
-def cell_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, cell_sums, counts, *, pairing: bool, checked=False):
+def cell_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, cell_sums, counts, *, pairing: bool,
+                      constant_terms: bool = True, checked: bool = False):
     """The per-cell sums (C, K) of the pathwise Hamiltonian at every grid
     atom over feedback cells holding counts (C,) paths, and with pairing (a
     recording sweep) those of the same sum without the running cost, else
     None; cell_sums(rows) -> (C, R) sums each of R per-path rows over the
-    cells.
+    cells, R = 0 included.
 
     A `Separable`'s control part is the same on every path, so its term's
     cell sum is the cell sum of the per-path array it pairs with times its
@@ -405,35 +411,55 @@ def cell_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, cell_sums, counts
     each table term present for a `Separable` coefficient only, and H the
     `_hamiltonian_rows` of the plain coefficients' `_atom_view` values and
     of the state parts, 1 or K rows.  The rows and the per-path arrays the
-    tables pair with are binned in one cell_sums pass.  With checked, each
-    term and table passes `require_finite` in coefficient order, naming the
-    coefficient; else the caller checks the sums.  On a problem without a
-    `Separable` the sums are the per-atom rows' binned, bit for bit.
+    tables pair with are binned in one cell_sums pass.
+
+    Without constant_terms the sums leave out every term that is the same
+    at every atom: a `Separable`'s state part, which is then not evaluated,
+    and a plain value `_atom_view` returns with one atom.  Each cell's sums
+    then differ from the full ones by one number for all its atoms, which
+    moves neither their minimizing atom nor the excess of a measure over
+    their minimum; a problem whose control enters no coefficient has no row
+    to bin and sums of zero.
+
+    With checked, each term and table passes `require_finite` in
+    coefficient order, and then each table's product with its dual's cell
+    sums (the counts for the running cost), naming the coefficient; else
+    the caller checks the sums.  On a problem without a `Separable` the
+    full sums are the per-atom rows' binned, bit for bit.
     """
-    left_out = []  # (dual, table) of each Separable, a jump coefficient's table times its intensity
+    tables = []  # (dual, table, what) of each Separable, a jump coefficient's table times its intensity
 
     def values():
         for (f, tail, extra, what), (dual, lam) in zip(_coefficients(p), _duals(p, psi, Q, phi_row)):
-            if not isinstance(f, Separable):
-                yield _atom_view(f, grid, t, x, tail, extra, what)
-                continue
-            state = _state_part(f, t, x, extra, tail, what)[None]
-            table = _control_table(f, grid, t, extra, tail, what)
-            table = require_finite(table, what) if checked else table
-            left_out.append((dual, table if lam is None else lam * table))
-            yield state
+            if isinstance(f, Separable):
+                table = _control_table(f, grid, t, extra, tail, what)
+                table = require_finite(table, what) if checked else table
+                tables.append((dual, table if lam is None else lam * table, what))
+                yield _state_part(f, t, x, extra, tail, what)[None] if constant_terms else None
+            else:
+                vals = _atom_view(f, grid, t, x, tail, extra, what)
+                yield vals if constant_terms or len(vals) == grid.K else None
 
     ham, pairs = _hamiltonian_rows(p, values(), psi, Q, phi_row, pairing, checked)
     M, K = len(x), grid.K
-    paired = [(dual.reshape(M, -1).T, table.reshape(K, -1).T) for dual, table in left_out if dual is not None]
-    heads = [*ham, *(pairs if pairing else ())]
-    sums = cell_sums([*heads, *(column for dual, _ in paired for column in dual)])
-    shift = np.dot(sums[:, len(heads) :], np.concatenate([np.zeros((0, K)), *(table for _, table in paired)]))
-    ham_sums = sums[:, : len(ham)] + shift
-    for dual, table in left_out:
-        if dual is None:  # the running cost's control part: every path of a cell adds its table
-            ham_sums += counts[:, None] * table
-    return ham_sums, sums[:, len(ham) : len(heads)] + shift if pairing else None
+    heads = [rows for rows in (ham, pairs) if rows is not None]  # no pairing rows without Hamiltonian rows
+    columns = [column for dual, _, _ in tables if dual is not None for column in dual.reshape(M, -1).T]
+    sums = cell_sums([*(row for rows in heads for row in rows), *columns])
+    totals = [np.zeros((len(counts), K)) for _ in range(1 + pairing)]  # the Hamiltonian's, the pairing's
+    at = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # checked here with checked, else by the caller
+        for total, rows in zip(totals, heads):
+            total += sums[:, at : at + len(rows)]
+            at += len(rows)
+        for dual, table, what in tables:
+            if dual is None:  # the running cost's control part: every path of a cell adds its table
+                dual_sums = counts[:, None]
+            else:
+                dual_sums, at = sums[:, at : at + dual[0].size], at + dual[0].size
+            shift = np.dot(dual_sums, table.reshape(K, -1).T)
+            for total in totals[: 1 if dual is None else 2]:
+                total += require_finite(shift, what) if checked else shift
+    return totals[0], totals[1] if pairing else None
 
 
 def _averaged(f, grid, t, x, w, tail: tuple, what: str, extra=(), mass=1.0):

@@ -12,7 +12,10 @@ already sums the atom Hamiltonians over the cells of the control it was
 solved under, so the field is built from the adjoint alone: those sums
 divided by the cell occupancy, on that control's cells.  It evaluates no
 coefficient.  `optimize` runs the same sweep without recording the adjoint
-processes or the pairing sums, and divides the same sums the same way.
+processes or the pairing sums, and without the Hamiltonian terms that are
+the same at every atom, which a cell's minimizer and Hamiltonian excess do
+not see; it divides the sums it keeps the same way, so its field is the
+public one plus one number per (step, cell).
 
 The information the Hamiltonian is conditioned on is the control's own:
 one cell per step for an open-loop control, state or observation cells for
@@ -89,7 +92,10 @@ class HamiltonianField:
     control is the relaxed control the adjoint was solved under; its grid and
     feedback structure are the field's.  Pathwise values are not kept;
     `hamiltonian` with one-hot weights gives them (bit for bit without a
-    `Separable`).
+    `Separable`).  The field `optimize` builds for itself leaves out the
+    terms the same at every atom, so its cell_values are these plus one
+    number per (step, cell): the same argmin and, to rounding, the same
+    `smp_gap`.
     """
 
     cell_values: np.ndarray  # (N, C, K)
@@ -118,7 +124,9 @@ def _nearest_nonempty(cell_values_k, counts_k, centers):
 def _field(sums: np.ndarray, occupancy: np.ndarray, u0: RelaxedControl, dt: float) -> HamiltonianField:
     """The field of the cell sums (N, C, K) and occupancy (N, C) a backward
     sweep binned on u0's cells: the sums divided by the occupancy, with
-    empty cells filled from their nearest occupied neighbour."""
+    empty cells filled from their nearest occupied neighbour.  Sums without
+    the terms that are the same at every atom (`optimize`'s) give the full
+    field plus one number per (step, cell), an empty cell its neighbour's."""
     centers = u0.feedback.centers() if u0.feedback is not None else None
     cell_values = np.zeros(sums.shape)
     for k, counts in enumerate(occupancy):
@@ -256,8 +264,9 @@ def optimize(p: Problem, u_init: RelaxedControl, params: OptimizeParams) -> Opti
     costs = pathwise_cost(p, paths)
     for it in range(params.max_iters + 1):
         J, se = _mean_and_error(costs, "cost")
-        # the sweep keeps no adjoint process, only the sums the field reads;
-        # the ensemble is dropped with it, so a trial's is the only one held
+        # the sweep keeps no adjoint process, only the sums the field reads,
+        # of the terms that vary over the atoms; the ensemble is dropped with
+        # it, so a trial's is the only one held
         sums, occupancy, _, _ = _sweep(paths, BasisSpec(), record=False)
         paths = None
         fld = _field(sums, occupancy, u, noise.dt)

@@ -33,23 +33,23 @@ MODES = (rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK)
 
 FINGERPRINT = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0", "machine": "x86_64"}
 # the rsmp NUMERICS_VERSION the digests below were taken at
-PINNED_NUMERICS_VERSION = 7
+PINNED_NUMERICS_VERSION = 8
 
 # optimize(M=1500, N=8, K=5 (2 on nonconvex-mix), 4 cells per signal
 # coordinate, uniform start, max_iters=4, tol=0, seed=3).to_json()
 DIGESTS = {
-    ("lq1d", "open_loop"): "2931ce478ad549a25bc89f85622ed9edcabb4966f080c27eadade2e9761a18d7",
-    ("lq1d", "state_feedback"): "40e9fb119a46d697adf3828983da61e5ce564295c04449f6ccfdc1d013a572f2",
-    ("lq1d", "observation_feedback"): "5ceb7d3fd1234227db60ddfa0fddb479879c9d1585a07271360c62175c0b9d36",
-    ("lq2d", "open_loop"): "2c2e8998b5aa619e1a64ab138afd1c7b9682c4f4b44fe906268a45c94b615035",
-    ("lq2d", "state_feedback"): "f5c414362bb7fcb387b2cbfbafa9cfe166d05c502ddda940a515b5a905cc3c36",
-    ("lq2d", "observation_feedback"): "b2a73b5f0442eeb5c17a19e22bb1f5bbc4001bf44c87cca32f36b134fd20f118",
-    ("nonconvex-mix", "open_loop"): "43df7effc39c19c5ef1e0651d42b9456c4345f2aeebf2eeb1ee735c65144bd6b",
-    ("nonconvex-mix", "state_feedback"): "4d359ae0c9ae90085a296d6bbfe277ef171bb941a7c31d48c92541555c052c60",
-    ("nonconvex-mix", "observation_feedback"): "229814d185e4dc5ae9356abc0c9e36dafff034c053645496665aa7487b907d68",
-    ("jump-lq", "open_loop"): "70b6bd0a6e80e167c8cc5bccab29cef57a2265b39cad92817b77da830db20aa4",
-    ("jump-lq", "state_feedback"): "ae601c0dd717c153d153cbdf5c4d36e91bf30b35582e7f7aa2a5f795923f6014",
-    ("jump-lq", "observation_feedback"): "5527d0f9988e351e0cf95cdbb9b21d1b8593adbd1a5645775b6db2d342f78648",
+    ("lq1d", "open_loop"): "119feaeb7a1e951b2b2bc883d0ee524695589487fb40134e46445732f56bffd5",
+    ("lq1d", "state_feedback"): "6f9440274492891218e6bf2b4f3b816eb756d9154d849ca247ad71652cf380a1",
+    ("lq1d", "observation_feedback"): "cf1079932e1ae2f77773aa696c085044dcf90bb3efd000cec042b5c341cc08e0",
+    ("lq2d", "open_loop"): "c6e7d6d84e0ed10b142ca3dfce2e6e8740319b78c524b04e6061b29118407a8d",
+    ("lq2d", "state_feedback"): "b890ac0e42fb1ceaf87171482277eb37497eaab5dfe40a51f602e0d7320b125a",
+    ("lq2d", "observation_feedback"): "fb1ca64a9469563cf1b6e65e719ce0b872365be6cf5370ff3a40459f6b3fb271",
+    ("nonconvex-mix", "open_loop"): "c4138b15f99195a40d3349b1e2feb2e3b921bce8594fc7a49cb88d858e790b2e",
+    ("nonconvex-mix", "state_feedback"): "52434627ba2d0d135eecf3342c42f06d72f6ddf350e848244b4a00fcddfe240d",
+    ("nonconvex-mix", "observation_feedback"): "cfd1c6e987939e0905f738df70dd875b246044e4c74018e7d800d30060c7b1bc",
+    ("jump-lq", "open_loop"): "c19b4e82a15ec38fd8e31f3fd1ecc7cca81da4ed64e847b76f6d7b8d19e20fa7",
+    ("jump-lq", "state_feedback"): "ab4619b64814bf2c35ceeaf48231343f32e363f51895fe093075a4aafc0e4e20",
+    ("jump-lq", "observation_feedback"): "c316ee3b2c4da663d29fcf5d43063669a455f089ec5ec655f99fb49dd00faaf8",
 }
 
 # the same 12 results' JSON, keyed "<benchmark>/<mode>"
@@ -168,32 +168,32 @@ CLI_RUNS = {
 # the SHA-256 of every file each run of CLI_RUNS writes
 CLI_DIGESTS = {
     "describe": {
-        "bench.json": "6af74d16062d662a7813698aaca77b2d75fd9f595d2b7c0de9a3e0ff02f461d8",
-        "config.json": "138f709e731a7eef03bd1b5aaa141245fe94b97f21fe15d732223661416d8537",
+        "bench.json": "b3fcdfc1709726494eae78fb4f2d315b276dd4ed0eada8b07b9564eba0666bd1",
+        "config.json": "7703a342a733ef83728effad34dc9185640822012d36e14f283d640bde6112c2",
     },
     "simulate": {
-        "config.json": "2509a9622039c3c95cdd944bd8afb20c9e4999a001f0477fbd4c0f0258ead819",
-        "cost.json": "fc939410fe5509b188688b5bba101e1085a447dee258e41f0250f7a63a426c28",
-        "paths.bin": "3cdffeb5e34c841308f0b4db947359d9ad27fa0881adc2e79db857b3c5e3b957",
+        "config.json": "b48fc87ffc3a6baec32b0d7df5c2d6a6483f8a7d74067873f3ea30f90c92e042",
+        "cost.json": "b659653061ab3c489ac24b2f38b8ab1cd611807d423f3f0e8fc411175c8b85d2",
+        "paths.bin": "dea2eeafe7dcff61180b7664674291a548055ced0ffc566b667db6e9795a6865",
         "paths.csv": "a50fe57b97c77ea3497aea54f17c2c64d4a1ce31350778ad59918b494be07fdf",
     },
     "adjoint": {
-        "adjoint.bin": "5381e63e57df61a84e27c9671ad8531e7728c6448befaab0a1f34e01f0a34966",
-        "config.json": "709566e40274c6a8494b2217fd0395dd49dd89ca516aac2a8bce786aaa8a516a",
-        "duality.json": "031f3ed50233ffed4da295a3584758dc82ec8322e57472858b9111e43469fbd4",
+        "adjoint.bin": "eec84fdbfd4f7bf3dc68f7796d3b1a076ac072dd97e148cb40cf74be3a9e12fe",
+        "config.json": "2cd09d7fc933cbabfd99b5a5011bd44f29bc528a6a3249860df101393c5da2db",
+        "duality.json": "fff0aa8f38cc990eb386485b67754a3797581a27fe6e625715c8a034fa16820e",
     },
     "optimize": {
-        "config.json": "8ce968d6e4558c2e2491904319d188d8d01543bdedba87b7b3c55f47e7b50fba",
+        "config.json": "eba2f8fea8562e7a52c98bd85d34774c8e01d92dce546a9bfd8adfbf38759f98",
         "final_control.json": "e8c83bcc6b32336ddd91becc8be265f96d32c7d540b21904e6ea2d346b94fcba",
-        "iterates.json": "4ad621466e9cd68744a6784de96ecaf33c931b3c3e048f19cf5815b3cfcc0e28",
+        "iterates.json": "bcbb3ed4b78c5992bbabad2777a91cbce59ff7fba44242fc0be27f476357d4be",
     },
     "certify": {
-        "certify.json": "b93e4c21c4e8b6497b14d344ad3806c6c0df8308e4a9e6ee899633af380e23a1",
-        "config.json": "22bde2d20f8dd89163b4a92cd9b194230ffe6872b3672ecdf05d861d934bd79f",
+        "certify.json": "8f9364673812b73e68bb69b586d12d7a3fbdf3c8c398e737d09368d16a33194b",
+        "config.json": "044f724df68333a7962893f8cee839126684e7a373be8547dde8b33dfd86819c",
     },
     "chatter": {
-        "chatter.json": "bdbb2c64fe1b1384333035f304eee6e3329db9766524ac7a2ed8aeaef686c7a9",
-        "config.json": "a0c2b4a61dd547216944c531345dee3e67f87b48b8bc8aabc257c94299f4b22a",
+        "chatter.json": "12d1b2e48b12c8214e6e4d2f49a6ad245939f038a2f2b1032b76c5c05818e57d",
+        "config.json": "c765ba79a7a32845e0fbc86b4e05877310fef59da77a23703d22389a76329035",
     },
 }
 

@@ -274,18 +274,24 @@ class TestHamiltonianField:
 
     @pytest.mark.parametrize("mode", [rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK])
     @pytest.mark.parametrize("name", ["lq1d", "lq2d", "jump-lq", "nonconvex-mix"])
-    def test_optimize_sweep_field_equals_the_public_field(self, name, mode):
-        # optimize bins its field in a sweep that keeps no adjoint process and
-        # forms no pairing sums; the field must be the public one, bit for bit
+    def test_optimize_sweep_field_differs_from_the_public_field_by_a_cell_constant(self, name, mode):
+        # optimize bins its field in a sweep that keeps no adjoint process,
+        # forms no pairing sums and leaves out the terms the same at every
+        # atom: per (step, cell) its field is the public one plus one number,
+        # to 1e-14 of the largest field value (measured: at most 3.0e-16), so
+        # the argmin is the same and the SMP gap agrees to rounding
         p, _, base, adj = self.seeded_field_inputs(name, mode)
         u = base.control_used
         sums, occupancy, kept, _ = _sweep(base, rsmp.BasisSpec(), record=False)
         assert kept == ()
         for arr in (sums, occupancy):
             assert not arr.flags.writeable
-        assert np.array_equal(sums, adj.hamiltonian_sums)
         fld, ref = _field(sums, occupancy, u, base.dt), rsmp.hamiltonian_field(adj)
-        assert np.array_equal(fld.cell_values, ref.cell_values)
+        bound = 1e-14 * np.abs(ref.cell_values).max()
+        shift = fld.cell_values - ref.cell_values
+        assert np.abs(shift - shift[..., :1]).max() <= bound
+        assert np.array_equal(rsmp.pointwise_argmin(fld).weights, rsmp.pointwise_argmin(ref).weights)
+        assert abs(rsmp.smp_gap(fld, u)[0] - rsmp.smp_gap(ref, u)[0]) <= bound
         assert np.array_equal(fld.occupancy, ref.occupancy)
         assert fld.control is ref.control and fld.dt == ref.dt
 
@@ -430,6 +436,29 @@ class TestOptimize:
         assert res.status == "converged"
         assert len(res.iterates) == 1
         assert res.final_control is u
+
+    @pytest.mark.parametrize("mode", [rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK])
+    def test_a_control_that_enters_no_coefficient_converges_at_iteration_0(self, mode, monkeypatch):
+        # every coefficient is evaluated once for all atoms: optimize's sweep
+        # bins no row, so its field is zero and the gap exactly 0
+        p = rsmp.Problem(
+            n=1, m=1, d=1, T=1.0, x0=[0.5], b=lambda t, x, xi: -x,
+            sigma=lambda t, x, xi: np.full(np.shape(x)[:-1] + (1, 1), 0.3),
+            ell=lambda t, x, xi: x[..., 0] ** 2, phi=lambda x: x[..., 0] ** 2, control_box=[[-1.0, 1.0]],
+        )
+        grid = ControlGrid([[-1.0], [0.0], [1.0]], [[-1.0, 1.0]])
+        part = None if mode == rsmp.OPEN_LOOP else CellPartition([[-2.0, 2.0]], (4,))
+        u = RelaxedControl(grid, np.full((8, 1 if part is None else 4, 3), 1 / 3), mode, part)
+        binned = []
+
+        def counted(bins, C, rows):
+            binned.append(len(rows))
+            return _cell_sums(bins, C, rows)
+
+        monkeypatch.setattr(rsmp.adjoint, "_cell_sums", counted)
+        res = rsmp.optimize(p, u, rsmp.OptimizeParams(M=200, N=8, tol=0.0, seed=9))
+        assert res.status == "converged" and len(res.iterates) == 1 and res.iterates[0].smp_gap == 0.0
+        assert binned == [0] * 8
 
     def test_max_iters_records_the_last_accepted_state(self):
         p = rsmp.make_benchmark("lq1d")
