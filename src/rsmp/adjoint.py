@@ -246,7 +246,8 @@ def _regress_step(
 ) -> tuple[np.ndarray, StepDiagnostics]:
     """One backward regression step of the sweep on base, under its problem
     and control: fills step k of psi_cont, Q, phi and psi (by `_at`) from psi
-    at k+1, and returns the control's feedback cells at step k with the step's
+    at k+1, and returns the control's feedback cells at step k, as `simulate`
+    recorded them (`_step_weights`: no cell is assigned again), with the step's
     diagnostics, whose orthogonality only a recording sweep computes (NaN
     otherwise).  Both fits share one factor of the step's design
     (`_fitter`); the first targets are column-major, one contiguous row per
@@ -339,7 +340,7 @@ def _sweep(base: PathEnsemble, basis: BasisSpec, record: bool) -> tuple:
         diagnostics.append(diag)
         args = (p, u0.grid, k * dt, base.states[:, k], _at(psi_cont, k), _at(Q, k), _at(phi, k))
         occupancy[k] = np.bincount(cells, minlength=C)
-        np.multiply(cells, SUM_BLOCKS, out=bins)
+        np.multiply(cells, SUM_BLOCKS, out=bins, dtype=np.int64)  # narrow cells would wrap in their own type
         bins += path_blocks
         with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite is checked below
             hamiltonian_sums[k], pairing = cell_hamiltonians(*args, binned, occupancy[k], pairing=record,

@@ -23,9 +23,14 @@ one contiguous run; `np.ascontiguousarray(arr)` gives the path-major C
 layout with the same values.
 `simulate` is the only walk over a control: it records the running cost
 from the weights or values it resolves, and `pathwise_cost` adds the
-terminal cost to that record.  A relaxed control evaluates every atom at
-a step, except at a Dirac step, where each cell's weight sits on one atom:
-there it resolves that atom per path and steps as a regular control does.
+terminal cost to that record.  A relaxed feedback step is resolved once,
+averaged per cell: `simulate` assigns each step's feedback cells one time
+and records them (`PathEnsemble.cells`), the weights of a step are its
+(C, K) rows with those cells (`problem.CellWeights`), and every later sweep
+along the ensemble reads the record (`_step_weights`) instead of assigning
+the cells again.  A relaxed control evaluates every atom at a step, except
+at a Dirac step, where each cell's weight sits on one atom: there each path
+takes that atom from its cell and steps as a regular control does.
 Sweeps along an ensemble read its problem and control from it; the CSV and
 binary files of ensembles are `container`'s, and this module opens no file.
 """
@@ -33,7 +38,7 @@ binary files of ensembles are `container`'s, and this module opens no file.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -41,7 +46,7 @@ from numpy.random import Generator, Philox
 from .control import OBSERVATION_FEEDBACK, OPEN_LOOP, RegularControl, RelaxedControl
 from .errors import BlowUp, DomainError, NonFiniteCoefficient, ShapeMismatch, require_count, require_finite
 from .errors import allocating, require_seed
-from .problem import GaussianInitial, Problem, _same_on_every_path, averaged_coefficients
+from .problem import CellWeights, GaussianInitial, Problem, _same_on_every_path, averaged_coefficients
 from .problem import point_coefficients, terminal_cost
 
 BLOWUP_GUARD = 1e9
@@ -193,15 +198,26 @@ def sample_noise(p: Problem, M: int, N: int, seed: int) -> NoiseEnsemble:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Simulated states on the time grid plus the noise that drove them, and
-    the left-endpoint quadrature of `problem`'s running cost under
-    `control_used` along each path, recorded by `simulate` (read-only)."""
+    """Simulated states on the time grid plus the noise that drove them, the
+    left-endpoint quadrature of `problem`'s running cost under
+    `control_used` along each path, and the feedback cells each step was
+    resolved on, all recorded by `simulate` (read-only).
+
+    cells[:, k] is the cell of each path at step k under a relaxed feedback
+    control, resolved once, averaged per cell: every sweep along the
+    ensemble reads these cells rather than assigning them again.  They are
+    stored step-major in the narrowest unsigned type that holds the cell
+    count (`np.min_scalar_type(C - 1)`: one byte per path and step up to 256
+    cells).  cells is None for an open-loop relaxed control, which has one
+    cell, and for a regular control or a policy, whose cells nothing reads
+    back."""
 
     states: np.ndarray  # (M, N+1, n), step-major
     noise: NoiseEnsemble
     control_used: object
     problem: Problem
     running_cost: np.ndarray  # (M,)
+    cells: np.ndarray | None  # (M, N), step-major
 
     @property
     def M(self) -> int:
@@ -241,19 +257,22 @@ def _feedback_signal(p: Problem, mode: str, x: np.ndarray):
 
 
 def _step_weights(paths: PathEnsemble, k: int, direction: RelaxedControl | None = None) -> tuple:
-    """Step k of the ensemble's relaxed control_used, resolved on its paths:
-    the feedback cells (M,) (0 under open loop), a function returning the
-    weights (the row (K,), or the (M, K) rows gathered once, on the first
-    call, so a step whose values do not depend on the control gathers none),
-    and a direction's weights less those, or None."""
-    u, table = paths.control_used, paths.control_used.weights[k]
-    if u.feedback is None:
-        cells, gather = np.zeros(paths.M, dtype=np.int64), (lambda t: t[0])
+    """Step k of the ensemble's relaxed control_used, resolved once, by
+    `simulate`, and averaged per cell: the feedback cells (M,) it recorded
+    (cell 0, one byte a path, under open loop), the control's weights, and
+    a direction's weights less those, or None.  Under open loop the weights
+    are one row (K,); under feedback they are per cell (`CellWeights`: the
+    step's (C, K) rows with the recorded cells), so no cell is assigned
+    again and per-path rows are gathered only for a coefficient that needs
+    them."""
+    table = paths.control_used.weights[k]
+    if paths.cells is None:
+        cells, resolved = np.zeros(paths.M, dtype=np.uint8), (lambda rows: rows[0])
     else:
-        cells = u.feedback.assign(paths.feedback_signal(k, u.feedback_mode))
-        gather = partial(np.take, indices=cells, axis=0)
-    dw = None if direction is None else gather(direction.weights[k] - table)
-    return cells, cache(lambda: gather(table)), dw
+        cells = paths.cells[:, k]
+        resolved = partial(CellWeights, cells=cells)
+    dw = None if direction is None else resolved(direction.weights[k] - table)
+    return cells, resolved(table), dw
 
 
 def guard_step(x: np.ndarray, k: int, what: str) -> None:
@@ -321,17 +340,21 @@ def simulate(p: Problem, u, noise: NoiseEnsemble, threads: int = 1) -> PathEnsem
     control, or a plain feedback policy (t, x) -> xi.
 
     Feedback weights at step k are resolved from the state (or observation)
-    at step k; jump events apply at the left endpoint of their step together
-    with the intensity compensator; the running cost at the same weights or
-    values accumulates into running_cost.  Each step advances all paths at
-    once.  A relaxed step whose weight row is one-hot in every cell (a Dirac
-    step, as a conditional-gradient step of size 1 lands on) takes the
+    at step k, resolved once, averaged per cell: under a relaxed feedback
+    control each step's cells are assigned one time and recorded in the
+    ensemble (`PathEnsemble.cells`), and the step's coefficients are
+    averaged per cell (`CellWeights`); jump events apply at the left
+    endpoint of their step together with the intensity compensator; the
+    running cost at the same weights or values accumulates into
+    running_cost.  Each step advances all paths at once.
+    A relaxed step whose weight row is one-hot in every cell (a Dirac step,
+    as a conditional-gradient step of size 1 lands on) takes the
     regular-control path: every path's coefficients are evaluated once, at
-    the atom its cell puts all weight on, so `simulate(p, dirac_embed(r,
-    grid), noise)` is `simulate(p, r, noise)` bit for bit, and, as for a
-    regular control, a NaN at an atom without weight raises nothing.
-    `threads` is a worker cap that serial execution always meets and
-    that never changed a result; it must be at least 1 (DomainError
+    the atom its recorded cell puts all weight on, so `simulate(p,
+    dirac_embed(r, grid), noise)` is `simulate(p, r, noise)` bit for bit,
+    and, as for a regular control, a NaN at an atom without weight raises
+    nothing.  `threads` is a worker cap that serial execution always meets
+    and that never changed a result; it must be at least 1 (DomainError
     otherwise).  A control of another dimension than p.d raises
     ShapeMismatch.
     """
@@ -340,28 +363,33 @@ def simulate(p: Problem, u, noise: NoiseEnsemble, threads: int = 1) -> PathEnsem
         raise ShapeMismatch("noise Brownian dimension does not match the problem")
     if noise.jump_counts.shape[2] != p.jump.J:
         raise ShapeMismatch(f"noise has jump counts for {noise.jump_counts.shape[2]} marks, the problem {p.jump.J}")
-    if isinstance(u, RelaxedControl) and u.time_steps != noise.N:
+    relaxed = isinstance(u, RelaxedControl)
+    if relaxed and u.time_steps != noise.N:
         raise ShapeMismatch("control and noise disagree on step count")
-    d = u.grid.d if isinstance(u, RelaxedControl) else u.d if isinstance(u, RegularControl) else p.d
+    d = u.grid.d if relaxed else u.d if isinstance(u, RegularControl) else p.d
     if d != p.d:
         raise ShapeMismatch(f"control of dimension {d} for a problem with d = {p.d}")
     N, dt = noise.N, noise.dt
     states = _step_major(noise.M, N + 1, (p.n,))
     states[:, 0] = p.initial_states(noise.M, noise.initial_normals)
     running = np.zeros(noise.M)
-    at_point, point = _dirac_steps(u) if isinstance(u, RelaxedControl) else (np.ones(N, dtype=bool), u)
+    at_point, point = _dirac_steps(u) if relaxed else (np.ones(N, dtype=bool), u)
+    feedback = relaxed and u.feedback is not None
+    cells = _step_major(noise.M, N, (), np.min_scalar_type(u.n_cells - 1)) if feedback else None
     for k in range(N):
         t, x = k * dt, states[:, k]
+        if feedback:
+            cells[:, k] = u.feedback.assign(_feedback_signal(p, u.feedback_mode, x))
         if at_point[k]:
-            drift, diff, ell, jumps = point_coefficients(p, t, x, _control_values(p, point, k, N, t, x))
+            xi = _control_values(p, point, k, N, t, x) if cells is None else np.take(point.values[k], cells[:, k], 0)
+            drift, diff, ell, jumps = point_coefficients(p, t, x, xi)
         else:
-            w = u.weights_at(k, _feedback_signal(p, u.feedback_mode, x))
+            w = u.weights[k, 0] if cells is None else CellWeights(u.weights[k], cells[:, k])
             drift, diff, ell, jumps = averaged_coefficients(p, u.grid, t, x, w)
         running += ell * dt
         euler_step(p, noise, k, x, drift, diff, jumps, states[:, k + 1], "state")
-    states.setflags(write=False)
-    running.setflags(write=False)
-    return PathEnsemble(states, noise, u, p, running)
+    _freeze(states, running, cells)
+    return PathEnsemble(states, noise, u, p, running, cells)
 
 
 def pathwise_cost(p: Problem, paths: PathEnsemble) -> np.ndarray:

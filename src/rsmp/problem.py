@@ -24,17 +24,20 @@ state.  Each coefficient averages by its own rule, under weights w that are
 a relaxed control's, a probability measure on the atoms (total mass 1), or
 a direction's, the difference of two (total mass 0); no row is ever summed.
 A `Separable` averages as g + w . table under mass 1 and as w . table
-alone under mass 0, which evaluates it on no path.  A plain callable is
-evaluated by `_atom_view`, one broadcast call with the atom axis leading,
-its result kept in its smallest exact form (1 or K, 1 or M, *tail): the
-atom axis has length 1 for a value evaluated once (it does not depend on
-the control), the path axis length 1 for a value the same on every path (a
-constant sigma, the LQ b_x = A); any other value is a contiguous (K, M,
-*tail) tensor.  A value evaluated once averages to itself under a control,
-returned as it is, and to zero under a direction; any other is contracted
-over the atom axis, and einsum broadcasts a length-1 path axis:
-`contract_atoms` pairs it with one weight row (K,), as open loop resolves,
-or per-path weights (M, K).  Only `averaged_coefficients` is given a mass.
+alone under mass 0, which evaluates it on no path.  Under feedback the
+weights are resolved once and averaged per cell (`CellWeights`): every path
+of a cell carries that cell's row, so w . table is formed once per cell and
+gathered to the paths.  A plain callable is evaluated by `_atom_view`, one
+broadcast call with the atom axis leading, its result kept in its smallest
+exact form (1 or K, 1 or M, *tail): the atom axis has length 1 for a value
+evaluated once (it does not depend on the control), the path axis length 1
+for a value the same on every path (a constant sigma, the LQ b_x = A); any
+other value is a contiguous (K, M, *tail) tensor.  A value evaluated once
+averages to itself under a control, returned as it is, and to zero under a
+direction; any other is contracted over the atom axis, and einsum
+broadcasts a length-1 path axis: `contract_atoms` pairs it with one weight
+row (K,), as open loop resolves, or per-path weights (M, K), which per-cell
+weights gather for it.  Only `averaged_coefficients` is given a mass.
 `_hamiltonian_rows` is the one pairing of coefficient values with the
 adjoint processes: `cell_hamiltonians`, the backward sweep's, pairs atom
 values and sums them over feedback cells, pairing a `Separable`'s table
@@ -66,6 +69,7 @@ the backward sweep's blocked rule (`adjoint._cell_sums`), bit for bit; a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -320,6 +324,23 @@ def _atom_view(f, grid, t, x, tail: tuple, extra=(), what: str = "coefficient") 
     return vals[:, :1] if _same_on_every_path(vals[0]) else np.ascontiguousarray(vals)
 
 
+@dataclass(frozen=True)
+class CellWeights:
+    """Weights resolved per feedback cell: one row per cell, table (C, K),
+    and the cell of each path, cells (M,).  Every path of a cell carries its
+    row, so an average whose control part is a (K,) table is a per-cell
+    quantity; the per-path rows (M, K) are gathered on first use (`rows`),
+    only for a value with an atom axis on the paths."""
+
+    table: np.ndarray
+    cells: np.ndarray
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The (M, K) row of each path, its cell's."""
+        return np.take(self.table, self.cells, axis=0)
+
+
 def contract_atoms(vals: np.ndarray, w) -> np.ndarray:
     """sum_i w[..., i] * vals[i] for atom-leading vals (K, M, ...) and weights
     w of shape (K,) or per path (M, K)."""
@@ -464,30 +485,35 @@ def cell_hamiltonians(p: Problem, grid, t, x, psi, Q, phi_row, cell_sums, counts
 
 def _averaged(f, grid, t, x, w, tail: tuple, what: str, extra=(), mass=1.0):
     """Relaxed average sum_i w[..., i] f(t, x, *extra, xi_i) under weights w,
-    one row (K,) or per path (M, K), whose rows have total mass 1 (a
-    control's) or 0 (a direction's); w may also be a function returning
-    the weights, called only when f depends on the control.
+    one row (K,), per path (M, K) or per cell (`CellWeights`), whose rows
+    have total mass 1 (a control's) or 0 (a direction's).
 
     A `Separable` averages as state + w . table under mass 1 and as
     w . table alone under mass 0, the state part one call on the M paths
     (made only under mass 1) and the table its control part at the K atoms;
     each row's product with the table is summed on its own (einsum; a BLAS
-    product sums a row by its position), so a path's bits are its own.  Any
-    other f keeps `_atom_view`'s form: a value with an atom axis is
-    contracted with w, and a value evaluated once for all atoms is mass
-    times itself, the value as it is under mass 1 and zero under 0.  The
-    average is checked (NonFiniteCoefficient naming what).  A value the
+    product sums a row by its position), so a path's bits are its own.
+    Under per-cell weights (feedback steps resolved once, averaged per
+    cell) that product is formed once per cell, one (C, T) einsum, and
+    gathered to the paths by cell: the bits of the per-path products, since
+    each path's row is its cell's.  Any other f keeps `_atom_view`'s form:
+    a value with an atom axis is contracted with w (per-cell weights gather
+    their per-path rows for it), and a value evaluated once for all atoms
+    is mass times itself, the value as it is under mass 1 and zero under 0.
+    The average is checked (NonFiniteCoefficient naming what).  A value the
     same on every path, or evaluated once, or a direction's one row, is
-    returned as a read-only broadcast view, unless per-path weights spread
-    it."""
+    returned as a read-only broadcast view, unless per-path or per-cell
+    weights spread it."""
     M = np.shape(x)[0]
+    per_cell = isinstance(w, CellWeights)
     if isinstance(f, Separable):
         table = _control_table(f, grid, t, extra, tail, what)
-        weights = w() if callable(w) else w
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             # a (T, K) copy: each row's dot with a column runs over contiguous atoms
-            out = np.einsum("...k,tk->...t", weights, table.reshape(grid.K, -1).T.copy())
-            out = out.reshape(np.shape(weights)[:-1] + tail)
+            out = np.einsum("...k,tk->...t", w.table if per_cell else w, table.reshape(grid.K, -1).T.copy())
+            if per_cell:  # one product per cell, gathered to its paths
+                out = np.take(out, w.cells, axis=0)
+            out = out.reshape(out.shape[:-1] + tail)
             if mass:
                 out = _state_part(f, t, x, extra, tail, what) + out
         out = require_finite(out, what)
@@ -495,7 +521,7 @@ def _averaged(f, grid, t, x, w, tail: tuple, what: str, extra=(), mass=1.0):
         vals = _atom_view(f, grid, t, x, tail, extra, what)
         if len(vals) < grid.K:
             return np.broadcast_to(require_finite(vals[0], what) if mass else 0.0, (M,) + tail)
-        out = require_finite(contract_atoms(vals, w() if callable(w) else w), what)
+        out = require_finite(contract_atoms(vals, w.rows if per_cell else w), what)
     return out if out.shape == (M,) + tail else np.broadcast_to(out, (M,) + tail)
 
 
@@ -534,8 +560,8 @@ def averaged_jump_x(p: Problem, grid, t, x, v, w):
 
 
 def averaged_coefficients(p: Problem, grid, t, x, w, mass=1.0) -> tuple:
-    """One Euler step's coefficients under weights w, one row (K,) or per
-    path (M, K), of total mass 1 (a control) or 0 (a direction, the
+    """One Euler step's coefficients under weights w, one row (K,), per
+    path (M, K) or per cell (`CellWeights`), of total mass 1 (a control) or 0 (a direction, the
     difference of two): drift (M, n), diffusion (M, n, m), running cost (M,)
     and the list of jump coefficients (M, n), one per mark in order
     (ShapeMismatch for another trailing shape).  Each coefficient averages
@@ -557,10 +583,10 @@ def point_coefficients(p: Problem, t, x, xi) -> tuple:
 def averaged_linearization(p: Problem, grid, t, x, w) -> tuple:
     """The state Jacobians under the weights w of a control: b_x (M, n, n),
     sigma_x (M, n, m, n), l_x (M, n) and the list of C_x (M, n, n), one per
-    mark in order (ShapeMismatch for another trailing shape).  w may be a
-    function returning the weights, which a Jacobian that does not depend
-    on the control never calls; such a Jacobian, or one the same on every
-    path under one weight row (K,), is a read-only broadcast view."""
+    mark in order (ShapeMismatch for another trailing shape).  Per-cell
+    weights (`CellWeights`) gather no per-path rows for a Jacobian that
+    does not depend on the control; such a Jacobian, or one the same on
+    every path under one weight row (K,), is a read-only broadcast view."""
     b_x, sigma_x, l_x = (f(p, grid, t, x, w) for f in (averaged_drift_x, averaged_diffusion_x, averaged_running_cost_x))
     return b_x, sigma_x, l_x, [averaged_jump_x(p, grid, t, x, v, w) for v in p.jump.marks]
 

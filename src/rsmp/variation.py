@@ -47,7 +47,8 @@ def simulate_variational(
     the recursion is linear in y and in the weight difference, so scaling the
     direction scales the output.  The base must be simulated under p and u0
     (`PathEnsemble.require`) and u share u0's structure, else ShapeMismatch;
-    each step resolves u0's cells once and reads both controls' weights there.
+    each step reads the cells `simulate` recorded for u0 (`_step_weights`)
+    and both controls' weights per cell there, assigning no cell again.
     """
     if not u.same_structure(u0):
         raise ShapeMismatch("direction controls must share grid, steps, mode and partition")

@@ -17,6 +17,7 @@ from rsmp import (
     ShapeMismatch,
 )
 from rsmp.adjoint import COND_LIMIT, DEGENERATE_STD, RIDGE_SCALE, SUM_BLOCKS, BasisSpec, _cell_sums, _design, _fit
+from rsmp.adjoint import _sweep
 from rsmp.forward import _BLOCK
 from conftest import per_path_hamiltonians, plain_twin
 
@@ -895,6 +896,26 @@ class TestCellSums:
             for r in range(R):
                 assert together[:, r].tobytes() == _cell_sums(bins, C, [rows[r]])[:, 0].tobytes(), (C, M, r)
                 assert together[:, r].tobytes() == _cell_sums(bins, C, rows[r:])[:, 0].tobytes(), (C, M, r)
+
+    @pytest.mark.parametrize("cells", [16, 300])
+    def test_narrow_cells_bin_as_int64_cells(self, cells):
+        # simulate records the cells in the narrowest type, uint8 up to 256
+        # cells (where cell 4 * SUM_BLOCKS wraps to 0 in uint8 arithmetic)
+        # and uint16 beyond: the sweep bins them in int64, so its sums and
+        # occupancy are those of the same cells given as int64
+        p, grid, N = rsmp.make_benchmark("lq1d"), rsmp.benchmark_grid("lq1d"), 4
+        part = rsmp.CellPartition([[-1.0, 1.2]], (cells,))  # the paths start at x = 1, in cell 14 or 272
+        w = np.random.default_rng(71).dirichlet(np.ones(grid.K), (N, cells))
+        u = RelaxedControl(grid, w, rsmp.STATE_FEEDBACK, part)
+        base = rsmp.simulate(p, u, rsmp.sample_noise(p, 2000, N, seed=72))
+        assert base.cells.dtype == (np.uint8 if cells <= 256 else np.uint16)
+        assert base.cells.min() >= 4 and (cells <= 256 or base.cells.max() > 255)
+        wide = dataclasses.replace(base, cells=base.cells.astype(np.int64))
+        for record in (True, False):
+            sums, occupancy, _, _ = _sweep(base, BasisSpec(), record)
+            wide_sums, wide_occupancy, _, _ = _sweep(wide, BasisSpec(), record)
+            assert sums.tobytes() == wide_sums.tobytes()
+            assert np.array_equal(occupancy, wide_occupancy)
 
     @pytest.mark.parametrize("name, mode", [("lq1d", rsmp.STATE_FEEDBACK), ("jump-lq", rsmp.OPEN_LOOP)])
     def test_hamiltonian_sums_are_close_to_the_exact_sums(self, name, mode):

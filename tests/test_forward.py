@@ -12,6 +12,7 @@ from rsmp import BlowUp, ControlGrid, DomainError, GaussianInitial, JumpSpec, No
 from rsmp import CellPartition, ShapeMismatch
 from rsmp.container import TAG_ADJOINT, TAG_PATHS, adjoint_to_binary, paths_to_binary, read_section
 from rsmp.forward import _BLOCK, BLOWUP_GUARD, STREAM_VERSION, _mean_and_error, euler_step, guard_step, pathwise_cost
+from rsmp.adjoint import _sweep
 from rsmp.forward import _step_weights
 from rsmp.problem import averaged_coefficients
 
@@ -502,24 +503,26 @@ def relaxed_control(name, mode, N, seed=0):
 @pytest.mark.parametrize("mode", [rsmp.OPEN_LOOP, rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK])
 def test_step_weights_resolve_open_loop_to_one_row(mode):
     # the rule of weights_at: open loop reads its single (K,) row on cell 0;
-    # feedback gathers the rows of its cells once; a direction's weight
-    # difference is gathered the same way
+    # feedback reads the cells simulate recorded and keeps the weights per
+    # cell, gathering the rows of its cells once; a direction's weight
+    # difference is kept the same way
     p = rsmp.make_benchmark("lq1d")
     u = relaxed_control("lq1d", mode, 4)
     direction = relaxed_control("lq1d", mode, 4, seed=1)
     paths = rsmp.simulate(p, u, rsmp.sample_noise(p, 50, 4, seed=3))
     for k in range(4):
-        cells, rows, dw = _step_weights(paths, k, direction)
-        w = rows()
-        assert cells.shape == (50,) and cells.dtype == np.int64
-        assert np.array_equal(w, u.weights_at(k, paths.feedback_signal(k, mode)))
+        cells, w, dw = _step_weights(paths, k, direction)
+        assert cells.shape == (50,) and cells.dtype == np.min_scalar_type(u.n_cells - 1)
         diff = direction.weights[k] - u.weights[k]
         if mode == rsmp.OPEN_LOOP:
             assert not cells.any() and np.array_equal(w, u.weights[k, 0])
+            assert np.array_equal(w, u.weights_at(k, paths.feedback_signal(k, mode)))
             assert np.array_equal(dw, diff[0])
         else:
-            assert np.array_equal(w, u.weights[k][cells]) and rows() is w
-            assert np.array_equal(dw, diff[cells])
+            rows = w.rows
+            assert np.array_equal(rows, u.weights_at(k, paths.feedback_signal(k, mode)))
+            assert np.array_equal(rows, u.weights[k][cells]) and w.rows is rows
+            assert np.array_equal(dw.rows, diff[cells]) and dw.cells is cells
         assert _step_weights(paths, k)[2] is None
 
 
@@ -625,6 +628,66 @@ class TestDiracSteps:
         assert np.all(np.isfinite(paths.states))
         with pytest.raises(NonFiniteCoefficient, match="^drift produced NaN/Inf$"):
             rsmp.simulate(p, rsmp.constant_control(grid, 4, [0.0, 0.0, 0.5, 0.5, 0.0]), noise)
+
+
+class TestCellRecord:
+    """simulate resolves each relaxed feedback step once: it assigns the
+    step's cells one time and records them, read-only and in the narrowest
+    type that holds the cell count; the sweeps along the ensemble read that
+    record and assign no cell again."""
+
+    @pytest.mark.parametrize("name", ["lq1d", "lq2d", "jump-lq"])
+    @pytest.mark.parametrize("mode", [rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK])
+    @pytest.mark.parametrize("dirac", [False, True], ids=["relaxed", "dirac"])
+    def test_cells_are_each_step_s_assigned_cells(self, name, mode, dirac):
+        p, N = rsmp.make_benchmark(name), 6
+        u = relaxed_control(name, mode, N)
+        if dirac:  # every step one-hot in every cell: simulate steps as a regular control
+            atoms = np.random.default_rng(5).integers(0, u.grid.K, u.weights.shape[:2])
+            u = rsmp.RelaxedControl(u.grid, np.eye(u.grid.K)[atoms], mode, u.feedback)
+        paths = rsmp.simulate(p, u, rsmp.sample_noise(p, 300, N, seed=4))
+        assert paths.cells.shape == (300, N) and paths.cells.dtype == np.uint8
+        assert not paths.cells.flags.writeable
+        for k in range(N):
+            assert np.array_equal(paths.cells[:, k], u.feedback.assign(paths.feedback_signal(k, mode)))
+
+    def test_more_than_256_cells_are_stored_in_two_bytes(self):
+        p, grid, N = rsmp.make_benchmark("lq1d"), rsmp.benchmark_grid("lq1d"), 4
+        part = CellPartition([[-1.0, 1.2]], (300,))  # the paths start at x = 1, in cell 272
+        u = rsmp.RelaxedControl(grid, np.full((N, 300, grid.K), 1.0 / grid.K), rsmp.STATE_FEEDBACK, part)
+        paths = rsmp.simulate(p, u, rsmp.sample_noise(p, 500, N, seed=4))
+        assert paths.cells.dtype == np.uint16 and paths.cells.max() > 255
+        for k in range(N):
+            assert np.array_equal(paths.cells[:, k], part.assign(paths.states[:, k]))
+
+    @pytest.mark.parametrize("kind", ["open-loop", "regular", "regular-feedback", "policy"])
+    def test_no_record_without_relaxed_feedback(self, kind):
+        p, grid, N = rsmp.make_benchmark("lq1d"), rsmp.benchmark_grid("lq1d"), 4
+        part = rsmp.benchmark_partition("lq1d", rsmp.STATE_FEEDBACK, cells=4)
+        u = {
+            "open-loop": relaxed_control("lq1d", rsmp.OPEN_LOOP, N),
+            "regular": rsmp.RegularControl(np.full((N, 1), 0.25), grid.box),
+            "regular-feedback": rsmp.RegularControl(np.full((N, 4, 1), 0.25), grid.box, rsmp.STATE_FEEDBACK, part),
+            "policy": lambda t, x: -0.5 * x,
+        }[kind]
+        assert rsmp.simulate(p, u, rsmp.sample_noise(p, 100, N, seed=4)).cells is None
+
+    def test_only_simulate_assigns_cells(self, monkeypatch):
+        # one assignment per step in simulate; the recording and the descent
+        # sweeps and the variational sweep read the record
+        p, N = rsmp.make_benchmark("lq1d"), 6
+        u0, u = (relaxed_control("lq1d", rsmp.STATE_FEEDBACK, N, seed) for seed in (0, 1))
+        noise = rsmp.sample_noise(p, 200, N, seed=4)
+        calls = []
+        assign = CellPartition.assign
+        monkeypatch.setattr(CellPartition, "assign", lambda self, s: calls.append(1) or assign(self, s))
+        base = rsmp.simulate(p, u0, noise)
+        assert len(calls) == N
+        calls.clear()
+        rsmp.solve_bsde(p, base, u0)
+        rsmp.simulate_variational(p, base, u, u0)
+        _sweep(base, rsmp.BasisSpec(), record=False)
+        assert calls == []
 
 
 class TestRecordedRunningCost:

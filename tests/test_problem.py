@@ -9,7 +9,7 @@ from rsmp import ControlGrid, DomainError, JumpSpec, NonFiniteCoefficient, Probl
 from rsmp.forward import _feedback_signal
 from rsmp.problem import _atom_view, _coefficients, _hamiltonian_rows, averaged_coefficients, averaged_diffusion
 from rsmp.problem import averaged_drift, averaged_drift_x, averaged_linearization, cell_hamiltonians, contract_atoms
-from rsmp.problem import fd_gradient
+from rsmp.problem import CellWeights, fd_gradient
 from conftest import per_path_hamiltonians, plain_twin
 
 
@@ -389,9 +389,10 @@ class TestPathConstantRows:
             assert given.strides[0] == 0 and not given.flags.writeable
         else:
             assert given.flags.c_contiguous
-        # the weights given per path by a function, as the backward sweep passes them
-        rows = np.broadcast_to(w, (self.M, grid.K))
-        given, ref = average(p, grid, 0.3, x, lambda: rows), average(dense, grid, 0.3, x, lambda: rows)
+        # the weights given per cell, as the sweeps pass them under feedback: one cell, or one per path
+        cells = np.zeros(self.M, dtype=np.uint8) if w.ndim == 1 else np.arange(self.M, dtype=np.uint8)
+        per_cell = CellWeights(np.atleast_2d(w), cells)
+        given, ref = average(p, grid, 0.3, x, per_cell), average(dense, grid, 0.3, x, per_cell)
         assert given.shape == ref.shape == (self.M,) + given.shape[1:] and given.tobytes() == ref.tobytes()
 
     # (benchmark, coefficient) paired as it is by _hamiltonian_rows; jump-lq's C is a full value
@@ -576,6 +577,30 @@ class TestSeparableRule:
             else:
                 assert got.flags.writeable == ref.flags.writeable, what
             assert np.abs(got - ref).max() <= self.TOL * scale, what
+
+    @pytest.mark.parametrize("name", ["lq1d", "lq2d", "jump-lq", "nonconvex-mix"])
+    @pytest.mark.parametrize("mode", [rsmp.STATE_FEEDBACK, rsmp.OBSERVATION_FEEDBACK])
+    @pytest.mark.parametrize("direction", [False, True], ids=["weights", "direction"])
+    def test_per_cell_averages_equal_the_gathered_rows_bit_for_bit(self, name, mode, direction):
+        # under feedback the sweeps pass the weights per cell, with the cells
+        # simulate recorded: a Separable's w . table is formed once per cell
+        # and gathered, the bits of each path's own row product; only a plain
+        # value with an atom axis (nonconvex-mix's) gathers the per-path rows
+        p, grid, N = rsmp.make_benchmark(name), rsmp.benchmark_grid(name, 9), 4
+        part = rsmp.benchmark_partition(name, mode, cells=4)
+        weights = np.random.default_rng(43).dirichlet(np.ones(grid.K), (2, N, part.n_cells))
+        u0, u1 = (rsmp.RelaxedControl(grid, w, mode, part) for w in weights)
+        paths = rsmp.simulate(p, u0, rsmp.sample_noise(p, self.M, N, seed=44))
+        mass = 0.0 if direction else 1.0
+        for k in range(N):
+            table = u1.weights[k] - u0.weights[k] if direction else u0.weights[k]
+            x, cells, t = paths.states[:, k], paths.cells[:, k], k * paths.dt
+            per_cell = CellWeights(table, cells)
+            got = averaged_coefficients(p, grid, t, x, per_cell, mass)
+            ref = averaged_coefficients(p, grid, t, x, np.take(table, cells, axis=0), mass)
+            for (_, _, _, what), a, b in zip(_coefficients(p), (*got[:3], *got[3]), (*ref[:3], *ref[3])):
+                assert a.shape == b.shape == (self.M,) + a.shape[1:] and a.tobytes() == b.tobytes(), (k, what)
+            assert ("rows" in vars(per_cell)) == (name == "nonconvex-mix")
 
     @pytest.mark.parametrize("key, what, tail", [("b", "drift", (1,)), ("ell", "running cost", ())])
     @pytest.mark.parametrize("part", ["state", "control"])

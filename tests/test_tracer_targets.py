@@ -55,6 +55,10 @@ def test_traced_pipeline_records_every_span(spans):
         rsmp.hamiltonian(jump, jump_grid, 0.0, base.states[:, 0], adj.psi_cont[:, 0], adj.Q[:, 0],
                          adj.phi[:, 0], u0.weights[0, 0])
         rsmp.realize_regular(rsmp.refine_steps(u0, 2), 2)
+        # sweeps read the cells simulate recorded; a feedback pairing resolves its own by weights_at
+        part = rsmp.benchmark_partition("lq1d", rsmp.STATE_FEEDBACK, cells=2)
+        uf = rsmp.RelaxedControl(lq_grid, np.full((N, 2, lq_grid.K), 1.0 / lq_grid.K), rsmp.STATE_FEEDBACK, part)
+        rsmp.pair(lambda t, xi: 0.0, uf, rsmp.simulate(lq, uf, rsmp.sample_noise(lq, 300, N, 2)))
 
     with spans.instrument(tracer):
         tracer.wrap(solve, spans.ROOT_SPAN)()

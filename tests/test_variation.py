@@ -96,8 +96,8 @@ class TestSimulateVariational:
         expected = sum(dt * float((u1.weights[k, 0] - u0.weights[k, 0]) @ atoms) for k in range(N))
         assert np.allclose(var.y[:, -1, 0], expected, atol=1e-14)
 
-    def test_one_cell_assignment_per_step(self, monkeypatch):
-        # u shares u0's partition, so the sweep bins the base states once per step
+    def test_no_cell_assignment(self, monkeypatch):
+        # u shares u0's partition, so the sweep reads the cells simulate recorded and assigns none
         p = rsmp.make_benchmark("lq1d")
         grid = rsmp.benchmark_grid("lq1d")
         part = rsmp.benchmark_partition("lq1d", rsmp.STATE_FEEDBACK, cells=4)
@@ -109,7 +109,7 @@ class TestSimulateVariational:
         assign = rsmp.CellPartition.assign
         monkeypatch.setattr(rsmp.CellPartition, "assign", lambda self, s: calls.append(1) or assign(self, s))
         rsmp.simulate_variational(p, base, u, u0)
-        assert len(calls) == base.n_steps
+        assert calls == []
 
     def test_wrong_base_control_rejected(self):
         p = rsmp.make_benchmark("lq1d")
