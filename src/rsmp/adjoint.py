@@ -50,7 +50,7 @@ import numpy as np
 
 from .control import RelaxedControl
 from .errors import ShapeMismatch, SingularRegression, allocating, require_count, require_finite
-from .forward import PathEnsemble, _rescaled, _step_major, _step_weights
+from .forward import PathEnsemble, _compensated_counts, _rescaled, _step_major, _step_weights
 from .problem import Problem, _hamiltonian_rows, averaged_linearization, cell_hamiltonians, terminal_gradient
 from .variation import VariationEnsemble, response_functional
 
@@ -270,9 +270,10 @@ def _regress_step(
     targets[:n] = psi_next.T
     with np.errstate(over="ignore", invalid="ignore"):
         np.divide(psi_next.T[:, None] * noise.dW[:, k].T, dt, out=targets[n : n + n * m].reshape(n, m, M))
-        for j, row in enumerate(range(n + n * m, len(targets), n)):  # one compensated count per mark
-            dq = noise.jump_counts[:, k, j] - lam[j] * dt
-            np.multiply(psi_next.T, dq / (lam[j] * dt), out=targets[row : row + n])
+        if J:  # each mark's compensated count per unit intensity
+            dq = _compensated_counts(noise, k, lam)
+            dq /= (lam * dt)[:, None]
+            np.multiply(psi_next.T, dq[:, None], out=targets[n + n * m :].reshape(J, n, M))
     fitted = fit(targets.T)
     ortho = _orthogonality(Zt, targets.T, fitted) if record else np.nan
     del targets

@@ -21,7 +21,7 @@ from .adjoint import adjoint_pairing, duality_gap, solve_bsde
 from .container import _opened, adjoint_to_binary, paths_to_binary, paths_to_csv
 from .control import OBSERVATION_FEEDBACK, OPEN_LOOP, STATE_FEEDBACK, RelaxedControl, refine_steps
 from .errors import BlowUp, DomainError, NonFiniteCoefficient, RsmpError, SingularRegression
-from .errors import UnknownBenchmark, require_count, require_tolerance
+from .errors import UnknownBenchmark, allocating, require_count, require_tolerance
 from .forward import NUMERICS_VERSION, STREAM_VERSION, cost, pathwise_cost, sample_noise, simulate
 from .smp import OptimizeParams, hamiltonian_field, optimize, realize_regular, smp_gap
 from .variation import gateaux, response_functional, simulate_variational
@@ -148,7 +148,9 @@ def _initial_control(config: RunConfig) -> RelaxedControl:
     mode = MODE_ALIASES.get(config.mode, STATE_FEEDBACK)
     part = bench.benchmark_partition(config.bench, mode, config.cells)
     cells = 1 if part is None else part.n_cells
-    return RelaxedControl(grid, np.full((config.N, cells, grid.K), 1.0 / grid.K), mode, part)
+    with allocating(config.N * cells * grid.K, f"initial control of {config.N} steps and {cells} cells"):
+        weights = np.full((config.N, cells, grid.K), 1.0 / grid.K)
+    return RelaxedControl(grid, weights, mode, part)
 
 
 def _out_path(config: RunConfig, name: str, fmt: str | None = None) -> str | None:

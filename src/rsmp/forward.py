@@ -84,16 +84,36 @@ def _step_major(M: int, steps: int, tail: tuple = (), dtype=float) -> np.ndarray
     return np.empty((steps, M, *tail), dtype=dtype).swapaxes(0, 1)
 
 
+def _put(out: np.ndarray, r: int, chunk: np.ndarray) -> np.ndarray:
+    """Set the rows of out from r on to chunk, and return the array that
+    holds them.  An unsigned out (event counts) whose type cannot hold
+    chunk's largest value is first copied into a step-major array of the
+    narrowest unsigned type that can (`np.min_scalar_type`), so no count
+    wraps."""
+    if out.dtype.kind == "u" and chunk.size and int(chunk.max()) > np.iinfo(out.dtype).max:
+        M, steps, *tail = out.shape
+        with allocating(out.size, f"event counts of {M} paths and {steps} steps"):
+            wide = _step_major(M, steps, tuple(tail), np.min_scalar_type(int(chunk.max())))
+        wide[:r] = out[:r]
+        out = wide
+    out[r : r + len(chunk)] = chunk
+    return out
+
+
 def _sum_steps(arr: np.ndarray, factor: int) -> np.ndarray:
     """Sums over runs of `factor` consecutive steps of an (M, N, ...) array,
     stored step-major.  Each block of paths is summed on a path-major copy,
     so every sum is added in the order of the C-layout reshape-sum, bit for
-    bit (numpy adds pairwise along a contiguous axis, in sequence otherwise)."""
+    bit (numpy adds pairwise along a contiguous axis, in sequence otherwise).
+    Integer event counts are summed in int64 and stored by the noise's
+    width rule (`_put`): uint8 unless a sum needs more."""
     M, N, *tail = arr.shape
-    out = _step_major(M, N // factor, tuple(tail), arr.dtype)
+    counts = arr.dtype.kind in "iu"
+    out = _step_major(M, N // factor, tuple(tail), np.uint8 if counts else arr.dtype)
     for s in range(0, M, _BLOCK):
         block = np.ascontiguousarray(arr[s : s + _BLOCK])
-        out[s : s + _BLOCK] = block.reshape(len(block), N // factor, factor, *tail).sum(axis=2)
+        sums = block.reshape(len(block), N // factor, factor, *tail).sum(axis=2, dtype=np.int64 if counts else None)
+        out = _put(out, s, sums)
     return out
 
 
@@ -102,7 +122,12 @@ class NoiseEnsemble:
     """Pre-drawn driving noise: Brownian increments, jump counts, initial draws.
 
     dW has shape (M, N, m) with variance dt per component; jump_counts holds
-    the int64 (M, N, J) event counts per mark (J = 0 for a diffusion);
+    the (M, N, J) event counts per mark (J = 0 for a diffusion) in the
+    narrowest unsigned type that holds the largest: uint8 unless a count
+    exceeds 255 (then `np.min_scalar_type` of it), with the int64 draws'
+    values.  numpy keeps that type in arithmetic with a Python int (NEP 50:
+    uint8 0 - 1 is 255), so widen them (`astype(np.int64)`) before integer
+    arithmetic of your own.
     initial_normals the normal draws of a stochastic initial state (or None).
     Paths fall into fixed blocks of _BLOCK; block b draws each noise kind from
     its own Philox substream with counter (b, kind), path-major, so path i's
@@ -134,8 +159,10 @@ class NoiseEnsemble:
     def coarsen(self, factor: int) -> "NoiseEnsemble":
         """Aggregate to a grid coarser by `factor`: increments and counts sum
         over consecutive fine steps, so the same driving paths are reused.
-        The result is stored step-major and read-only, like the noise it
-        coarsens."""
+        The counts are summed in int64 and their sums stored, like the noise's
+        counts, in the narrowest unsigned type that holds the largest (uint8
+        unless a sum exceeds 255).  The result is stored step-major and
+        read-only, like the noise it coarsens."""
         if self.N % require_count(factor, "coarsening factor") != 0:
             raise DomainError("factor must divide the step count")
         dW = _sum_steps(self.dW, factor)
@@ -167,7 +194,9 @@ def sample_noise(p: Problem, M: int, N: int, seed: int) -> NoiseEnsemble:
     time into one small reused buffer and copied, scaled, into the
     step-major dW, and its counts the same rows at a time (a diffusion, J = 0,
     draws none); successive draws continue each of the block's substreams,
-    so the values are those of one call for the whole block.
+    so the values are those of one call for the whole block.  The counts are
+    stored in uint8, widened only when a chunk's largest count needs it
+    (`_put`), so every count keeps the value `Generator.poisson` drew.
     """
     M, N, seed = require_count(M, "M"), require_count(N, "N"), require_seed(seed)
     dt = p.T / N
@@ -176,7 +205,7 @@ def sample_noise(p: Problem, M: int, N: int, seed: int) -> NoiseEnsemble:
     with allocating(M * (N * (p.m + J) + p.n), f"noise of {M} paths and {N} steps"):
         dW = _step_major(M, N, (p.m,))
         z0 = np.empty((M, p.n)) if isinstance(p.x0, GaussianInitial) else None
-        counts = _step_major(M, N, (J,), np.int64)
+        counts = _step_major(M, N, (J,), np.uint8)
     rows = max(1, _DRAW_FLOATS // (N * (p.m + J)))
     draws = np.empty((min(M, _BLOCK, rows), N, p.m))  # Philox fills only a C-contiguous out=
     for b, s in enumerate(range(0, M, _BLOCK)):
@@ -191,7 +220,7 @@ def sample_noise(p: Problem, M: int, N: int, seed: int) -> NoiseEnsemble:
             chunk *= sqrt_dt
             dW[r : r + len(chunk)] = chunk
             if J:  # Generator.poisson has no out=; its (rows, N, J) result is the only temporary
-                counts[r : r + len(chunk)] = jumps.poisson(p.jump.intensities * dt, (len(chunk), N, J))
+                counts = _put(counts, r, jumps.poisson(p.jump.intensities * dt, (len(chunk), N, J)))
     _freeze(dW, counts, z0)
     return NoiseEnsemble(M, N, p.m, dt, seed, dW, counts, z0)
 
@@ -314,11 +343,21 @@ def _dirac_steps(u: RelaxedControl) -> tuple[np.ndarray, RegularControl]:
     return one_hot.all(axis=1), RegularControl(atoms, u.grid.box, u.feedback_mode, u.feedback)
 
 
+def _compensated_counts(noise: NoiseEnsemble, k: int, lam: np.ndarray) -> np.ndarray:
+    """Step k's compensated increments counts - lam_j dt, intensities lam
+    (J,), read once from the step's contiguous (M, J) block of counts, as a
+    (J, M) float array: C order subtracts each mark in one pass over the
+    paths, where the block's own order would go in runs of J."""
+    return np.subtract(noise.jump_counts[:, k].T, lam[:, None] * noise.dt, order="C")
+
+
 def euler_step(p: Problem, noise: NoiseEnsemble, k: int, x, drift, diff, jumps, out, what: str) -> None:
     """Write x + drift dt + diff dW_k + sum_j C_j (counts_kj - lam_j dt) on
     every path into the row out (not x), marks added in order, and check it
     by `guard_step`; a drift or diffusion the same on every path is read as
-    one row.  The terms are added in that order, so the bits are the sum's."""
+    one row, and the counts of every mark are read once, as step k's
+    compensated increments (`_compensated_counts`).  The terms are added in
+    that order, so the bits are the sum's."""
     dt = noise.dt
     if _same_on_every_path(drift):
         np.add(x, drift[:1] * dt, out=out)
@@ -329,9 +368,10 @@ def euler_step(p: Problem, noise: NoiseEnsemble, k: int, x, drift, diff, jumps, 
         out += np.einsum("nm,qm->qn", diff[0], noise.dW[:, k])
     else:
         out += np.einsum("qnm,qm->qn", diff, noise.dW[:, k])
-    for j, cj in enumerate(jumps):
-        factor = noise.jump_counts[:, k, j] - p.jump.intensities[j] * dt
-        out += factor[:, None] * cj
+    if jumps:
+        dq = _compensated_counts(noise, k, p.jump.intensities)
+        for j, cj in enumerate(jumps):
+            out += dq[j][:, None] * cj
     guard_step(out, k, what)
 
 

@@ -58,7 +58,7 @@ def test_diffusion_records_carry_width_zero_jump_arrays():
     p = rsmp.make_benchmark("lq2d")
     noise = rsmp.sample_noise(p, _BLOCK + 3, N, seed=1)  # two path blocks
     for counts, steps in ((noise.jump_counts, N), (noise.coarsen(2).jump_counts, N // 2)):
-        assert counts.shape == (_BLOCK + 3, steps, 0) and counts.dtype == np.int64
+        assert counts.shape == (_BLOCK + 3, steps, 0) and counts.dtype == np.uint8 and counts.nbytes == 0
         assert not counts.flags.writeable
         assert all(counts[:, k].flags.c_contiguous for k in range(steps))
     (u0,) = controls("lq2d", rsmp.STATE_FEEDBACK, 1, seed=2)

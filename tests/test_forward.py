@@ -13,7 +13,7 @@ from rsmp import CellPartition, ShapeMismatch
 from rsmp.container import TAG_ADJOINT, TAG_PATHS, adjoint_to_binary, paths_to_binary, read_section
 from rsmp.forward import _BLOCK, BLOWUP_GUARD, STREAM_VERSION, _mean_and_error, euler_step, guard_step, pathwise_cost
 from rsmp.adjoint import _sweep
-from rsmp.forward import _step_weights
+from rsmp.forward import _DRAW_FLOATS, _KIND_JUMPS, _step_weights, _substream
 from rsmp.problem import averaged_coefficients
 
 
@@ -184,6 +184,63 @@ class TestNoiseLayout:
         noise = rsmp.sample_noise(rsmp.make_benchmark(name), _BLOCK + 3, 4, seed=1)
         assert noise.jump_counts.shape == (_BLOCK + 3, 4, 0)
         assert hashlib.sha256(noise.dW.astype("<f8").tobytes()).hexdigest() == expected
+
+
+def one_mark_problem(lam_dt, N):
+    """scalar_problem with one jump mark of intensity lam_dt / dt on N steps."""
+    return scalar_problem(jump=JumpSpec(np.array([[1.0]]), np.array([lam_dt * N]),
+                                        C=lambda t, x, v, xi: np.broadcast_to(v, np.shape(x))))
+
+
+def int64_counts(p, M, N, seed):
+    """The event counts as int64: one Poisson call per path block of its jump
+    substream, path-major, which the chunked draws of `sample_noise` continue."""
+    lam_dt = p.jump.intensities * (p.T / N)
+    return np.concatenate([
+        _substream(seed, b, _KIND_JUMPS).poisson(lam_dt, (min(_BLOCK, M - s), N, p.jump.J))
+        for b, s in enumerate(range(0, M, _BLOCK))
+    ])
+
+
+class TestCountWidth:
+    """Event counts are stored in the narrowest unsigned type that holds the
+    largest count, uint8 unless a count needs more, with the int64 values."""
+
+    def test_jump_lq_counts_take_one_byte_each(self):
+        p, M, N = rsmp.make_benchmark("jump-lq"), 20_000, 64
+        noise = rsmp.sample_noise(p, M, N, seed=1)
+        assert noise.jump_counts.dtype == np.uint8
+        assert noise.jump_counts.nbytes == M * N * p.jump.J
+        assert np.array_equal(noise.jump_counts, int64_counts(p, M, N, 1))
+
+    @pytest.mark.parametrize("lam_dt, seed, width", [(200.0, 3, np.uint16), (300.0, 1, np.uint16),
+                                                     (70_000.0, 1, np.uint32)])
+    def test_counts_above_255_widen_to_hold_them(self, lam_dt, seed, width):
+        # at lam_dt 200 the first chunk of draws fits a byte and a later one does not
+        M, N = _BLOCK + 100, 8
+        p = one_mark_problem(lam_dt, N)
+        ref = int64_counts(p, M, N, seed)
+        if lam_dt == 200.0:
+            assert ref[: _DRAW_FLOATS // (N * 2)].max() <= 255 < ref.max()
+        noise = rsmp.sample_noise(p, M, N, seed)
+        counts = noise.jump_counts
+        assert counts.dtype == width == np.min_scalar_type(ref.max())
+        assert np.array_equal(counts, ref)
+        assert all(counts[:, k].flags.c_contiguous for k in range(N)) and not counts.flags.writeable
+        paths = rsmp.simulate(p, rsmp.constant_control(unit_grid(), N), noise)
+        wide = rsmp.simulate(p, rsmp.constant_control(unit_grid(), N), dataclasses.replace(noise, jump_counts=ref))
+        assert np.array_equal(paths.states, wide.states)
+
+    def test_coarse_sums_past_255_equal_the_int64_reshape_sum(self):
+        M, N, factor = _BLOCK + 100, 8, 4
+        fine = rsmp.sample_noise(one_mark_problem(100.0, N), M, N, seed=2)
+        coarse = fine.coarsen(factor)
+        ref = np.ascontiguousarray(fine.jump_counts).astype(np.int64).reshape(M, N // factor, factor, 1).sum(axis=2)
+        assert fine.jump_counts.dtype == np.uint8 and ref.max() > 255
+        assert coarse.jump_counts.dtype == np.uint16 == np.min_scalar_type(ref.max())
+        assert np.array_equal(coarse.jump_counts, ref)
+        assert all(coarse.jump_counts[:, k].flags.c_contiguous for k in range(N // factor))
+        assert not coarse.jump_counts.flags.writeable
 
 
 class TestSimulate:

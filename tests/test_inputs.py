@@ -447,6 +447,17 @@ def test_path_count_beyond_numpy_s_largest_array_exits_2():
     assert err.getvalue() == "error: noise of 4611686018427387904 paths and 64 steps, too large to allocate\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "adjoint", "optimize", "certify", "chatter"])
+@pytest.mark.parametrize("flag, steps, cells", [("--N", 10**30, 8), ("--cells", 32, 10**30)])
+def test_initial_control_beyond_numpy_s_largest_array_exits_2(command, flag, steps, cells):
+    # the uniform initial table has N * cells * K entries, sized before numpy allocates it
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--bench", "lq1d", "--M", "10", "--seed", "1", flag, str(10**30)])
+    assert code == EXIT_CONFIG
+    assert err.getvalue() == f"error: initial control of {steps} steps and {cells} cells, too large to allocate\n"
+
+
 def test_command_out_of_memory_exits_2(monkeypatch):
     def exhausted(config):
         raise MemoryError("Unable to allocate 46.6 TiB")

@@ -46,7 +46,7 @@ def test_noise_is_step_major(pipeline):
     assert_step_major(base.noise.dW, (M, N, p.m))
     if p.jump is not None:
         assert_step_major(base.noise.jump_counts, (M, N, p.jump.J))
-        assert base.noise.jump_counts.dtype == np.int64
+        assert base.noise.jump_counts.dtype == np.uint8  # the narrowest unsigned type: no count exceeds 255
 
 
 def test_states_are_step_major(pipeline):
@@ -107,9 +107,10 @@ def test_coarsen_is_the_path_major_reshape_sum(factor):
     coarse = fine.coarsen(factor)
     Nc = Nf // factor
     dW = np.ascontiguousarray(fine.dW).reshape(Mf, Nc, factor, p.m).sum(axis=2)
-    counts = np.ascontiguousarray(fine.jump_counts).reshape(Mf, Nc, factor, p.jump.J).sum(axis=2)
+    counts = np.ascontiguousarray(fine.jump_counts).reshape(Mf, Nc, factor, p.jump.J).sum(axis=2, dtype=np.int64)
     assert coarse.dW.tobytes() == dW.tobytes()
-    assert coarse.jump_counts.dtype == counts.dtype and coarse.jump_counts.tobytes() == counts.tobytes()
+    # the sums are stored in the narrowest unsigned type that holds them, here uint8
+    assert coarse.jump_counts.dtype == np.uint8 and np.array_equal(coarse.jump_counts, counts)
     assert_step_major(coarse.dW, (Mf, Nc, p.m))
     assert_step_major(coarse.jump_counts, (Mf, Nc, p.jump.J))
     assert coarse.N == Nc and coarse.dt == fine.dt * factor
