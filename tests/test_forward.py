@@ -213,15 +213,14 @@ class TestCountWidth:
         assert noise.jump_counts.nbytes == M * N * p.jump.J
         assert np.array_equal(noise.jump_counts, int64_counts(p, M, N, 1))
 
-    @pytest.mark.parametrize("lam_dt, seed, width", [(200.0, 3, np.uint16), (300.0, 1, np.uint16),
-                                                     (70_000.0, 1, np.uint32)])
-    def test_counts_above_255_widen_to_hold_them(self, lam_dt, seed, width):
-        # at lam_dt 200 the first chunk of draws fits a byte and a later one does not
+    @pytest.mark.parametrize("lam_dt, seed, width, late", [(200.0, 3, np.uint16, True), (300.0, 1, np.uint16, False),
+                                                           (70_000.0, 1, np.uint32, False)])
+    def test_counts_above_255_widen_to_hold_them(self, lam_dt, seed, width, late):
+        # late: the first chunk of draws fits a byte and a later one does not
         M, N = _BLOCK + 100, 8
         p = one_mark_problem(lam_dt, N)
         ref = int64_counts(p, M, N, seed)
-        if lam_dt == 200.0:
-            assert ref[: _DRAW_FLOATS // (N * 2)].max() <= 255 < ref.max()
+        assert (ref[: _DRAW_FLOATS // (N * 2)].max() <= 255) == late
         noise = rsmp.sample_noise(p, M, N, seed)
         counts = noise.jump_counts
         assert counts.dtype == width == np.min_scalar_type(ref.max())
